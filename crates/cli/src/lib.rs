@@ -482,9 +482,8 @@ fn cmd_rtr_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         listener.local_addr()?,
         cache.session_id(),
     )?;
-    // Non-blocking accept front end (watermark + shutdown-aware poll);
-    // each admitted session still gets a synchronous serving thread
-    // with unsolicited Serial Notify.
+    // The RTR session plane: one wake-driven loop for every router,
+    // with a session watermark and pushed Serial Notify.
     let _listener =
         ripki_rtr::RtrListener::spawn(listener, cache, ripki_rtr::ListenerConfig::default())?;
     loop {
@@ -838,8 +837,8 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
                 cache.session_id(),
                 cache.serial(),
             )?;
-            // Same non-blocking accept discipline as the HTTP plane:
-            // shutdown-aware poll loop with a session watermark.
+            // The RTR session plane, beside the HTTP reactor: one loop
+            // for every router, woken by each install into `cache`.
             let rtr_listener = ripki_rtr::RtrListener::spawn(
                 listener,
                 Arc::clone(&cache),

@@ -15,7 +15,13 @@ use std::path::Path;
 /// `SystemTime` stays confined); R6 (no blocking reachable from a
 /// reactor turn) and R7 (consistent lock acquisition order) were added
 /// on the same graph.
-pub const CATALOG_VERSION: u32 = 4;
+///
+/// v5: the RTR session plane is an I/O loop like the reactor — R6 roots
+/// at `SessionLoop::turn` too, R6/R7 scope `crates/rtr/src/**`, R2
+/// admits `Instant::now` in `crates/rtr/src/listener.rs` (write-stall
+/// deadlines), and R7 checks against a *declared* order
+/// ([`DECLARED_LOCK_ORDER`]) besides the orders the code exhibits.
+pub const CATALOG_VERSION: u32 = 5;
 
 /// The enforced invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,7 +30,7 @@ pub enum Rule {
     /// `unimplemented!` and no `[]` indexing on the serving request path
     /// (`crates/serve/src/**`, which includes the poll(2) reactor and
     /// connection state machines), in the RTR PDU codec
-    /// (`crates/rtr/src/pdu.rs`), or in the RTR accept front end
+    /// (`crates/rtr/src/pdu.rs`), or in the RTR session plane
     /// (`crates/rtr/src/listener.rs`) — *including transitively*: a
     /// helper anywhere in the workspace that can panic and is reachable
     /// from an in-scope function is flagged at the panic site and at
@@ -33,7 +39,8 @@ pub enum Rule {
     NoPanic,
     /// R2: `SystemTime::now` only inside `ripki_rpki::time` (the
     /// simulation clock) and the `cli` / `bench` crates; `Instant::now`
-    /// additionally allowed in `crates/serve/**` (monotonic deadline
+    /// additionally allowed in `crates/serve/**` and the RTR session
+    /// plane `crates/rtr/src/listener.rs` (monotonic deadline
     /// arithmetic on a real-time plane). Everything else must take time
     /// as a parameter so study runs stay deterministic and replayable.
     WallClock,
@@ -53,14 +60,16 @@ pub enum Rule {
     EpochWrite,
     /// R6: nothing that can block — `thread::sleep`, channel
     /// `recv`/`recv_timeout`, `join`, condvar `wait`, blocking
-    /// `accept`/`connect` — is reachable from `Reactor::turn` outside
-    /// the blessed poll/idle-sweep sites. One blocked turn stalls every
-    /// connection on the reactor at once.
+    /// `accept`/`connect` — is reachable from an I/O loop's turn
+    /// (`Reactor::turn`, the RTR `SessionLoop::turn`) outside the
+    /// blessed poll/ready-fd sites. One blocked turn stalls every
+    /// connection on the loop at once.
     NoBlocking,
     /// R7: the workspace lock set (struct fields of `Mutex`/`RwLock`
-    /// type in `serve`/`par`/`proxy`) is acquired in one consistent
-    /// order; any path that holds lock A while (transitively) taking
-    /// lock B, when another path orders them B-then-A, is flagged.
+    /// type in `serve`/`par`/`proxy`/`rtr`) is acquired in one
+    /// consistent order; any path that holds lock A while
+    /// (transitively) taking lock B, when another path — or
+    /// [`DECLARED_LOCK_ORDER`] — orders them B-then-A, is flagged.
     LockOrder,
 }
 
@@ -109,11 +118,12 @@ impl Rule {
             Rule::NoPanic => {
                 "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! or [] indexing \
                  on the serve request path (reactor included), the RTR PDU codec, and the \
-                 RTR accept front end — directly or via any workspace function they reach"
+                 RTR session plane — directly or via any workspace function they reach"
             }
             Rule::WallClock => {
                 "SystemTime::now only in ripki_rpki::time and the cli/bench crates; \
-                 Instant::now additionally allowed in crates/serve (monotonic deadlines)"
+                 Instant::now additionally allowed in crates/serve and the RTR session \
+                 plane (monotonic deadlines)"
             }
             Rule::AtomicOrder => {
                 "every Ordering::Relaxed/Acquire/Release/AcqRel needs a same-line or \
@@ -126,13 +136,13 @@ impl Rule {
             }
             Rule::NoBlocking => {
                 "no thread::sleep, channel recv, join, condvar wait, or blocking \
-                 accept/connect reachable from Reactor::turn outside the blessed \
-                 poll/idle-sweep sites"
+                 accept/connect reachable from an I/O loop turn (Reactor::turn, RTR \
+                 SessionLoop::turn) outside the blessed poll/ready-fd sites"
             }
             Rule::LockOrder => {
-                "the serve/par/proxy Mutex/RwLock field set is acquired in one global \
-                 order; a path holding A then taking B while another takes B then A is \
-                 a deadlock seed"
+                "the serve/par/proxy/rtr Mutex/RwLock field set is acquired in one global \
+                 order; a path holding A then taking B while another path (or the \
+                 declared order) takes B then A is a deadlock seed"
             }
         }
     }
@@ -167,14 +177,17 @@ impl Rule {
                     && !path.starts_with("crates/lint/")
             }
             Rule::EpochWrite => !is_blessed_epoch_module(path),
-            // R6 roots in the reactor; R7 collects locks from the
+            // R6 roots in the I/O loops; R7 collects locks from the
             // concurrent crates. Reporting sites follow chains, so the
             // file-level scope is where *analysis roots* live.
-            Rule::NoBlocking => path.starts_with("crates/serve/src/"),
+            Rule::NoBlocking => {
+                path.starts_with("crates/serve/src/") || path.starts_with("crates/rtr/src/")
+            }
             Rule::LockOrder => {
                 path.starts_with("crates/serve/src/")
                     || path.starts_with("crates/par/src/")
                     || path.starts_with("crates/proxy/src/")
+                    || path.starts_with("crates/rtr/src/")
             }
         }
     }
@@ -203,12 +216,22 @@ pub fn is_blessed_epoch_module(path: &str) -> bool {
     )
 }
 
+/// Where R2 admits the monotonic `Instant::now`: the real-time serving
+/// planes, whose job includes deadline arithmetic (read/write-stall
+/// drops). `SystemTime` stays confined everywhere.
+pub fn admits_monotonic_clock(path: &str) -> bool {
+    path.starts_with("crates/serve/") || path == "crates/rtr/src/listener.rs"
+}
+
 /// R6 analysis roots: `(file suffix, impl type, fn name)` of the
-/// functions one reactor turn executes. `Reactor::turn` is the per-
+/// functions one I/O loop turn executes. `Reactor::turn` is the per-
 /// iteration body `Reactor::run` loops over; `run` itself is *not* a
 /// root because its post-loop teardown legitimately joins the pool.
-pub const REACTOR_ROOTS: &[(&str, Option<&str>, &str)] =
-    &[("crates/serve/src/reactor.rs", Some("Reactor"), "turn")];
+/// `SessionLoop::turn` is the same cut of the RTR session plane.
+pub const REACTOR_ROOTS: &[(&str, Option<&str>, &str)] = &[
+    ("crates/serve/src/reactor.rs", Some("Reactor"), "turn"),
+    ("crates/rtr/src/listener.rs", Some("SessionLoop"), "turn"),
+];
 
 /// R6 blessed sites: functions allowed to contain (or reach) op shapes
 /// that look blocking, with the reason they are safe on the reactor.
@@ -218,8 +241,24 @@ pub const REACTOR_ROOTS: &[(&str, Option<&str>, &str)] =
 /// (`read_ready`, `write_some`, `accept_ready`, `drain_wake_pipe`)
 /// only ever touch fds already reported ready, in nonblocking mode.
 /// `CompletionQueue::drain`/`push` hold a lock for a bounded O(len)
-/// splice that the loom lane models.
+/// splice that the loom lane models. The RTR session loop has the same
+/// shape: `poll_ready` is its idle state, and `accept_ready`,
+/// `drain_wake`, `Session::read_ready`/`write_some` touch non-blocking
+/// fds only.
 pub const REACTOR_BLESSED: &[(&str, Option<&str>, &str)] = &[
+    ("crates/rtr/src/listener.rs", None, "poll_ready"),
+    (
+        "crates/rtr/src/listener.rs",
+        Some("SessionLoop"),
+        "accept_ready",
+    ),
+    (
+        "crates/rtr/src/listener.rs",
+        Some("SessionLoop"),
+        "drain_wake",
+    ),
+    ("crates/rtr/src/listener.rs", Some("Session"), "read_ready"),
+    ("crates/rtr/src/listener.rs", Some("Session"), "write_some"),
     ("crates/serve/src/reactor.rs", None, "poll_fds"),
     ("crates/serve/src/reactor.rs", Some("Reactor"), "read_ready"),
     ("crates/serve/src/reactor.rs", None, "write_some"),
@@ -236,6 +275,18 @@ pub const REACTOR_BLESSED: &[(&str, Option<&str>, &str)] = &[
     ("crates/serve/src/pool.rs", Some("CompletionQueue"), "drain"),
     ("crates/serve/src/pool.rs", Some("CompletionQueue"), "push"),
 ];
+
+/// R7's declared order: `(first, second)` pairs of `Owner.field` locks
+/// whose order is fixed by design even where no code path nests them.
+/// Each pair seeds the order graph, so a path nesting them the other
+/// way is flagged as an inversion against the declaration.
+///
+/// `CacheServer.state` → `CacheServer.wakers`: every mutator releases
+/// `state` before it signals the wakers, so today nothing nests the two
+/// at all; the declared direction is the only one a future nesting may
+/// take (a signal under `state` is tolerable, a state read under
+/// `wakers` would let a slow waker list stall every query).
+pub const DECLARED_LOCK_ORDER: &[(&str, &str)] = &[("CacheServer.state", "CacheServer.wakers")];
 
 /// Method names R6 treats as potentially blocking when reached from a
 /// reactor root. `lock`/`read`/`write` are deliberately *absent*:
@@ -307,9 +358,15 @@ mod tests {
         assert!(Rule::EpochWrite.applies_to("crates/proxy/src/units.rs"));
 
         assert!(Rule::NoBlocking.applies_to("crates/serve/src/reactor.rs"));
+        assert!(Rule::NoBlocking.applies_to("crates/rtr/src/listener.rs"));
         assert!(!Rule::NoBlocking.applies_to("crates/par/src/lib.rs"));
         assert!(Rule::LockOrder.applies_to("crates/par/src/lib.rs"));
         assert!(Rule::LockOrder.applies_to("crates/proxy/src/comms.rs"));
+        assert!(Rule::LockOrder.applies_to("crates/rtr/src/cache.rs"));
+
+        assert!(admits_monotonic_clock("crates/serve/src/reactor.rs"));
+        assert!(admits_monotonic_clock("crates/rtr/src/listener.rs"));
+        assert!(!admits_monotonic_clock("crates/rtr/src/cache.rs"));
         assert!(!Rule::LockOrder.applies_to("crates/rpki/src/validate.rs"));
     }
 }

@@ -14,7 +14,8 @@
 //! justification required, unused entries are themselves violations.
 
 use crate::catalog::{
-    is_blessed_epoch_module, Rule, BLOCKING_METHODS, BLOCKING_PATHS, REACTOR_BLESSED, REACTOR_ROOTS,
+    admits_monotonic_clock, is_blessed_epoch_module, Rule, BLOCKING_METHODS, BLOCKING_PATHS,
+    DECLARED_LOCK_ORDER, REACTOR_BLESSED, REACTOR_ROOTS,
 };
 use crate::graph::{FnId, FnNode, LockOrder, Workspace};
 use crate::lex::{tokenize, Token};
@@ -196,9 +197,9 @@ impl CheckSet {
                             // A real-time serving plane measures
                             // deadlines: the monotonic clock is part of
                             // its job. The wall clock stays confined.
-                            let serve_instant =
-                                clock == "Instant" && path_str.starts_with("crates/serve/");
-                            if !serve_instant {
+                            let serving_instant =
+                                clock == "Instant" && admits_monotonic_clock(&path_str);
+                            if !serving_instant {
                                 self.emit(
                                     Rule::WallClock,
                                     &node.path,
@@ -556,6 +557,19 @@ impl CheckSet {
         };
         let locks = self.ws.transitive_locks();
         let mut order = LockOrder::default();
+        // The declared pairs go in first, so they are the witnessed
+        // direction and any code nesting them the other way is the
+        // reported inversion.
+        for (first, second) in DECLARED_LOCK_ORDER {
+            order.record(
+                first,
+                second,
+                Path::new("crates/lint/src/catalog.rs"),
+                0,
+                0,
+                "the declared order (DECLARED_LOCK_ORDER)".to_string(),
+            );
+        }
         for id in 0..self.ws.fns.len() {
             let node = &self.ws.fns[id];
             if node.def.is_test {

@@ -101,24 +101,34 @@ impl VrpPayload {
         self.vrps.is_empty()
     }
 
-    /// An order-independent digest of the set contents (FNV-1a over the
-    /// canonical iteration order — the order *is* canonical, so equal
-    /// digests plus equal lengths make byte-identity overwhelmingly
-    /// likely; tests use full `==`, operators use this for log lines).
+    /// A digest of the set contents: FNV-1a over each VRP's binary
+    /// form (family tag, network octets, prefix length, max length,
+    /// ASN) in the set's canonical iteration order. Equal sets iterate
+    /// identically, so they share a digest; equal digests plus equal
+    /// lengths make byte-identity overwhelmingly likely (tests use full
+    /// `==`, operators use this for log lines). The value is only
+    /// meaningful within one build of this crate.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
         };
         for vrp in self.vrps.iter() {
-            for b in vrp.prefix.to_string().bytes() {
-                mix(b);
+            match vrp.prefix {
+                ripki_net::IpPrefix::V4(p) => {
+                    mix(&[4]);
+                    mix(&p.network().octets());
+                }
+                ripki_net::IpPrefix::V6(p) => {
+                    mix(&[6]);
+                    mix(&p.network().octets());
+                }
             }
-            mix(vrp.max_length);
-            for b in vrp.asn.value().to_be_bytes() {
-                mix(b);
-            }
+            mix(&[vrp.prefix.len(), vrp.max_length]);
+            mix(&vrp.asn.value().to_be_bytes());
         }
         h
     }
@@ -494,6 +504,29 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         let c = VrpPayload::new(1, [vrp("10.0.0.0/16", 16, 1)]);
         assert_ne!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn digest_separates_every_field_of_a_vrp() {
+        let base = vrp("10.0.0.0/16", 20, 64500);
+        let variants = [
+            base,
+            vrp("10.1.0.0/16", 20, 64500),
+            vrp("10.0.0.0/17", 20, 64500),
+            vrp("10.0.0.0/16", 21, 64500),
+            vrp("10.0.0.0/16", 20, 64501),
+            vrp("a00::/16", 20, 64500), // same leading octets, other family
+        ];
+        let digests: BTreeSet<u64> = variants
+            .iter()
+            .map(|v| VrpPayload::new(1, [*v]).digest())
+            .collect();
+        assert_eq!(digests.len(), variants.len());
+        // The epoch is not part of the set's digest.
+        assert_eq!(
+            VrpPayload::new(1, [base]).digest(),
+            VrpPayload::new(2, [base]).digest()
+        );
     }
 
     #[test]

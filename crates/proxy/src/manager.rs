@@ -19,7 +19,7 @@ use ripki_slurm::SlurmFile;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -325,16 +325,11 @@ impl Manager {
     }
 
     /// Stop everything: raise the shutdown flag, close all gossip
-    /// channels, wake every accept loop, and join every thread.
+    /// channels, join every unit thread, and stop every target.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for gossip in &self.gossips {
             gossip.close();
-        }
-        // Accept loops only check the flag between connections; poke
-        // each listener so they notice.
-        for target in &self.targets {
-            let _ = TcpStream::connect(target.addr);
         }
         for handle in self.finite.drain(..) {
             let _ = handle.join();
@@ -342,13 +337,8 @@ impl Manager {
         for handle in self.service.drain(..) {
             let _ = handle.join();
         }
-        for target in &mut self.targets {
-            if let Some(consume) = target.consume.take() {
-                let _ = consume.join();
-            }
-            if let Some(accept) = target.accept.take() {
-                let _ = accept.join();
-            }
+        for target in self.targets.drain(..) {
+            target.stop();
         }
     }
 }
@@ -356,6 +346,7 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
     use std::time::Duration;
 
     #[test]

@@ -2,15 +2,17 @@
 //! fabric.
 //!
 //! Each target subscribes to one unit's gossip and keeps its serving
-//! state in lockstep with the fabric's epoch. The RTR target reuses the
-//! battle-tested [`CacheServer`]; the HTTP target reuses the hardened
+//! state in lockstep with the fabric's epoch. The RTR target feeds a
+//! [`CacheServer`] and serves it through the one RTR session plane,
+//! [`RtrListener`] — every install wakes that loop, which pushes Serial
+//! Notify to the routers at once; the HTTP target reuses the hardened
 //! request parser from [`ripki_serve::http`] and serves the JSON/CSV
 //! exports plus `/status` and Prometheus `/metrics`.
 
 use crate::comms::{Subscription, Wait};
 use crate::log::Log;
 use ripki_payload::VrpPayload;
-use ripki_rtr::CacheServer;
+use ripki_rtr::{CacheServer, ListenerConfig, RtrListener};
 use ripki_serve::http::{
     body_disposition, drain_body, read_request, Body, BodyDisposition, Request, Response,
 };
@@ -22,11 +24,22 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often serving loops re-check the shutdown flag while idle.
+/// How often the subscription drainers re-check the shutdown flag
+/// while their feed is quiet (an update wakes them at once).
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
-/// A running target: its bound address plus the threads the manager
-/// joins on drain (`consume`) and shutdown (`accept`).
+/// What keeps serving a target's clients until shutdown, so late ones
+/// can still fetch the final state.
+enum Serving {
+    /// The RTR session loop.
+    Rtr(RtrListener),
+    /// The HTTP accept loop, which checks the shutdown flag between
+    /// connections.
+    Http(JoinHandle<()>),
+}
+
+/// A running target: its bound address, the thread the manager joins
+/// on drain (`consume`), and the serving side it stops on shutdown.
 pub struct TargetHandle {
     /// The target's configured name.
     pub name: String,
@@ -35,9 +48,26 @@ pub struct TargetHandle {
     /// The subscription-draining thread; finishes when the feeding
     /// unit closes its gossip.
     pub consume: Option<JoinHandle<()>>,
-    /// The accept loop; runs until shutdown so late clients can still
-    /// fetch the final state.
-    pub accept: Option<JoinHandle<()>>,
+    serving: Serving,
+}
+
+impl TargetHandle {
+    /// Join the drainer and stop serving. The caller has raised the
+    /// shutdown flag and closed the feeding gossip.
+    pub fn stop(self) {
+        if let Some(consume) = self.consume {
+            let _ = consume.join();
+        }
+        match self.serving {
+            Serving::Rtr(mut listener) => listener.shutdown(),
+            Serving::Http(accept) => {
+                // The accept loop only checks the flag between
+                // connections; poke it so it notices.
+                let _ = TcpStream::connect(self.addr);
+                let _ = accept.join();
+            }
+        }
+    }
 }
 
 /// A deterministic per-target RTR session id, so chained caches present
@@ -52,9 +82,9 @@ fn session_id(name: &str) -> u16 {
 }
 
 /// Start an RTR cache target: bind `listen`, feed a [`CacheServer`]
-/// from `sub`, serve each router connection with unsolicited Serial
-/// Notify. Returns once the socket is bound (so the caller knows the
-/// real port before any log line races).
+/// from `sub`, serve its routers (with pushed Serial Notify) from one
+/// [`RtrListener`] session loop. Returns once the socket is bound (so
+/// the caller knows the real port before any log line races).
 pub fn start_rtr_target(
     name: &str,
     listen: &str,
@@ -111,31 +141,13 @@ pub fn start_rtr_target(
         })
     };
 
-    let accept = {
-        let cache = Arc::clone(&cache);
-        let shutdown = Arc::clone(shutdown);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let cache = Arc::clone(&cache);
-                // Router connections are detached: they end when the
-                // peer hangs up (the read side is timeout-polled, so a
-                // closed socket is noticed within one IDLE_POLL).
-                std::thread::spawn(move || {
-                    let _ = cache.serve_tcp_with_notify(stream, IDLE_POLL);
-                });
-            }
-        })
-    };
+    let serving = RtrListener::spawn(listener, cache, ListenerConfig::default())?;
 
     Ok(TargetHandle {
         name: name.to_string(),
         addr,
         consume: Some(consume),
-        accept: Some(accept),
+        serving: Serving::Rtr(serving),
     })
 }
 
@@ -367,7 +379,7 @@ pub fn start_http_target(
         name: name.to_string(),
         addr,
         consume: Some(consume),
-        accept: Some(accept),
+        serving: Serving::Http(accept),
     })
 }
 
@@ -452,24 +464,14 @@ mod tests {
 
         gossip.close();
         shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(handle.addr); // wake the accept loop
-        handle
-            .consume
-            .expect("consume handle")
-            .join()
-            .expect("consume");
-        handle
-            .accept
-            .expect("accept handle")
-            .join()
-            .expect("accept");
+        handle.stop();
     }
 
     #[test]
     fn rtr_target_installs_updates_into_its_cache() {
         let gossip = Gossip::new();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = start_rtr_target(
+        let mut handle = start_rtr_target(
             "r",
             "127.0.0.1:0",
             gossip.subscribe(),
@@ -483,6 +485,7 @@ mod tests {
         gossip.close();
         handle
             .consume
+            .take()
             .expect("consume handle")
             .join()
             .expect("consume");
@@ -499,12 +502,7 @@ mod tests {
         assert_eq!(serial, 2, "RTR serial tracks the fabric epoch");
 
         shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(handle.addr);
-        handle
-            .accept
-            .expect("accept handle")
-            .join()
-            .expect("accept");
+        handle.stop();
     }
 
     #[test]
@@ -589,17 +587,7 @@ mod tests {
 
         gossip.close();
         shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(handle.addr);
-        handle
-            .consume
-            .expect("consume handle")
-            .join()
-            .expect("consume");
-        handle
-            .accept
-            .expect("accept handle")
-            .join()
-            .expect("accept");
+        handle.stop();
     }
 
     #[test]
@@ -608,7 +596,7 @@ mod tests {
         let log = Log::to(Box::new(capture.clone()));
         let gossip = Gossip::new();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = start_rtr_target("r", "127.0.0.1:0", gossip.subscribe(), &log, &shutdown)
+        let mut handle = start_rtr_target("r", "127.0.0.1:0", gossip.subscribe(), &log, &shutdown)
             .expect("bind");
 
         let p1 = ripki_payload::VrpPayload::new(1, [vrp("10.0.0.0/24", 64496)]);
@@ -628,6 +616,7 @@ mod tests {
         gossip.close();
         handle
             .consume
+            .take()
             .expect("consume handle")
             .join()
             .expect("consume");
@@ -644,11 +633,6 @@ mod tests {
         assert_eq!(client.payload().expect("payload"), p3);
 
         shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(handle.addr);
-        handle
-            .accept
-            .expect("accept handle")
-            .join()
-            .expect("accept");
+        handle.stop();
     }
 }

@@ -118,14 +118,18 @@ pub fn run_engine_unit(
 pub struct RtrUnitConfig {
     /// Upstream cache address (`host:port`).
     pub connect: String,
-    /// Serial-notify poll interval (also the socket read timeout).
+    /// The socket read timeout while waiting for a Serial Notify: how
+    /// often an idle unit re-checks for shutdown, and the pause after a
+    /// failed sync. Not on the latency path — a notify ends the wait.
     pub poll: Duration,
 }
 
 /// Run an RTR client unit until shutdown. Connection drops are ridden
-/// out by [`PersistentClient`] (incremental resume, capped backoff);
-/// every new serial is published with the delta from the previously
-/// published payload attached.
+/// out by [`PersistentClient`] (incremental resume, capped backoff).
+/// Every new serial is published; when the sync was a Serial Query
+/// answered incrementally, the update carries the delta the wire just
+/// delivered, and only a full reload (first contact, Cache Reset, cache
+/// restart) falls back to diffing against the previous payload.
 pub fn run_rtr_unit(
     name: &str,
     config: &RtrUnitConfig,
@@ -137,8 +141,8 @@ pub fn run_rtr_unit(
     let poll = config.poll;
     let mut client = PersistentClient::new(move || {
         let stream = TcpStream::connect(&addr)?;
-        // The read timeout doubles as the notify poll interval: an idle
-        // poll_notify call returns after at most one `poll`.
+        // The read timeout bounds an idle `poll_notify`, i.e. how often
+        // the shutdown flag is re-checked; a notify returns at once.
         stream.set_read_timeout(Some(poll))?;
         Ok(stream)
     })
@@ -166,11 +170,23 @@ pub fn run_rtr_unit(
                     "unit {name} (rtr): synced {payload} from {}",
                     config.connect,
                 ));
-                let update = match &previous {
-                    Some(prev) if payload.epoch() > prev.epoch() => {
-                        PayloadUpdate::from_previous(prev, payload.clone())
+                let update = match (&previous, client.last_delta()) {
+                    // Every advance is published, so the set the sync
+                    // started from is `prev`'s whenever the serials
+                    // agree: the wire delta is exactly prev → payload.
+                    (Some(prev), Some(wire)) if wire.from_serial == prev.serial() => {
+                        PayloadUpdate {
+                            delta: Some(VrpDelta::new(
+                                prev.epoch(),
+                                payload.epoch(),
+                                wire.announced.clone(),
+                                wire.withdrawn.clone(),
+                            )),
+                            payload: payload.clone(),
+                        }
                     }
-                    _ => PayloadUpdate::snapshot(payload.clone()),
+                    (Some(prev), _) => PayloadUpdate::from_previous(prev, payload.clone()),
+                    (None, _) => PayloadUpdate::snapshot(payload.clone()),
                 };
                 previous = Some(payload);
                 gossip.publish(update);
@@ -652,10 +668,10 @@ mod tests {
             match sub.recv_timeout(Duration::from_millis(50)) {
                 Wait::Update(update) => return update,
                 Wait::TimedOut => {}
-                Wait::Closed => panic!("slurm unit closed without publishing"),
+                Wait::Closed => panic!("unit closed without publishing"),
             }
         }
-        panic!("slurm unit never published");
+        panic!("unit never published");
     }
 
     const UNIT_SLURM: &str = r#"{
@@ -787,6 +803,109 @@ mod tests {
         source.close();
         handle.join().expect("slurm unit thread");
         let _ = std::fs::remove_file(file);
+    }
+
+    /// An origin cache behind the RTR session plane, an `rtr` unit
+    /// following it, and the unit's output.
+    struct RtrFeed {
+        cache: Arc<ripki_rtr::CacheServer>,
+        out: Subscription,
+        shutdown: Arc<AtomicBool>,
+        unit: std::thread::JoinHandle<()>,
+        _origin: ripki_rtr::RtrListener,
+    }
+
+    impl RtrFeed {
+        fn start(initial: &VrpPayload) -> RtrFeed {
+            let cache = Arc::new(ripki_rtr::CacheServer::new(7));
+            cache.install_payload(initial);
+            let origin = ripki_rtr::RtrListener::spawn(
+                std::net::TcpListener::bind("127.0.0.1:0").expect("bind"),
+                Arc::clone(&cache),
+                ripki_rtr::ListenerConfig::default(),
+            )
+            .expect("origin listener");
+            let gossip = Gossip::new();
+            let out = gossip.subscribe();
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let config = RtrUnitConfig {
+                connect: origin.addr().to_string(),
+                poll: Duration::from_millis(20),
+            };
+            let unit = {
+                let shutdown = Arc::clone(&shutdown);
+                std::thread::spawn(move || {
+                    run_rtr_unit("up", &config, &gossip, &Log::sink(), &shutdown);
+                })
+            };
+            RtrFeed {
+                cache,
+                out,
+                shutdown,
+                unit,
+                _origin: origin,
+            }
+        }
+
+        fn stop(self) {
+            self.shutdown.store(true, Ordering::SeqCst);
+            self.unit.join().expect("rtr unit thread");
+        }
+    }
+
+    #[test]
+    fn rtr_unit_publishes_the_wire_delta() {
+        let p1 = VrpPayload::new(1, [vrp("10.0.0.0/24", 1), vrp("10.1.0.0/24", 2)]);
+        let mut feed = RtrFeed::start(&p1);
+        let first = recv_update(&mut feed.out);
+        assert_eq!(first, PayloadUpdate::snapshot(p1.clone()));
+
+        // One serial, then two at once (a record that comes and goes
+        // inside the answer must not show up in the forwarded delta).
+        assert!(feed
+            .cache
+            .apply_delta(2, &[vrp("10.2.0.0/24", 3)], &[vrp("10.0.0.0/24", 1)]));
+        let second = recv_update(&mut feed.out);
+        assert_eq!(second.payload, feed.cache.payload().expect("payload"));
+        assert_eq!(second.delta, Some(p1.diff(&second.payload)));
+
+        let mut previous = second.payload;
+        feed.cache.apply_delta(3, &[vrp("10.3.0.0/24", 4)], &[]);
+        feed.cache
+            .apply_delta(4, &[vrp("10.4.0.0/24", 5)], &[vrp("10.3.0.0/24", 4)]);
+        // The unit may catch serial 3 on its own or 3 and 4 together.
+        while previous.epoch() < 4 {
+            let update = recv_update(&mut feed.out);
+            assert_eq!(update.delta, Some(previous.diff(&update.payload)));
+            previous = update.payload;
+        }
+        assert_eq!(previous, feed.cache.payload().expect("payload"));
+        feed.stop();
+    }
+
+    #[test]
+    fn rtr_unit_falls_back_to_a_full_diff_after_a_cache_reset() {
+        let p1 = VrpPayload::new(1, [vrp("10.0.0.0/24", 1), vrp("10.1.0.0/24", 2)]);
+        let mut feed = RtrFeed::start(&p1);
+        assert_eq!(recv_update(&mut feed.out).epoch(), 1);
+
+        // A serial jump clears the origin's history: the unit's Serial
+        // Query is answered with a Cache Reset and it reloads the set.
+        let p9 = VrpPayload::new(9, [vrp("10.1.0.0/24", 2), vrp("10.9.0.0/24", 9)]);
+        feed.cache.install_payload(&p9);
+        let reloaded = recv_update(&mut feed.out);
+        assert_eq!(reloaded.payload, p9);
+        // No wire delta exists for a reload; downstream still gets the
+        // exact 1 → 9 difference (and counts its non-contiguous resync).
+        assert_eq!(reloaded.delta, Some(p1.diff(&p9)));
+
+        // The next contiguous serial is incremental again.
+        feed.cache.apply_delta(10, &[], &[vrp("10.9.0.0/24", 9)]);
+        let next = recv_update(&mut feed.out);
+        let delta = next.delta.expect("delta");
+        assert_eq!((delta.from_epoch, delta.to_epoch), (9, 10));
+        assert_eq!(delta.withdrawn, [vrp("10.9.0.0/24", 9)]);
+        feed.stop();
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! Query). The cache keeps a bounded delta history; askers that fall
 //! off the end get a Cache Reset and start over — exactly RFC 6810 §5.
 
-use crate::pdu::{read_pdu, ErrorCode, Pdu, PduError};
+use crate::pdu::{read_pdu, ErrorCode, Pdu, PduBuf, PduError};
 use ripki_bgp::rov::VrpTriple;
 use ripki_net::IpPrefix;
 use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload};
 use std::collections::{BTreeSet, VecDeque};
-use std::io::{Read, Write};
-use std::sync::Mutex;
+use std::io::{self, Read, Write};
+use std::ops::Bound;
+use std::os::unix::net::UnixStream;
+use std::sync::{Arc, Mutex};
 
 /// One serial increment's changes.
 #[derive(Debug, Clone, Default)]
@@ -26,14 +28,106 @@ struct CacheState {
     session_id: u16,
     serial: u32,
     has_data: bool,
-    current: BTreeSet<VrpTriple>,
+    /// Shared so a Reset response streams from a snapshot without the
+    /// lock; mutation is copy-on-write only while such a snapshot (or a
+    /// [`CacheServer::payload`] handle) is still alive.
+    current: Arc<BTreeSet<VrpTriple>>,
     history: VecDeque<Delta>,
 }
 
 /// A shareable RTR cache server.
+///
+/// Lock order: `state` before `wakers`, and never nested — every
+/// mutator releases `state` before it signals.
 pub struct CacheServer {
     state: Mutex<CacheState>,
+    /// Write ends of the session loops' wake sockets (see
+    /// [`register_waker`](Self::register_waker)).
+    wakers: Mutex<Vec<UnixStream>>,
     max_history: usize,
+}
+
+/// VRP records a Reset response encodes per chunk (≈ 80 KiB of wire
+/// bytes): what one session may hold encoded but unsent.
+const RESET_CHUNK: usize = 4096;
+
+/// One query's answer as wire bytes, handed out in bounded chunks.
+///
+/// Everything but a Reset response is a single chunk. A Reset response
+/// streams its records from a snapshot of the set taken under the
+/// cache lock and encoded outside it, [`RESET_CHUNK`] records at a
+/// time, so neither the lock nor a 100k-element `Vec<Pdu>` is held
+/// while a socket drains.
+pub(crate) struct Response {
+    /// Encoded, not yet handed out.
+    head: Vec<u8>,
+    reset: Option<ResetBody>,
+    /// Serial of the End of Data this response finishes with, if it
+    /// does: what the router will hold once it has read the response.
+    pub(crate) end_of_data: Option<u32>,
+}
+
+struct ResetBody {
+    set: Arc<BTreeSet<VrpTriple>>,
+    /// Where the next chunk resumes in the set's order.
+    resume: Bound<VrpTriple>,
+    session_id: u16,
+    serial: u32,
+}
+
+impl Response {
+    fn encoded(pdus: &[Pdu]) -> Response {
+        let mut head = Vec::new();
+        for pdu in pdus {
+            pdu.encode_into(&mut head);
+        }
+        let end_of_data = match pdus.last() {
+            Some(Pdu::EndOfData { serial, .. }) => Some(*serial),
+            _ => None,
+        };
+        Response {
+            head,
+            reset: None,
+            end_of_data,
+        }
+    }
+
+    /// Append the next chunk to `out`; `false` once that chunk was the
+    /// last.
+    pub(crate) fn next_chunk(&mut self, out: &mut Vec<u8>) -> bool {
+        out.append(&mut self.head);
+        let Some(body) = &mut self.reset else {
+            return false;
+        };
+        let mut taken = 0;
+        let records = body.set.range((body.resume, Bound::Unbounded));
+        for vrp in records.take(RESET_CHUNK) {
+            vrp_pdu(vrp, true).encode_into(out);
+            body.resume = Bound::Excluded(*vrp);
+            taken += 1;
+        }
+        if taken == RESET_CHUNK {
+            return true;
+        }
+        Pdu::EndOfData {
+            session_id: body.session_id,
+            serial: body.serial,
+        }
+        .encode_into(out);
+        self.reset = None;
+        false
+    }
+}
+
+/// The Error Report a session sends before dropping a peer whose bytes
+/// do not decode.
+pub(crate) fn corrupt_data_report(error: &PduError) -> Vec<u8> {
+    Pdu::ErrorReport {
+        code: ErrorCode::CorruptData,
+        erroneous_pdu: Vec::new(),
+        text: error.to_string(),
+    }
+    .encode()
 }
 
 /// RFC 1982 serial-number arithmetic (as required by RFC 8210 §5.1):
@@ -84,11 +178,49 @@ impl CacheServer {
                 session_id,
                 serial: 0,
                 has_data: false,
-                current: BTreeSet::new(),
+                current: Arc::default(),
                 history: VecDeque::new(),
             }),
+            wakers: Mutex::new(Vec::new()),
             max_history: 16,
         }
+    }
+
+    /// Register the write end of a socket pair to be signalled — one
+    /// byte, never blocking — on every serial advance, so the holder
+    /// of the read end can sleep in `poll(2)` instead of polling
+    /// [`serial`](Self::serial) on a timer. A waker whose read end is
+    /// gone is dropped by the next signal.
+    pub fn register_waker(&self, waker: UnixStream) -> io::Result<()> {
+        waker.set_nonblocking(true)?;
+        self.wakers_lock().push(waker);
+        Ok(())
+    }
+
+    /// Wakers currently registered (dead ones linger until the next
+    /// serial advance prunes them).
+    pub fn waker_count(&self) -> usize {
+        self.wakers_lock().len()
+    }
+
+    fn wakers_lock(&self) -> std::sync::MutexGuard<'_, Vec<UnixStream>> {
+        // Same recovery argument as `state_lock`: a push or a retain
+        // leaves the list valid at every step.
+        self.wakers
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Signal every registered waker. Callers have released `state`.
+    fn wake(&self) {
+        self.wakers_lock().retain(|waker| {
+            let mut waker: &UnixStream = waker;
+            match waker.write_all(&[1]) {
+                Ok(()) => true,
+                // A full socket already means "signalled".
+                Err(e) => e.kind() == io::ErrorKind::WouldBlock,
+            }
+        });
     }
 
     /// Cap on retained deltas (default 16).
@@ -105,26 +237,30 @@ impl CacheServer {
     /// Reset and refetches the full set (RFC 8210 §5.1 / RFC 1982).
     pub fn update<I: IntoIterator<Item = VrpTriple>>(&self, vrps: I) -> u32 {
         let new: BTreeSet<VrpTriple> = vrps.into_iter().collect();
-        let mut st = self.state_lock();
-        let announced: Vec<VrpTriple> = new.difference(&st.current).copied().collect();
-        let withdrawn: Vec<VrpTriple> = st.current.difference(&new).copied().collect();
-        let wrapped = st.serial == u32::MAX;
-        st.serial = st.serial.wrapping_add(1);
-        let serial = st.serial;
-        if wrapped {
-            st.history.clear();
-        } else if st.has_data {
-            st.history.push_back(Delta {
-                to_serial: serial,
-                announced,
-                withdrawn,
-            });
-            while st.history.len() > self.max_history {
-                st.history.pop_front();
+        let serial = {
+            let mut st = self.state_lock();
+            let announced: Vec<VrpTriple> = new.difference(&st.current).copied().collect();
+            let withdrawn: Vec<VrpTriple> = st.current.difference(&new).copied().collect();
+            let wrapped = st.serial == u32::MAX;
+            st.serial = st.serial.wrapping_add(1);
+            let serial = st.serial;
+            if wrapped {
+                st.history.clear();
+            } else if st.has_data {
+                st.history.push_back(Delta {
+                    to_serial: serial,
+                    announced,
+                    withdrawn,
+                });
+                while st.history.len() > self.max_history {
+                    st.history.pop_front();
+                }
             }
-        }
-        st.current = new;
-        st.has_data = true;
+            st.current = Arc::new(new);
+            st.has_data = true;
+            serial
+        };
+        self.wake();
         serial
     }
 
@@ -149,29 +285,32 @@ impl CacheServer {
         vrps: I,
     ) -> bool {
         let new: BTreeSet<VrpTriple> = vrps.into_iter().collect();
-        let mut st = self.state_lock();
-        if st.has_data && serial == st.serial {
-            return false;
-        }
-        let wraps = st.serial == u32::MAX && serial == 0;
-        let contiguous = st.has_data && !wraps && serial == st.serial.wrapping_add(1);
-        if contiguous {
-            let announced: Vec<VrpTriple> = new.difference(&st.current).copied().collect();
-            let withdrawn: Vec<VrpTriple> = st.current.difference(&new).copied().collect();
-            st.history.push_back(Delta {
-                to_serial: serial,
-                announced,
-                withdrawn,
-            });
-            while st.history.len() > self.max_history {
-                st.history.pop_front();
+        {
+            let mut st = self.state_lock();
+            if st.has_data && serial == st.serial {
+                return false;
             }
-        } else {
-            st.history.clear();
+            let wraps = st.serial == u32::MAX && serial == 0;
+            let contiguous = st.has_data && !wraps && serial == st.serial.wrapping_add(1);
+            if contiguous {
+                let announced: Vec<VrpTriple> = new.difference(&st.current).copied().collect();
+                let withdrawn: Vec<VrpTriple> = st.current.difference(&new).copied().collect();
+                st.history.push_back(Delta {
+                    to_serial: serial,
+                    announced,
+                    withdrawn,
+                });
+                while st.history.len() > self.max_history {
+                    st.history.pop_front();
+                }
+            } else {
+                st.history.clear();
+            }
+            st.serial = serial;
+            st.current = Arc::new(new);
+            st.has_data = true;
         }
-        st.serial = serial;
-        st.current = new;
-        st.has_data = true;
+        self.wake();
         true
     }
 
@@ -200,31 +339,35 @@ impl CacheServer {
         announced: &[VrpTriple],
         withdrawn: &[VrpTriple],
     ) -> bool {
-        let mut st = self.state_lock();
-        let wraps = st.serial == u32::MAX;
-        if !st.has_data || wraps || to_serial != st.serial.wrapping_add(1) {
-            return false;
-        }
-        let mut effective = Delta {
-            to_serial,
-            announced: Vec::new(),
-            withdrawn: Vec::new(),
-        };
-        for vrp in withdrawn {
-            if st.current.remove(vrp) {
-                effective.withdrawn.push(*vrp);
+        {
+            let mut st = self.state_lock();
+            let wraps = st.serial == u32::MAX;
+            if !st.has_data || wraps || to_serial != st.serial.wrapping_add(1) {
+                return false;
+            }
+            let mut effective = Delta {
+                to_serial,
+                announced: Vec::new(),
+                withdrawn: Vec::new(),
+            };
+            let current = Arc::make_mut(&mut st.current);
+            for vrp in withdrawn {
+                if current.remove(vrp) {
+                    effective.withdrawn.push(*vrp);
+                }
+            }
+            for vrp in announced {
+                if current.insert(*vrp) {
+                    effective.announced.push(*vrp);
+                }
+            }
+            st.serial = to_serial;
+            st.history.push_back(effective);
+            while st.history.len() > self.max_history {
+                st.history.pop_front();
             }
         }
-        for vrp in announced {
-            if st.current.insert(*vrp) {
-                effective.announced.push(*vrp);
-            }
-        }
-        st.serial = to_serial;
-        st.history.push_back(effective);
-        while st.history.len() > self.max_history {
-            st.history.pop_front();
-        }
+        self.wake();
         true
     }
 
@@ -272,7 +415,7 @@ impl CacheServer {
     pub fn payload(&self) -> Option<VrpPayload> {
         let st = self.state_lock();
         st.has_data
-            .then(|| VrpPayload::new(u64::from(st.serial), st.current.iter().copied()))
+            .then(|| VrpPayload::from_shared(u64::from(st.serial), Arc::clone(&st.current)))
     }
 
     /// Current serial.
@@ -390,104 +533,60 @@ impl CacheServer {
         })
     }
 
-    /// Serve one router connection over TCP with unsolicited Serial
-    /// Notify (RFC 6810 §5.2): between queries, the cache polls its own
-    /// serial every `poll` and pushes a Serial Notify when new data
-    /// arrived since the last notification.
-    pub fn serve_tcp_with_notify(
-        &self,
-        stream: std::net::TcpStream,
-        poll: std::time::Duration,
-    ) -> Result<(), PduError> {
-        stream
-            .set_read_timeout(Some(poll))
-            .map_err(|e| PduError::Io(e.to_string()))?;
-        let mut read_half = stream
-            .try_clone()
-            .map_err(|e| PduError::Io(e.to_string()))?;
-        let mut write_half = stream;
-        let mut buf = Vec::new();
-        let mut notified_serial = self.serial();
-        loop {
-            match read_pdu(&mut read_half, &mut buf) {
-                Ok(query) => {
-                    let responses = self.handle_query(&query);
-                    for pdu in &responses {
-                        write_half
-                            .write_all(&pdu.encode())
-                            .map_err(|e| PduError::Io(e.to_string()))?;
-                    }
-                    write_half
-                        .flush()
-                        .map_err(|e| PduError::Io(e.to_string()))?;
-                    // Record the serial the router actually saw (the
-                    // response's End of Data), not the cache's current
-                    // serial: an update landing between the response
-                    // and this bookkeeping must still get its notify.
-                    for pdu in &responses {
-                        if let Pdu::EndOfData { serial, .. } = pdu {
-                            notified_serial = *serial;
-                        }
-                    }
+    /// One query's answer in wire form — the single response encoder
+    /// behind both [`serve_connection`](Self::serve_connection) and the
+    /// [`RtrListener`](crate::RtrListener) session loop.
+    pub(crate) fn response_to(&self, query: &Pdu) -> Response {
+        if matches!(query, Pdu::ResetQuery) {
+            let st = self.state_lock();
+            if st.has_data {
+                let mut head = Vec::new();
+                Pdu::CacheResponse {
+                    session_id: st.session_id,
                 }
-                Err(PduError::Io(msg))
-                    if msg.contains("timed out")
-                        || msg.contains("WouldBlock")
-                        || msg.contains("Resource temporarily unavailable") =>
-                {
-                    // Idle: push a notify if the world moved on.
-                    let current = self.serial();
-                    if current != notified_serial {
-                        if let Some(pdu) = self.notify_pdu() {
-                            write_half
-                                .write_all(&pdu.encode())
-                                .map_err(|e| PduError::Io(e.to_string()))?;
-                            write_half
-                                .flush()
-                                .map_err(|e| PduError::Io(e.to_string()))?;
-                            notified_serial = current;
-                        }
-                    }
-                }
-                Err(PduError::Io(_)) => return Ok(()), // closed
-                Err(e) => {
-                    let report = Pdu::ErrorReport {
-                        code: ErrorCode::CorruptData,
-                        erroneous_pdu: Vec::new(),
-                        text: e.to_string(),
-                    };
-                    let _ = write_half.write_all(&report.encode());
-                    return Err(e);
-                }
+                .encode_into(&mut head);
+                return Response {
+                    head,
+                    reset: Some(ResetBody {
+                        set: Arc::clone(&st.current),
+                        resume: Bound::Unbounded,
+                        session_id: st.session_id,
+                        serial: st.serial,
+                    }),
+                    end_of_data: Some(st.serial),
+                };
             }
         }
+        Response::encoded(&self.handle_query(query))
     }
 
     /// Serve one router connection until it closes: read a query,
-    /// write the response PDUs, repeat.
+    /// write the response, repeat. Strictly request/response (no Serial
+    /// Notify) — the transport for in-memory streams and tests; TCP
+    /// routers are served by [`RtrListener`](crate::RtrListener).
     pub fn serve_connection<S: Read + Write>(&self, mut stream: S) -> Result<(), PduError> {
-        let mut buf = Vec::new();
+        let mut buf = PduBuf::new();
+        let mut out = Vec::new();
         loop {
             let query = match read_pdu(&mut stream, &mut buf) {
                 Ok(pdu) => pdu,
-                Err(PduError::Io(_)) => return Ok(()), // clean close
+                Err(PduError::Io { .. }) => return Ok(()), // clean close
                 Err(e) => {
                     // Protocol error: report and drop the session.
-                    let report = Pdu::ErrorReport {
-                        code: ErrorCode::CorruptData,
-                        erroneous_pdu: Vec::new(),
-                        text: e.to_string(),
-                    };
-                    let _ = stream.write_all(&report.encode());
+                    let _ = stream.write_all(&corrupt_data_report(&e));
                     return Err(e);
                 }
             };
-            for pdu in self.handle_query(&query) {
-                stream
-                    .write_all(&pdu.encode())
-                    .map_err(|e| PduError::Io(e.to_string()))?;
+            let mut response = self.response_to(&query);
+            loop {
+                out.clear();
+                let more = response.next_chunk(&mut out);
+                stream.write_all(&out)?;
+                if !more {
+                    break;
+                }
             }
-            stream.flush().map_err(|e| PduError::Io(e.to_string()))?;
+            stream.flush()?;
         }
     }
 }
@@ -832,6 +931,116 @@ mod tests {
         let replay = PayloadUpdate::snapshot(VrpPayload::new(9, [vrp("13.0.0.0/16", 16, 4)]));
         assert!(!cache.install_update(&replay));
         assert_eq!(cache.vrp_count(), 1);
+    }
+
+    /// Everything a response hands out, chunk by chunk.
+    fn response_bytes(cache: &CacheServer, query: &Pdu) -> (Vec<u8>, usize) {
+        let mut response = cache.response_to(query);
+        let (mut bytes, mut chunks) = (Vec::new(), 1);
+        while response.next_chunk(&mut bytes) {
+            chunks += 1;
+        }
+        (bytes, chunks)
+    }
+
+    #[test]
+    fn the_response_encoder_matches_handle_query_byte_for_byte() {
+        let cache = CacheServer::new(7);
+        let reference = |query: &Pdu| -> Vec<u8> {
+            cache
+                .handle_query(query)
+                .iter()
+                .flat_map(Pdu::encode)
+                .collect()
+        };
+        let queries = [
+            Pdu::ResetQuery,
+            Pdu::SerialQuery {
+                session_id: 7,
+                serial: 1,
+            },
+            Pdu::SerialQuery {
+                session_id: 8,
+                serial: 1,
+            },
+            Pdu::CacheReset,
+        ];
+        // No data yet: every answer is an error, in one chunk.
+        for query in &queries {
+            assert_eq!(response_bytes(&cache, query), (reference(query), 1));
+        }
+        // A set spanning several Reset chunks (one ending exactly on a
+        // chunk boundary is the second size).
+        for n in [RESET_CHUNK as u32 * 2 + 17, RESET_CHUNK as u32 * 3] {
+            cache.update((0..n).map(|i| vrp(&format!("10.{}.{}.0/24", i >> 8, i & 0xff), 24, i)));
+            cache.update(
+                (1..n)
+                    .map(|i| vrp(&format!("10.{}.{}.0/24", i >> 8, i & 0xff), 24, i))
+                    .chain([vrp("2001:db8::/32", 48, 2)]),
+            );
+            for query in &queries {
+                let (bytes, chunks) = response_bytes(&cache, query);
+                assert_eq!(bytes, reference(query), "{query:?}");
+                let reset = matches!(query, Pdu::ResetQuery);
+                assert_eq!(chunks > 1, reset, "{query:?} took {chunks} chunks");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reset_response_streams_the_set_it_started_with() {
+        let cache = CacheServer::new(7);
+        cache.update([vrp("10.0.0.0/16", 16, 1)]);
+        let mut response = cache.response_to(&Pdu::ResetQuery);
+        // The cache moves on mid-response; the snapshot does not.
+        cache.update([vrp("11.0.0.0/16", 16, 2)]);
+        let mut bytes = Vec::new();
+        while response.next_chunk(&mut bytes) {}
+        assert_eq!(response.end_of_data, Some(1));
+        let (_, used) = Pdu::decode(&bytes).unwrap().unwrap();
+        let (record, _) = Pdu::decode(&bytes[used..]).unwrap().unwrap();
+        assert!(matches!(record, Pdu::Ipv4Prefix { asn, .. } if asn == Asn::new(1)));
+    }
+
+    #[test]
+    fn wakers_are_signalled_on_every_advance_and_only_then() {
+        use std::io::Read;
+        let cache = CacheServer::new(7);
+        let (rx, tx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        cache.register_waker(tx).unwrap();
+        let signals = |mut rx: &UnixStream| {
+            let mut sink = [0u8; 16];
+            rx.read(&mut sink).unwrap_or(0)
+        };
+        assert_eq!(signals(&rx), 0);
+        cache.update([vrp("10.0.0.0/16", 16, 1)]);
+        assert_eq!(signals(&rx), 1);
+        assert!(cache.install_snapshot(5, [vrp("10.0.0.0/16", 16, 1)]));
+        assert!(cache.apply_delta(6, &[vrp("11.0.0.0/16", 16, 2)], &[]));
+        assert_eq!(signals(&rx), 2);
+        // Refused installs leave the serial alone and wake nobody.
+        assert!(!cache.install_snapshot(6, [vrp("12.0.0.0/16", 16, 3)]));
+        assert!(!cache.apply_delta(9, &[vrp("12.0.0.0/16", 16, 3)], &[]));
+        assert_eq!(signals(&rx), 0);
+        // A waker whose reader is gone is pruned by the next signal; a
+        // full one is kept (it already says "signalled").
+        assert_eq!(cache.waker_count(), 1);
+        drop(rx);
+        cache.update([vrp("10.0.0.0/16", 16, 1)]);
+        assert_eq!(cache.waker_count(), 0);
+    }
+
+    #[test]
+    fn payload_is_a_handle_on_the_served_set() {
+        let cache = CacheServer::new(7);
+        assert!(cache.install_snapshot(3, [vrp("10.0.0.0/16", 16, 1)]));
+        let held = cache.payload().unwrap();
+        // Mutating under a live handle copies; the handle keeps its set.
+        assert!(cache.apply_delta(4, &[vrp("11.0.0.0/16", 16, 2)], &[]));
+        assert_eq!(held.len(), 1);
+        assert_eq!(cache.payload().unwrap().len(), 2);
+        assert_eq!(cache.payload().unwrap().epoch(), 4);
     }
 
     #[test]

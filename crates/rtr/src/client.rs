@@ -16,13 +16,14 @@
 //! a full resync only when the cache forces one (Cache Reset after a
 //! serial gap, or a session id change after a cache restart).
 
-use crate::pdu::{read_pdu, ErrorCode, Pdu, PduError};
+use crate::pdu::{read_pdu, ErrorCode, Pdu, PduBuf, PduError};
 use ripki_bgp::rov::{RouteOriginValidator, VrpTriple};
 use ripki_net::{IpPrefix, Ipv4Prefix, Ipv6Prefix};
 use ripki_payload::VrpPayload;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Client-side failures.
@@ -87,15 +88,34 @@ pub enum SyncOutcome {
     },
 }
 
+/// The net change one incremental sync applied: what a Serial Query's
+/// answer carried, with records that cancel inside a multi-serial
+/// answer (announced at one serial, withdrawn at the next) removed.
+/// Both lists are in canonical VRP order, so this equals the set
+/// difference between the states before and after the sync.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WireDelta {
+    /// The serial the sync started from.
+    pub from_serial: u32,
+    /// VRPs held now but not before.
+    pub announced: Vec<VrpTriple>,
+    /// VRPs held before but not now.
+    pub withdrawn: Vec<VrpTriple>,
+}
+
 /// An RTR client over any blocking byte stream.
 pub struct Client<S: Read + Write> {
     stream: S,
-    buf: Vec<u8>,
+    buf: PduBuf,
     /// `(session_id, serial)` once synchronized.
     state: Option<(u16, u32)>,
-    vrps: BTreeSet<VrpTriple>,
+    /// Behind an `Arc` so [`payload`](Self::payload) is a handle clone;
+    /// a sync copies the set only while such a handle is still alive.
+    vrps: Arc<BTreeSet<VrpTriple>>,
     /// Latest serial announced by an unsolicited Serial Notify.
     notified_serial: Option<u32>,
+    /// What the last successful sync changed, when it was incremental.
+    last_delta: Option<WireDelta>,
 }
 
 fn pdu_vrp(
@@ -117,13 +137,7 @@ fn pdu_vrp(
 impl<S: Read + Write> Client<S> {
     /// Wrap a connected stream.
     pub fn new(stream: S) -> Client<S> {
-        Client {
-            stream,
-            buf: Vec::new(),
-            state: None,
-            vrps: BTreeSet::new(),
-            notified_serial: None,
-        }
+        Client::resume(stream, None, Arc::default())
     }
 
     /// Wrap a freshly connected stream, resuming from context salvaged
@@ -132,20 +146,25 @@ impl<S: Read + Write> Client<S> {
     /// incremental Serial Query instead of refetching the full set —
     /// the cache decides whether the gap is still bridgeable or forces
     /// a Cache Reset.
-    pub fn resume(stream: S, state: Option<(u16, u32)>, vrps: BTreeSet<VrpTriple>) -> Client<S> {
+    pub fn resume(
+        stream: S,
+        state: Option<(u16, u32)>,
+        vrps: Arc<BTreeSet<VrpTriple>>,
+    ) -> Client<S> {
         Client {
             stream,
-            buf: Vec::new(),
+            buf: PduBuf::new(),
             state,
             vrps,
             notified_serial: None,
+            last_delta: None,
         }
     }
 
     /// Tear the client down, salvaging the `(session_id, serial)`
     /// context and VRP set for a future [`Client::resume`] on a new
     /// connection.
-    pub fn into_state(self) -> (Option<(u16, u32)>, BTreeSet<VrpTriple>) {
+    pub fn into_state(self) -> (Option<(u16, u32)>, Arc<BTreeSet<VrpTriple>>) {
         (self.state, self.vrps)
     }
 
@@ -187,40 +206,52 @@ impl<S: Read + Write> Client<S> {
     /// direction.
     pub fn payload(&self) -> Option<VrpPayload> {
         self.state
-            .map(|(_, serial)| VrpPayload::new(u64::from(serial), self.vrps.iter().copied()))
+            .map(|(_, serial)| VrpPayload::from_shared(u64::from(serial), Arc::clone(&self.vrps)))
     }
 
-    /// Absorb unsolicited Serial Notifies sitting in the transport
-    /// without issuing a query, returning the newest serial absorbed
-    /// (`Ok(None)` when nothing was pending).
+    /// The net announce/withdraw lists of the last successful
+    /// [`sync`](Self::sync), when a Serial Query was answered with a
+    /// delta; `None` after a full reload (first contact, Cache Reset)
+    /// or a failed sync. A proxy forwards this instead of diffing two
+    /// full sets to rediscover it.
+    pub fn last_delta(&self) -> Option<&WireDelta> {
+        self.last_delta.as_ref()
+    }
+
+    /// Wait for an unsolicited Serial Notify without issuing a query,
+    /// returning the newest serial absorbed (`Ok(None)` when none
+    /// arrived).
     ///
-    /// The stream must have a read timeout (or be non-blocking), since
-    /// a quiet cache otherwise blocks the read forever; a timed-out
-    /// read is reported as "nothing pending". Anything other than a
-    /// Serial Notify outside a query/response exchange is a protocol
+    /// Blocks in at most one read: the stream must have a read timeout
+    /// (or be non-blocking), and a timed-out read is reported as
+    /// "nothing pending". Once a notify is decoded, only PDUs already
+    /// complete in the buffer are drained — back-to-back notifies
+    /// collapse to the newest — and the call returns at once rather
+    /// than waiting out another timeout. Anything other than a Serial
+    /// Notify outside a query/response exchange is a protocol
     /// violation.
     pub fn poll_notify(&mut self) -> Result<Option<u32>, ClientError> {
         let mut latest = None;
         loop {
-            match read_pdu(&mut self.stream, &mut self.buf) {
-                Ok(Pdu::SerialNotify { serial, .. }) => {
-                    self.notified_serial = Some(serial);
-                    latest = Some(serial);
+            let pdu = if latest.is_none() {
+                match read_pdu(&mut self.stream, &mut self.buf) {
+                    Ok(pdu) => pdu,
+                    Err(e) if e.is_idle() => return Ok(None),
+                    Err(e) => return Err(e.into()),
                 }
-                Ok(_) => {
-                    return Err(ClientError::ProtocolViolation(
-                        "unsolicited PDU other than Serial Notify",
-                    ))
+            } else {
+                match self.buf.next_pdu()? {
+                    Some(pdu) => pdu,
+                    None => return Ok(latest),
                 }
-                Err(PduError::Io(msg))
-                    if msg.contains("timed out")
-                        || msg.contains("WouldBlock")
-                        || msg.contains("Resource temporarily unavailable") =>
-                {
-                    return Ok(latest);
-                }
-                Err(e) => return Err(e.into()),
-            }
+            };
+            let Pdu::SerialNotify { serial, .. } = pdu else {
+                return Err(ClientError::ProtocolViolation(
+                    "unsolicited PDU other than Serial Notify",
+                ));
+            };
+            self.notified_serial = Some(serial);
+            latest = Some(serial);
         }
     }
 
@@ -237,7 +268,7 @@ impl<S: Read + Write> Client<S> {
             None => {
                 // Cache Reset: drop state and start over.
                 self.state = None;
-                self.vrps.clear();
+                self.vrps = Arc::default();
                 match self.exchange(&Pdu::ResetQuery)? {
                     Some(outcome) => Ok(outcome),
                     None => Err(ClientError::ProtocolViolation(
@@ -251,12 +282,11 @@ impl<S: Read + Write> Client<S> {
     /// Send one query and apply the response. `Ok(None)` means the cache
     /// sent a Cache Reset.
     fn exchange(&mut self, query: &Pdu) -> Result<Option<SyncOutcome>, ClientError> {
+        self.last_delta = None;
         self.stream
             .write_all(&query.encode())
-            .map_err(|e| PduError::Io(e.to_string()))?;
-        self.stream
-            .flush()
-            .map_err(|e| PduError::Io(e.to_string()))?;
+            .map_err(PduError::from)?;
+        self.stream.flush().map_err(PduError::from)?;
 
         // Unsolicited Serial Notifies may arrive at any time; absorb them.
         let first = loop {
@@ -344,19 +374,45 @@ impl<S: Read + Write> Client<S> {
                 }
             }
         };
-        for (announce, vrp) in staged {
-            if announce {
-                if !self.vrps.insert(vrp) {
-                    return Err(ClientError::DuplicateAnnouncement(vrp));
+        // Net change of an incremental answer (records that cancel
+        // across the serials of one answer drop out); a full reload has
+        // none worth keeping — it is the whole set.
+        let mut net = match query {
+            Pdu::SerialQuery { serial, .. } => Some((*serial, BTreeSet::new(), BTreeSet::new())),
+            _ => None,
+        };
+        // An empty answer must not copy a set a payload handle shares.
+        if !staged.is_empty() {
+            let vrps = Arc::make_mut(&mut self.vrps);
+            for (announce, vrp) in staged {
+                if announce {
+                    if !vrps.insert(vrp) {
+                        return Err(ClientError::DuplicateAnnouncement(vrp));
+                    }
+                    announced += 1;
+                } else {
+                    if !vrps.remove(&vrp) {
+                        return Err(ClientError::WithdrawalOfUnknown(vrp));
+                    }
+                    withdrawn += 1;
                 }
-                announced += 1;
-            } else {
-                if !self.vrps.remove(&vrp) {
-                    return Err(ClientError::WithdrawalOfUnknown(vrp));
+                if let Some((_, net_announced, net_withdrawn)) = &mut net {
+                    let (same, opposite) = if announce {
+                        (net_announced, net_withdrawn)
+                    } else {
+                        (net_withdrawn, net_announced)
+                    };
+                    if !opposite.remove(&vrp) {
+                        same.insert(vrp);
+                    }
                 }
-                withdrawn += 1;
             }
         }
+        self.last_delta = net.map(|(from_serial, announced, withdrawn)| WireDelta {
+            from_serial,
+            announced: announced.into_iter().collect(),
+            withdrawn: withdrawn.into_iter().collect(),
+        });
         self.state = Some((session_id, serial));
         Ok(Some(SyncOutcome::Updated {
             serial,
@@ -432,7 +488,7 @@ pub struct PersistentClient<S: Read + Write, F: FnMut() -> std::io::Result<S>> {
     /// Context carried while between connections; authoritative only
     /// when `client` is `None`.
     state: Option<(u16, u32)>,
-    vrps: BTreeSet<VrpTriple>,
+    vrps: Arc<BTreeSet<VrpTriple>>,
     backoff: Backoff,
     max_attempts: u32,
     sleep: fn(Duration),
@@ -446,7 +502,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
             connect,
             client: None,
             state: None,
-            vrps: BTreeSet::new(),
+            vrps: Arc::default(),
             backoff: Backoff::default(),
             max_attempts: 8,
             sleep: std::thread::sleep,
@@ -475,7 +531,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
 
     /// The VRPs currently held — survive between connections.
     pub fn vrps(&self) -> &BTreeSet<VrpTriple> {
-        self.client.as_ref().map_or(&self.vrps, Client::vrps)
+        self.client.as_ref().map_or(&*self.vrps, Client::vrps)
     }
 
     /// The current VRP set as an epoch-stamped payload (`None` before
@@ -483,10 +539,16 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
     pub fn payload(&self) -> Option<VrpPayload> {
         match &self.client {
             Some(client) => client.payload(),
-            None => self
-                .state
-                .map(|(_, serial)| VrpPayload::new(u64::from(serial), self.vrps.iter().copied())),
+            None => self.state.map(|(_, serial)| {
+                VrpPayload::from_shared(u64::from(serial), Arc::clone(&self.vrps))
+            }),
         }
+    }
+
+    /// The last sync's net delta (see [`Client::last_delta`]); `None`
+    /// while disconnected.
+    pub fn last_delta(&self) -> Option<&WireDelta> {
+        self.client.as_ref().and_then(Client::last_delta)
     }
 
     /// Whether a connection is currently established.
@@ -515,7 +577,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
         };
         match client.poll_notify() {
             Ok(latest) => Ok(latest),
-            Err(ClientError::Pdu(PduError::Io(_))) => {
+            Err(ClientError::Pdu(PduError::Io { .. })) => {
                 self.disconnect();
                 Ok(None)
             }
@@ -540,7 +602,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
                         ));
                     }
                     Err(e) => {
-                        let err = ClientError::Pdu(PduError::Io(e.to_string()));
+                        let err = ClientError::Pdu(PduError::from(e));
                         failures += 1;
                         if failures >= self.max_attempts {
                             return Err(err);
@@ -556,7 +618,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
                     self.backoff.reset();
                     return Ok(outcome);
                 }
-                Err(err @ ClientError::Pdu(PduError::Io(_))) => {
+                Err(err @ ClientError::Pdu(PduError::Io { .. })) => {
                     // Connection died: salvage context, retry on a
                     // fresh connection with an incremental query.
                     self.disconnect();
@@ -571,7 +633,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
                     // context is void. Start over from nothing.
                     self.client = None;
                     self.state = None;
-                    self.vrps.clear();
+                    self.vrps = Arc::default();
                     failures += 1;
                     if failures >= self.max_attempts {
                         return Err(err);
@@ -590,7 +652,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
                     // change.
                     self.client = None;
                     self.state = None;
-                    self.vrps.clear();
+                    self.vrps = Arc::default();
                     failures += 1;
                     if failures >= self.max_attempts {
                         return Err(err);
@@ -672,6 +734,50 @@ mod tests {
         );
         assert_eq!(client.vrps().len(), 1);
         assert!(client.vrps().contains(&vrp("11.0.0.0/16", 16, 200)));
+    }
+
+    #[test]
+    fn last_delta_is_the_net_change_of_an_incremental_sync() {
+        let cache = Arc::new(CacheServer::new(11));
+        cache.update([vrp("10.0.0.0/16", 16, 1), vrp("11.0.0.0/16", 16, 2)]);
+        let (mut client, _h) = connect(cache.clone());
+        client.sync().unwrap();
+        assert_eq!(client.last_delta(), None, "a full reload has no delta");
+        let before = client.payload().unwrap();
+
+        // Three serials in one answer: 12/16 comes and goes again,
+        // 11/16 goes and comes back, 13/16 stays.
+        cache.update([
+            vrp("10.0.0.0/16", 16, 1),
+            vrp("11.0.0.0/16", 16, 2),
+            vrp("12.0.0.0/16", 16, 3),
+        ]);
+        cache.update([vrp("10.0.0.0/16", 16, 1), vrp("13.0.0.0/16", 16, 4)]);
+        cache.update([
+            vrp("11.0.0.0/16", 16, 2),
+            vrp("13.0.0.0/16", 16, 4),
+            vrp("14.0.0.0/16", 16, 5),
+        ]);
+        client.sync().unwrap();
+        let after = client.payload().unwrap();
+        assert_eq!(after, cache.payload().unwrap());
+        let wire = client.last_delta().unwrap();
+        let diff = before.diff(&after);
+        assert_eq!(wire.from_serial, 1);
+        assert_eq!(wire.announced, diff.announced);
+        assert_eq!(wire.withdrawn, diff.withdrawn);
+        // The payload taken before the sync still holds the old set.
+        assert_eq!(before.len(), 2);
+
+        // An empty answer is an empty delta, not a stale one.
+        client.sync().unwrap();
+        assert_eq!(
+            client.last_delta(),
+            Some(&WireDelta {
+                from_serial: 4,
+                ..WireDelta::default()
+            })
+        );
     }
 
     #[test]
@@ -1031,7 +1137,10 @@ mod tests {
         .with_backoff(Backoff::new(Duration::ZERO, Duration::ZERO))
         .with_max_attempts(3);
         match pc.sync() {
-            Err(ClientError::Pdu(PduError::Io(msg))) => assert!(msg.contains("refused")),
+            Err(ClientError::Pdu(PduError::Io { kind, message })) => {
+                assert_eq!(kind, std::io::ErrorKind::ConnectionRefused);
+                assert!(message.contains("refused"));
+            }
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(attempts.load(std::sync::atomic::Ordering::SeqCst), 3);

@@ -6,26 +6,32 @@
 //! validation at BGP routers" — in deployments, this protocol *is* that
 //! step's delivery path (cf. RTRlib, the authors' own implementation).
 //!
-//! Three layers, all synchronous std-networking (per the workspace's
-//! no-async policy — an RTR session is one long-lived TCP connection with
-//! strictly alternating request/response phases):
+//! Four layers, all std-networking with no async runtime:
 //!
 //! * [`pdu`] — the nine PDU types with exact RFC 6810 wire encoding,
-//!   parsing, and error reporting;
+//!   incremental parsing, and error reporting;
 //! * [`cache`] — the cache side: versioned VRP state with serial-numbered
-//!   incremental deltas, answering Reset/Serial Queries;
-//! * [`client`] — the router side: sync state machine producing a VRP set
-//!   ready to feed [`ripki_bgp::RouteOriginValidator`].
+//!   incremental deltas, answering Reset/Serial Queries, and waking its
+//!   session loops on every serial advance;
+//! * [`listener`] — the one TCP serving stack: a single wake-driven
+//!   `poll(2)` loop that owns every router session of a cache as a small
+//!   non-blocking state machine and *pushes* Serial Notify the moment
+//!   the serial moves;
+//! * [`client`] — the router side: a synchronous sync state machine
+//!   producing a VRP set ready to feed
+//!   [`ripki_bgp::RouteOriginValidator`], and remembering the delta the
+//!   wire just carried so a proxy can forward it.
 //!
-//! Works over any `Read + Write` transport: TCP sockets, Unix socket
-//! pairs (used by the tests), or in-memory streams.
+//! The client and [`CacheServer::serve_connection`] work over any
+//! `Read + Write` transport: TCP sockets, Unix socket pairs (used by
+//! the tests), or in-memory streams.
 //!
 //! ## Omissions
 //!
 //! * No RFC 8210 (version 1) router-key PDUs; origin validation only.
-//! * Serial Notify push is supported on TCP transports
-//!   ([`cache::CacheServer::serve_tcp_with_notify`]); the generic
-//!   `Read + Write` server is strictly request/response.
+//! * Serial Notify push needs readiness notification, so it is served
+//!   on TCP by [`RtrListener`]; the generic `Read + Write` server is
+//!   strictly request/response.
 //! * No TCP-AO/SSH transport security (RFC 6810 §7 lists them as
 //!   options; the transport is pluggable).
 
@@ -35,6 +41,6 @@ pub mod listener;
 pub mod pdu;
 
 pub use cache::CacheServer;
-pub use client::{Backoff, Client, ClientError, PersistentClient, SyncOutcome};
+pub use client::{Backoff, Client, ClientError, PersistentClient, SyncOutcome, WireDelta};
 pub use listener::{ListenerConfig, RtrListener};
 pub use pdu::{ErrorCode, Pdu, PduError, PROTOCOL_VERSION};

@@ -15,9 +15,10 @@
 //! short buffers, and length mismatches all surface as typed
 //! [`PduError`]s — a router must be able to send a precise Error Report.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 use ripki_net::Asn;
 use std::fmt;
+use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// RFC 6810 is protocol version 0.
@@ -187,8 +188,39 @@ pub enum PduError {
     },
     /// Reserved fields had non-zero content or enum fields were invalid.
     Malformed(&'static str),
-    /// I/O failure underneath (message carries `io::Error` text).
-    Io(String),
+    /// I/O failure underneath: the `io::Error`'s kind (what callers
+    /// branch on) and its text (what operators read).
+    Io {
+        /// The failure class, as the transport reported it.
+        kind: io::ErrorKind,
+        /// The `io::Error`'s display text.
+        message: String,
+    },
+}
+
+impl PduError {
+    /// Did the transport merely have nothing to read yet — a read
+    /// timeout or a non-blocking socket with an empty queue — as
+    /// opposed to failing? Decided on the `io::ErrorKind`, never on the
+    /// wording of the platform's error text.
+    pub fn is_idle(&self) -> bool {
+        matches!(
+            self,
+            PduError::Io {
+                kind: io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut,
+                ..
+            }
+        )
+    }
+}
+
+impl From<io::Error> for PduError {
+    fn from(e: io::Error) -> PduError {
+        PduError::Io {
+            kind: e.kind(),
+            message: e.to_string(),
+        }
+    }
 }
 
 impl fmt::Display for PduError {
@@ -201,7 +233,7 @@ impl fmt::Display for PduError {
                 write!(f, "bad length {length} for PDU type {pdu_type}")
             }
             PduError::Malformed(what) => write!(f, "malformed PDU: {what}"),
-            PduError::Io(e) => write!(f, "transport error: {e}"),
+            PduError::Io { message, .. } => write!(f, "transport error: {message}"),
         }
     }
 }
@@ -226,15 +258,38 @@ impl Pdu {
 
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(32);
-        let (session, body): (u16, BytesMut) = match self {
-            Pdu::SerialNotify { session_id, serial } | Pdu::SerialQuery { session_id, serial } => {
-                let mut b = BytesMut::with_capacity(4);
-                b.put_u32(*serial);
-                (*session_id, b)
-            }
-            Pdu::ResetQuery | Pdu::CacheReset => (0, BytesMut::new()),
-            Pdu::CacheResponse { session_id } => (*session_id, BytesMut::new()),
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the wire bytes to `out` — the allocation-free form the
+    /// serving side uses to build a whole response as one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let (session, body_len) = match self {
+            Pdu::SerialNotify { session_id, .. }
+            | Pdu::SerialQuery { session_id, .. }
+            | Pdu::EndOfData { session_id, .. } => (*session_id, 4),
+            Pdu::CacheResponse { session_id } => (*session_id, 0),
+            Pdu::ResetQuery | Pdu::CacheReset => (0, 0),
+            Pdu::Ipv4Prefix { .. } => (0, 12),
+            Pdu::Ipv6Prefix { .. } => (0, 24),
+            Pdu::ErrorReport {
+                code,
+                erroneous_pdu,
+                text,
+            } => (code.code(), 8 + erroneous_pdu.len() + text.len()),
+        };
+        out.reserve(HEADER_LEN + body_len);
+        out.push(PROTOCOL_VERSION);
+        out.push(self.type_byte());
+        out.extend_from_slice(&session.to_be_bytes());
+        out.extend_from_slice(&((HEADER_LEN + body_len) as u32).to_be_bytes());
+        match self {
+            Pdu::SerialNotify { serial, .. }
+            | Pdu::SerialQuery { serial, .. }
+            | Pdu::EndOfData { serial, .. } => out.extend_from_slice(&serial.to_be_bytes()),
+            Pdu::ResetQuery | Pdu::CacheReset | Pdu::CacheResponse { .. } => {}
             Pdu::Ipv4Prefix {
                 announce,
                 prefix_len,
@@ -242,14 +297,9 @@ impl Pdu {
                 prefix,
                 asn,
             } => {
-                let mut b = BytesMut::with_capacity(12);
-                b.put_u8(*announce as u8);
-                b.put_u8(*prefix_len);
-                b.put_u8(*max_len);
-                b.put_u8(0);
-                b.put_slice(&prefix.octets());
-                b.put_u32(asn.value());
-                (0, b)
+                out.extend_from_slice(&[*announce as u8, *prefix_len, *max_len, 0]);
+                out.extend_from_slice(&prefix.octets());
+                out.extend_from_slice(&asn.value().to_be_bytes());
             }
             Pdu::Ipv6Prefix {
                 announce,
@@ -258,39 +308,21 @@ impl Pdu {
                 prefix,
                 asn,
             } => {
-                let mut b = BytesMut::with_capacity(24);
-                b.put_u8(*announce as u8);
-                b.put_u8(*prefix_len);
-                b.put_u8(*max_len);
-                b.put_u8(0);
-                b.put_slice(&prefix.octets());
-                b.put_u32(asn.value());
-                (0, b)
-            }
-            Pdu::EndOfData { session_id, serial } => {
-                let mut b = BytesMut::with_capacity(4);
-                b.put_u32(*serial);
-                (*session_id, b)
+                out.extend_from_slice(&[*announce as u8, *prefix_len, *max_len, 0]);
+                out.extend_from_slice(&prefix.octets());
+                out.extend_from_slice(&asn.value().to_be_bytes());
             }
             Pdu::ErrorReport {
-                code,
                 erroneous_pdu,
                 text,
+                ..
             } => {
-                let mut b = BytesMut::with_capacity(8 + erroneous_pdu.len() + text.len());
-                b.put_u32(erroneous_pdu.len() as u32);
-                b.put_slice(erroneous_pdu);
-                b.put_u32(text.len() as u32);
-                b.put_slice(text.as_bytes());
-                (code.code(), b)
+                out.extend_from_slice(&(erroneous_pdu.len() as u32).to_be_bytes());
+                out.extend_from_slice(erroneous_pdu);
+                out.extend_from_slice(&(text.len() as u32).to_be_bytes());
+                out.extend_from_slice(text.as_bytes());
             }
-        };
-        buf.put_u8(PROTOCOL_VERSION);
-        buf.put_u8(self.type_byte());
-        buf.put_u16(session);
-        buf.put_u32((HEADER_LEN + body.len()) as u32);
-        buf.extend_from_slice(&body);
-        buf.to_vec()
+        }
     }
 
     /// Decode one PDU from the front of `buf`. Returns the PDU and the
@@ -440,27 +472,78 @@ impl Pdu {
     }
 }
 
-/// Blocking framed reader: pull bytes from `r` until one complete PDU is
-/// available in `buf`, then decode and drain it. `buf` carries leftover
-/// bytes between calls (RTR responses arrive as back-to-back PDUs).
-pub fn read_pdu<R: std::io::Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Pdu, PduError> {
-    loop {
-        match Pdu::decode(buf)? {
-            Some((pdu, used)) => {
-                buf.drain(..used);
-                return Ok(pdu);
-            }
-            None => {
-                let mut chunk = [0u8; 4096];
-                let n = r
-                    .read(&mut chunk)
-                    .map_err(|e| PduError::Io(e.to_string()))?;
-                if n == 0 {
-                    return Err(PduError::Io("connection closed mid-PDU".into()));
-                }
-                buf.extend_from_slice(chunk.get(..n).unwrap_or(&chunk));
-            }
+/// How much [`read_pdu`] asks the transport for per refill.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Bytes received but not yet decoded.
+///
+/// Decoding advances a consumed cursor instead of shifting the buffer,
+/// and the consumed prefix is dropped once per refill — a 100k-record
+/// response costs one small memmove per 64 KiB read, not one per PDU.
+#[derive(Debug, Default)]
+pub struct PduBuf {
+    bytes: Vec<u8>,
+    consumed: usize,
+}
+
+impl PduBuf {
+    /// An empty buffer.
+    pub fn new() -> PduBuf {
+        PduBuf::default()
+    }
+
+    /// Decode the next PDU if it is already complete in the buffer;
+    /// `Ok(None)` means more bytes are needed. Never touches a
+    /// transport.
+    pub fn next_pdu(&mut self) -> Result<Option<Pdu>, PduError> {
+        let pending = self.bytes.get(self.consumed..).unwrap_or_default();
+        Ok(Pdu::decode(pending)?.map(|(pdu, used)| {
+            self.consumed += used;
+            pdu
+        }))
+    }
+
+    /// Append bytes a caller read itself (the non-blocking session
+    /// loop feeds its sockets' reads through here).
+    pub fn extend(&mut self, chunk: &[u8]) {
+        self.compact();
+        self.bytes.extend_from_slice(chunk);
+    }
+
+    fn compact(&mut self) {
+        if self.consumed > 0 {
+            self.bytes.drain(..self.consumed);
+            self.consumed = 0;
         }
+    }
+
+    /// One `read` of up to [`READ_CHUNK`] bytes straight into the
+    /// buffer's tail.
+    fn refill<R: io::Read>(&mut self, r: &mut R) -> Result<(), PduError> {
+        self.compact();
+        let held = self.bytes.len();
+        self.bytes.resize(held + READ_CHUNK, 0);
+        let read = r.read(self.bytes.get_mut(held..).unwrap_or_default());
+        self.bytes.truncate(held + read.as_ref().map_or(0, |n| *n));
+        match read? {
+            0 => Err(PduError::Io {
+                kind: io::ErrorKind::UnexpectedEof,
+                message: "connection closed mid-PDU".into(),
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Blocking framed reader: pull bytes from `r` until one complete PDU is
+/// available in `buf`, then decode it. `buf` carries leftover bytes
+/// between calls (RTR responses arrive as back-to-back PDUs).
+pub fn read_pdu<R: io::Read>(r: &mut R, buf: &mut PduBuf) -> Result<Pdu, PduError> {
+    loop {
+        if let Some(pdu) = buf.next_pdu()? {
+            return Ok(pdu);
+        }
+        buf.refill(r)?;
     }
 }
 
@@ -685,6 +768,104 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A transport that hands out its bytes `step` at a time.
+    struct Dribble {
+        bytes: Vec<u8>,
+        step: usize,
+        reads: usize,
+    }
+
+    impl io::Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = self.step.min(self.bytes.len()).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes.drain(..n);
+            Ok(n)
+        }
+    }
+
+    fn sample_stream() -> (Vec<Pdu>, Vec<u8>) {
+        let pdus = vec![
+            Pdu::CacheResponse { session_id: 3 },
+            Pdu::Ipv4Prefix {
+                announce: true,
+                prefix_len: 16,
+                max_len: 16,
+                prefix: "10.0.0.0".parse().unwrap(),
+                asn: Asn::new(1),
+            },
+            Pdu::Ipv6Prefix {
+                announce: false,
+                prefix_len: 32,
+                max_len: 48,
+                prefix: "2001:db8::".parse().unwrap(),
+                asn: Asn::new(2),
+            },
+            Pdu::EndOfData {
+                session_id: 3,
+                serial: 9,
+            },
+        ];
+        let wire = pdus.iter().flat_map(Pdu::encode).collect();
+        (pdus, wire)
+    }
+
+    #[test]
+    fn read_pdu_is_fragmentation_invariant() {
+        let (pdus, wire) = sample_stream();
+        for step in [1, 3, 7, 19, 20, 21, wire.len()] {
+            let mut transport = Dribble {
+                bytes: wire.clone(),
+                step,
+                reads: 0,
+            };
+            let mut buf = PduBuf::new();
+            for want in &pdus {
+                assert_eq!(&read_pdu(&mut transport, &mut buf).unwrap(), want);
+            }
+            // End of stream surfaces as a typed I/O error, not a hang.
+            assert!(matches!(
+                read_pdu(&mut transport, &mut buf),
+                Err(PduError::Io {
+                    kind: io::ErrorKind::UnexpectedEof,
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn buffered_pdus_decode_without_touching_the_transport() {
+        let (pdus, wire) = sample_stream();
+        let mut transport = Dribble {
+            bytes: wire,
+            step: usize::MAX,
+            reads: 0,
+        };
+        let mut buf = PduBuf::new();
+        assert_eq!(read_pdu(&mut transport, &mut buf).unwrap(), pdus[0]);
+        for want in &pdus[1..] {
+            assert_eq!(buf.next_pdu().unwrap().as_ref(), Some(want));
+        }
+        assert_eq!(buf.next_pdu().unwrap(), None);
+        assert_eq!(transport.reads, 1, "one refill carried all four PDUs");
+    }
+
+    #[test]
+    fn idle_is_decided_by_error_kind_not_wording() {
+        for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+            let e = PduError::from(io::Error::new(kind, "worded however the platform likes"));
+            assert!(e.is_idle(), "{e:?}");
+        }
+        let closed = PduError::from(io::Error::new(
+            io::ErrorKind::ConnectionReset,
+            "timed out — says the text, not the kind",
+        ));
+        assert!(!closed.is_idle());
+        assert!(!PduError::Truncated.is_idle());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use ripki_repro::ripki_bgp::rov::{RpkiState, VrpTriple};
 use ripki_repro::ripki_rpki::{faults, validate};
-use ripki_repro::ripki_rtr::{CacheServer, Client, SyncOutcome};
+use ripki_repro::ripki_rtr::{CacheServer, Client, ListenerConfig, RtrListener, SyncOutcome};
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -39,21 +39,14 @@ fn main() {
     // The cache loads run #1 and listens on localhost.
     let cache = Arc::new(CacheServer::new(0x1715));
     cache.update(to_triples(&report));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-    let addr = listener.local_addr().unwrap();
+    let bound = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
+    let listener = RtrListener::spawn(bound, cache.clone(), ListenerConfig::default())
+        .expect("start the RTR session loop");
+    let addr = listener.addr();
     println!(
         "RTR cache listening on {addr} (session {:#06x})",
         cache.session_id()
     );
-    let server_cache = cache.clone();
-    std::thread::spawn(move || {
-        for conn in listener.incoming().flatten() {
-            let cache = server_cache.clone();
-            std::thread::spawn(move || {
-                let _ = cache.serve_connection(conn);
-            });
-        }
-    });
 
     // A router connects and performs its initial Reset Query.
     let mut router = Client::new(TcpStream::connect(addr).expect("connect"));

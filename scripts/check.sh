@@ -19,4 +19,9 @@ cargo run -q -p ripki-lint -- check
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The repository benchmark is a separate workspace compiled against the
+# crates' public API; the workspace steps above cannot see it break.
+echo "==> benchmark build + tests"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "All checks passed."
