@@ -10,10 +10,8 @@
 //! ([`ripki_serve::reactor::poll_fds`]) — one thread, no blocking I/O,
 //! which is what makes 10k sockets from a single process practical.
 //!
-//! Writes `results/BENCH_serve_async.json` and compares against the
-//! thread-pool-era baseline in `results/BENCH_serve.json`; a missing
-//! baseline is a loud configuration error (exit 2), mirroring
-//! `scripts/bench_gate.py`.
+//! Writes `results/BENCH_serve_async.json`, which `scripts/bench_gate.py`
+//! gates against its own checked-in predecessor.
 //!
 //! ```text
 //! serve_load --connect 127.0.0.1:8080 --sessions 10000 --requests 50000
@@ -41,13 +39,12 @@ struct Options {
     pipeline: usize,
     query: String,
     out: String,
-    baseline: String,
 }
 
 fn usage() -> &'static str {
     "usage: serve_load --connect ADDR [--sessions N] [--active N]\n\
      \u{20}                 [--requests N] [--pipeline N] [--query PATH]\n\
-     \u{20}                 [--out FILE] [--baseline FILE]\n\
+     \u{20}                 [--out FILE]\n\
      drive N concurrent keep-alive sessions against a running\n\
      ripki-serve instance and write results/BENCH_serve_async.json"
 }
@@ -62,7 +59,6 @@ fn parse_options() -> Result<Options, String> {
         pipeline: 4,
         query: "/api/v1/validity?asn=AS65000&prefix=10.0.0.0/24".into(),
         out: "results/BENCH_serve_async.json".into(),
-        baseline: "results/BENCH_serve.json".into(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -100,7 +96,6 @@ fn parse_options() -> Result<Options, String> {
             }
             "--query" => options.query = value("--query")?,
             "--out" => options.out = value("--out")?,
-            "--baseline" => options.baseline = value("--baseline")?,
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
@@ -429,22 +424,6 @@ fn status_u64(body: &str, key: &str) -> Option<u64> {
 fn run() -> Result<(), String> {
     let options = parse_options()?;
 
-    // Fail loud before opening a single socket if the baseline the
-    // throughput comparison needs is absent (PR 7 convention: a skipped
-    // comparison must never look like a pass).
-    let baseline_text = std::fs::read_to_string(&options.baseline).map_err(|e| {
-        format!(
-            "missing thread-pool baseline {}: {e}\n(run the serve_throughput bench \
-             or restore the checked-in results/BENCH_serve.json)",
-            options.baseline
-        )
-    })?;
-    let baseline: serde_json::Value = serde_json::from_str(&baseline_text)
-        .map_err(|e| format!("{} is not JSON: {e}", options.baseline))?;
-    let baseline_rps = baseline["validity_req_per_s"]
-        .as_f64()
-        .ok_or_else(|| format!("{} has no validity_req_per_s", options.baseline))?;
-
     eprintln!(
         "establishing {} keep-alive sessions against {} ...",
         options.sessions, options.connect
@@ -477,14 +456,12 @@ fn run() -> Result<(), String> {
     let metrics = control_get(options.connect, "/metrics")?;
     let p99_seconds = p99_from_metrics(&metrics)?;
 
-    let throughput_vs_threadpool = req_per_s / baseline_rps;
     println!(
         "\n=== serve_load: event-driven plane under {} sessions ===",
         sessions.len()
     );
     println!(
-        "{} requests in {:.2}s -> {req_per_s:.0} req/s (thread-pool baseline {baseline_rps:.0}, \
-         ratio {throughput_vs_threadpool:.2})",
+        "{} requests in {:.2}s -> {req_per_s:.0} req/s",
         options.requests,
         elapsed.as_secs_f64(),
     );
@@ -501,11 +478,6 @@ fn run() -> Result<(), String> {
     json.insert("pipeline_depth".into(), int(options.pipeline as u64));
     json.insert("req_per_s".into(), num(req_per_s));
     json.insert("p99_seconds".into(), num(p99_seconds));
-    json.insert("threadpool_baseline_req_per_s".into(), num(baseline_rps));
-    json.insert(
-        "throughput_vs_threadpool".into(),
-        num(throughput_vs_threadpool),
-    );
     let json = serde_json::Value::Object(json);
     if let Some(parent) = std::path::Path::new(&options.out).parent() {
         std::fs::create_dir_all(parent).ok();

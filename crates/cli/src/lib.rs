@@ -18,7 +18,7 @@
 //! binary uses, with output captured.
 
 use ripki::classify::HttpArchiveClassifier;
-use ripki::engine::StudyEngine;
+use ripki::engine::{EpochDelta, StudyEngine};
 use ripki::exposure::{exposure_curve, ExposureConfig};
 use ripki::figures;
 use ripki::pipeline::PipelineConfig;
@@ -510,35 +510,27 @@ fn load_exceptions(
     Ok(Some(exceptions))
 }
 
-/// The engine snapshot's VRPs with the exception layer applied, as the
-/// canonical payload (so every serving plane agrees byte-for-byte).
-fn excepted_payload(
-    exceptions: Option<&ripki_slurm::ExceptionSet>,
-    epoch: u64,
-    vrps: &[VrpTriple],
-) -> ripki_payload::VrpPayload {
-    let payload = ripki_payload::VrpPayload::new(epoch, vrps.iter().copied());
-    match exceptions {
-        Some(x) => x.excepted(&payload),
-        None => payload,
-    }
-}
-
-/// Map an engine epoch delta through the exception layer: filtered or
-/// asserted VRPs never churn on the wire.
-fn excepted_delta(
-    exceptions: &ripki_slurm::ExceptionSet,
-    from_epoch: u64,
-    to_epoch: u64,
-    announced: &[VrpTriple],
-    withdrawn: &[VrpTriple],
-) -> ripki_payload::VrpDelta {
-    exceptions.map_delta(&ripki_payload::VrpDelta::new(
-        from_epoch,
-        to_epoch,
-        announced.to_vec(),
-        withdrawn.to_vec(),
-    ))
+/// Engine epoch → RTR cache, spelled once: the epoch as a
+/// `PayloadUpdate` (with the engine's exact delta when there is one)
+/// goes through the exception layer — empty without `--slurm` — so
+/// excepted VRPs never churn on the wire, and into the cache, which
+/// streams the delta when it chains onto its serial and reinstalls the
+/// snapshot otherwise. Returns the set the cache now serves.
+fn install_epoch(
+    engine: &StudyEngine,
+    delta: Option<&EpochDelta>,
+    slurm: &mut ripki_slurm::SlurmApplier,
+    cache: &ripki_rtr::CacheServer,
+) -> Result<ripki_payload::VrpPayload, CliError> {
+    let update = ripki_proxy::units::epoch_update(&engine.snapshot(), delta);
+    let applied = slurm.ingest(&update).ok_or_else(|| {
+        CliError::Data(format!(
+            "epoch {} does not advance the served set",
+            update.epoch()
+        ))
+    })?;
+    cache.install_update(&applied.update);
+    Ok(applied.update.payload)
 }
 
 /// One row of the longitudinal report: aggregate validation outcome and
@@ -619,14 +611,11 @@ fn cmd_longitudinal(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> 
 
     // The RTR cache shadows the engine: the initial snapshot is
     // installed once, then each `EpochDelta`'s announce/withdraw sets
-    // stream in through `apply_delta` under the epoch as serial — the
-    // same incremental path a router sees, not a full reinstall.
+    // stream in as a delta under the epoch as serial — the same
+    // incremental path a router sees, not a full reinstall.
     let cache = ripki_rtr::CacheServer::new(0x1715);
-    {
-        let snapshot = engine.snapshot();
-        let served = excepted_payload(exceptions.as_ref(), snapshot.epoch(), snapshot.vrps());
-        cache.install_snapshot(served.serial(), served.vrps().iter().copied());
-    }
+    let mut slurm = ripki_slurm::SlurmApplier::new(exceptions.unwrap_or_default());
+    let served = install_epoch(&engine, None, &mut slurm, &cache)?;
     let exposure_cfg = ExposureConfig {
         stride: stride.max(1),
         ..Default::default()
@@ -639,20 +628,17 @@ fn cmd_longitudinal(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> 
     )?;
     let print_row = |out: &mut dyn Write,
                      results: &ripki::StudyResults,
-                     epoch: u64,
+                     served: &ripki_payload::VrpPayload,
                      events: usize,
                      remeasured: usize,
                      announced: usize,
                      withdrawn: usize|
      -> Result<(), CliError> {
-        let snapshot = engine.snapshot();
-        let served = excepted_payload(exceptions.as_ref(), snapshot.epoch(), snapshot.vrps());
-        let (valid, covered, capture) =
-            longitudinal_row(&scenario, results, &served, &exposure_cfg);
+        let (valid, covered, capture) = longitudinal_row(&scenario, results, served, &exposure_cfg);
         writeln!(
             out,
             "{:>5} {:>7} {:>6} {:>5} {:>5} {:>6} {:>6.1}% {:>6.1}% {:>8.1}%",
-            epoch,
+            results.epoch,
             events,
             remeasured,
             announced,
@@ -664,7 +650,7 @@ fn cmd_longitudinal(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> 
         )?;
         Ok(())
     };
-    print_row(out, &results, results.epoch, 0, results.domains.len(), 0, 0)?;
+    print_row(out, &results, &served, 0, results.domains.len(), 0, 0)?;
 
     let mut stream = ChurnStream::new(
         &scenario,
@@ -689,32 +675,11 @@ fn cmd_longitudinal(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> 
                 inc_epochs += 1;
             }
         }
-        // Stream the epoch's churn into the cache — through the
-        // exception layer when one is loaded, so excepted VRPs never
-        // churn on the wire. A serial mismatch (e.g. a wrapped counter)
-        // falls back to a full (excepted) reinstall.
-        let applied = match &exceptions {
-            Some(x) => {
-                let mapped = excepted_delta(
-                    x,
-                    delta.from_epoch,
-                    delta.to_epoch,
-                    &delta.announced,
-                    &delta.withdrawn,
-                );
-                cache.apply_delta(mapped.to_epoch as u32, &mapped.announced, &mapped.withdrawn)
-            }
-            None => cache.apply_delta(delta.to_epoch as u32, &delta.announced, &delta.withdrawn),
-        };
-        if !applied {
-            let snapshot = engine.snapshot();
-            let served = excepted_payload(exceptions.as_ref(), snapshot.epoch(), snapshot.vrps());
-            cache.install_snapshot(served.serial(), served.vrps().iter().copied());
-        }
+        let served = install_epoch(&engine, Some(&delta), &mut slurm, &cache)?;
         print_row(
             out,
             &results,
-            delta.to_epoch,
+            &served,
             events,
             delta.domains_remeasured,
             delta.announced.len(),
@@ -823,12 +788,11 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 
     // Optional RTR cache side by side, fed by the same delta stream
     // (exception-layered like every other serving plane).
+    let mut slurm = ripki_slurm::SlurmApplier::new(exceptions.clone().unwrap_or_default());
     let rtr_cache = match flags.get("rtr-listen") {
         Some(rtr_listen) => {
             let cache = Arc::new(ripki_rtr::CacheServer::new(0x1715));
-            let snapshot = engine.snapshot();
-            let served = excepted_payload(exceptions.as_ref(), snapshot.epoch(), snapshot.vrps());
-            cache.install_snapshot(served.serial(), served.vrps().iter().copied());
+            install_epoch(&engine, None, &mut slurm, &cache)?;
             let listener = std::net::TcpListener::bind(rtr_listen)?;
             writeln!(
                 out,
@@ -870,31 +834,7 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             // engine's epoch — the serving plane's consistency contract.
             shared.publish(make_view(engine.snapshot(), &results));
             if let Some((cache, _)) = &rtr_cache {
-                let applied = match &exceptions {
-                    Some(x) => {
-                        let mapped = excepted_delta(
-                            x,
-                            delta.from_epoch,
-                            delta.to_epoch,
-                            &delta.announced,
-                            &delta.withdrawn,
-                        );
-                        cache.apply_delta(
-                            mapped.to_epoch as u32,
-                            &mapped.announced,
-                            &mapped.withdrawn,
-                        )
-                    }
-                    None => {
-                        cache.apply_delta(delta.to_epoch as u32, &delta.announced, &delta.withdrawn)
-                    }
-                };
-                if !applied {
-                    let snapshot = engine.snapshot();
-                    let served =
-                        excepted_payload(exceptions.as_ref(), snapshot.epoch(), snapshot.vrps());
-                    cache.install_snapshot(served.serial(), served.vrps().iter().copied());
-                }
+                install_epoch(&engine, Some(&delta), &mut slurm, cache)?;
             }
             writeln!(
                 out,
@@ -1346,7 +1286,6 @@ fn cmd_whatif(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripki::pipeline::Pipeline;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch() -> PathBuf {
@@ -1787,9 +1726,9 @@ mod tests {
 
         // File-based.
         let world = load_world(&dir).unwrap();
-        let pipeline = Pipeline::new(
-            &world.zones,
-            &world.rib,
+        let engine = StudyEngine::new(
+            world.zones.clone(),
+            world.rib.clone(),
             &world.repository,
             PipelineConfig {
                 bogus_dns_ppm: 0,
@@ -1797,16 +1736,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        let file_results = pipeline.run(&world.ranking);
+        let file_results = engine.run(&world.ranking);
 
         // In-memory.
         let scenario = Scenario::build(ScenarioConfig {
             seed: 9,
             ..ScenarioConfig::with_domains(800)
         });
-        let pipeline = Pipeline::new(
-            &scenario.zones,
-            &scenario.rib,
+        let engine = StudyEngine::new(
+            scenario.zones.clone(),
+            scenario.rib.clone(),
             &scenario.repository,
             PipelineConfig {
                 bogus_dns_ppm: 0,
@@ -1814,7 +1753,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mem_results = pipeline.run(&scenario.ranking);
+        let mem_results = engine.run(&scenario.ranking);
 
         assert_eq!(file_results.domains.len(), mem_results.domains.len());
         for (a, b) in file_results.domains.iter().zip(&mem_results.domains) {

@@ -21,7 +21,11 @@ use std::path::Path;
 /// admits `Instant::now` in `crates/rtr/src/listener.rs` (write-stall
 /// deadlines), and R7 checks against a *declared* order
 /// ([`DECLARED_LOCK_ORDER`]) besides the orders the code exhibits.
-pub const CATALOG_VERSION: u32 = 5;
+///
+/// v6: the proxy `http` target's route function runs on `ripki-serve`
+/// workers, where a panic kills the worker and strands its connection —
+/// R1 scopes `crates/proxy/src/targets.rs`.
+pub const CATALOG_VERSION: u32 = 6;
 
 /// The enforced invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,8 +34,10 @@ pub enum Rule {
     /// `unimplemented!` and no `[]` indexing on the serving request path
     /// (`crates/serve/src/**`, which includes the poll(2) reactor and
     /// connection state machines), in the RTR PDU codec
-    /// (`crates/rtr/src/pdu.rs`), or in the RTR session plane
-    /// (`crates/rtr/src/listener.rs`) — *including transitively*: a
+    /// (`crates/rtr/src/pdu.rs`), in the RTR session plane
+    /// (`crates/rtr/src/listener.rs`), or in the proxy targets
+    /// (`crates/proxy/src/targets.rs`, whose HTTP route runs on serve's
+    /// workers) — *including transitively*: a
     /// helper anywhere in the workspace that can panic and is reachable
     /// from an in-scope function is flagged at the panic site and at
     /// the in-scope call that reaches it. A malformed request or PDU
@@ -117,8 +123,9 @@ impl Rule {
         match self {
             Rule::NoPanic => {
                 "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! or [] indexing \
-                 on the serve request path (reactor included), the RTR PDU codec, and the \
-                 RTR session plane — directly or via any workspace function they reach"
+                 on the serve request path (reactor included), the RTR PDU codec, the RTR \
+                 session plane, and the proxy targets — directly or via any workspace \
+                 function they reach"
             }
             Rule::WallClock => {
                 "SystemTime::now only in ripki_rpki::time and the cli/bench crates; \
@@ -163,6 +170,7 @@ impl Rule {
                 path.starts_with("crates/serve/src/")
                     || path == "crates/rtr/src/pdu.rs"
                     || path == "crates/rtr/src/listener.rs"
+                    || path == "crates/proxy/src/targets.rs"
             }
             Rule::WallClock => {
                 path != "crates/rpki/src/time.rs"
@@ -338,6 +346,8 @@ mod tests {
         assert!(Rule::NoPanic.applies_to("crates/serve/src/conn.rs"));
         assert!(Rule::NoPanic.applies_to("crates/rtr/src/pdu.rs"));
         assert!(Rule::NoPanic.applies_to("crates/rtr/src/listener.rs"));
+        assert!(Rule::NoPanic.applies_to("crates/proxy/src/targets.rs"));
+        assert!(!Rule::NoPanic.applies_to("crates/proxy/src/units.rs"));
         assert!(!Rule::NoPanic.applies_to("crates/rtr/src/cache.rs"));
         assert!(!Rule::NoPanic.applies_to("crates/rpki/src/validate.rs"));
 

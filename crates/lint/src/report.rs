@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn json_report_is_machine_readable() {
         let json: Value = serde_json::from_str(&sample().render_json()).expect("valid JSON");
-        assert_eq!(json["catalog_version"], Value::from(5u32));
+        assert_eq!(json["catalog_version"], Value::from(CATALOG_VERSION));
         assert_eq!(json["clean"], Value::from(false));
         assert_eq!(json["violations"][0]["rule"], Value::from("no-panic"));
         assert_eq!(json["violations"][0]["line"], Value::from(10));

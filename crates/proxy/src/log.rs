@@ -38,7 +38,12 @@ impl Log {
     /// chain test greps our output live) see it immediately. Logging is
     /// best-effort: a dead sink never takes the fabric down.
     pub fn line(&self, msg: &fmt::Arguments<'_>) {
-        let mut sink = self.sink.lock().expect("log sink poisoned");
+        // A writer that panicked mid-line leaves at worst a torn line
+        // behind; the next one is still worth writing.
+        let mut sink = self
+            .sink
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let _ = writeln!(sink, "{msg}");
         let _ = sink.flush();
     }

@@ -248,10 +248,8 @@ impl Manager {
         for plan in targets {
             let feed = gossips[&plan.unit].subscribe();
             let started = match plan.kind {
-                TargetKind::Rtr => start_rtr_target(&plan.name, &plan.listen, feed, log, &shutdown),
-                TargetKind::Http => {
-                    start_http_target(&plan.name, &plan.listen, feed, log, &shutdown)
-                }
+                TargetKind::Rtr => start_rtr_target(&plan.name, &plan.listen, feed, log),
+                TargetKind::Http => start_http_target(&plan.name, &plan.listen, feed, log),
             };
             match started {
                 Ok(handle) => manager.targets.push(handle),

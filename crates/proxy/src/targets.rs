@@ -2,40 +2,39 @@
 //! fabric.
 //!
 //! Each target subscribes to one unit's gossip and keeps its serving
-//! state in lockstep with the fabric's epoch. The RTR target feeds a
+//! state in lockstep with the fabric's epoch; one drainer thread per
+//! target ([`drain`]) is the only thread this module spawns. Serving is
+//! left to the repo's two event loops. The RTR target feeds a
 //! [`CacheServer`] and serves it through the one RTR session plane,
 //! [`RtrListener`] — every install wakes that loop, which pushes Serial
-//! Notify to the routers at once; the HTTP target reuses the hardened
-//! request parser from [`ripki_serve::http`] and serves the JSON/CSV
-//! exports plus `/status` and Prometheus `/metrics`.
+//! Notify to the routers at once. The HTTP target is a route function
+//! on the one HTTP plane, [`ripki_serve::Server`] — connection caps,
+//! read deadlines, write-stall drops, graceful drain and the reactor's
+//! `/metrics` series are that plane's — serving the JSON/CSV exports
+//! (through the shared [`vrp_export`] responder) plus `/status` and
+//! Prometheus `/metrics`.
 
-use crate::comms::{Subscription, Wait};
+use crate::comms::Subscription;
 use crate::log::Log;
-use ripki_payload::VrpPayload;
+use ripki_payload::{PayloadUpdate, VrpPayload};
 use ripki_rtr::{CacheServer, ListenerConfig, RtrListener};
-use ripki_serve::http::{
-    body_disposition, drain_body, read_request, Body, BodyDisposition, Request, Response,
-};
+use ripki_serve::http::{Request, Response};
+use ripki_serve::server::{vrp_export, Export};
+use ripki_serve::{Endpoint, Metrics, Server, ServerConfig};
 use serde_json::{Map, Value};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// How often the subscription drainers re-check the shutdown flag
-/// while their feed is quiet (an update wakes them at once).
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// What keeps serving a target's clients until shutdown, so late ones
-/// can still fetch the final state.
+/// The event loop that keeps serving a target's clients until
+/// shutdown, so late ones can still fetch the final state.
 enum Serving {
     /// The RTR session loop.
     Rtr(RtrListener),
-    /// The HTTP accept loop, which checks the shutdown flag between
-    /// connections.
-    Http(JoinHandle<()>),
+    /// The HTTP reactor and its workers.
+    Http(Server),
 }
 
 /// A running target: its bound address, the thread the manager joins
@@ -52,21 +51,52 @@ pub struct TargetHandle {
 }
 
 impl TargetHandle {
-    /// Join the drainer and stop serving. The caller has raised the
-    /// shutdown flag and closed the feeding gossip.
+    /// Join the drainer and stop serving: responses in flight are
+    /// delivered whole before their connections close. The caller has
+    /// closed the feeding gossip.
     pub fn stop(self) {
         if let Some(consume) = self.consume {
             let _ = consume.join();
         }
         match self.serving {
             Serving::Rtr(mut listener) => listener.shutdown(),
-            Serving::Http(accept) => {
-                // The accept loop only checks the flag between
-                // connections; poke it so it notices.
-                let _ = TcpStream::connect(self.addr);
-                let _ = accept.join();
-            }
+            Serving::Http(mut server) => server.shutdown(),
         }
+    }
+}
+
+/// The one drainer behind every target: block on the feed, hand each
+/// update to the target's `install`, and log the lockstep line it
+/// returns. Ends when the feeding unit closes its gossip, which
+/// `Manager::shutdown` does for every unit before it joins anything.
+fn drain(
+    mut sub: Subscription,
+    name: String,
+    log: Log,
+    mut install: impl FnMut(PayloadUpdate) -> String + Send + 'static,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        while let Some(update) = sub.recv() {
+            let state = install(update);
+            log.line(&format_args!("target {name}: {state}"));
+        }
+        log.line(&format_args!("target {name}: feed drained"));
+    })
+}
+
+/// How an update reached a target, as its lockstep line tags it. A
+/// delta that fails to chain onto what the target holds (stale base
+/// after a missed epoch) must become an explicit, counted snapshot
+/// re-sync — never a silent skip.
+fn install_mode(update: &PayloadUpdate, chained: bool, resyncs: &AtomicU64) -> String {
+    match (&update.delta, chained) {
+        (Some(_), true) => String::from("delta"),
+        (Some(_), false) => {
+            // Relaxed: standalone monotonic counter for reporting.
+            let n = resyncs.fetch_add(1, Ordering::Relaxed) + 1;
+            format!("snapshot resync #{n}")
+        }
+        (None, _) => String::from("snapshot"),
     }
 }
 
@@ -88,9 +118,8 @@ fn session_id(name: &str) -> u16 {
 pub fn start_rtr_target(
     name: &str,
     listen: &str,
-    mut sub: Subscription,
+    sub: Subscription,
     log: &Log,
-    shutdown: &Arc<AtomicBool>,
 ) -> io::Result<TargetHandle> {
     let listener = TcpListener::bind(listen)?;
     let addr = listener.local_addr()?;
@@ -99,45 +128,21 @@ pub fn start_rtr_target(
 
     let consume = {
         let cache = Arc::clone(&cache);
-        let log = log.clone();
-        let shutdown = Arc::clone(shutdown);
-        let name = name.to_string();
-        std::thread::spawn(move || {
-            let mut resyncs: u64 = 0;
-            loop {
-                match sub.recv_timeout(IDLE_POLL) {
-                    Wait::Update(update) => {
-                        // A delta that fails to chain onto the cache's
-                        // serial (stale base after a missed epoch) must
-                        // become an explicit, counted snapshot re-sync —
-                        // never a silent skip.
-                        let mode = match &update.delta {
-                            Some(delta) if cache.apply_vrp_delta(delta) => String::from("delta"),
-                            Some(_) => {
-                                cache.install_payload(&update.payload);
-                                resyncs += 1;
-                                format!("snapshot resync #{resyncs}")
-                            }
-                            None => {
-                                cache.install_payload(&update.payload);
-                                String::from("snapshot")
-                            }
-                        };
-                        log.line(&format_args!(
-                            "target {name} (rtr): serial {} in lockstep with {} [{mode}]",
-                            cache.serial(),
-                            update.payload,
-                        ));
-                    }
-                    Wait::TimedOut => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                    Wait::Closed => break,
-                }
+        let resyncs = AtomicU64::new(0);
+        drain(sub, format!("{name} (rtr)"), log.clone(), move |update| {
+            let chained = update
+                .delta
+                .as_ref()
+                .is_some_and(|delta| cache.apply_vrp_delta(delta));
+            if !chained {
+                cache.install_payload(&update.payload);
             }
-            log.line(&format_args!("target {name} (rtr): feed drained"));
+            format!(
+                "serial {} in lockstep with {} [{}]",
+                cache.serial(),
+                update.payload,
+                install_mode(&update, chained, &resyncs),
+            )
         })
     };
 
@@ -151,235 +156,138 @@ pub fn start_rtr_target(
     })
 }
 
-/// Serving state shared between the HTTP accept loop and the
-/// subscription drainer.
+/// Serving state shared between the HTTP route and the subscription
+/// drainer.
 struct HttpState {
     payload: Mutex<Option<VrpPayload>>,
     updates_total: AtomicU64,
-    requests_total: AtomicU64,
     /// Updates whose delta did not chain onto the held epoch — each one
     /// is a full re-sync the operator should be able to see.
     resyncs_total: AtomicU64,
 }
 
 impl HttpState {
-    fn current(&self) -> Option<VrpPayload> {
-        self.payload
-            .lock()
-            .expect("http target state poisoned")
-            .clone()
+    /// The held payload. The slot is only ever replaced whole, so a
+    /// holder that panicked leaves it valid: recover from poisoning
+    /// instead of taking a serve worker down with it.
+    fn held(&self) -> MutexGuard<'_, Option<VrpPayload>> {
+        self.payload.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// The entity tag for an epoch's JSON export — stable across proxies
-/// serving the same epoch, which is what makes conditional polling
-/// across a chain cheap.
-fn etag(epoch: u64) -> String {
-    format!("\"ripki-epoch-{epoch}\"")
-}
-
-/// Route one request against the current payload.
-fn route(state: &HttpState, request: &Request) -> Response {
-    // Relaxed: a standalone monotonic counter — no other memory hangs
-    // off its value, readers only ever report it.
-    state.requests_total.fetch_add(1, Ordering::Relaxed);
+/// The target's route function: answer one request from the held
+/// payload. Runs on a `ripki-serve` worker.
+fn route(state: &HttpState, metrics: &Metrics, request: &Request) -> (Endpoint, Response) {
     if request.method != "GET" {
-        return Response::error(405, "only GET is supported");
+        return (
+            Endpoint::Other,
+            Response::error(405, "only GET is supported"),
+        );
     }
-    let Some(payload) = state.current() else {
-        return Response::error(503, "no payload received yet");
+    let Some(payload) = state.held().clone() else {
+        return (
+            Endpoint::Other,
+            Response::error(503, "no payload received yet"),
+        );
     };
+    // Relaxed: point-in-time counter reads for reporting.
+    let updates = state.updates_total.load(Ordering::Relaxed);
+    let resyncs = state.resyncs_total.load(Ordering::Relaxed); // Relaxed: as above
+    let requests = metrics.total_requests();
     match request.path.as_str() {
         "/vrps.json" => {
-            let tag = etag(payload.epoch());
-            if request.header("if-none-match") == Some(tag.as_str()) {
-                return Response::not_modified(tag);
-            }
-            let mut body = Vec::new();
-            // Writing into a Vec cannot fail; degrade instead of panic.
-            if ripki_payload::json::write_vrps_json(&payload, None, &mut body).is_err() {
-                return Response::error(500, "export serialization failed");
-            }
-            Response {
-                status: 200,
-                content_type: "application/json",
-                headers: vec![("etag", tag)],
-                body: Body::Full(body),
-            }
+            let form = Export::Json { rejected: None };
+            (Endpoint::VrpsJson, vrp_export(&payload, request, form))
         }
-        "/vrps.csv" => {
-            let mut body = Vec::new();
-            if ripki_payload::json::write_vrps_csv(&payload, &mut body).is_err() {
-                return Response::error(500, "export serialization failed");
-            }
-            Response {
-                status: 200,
-                content_type: "text/csv; charset=utf-8",
-                headers: vec![("etag", etag(payload.epoch()))],
-                body: Body::Full(body),
-            }
-        }
+        "/vrps.csv" => (
+            Endpoint::VrpsCsv,
+            vrp_export(&payload, request, Export::Csv),
+        ),
         "/status" => {
             let mut root = Map::new();
             root.insert("epoch".into(), payload.epoch().into());
             root.insert("vrps".into(), payload.len().into());
             root.insert("digest".into(), format!("{:016x}", payload.digest()).into());
-            root.insert(
-                "updates_total".into(),
-                // Relaxed: point-in-time counter reads for reporting.
-                state.updates_total.load(Ordering::Relaxed).into(),
-            );
-            root.insert(
-                "requests_total".into(),
-                // Relaxed: point-in-time counter reads for reporting.
-                state.requests_total.load(Ordering::Relaxed).into(),
-            );
-            root.insert(
-                "resyncs_total".into(),
-                // Relaxed: point-in-time counter reads for reporting.
-                state.resyncs_total.load(Ordering::Relaxed).into(),
-            );
-            Response::json(200, &Value::Object(root))
+            root.insert("updates_total".into(), updates.into());
+            root.insert("requests_total".into(), requests.into());
+            root.insert("resyncs_total".into(), resyncs.into());
+            (Endpoint::Status, Response::json(200, &Value::Object(root)))
         }
         "/metrics" => {
-            let text = format!(
+            let mut text = format!(
                 "# TYPE ripki_proxy_epoch gauge\nripki_proxy_epoch {}\n\
                  # TYPE ripki_proxy_vrps gauge\nripki_proxy_vrps {}\n\
-                 # TYPE ripki_proxy_updates_total counter\nripki_proxy_updates_total {}\n\
-                 # TYPE ripki_proxy_requests_total counter\nripki_proxy_requests_total {}\n\
-                 # TYPE ripki_proxy_resyncs_total counter\nripki_proxy_resyncs_total {}\n",
+                 # TYPE ripki_proxy_updates_total counter\nripki_proxy_updates_total {updates}\n\
+                 # TYPE ripki_proxy_requests_total counter\nripki_proxy_requests_total {requests}\n\
+                 # TYPE ripki_proxy_resyncs_total counter\nripki_proxy_resyncs_total {resyncs}\n",
                 payload.epoch(),
                 payload.len(),
-                // Relaxed: point-in-time counter reads for reporting.
-                state.updates_total.load(Ordering::Relaxed),
-                state.requests_total.load(Ordering::Relaxed), // Relaxed: as above
-                state.resyncs_total.load(Ordering::Relaxed),  // Relaxed: as above
             );
-            Response::text(200, text)
+            // The serving plane's own series: connections, sheds,
+            // deadlines, per-endpoint latency.
+            text.push_str(&metrics.render(payload.epoch(), payload.len()));
+            (Endpoint::Metrics, Response::text(200, text))
         }
-        _ => Response::error(404, "unknown path"),
-    }
-}
-
-/// One HTTP connection: parse, route, respond, keep alive when safe.
-fn serve_http_connection(state: &HttpState, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_nodelay(true);
-    let mut buf = Vec::new();
-    loop {
-        let request = match read_request(&mut stream, &mut buf) {
-            Ok(Ok(Some(request))) => request,
-            Ok(Ok(None)) => return,
-            Ok(Err(e)) => {
-                let _ = Response::from_http_error(&e).write_to(&mut stream, false);
-                return;
-            }
-            Err(_) => return, // timeout or reset: drop the connection
-        };
-        let mut keep_alive = request.keep_alive();
-        match body_disposition(&request) {
-            BodyDisposition::None => {}
-            BodyDisposition::Drain(len) => {
-                if drain_body(&mut stream, &mut buf, len).is_err() {
-                    return;
-                }
-            }
-            BodyDisposition::Close => keep_alive = false,
-        }
-        let response = route(state, &request);
-        match response.write_to(&mut stream, keep_alive) {
-            Ok(true) => {}
-            _ => return,
-        }
+        _ => (Endpoint::Other, Response::error(404, "unknown path")),
     }
 }
 
 /// Start an HTTP export target serving `/vrps.json`, `/vrps.csv`,
-/// `/status`, and `/metrics` from the newest payload on `sub`.
+/// `/status`, and `/metrics` from the newest payload on `sub`. Returns
+/// once the socket is bound.
 pub fn start_http_target(
     name: &str,
     listen: &str,
-    mut sub: Subscription,
+    sub: Subscription,
     log: &Log,
-    shutdown: &Arc<AtomicBool>,
 ) -> io::Result<TargetHandle> {
-    let listener = TcpListener::bind(listen)?;
-    let addr = listener.local_addr()?;
-    log.line(&format_args!("target {name} (http): listening on {addr}"));
+    http_target(name, listen, sub, log, ServerConfig::default())
+}
+
+/// [`start_http_target`] with explicit plane tunables, which only the
+/// tests shrink.
+fn http_target(
+    name: &str,
+    listen: &str,
+    sub: Subscription,
+    log: &Log,
+    config: ServerConfig,
+) -> io::Result<TargetHandle> {
     let state = Arc::new(HttpState {
         payload: Mutex::new(None),
         updates_total: AtomicU64::new(0),
-        requests_total: AtomicU64::new(0),
         resyncs_total: AtomicU64::new(0),
     });
-
-    let consume = {
+    let server = {
         let state = Arc::clone(&state);
-        let log = log.clone();
-        let shutdown = Arc::clone(shutdown);
-        let name = name.to_string();
-        std::thread::spawn(move || {
-            loop {
-                match sub.recv_timeout(IDLE_POLL) {
-                    Wait::Update(update) => {
-                        // A delta that does not chain onto the held
-                        // epoch (stale base after a missed epoch) is an
-                        // explicit, counted re-sync — never silent.
-                        let mut held = state.payload.lock().expect("http target state poisoned");
-                        let mode = match (&update.delta, held.as_ref()) {
-                            (Some(delta), Some(prev)) if delta.from_epoch == prev.epoch() => {
-                                String::from("delta")
-                            }
-                            (Some(_), Some(_)) => {
-                                // Relaxed: standalone monotonic counter
-                                // for reporting.
-                                let n = state.resyncs_total.fetch_add(1, Ordering::Relaxed) + 1;
-                                format!("snapshot resync #{n}")
-                            }
-                            _ => String::from("snapshot"),
-                        };
-                        log.line(&format_args!(
-                            "target {name} (http): in lockstep with {} [{mode}]",
-                            update.payload,
-                        ));
-                        *held = Some(update.payload);
-                        drop(held);
-                        // Relaxed: standalone monotonic counter; the
-                        // payload itself is published under the mutex.
-                        state.updates_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Wait::TimedOut => {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                    Wait::Closed => break,
-                }
-            }
-            log.line(&format_args!("target {name} (http): feed drained"));
-        })
+        Server::with_route(listen, config, move |request, metrics| {
+            route(&state, metrics, request)
+        })?
     };
+    let addr = server.addr();
+    log.line(&format_args!("target {name} (http): listening on {addr}"));
 
-    let accept = {
-        let state = Arc::clone(&state);
-        let shutdown = Arc::clone(shutdown);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || serve_http_connection(&state, stream));
-            }
-        })
-    };
+    let consume = drain(sub, format!("{name} (http)"), log.clone(), move |update| {
+        let mut held = state.held();
+        let chained = matches!(
+            (&update.delta, held.as_ref()),
+            (Some(delta), Some(prev)) if delta.from_epoch == prev.epoch()
+        );
+        let mode = install_mode(&update, chained, &state.resyncs_total);
+        let line = format!("in lockstep with {} [{mode}]", update.payload);
+        *held = Some(update.payload);
+        drop(held);
+        // Relaxed: standalone monotonic counter; the payload itself is
+        // published under the mutex.
+        state.updates_total.fetch_add(1, Ordering::Relaxed);
+        line
+    });
 
     Ok(TargetHandle {
         name: name.to_string(),
         addr,
         consume: Some(consume),
-        serving: Serving::Http(accept),
+        serving: Serving::Http(server),
     })
 }
 
@@ -389,6 +297,13 @@ mod tests {
     use crate::comms::Gossip;
     use ripki_net::Asn;
     use ripki_payload::{PayloadUpdate, VrpTriple};
+    use ripki_serve::server::export_etag;
+    use ripki_serve_testutil::{
+        connect, get, parse_response, raw_roundtrip, read_to_eof_no_reset, serve_scenario,
+        split_responses,
+    };
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
 
     fn vrp(prefix: &str, asn: u32) -> VrpTriple {
         VrpTriple {
@@ -418,15 +333,8 @@ mod tests {
     #[test]
     fn http_target_serves_payloads_with_etags() {
         let gossip = Gossip::new();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = start_http_target(
-            "t",
-            "127.0.0.1:0",
-            gossip.subscribe(),
-            &Log::sink(),
-            &shutdown,
-        )
-        .expect("bind");
+        let handle =
+            start_http_target("t", "127.0.0.1:0", gossip.subscribe(), &Log::sink()).expect("bind");
         let base = format!("http://{}", handle.addr);
 
         // Before any payload: 503.
@@ -463,22 +371,14 @@ mod tests {
         assert!(text.contains("ripki_proxy_epoch 4"), "metrics: {text}");
 
         gossip.close();
-        shutdown.store(true, Ordering::SeqCst);
         handle.stop();
     }
 
     #[test]
     fn rtr_target_installs_updates_into_its_cache() {
         let gossip = Gossip::new();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut handle = start_rtr_target(
-            "r",
-            "127.0.0.1:0",
-            gossip.subscribe(),
-            &Log::sink(),
-            &shutdown,
-        )
-        .expect("bind");
+        let mut handle =
+            start_rtr_target("r", "127.0.0.1:0", gossip.subscribe(), &Log::sink()).expect("bind");
 
         let payload = ripki_payload::VrpPayload::new(2, [vrp("10.0.0.0/24", 64496)]);
         gossip.publish(PayloadUpdate::snapshot(payload.clone()));
@@ -491,17 +391,12 @@ mod tests {
             .expect("consume");
 
         // A real RTR client syncing against the target sees the set.
-        let stream = TcpStream::connect(handle.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .expect("timeout");
-        let mut client = ripki_rtr::Client::new(stream);
+        let mut client = ripki_rtr::Client::new(connect(handle.addr));
         client.sync().expect("sync");
         assert_eq!(client.payload().expect("payload"), payload);
         let (_, serial) = client.state().expect("synced state");
         assert_eq!(serial, 2, "RTR serial tracks the fabric epoch");
 
-        shutdown.store(true, Ordering::SeqCst);
         handle.stop();
     }
 
@@ -536,15 +431,8 @@ mod tests {
         // epoch 3: the target holds epoch 1 and receives a 2→3 delta it
         // cannot chain. That must be an explicit, counted re-sync.
         let gossip = Gossip::new();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = start_http_target(
-            "t",
-            "127.0.0.1:0",
-            gossip.subscribe(),
-            &Log::sink(),
-            &shutdown,
-        )
-        .expect("bind");
+        let handle =
+            start_http_target("t", "127.0.0.1:0", gossip.subscribe(), &Log::sink()).expect("bind");
         let base = format!("http://{}", handle.addr);
 
         let p1 = ripki_payload::VrpPayload::new(1, [vrp("10.0.0.0/24", 64496)]);
@@ -586,7 +474,6 @@ mod tests {
         assert!(text.contains("\"resyncs_total\":1"), "status: {text}");
 
         gossip.close();
-        shutdown.store(true, Ordering::SeqCst);
         handle.stop();
     }
 
@@ -595,9 +482,8 @@ mod tests {
         let capture = Capture::default();
         let log = Log::to(Box::new(capture.clone()));
         let gossip = Gossip::new();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut handle = start_rtr_target("r", "127.0.0.1:0", gossip.subscribe(), &log, &shutdown)
-            .expect("bind");
+        let mut handle =
+            start_rtr_target("r", "127.0.0.1:0", gossip.subscribe(), &log).expect("bind");
 
         let p1 = ripki_payload::VrpPayload::new(1, [vrp("10.0.0.0/24", 64496)]);
         gossip.publish(PayloadUpdate::snapshot(p1));
@@ -624,15 +510,194 @@ mod tests {
         assert!(text.contains("[snapshot resync #1]"), "log: {text}");
 
         // The cache still converged on the full epoch-3 set.
-        let stream = TcpStream::connect(handle.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .expect("timeout");
-        let mut client = ripki_rtr::Client::new(stream);
+        let mut client = ripki_rtr::Client::new(connect(handle.addr));
         client.sync().expect("sync");
         assert_eq!(client.payload().expect("payload"), p3);
 
-        shutdown.store(true, Ordering::SeqCst);
         handle.stop();
+    }
+
+    // ---- the HTTP target on the `ripki-serve` plane ----
+
+    /// A started HTTP target holding `payload`, with `config` as the
+    /// plane's tunables.
+    fn serving(payload: &VrpPayload, config: ServerConfig) -> (Gossip, TargetHandle) {
+        let gossip = Gossip::new();
+        let handle = http_target("t", "127.0.0.1:0", gossip.subscribe(), &Log::sink(), config)
+            .expect("bind");
+        gossip.publish(PayloadUpdate::snapshot(payload.clone()));
+        for _ in 0..500 {
+            if get(handle.addr, "/status").status == 200 {
+                return (gossip, handle);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("target never installed {payload}");
+    }
+
+    fn small_payload(epoch: u64) -> VrpPayload {
+        VrpPayload::new(
+            epoch,
+            [vrp("10.0.0.0/24", 64496), vrp("10.1.0.0/24", 64497)],
+        )
+    }
+
+    #[test]
+    fn a_trickling_client_gets_408_at_the_deadline_and_delays_nobody() {
+        let deadline = Duration::from_millis(600);
+        let config = ServerConfig {
+            read_deadline: deadline,
+            ..ServerConfig::default()
+        };
+        let (gossip, handle) = serving(&small_payload(4), config);
+
+        // One header byte per 200 ms: every read succeeds, so only a
+        // deadline on the *message* can end this.
+        let mut slow = connect(handle.addr);
+        let started = Instant::now();
+        let mut head = b"GET /vrps.json HTTP/1.1\r\nhost: t\r\n".iter();
+        let mut bystander_served = false;
+        while started.elapsed() < deadline {
+            let byte = head.next().expect("head outlasts the deadline");
+            slow.write_all(&[*byte]).expect("trickle");
+            if !bystander_served {
+                let reply = get(handle.addr, "/vrps.json");
+                assert_eq!(reply.status, 200, "a second client is served meanwhile");
+                assert!(started.elapsed() < deadline, "and not after the slow one");
+                bystander_served = true;
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        let reply = parse_response(&String::from_utf8_lossy(&read_to_eof_no_reset(&mut slow)));
+        let took = started.elapsed();
+        assert_eq!(reply.status, 408);
+        assert_eq!(reply.header("connection"), Some("close"));
+        assert!(took >= deadline, "answered early, after {took:?}");
+        assert!(took < deadline + Duration::from_secs(1), "took {took:?}");
+
+        gossip.close();
+        handle.stop();
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_on_their_connection() {
+        let (gossip, handle) = serving(&small_payload(4), ServerConfig::default());
+        let mut stream = connect(handle.addr);
+        stream
+            .write_all(
+                b"GET /status HTTP/1.1\r\nhost: t\r\n\r\n\
+                  GET /status HTTP/1.1\r\nhost: t\r\n\r\n\
+                  GET /status HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+            )
+            .expect("pipeline");
+        let replies = split_responses(&read_to_eof_no_reset(&mut stream));
+        assert_eq!(replies.len(), 3);
+        // `requests_total` counts the requests answered before this
+        // one, so it numbers the responses in the order they were made.
+        let served: Vec<u128> = replies
+            .iter()
+            .map(|reply| {
+                assert_eq!(reply.status, 200);
+                reply.json()["requests_total"].as_u128().expect("counter")
+            })
+            .collect();
+        assert_eq!(served, [served[0], served[0] + 1, served[0] + 2]);
+        assert_eq!(replies[1].header("connection"), Some("keep-alive"));
+        assert_eq!(replies[2].header("connection"), Some("close"));
+
+        gossip.close();
+        handle.stop();
+    }
+
+    #[test]
+    fn if_none_match_is_a_weak_list_match_on_every_export() {
+        let payload = small_payload(4);
+        let (gossip, handle) = serving(&payload, ServerConfig::default());
+        let study = serve_scenario(20, 7);
+        let study_payload = study.view.current().payload().clone();
+        assert_eq!(export_etag(&payload), "\"ripki-epoch-4\"");
+
+        for (node, addr, held) in [
+            ("proxy http target", handle.addr, &payload),
+            ("ripki-serve", study.server.addr(), &study_payload),
+        ] {
+            let etag = export_etag(held);
+            for path in ["/vrps.json", "/vrps.csv"] {
+                for (sent, status) in [
+                    (format!("\"x\", W/{etag}"), 304),
+                    (etag.clone(), 304),
+                    (String::from("*"), 304),
+                    (String::from("\"x\", \"y\""), 200),
+                ] {
+                    let reply = raw_roundtrip(
+                        addr,
+                        &format!(
+                            "GET {path} HTTP/1.1\r\nhost: t\r\nif-none-match: {sent}\r\n\
+                             connection: close\r\n\r\n"
+                        ),
+                    );
+                    assert_eq!(reply.status, status, "{node} {path} If-None-Match: {sent}");
+                    assert_eq!(reply.header("etag"), Some(etag.as_str()), "{node} {path}");
+                    assert_eq!(reply.body.is_empty(), status == 304, "{node} {path}");
+                }
+            }
+        }
+
+        gossip.close();
+        handle.stop();
+    }
+
+    #[test]
+    fn stop_delivers_the_response_in_flight_then_closes() {
+        // Large enough that the kernel's socket buffers cannot hold the
+        // export: most of it is still queued in the reactor when the
+        // target is told to stop.
+        let vrps = (0..300_000u32).map(|i| VrpTriple {
+            prefix: ripki_net::IpPrefix::new(
+                std::net::Ipv4Addr::from(0x0a00_0000 + (i << 8)).into(),
+                24,
+            )
+            .expect("prefix"),
+            max_length: 24,
+            asn: Asn::new(64496 + i % 7),
+        });
+        let payload = VrpPayload::new(4, vrps);
+        let mut expected = Vec::new();
+        ripki_payload::json::write_vrps_json(&payload, None, &mut expected).expect("serialise");
+        assert!(
+            expected.len() > 16 << 20,
+            "export is {} bytes",
+            expected.len()
+        );
+        let (gossip, handle) = serving(&payload, ServerConfig::default());
+        let addr = handle.addr;
+
+        let mut stream = connect(addr);
+        stream
+            .write_all(b"GET /vrps.json HTTP/1.1\r\nhost: t\r\n\r\n")
+            .expect("request");
+        let mut first = [0u8; 1024];
+        stream
+            .read_exact(&mut first)
+            .expect("the response has begun");
+
+        gossip.close();
+        let stopper = std::thread::spawn(move || handle.stop());
+        // The listener is gone once the drain has begun …
+        let status = format!("http://{addr}/status");
+        while crate::http::get(&status, &[], Duration::from_secs(1)).is_ok() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // … and the response it found in flight still arrives whole,
+        // ended by a FIN.
+        let mut raw = first.to_vec();
+        raw.extend(read_to_eof_no_reset(&mut stream));
+        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("head") + 4;
+        assert!(raw.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(
+            raw[head_end..] == expected[..],
+            "body differs from the export"
+        );
+        stopper.join().expect("stop returns");
     }
 }

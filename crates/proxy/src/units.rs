@@ -9,7 +9,7 @@
 
 use crate::comms::{Gossip, Subscription, Wait};
 use crate::log::Log;
-use ripki::engine::StudyEngine;
+use ripki::engine::{EpochDelta, StudyEngine, WorldSnapshot};
 use ripki::pipeline::PipelineConfig;
 use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload};
 use ripki_rtr::{Backoff, PersistentClient};
@@ -42,6 +42,23 @@ pub struct EngineUnitConfig {
     pub interval: Duration,
 }
 
+/// One engine epoch in the fabric's currency: the snapshot's VRPs under
+/// its epoch, with the engine's exact announce/withdraw delta attached
+/// when the epoch came out of `apply_events`.
+pub fn epoch_update(snapshot: &WorldSnapshot, delta: Option<&EpochDelta>) -> PayloadUpdate {
+    PayloadUpdate {
+        payload: VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied()),
+        delta: delta.map(|d| {
+            VrpDelta::new(
+                d.from_epoch,
+                d.to_epoch,
+                d.announced.clone(),
+                d.withdrawn.clone(),
+            )
+        }),
+    }
+}
+
 /// Run a local study engine as an ingest unit. Publishes the initial
 /// validation epoch, then `epochs` churn epochs (each with its exact
 /// engine delta attached), then closes the gossip.
@@ -67,14 +84,16 @@ pub fn run_engine_unit(
         },
     );
     let mut results = engine.run(&scenario.ranking);
-    let snapshot = engine.snapshot();
-    let payload = VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied());
-    log.line(&format_args!(
-        "unit {name} (engine): epoch {} validated ({})",
-        payload.epoch(),
-        payload,
-    ));
-    gossip.publish(PayloadUpdate::snapshot(payload));
+    let publish = |delta: Option<&EpochDelta>| {
+        let update = epoch_update(&engine.snapshot(), delta);
+        log.line(&format_args!(
+            "unit {name} (engine): epoch {} validated ({})",
+            update.epoch(),
+            update.payload,
+        ));
+        gossip.publish(update);
+    };
+    publish(None);
 
     let mut stream = ChurnStream::new(
         &scenario,
@@ -89,24 +108,7 @@ pub fn run_engine_unit(
         }
         std::thread::sleep(config.interval);
         let batch = stream.next_epoch();
-        let delta = engine.apply_events(&batch, &mut results);
-        let snapshot = engine.snapshot();
-        let payload = VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied());
-        log.line(&format_args!(
-            "unit {name} (engine): epoch {} validated ({})",
-            payload.epoch(),
-            payload,
-        ));
-        let delta = VrpDelta::new(
-            delta.to_epoch - 1,
-            delta.to_epoch,
-            delta.announced,
-            delta.withdrawn,
-        );
-        gossip.publish(PayloadUpdate {
-            payload,
-            delta: Some(delta),
-        });
+        publish(Some(&engine.apply_events(&batch, &mut results)));
     }
     log.line(&format_args!("unit {name} (engine): finished"));
     gossip.close();

@@ -1,11 +1,9 @@
 //! The snapshot-based study engine.
 //!
-//! The original [`Pipeline`](crate::pipeline::Pipeline) borrowed its
-//! substrate (`&ZoneStore`, `&Rib`) for a lifetime `'w`, which made it
-//! impossible to share a configured study across threads that outlive
-//! the caller, to swap in a fresh RPKI state without rebuilding
-//! everything, or to hand the RTR cache a live view of the validated
-//! VRPs. This module replaces that design with:
+//! A study that borrows its substrate (`&ZoneStore`, `&Rib`) cannot be
+//! shared across threads that outlive the caller, cannot swap in a
+//! fresh RPKI state without rebuilding everything, and cannot hand the
+//! RTR cache a live view of the validated VRPs. Hence:
 //!
 //! * [`WorldSnapshot`] — an immutable, `Arc`-shared view of one
 //!   observation instant: zones + RIB + the validated VRP set, stamped
@@ -184,7 +182,7 @@ impl WorldSnapshot {
     /// Measure one name form with a caller-provided (per-worker)
     /// resolver, going through the memoized resolution cache. This is
     /// the single implementation of steps 2–4; every other entry point
-    /// (full runs, the `Pipeline` façade, incremental re-measurement)
+    /// (full runs, incremental re-measurement)
     /// routes through it.
     ///
     /// The second return value is the resolution's *touched set*: every
@@ -923,47 +921,6 @@ impl StudyEngine {
             &vrp_prefixes,
         );
 
-        // A massive batch (CDN-wide retarget, table reload) re-measured
-        // rank by rank would be slower than a parallel full run: above
-        // the configured threshold, fall back to the sharded full-run
-        // path over the same post-churn snapshot. Equivalent output by
-        // construction — both paths measure every affected domain
-        // against `next` — and covered by the incremental-vs-full
-        // equivalence proptest.
-        if next
-            .config
-            .full_remeasure_threshold
-            .is_some_and(|t| affected.len() > t)
-        {
-            let ranking: Vec<DomainName> =
-                results.domains.iter().map(|d| d.listed.clone()).collect();
-            let fresh = next.run(&ranking);
-            let mut pairs_changed = 0;
-            for (old_d, new_d) in results.domains.iter().zip(&fresh.domains) {
-                for (old_m, new_m) in [(&old_d.www, &new_d.www), (&old_d.bare, &new_d.bare)] {
-                    let key = |p: &PairState| (p.prefix, p.origin, p.state);
-                    let before: BTreeSet<_> = old_m.pairs.iter().map(key).collect();
-                    let after: BTreeSet<_> = new_m.pairs.iter().map(key).collect();
-                    pairs_changed += before.symmetric_difference(&after).count();
-                }
-            }
-            let remeasured = fresh.domains.len();
-            *results = fresh;
-            // Every posting is stale after the wholesale replacement;
-            // rebuild lazily on the next incremental batch.
-            *index_guard = None;
-            let delta = EpochDelta {
-                from_epoch: old.epoch,
-                to_epoch: next.epoch,
-                announced,
-                withdrawn,
-                pairs_changed,
-                domains_remeasured: remeasured,
-                rpki_stats,
-            };
-            *guard = Arc::new(next);
-            return delta;
-        }
         let index = index_guard.as_mut().expect("index just built");
 
         // Plan: resolve the affected ranks (already in ascending rank
@@ -1277,54 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_exceeded_falls_back_to_full_run() {
-        let (zones, rib, mut b, now) = world();
-        let repo = b.snapshot();
-        let config = PipelineConfig {
-            // Any non-empty affected set exceeds the threshold.
-            full_remeasure_threshold: Some(0),
-            ..cfg(now)
-        };
-        let engine = StudyEngine::new(zones.clone(), rib.clone(), &repo, config);
-        let mut results = engine.run(&ranking());
-
-        let batch = EpochChurn {
-            events: vec![WorldEvent::ZoneEdit {
-                name: n("edge.cdn.example"),
-                records: vec![RecordData::from_addr("77.7.7.7".parse().unwrap())],
-            }],
-            repository: None,
-            now,
-        };
-        let delta = engine.apply_events(&batch, &mut results);
-        // The fallback re-measures every domain, not just the two
-        // referring ones.
-        assert_eq!(delta.domains_remeasured, 4);
-        assert_eq!(results.epoch, 2);
-        assert_same_study(&results, &full_rerun(&zones, &rib, &batch, &repo, now));
-
-        // The next batch rebuilds the discarded index and still chains:
-        // a small batch under the serial path after a fallback.
-        let batch2 = EpochChurn {
-            events: vec![WorldEvent::ZoneEdit {
-                name: n("plain.example"),
-                records: vec![RecordData::from_addr("85.1.9.9".parse().unwrap())],
-            }],
-            repository: None,
-            now,
-        };
-        let engine2 = StudyEngine::new(zones, rib, &repo, cfg(now));
-        let mut serial_results = engine2.run(&ranking());
-        engine2.apply_events(&batch, &mut serial_results);
-        let serial_delta = engine2.apply_events(&batch2, &mut serial_results);
-        let fallback_delta = engine.apply_events(&batch2, &mut results);
-        assert_eq!(fallback_delta.to_epoch, 3);
-        assert_eq!(fallback_delta.domains_remeasured, 4);
-        assert_eq!(serial_delta.pairs_changed, fallback_delta.pairs_changed);
-        assert_eq!(results.domains, serial_results.domains);
-    }
-
-    #[test]
     fn empty_batch_still_bumps_epoch() {
         let (zones, rib, mut b, now) = world();
         let repo = b.snapshot();
@@ -1396,5 +1305,378 @@ mod tests {
         assert_eq!(results.domains[1].bare.pairs[0].state, RpkiState::Valid);
         // Its www form was not edited and still points at 9.9/16.
         assert_eq!(results.domains[1].www.pairs[0].origin, Asn::new(9));
+    }
+
+    /// The measurement semantics of one snapshot (the four pipeline
+    /// steps on a hand-built world).
+    mod measurement {
+        use super::*;
+        use ripki_bgp::path::AsPath;
+        use ripki_bgp::rib::RibEntry;
+        use ripki_bgp::rov::RpkiState;
+        use ripki_net::Asn;
+        use ripki_rpki::repo::RepositoryBuilder;
+        use ripki_rpki::resources::Resources;
+        use ripki_rpki::roa::RoaPrefix;
+        use ripki_rpki::time::{Duration, SimTime};
+
+        fn n(s: &str) -> DomainName {
+            DomainName::parse(s).unwrap()
+        }
+
+        /// Small hand-built world: two domains, one ROA-covered prefix.
+        fn world() -> (ZoneStore, Rib, Repository, SimTime) {
+            let mut zones = ZoneStore::new();
+            // covered.example on 85.1.0.0/16 (valid ROA, AS100)
+            zones.add_addr(n("covered.example"), "85.1.2.3".parse().unwrap());
+            zones.add_cname(n("www.covered.example"), n("covered.example"));
+            // plain.example on 9.9.0.0/16 (no ROA)
+            zones.add_addr(n("plain.example"), "9.9.1.1".parse().unwrap());
+            zones.add_addr(n("www.plain.example"), "9.9.1.1".parse().unwrap());
+            // hijacked.example on 85.2.0.0/16 announced by wrong AS
+            zones.add_addr(n("hijacked.example"), "85.2.9.9".parse().unwrap());
+            zones.add_addr(n("www.hijacked.example"), "85.2.9.9".parse().unwrap());
+            // bogus.example answers a reserved address
+            zones.add_addr(n("bogus.example"), "127.0.0.1".parse().unwrap());
+            zones.add_addr(n("www.bogus.example"), "127.0.0.1".parse().unwrap());
+            // dark.example resolves to unannounced space
+            zones.add_addr(n("dark.example"), "77.7.7.7".parse().unwrap());
+            zones.add_addr(n("www.dark.example"), "77.7.7.7".parse().unwrap());
+
+            let mut rib = Rib::new();
+            for (pfx, origin) in [
+                ("85.1.0.0/16", 100u32),
+                ("85.2.0.0/16", 666),
+                ("9.9.0.0/16", 9),
+            ] {
+                rib.insert(RibEntry {
+                    prefix: pfx.parse().unwrap(),
+                    path: AsPath::sequence([64601, origin]),
+                    peer: Asn::new(64496),
+                });
+            }
+
+            let mut b = RepositoryBuilder::new(1, SimTime::EPOCH);
+            let ta = b.add_trust_anchor(
+                "RIPE",
+                Resources::from_prefixes(vec!["80.0.0.0/4".parse().unwrap()]),
+            );
+            let isp = b
+                .add_ca(
+                    ta,
+                    "ISP-1",
+                    Resources::from_prefixes(vec!["85.0.0.0/8".parse().unwrap()]),
+                )
+                .unwrap();
+            b.add_roa(
+                isp,
+                Asn::new(100),
+                vec![RoaPrefix::exact("85.1.0.0/16".parse().unwrap())],
+            )
+            .unwrap();
+            b.add_roa(
+                isp,
+                Asn::new(555),
+                vec![RoaPrefix::exact("85.2.0.0/16".parse().unwrap())],
+            )
+            .unwrap();
+            (zones, rib, b.finalize(), SimTime::EPOCH + Duration::days(1))
+        }
+
+        /// An epoch-1 snapshot of the given world.
+        fn snapshot(
+            zones: &ZoneStore,
+            rib: &Rib,
+            repo: &Repository,
+            config: PipelineConfig,
+        ) -> Arc<WorldSnapshot> {
+            StudyEngine::new(zones.clone(), rib.clone(), repo, config).snapshot()
+        }
+
+        fn pipeline_cfg(now: SimTime) -> PipelineConfig {
+            PipelineConfig {
+                bogus_dns_ppm: 0,
+                now,
+                threads: 2,
+                ..Default::default()
+            }
+        }
+
+        #[test]
+        fn states_assigned_correctly() {
+            let (zones, rib, repo, now) = world();
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            let covered = p.measure_domain(0, &n("covered.example"));
+            assert_eq!(covered.bare.pairs.len(), 1);
+            assert_eq!(covered.bare.pairs[0].state, RpkiState::Valid);
+            assert_eq!(covered.bare.coverage_counts(), (1, 1));
+            // www form CNAMEs to bare: one indirection, same pairs.
+            assert_eq!(covered.www.indirections(), 1);
+            assert!(covered.equal_prefixes());
+
+            let plain = p.measure_domain(1, &n("plain.example"));
+            assert_eq!(plain.bare.pairs[0].state, RpkiState::NotFound);
+            assert_eq!(plain.bare.covered_fraction(), Some(0.0));
+
+            let hijacked = p.measure_domain(2, &n("hijacked.example"));
+            assert_eq!(hijacked.bare.pairs[0].state, RpkiState::Invalid);
+            assert_eq!(hijacked.bare.covered_fraction(), Some(1.0));
+        }
+
+        #[test]
+        fn special_purpose_answers_excluded() {
+            let (zones, rib, repo, now) = world();
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            let m = p.measure_domain(0, &n("bogus.example"));
+            assert_eq!(m.bare.excluded_invalid, 1);
+            assert!(m.bare.addresses.is_empty());
+            assert!(m.bare.pairs.is_empty());
+            assert_eq!(m.bare.state_fraction(RpkiState::Valid), None);
+        }
+
+        #[test]
+        fn unreachable_addresses_counted() {
+            let (zones, rib, repo, now) = world();
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            let m = p.measure_domain(0, &n("dark.example"));
+            assert_eq!(m.bare.unreachable, 1);
+            assert_eq!(m.bare.addresses.len(), 1);
+            assert!(m.bare.pairs.is_empty());
+        }
+
+        #[test]
+        fn nxdomain_reported() {
+            let (zones, rib, repo, now) = world();
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            let m = p.measure_domain(0, &n("missing.example"));
+            assert!(m.bare.resolve_failed);
+            assert!(m.www.resolve_failed);
+        }
+
+        #[test]
+        fn run_preserves_rank_order_across_threads() {
+            let (zones, rib, repo, now) = world();
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            let ranking = vec![
+                n("covered.example"),
+                n("plain.example"),
+                n("hijacked.example"),
+                n("dark.example"),
+                n("bogus.example"),
+            ];
+            let results = p.run(&ranking);
+            assert_eq!(results.domains.len(), 5);
+            for (i, d) in results.domains.iter().enumerate() {
+                assert_eq!(d.rank, i);
+                assert_eq!(&d.listed, &ranking[i]);
+            }
+            assert_eq!(results.vrp_count, 2);
+            assert_eq!(results.rpki_rejected, 0);
+            assert_eq!(results.epoch, 1);
+            assert!(results.skipped.is_empty());
+        }
+
+        #[test]
+        fn run_empty_ranking() {
+            let (zones, rib, repo, now) = world();
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            let results = p.run(&[]);
+            assert!(results.domains.is_empty());
+        }
+
+        #[test]
+        fn single_thread_equals_multi_thread() {
+            let (zones, rib, repo, now) = world();
+            let ranking = vec![n("covered.example"), n("plain.example")];
+            let single = snapshot(
+                &zones,
+                &rib,
+                &repo,
+                PipelineConfig {
+                    threads: 1,
+                    bogus_dns_ppm: 0,
+                    now,
+                    ..Default::default()
+                },
+            )
+            .run(&ranking);
+            let multi = snapshot(
+                &zones,
+                &rib,
+                &repo,
+                PipelineConfig {
+                    threads: 4,
+                    bogus_dns_ppm: 0,
+                    now,
+                    ..Default::default()
+                },
+            )
+            .run(&ranking);
+            assert_eq!(single.domains.len(), multi.domains.len());
+            for (a, b) in single.domains.iter().zip(&multi.domains) {
+                assert_eq!(a.bare, b.bare);
+                assert_eq!(a.www, b.www);
+            }
+        }
+
+        #[test]
+        fn explicit_thread_count_is_uncapped() {
+            // CI runs the suite under a RIPKI_THREADS matrix, and the env
+            // var deliberately outranks the config field — so compute what
+            // the knob should resolve to rather than pinning 100.
+            let env_threads = std::env::var("RIPKI_THREADS")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok());
+            let cfg = PipelineConfig {
+                threads: 100,
+                ..Default::default()
+            };
+            let auto = PipelineConfig {
+                threads: 0,
+                ..Default::default()
+            };
+            match env_threads {
+                Some(t) if t > 0 => {
+                    assert_eq!(cfg.worker_threads(), t);
+                    assert_eq!(auto.worker_threads(), t);
+                }
+                // RIPKI_THREADS=0 forces auto-detect even over an explicit
+                // config; unset (or unparseable) leaves the config in
+                // charge.
+                Some(_) => {
+                    assert!((1..=64).contains(&cfg.worker_threads()));
+                    assert!((1..=64).contains(&auto.worker_threads()));
+                }
+                None => {
+                    assert_eq!(cfg.worker_threads(), 100);
+                    assert!((1..=64).contains(&auto.worker_threads()));
+                }
+            }
+        }
+
+        #[test]
+        fn www_listed_input_measured_same_as_bare_listed() {
+            let (zones, rib, repo, now) = world();
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            let from_bare = p.measure_domain(0, &n("covered.example"));
+            let from_www = p.measure_domain(0, &n("www.covered.example"));
+            assert_eq!(from_bare.bare, from_www.bare);
+            assert_eq!(from_bare.www, from_www.www);
+        }
+
+        #[test]
+        fn revalidate_matches_full_rerun() {
+            let (zones, rib, repo, now) = world();
+            // First observation: RPKI expired (everything NotFound).
+            let late = SimTime::EPOCH + Duration::years(30);
+            let stale = snapshot(&zones, &rib, &repo, pipeline_cfg(late));
+            let ranking = vec![
+                n("covered.example"),
+                n("hijacked.example"),
+                n("plain.example"),
+            ];
+            let mut results = stale.run(&ranking);
+            assert!(results
+                .domains
+                .iter()
+                .flat_map(|d| d.bare.pairs.iter())
+                .all(|p| p.state == RpkiState::NotFound));
+
+            // Second observation: fresh VRPs, same crawl.
+            let fresh = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
+            fresh.revalidate(&mut results);
+            let full = fresh.run(&ranking);
+            assert_eq!(results.vrp_count, full.vrp_count);
+            for (a, b) in results.domains.iter().zip(&full.domains) {
+                assert_eq!(a.bare.pairs, b.bare.pairs);
+                assert_eq!(a.www.pairs, b.www.pairs);
+            }
+        }
+
+        #[test]
+        fn engine_epoch_swap_revalidate_matches_full_rerun() {
+            let (zones, rib, repo, now) = world();
+            let late = SimTime::EPOCH + Duration::years(30);
+            let engine = StudyEngine::new(zones.clone(), rib.clone(), &repo, pipeline_cfg(late));
+            let ranking = vec![
+                n("covered.example"),
+                n("hijacked.example"),
+                n("plain.example"),
+            ];
+            let mut results = engine.run(&ranking);
+            assert_eq!(results.epoch, 1);
+            assert_eq!(results.vrp_count, 0);
+
+            // Swap in the un-expired view of the same repository.
+            let delta = engine.revalidate(&repo, now, &mut results);
+            assert_eq!(delta.from_epoch, 1);
+            assert_eq!(delta.to_epoch, 2);
+            // Both ROAs come alive: two announced VRPs, nothing withdrawn.
+            assert_eq!(delta.announced.len(), 2);
+            assert!(delta.withdrawn.is_empty());
+            // covered (NotFound→Valid) and hijacked (NotFound→Invalid)
+            // flip in both name forms.
+            assert_eq!(delta.pairs_changed, 4);
+            assert_eq!(results.epoch, 2);
+
+            let full = engine.run(&ranking);
+            assert_eq!(results.vrp_count, full.vrp_count);
+            for (a, b) in results.domains.iter().zip(&full.domains) {
+                assert_eq!(a.bare.pairs, b.bare.pairs);
+                assert_eq!(a.www.pairs, b.www.pairs);
+            }
+        }
+
+        #[test]
+        fn ipv6_pairs_validated() {
+            let mut zones = ZoneStore::new();
+            zones.add_addr(n("six.example"), "2001:600::1".parse().unwrap());
+            zones.add_addr(n("www.six.example"), "2001:600::1".parse().unwrap());
+            let mut rib = Rib::new();
+            rib.insert(RibEntry {
+                prefix: "2001:600::/32".parse().unwrap(),
+                path: AsPath::sequence([64601, 700]),
+                peer: Asn::new(64496),
+            });
+            let mut b = RepositoryBuilder::new(2, SimTime::EPOCH);
+            let ta = b.add_trust_anchor(
+                "RIPE",
+                Resources::from_prefixes(vec!["2001::/16".parse().unwrap()]),
+            );
+            let isp = b
+                .add_ca(
+                    ta,
+                    "v6-ISP",
+                    Resources::from_prefixes(vec!["2001:600::/24".parse().unwrap()]),
+                )
+                .unwrap();
+            b.add_roa(
+                isp,
+                Asn::new(700),
+                vec![RoaPrefix::exact("2001:600::/32".parse().unwrap())],
+            )
+            .unwrap();
+            let repo = b.finalize();
+            let p = snapshot(
+                &zones,
+                &rib,
+                &repo,
+                pipeline_cfg(SimTime::EPOCH + Duration::days(1)),
+            );
+            let m = p.measure_domain(0, &n("six.example"));
+            assert_eq!(m.bare.pairs.len(), 1);
+            assert_eq!(m.bare.pairs[0].state, RpkiState::Valid);
+            assert!(matches!(m.bare.pairs[0].prefix, ripki_net::IpPrefix::V6(_)));
+        }
+
+        #[test]
+        fn expired_rpki_yields_all_notfound() {
+            let (zones, rib, repo, _) = world();
+            let late = SimTime::EPOCH + Duration::years(30);
+            let p = snapshot(&zones, &rib, &repo, pipeline_cfg(late));
+            assert_eq!(p.validator().len(), 0);
+            let m = p.measure_domain(0, &n("covered.example"));
+            assert_eq!(m.bare.pairs[0].state, RpkiState::NotFound);
+        }
     }
 }

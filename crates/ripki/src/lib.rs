@@ -13,7 +13,7 @@
 //! 4. **RPKI validation** — RFC 6811 against the VRPs produced by
 //!    cryptographic validation of the repository (`ripki-rpki`).
 //!
-//! On top of the pipeline ([`pipeline`]):
+//! On top of the four steps ([`engine`]):
 //!
 //! * [`stats`] — the 10k-domain binning used by every figure;
 //! * [`classify`] — the CNAME-chain CDN heuristic and the
@@ -27,7 +27,8 @@
 //! `Arc`-shared, epoch-versioned `WorldSnapshot` owned by a
 //! `StudyEngine`, with memoized CNAME-tail resolution and panic-tolerant
 //! sharded runs — a 1M-domain study is embarrassingly parallel.
-//! [`pipeline`] keeps the result types and a borrow-compatible façade.
+//! The result types are [`model`]'s; [`pipeline`] is their historical
+//! import path.
 
 pub mod cdn_audit;
 pub mod classify;
@@ -42,6 +43,5 @@ pub mod tables;
 
 pub use engine::{EngineError, EpochDelta, StudyEngine, WorldSnapshot};
 pub use model::{DomainMeasurement, NameMeasurement, PairState, PipelineConfig, StudyResults};
-pub use pipeline::Pipeline;
 pub use report::HeadlineStats;
 pub use stats::BinnedSeries;

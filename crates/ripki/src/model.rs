@@ -1,8 +1,8 @@
 //! The measurement data model: per-name, per-domain, and study-wide
 //! result types plus the pipeline configuration.
 //!
-//! Extracted from `pipeline.rs` so the engine, the façade, the report
-//! writers, and the incremental-update machinery all share one
+//! One module so the engine, the report writers, and the
+//! incremental-update machinery all share one
 //! definition of what a measurement *is*. The types are deliberately
 //! dumb data: all production logic lives in [`crate::engine`].
 
@@ -127,12 +127,6 @@ pub struct PipelineConfig {
     /// explicit value is honored as given; see
     /// [`worker_threads`](Self::worker_threads).
     pub threads: usize,
-    /// When an incremental `apply_events` finds more affected ranks
-    /// than this, it abandons the per-rank re-measure and falls back to
-    /// the sharded full-run path (`None` = always incremental). A
-    /// massive churn batch re-measured rank by rank would be slower
-    /// than a full run; the two paths are equivalence-tested.
-    pub full_remeasure_threshold: Option<usize>,
     /// Test-only fault hook: measuring this listed domain panics,
     /// exercising the skip-and-count isolation path that a real
     /// measurement bug would hit. `None` (the default) in production.
@@ -174,7 +168,6 @@ impl Default for PipelineConfig {
             dns_fault_seed: 0x0ddf_a017,
             now: SimTime::start_of_study(),
             threads: 0,
-            full_remeasure_threshold: None,
             poison_domain: None,
         }
     }

@@ -1,443 +1,10 @@
-//! The four-step measurement pipeline: compat façade.
+//! The historical import path of the study's model types.
 //!
-//! The measurement itself lives in [`crate::engine`]: an `Arc`-shared,
-//! epoch-versioned [`WorldSnapshot`](crate::engine::WorldSnapshot)
-//! owned by a [`StudyEngine`](crate::engine::StudyEngine), and the
-//! result types live in [`crate::model`] (re-exported here for
-//! backwards compatibility). This module keeps only the
-//! borrow-compatible [`Pipeline`] façade so existing
-//! `Pipeline::new(&zones, &rib, …)` call sites keep working.
+//! The measurement lives in [`crate::engine`] and the types in
+//! [`crate::model`]; `ripki::pipeline::{PipelineConfig, StudyResults, …}`
+//! is the path the serving plane, the proxy fabric and the repository
+//! benchmark import them through, so it stays as a re-export.
 
 pub use crate::model::{
     DomainMeasurement, NameMeasurement, PairState, PipelineConfig, StudyResults,
 };
-
-use crate::engine::{StudyEngine, WorldSnapshot};
-use ripki_bgp::rib::Rib;
-use ripki_bgp::rov::RouteOriginValidator;
-use ripki_dns::zone::ZoneStore;
-use ripki_dns::DomainName;
-use ripki_rpki::repo::Repository;
-use std::marker::PhantomData;
-use std::sync::Arc;
-
-/// The configured pipeline — a borrow-compatible façade over one
-/// [`WorldSnapshot`].
-///
-/// `Pipeline` predates the engine and borrowed its substrate for `'w`;
-/// it now clones the substrate into a private epoch-1 snapshot, so the
-/// lifetime only constrains the constructor arguments. New code should
-/// use [`StudyEngine`] directly and keep the substrate in `Arc`s —
-/// that also unlocks epoch swaps ([`StudyEngine::install_rpki`]),
-/// which a `Pipeline` (fixed at its construction epoch) cannot do.
-pub struct Pipeline<'w> {
-    snapshot: Arc<WorldSnapshot>,
-    _world: PhantomData<&'w ZoneStore>,
-}
-
-impl<'w> Pipeline<'w> {
-    /// Build a pipeline: validates `repository` cryptographically (step
-    /// 4's ROA collection) and indexes the VRPs for origin validation.
-    pub fn new(
-        zones: &'w ZoneStore,
-        rib: &'w Rib,
-        repository: &Repository,
-        config: PipelineConfig,
-    ) -> Pipeline<'w> {
-        let engine = StudyEngine::new(zones.clone(), rib.clone(), repository, config);
-        Pipeline {
-            snapshot: engine.snapshot(),
-            _world: PhantomData,
-        }
-    }
-
-    /// The underlying snapshot (for interop with engine-based code).
-    pub fn snapshot(&self) -> Arc<WorldSnapshot> {
-        Arc::clone(&self.snapshot)
-    }
-
-    /// Access the origin validator (for hijack experiments etc.).
-    pub fn validator(&self) -> &RouteOriginValidator {
-        self.snapshot.validator()
-    }
-
-    /// Measure one ranked domain (both name forms).
-    pub fn measure_domain(&self, rank: usize, listed: &DomainName) -> DomainMeasurement {
-        self.snapshot.measure_domain(rank, listed)
-    }
-
-    /// Re-apply this pipeline's VRPs to an existing study's (prefix,
-    /// origin) pairs without repeating DNS resolution or table lookups.
-    /// See [`WorldSnapshot::revalidate`].
-    pub fn revalidate(&self, results: &mut StudyResults) {
-        self.snapshot.revalidate(results);
-    }
-
-    /// Run the full study over a ranked list, sharded across threads.
-    pub fn run(&self, ranking: &[DomainName]) -> StudyResults {
-        self.snapshot.run(ranking)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ripki_bgp::path::AsPath;
-    use ripki_bgp::rib::RibEntry;
-    use ripki_bgp::rov::RpkiState;
-    use ripki_net::Asn;
-    use ripki_rpki::repo::RepositoryBuilder;
-    use ripki_rpki::resources::Resources;
-    use ripki_rpki::roa::RoaPrefix;
-    use ripki_rpki::time::{Duration, SimTime};
-
-    fn n(s: &str) -> DomainName {
-        DomainName::parse(s).unwrap()
-    }
-
-    /// Small hand-built world: two domains, one ROA-covered prefix.
-    fn world() -> (ZoneStore, Rib, Repository, SimTime) {
-        let mut zones = ZoneStore::new();
-        // covered.example on 85.1.0.0/16 (valid ROA, AS100)
-        zones.add_addr(n("covered.example"), "85.1.2.3".parse().unwrap());
-        zones.add_cname(n("www.covered.example"), n("covered.example"));
-        // plain.example on 9.9.0.0/16 (no ROA)
-        zones.add_addr(n("plain.example"), "9.9.1.1".parse().unwrap());
-        zones.add_addr(n("www.plain.example"), "9.9.1.1".parse().unwrap());
-        // hijacked.example on 85.2.0.0/16 announced by wrong AS
-        zones.add_addr(n("hijacked.example"), "85.2.9.9".parse().unwrap());
-        zones.add_addr(n("www.hijacked.example"), "85.2.9.9".parse().unwrap());
-        // bogus.example answers a reserved address
-        zones.add_addr(n("bogus.example"), "127.0.0.1".parse().unwrap());
-        zones.add_addr(n("www.bogus.example"), "127.0.0.1".parse().unwrap());
-        // dark.example resolves to unannounced space
-        zones.add_addr(n("dark.example"), "77.7.7.7".parse().unwrap());
-        zones.add_addr(n("www.dark.example"), "77.7.7.7".parse().unwrap());
-
-        let mut rib = Rib::new();
-        for (pfx, origin) in [
-            ("85.1.0.0/16", 100u32),
-            ("85.2.0.0/16", 666),
-            ("9.9.0.0/16", 9),
-        ] {
-            rib.insert(RibEntry {
-                prefix: pfx.parse().unwrap(),
-                path: AsPath::sequence([64601, origin]),
-                peer: Asn::new(64496),
-            });
-        }
-
-        let mut b = RepositoryBuilder::new(1, SimTime::EPOCH);
-        let ta = b.add_trust_anchor(
-            "RIPE",
-            Resources::from_prefixes(vec!["80.0.0.0/4".parse().unwrap()]),
-        );
-        let isp = b
-            .add_ca(
-                ta,
-                "ISP-1",
-                Resources::from_prefixes(vec!["85.0.0.0/8".parse().unwrap()]),
-            )
-            .unwrap();
-        b.add_roa(
-            isp,
-            Asn::new(100),
-            vec![RoaPrefix::exact("85.1.0.0/16".parse().unwrap())],
-        )
-        .unwrap();
-        b.add_roa(
-            isp,
-            Asn::new(555),
-            vec![RoaPrefix::exact("85.2.0.0/16".parse().unwrap())],
-        )
-        .unwrap();
-        (zones, rib, b.finalize(), SimTime::EPOCH + Duration::days(1))
-    }
-
-    fn pipeline_cfg(now: SimTime) -> PipelineConfig {
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now,
-            threads: 2,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn states_assigned_correctly() {
-        let (zones, rib, repo, now) = world();
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        let covered = p.measure_domain(0, &n("covered.example"));
-        assert_eq!(covered.bare.pairs.len(), 1);
-        assert_eq!(covered.bare.pairs[0].state, RpkiState::Valid);
-        assert_eq!(covered.bare.coverage_counts(), (1, 1));
-        // www form CNAMEs to bare: one indirection, same pairs.
-        assert_eq!(covered.www.indirections(), 1);
-        assert!(covered.equal_prefixes());
-
-        let plain = p.measure_domain(1, &n("plain.example"));
-        assert_eq!(plain.bare.pairs[0].state, RpkiState::NotFound);
-        assert_eq!(plain.bare.covered_fraction(), Some(0.0));
-
-        let hijacked = p.measure_domain(2, &n("hijacked.example"));
-        assert_eq!(hijacked.bare.pairs[0].state, RpkiState::Invalid);
-        assert_eq!(hijacked.bare.covered_fraction(), Some(1.0));
-    }
-
-    #[test]
-    fn special_purpose_answers_excluded() {
-        let (zones, rib, repo, now) = world();
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        let m = p.measure_domain(0, &n("bogus.example"));
-        assert_eq!(m.bare.excluded_invalid, 1);
-        assert!(m.bare.addresses.is_empty());
-        assert!(m.bare.pairs.is_empty());
-        assert_eq!(m.bare.state_fraction(RpkiState::Valid), None);
-    }
-
-    #[test]
-    fn unreachable_addresses_counted() {
-        let (zones, rib, repo, now) = world();
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        let m = p.measure_domain(0, &n("dark.example"));
-        assert_eq!(m.bare.unreachable, 1);
-        assert_eq!(m.bare.addresses.len(), 1);
-        assert!(m.bare.pairs.is_empty());
-    }
-
-    #[test]
-    fn nxdomain_reported() {
-        let (zones, rib, repo, now) = world();
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        let m = p.measure_domain(0, &n("missing.example"));
-        assert!(m.bare.resolve_failed);
-        assert!(m.www.resolve_failed);
-    }
-
-    #[test]
-    fn run_preserves_rank_order_across_threads() {
-        let (zones, rib, repo, now) = world();
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        let ranking = vec![
-            n("covered.example"),
-            n("plain.example"),
-            n("hijacked.example"),
-            n("dark.example"),
-            n("bogus.example"),
-        ];
-        let results = p.run(&ranking);
-        assert_eq!(results.domains.len(), 5);
-        for (i, d) in results.domains.iter().enumerate() {
-            assert_eq!(d.rank, i);
-            assert_eq!(&d.listed, &ranking[i]);
-        }
-        assert_eq!(results.vrp_count, 2);
-        assert_eq!(results.rpki_rejected, 0);
-        assert_eq!(results.epoch, 1);
-        assert!(results.skipped.is_empty());
-    }
-
-    #[test]
-    fn run_empty_ranking() {
-        let (zones, rib, repo, now) = world();
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        let results = p.run(&[]);
-        assert!(results.domains.is_empty());
-    }
-
-    #[test]
-    fn single_thread_equals_multi_thread() {
-        let (zones, rib, repo, now) = world();
-        let ranking = vec![n("covered.example"), n("plain.example")];
-        let single = Pipeline::new(
-            &zones,
-            &rib,
-            &repo,
-            PipelineConfig {
-                threads: 1,
-                bogus_dns_ppm: 0,
-                now,
-                ..Default::default()
-            },
-        )
-        .run(&ranking);
-        let multi = Pipeline::new(
-            &zones,
-            &rib,
-            &repo,
-            PipelineConfig {
-                threads: 4,
-                bogus_dns_ppm: 0,
-                now,
-                ..Default::default()
-            },
-        )
-        .run(&ranking);
-        assert_eq!(single.domains.len(), multi.domains.len());
-        for (a, b) in single.domains.iter().zip(&multi.domains) {
-            assert_eq!(a.bare, b.bare);
-            assert_eq!(a.www, b.www);
-        }
-    }
-
-    #[test]
-    fn explicit_thread_count_is_uncapped() {
-        // CI runs the suite under a RIPKI_THREADS matrix, and the env
-        // var deliberately outranks the config field — so compute what
-        // the knob should resolve to rather than pinning 100.
-        let env_threads = std::env::var("RIPKI_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok());
-        let cfg = PipelineConfig {
-            threads: 100,
-            ..Default::default()
-        };
-        let auto = PipelineConfig {
-            threads: 0,
-            ..Default::default()
-        };
-        match env_threads {
-            Some(t) if t > 0 => {
-                assert_eq!(cfg.worker_threads(), t);
-                assert_eq!(auto.worker_threads(), t);
-            }
-            // RIPKI_THREADS=0 forces auto-detect even over an explicit
-            // config; unset (or unparseable) leaves the config in
-            // charge.
-            Some(_) => {
-                assert!((1..=64).contains(&cfg.worker_threads()));
-                assert!((1..=64).contains(&auto.worker_threads()));
-            }
-            None => {
-                assert_eq!(cfg.worker_threads(), 100);
-                assert!((1..=64).contains(&auto.worker_threads()));
-            }
-        }
-    }
-
-    #[test]
-    fn www_listed_input_measured_same_as_bare_listed() {
-        let (zones, rib, repo, now) = world();
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        let from_bare = p.measure_domain(0, &n("covered.example"));
-        let from_www = p.measure_domain(0, &n("www.covered.example"));
-        assert_eq!(from_bare.bare, from_www.bare);
-        assert_eq!(from_bare.www, from_www.www);
-    }
-
-    #[test]
-    fn revalidate_matches_full_rerun() {
-        let (zones, rib, repo, now) = world();
-        // First observation: RPKI expired (everything NotFound).
-        let late = SimTime::EPOCH + Duration::years(30);
-        let stale = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(late));
-        let ranking = vec![
-            n("covered.example"),
-            n("hijacked.example"),
-            n("plain.example"),
-        ];
-        let mut results = stale.run(&ranking);
-        assert!(results
-            .domains
-            .iter()
-            .flat_map(|d| d.bare.pairs.iter())
-            .all(|p| p.state == RpkiState::NotFound));
-
-        // Second observation: fresh VRPs, same crawl.
-        let fresh = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(now));
-        fresh.revalidate(&mut results);
-        let full = fresh.run(&ranking);
-        assert_eq!(results.vrp_count, full.vrp_count);
-        for (a, b) in results.domains.iter().zip(&full.domains) {
-            assert_eq!(a.bare.pairs, b.bare.pairs);
-            assert_eq!(a.www.pairs, b.www.pairs);
-        }
-    }
-
-    #[test]
-    fn engine_epoch_swap_revalidate_matches_full_rerun() {
-        let (zones, rib, repo, now) = world();
-        let late = SimTime::EPOCH + Duration::years(30);
-        let engine =
-            crate::engine::StudyEngine::new(zones.clone(), rib.clone(), &repo, pipeline_cfg(late));
-        let ranking = vec![
-            n("covered.example"),
-            n("hijacked.example"),
-            n("plain.example"),
-        ];
-        let mut results = engine.run(&ranking);
-        assert_eq!(results.epoch, 1);
-        assert_eq!(results.vrp_count, 0);
-
-        // Swap in the un-expired view of the same repository.
-        let delta = engine.revalidate(&repo, now, &mut results);
-        assert_eq!(delta.from_epoch, 1);
-        assert_eq!(delta.to_epoch, 2);
-        // Both ROAs come alive: two announced VRPs, nothing withdrawn.
-        assert_eq!(delta.announced.len(), 2);
-        assert!(delta.withdrawn.is_empty());
-        // covered (NotFound→Valid) and hijacked (NotFound→Invalid)
-        // flip in both name forms.
-        assert_eq!(delta.pairs_changed, 4);
-        assert_eq!(results.epoch, 2);
-
-        let full = engine.run(&ranking);
-        assert_eq!(results.vrp_count, full.vrp_count);
-        for (a, b) in results.domains.iter().zip(&full.domains) {
-            assert_eq!(a.bare.pairs, b.bare.pairs);
-            assert_eq!(a.www.pairs, b.www.pairs);
-        }
-    }
-
-    #[test]
-    fn ipv6_pairs_validated() {
-        let mut zones = ZoneStore::new();
-        zones.add_addr(n("six.example"), "2001:600::1".parse().unwrap());
-        zones.add_addr(n("www.six.example"), "2001:600::1".parse().unwrap());
-        let mut rib = Rib::new();
-        rib.insert(RibEntry {
-            prefix: "2001:600::/32".parse().unwrap(),
-            path: AsPath::sequence([64601, 700]),
-            peer: Asn::new(64496),
-        });
-        let mut b = RepositoryBuilder::new(2, SimTime::EPOCH);
-        let ta = b.add_trust_anchor(
-            "RIPE",
-            Resources::from_prefixes(vec!["2001::/16".parse().unwrap()]),
-        );
-        let isp = b
-            .add_ca(
-                ta,
-                "v6-ISP",
-                Resources::from_prefixes(vec!["2001:600::/24".parse().unwrap()]),
-            )
-            .unwrap();
-        b.add_roa(
-            isp,
-            Asn::new(700),
-            vec![RoaPrefix::exact("2001:600::/32".parse().unwrap())],
-        )
-        .unwrap();
-        let repo = b.finalize();
-        let p = Pipeline::new(
-            &zones,
-            &rib,
-            &repo,
-            pipeline_cfg(SimTime::EPOCH + Duration::days(1)),
-        );
-        let m = p.measure_domain(0, &n("six.example"));
-        assert_eq!(m.bare.pairs.len(), 1);
-        assert_eq!(m.bare.pairs[0].state, RpkiState::Valid);
-        assert!(matches!(m.bare.pairs[0].prefix, ripki_net::IpPrefix::V6(_)));
-    }
-
-    #[test]
-    fn expired_rpki_yields_all_notfound() {
-        let (zones, rib, repo, _) = world();
-        let late = SimTime::EPOCH + Duration::years(30);
-        let p = Pipeline::new(&zones, &rib, &repo, pipeline_cfg(late));
-        assert_eq!(p.validator().len(), 0);
-        let m = p.measure_domain(0, &n("covered.example"));
-        assert_eq!(m.bare.pairs[0].state, RpkiState::NotFound);
-    }
-}

@@ -2,8 +2,9 @@
 //! against the paper's findings (at reduced scale).
 
 use ripki::classify::HttpArchiveClassifier;
+use ripki::engine::StudyEngine;
 use ripki::figures;
-use ripki::pipeline::{Pipeline, PipelineConfig};
+use ripki::pipeline::PipelineConfig;
 use ripki::report::HeadlineStats;
 use ripki::stats::trend_slope;
 use ripki::tables;
@@ -14,9 +15,9 @@ const BIN: usize = 2_000; // scaled-down stand-in for the paper's 10k bins
 
 fn study() -> (Scenario, ripki::pipeline::StudyResults) {
     let scenario = Scenario::build(ScenarioConfig::with_domains(DOMAINS));
-    let pipeline = Pipeline::new(
-        &scenario.zones,
-        &scenario.rib,
+    let engine = StudyEngine::new(
+        scenario.zones.clone(),
+        scenario.rib.clone(),
         &scenario.repository,
         PipelineConfig {
             bogus_dns_ppm: scenario.config.bogus_dns_ppm,
@@ -24,7 +25,7 @@ fn study() -> (Scenario, ripki::pipeline::StudyResults) {
             ..Default::default()
         },
     );
-    let results = pipeline.run(&scenario.ranking);
+    let results = engine.run(&scenario.ranking);
     (scenario, results)
 }
 
@@ -185,9 +186,9 @@ fn vantage_choice_does_not_change_conclusions() {
         ripki_dns::Vantage::OPEN_DNS,
         ripki_dns::Vantage::LOOKING_GLASS_US01,
     ] {
-        let pipeline = Pipeline::new(
-            &scenario.zones,
-            &scenario.rib,
+        let engine = StudyEngine::new(
+            scenario.zones.clone(),
+            scenario.rib.clone(),
             &scenario.repository,
             PipelineConfig {
                 vantage,
@@ -196,7 +197,7 @@ fn vantage_choice_does_not_change_conclusions() {
                 ..Default::default()
             },
         );
-        let results = pipeline.run(&scenario.ranking);
+        let results = engine.run(&scenario.ranking);
         let fig2 = figures::fig2_rpki_outcome(&results, 1_000);
         means.push(fig2.valid.overall_mean().unwrap());
     }

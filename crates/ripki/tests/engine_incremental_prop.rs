@@ -60,10 +60,6 @@ proptest! {
         seed in 0u64..1_000_000,
         churn_seed in 0u64..1_000_000,
         epochs in 2u64..5,
-        // None = always the serial per-rank path; a small Some(n) makes
-        // most non-empty batches exceed the threshold and exercises the
-        // sharded full-run fallback against the same reference worlds.
-        full_remeasure_threshold in prop_oneof![Just(None), (0usize..4).prop_map(Some)],
         knobs in (
             0usize..5, // zone_edits
             0usize..4, // cname_retargets
@@ -92,7 +88,6 @@ proptest! {
         let config = PipelineConfig {
             bogus_dns_ppm: scenario.config.bogus_dns_ppm,
             now: scenario.now,
-            full_remeasure_threshold,
             ..Default::default()
         };
         let engine = StudyEngine::new(

@@ -11,7 +11,7 @@ use ripki::exposure::ExposureConfig;
 use ripki::pipeline::PipelineConfig;
 use ripki_serve::{EpochView, Server, ServerConfig, SharedView};
 use ripki_websim::{Scenario, ScenarioConfig};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,6 +22,9 @@ pub struct Fixture {
     pub scenario: Scenario,
     /// The engine measuring it.
     pub engine: StudyEngine,
+    /// The view handle the server answers from (publish new epochs
+    /// here).
+    pub view: Arc<SharedView>,
     /// A server answering for the measured epoch.
     pub server: Server,
 }
@@ -59,11 +62,12 @@ pub fn serve_scenario_config(domains: usize, seed: u64, config: ServerConfig) ->
             ..Default::default()
         },
     );
-    let server = Server::start("127.0.0.1:0", Arc::new(SharedView::new(view)), config)
-        .expect("bind test server");
+    let view = Arc::new(SharedView::new(view));
+    let server = Server::start("127.0.0.1:0", Arc::clone(&view), config).expect("bind test server");
     Fixture {
         scenario,
         engine,
+        view,
         server,
     }
 }
@@ -103,16 +107,23 @@ pub fn get(addr: SocketAddr, path: &str) -> Reply {
     )
 }
 
+/// A raw client connection with a 10 s read timeout, so a test waiting
+/// on a server that never answers fails instead of hanging.
+pub fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+}
+
 /// Send each request in turn over ONE connection, reading one
 /// `Content-Length`-framed response after each. Stops early — returning
 /// the replies collected so far — when the server closes the
 /// connection, which is how tests observe keep-alive being honoured or
 /// withdrawn.
 pub fn keep_alive_session(addr: SocketAddr, requests: &[String]) -> Vec<Reply> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+    let mut stream = connect(addr);
     let mut replies = Vec::new();
     let mut pending: Vec<u8> = Vec::new();
     for request in requests {
@@ -169,14 +180,59 @@ fn fill(stream: &mut TcpStream, pending: &mut Vec<u8>) -> bool {
 
 /// Write arbitrary bytes, read the full response.
 pub fn raw_roundtrip(addr: SocketAddr, request: &str) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+    let mut stream = connect(addr);
     stream.write_all(request.as_bytes()).expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     parse_response(&raw)
+}
+
+/// Read everything until EOF, failing the test on a connection reset:
+/// shed, close and drain paths must end with an orderly FIN, not an RST
+/// destroying buffered responses.
+pub fn read_to_eof_no_reset(stream: &mut TcpStream) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return out,
+            Ok(n) => out.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => panic!(
+                "connection died uncleanly ({e:?}) after {} bytes",
+                out.len()
+            ),
+        }
+    }
+}
+
+/// Split a raw byte stream of HTTP responses into individual replies
+/// using their `content-length` framing.
+pub fn split_responses(raw: &[u8]) -> Vec<Reply> {
+    let text = String::from_utf8_lossy(raw).to_string();
+    let mut replies = Vec::new();
+    let mut rest = text.as_str();
+    while let Some(head_end) = rest.find("\r\n\r\n") {
+        let head = &rest[..head_end + 4];
+        let content_length: usize = head
+            .lines()
+            .filter_map(|l| l.split_once(':'))
+            .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
+            .and_then(|(_, v)| v.trim().parse().ok())
+            .unwrap_or(0);
+        let total = head_end + 4 + content_length;
+        assert!(
+            rest.len() >= total,
+            "truncated response: head promises {content_length} body bytes"
+        );
+        replies.push(parse_response(&rest[..total]));
+        rest = &rest[total..];
+    }
+    assert!(
+        rest.is_empty(),
+        "trailing bytes are not a response: {rest:?}"
+    );
+    replies
 }
 
 /// Split an HTTP/1.1 response into status + headers + body.

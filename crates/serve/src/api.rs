@@ -15,7 +15,6 @@ use ripki::pipeline::NameMeasurement;
 use ripki_bgp::rov::{RpkiState, ValidityDetail, VrpTriple};
 use ripki_net::{Asn, IpPrefix};
 use serde_json::{Map, Value};
-use std::io::{self, Write};
 
 /// The wire spelling of an RFC 6811 state (Routinator uses kebab-case).
 pub fn state_label(state: RpkiState) -> &'static str {
@@ -73,19 +72,6 @@ pub fn validity(view: &EpochView, prefix: &IpPrefix, origin: Asn) -> Value {
     root.insert("validated_route".into(), Value::Object(validated));
     root.insert("epoch".into(), view.epoch().into());
     Value::Object(root)
-}
-
-/// `GET /vrps.json` — stream the epoch's full VRP set in Routinator's
-/// export shape (`metadata` + `roas` with camel-case `maxLength`).
-/// Delegates to the shared payload codec, so a proxy chained behind
-/// this endpoint re-serves the bytes identically.
-pub fn write_vrps_json(view: &EpochView, w: &mut dyn Write) -> io::Result<u64> {
-    ripki_payload::json::write_vrps_json(view.payload(), Some(view.snapshot().rpki_rejected()), w)
-}
-
-/// `GET /vrps.csv` — the same export as RTR-client-style CSV.
-pub fn write_vrps_csv(view: &EpochView, w: &mut dyn Write) -> io::Result<u64> {
-    ripki_payload::json::write_vrps_csv(view.payload(), w)
 }
 
 fn name_measurement_value(view: &EpochView, m: &NameMeasurement) -> Value {

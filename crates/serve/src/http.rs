@@ -14,7 +14,7 @@
 //! numbers; bytes outside the printable ASCII range in the request line
 //! are rejected rather than interpreted.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Total bytes of request head (request line + headers + CRLFCRLF) we
 /// are willing to buffer before giving up with 431.
@@ -62,8 +62,9 @@ impl HttpError {
 
 /// A parsed request head. Bodies are never *used*: every endpoint of
 /// the query plane is a GET. Small announced bodies are read and
-/// discarded ([`drain_body`]) so the connection stays reusable; chunked
-/// or oversized ones close it (see [`body_disposition`]).
+/// discarded by the connection machine so the connection stays
+/// reusable; chunked or oversized ones close it (see
+/// [`body_disposition`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Upper-cased method token (`GET`, `POST`, …).
@@ -268,36 +269,6 @@ fn is_token_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
-/// Read from `stream` into `buf` until one full request head is parsed.
-///
-/// `Ok(None)` means the peer closed cleanly between requests (normal
-/// keep-alive teardown). Parsed bytes are drained from `buf`, leaving
-/// any pipelined follow-up bytes in place for the next call.
-pub fn read_request<R: Read>(
-    stream: &mut R,
-    buf: &mut Vec<u8>,
-) -> io::Result<Result<Option<Request>, HttpError>> {
-    loop {
-        match parse_head(buf) {
-            Ok(Some((request, consumed))) => {
-                buf.drain(..consumed);
-                return Ok(Ok(Some(request)));
-            }
-            Ok(None) => {}
-            Err(e) => return Ok(Err(e)),
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(Ok(None));
-            }
-            return Ok(Err(HttpError::Malformed("connection closed mid-request")));
-        }
-        buf.extend_from_slice(chunk.get(..n).unwrap_or(&chunk));
-    }
-}
-
 /// Largest announced request body the server will read and discard to
 /// keep the connection alive; anything larger (or chunked) costs the
 /// connection instead of worker time.
@@ -315,7 +286,7 @@ pub enum BodyDisposition {
     Close,
 }
 
-/// Classify the request's body framing for [`drain_body`].
+/// Classify the request's body framing for the connection machine.
 ///
 /// `Content-Length` is parsed strictly (digits only, all occurrences
 /// must agree) — anything questionable closes the connection rather
@@ -341,31 +312,6 @@ pub fn body_disposition(request: &Request) -> BodyDisposition {
         (true, Ok(n)) if n <= MAX_DRAIN_BODY_BYTES => BodyDisposition::Drain(n),
         _ => BodyDisposition::Close,
     }
-}
-
-/// Read and discard `len` body bytes, consuming pipelined bytes already
-/// sitting in `buf` first. An early EOF is an error — the next parse
-/// would otherwise misframe whatever arrived.
-pub fn drain_body<R: Read>(stream: &mut R, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
-    let buffered = buf.len().min(len);
-    buf.drain(..buffered);
-    let mut remaining = len - buffered;
-    let mut chunk = [0u8; 4096];
-    while remaining > 0 {
-        let want = remaining.min(chunk.len());
-        let n = match chunk.get_mut(..want) {
-            Some(window) => stream.read(window)?,
-            None => stream.read(&mut chunk)?,
-        };
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed mid-body",
-            ));
-        }
-        remaining = remaining.saturating_sub(n);
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------- response

@@ -5,19 +5,25 @@
 //! thread (see [`crate::reactor`]) plus a small worker pool
 //! ([`crate::pool`]). The reactor owns every socket; workers only ever
 //! see parsed requests and produce fully serialised responses, which
-//! the reactor writes back under `POLLOUT` interest. Handlers resolve
-//! the [`SharedView`] once per request, so each response is computed
-//! against one pinned epoch no matter how many publishes land while it
-//! runs.
+//! the reactor writes back under `POLLOUT` interest.
+//!
+//! What a server answers is its *route function* — request in,
+//! `(Endpoint, Response)` out — handed to [`Server::with_route`]; the
+//! plane accounts and serialises whatever it returns. [`Server::start`]
+//! is the study's own route over a [`SharedView`], resolved once per
+//! request, so each response is computed against one pinned epoch no
+//! matter how many publishes land while it runs; the proxy's `http`
+//! target is a second route on the same plane.
 
 use crate::api;
-use crate::http::{Body, Request, Response};
+use crate::http::{Body, Request, Response, StreamFn};
 use crate::metrics::{Endpoint, Metrics};
 use crate::pool::{CompletionQueue, Handler, WorkerPool};
 use crate::reactor::{Reactor, SocketWaker};
 use crate::view::SharedView;
 use ripki_dns::DomainName;
 use ripki_net::{Asn, IpPrefix};
+use ripki_payload::VrpPayload;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
@@ -109,7 +115,6 @@ pub struct Server {
     reactor: Option<JoinHandle<()>>,
     wake: UnixStream,
     metrics: Arc<Metrics>,
-    view: Arc<SharedView>,
 }
 
 impl Server {
@@ -119,6 +124,21 @@ impl Server {
         view: Arc<SharedView>,
         config: ServerConfig,
     ) -> io::Result<Server> {
+        let workers = config.workers;
+        Server::with_route(addr, config, move |request, metrics| {
+            route(&view, metrics, request, workers)
+        })
+    }
+
+    /// Bind `addr` and answer every request with `route`, which runs on
+    /// a worker thread and gets the plane's live [`Metrics`] beside the
+    /// request. It must not panic: a panicking worker is not replaced
+    /// and strands its connection (lint R1 is the guard).
+    pub fn with_route<A, F>(addr: A, config: ServerConfig, route: F) -> io::Result<Server>
+    where
+        A: ToSocketAddrs,
+        F: Fn(&Request, &Metrics) -> (Endpoint, Response) + Send + Sync + 'static,
+    {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -130,7 +150,7 @@ impl Server {
         let completions = Arc::new(CompletionQueue::new(Box::new(SocketWaker(
             wake_tx.try_clone()?,
         ))));
-        let handler = request_handler(Arc::clone(&view), Arc::clone(&metrics), config.clone());
+        let handler = request_handler(route, Arc::clone(&metrics));
         // Channel capacity = the admission ceiling, so dispatch within
         // the window never finds the channel full. Built here so a
         // thread-spawn failure surfaces as an `Err` from `start`.
@@ -158,7 +178,6 @@ impl Server {
             reactor: Some(handle),
             wake: wake_tx,
             metrics,
-            view,
         })
     }
 
@@ -170,11 +189,6 @@ impl Server {
     /// The live metrics (shared with `/metrics`).
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
-    }
-
-    /// The served view handle (for publishing new epochs).
-    pub fn view(&self) -> &Arc<SharedView> {
-        &self.view
     }
 
     /// Stop accepting, drain in-flight requests (bounded by
@@ -202,10 +216,13 @@ impl Drop for Server {
 /// response, account the latency. Returns the bytes plus the final
 /// keep-alive verdict (streamed bodies are close-delimited and always
 /// downgrade).
-fn request_handler(view: Arc<SharedView>, metrics: Arc<Metrics>, config: ServerConfig) -> Handler {
+fn request_handler<F>(route: F, metrics: Arc<Metrics>) -> Handler
+where
+    F: Fn(&Request, &Metrics) -> (Endpoint, Response) + Send + Sync + 'static,
+{
     Arc::new(move |request: &Request, want_keep: bool| {
         let started = Instant::now();
-        let (endpoint, response) = route(&view, &metrics, request, &config);
+        let (endpoint, response) = route(request, &metrics);
         let status = response.status;
         let mut bytes: Vec<u8> = Vec::with_capacity(512);
         let keep = matches!(response.write_to(&mut bytes, want_keep), Ok(true));
@@ -214,13 +231,13 @@ fn request_handler(view: Arc<SharedView>, metrics: Arc<Metrics>, config: ServerC
     })
 }
 
-/// Dispatch one request to its handler. Returns the endpoint label for
-/// accounting together with the response.
+/// The study's route function: dispatch one request against `view`.
+/// Returns the endpoint label for accounting together with the response.
 fn route(
     view: &SharedView,
     metrics: &Metrics,
     request: &Request,
-    config: &ServerConfig,
+    workers: usize,
 ) -> (Endpoint, Response) {
     if request.method != "GET" {
         return (
@@ -233,13 +250,14 @@ fn route(
     let path = request.path.as_str();
     match path {
         "/api/v1/validity" => (Endpoint::Validity, validity_from_query(&current, request)),
-        "/vrps.json" => (
-            Endpoint::VrpsJson,
-            vrp_export("application/json", &current, request, api::write_vrps_json),
-        ),
+        "/vrps.json" => {
+            let rejected = Some(current.snapshot().rpki_rejected());
+            let export = vrp_export(current.payload(), request, Export::Json { rejected });
+            (Endpoint::VrpsJson, export)
+        }
         "/vrps.csv" => (
             Endpoint::VrpsCsv,
-            vrp_export("text/csv", &current, request, api::write_vrps_csv),
+            vrp_export(current.payload(), request, Export::Csv),
         ),
         "/metrics" => {
             let text = metrics.render_with_exceptions(
@@ -266,7 +284,7 @@ fn route(
                 &current,
                 metrics.uptime().as_secs_f64(),
                 metrics.total_requests(),
-                config.workers,
+                workers,
                 lag,
                 metrics.open_connections(),
                 metrics.admission_window(),
@@ -287,9 +305,11 @@ fn route(
 
 /// The strong entity tag of an epoch-pinned VRP export. The exports are
 /// a pure function of the published epoch (which also drives the RTR
-/// serial), so the epoch number is the whole cache key.
-fn export_etag(view: &crate::view::EpochView) -> String {
-    format!("\"ripki-epoch-{}\"", view.epoch())
+/// serial), so the epoch number is the whole cache key — and the same
+/// on every node serving that epoch, which is what makes conditional
+/// polling across a proxy chain cheap.
+pub fn export_etag(payload: &VrpPayload) -> String {
+    format!("\"ripki-epoch-{}\"", payload.epoch())
 }
 
 /// RFC 9110 `If-None-Match`: a comma-separated list of entity tags, or
@@ -304,25 +324,47 @@ fn if_none_match_matches(request: &Request, etag: &str) -> bool {
     })
 }
 
+/// Which wire form of the VRP set an export request names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Export {
+    /// `/vrps.json`: Routinator's shape, with the validator's
+    /// rejected-object count in the metadata where the node knows it.
+    Json {
+        /// The `rpki_rejected` metadata field, if any.
+        rejected: Option<usize>,
+    },
+    /// `/vrps.csv`: RTR-client-style CSV.
+    Csv,
+}
+
 /// A VRP export, answered conditionally: a matching `If-None-Match`
 /// gets an empty 304 (connection stays reusable, nothing re-streamed);
-/// otherwise the export is streamed with its `ETag` attached.
-fn vrp_export(
-    content_type: &'static str,
-    view: &Arc<crate::view::EpochView>,
-    request: &Request,
-    writer: fn(&crate::view::EpochView, &mut dyn Write) -> io::Result<u64>,
-) -> Response {
-    let etag = export_etag(view);
+/// otherwise the export is streamed with its `ETag` attached. The one
+/// responder behind `/vrps.{json,csv}` on every HTTP listener of the
+/// repo (this plane's own route and the proxy's `http` target).
+pub fn vrp_export(payload: &VrpPayload, request: &Request, form: Export) -> Response {
+    let etag = export_etag(payload);
     if if_none_match_matches(request, &etag) {
         return Response::not_modified(etag);
     }
-    let view = Arc::clone(view);
+    let payload = payload.clone();
+    let (content_type, writer): (_, StreamFn) = match form {
+        Export::Json { rejected } => (
+            "application/json",
+            Box::new(move |w: &mut dyn Write| {
+                ripki_payload::json::write_vrps_json(&payload, rejected, w)
+            }),
+        ),
+        Export::Csv => (
+            "text/csv",
+            Box::new(move |w: &mut dyn Write| ripki_payload::json::write_vrps_csv(&payload, w)),
+        ),
+    };
     Response {
         status: 200,
         content_type,
         headers: vec![("etag", etag)],
-        body: Body::Stream(Box::new(move |w: &mut dyn Write| writer(&view, w))),
+        body: Body::Stream(writer),
     }
 }
 

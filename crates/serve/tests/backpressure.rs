@@ -9,58 +9,12 @@
 #![allow(clippy::unwrap_used)]
 
 use ripki_serve::ServerConfig;
-use ripki_serve_testutil::{parse_response, serve_scenario_config};
-use std::io::{ErrorKind, Read, Write};
+use ripki_serve_testutil::{
+    parse_response, read_to_eof_no_reset, serve_scenario_config, split_responses,
+};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-/// Read everything until EOF, failing the test on a connection reset —
-/// the regression this file guards: shed/close paths must end with an
-/// orderly FIN, not an RST destroying buffered responses.
-fn read_to_eof_no_reset(stream: &mut TcpStream) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return out,
-            Ok(n) => out.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => panic!(
-                "connection died uncleanly ({e:?}) after {} bytes",
-                out.len()
-            ),
-        }
-    }
-}
-
-/// Split a raw byte stream of HTTP responses into individual replies
-/// using their `content-length` framing.
-fn split_responses(raw: &[u8]) -> Vec<ripki_serve_testutil::Reply> {
-    let text = String::from_utf8_lossy(raw).to_string();
-    let mut replies = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(head_end) = rest.find("\r\n\r\n") {
-        let head = &rest[..head_end + 4];
-        let content_length: usize = head
-            .lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.trim().parse().ok())
-            .unwrap_or(0);
-        let total = head_end + 4 + content_length;
-        assert!(
-            rest.len() >= total,
-            "truncated response: head promises {content_length} body bytes"
-        );
-        replies.push(parse_response(&rest[..total]));
-        rest = &rest[total..];
-    }
-    assert!(
-        rest.is_empty(),
-        "trailing bytes are not a response: {rest:?}"
-    );
-    replies
-}
 
 #[test]
 fn slow_loris_partial_head_gets_408_and_counts() {

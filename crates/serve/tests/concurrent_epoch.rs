@@ -133,7 +133,7 @@ fn validity_responses_are_epoch_consistent_under_churn() {
             .lock()
             .unwrap()
             .insert(snapshot.epoch(), Arc::clone(&snapshot));
-        fx.server.view().publish(ripki_serve::EpochView::new(
+        fx.view.publish(ripki_serve::EpochView::new(
             snapshot,
             Arc::new(results.clone()),
             None,

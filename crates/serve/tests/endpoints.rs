@@ -288,7 +288,7 @@ fn metrics_and_status_expose_the_epoch() {
 
     // Announcing a newer upstream epoch (validated but not yet built
     // into a view) surfaces as lag until the publish catches up.
-    fx.server.view().announce_epoch(4);
+    fx.view.announce_epoch(4);
     let json = get(addr, "/status").json();
     let root = json.as_object().unwrap().clone();
     assert_eq!(
@@ -428,7 +428,7 @@ fn vrp_exports_answer_conditional_requests_with_304() {
     let mut results = results;
     let batch = stream.next_epoch();
     fx.engine.apply_events(&batch, &mut results);
-    fx.server.view().publish(ripki_serve::EpochView::new(
+    fx.view.publish(ripki_serve::EpochView::new(
         fx.engine.snapshot(),
         std::sync::Arc::new(results.clone()),
         None,

@@ -5,24 +5,26 @@
 //! measured "valid" share of the web drops accordingly — never does a
 //! broken repository *create* coverage.
 
+use ripki_repro::ripki::engine::StudyEngine;
 use ripki_repro::ripki::figures::fig2_rpki_outcome;
-use ripki_repro::ripki::pipeline::{Pipeline, PipelineConfig};
+use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki_rpki::faults;
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
 
 fn valid_share(scenario: &Scenario) -> (f64, usize) {
-    let pipeline = Pipeline::new(
-        &scenario.zones,
-        &scenario.rib,
+    let snapshot = StudyEngine::new(
+        scenario.zones.clone(),
+        scenario.rib.clone(),
         &scenario.repository,
         PipelineConfig {
             bogus_dns_ppm: 0,
             now: scenario.now,
             ..Default::default()
         },
-    );
-    let vrps = pipeline.validator().len();
-    let results = pipeline.run(&scenario.ranking);
+    )
+    .snapshot();
+    let vrps = snapshot.validator().len();
+    let results = snapshot.run(&scenario.ranking);
     let fig2 = fig2_rpki_outcome(&results, 1_000);
     (fig2.valid.overall_mean().unwrap_or(0.0), vrps)
 }

@@ -2,44 +2,39 @@
 //! same VRPs the pipeline validated drive ROV in the hijack simulation,
 //! and the scenario's real topology is the battlefield.
 
-use ripki_repro::ripki::pipeline::{Pipeline, PipelineConfig};
+use ripki_repro::ripki::engine::{StudyEngine, WorldSnapshot};
+use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki_bgp::hijack::{run, HijackScenario};
 use ripki_repro::ripki_bgp::rov::RpkiState;
 use ripki_repro::ripki_net::Asn;
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn build() -> (
     Scenario,
     ripki_repro::ripki::pipeline::StudyResults,
-    Pipeline<'static>,
+    Arc<WorldSnapshot>,
 ) {
-    // Leak the scenario to get 'static borrows for the pipeline —
-    // test-only convenience.
-    let scenario = Box::leak(Box::new(Scenario::build(ScenarioConfig::with_domains(
-        10_000,
-    ))));
-    let pipeline = Pipeline::new(
-        &scenario.zones,
-        &scenario.rib,
+    let scenario = Scenario::build(ScenarioConfig::with_domains(10_000));
+    let snapshot = StudyEngine::new(
+        scenario.zones.clone(),
+        scenario.rib.clone(),
         &scenario.repository,
         PipelineConfig {
             bogus_dns_ppm: 0,
             now: scenario.now,
             ..Default::default()
         },
-    );
-    let results = pipeline.run(&scenario.ranking);
-    (
-        Scenario::build(ScenarioConfig::with_domains(10_000)),
-        results,
-        pipeline,
     )
+    .snapshot();
+    let results = snapshot.run(&scenario.ranking);
+    (scenario, results, snapshot)
 }
 
 #[test]
 fn measured_valid_prefix_is_defendable() {
-    let (scenario, results, pipeline) = build();
+    let (scenario, results, snapshot) = build();
     // Find a domain the pipeline measured as fully Valid.
     let victim_domain = results
         .domains
@@ -50,7 +45,7 @@ fn measured_valid_prefix_is_defendable() {
         .expect("some domain is fully valid at this scale");
     let pair = victim_domain.bare.pairs[0];
     assert_eq!(
-        pipeline.validator().validate(&pair.prefix, pair.origin),
+        snapshot.validator().validate(&pair.prefix, pair.origin),
         RpkiState::Valid
     );
 
@@ -71,19 +66,19 @@ fn measured_valid_prefix_is_defendable() {
     let none = run(
         &scenario.topology,
         &attack,
-        pipeline.validator(),
+        snapshot.validator(),
         &BTreeSet::new(),
     );
     // With universal ROV over the *measured* VRPs: zero capture.
     let everyone: BTreeSet<Asn> = scenario.topology.asns().collect();
-    let full = run(&scenario.topology, &attack, pipeline.validator(), &everyone);
+    let full = run(&scenario.topology, &attack, snapshot.validator(), &everyone);
     assert_eq!(full.capture_rate(), 0.0, "ROA-covered prefix defended");
     assert!(none.capture_rate() >= full.capture_rate());
 }
 
 #[test]
 fn unprotected_prefix_stays_hijackable_even_with_rov() {
-    let (scenario, results, pipeline) = build();
+    let (scenario, results, snapshot) = build();
     // Find a NotFound-only domain: the common case the paper worries
     // about.
     let victim_domain = results
@@ -102,7 +97,7 @@ fn unprotected_prefix_stays_hijackable_even_with_rov() {
         .unwrap();
     let attack = HijackScenario::origin_hijack(victim_as, attacker, pair.prefix);
     let everyone: BTreeSet<Asn> = scenario.topology.asns().collect();
-    let out = run(&scenario.topology, &attack, pipeline.validator(), &everyone);
+    let out = run(&scenario.topology, &attack, snapshot.validator(), &everyone);
     // ROV filters Invalid only; NotFound passes — the attack succeeds
     // against someone.
     assert!(

@@ -3,7 +3,8 @@
 //! single measurement (the pipeline is a pure function of its inputs,
 //! like re-running the study from archived RIS dumps).
 
-use ripki_repro::ripki::pipeline::{Pipeline, PipelineConfig};
+use ripki_repro::ripki::engine::StudyEngine;
+use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki::report::HeadlineStats;
 use ripki_repro::ripki_bgp::dump::TableDump;
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
@@ -51,15 +52,20 @@ fn table_dump_roundtrip_preserves_measurements() {
     let reloaded = TableDump::parse(&text).expect("own dump parses");
     assert_eq!(reloaded.len(), scenario.rib.len());
 
-    let direct = Pipeline::new(
-        &scenario.zones,
-        &scenario.rib,
+    let direct = StudyEngine::new(
+        scenario.zones.clone(),
+        scenario.rib.clone(),
         &scenario.repository,
         config.clone(),
     )
     .run(&scenario.ranking);
-    let replayed = Pipeline::new(&scenario.zones, &reloaded, &scenario.repository, config)
-        .run(&scenario.ranking);
+    let replayed = StudyEngine::new(
+        scenario.zones.clone(),
+        reloaded.clone(),
+        &scenario.repository,
+        config,
+    )
+    .run(&scenario.ranking);
 
     assert_eq!(direct.domains.len(), replayed.domains.len());
     for (a, b) in direct.domains.iter().zip(&replayed.domains) {
@@ -74,9 +80,9 @@ fn dns_noise_does_not_change_rpki_conclusions() {
     // The 0.07% bogus answers must not move the valid share measurably.
     let scenario = Scenario::build(ScenarioConfig::with_domains(8_000));
     let run_with = |ppm: u32| {
-        let pipeline = Pipeline::new(
-            &scenario.zones,
-            &scenario.rib,
+        let engine = StudyEngine::new(
+            scenario.zones.clone(),
+            scenario.rib.clone(),
             &scenario.repository,
             PipelineConfig {
                 bogus_dns_ppm: ppm,
@@ -84,7 +90,7 @@ fn dns_noise_does_not_change_rpki_conclusions() {
                 ..Default::default()
             },
         );
-        let results = pipeline.run(&scenario.ranking);
+        let results = engine.run(&scenario.ranking);
         ripki_repro::ripki::figures::fig2_rpki_outcome(&results, 1_000)
             .valid
             .overall_mean()

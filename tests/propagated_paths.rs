@@ -3,7 +3,8 @@
 //! single measurement — and the rebuilt paths are genuine routes of the
 //! scenario topology.
 
-use ripki_repro::ripki::pipeline::{Pipeline, PipelineConfig};
+use ripki_repro::ripki::engine::StudyEngine;
+use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki_bgp::topology::Relationship;
 use ripki_repro::ripki_net::Asn;
 use ripki_repro::ripki_websim::scenario::COLLECTOR_PEERS;
@@ -20,16 +21,20 @@ fn propagated_paths_preserve_measurements() {
         threads: 2,
         ..Default::default()
     };
-    let synthetic_results = Pipeline::new(
-        &scenario.zones,
-        &scenario.rib,
+    let synthetic_results = StudyEngine::new(
+        scenario.zones.clone(),
+        scenario.rib.clone(),
         &scenario.repository,
         config.clone(),
     )
     .run(&scenario.ranking);
-    let realistic_results =
-        Pipeline::new(&scenario.zones, &realistic, &scenario.repository, config)
-            .run(&scenario.ranking);
+    let realistic_results = StudyEngine::new(
+        scenario.zones.clone(),
+        realistic.clone(),
+        &scenario.repository,
+        config,
+    )
+    .run(&scenario.ranking);
 
     // Pair-for-pair identical measurements: prefixes, origins, states.
     for (a, b) in synthetic_results

@@ -2,7 +2,8 @@
 //! cryptographic validation → RTR cache → router client — yields a
 //! router-side validator that agrees exactly with the pipeline's own.
 
-use ripki_repro::ripki::pipeline::{Pipeline, PipelineConfig};
+use ripki_repro::ripki::engine::StudyEngine;
+use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki_bgp::rov::VrpTriple;
 use ripki_repro::ripki_rpki::validate;
 use ripki_repro::ripki_rtr::{CacheServer, Client};
@@ -35,9 +36,9 @@ fn router_via_rtr_agrees_with_pipeline_validator() {
 
     // The pipeline's internal validator and the router's RTR-fed one
     // classify every measured pair identically.
-    let pipeline = Pipeline::new(
-        &scenario.zones,
-        &scenario.rib,
+    let engine = StudyEngine::new(
+        scenario.zones.clone(),
+        scenario.rib.clone(),
         &scenario.repository,
         PipelineConfig {
             bogus_dns_ppm: 0,
@@ -45,7 +46,7 @@ fn router_via_rtr_agrees_with_pipeline_validator() {
             ..Default::default()
         },
     );
-    let results = pipeline.run(&scenario.ranking);
+    let results = engine.run(&scenario.ranking);
     let mut pairs_checked = 0usize;
     for d in &results.domains {
         for pair in d.bare.pairs.iter().chain(d.www.pairs.iter()) {
