@@ -11,6 +11,7 @@
 //! This is the paper's step 4 per prefix-AS pair, and the import filter
 //! the hijack simulation applies at ROV-deploying ASes.
 
+pub use ripki_net::Vrp as VrpTriple;
 use ripki_net::{Asn, IpPrefix, PrefixTrie};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -34,19 +35,6 @@ impl fmt::Display for RpkiState {
             RpkiState::NotFound => write!(f, "not found"),
         }
     }
-}
-
-/// A VRP triple as the validator consumes it. (Mirror of
-/// `ripki_rpki::Vrp`, kept separate so this crate does not depend on the
-/// RPKI object model.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VrpTriple {
-    /// Authorized prefix.
-    pub prefix: IpPrefix,
-    /// Maximum authorized announcement length.
-    pub max_length: u8,
-    /// Authorized origin.
-    pub asn: Asn,
 }
 
 /// An origin validator over an indexed VRP set.

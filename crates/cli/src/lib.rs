@@ -25,7 +25,7 @@ use ripki::pipeline::PipelineConfig;
 use ripki::report::HeadlineStats;
 use ripki::tables;
 use ripki_bgp::dump::TableDump;
-use ripki_bgp::rov::{RouteOriginValidator, RpkiState, VrpTriple};
+use ripki_bgp::rov::{RouteOriginValidator, RpkiState};
 use ripki_dns::DomainName;
 use ripki_net::{Asn, IpPrefix};
 use ripki_rpki::time::SimTime;
@@ -368,11 +368,7 @@ fn build_validator(dir: &Path) -> Result<(RouteOriginValidator, SimTime), CliErr
         .and_then(|v| v.trim().parse::<u64>().ok())
         .map_or_else(SimTime::start_of_study, SimTime);
     let report = validate(&repository, now);
-    let validator = RouteOriginValidator::from_vrps(report.vrps.iter().map(|v| VrpTriple {
-        prefix: v.prefix,
-        max_length: v.max_length,
-        asn: v.asn,
-    }));
+    let validator = RouteOriginValidator::from_vrps(report.vrps.iter().copied());
     Ok((validator, now))
 }
 
@@ -460,7 +456,7 @@ fn cmd_rtr_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let world = load_world(&dir)?;
     // The engine validates the repository into an epoch-1 snapshot; the
     // RTR cache serves that snapshot's VRPs under the epoch as serial,
-    // so a future `install_rpki` maps onto a serial increment.
+    // as every later `apply_events` epoch would be.
     let engine = StudyEngine::new(
         world.zones,
         world.rib,
@@ -482,12 +478,29 @@ fn cmd_rtr_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         listener.local_addr()?,
         cache.session_id(),
     )?;
+    out.flush()?;
     // The RTR session plane: one wake-driven loop for every router,
     // with a session watermark and pushed Serial Notify.
-    let _listener =
+    let rtr_listener =
         ripki_rtr::RtrListener::spawn(listener, cache, ripki_rtr::ListenerConfig::default())?;
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+    wait_for_shutdown_signal();
+    let open = rtr_listener.session_count();
+    writeln!(out, "shutdown signal received; closing router sessions")?;
+    stop_serving(None, Some(rtr_listener));
+    writeln!(out, "closed {open} router sessions; exiting cleanly")?;
+    Ok(())
+}
+
+/// The tail of every serving command: stop the HTTP plane first (its
+/// graceful drain answers what is in flight), then the RTR session
+/// loop, which closes the listener and every router session and joins
+/// its thread.
+fn stop_serving(server: Option<ripki_serve::Server>, rtr_listener: Option<ripki_rtr::RtrListener>) {
+    if let Some(mut server) = server {
+        server.shutdown();
+    }
+    if let Some(mut rtr_listener) = rtr_listener {
+        rtr_listener.shutdown();
     }
 }
 
@@ -776,7 +789,7 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     };
 
     let shared = Arc::new(SharedView::new(make_view(engine.snapshot(), &results)));
-    let mut server = Server::start(listen, Arc::clone(&shared), server_config)?;
+    let server = Server::start(listen, Arc::clone(&shared), server_config)?;
     writeln!(
         out,
         "HTTP query plane on http://{} — epoch {}, {} VRPs, {} domains",
@@ -847,23 +860,18 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
 
+    if !exit_after_churn {
+        writeln!(out, "serving; ctrl-c to stop")?;
+        out.flush()?;
+        wait_for_shutdown_signal();
+        writeln!(out, "shutdown signal received; draining in-flight requests")?;
+    }
+    stop_serving(Some(server), rtr_cache.map(|(_, listener)| listener));
     if exit_after_churn {
-        server.shutdown();
-        if let Some((_, mut rtr_listener)) = rtr_cache {
-            rtr_listener.shutdown();
-        }
         writeln!(out, "exiting after churn (epoch {})", engine.epoch())?;
-        return Ok(());
+    } else {
+        writeln!(out, "drained; exiting cleanly")?;
     }
-    writeln!(out, "serving; ctrl-c to stop")?;
-    out.flush()?;
-    wait_for_shutdown_signal();
-    writeln!(out, "shutdown signal received; draining in-flight requests")?;
-    server.shutdown();
-    if let Some((_, mut rtr_listener)) = rtr_cache {
-        rtr_listener.shutdown();
-    }
-    writeln!(out, "drained; exiting cleanly")?;
     Ok(())
 }
 
@@ -1286,6 +1294,7 @@ fn cmd_whatif(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ripki_bgp::rov::VrpTriple;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch() -> PathBuf {
@@ -1657,13 +1666,8 @@ mod tests {
             client.vrps().contains(&asserted),
             "assertion missing in RTR"
         );
-        let victim_triple = VrpTriple {
-            prefix: victim.prefix,
-            max_length: victim.max_length,
-            asn: victim.asn,
-        };
         assert!(
-            !client.vrps().contains(&victim_triple),
+            !client.vrps().contains(&victim),
             "filtered VRP still in RTR"
         );
 

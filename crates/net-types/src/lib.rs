@@ -22,6 +22,8 @@
 //!   the RFC 3779 resource-extension logic in `ripki-rpki`.
 //! * [`special`] — the IANA special-purpose registries (RFC 6890 family),
 //!   used by the measurement pipeline to discard invalid DNS answers.
+//! * [`Vrp`] — the (prefix, maxLength, ASN) triple `ripki-rpki` validates
+//!   out of ROAs and `ripki-bgp` validates announcements against.
 //!
 //! ## What is omitted
 //!
@@ -34,12 +36,14 @@ pub mod prefix;
 pub mod set;
 pub mod special;
 pub mod trie;
+pub mod vrp;
 
 pub use asn::{Asn, AsnRange};
 pub use error::NetParseError;
 pub use prefix::{IpPrefix, Ipv4Prefix, Ipv6Prefix};
 pub use set::{AsnSet, PrefixSet};
 pub use trie::PrefixTrie;
+pub use vrp::Vrp;
 
 use std::net::IpAddr;
 

@@ -11,17 +11,19 @@
 //!   against a snapshot, so concurrent readers never observe a
 //!   half-updated world.
 //! * [`StudyEngine`] — owns the current snapshot behind an
-//!   `RwLock<Arc<_>>`. Installing a re-fetched RPKI repository is an
-//!   epoch swap: the DNS/BGP substrate is structurally shared (`Arc`
-//!   clones), only the validator is rebuilt, and an [`EpochDelta`]
-//!   records the announced/withdrawn VRPs — exactly what an RTR cache
-//!   needs to bump its serial.
+//!   `RwLock<Arc<_>>`. Every change to the world — zone and RIB
+//!   events, a re-fetched RPKI repository, a clock advance — goes
+//!   through [`apply_events`](StudyEngine::apply_events): unchanged
+//!   substrate is structurally shared (`Arc` clones), the origin
+//!   validator is rebuilt only when the VRP set moved, and an
+//!   [`EpochDelta`] records the announced/withdrawn VRPs — exactly what
+//!   an RTR cache needs to bump its serial.
 //! * A memoized resolution layer: each snapshot carries a
 //!   [`ResolutionCache`] pinned to its vantage, so shared CNAME tails
 //!   (the CDN case) are resolved once per epoch instead of once per
-//!   referring domain. RPKI epoch swaps reuse the cache — the DNS world
-//!   did not change — while a different vantage or zone set gets a
-//!   fresh engine and hence a fresh cache.
+//!   referring domain. Epochs without a zone change reuse the cache —
+//!   the DNS world did not change — while a zone delta or a different
+//!   vantage gets a fresh one.
 //!
 //! Worker panics during a sharded run no longer abort the study: each
 //! domain is measured under a panic guard and failures are reported as
@@ -65,7 +67,7 @@ use ripki_net::{Asn, IpPrefix, PrefixTrie};
 use ripki_rpki::incremental::{ApplyStats, IncrementalValidator, VrpDelta};
 use ripki_rpki::repo::Repository;
 use ripki_rpki::time::SimTime;
-use ripki_rpki::validate::{ValidationOptions, Vrp};
+use ripki_rpki::validate::ValidationOptions;
 use ripki_websim::churn::{EpochChurn, WorldEvent};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
@@ -93,15 +95,11 @@ impl WorldSnapshot {
         zones: Arc<ZoneStore>,
         rib: Arc<Rib>,
         cache: Arc<ResolutionCache>,
-        vrps: &[Vrp],
+        vrps: &[VrpTriple],
         rpki_rejected: usize,
         config: PipelineConfig,
     ) -> WorldSnapshot {
-        let validator = RouteOriginValidator::from_vrps(vrps.iter().map(|v| VrpTriple {
-            prefix: v.prefix,
-            max_length: v.max_length,
-            asn: v.asn,
-        }));
+        let validator = RouteOriginValidator::from_vrps(vrps.iter().copied());
         WorldSnapshot {
             epoch,
             zones,
@@ -114,7 +112,7 @@ impl WorldSnapshot {
         }
     }
 
-    /// The snapshot's epoch (1 for a fresh engine, +1 per RPKI swap).
+    /// The snapshot's epoch (1 for a fresh engine, +1 per applied batch).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -283,33 +281,6 @@ impl WorldSnapshot {
         )
     }
 
-    /// Re-apply this snapshot's VRPs to an existing study's (prefix,
-    /// origin) pairs without repeating DNS resolution or table lookups —
-    /// what a longitudinal study does when only the RPKI changed between
-    /// observations. Returns the number of pair states that changed and
-    /// restamps `results` with this snapshot's epoch and VRP counters.
-    ///
-    /// Equivalent to a full [`run`](Self::run) whenever only the
-    /// repository differs between the two snapshots.
-    pub fn revalidate(&self, results: &mut StudyResults) -> usize {
-        let mut changed = 0;
-        for d in &mut results.domains {
-            for m in [&mut d.www, &mut d.bare] {
-                for pair in &mut m.pairs {
-                    let state = self.validator.validate(&pair.prefix, pair.origin);
-                    if state != pair.state {
-                        pair.state = state;
-                        changed += 1;
-                    }
-                }
-            }
-        }
-        results.vrp_count = self.vrp_count;
-        results.rpki_rejected = self.rpki_rejected;
-        results.epoch = self.epoch;
-        changed
-    }
-
     /// Run the full study over a ranked list, sharded across threads.
     /// A domain whose measurement panics is skipped and its rank
     /// recorded in [`StudyResults::skipped`] — one bad domain cannot
@@ -366,14 +337,6 @@ impl WorldSnapshot {
     }
 }
 
-fn triple(v: &Vrp) -> VrpTriple {
-    VrpTriple {
-        prefix: v.prefix,
-        max_length: v.max_length,
-        asn: v.asn,
-    }
-}
-
 /// What changed between two RPKI epochs, in RTR terms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochDelta {
@@ -385,11 +348,11 @@ pub struct EpochDelta {
     pub announced: Vec<VrpTriple>,
     /// VRPs present before but not now.
     pub withdrawn: Vec<VrpTriple>,
-    /// Pair states flipped by a [`StudyEngine::revalidate`] (0 when the
-    /// delta came from a bare [`StudyEngine::install_rpki`]).
+    /// Size of the symmetric difference between the (prefix, origin,
+    /// state) sets before and after, summed over the re-measured name
+    /// forms: a pair whose state flipped counts twice.
     pub pairs_changed: usize,
-    /// Domains re-measured by an incremental
-    /// [`StudyEngine::apply_events`] (0 for RPKI-only epoch swaps).
+    /// Domains [`StudyEngine::apply_events`] re-measured.
     pub domains_remeasured: usize,
     /// Work accounting from the incremental RPKI validator, when the
     /// epoch involved validation (a repository swap or a clock advance).
@@ -608,7 +571,7 @@ impl DomainIndex {
 }
 
 /// The study engine: owns the current [`WorldSnapshot`] and swaps it
-/// atomically on RPKI refresh.
+/// atomically on every applied batch.
 ///
 /// `&StudyEngine` is all a consumer needs — readers grab an `Arc` to
 /// the snapshot they started with and are immune to concurrent swaps.
@@ -703,85 +666,6 @@ impl StudyEngine {
         self.snapshot().epoch
     }
 
-    /// Install a re-validated RPKI repository as a new epoch.
-    ///
-    /// The DNS and BGP substrate — and the resolution cache, since the
-    /// DNS world is unchanged — carry over by `Arc` clone; only the
-    /// validator is rebuilt. Returns the VRP-level [`EpochDelta`]
-    /// (announce/withdraw sets), which maps 1:1 onto an RTR serial
-    /// increment.
-    pub fn install_rpki(&self, repository: &Repository, now: SimTime) -> EpochDelta {
-        let mut guard = self.current.write().expect("engine snapshot lock poisoned");
-        let old = Arc::clone(&guard);
-        let mut config = old.config.clone();
-        config.now = now;
-        let mut rpki = self.rpki.lock().expect("engine rpki lock poisoned");
-        let repository = Arc::new(repository.clone());
-        let vrp_delta = rpki.apply(Some(&repository), now, config.worker_threads());
-        let next = Self::next_snapshot(&old, &rpki, &vrp_delta, old.epoch + 1, config);
-        let delta = EpochDelta {
-            from_epoch: old.epoch,
-            to_epoch: next.epoch,
-            announced: vrp_delta.announced.iter().map(triple).collect(),
-            withdrawn: vrp_delta.withdrawn.iter().map(triple).collect(),
-            pairs_changed: 0,
-            domains_remeasured: 0,
-            rpki_stats: Some(vrp_delta.stats),
-        };
-        *guard = Arc::new(next);
-        delta
-    }
-
-    /// Successor snapshot after a validator pass: the origin validator
-    /// is rebuilt only when the VRP set actually changed.
-    fn next_snapshot(
-        old: &WorldSnapshot,
-        rpki: &RpkiState,
-        vrp_delta: &VrpDelta,
-        epoch: u64,
-        config: PipelineConfig,
-    ) -> WorldSnapshot {
-        if vrp_delta.is_empty() {
-            WorldSnapshot {
-                epoch,
-                zones: Arc::clone(&old.zones),
-                rib: Arc::clone(&old.rib),
-                cache: Arc::clone(&old.cache),
-                validator: old.validator.clone(),
-                vrp_count: old.vrp_count,
-                rpki_rejected: rpki.validator.rejected_count(),
-                config,
-            }
-        } else {
-            WorldSnapshot::assemble(
-                epoch,
-                Arc::clone(&old.zones),
-                Arc::clone(&old.rib),
-                Arc::clone(&old.cache),
-                &rpki.validator.vrps(),
-                rpki.validator.rejected_count(),
-                config,
-            )
-        }
-    }
-
-    /// Epoch-swap revalidation: install `repository` as a new epoch and
-    /// recompute only the step-4 states of an existing study in place.
-    /// Equivalent to a full re-[`run`](Self::run) whenever only the
-    /// repository changed between the observations, at none of the
-    /// DNS/RIB cost. The returned delta carries the announce/withdraw
-    /// VRP sets and the number of pair states that flipped.
-    pub fn revalidate(
-        &self,
-        repository: &Repository,
-        now: SimTime,
-        results: &mut StudyResults,
-    ) -> EpochDelta {
-        let mut delta = self.install_rpki(repository, now);
-        delta.pairs_changed = self.snapshot().revalidate(results);
-        delta
-    }
-
     /// Apply one epoch's churn incrementally: advance the world by the
     /// batch's zone/RIB deltas (copy-on-write successors, structurally
     /// shared with the old snapshot) and its repository snapshot if
@@ -872,8 +756,8 @@ impl StudyEngine {
             );
             (
                 (!vrp_delta.is_empty()).then(|| rpki.validator.vrps()),
-                vrp_delta.announced.iter().map(triple).collect::<Vec<_>>(),
-                vrp_delta.withdrawn.iter().map(triple).collect::<Vec<_>>(),
+                vrp_delta.announced,
+                vrp_delta.withdrawn,
                 Some(vrp_delta.stats),
                 rpki.validator.rejected_count(),
             )
@@ -1564,37 +1448,13 @@ mod tests {
             assert_eq!(from_bare.www, from_www.www);
         }
 
+        /// The RPKI refresh route: a batch that carries only a
+        /// repository and a clock. Starting from an expired view
+        /// (everything NotFound), it must land on exactly the study a
+        /// fresh engine measures at the new instant, and on what the
+        /// same engine measures from scratch after the batch.
         #[test]
-        fn revalidate_matches_full_rerun() {
-            let (zones, rib, repo, now) = world();
-            // First observation: RPKI expired (everything NotFound).
-            let late = SimTime::EPOCH + Duration::years(30);
-            let stale = snapshot(&zones, &rib, &repo, pipeline_cfg(late));
-            let ranking = vec![
-                n("covered.example"),
-                n("hijacked.example"),
-                n("plain.example"),
-            ];
-            let mut results = stale.run(&ranking);
-            assert!(results
-                .domains
-                .iter()
-                .flat_map(|d| d.bare.pairs.iter())
-                .all(|p| p.state == RpkiState::NotFound));
-
-            // Second observation: fresh VRPs, same crawl.
-            let fresh = snapshot(&zones, &rib, &repo, pipeline_cfg(now));
-            fresh.revalidate(&mut results);
-            let full = fresh.run(&ranking);
-            assert_eq!(results.vrp_count, full.vrp_count);
-            for (a, b) in results.domains.iter().zip(&full.domains) {
-                assert_eq!(a.bare.pairs, b.bare.pairs);
-                assert_eq!(a.www.pairs, b.www.pairs);
-            }
-        }
-
-        #[test]
-        fn engine_epoch_swap_revalidate_matches_full_rerun() {
+        fn repository_only_batch_matches_full_rerun() {
             let (zones, rib, repo, now) = world();
             let late = SimTime::EPOCH + Duration::years(30);
             let engine = StudyEngine::new(zones.clone(), rib.clone(), &repo, pipeline_cfg(late));
@@ -1606,24 +1466,36 @@ mod tests {
             let mut results = engine.run(&ranking);
             assert_eq!(results.epoch, 1);
             assert_eq!(results.vrp_count, 0);
+            assert!(results
+                .domains
+                .iter()
+                .flat_map(|d| d.www.pairs.iter().chain(&d.bare.pairs))
+                .all(|p| p.state == RpkiState::NotFound));
 
             // Swap in the un-expired view of the same repository.
-            let delta = engine.revalidate(&repo, now, &mut results);
+            let batch = EpochChurn {
+                events: vec![],
+                repository: Some(Arc::new(repo.clone())),
+                now,
+            };
+            let delta = engine.apply_events(&batch, &mut results);
             assert_eq!(delta.from_epoch, 1);
             assert_eq!(delta.to_epoch, 2);
             // Both ROAs come alive: two announced VRPs, nothing withdrawn.
             assert_eq!(delta.announced.len(), 2);
             assert!(delta.withdrawn.is_empty());
-            // covered (NotFound→Valid) and hijacked (NotFound→Invalid)
-            // flip in both name forms.
-            assert_eq!(delta.pairs_changed, 4);
+            // Only the two VRP-covered domains are re-measured: covered
+            // (NotFound→Valid) and hijacked (NotFound→Invalid) flip one
+            // pair in both name forms, each flip counting twice.
+            assert_eq!(delta.domains_remeasured, 2);
+            assert_eq!(delta.pairs_changed, 8);
             assert_eq!(results.epoch, 2);
 
-            let full = engine.run(&ranking);
-            assert_eq!(results.vrp_count, full.vrp_count);
-            for (a, b) in results.domains.iter().zip(&full.domains) {
-                assert_eq!(a.bare.pairs, b.bare.pairs);
-                assert_eq!(a.www.pairs, b.www.pairs);
+            let fresh = StudyEngine::new(zones, rib, &repo, pipeline_cfg(now)).run(&ranking);
+            for full in [fresh, engine.run(&ranking)] {
+                assert_eq!(results.domains, full.domains);
+                assert_eq!(results.vrp_count, full.vrp_count);
+                assert_eq!(results.rpki_rejected, full.rpki_rejected);
             }
         }
 

@@ -1,16 +1,18 @@
 //! Property tests for the snapshot-based study engine at websim scale:
 //! shard-count invariance (a multi-threaded run must be byte-identical
-//! to the serial run) and epoch-swap revalidation equivalence (swapping
-//! in a re-validated RPKI and recomputing step 4 must match a full
-//! re-run, and the emitted delta must be exactly the VRP set change).
+//! to the serial run) and RPKI-refresh equivalence (a repository-only
+//! `apply_events` batch at a later instant must match a full re-run,
+//! and the emitted delta must be exactly the VRP set change).
 
 use proptest::prelude::*;
 use ripki::engine::StudyEngine;
 use ripki::pipeline::PipelineConfig;
 use ripki_bgp::rov::VrpTriple;
 use ripki_rpki::time::Duration;
+use ripki_websim::churn::EpochChurn;
 use ripki_websim::{Scenario, ScenarioConfig};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn build_scenario(domains: usize, seed: u64) -> Scenario {
     Scenario::build(ScenarioConfig {
@@ -62,12 +64,12 @@ proptest! {
         prop_assert_eq!(serial_bytes, sharded_bytes);
     }
 
-    /// Installing a re-validated RPKI as a new epoch and revalidating an
-    /// existing study matches a full re-run from scratch at the new
+    /// Re-observing the same repository at a later instant through a
+    /// repository-only batch matches a full re-run from scratch at that
     /// instant, and the delta's announce/withdraw sets are exactly the
     /// VRP set difference between the epochs.
     #[test]
-    fn epoch_swap_revalidate_matches_full_rerun(
+    fn repository_only_batch_matches_full_rerun(
         domains in 1000usize..1200,
         seed in 0u64..1_000_000,
         advance_days in 60u64..2000,
@@ -87,7 +89,12 @@ proptest! {
             .flat_map(|d| d.www.pairs.iter().chain(&d.bare.pairs))
             .map(|p| p.state)
             .collect();
-        let delta = engine.revalidate(&scenario.repository, later, &mut results);
+        let batch = EpochChurn {
+            events: vec![],
+            repository: Some(Arc::new(scenario.repository.clone())),
+            now: later,
+        };
+        let delta = engine.apply_events(&batch, &mut results);
         let after: BTreeSet<VrpTriple> =
             engine.snapshot().vrps().iter().copied().collect();
 
@@ -99,7 +106,9 @@ proptest! {
         prop_assert_eq!(delta.from_epoch, 1);
         prop_assert_eq!(delta.to_epoch, 2);
 
-        // pairs_changed counts exactly the flipped step-4 states.
+        // DNS and RIB are unchanged, so every pair keeps its (prefix,
+        // origin): pairs_changed counts each flipped step-4 state twice
+        // (the old triple leaves the set, the new one enters).
         let new_states: Vec<_> = results
             .domains
             .iter()
@@ -111,11 +120,10 @@ proptest! {
             .zip(&new_states)
             .filter(|(a, b)| a != b)
             .count();
-        prop_assert_eq!(delta.pairs_changed, flipped);
+        prop_assert_eq!(delta.pairs_changed, 2 * flipped);
 
-        // The in-place revalidation equals a full run from scratch at
-        // the new instant (DNS and RIB are unchanged, so only step 4
-        // could differ).
+        // The patched study equals a full run from scratch at the new
+        // instant.
         let fresh = StudyEngine::new(
             scenario.zones.clone(),
             scenario.rib.clone(),
@@ -129,10 +137,10 @@ proptest! {
         .run(&scenario.ranking);
         prop_assert_eq!(results.vrp_count, fresh.vrp_count);
         prop_assert_eq!(results.rpki_rejected, fresh.rpki_rejected);
-        let revalidated_bytes =
-            serde_json::to_string(&results.domains).expect("serialize revalidated");
+        let patched_bytes =
+            serde_json::to_string(&results.domains).expect("serialize patched study");
         let fresh_bytes =
             serde_json::to_string(&fresh.domains).expect("serialize fresh run");
-        prop_assert_eq!(revalidated_bytes, fresh_bytes);
+        prop_assert_eq!(patched_bytes, fresh_bytes);
     }
 }

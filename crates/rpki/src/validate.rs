@@ -24,28 +24,10 @@ use crate::repo::{PublicationPoint, Repository};
 use crate::ta::TrustAnchor;
 use crate::time::{Era, SimTime};
 use ripki_crypto::keystore::KeyId;
-use ripki_net::{Asn, IpPrefix};
+pub use ripki_net::Vrp;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
-
-/// A Validated ROA Payload: the (prefix, maxLength, ASN) triple that
-/// feeds route origin validation (RFC 6811).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Vrp {
-    /// Authorized prefix.
-    pub prefix: IpPrefix,
-    /// Maximum announced length considered authorized.
-    pub max_length: u8,
-    /// Authorized origin AS.
-    pub asn: Asn,
-}
-
-impl fmt::Display for Vrp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-{} => {}", self.prefix, self.max_length, self.asn)
-    }
-}
 
 /// Why an object was rejected.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -516,7 +498,7 @@ mod tests {
     use crate::resources::Resources;
     use crate::roa::RoaPrefix;
     use crate::time::Duration;
-    use ripki_net::PrefixSet;
+    use ripki_net::{Asn, IpPrefix, PrefixSet};
 
     fn p(s: &str) -> IpPrefix {
         s.parse().unwrap()

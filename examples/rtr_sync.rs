@@ -7,24 +7,12 @@
 //! cargo run --release --example rtr_sync
 //! ```
 
-use ripki_repro::ripki_bgp::rov::{RpkiState, VrpTriple};
+use ripki_repro::ripki_bgp::rov::RpkiState;
 use ripki_repro::ripki_rpki::{faults, validate};
 use ripki_repro::ripki_rtr::{CacheServer, Client, ListenerConfig, RtrListener, SyncOutcome};
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-
-fn to_triples(report: &ripki_repro::ripki_rpki::ValidationReport) -> Vec<VrpTriple> {
-    report
-        .vrps
-        .iter()
-        .map(|v| VrpTriple {
-            prefix: v.prefix,
-            max_length: v.max_length,
-            asn: v.asn,
-        })
-        .collect()
-}
 
 fn main() {
     println!("building ecosystem and validating the RPKI…");
@@ -38,7 +26,7 @@ fn main() {
 
     // The cache loads run #1 and listens on localhost.
     let cache = Arc::new(CacheServer::new(0x1715));
-    cache.update(to_triples(&report));
+    cache.update(report.vrps.iter().copied());
     let bound = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
     let listener = RtrListener::spawn(bound, cache.clone(), ListenerConfig::default())
         .expect("start the RTR session loop");
@@ -92,7 +80,7 @@ fn main() {
         "\nvalidation run #2 after a CA's CRL went stale: {} VRPs (lost ≈{lost})",
         report2.vrps.len()
     );
-    cache.update(to_triples(&report2));
+    cache.update(report2.vrps.iter().copied());
 
     // The router picks up the *delta* with a Serial Query.
     match router.sync().expect("incremental sync") {

@@ -1,37 +1,38 @@
 #!/usr/bin/env python3
-"""Bench regression gate.
+"""Bench gate: acceptance floors over the repository benchmark's rows,
+and the regression check of the benches that keep a checked-in run.
 
-Compares freshly written bench JSON files (results/BENCH_*.json) against
-the checked-in baselines, and fails if any throughput metric regressed
-by more than the allowed ratio (default: fresh must reach >= 70% of
-baseline throughput, i.e. a >30% regression fails).
+WORKLOAD=PATH is the output of one traced (`--trace 1`) run of the
+repository benchmark (`benchmark/`); only its last line, the JSON
+verdict, is read:
 
-The benches overwrite their own baselines in results/, so CI must copy
-the checked-in files aside BEFORE running the benches and point
---baseline-dir at the copy:
+    python3 scripts/bench_gate.py churn_rpki=churn_rpki.txt
+
+The run must be `"correct": true` with `"failed": 0`, and every RATIOS
+row that reads a given workload must be present and at or above its
+floor. Each floor is a ratio of rows measured on one host at one world
+size, so it holds on any runner. Whether a row itself regressed is the
+merge pipeline's question: it compares parent and change on every
+end-to-end metric under measured noise bounds.
+
+A bare PATH is a freshly written results/BENCH_*.json of a bench that
+keeps its own checked-in run (METRICS): it fails if a throughput metric
+regressed by more than the allowed ratio (default: fresh must reach
+>= 70% of baseline throughput). The bench overwrites its baseline in
+results/, so CI must copy the checked-in file aside BEFORE running it
+and point --baseline-dir at the copy:
 
     mkdir -p /tmp/bench-baselines
-    cp results/BENCH_incremental.json /tmp/bench-baselines/
-    cargo bench -p ripki-bench --bench engine_incremental
+    cp results/BENCH_lint.json /tmp/bench-baselines/
+    cargo run -q --release -p ripki-lint -- bench
     python3 scripts/bench_gate.py --baseline-dir /tmp/bench-baselines \
-        results/BENCH_incremental.json
+        results/BENCH_lint.json
 
 A missing baseline file is a configuration error, not a skip: the gate
-exits 2 naming the file, unless --allow-missing-baseline is passed for
-an explicit bootstrap run.
-
-Each bench declares its metrics below. "higher" metrics are throughput
-numbers compared directly; "lower" metrics are per-unit latencies whose
+exits 2 naming the file. "higher" metrics are throughput numbers
+compared directly; "lower" metrics are per-unit latencies whose
 reciprocal is the throughput. Absolute floors (FLOORS) and ceilings
-(CEILINGS) encode acceptance criteria that must hold regardless of the
-baseline, e.g. the incremental validator's >= 10x speedup over a full
-validation pass, or the serve load harness's p99 latency bound.
-
-A bench JSON may carry a "scaling" section (per-thread-count timings
-from the parallel execute stage, plus the host's cpu count). Scaling
-rows are printed for the record but never gated: the gated metrics stay
-the single-threaded top-level numbers, so the gate is comparable across
-hosts with different core budgets.
+(CEILINGS) hold regardless of the baseline.
 """
 
 import argparse
@@ -39,25 +40,40 @@ import json
 import os
 import sys
 
+# Floors over benchmark rows, each spelled `metric @ workload` (a row is
+# live only on the workloads benchmark/README.md lists for it):
+# (numerator terms, which add; denominator; minimum ratio).
+RATIOS = [
+    # Incremental validation against a full pass over the repository.
+    (["rpki.full_validate_ms @ churn_rpki"], "rpki.apply_ms_p50 @ churn_rpki", 10.0),
+    # A delta through the RTR cache against reinstalling the snapshot
+    # (the delta row is live on churn_web; a churn_rpki run carries its
+    # smoke-size reference, the snapshot row is live at 100k VRPs).
+    (
+        ["rtr.cache_install_snapshot_ms @ churn_rpki"],
+        "rtr.cache_apply_delta_us_p50 @ churn_rpki",
+        10.0,
+    ),
+    # An incremental epoch against an engine rebuild + full run. Also
+    # the what-if floor (a counterfactual is one synthetic EpochChurn
+    # through apply_events), hence the loose 5x.
+    (
+        ["ripki.engine_new_ms @ study_full", "ripki.run_ms @ study_full"],
+        "ripki.apply_events_ms_p50 @ churn_web",
+        5.0,
+    ),
+]
+WORKLOADS = ("study_full", "churn_web", "churn_rpki", "query_mixed")
+MS_PER_UNIT = {"s": 1000.0, "ms": 1.0, "us": 0.001}
+
 # bench name (the "bench" key in the JSON) -> [(metric, sense)]
 METRICS = {
-    "engine_incremental": [("incremental_ms_per_epoch", "lower")],
-    "engine_validate": [("incremental_ms_per_epoch", "lower")],
-    "engine_proxy": [("delta_propagation_ms", "lower")],
-    "engine_whatif": [("incremental_counterfactual_ms", "lower")],
     "serve_load": [("req_per_s", "higher")],
     "lint_workspace": [("wall_ms", "lower")],
 }
 
 # bench name -> [(metric, minimum value)]
 FLOORS = {
-    "engine_incremental": [("speedup", 10.0)],
-    "engine_validate": [("speedup", 10.0)],
-    "engine_proxy": [("speedup", 10.0)],
-    # A counterfactual rides one incremental churn epoch instead of a
-    # full engine rebuild + re-run; 5x is a deliberately loose floor
-    # (observed gaps are far larger at bench scale).
-    "engine_whatif": [("speedup", 5.0)],
     # The event-loop acceptance bar (PR 9): at least 10k concurrent
     # keep-alive sessions, every one of them visible to the server
     # (open_connections gauge). Throughput is gated against the plane's
@@ -87,6 +103,48 @@ CEILINGS = {
 }
 
 
+def load_run(workload, path):
+    """The verdict of one benchmark run: the last line of its output."""
+    if workload not in WORKLOADS:
+        sys.exit(f"{workload}={path}: unknown workload (known: {WORKLOADS})")
+    try:
+        return json.loads(open(path).read().strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"{workload}={path}: last line is not a JSON verdict")
+
+
+def gate_runs(runs, failures):
+    """`"correct"`, `"failed"` and the RATIOS rows of the given runs."""
+    for workload, run in runs.items():
+        verdict = f"correct {run.get('correct')}, failed {run.get('failed')}"
+        print(f"{workload}: {verdict} of {run.get('attempted')}")
+        if run.get("correct") is not True or run.get("failed") != 0:
+            failures.append(f"{workload}: not a valid run ({verdict})")
+
+    def ms(term):
+        metric, workload = term.split(" @ ")
+        row = runs.get(workload, {}).get("metrics", {}).get(metric) or {}
+        if row.get("value") is None or row.get("unit") not in MS_PER_UNIT:
+            failures.append(f"{term}: row is missing")
+            return float("nan")
+        return row["value"] * MS_PER_UNIT[row["unit"]]
+
+    for numerator, denominator, floor in RATIOS:
+        terms = numerator + [denominator]
+        if not any(term.split(" @ ")[1] in runs for term in terms):
+            continue
+        top, bottom = sum(map(ms, numerator)), ms(denominator)
+        ratio = top / bottom if bottom else float("inf")
+        name = f"({' + '.join(numerator)}) ÷ {denominator}"
+        ok = ratio >= floor  # a missing row makes the ratio NaN: not ok
+        print(
+            f"{name}: {top:.4g} ms ÷ {bottom:.4g} ms = {ratio:.3g} "
+            f"(floor {floor:g}, {'ok' if ok else 'BELOW FLOOR'})"
+        )
+        if not ok:
+            failures.append(f"{name}: {ratio:.3g} < floor {floor:g}")
+
+
 def load(path):
     with open(path) as f:
         data = json.load(f)
@@ -107,12 +165,13 @@ def main():
     parser.add_argument(
         "fresh",
         nargs="+",
-        help="freshly written bench JSON files (results/BENCH_*.json)",
+        help="WORKLOAD=PATH: output of a traced benchmark run; "
+        "PATH: a freshly written results/BENCH_*.json",
     )
     parser.add_argument(
         "--baseline-dir",
-        required=True,
-        help="directory holding the pre-bench copies of the baselines",
+        help="directory holding the pre-bench copies of the baselines "
+        "(required with BENCH_*.json inputs)",
     )
     parser.add_argument(
         "--min-ratio",
@@ -120,16 +179,17 @@ def main():
         default=0.70,
         help="minimum fresh/baseline throughput ratio (default %(default)s)",
     )
-    parser.add_argument(
-        "--allow-missing-baseline",
-        action="store_true",
-        help="tolerate a missing baseline file (bootstrap runs only); "
-        "without this flag a missing baseline exits 2",
-    )
     args = parser.parse_args()
 
     failures = []
+    runs = {}
     for fresh_path in args.fresh:
+        workload, is_run, path = fresh_path.partition("=")
+        if is_run:
+            runs[workload] = load_run(workload, path)
+            continue
+        if args.baseline_dir is None:
+            parser.error(f"{fresh_path}: a BENCH file needs --baseline-dir")
         bench, fresh = load(fresh_path)
         baseline_path = os.path.join(
             args.baseline_dir, os.path.basename(fresh_path)
@@ -138,29 +198,23 @@ def main():
             # A silently skipped ratio check looks exactly like a pass,
             # so a missing baseline is a loud configuration error: CI
             # forgot to copy the checked-in file aside, or the baseline
-            # was never committed. Bootstrap runs opt out explicitly.
-            if not args.allow_missing_baseline:
-                print(
-                    f"bench gate: missing baseline {baseline_path} for "
-                    f"{fresh_path} (copy the checked-in results/ file into "
-                    "the baseline dir, or pass --allow-missing-baseline "
-                    "for a bootstrap run)",
-                    file=sys.stderr,
-                )
-                sys.exit(2)
-            print(f"{fresh_path}: no baseline at {baseline_path}, skipping "
-                  "ratio check (--allow-missing-baseline)")
-            baseline = None
-        else:
-            baseline_bench, baseline = load(baseline_path)
-            if baseline_bench != bench:
-                sys.exit(
-                    f"{baseline_path}: baseline is for bench "
-                    f"{baseline_bench!r}, fresh file is {bench!r}"
-                )
+            # was never committed.
+            print(
+                f"bench gate: missing baseline {baseline_path} for "
+                f"{fresh_path} (copy the checked-in results/ file into "
+                "the baseline dir)",
+                file=sys.stderr,
+            )
+            sys.exit(2)
+        baseline_bench, baseline = load(baseline_path)
+        if baseline_bench != bench:
+            sys.exit(
+                f"{baseline_path}: baseline is for bench "
+                f"{baseline_bench!r}, fresh file is {bench!r}"
+            )
 
         for metric, sense in METRICS[bench]:
-            if baseline is None or metric not in baseline:
+            if metric not in baseline:
                 continue
             if metric not in fresh:
                 failures.append(f"{bench}: fresh run is missing {metric!r}")
@@ -205,17 +259,7 @@ def main():
                     f"{bench}/{metric}: {value:.4g} > ceiling {ceiling}"
                 )
 
-        scaling = fresh.get("scaling")
-        if isinstance(scaling, dict):
-            print(f"{bench}/scaling (informational, not gated): "
-                  f"host cpus {scaling.get('cpus')}")
-            for row in scaling.get("threads", []):
-                cells = ", ".join(
-                    f"{k} {v:.4g}" if isinstance(v, float) else f"{k} {v}"
-                    for k, v in row.items()
-                )
-                print(f"  {cells}")
-
+    gate_runs(runs, failures)
     if failures:
         print("\nbench gate FAILED:", file=sys.stderr)
         for failure in failures:

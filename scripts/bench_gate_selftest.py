@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Self-test of bench_gate.py's benchmark floors, run by scripts/check.sh.
+
+Fabricated verdict lines: a passing set must exit 0, and a ratio under
+its floor, `"correct": false`, a failed operation and a missing row must
+each exit 1 naming what failed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_gate.py")
+
+# Rows as a traced run reports them; every ratio sits at twice its floor.
+ROWS = {
+    "rpki.full_validate_ms": (800.0, "ms"),
+    "rpki.apply_ms_p50": (40.0, "ms"),
+    "rtr.cache_install_snapshot_ms": (6.0, "ms"),
+    "rtr.cache_apply_delta_us_p50": (300.0, "us"),
+    "ripki.engine_new_ms": (100.0, "ms"),
+    "ripki.run_ms": (200.0, "ms"),
+    "ripki.apply_events_ms_p50": (30.0, "ms"),
+}
+
+
+def verdict(correct=True, failed=0, **changed):
+    rows = {**ROWS, **changed}
+    metrics = {
+        name: {"value": row[0], "unit": row[1]}
+        for name, row in rows.items()
+        if row is not None
+    }
+    line = {"correct": correct, "attempted": 45, "failed": failed, "metrics": metrics}
+    return "some report text\n" + json.dumps(line) + "\n"
+
+
+def gate(runs, expect_exit, expect_named=""):
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for workload, text in runs.items():
+            path = os.path.join(tmp, workload + ".txt")
+            with open(path, "w") as f:
+                f.write(text)
+            args.append(f"{workload}={path}")
+        done = subprocess.run(
+            [sys.executable, GATE] + args, capture_output=True, text=True
+        )
+    if done.returncode != expect_exit or expect_named not in done.stderr:
+        sys.exit(
+            f"bench gate self-test: {sorted(runs)} exited {done.returncode} "
+            f"(expected {expect_exit} naming {expect_named!r}):\n"
+            f"{done.stdout}{done.stderr}"
+        )
+
+
+ok = verdict()
+gate({"study_full": ok, "churn_web": ok, "churn_rpki": ok}, 0)
+gate(
+    {"churn_rpki": verdict(**{"rpki.apply_ms_p50": (90.0, "ms")})},
+    1,
+    "÷ rpki.apply_ms_p50 @ churn_rpki: 8.89 < floor 10",
+)
+gate({"churn_rpki": verdict(correct=False)}, 1, "churn_rpki: not a valid run")
+gate({"churn_rpki": verdict(failed=2)}, 1, "churn_rpki: not a valid run")
+gate(
+    {"study_full": verdict(**{"ripki.run_ms": None}), "churn_web": ok},
+    1,
+    "ripki.run_ms @ study_full: row is missing",
+)
+gate({"study_full": ok}, 1, "ripki.apply_events_ms_p50 @ churn_web: row is missing")
+print("bench gate self-test passed")

@@ -24,4 +24,7 @@ cargo fmt --check
 echo "==> benchmark build + tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> bench gate self-test"
+python3 scripts/bench_gate_selftest.py
+
 echo "All checks passed."

@@ -4,7 +4,6 @@
 
 use ripki_repro::ripki::engine::StudyEngine;
 use ripki_repro::ripki::pipeline::PipelineConfig;
-use ripki_repro::ripki_bgp::rov::VrpTriple;
 use ripki_repro::ripki_rpki::validate;
 use ripki_repro::ripki_rtr::{CacheServer, Client};
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
@@ -19,11 +18,7 @@ fn router_via_rtr_agrees_with_pipeline_validator() {
 
     // Serve the validated VRPs over RTR.
     let cache = Arc::new(CacheServer::new(42));
-    cache.update(report.vrps.iter().map(|v| VrpTriple {
-        prefix: v.prefix,
-        max_length: v.max_length,
-        asn: v.asn,
-    }));
+    cache.update(report.vrps.iter().copied());
     let (a, b) = UnixStream::pair().unwrap();
     let server = cache.clone();
     let handle = std::thread::spawn(move || {
