@@ -1,148 +1,56 @@
-//! The one-shot experiment record: regenerates every table and figure of
-//! the paper at a configurable scale, prints the paper-style series, and
-//! writes machine-readable JSON to `results/`.
+//! The experiment record: regenerates every figure, table, ablation and
+//! extension of the paper over one world at a configurable scale, prints
+//! the paper-style series, and writes machine-readable JSON + CSV to
+//! `results/`.
 //!
 //! ```sh
-//! cargo run --release -p ripki-bench --bin experiments            # 20k
-//! cargo run --release -p ripki-bench --bin experiments -- 200000  # bigger
+//! experiments [DOMAINS] [SECTION…]
+//! cargo run --release -p ripki-bench --bin experiments                  # all, 20k
+//! cargo run --release -p ripki-bench --bin experiments -- 200000        # all, bigger
+//! cargo run --release -p ripki-bench --bin experiments -- 20000 cdn_audit exposure_curve
 //! ```
+//!
+//! Section names are those of `ripki_bench::sections::SECTIONS`; with
+//! none given every section runs and the record files are written (a
+//! partial pass prints only, so it never overwrites a full record).
 
-use ripki::cdn_audit::{audit_cdns, summarize};
-use ripki::classify::HttpArchiveClassifier;
-use ripki::figures;
-use ripki::report::HeadlineStats;
-use ripki::tables;
-use ripki_bench::{print_bin_header, print_percent_series, Study};
-use ripki_rpki::validate;
-use ripki_websim::operators::CDN_SPECS;
+use ripki_bench::{sections, Study};
 use std::io::Write;
 
-fn main() {
-    let domains: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(ripki_bench::bench_domains);
-    println!("=== RiPKI experiment record, {domains} domains ===");
+fn main() -> std::io::Result<()> {
+    let mut names: Vec<String> = std::env::args().skip(1).collect();
+    let domains = match names.first().map(|s| s.parse::<usize>()) {
+        Some(Ok(n)) => {
+            names.remove(0);
+            n
+        }
+        _ => 20_000,
+    };
+    let selected = match sections::select(&names) {
+        Ok(selected) => selected,
+        Err(message) => {
+            eprintln!("experiments: {message}\nusage: experiments [DOMAINS] [SECTION…]");
+            std::process::exit(2);
+        }
+    };
+
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "=== RiPKI experiment record, {domains} domains ===")?;
     let t0 = std::time::Instant::now();
     let study = Study::at_scale(domains);
-    let n = study.results.domains.len();
-    println!("world + measurement: {:.1?}\n", t0.elapsed());
+    writeln!(out, "world + measurement: {:.1?}\n", t0.elapsed())?;
+    let record = sections::run(&study, &selected, &mut out)?;
 
-    let mut json = serde_json::Map::new();
-    json.insert("domains".into(), domains.into());
-
-    // Headline.
-    let stats = HeadlineStats::compute(&study.results);
-    println!("--- headline (§4) ---\n{stats}\n");
-    json.insert(
-        "headline".into(),
-        serde_json::to_value(&stats).expect("serializable"),
-    );
-
-    // Figure 1.
-    let fig1 = figures::fig1_www_overlap(&study.results, study.bin);
-    println!("--- Figure 1 ---");
-    print_bin_header(study.bin, fig1.len());
-    print_percent_series("equal prefixes %", &fig1);
-    json.insert("fig1".into(), serde_json::to_value(&fig1).unwrap());
-
-    // Figure 2.
-    let fig2 = figures::fig2_rpki_outcome(&study.results, study.bin);
-    println!("\n--- Figure 2 ---");
-    print_bin_header(study.bin, fig2.valid.len());
-    print_percent_series("valid %", &fig2.valid);
-    print_percent_series("invalid %", &fig2.invalid);
-    print_percent_series("not found %", &fig2.not_found);
-    println!(
-        "head {:.2}% → tail {:.2}% (paper 4.0 → 5.5)",
-        fig2.valid.range_mean(0, n / 10).unwrap_or(0.0) * 100.0,
-        fig2.valid.range_mean(n * 9 / 10, n).unwrap_or(0.0) * 100.0
-    );
-    json.insert("fig2".into(), serde_json::to_value(&fig2).unwrap());
-
-    // Figure 3.
-    let classifier = HttpArchiveClassifier::new(&study.scenario.zones, study.cdn_patterns());
-    let fig3 = figures::fig3_cdn_popularity(&study.results, &classifier, study.bin);
-    println!("\n--- Figure 3 ---");
-    print_bin_header(study.bin, fig3.cname_heuristic.len());
-    print_percent_series("CNAME heuristic %", &fig3.cname_heuristic);
-    print_percent_series("HTTPArchive %", &fig3.httparchive);
-    json.insert("fig3".into(), serde_json::to_value(&fig3).unwrap());
-
-    // Figure 4.
-    let fig4 = figures::fig4_rpki_on_cdns(&study.results, study.bin);
-    println!("\n--- Figure 4 ---");
-    print_bin_header(study.bin, fig4.rpki_enabled.len());
-    print_percent_series("RPKI-enabled %", &fig4.rpki_enabled);
-    print_percent_series("on CDNs %", &fig4.rpki_enabled_on_cdns);
-    println!(
-        "overall {:.2}% vs CDN-hosted {:.2}% (paper ≈5 vs ≈0.9)",
-        fig4.rpki_enabled.overall_mean().unwrap_or(0.0) * 100.0,
-        fig4.rpki_enabled_on_cdns.overall_mean().unwrap_or(0.0) * 100.0
-    );
-    json.insert("fig4".into(), serde_json::to_value(&fig4).unwrap());
-
-    // Table 1.
-    let rows = tables::table1_top_covered(&study.results, 10);
-    println!("\n--- Table 1 ---");
-    print!("{}", tables::render_table1(&rows));
-    json.insert("table1".into(), serde_json::to_value(&rows).unwrap());
-
-    // §4.2 audit.
-    let report = validate(&study.scenario.repository, study.scenario.now);
-    let names: Vec<&str> = CDN_SPECS.iter().map(|(na, _, _)| *na).collect();
-    let audit = audit_cdns(&study.scenario.registry, &report.vrps, &names);
-    let summary = summarize(&audit, &study.scenario.registry, &report.vrps);
-    println!("\n--- §4.2 CDN audit ---");
-    println!(
-        "CDN ASes {}   RPKI entries {}   deployers {:?}",
-        summary.total_cdn_asns, summary.total_rpki_entries, summary.cdns_with_deployment
-    );
-    println!(
-        "ISP penetration {:.1}%   webhoster {:.1}%",
-        summary.isp_penetration * 100.0,
-        summary.webhoster_penetration * 100.0
-    );
-    json.insert("cdn_audit".into(), serde_json::to_value(&summary).unwrap());
-
-    // Persist: JSON record plus per-figure CSVs for plotting.
-    std::fs::create_dir_all("results").ok();
-    let csv = [
-        ("fig1_equal_prefixes", fig1.to_csv("equal_fraction")),
-        ("fig2_valid", fig2.valid.to_csv("valid_fraction")),
-        ("fig2_invalid", fig2.invalid.to_csv("invalid_fraction")),
-        (
-            "fig2_not_found",
-            fig2.not_found.to_csv("not_found_fraction"),
-        ),
-        (
-            "fig3_cname_heuristic",
-            fig3.cname_heuristic.to_csv("cdn_fraction"),
-        ),
-        ("fig3_httparchive", fig3.httparchive.to_csv("cdn_fraction")),
-        (
-            "fig4_rpki_enabled",
-            fig4.rpki_enabled.to_csv("covered_fraction"),
-        ),
-        (
-            "fig4_on_cdns",
-            fig4.rpki_enabled_on_cdns.to_csv("covered_fraction"),
-        ),
-    ];
-    for (name, text) in csv {
-        let _ = std::fs::write(format!("results/{name}_{domains}.csv"), text);
-    }
-    let path = format!("results/experiments_{domains}.json");
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = writeln!(
-                f,
-                "{}",
-                serde_json::to_string_pretty(&serde_json::Value::Object(json)).unwrap()
-            );
-            println!("\nwrote {path}");
+    if names.is_empty() {
+        std::fs::create_dir_all("results")?;
+        for (stem, text) in &record.csv {
+            std::fs::write(format!("results/{stem}_{domains}.csv"), text)?;
         }
-        Err(e) => eprintln!("could not write {path}: {e}"),
+        let path = format!("results/experiments_{domains}.json");
+        let json = serde_json::to_string_pretty(&serde_json::Value::Object(record.json))
+            .expect("a JSON value serializes");
+        std::fs::write(&path, json + "\n")?;
+        writeln!(out, "\nwrote {path}")?;
     }
-    println!("total {:.1?}", t0.elapsed());
+    writeln!(out, "total {:.1?}", t0.elapsed())
 }

@@ -1,40 +1,33 @@
 //! # ripki-bench
 //!
-//! Shared machinery for the benchmark/experiment harness. Every figure
-//! and table of the paper has a Criterion bench under `benches/` that
+//! The experiment record. Every figure, table, ablation and extension of
+//! the paper is one named section of [`sections::SECTIONS`], and the
+//! `experiments` binary (`experiments [DOMAINS] [SECTION…]`, see its
+//! header) is the only way to regenerate them: it builds **one**
+//! calibrated [`Study`] at the requested scale, prints the series of
+//! every selected section over it (the rows the paper plots), and — on a
+//! full pass — writes the machine-readable JSON + CSV record to
+//! `results/`. Timings are not this crate's business: they come from the
+//! repository benchmark (`benchmark/`).
 //!
-//! 1. builds a calibrated study at `RIPKI_BENCH_DOMAINS` scale
-//!    (default 20,000 — override for the paper's full 1M run),
-//! 2. **prints the regenerated series** (the rows the paper plots), so
-//!    `cargo bench` output doubles as the experiment record, and
-//! 3. measures the cost of the regenerating computation.
-//!
-//! The standalone `experiments` binary prints everything in one pass and
-//! dumps machine-readable JSON next to it.
+//! The other binary, `serve_load`, is the HTTP plane's idle-session load
+//! generator.
+
+pub mod sections;
 
 use ripki::classify::HttpArchiveClassifier;
 use ripki::engine::StudyEngine;
 use ripki::pipeline::{PipelineConfig, StudyResults};
 use ripki::stats::BinnedSeries;
 use ripki_websim::{Scenario, ScenarioConfig};
+use std::io::{self, Write};
 
-/// Default domain count for benches.
-pub const DEFAULT_DOMAINS: usize = 20_000;
-
-/// Scale taken from `RIPKI_BENCH_DOMAINS`, or the default.
-pub fn bench_domains() -> usize {
-    std::env::var("RIPKI_BENCH_DOMAINS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_DOMAINS)
-}
-
-/// A fully built and measured study: the input to every figure builder.
+/// A fully built and measured study: the input to every section.
 pub struct Study {
     /// The generated world.
     pub scenario: Scenario,
-    /// Snapshot-owning engine over this study's world (for re-runs and
-    /// per-domain measurements in benches).
+    /// Snapshot-owning engine over this study's world (for per-domain
+    /// measurements and the snapshot's validator).
     pub engine: StudyEngine,
     /// Engine output over the whole ranking.
     pub results: StudyResults,
@@ -67,11 +60,6 @@ impl Study {
         }
     }
 
-    /// Build at the env-configured bench scale.
-    pub fn at_bench_scale() -> Study {
-        Study::at_scale(bench_domains())
-    }
-
     /// The HTTPArchive classifier for this study's CDN namespace.
     pub fn httparchive(&self) -> HttpArchiveClassifier<'_> {
         HttpArchiveClassifier::new(&self.scenario.zones, self.cdn_patterns())
@@ -87,25 +75,29 @@ impl Study {
     }
 }
 
-/// Print a series as one row of percentages, paper-style.
-pub fn print_percent_series(label: &str, series: &BinnedSeries) {
-    print!("{label:<26}");
+/// Write a series as one row of percentages, paper-style.
+pub(crate) fn write_percent_series(
+    out: &mut dyn Write,
+    label: &str,
+    series: &BinnedSeries,
+) -> io::Result<()> {
+    write!(out, "{label:<26}")?;
     for m in &series.means {
         match m {
-            Some(v) => print!(" {:>6.2}", v * 100.0),
-            None => print!("      -"),
+            Some(v) => write!(out, " {:>6.2}", v * 100.0)?,
+            None => write!(out, "      -")?,
         }
     }
-    println!();
+    writeln!(out)
 }
 
-/// Print a bin-start header row aligned with [`print_percent_series`].
-pub fn print_bin_header(bin: usize, n_bins: usize) {
-    print!("{:<26}", "rank bin start");
+/// Write a bin-start header row aligned with [`write_percent_series`].
+pub(crate) fn write_bin_header(out: &mut dyn Write, bin: usize, n_bins: usize) -> io::Result<()> {
+    write!(out, "{:<26}", "rank bin start")?;
     for i in 0..n_bins {
-        print!(" {:>6}", i * bin / 1000);
+        write!(out, " {:>6}", i * bin / 1000)?;
     }
-    println!("  (thousands)");
+    writeln!(out, "  (thousands)")
 }
 
 #[cfg(test)]
@@ -121,11 +113,5 @@ mod tests {
         // Re-running through the engine gives identical counts.
         let again = s.engine.run(&s.scenario.ranking);
         assert_eq!(again.domains.len(), 400);
-    }
-
-    #[test]
-    fn bench_domains_env_override() {
-        // No env set in tests: default applies.
-        assert_eq!(bench_domains(), DEFAULT_DOMAINS);
     }
 }

@@ -92,18 +92,14 @@ USAGE:
   ripki-cli serve [--domains N] [--seed S] [--listen ADDR]
                   [--rtr-listen ADDR] [--epochs E] [--epoch-interval-ms MS]
                   [--churn-seed C] [--stride K] [--exit-after-churn BOOL]
-                  [--slurm FILE] [--http-workers W] [--max-conns N]
-                  [--idle-timeout-ms MS] [--read-deadline-ms MS]
-                  [--write-stall-ms MS]
+                  [--slurm FILE] [--max-conns N] [--idle-timeout-ms MS]
       measure a synthetic world and serve it over the HTTP query plane
       (validity API, VRP exports, domain lookups, Prometheus metrics),
       optionally alongside an RTR cache, applying E churn epochs live;
       --slurm layers RFC 8416 local exceptions over every serving plane.
       The HTTP plane is a poll(2) event loop: --max-conns sets the
-      connection watermark (LRA idle shedding beyond it),
-      --idle-timeout-ms drops silent keep-alive peers,
-      --read-deadline-ms bounds slow-loris partial reads (408), and
-      --write-stall-ms drops stalled writers
+      connection watermark (LRA idle shedding beyond it) and
+      --idle-timeout-ms drops silent keep-alive peers
   ripki-cli whatif [--domains N] [--seed S] [--stride K] [--bin B]
                    [--rov F] [--threads T] [--out FILE]
                    [--scenario SPEC]...
@@ -118,7 +114,8 @@ USAGE:
       with no --scenario the run reproduces the baseline exactly
   ripki-cli proxy --config FILE [--exit-after-drain BOOL]
       run a VRP distribution fabric (units → combinators → targets)
-      declared in FILE; targets keep serving after finite units drain
+      declared in FILE; targets keep serving after finite units drain,
+      until SIGTERM/ctrl-c stops the units and drains the targets
       (--exit-after-drain only returns for engine-rooted pipelines)
   ripki-cli rtr-probe --connect ADDR [--timeout-ms MS]
       sync once against an RTR cache and print its session, serial,
@@ -248,19 +245,32 @@ fn load_world(dir: &Path) -> Result<World, CliError> {
         .map_err(|e| CliError::Data(format!("table.dump: {e}")))?;
     let repository = ripki_rpki::load_archive(&rpki_path(dir))
         .map_err(|e| CliError::Data(format!("rpki/: {e}")))?;
-    let meta = std::fs::read_to_string(meta_path(dir)).unwrap_or_default();
-    let now = meta
-        .lines()
-        .find_map(|l| l.strip_prefix("now: "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map_or_else(SimTime::start_of_study, SimTime);
     Ok(World {
         ranking,
         zones,
         rib,
         repository,
-        now,
+        now: read_now(dir)?,
     })
+}
+
+/// The instant a data directory is validated at: the `now:` line of its
+/// `meta.txt`. A directory without the file or the line is validated at
+/// the start of the study; a value that is there but does not parse is
+/// an error, never a silent fall-back to a different instant.
+fn read_now(dir: &Path) -> Result<SimTime, CliError> {
+    let path = meta_path(dir);
+    let meta = std::fs::read_to_string(&path).unwrap_or_default();
+    match meta.lines().find_map(|l| l.strip_prefix("now: ")) {
+        None => Ok(SimTime::start_of_study()),
+        Some(v) => v.trim().parse().map(SimTime).map_err(|_| {
+            CliError::Data(format!(
+                "{}: `now: {}` is not a number of seconds",
+                path.display(),
+                v.trim()
+            ))
+        }),
+    }
 }
 
 // ---- subcommands -----------------------------------------------------------
@@ -329,12 +339,7 @@ fn cmd_validate(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let dir = PathBuf::from(flags.require("data")?);
     let repository =
         ripki_rpki::load_archive(&rpki_path(&dir)).map_err(|e| CliError::Data(e.to_string()))?;
-    let meta = std::fs::read_to_string(meta_path(&dir)).unwrap_or_default();
-    let now = meta
-        .lines()
-        .find_map(|l| l.strip_prefix("now: "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map_or_else(SimTime::start_of_study, SimTime);
+    let now = read_now(&dir)?;
     let report = validate(&repository, now);
     writeln!(
         out,
@@ -361,12 +366,7 @@ fn cmd_validate(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 fn build_validator(dir: &Path) -> Result<(RouteOriginValidator, SimTime), CliError> {
     let repository =
         ripki_rpki::load_archive(&rpki_path(dir)).map_err(|e| CliError::Data(e.to_string()))?;
-    let meta = std::fs::read_to_string(meta_path(dir)).unwrap_or_default();
-    let now = meta
-        .lines()
-        .find_map(|l| l.strip_prefix("now: "))
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map_or_else(SimTime::start_of_study, SimTime);
+    let now = read_now(dir)?;
     let report = validate(&repository, now);
     let validator = RouteOriginValidator::from_vrps(report.vrps.iter().copied());
     Ok((validator, now))
@@ -730,26 +730,14 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let stride: usize = flags.get_parsed("stride", 50)?;
     let exit_after_churn: bool = flags.get_parsed("exit-after-churn", false)?;
 
-    // Event-loop tunables; defaults mirror `ServerConfig::default()`.
+    // Event-loop tunables; everything else is `ServerConfig::default()`.
     let defaults = ServerConfig::default();
-    let http_workers: usize = flags.get_parsed("http-workers", defaults.workers)?;
     let max_conns: usize = flags.get_parsed("max-conns", defaults.max_connections)?;
     let idle_timeout_ms: u64 =
         flags.get_parsed("idle-timeout-ms", defaults.read_timeout.as_millis() as u64)?;
-    let read_deadline_ms: u64 = flags.get_parsed(
-        "read-deadline-ms",
-        defaults.read_deadline.as_millis() as u64,
-    )?;
-    let write_stall_ms: u64 = flags.get_parsed(
-        "write-stall-ms",
-        defaults.write_stall_timeout.as_millis() as u64,
-    )?;
     let server_config = ServerConfig {
-        workers: http_workers.max(1),
         read_timeout: std::time::Duration::from_millis(idle_timeout_ms.max(1)),
         max_connections: max_conns.max(1),
-        read_deadline: std::time::Duration::from_millis(read_deadline_ms.max(1)),
-        write_stall_timeout: std::time::Duration::from_millis(write_stall_ms.max(1)),
         ..defaults
     };
 
@@ -924,17 +912,21 @@ fn cmd_proxy(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let log = ripki_proxy::Log::to(Box::new(std::io::stdout()));
     let mut manager =
         ripki_proxy::Manager::from_toml(&text, &log).map_err(|e| CliError::Data(e.to_string()))?;
-    manager.drain();
     if exit_after_drain {
+        manager.drain();
         manager.shutdown();
         writeln!(out, "fabric drained; exiting")?;
         return Ok(());
     }
-    writeln!(out, "fabric drained; serving final state, ctrl-c to stop")?;
+    // An `rtr`/`json`-rooted pipeline never drains on its own, so the
+    // serving form does not wait for that: it waits for the signal.
+    writeln!(out, "fabric running; ctrl-c to stop")?;
     out.flush()?;
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
+    wait_for_shutdown_signal();
+    writeln!(out, "shutdown signal received; stopping units and targets")?;
+    manager.shutdown();
+    writeln!(out, "fabric stopped; exiting cleanly")?;
+    Ok(())
 }
 
 fn cmd_rtr_probe(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
@@ -1346,6 +1338,25 @@ mod tests {
             .map(std::string::ToString::to_string)
             .collect();
         assert!(matches!(run(&args, &mut out), Err(CliError::BadFlag(_))));
+    }
+
+    #[test]
+    fn meta_now_defaults_when_absent_and_errors_when_unparsable() {
+        let dir = scratch();
+        std::fs::create_dir_all(&dir).unwrap();
+        // No meta.txt, and a meta.txt without the line: the default.
+        assert_eq!(read_now(&dir).unwrap(), SimTime::start_of_study());
+        std::fs::write(meta_path(&dir), "seed: 42\n").unwrap();
+        assert_eq!(read_now(&dir).unwrap(), SimTime::start_of_study());
+        std::fs::write(meta_path(&dir), "now: 1234 \nseed: 42\n").unwrap();
+        assert_eq!(read_now(&dir).unwrap(), SimTime(1234));
+        // A typo is an error naming the file, not a different instant.
+        std::fs::write(meta_path(&dir), "now: 12x\nseed: 42\n").unwrap();
+        let err = read_now(&dir).unwrap_err();
+        assert!(matches!(err, CliError::Data(_)), "{err}");
+        let text = err.to_string();
+        assert!(text.contains("meta.txt") && text.contains("12x"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

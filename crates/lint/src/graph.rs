@@ -107,7 +107,6 @@ const EXTERNAL_ROOTS: &[&str] = &[
     "libc",
     "rand",
     "proptest",
-    "criterion",
     "bytes",
     "serde",
     "serde_json",
