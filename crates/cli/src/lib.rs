@@ -828,8 +828,10 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             let events = batch.events.len();
             let delta = engine.apply_events(&batch, &mut results);
             // The epoch exists the moment the engine commits it; the
-            // announcement lets `/status` report lag while the (possibly
-            // slow) view build below is still running.
+            // announcement lets `/status` report lag until its view is
+            // published. The results half of that view is a pointer
+            // copy; the payload and any exception layer are still
+            // rebuilt from the whole VRP set.
             shared.announce_epoch(delta.to_epoch);
             // HTTP views and RTR serials advance in lockstep with the
             // engine's epoch — the serving plane's consistency contract.

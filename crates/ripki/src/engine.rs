@@ -54,7 +54,9 @@
 //! `ripki_rpki::incremental`); [`PipelineConfig::worker_threads`] is the
 //! single knob for all three planes.
 
-use crate::model::{DomainMeasurement, NameMeasurement, PairState, PipelineConfig, StudyResults};
+use crate::model::{
+    DomainMeasurement, DomainTable, NameMeasurement, PairState, PipelineConfig, StudyResults,
+};
 use ripki_bgp::rib::{Rib, RibChanges, RibDelta};
 use ripki_bgp::rov::{RouteOriginValidator, ValidityDetail, VrpTriple};
 use ripki_dns::cache::ResolutionCache;
@@ -310,29 +312,35 @@ impl WorldSnapshot {
         }
     }
 
-    fn run_sharded(&self, ranking: &[DomainName]) -> (Vec<DomainMeasurement>, Vec<usize>) {
+    fn run_sharded(&self, ranking: &[DomainName]) -> (DomainTable, Vec<usize>) {
         if ranking.is_empty() {
-            return (Vec::new(), Vec::new());
+            return (DomainTable::default(), Vec::new());
         }
         // Plan: the ranking itself is the work list (rank == index).
         // Execute: one resolver per worker, work-stealing over the
         // ranks, per-domain panic isolation. Commit: fold the outcomes
         // in rank order — a `None` slot is a panicked measurement and
-        // becomes a skipped rank.
+        // becomes a skipped rank. The rows are allocated here, one after
+        // another, and not by the workers: a figure pass walks them in
+        // rank order, and rows interleaved across the workers' arenas
+        // cost it a cache miss per domain.
         let outcomes = ripki_par::run_indexed(
             self.config.worker_threads(),
             ranking,
             |_| self.resolver(),
             |resolver, rank, name| self.measure_domain_with(resolver, rank, name),
         );
-        let mut domains = Vec::with_capacity(ranking.len());
         let mut skipped = Vec::new();
-        for (rank, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Some(m) => domains.push(m),
-                None => skipped.push(rank),
-            }
-        }
+        let domains = outcomes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(rank, outcome)| {
+                if outcome.is_none() {
+                    skipped.push(rank);
+                }
+                outcome
+            })
+            .collect();
         (domains, skipped)
     }
 }
@@ -671,8 +679,11 @@ impl StudyEngine {
     /// shared with the old snapshot) and its repository snapshot if
     /// any, then re-measure **only the domains the changes can reach**
     /// — found through reverse indices from names, covering prefixes,
-    /// and VRP prefixes back to domain ranks — patching `results` in
-    /// place.
+    /// and VRP prefixes back to domain ranks — and commit each to
+    /// `results` copy-on-write ([`DomainTable::replace`]): a clone of
+    /// `results` taken before the call keeps its own epoch, which is
+    /// what lets a server publish `results.clone()` per epoch at the
+    /// price of one pointer per domain.
     ///
     /// `results` must be the current study for this engine's epoch
     /// (from [`run`](Self::run) or a previous `apply_events`); the
@@ -810,18 +821,12 @@ impl StudyEngine {
         // Plan: resolve the affected ranks (already in ascending rank
         // order from the BTreeSet) to their result positions and listed
         // names — an independent work list that borrows nothing mutable.
-        let position: HashMap<usize, usize> = results
-            .domains
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.rank, i))
-            .collect();
+        // A skipped rank has no position and stays skipped.
         let work: Vec<(usize, usize, DomainName)> = affected
             .into_iter()
             .filter_map(|rank| {
-                position
-                    .get(&rank)
-                    .map(|&pos| (rank, pos, results.domains[pos].listed.clone()))
+                let pos = results.domains.position_of_rank(rank)?;
+                Some((rank, pos, results.domains[pos].listed.clone()))
             })
             .collect();
 
@@ -858,7 +863,7 @@ impl StudyEngine {
             }
             index.remove(*rank);
             index.insert(*rank, DomainIndex::postings(&measured, touched));
-            results.domains[*pos] = measured;
+            results.domains.replace(*pos, measured);
             remeasured += 1;
         }
         results.skipped.sort_unstable();

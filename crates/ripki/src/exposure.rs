@@ -67,8 +67,8 @@ pub struct DomainExposure {
 ///
 /// Domains whose measurement produced no usable (prefix, origin) pair,
 /// or whose origin AS is not in the topology, are skipped.
-pub fn exposure_curve(
-    domains: &[DomainMeasurement],
+pub fn exposure_curve<'a>(
+    domains: impl IntoIterator<Item = &'a DomainMeasurement>,
     topology: &Topology,
     validator: &RouteOriginValidator,
     config: &ExposureConfig,
@@ -95,7 +95,7 @@ pub fn exposure_curve(
     }
 
     let mut out = Vec::new();
-    for d in domains.iter().step_by(config.stride.max(1)) {
+    for d in domains.into_iter().step_by(config.stride.max(1)) {
         let Some(pair) = d.bare.pairs.first() else {
             continue;
         };

@@ -215,7 +215,7 @@ mod tests {
 
     fn results(domains: Vec<DomainMeasurement>) -> StudyResults {
         StudyResults {
-            domains,
+            domains: domains.into(),
             ..Default::default()
         }
     }

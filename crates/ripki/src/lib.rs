@@ -42,6 +42,8 @@ pub mod stats;
 pub mod tables;
 
 pub use engine::{EngineError, EpochDelta, StudyEngine, WorldSnapshot};
-pub use model::{DomainMeasurement, NameMeasurement, PairState, PipelineConfig, StudyResults};
+pub use model::{
+    DomainMeasurement, DomainTable, NameMeasurement, PairState, PipelineConfig, StudyResults,
+};
 pub use report::HeadlineStats;
 pub use stats::BinnedSeries;

@@ -6,5 +6,5 @@
 //! benchmark import them through, so it stays as a re-export.
 
 pub use crate::model::{
-    DomainMeasurement, NameMeasurement, PairState, PipelineConfig, StudyResults,
+    DomainMeasurement, DomainTable, NameMeasurement, PairState, PipelineConfig, StudyResults,
 };

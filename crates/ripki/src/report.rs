@@ -153,7 +153,8 @@ mod tests {
                         ..Default::default()
                     },
                 },
-            ],
+            ]
+            .into(),
             vrp_count: 42,
             rpki_rejected: 0,
             ..Default::default()

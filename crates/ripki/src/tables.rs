@@ -202,7 +202,8 @@ mod tests {
                 dm(2, &[NotFound], &[Invalid, NotFound]),
                 dm(3, &[NotFound], &[NotFound]),
                 dm(4, &[Valid], &[NotFound]),
-            ],
+            ]
+            .into(),
             vrp_count: 0,
             rpki_rejected: 0,
             ..Default::default()
@@ -233,7 +234,7 @@ mod tests {
     #[test]
     fn rendering_contains_header_and_rows() {
         let results = StudyResults {
-            domains: vec![dm(0, &[Valid], &[NotFound])],
+            domains: vec![dm(0, &[Valid], &[NotFound])].into(),
             vrp_count: 0,
             rpki_rejected: 0,
             ..Default::default()

@@ -3,7 +3,9 @@
 //! every step, a `StudyResults` byte-identical to a from-scratch full
 //! run against the cumulative post-churn world — and each step's
 //! `EpochDelta` announce/withdraw sets are exactly the VRP set
-//! difference between the epochs.
+//! difference between the epochs. The commit is copy-on-write per
+//! domain: a step replaces exactly the re-measured rows, and a clone
+//! taken at any earlier epoch keeps answering for that epoch.
 //!
 //! The cumulative world is maintained independently of the engine, by
 //! applying the same typed events through the substrate copy-on-write
@@ -116,15 +118,30 @@ proptest! {
         let mut rib = Arc::new(scenario.rib.clone());
         let mut repository = scenario.repository.clone();
         let mut total_events = 0usize;
+        // A clone of every epoch's results beside its from-scratch run.
+        let mut held = Vec::new();
 
         for step in 0..epochs {
             let batch = stream.next_epoch();
             total_events += batch.events.len();
             let before: BTreeSet<VrpTriple> =
                 engine.snapshot().vrps().iter().copied().collect();
+            let previous = results.clone();
             let delta = engine.apply_events(&batch, &mut results);
             let after: BTreeSet<VrpTriple> =
                 engine.snapshot().vrps().iter().copied().collect();
+
+            // A re-measured domain always gets a fresh row, even when
+            // its value came out equal; every other row is still the
+            // allocation the previous epoch holds.
+            let shared = previous
+                .domains
+                .rows()
+                .iter()
+                .zip(results.domains.rows())
+                .filter(|(a, b)| Arc::ptr_eq(a, b))
+                .count();
+            prop_assert_eq!(shared, results.domains.len() - delta.domains_remeasured);
 
             // Exact per-step delta: epochs advance by one, and the
             // announce/withdraw sets are the VRP set difference.
@@ -166,6 +183,19 @@ proptest! {
             let fresh_bytes = serde_json::to_string(&fresh.domains)
                 .expect("serialize fresh results");
             prop_assert_eq!(incremental_bytes, fresh_bytes, "diverged at step {}", step);
+
+            // Snapshot isolation: a clone never sees a later patch, so
+            // every one taken so far (up to three epochs back) still
+            // equals the from-scratch run of its own epoch.
+            held.push((results.clone(), fresh));
+            for (clone, reference) in &held {
+                prop_assert!(
+                    clone.domains == reference.domains,
+                    "the clone of epoch {} changed by step {}",
+                    clone.epoch,
+                    step
+                );
+            }
         }
 
         // Guard against a vacuous pass: zone edits and RIB announces

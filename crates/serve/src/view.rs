@@ -27,7 +27,6 @@ pub struct EpochView {
     snapshot: Arc<WorldSnapshot>,
     results: Arc<StudyResults>,
     payload: VrpPayload,
-    by_name: HashMap<DomainName, usize>,
     topology: Option<Arc<Topology>>,
     exposure: ExposureConfig,
     exposure_memo: Mutex<HashMap<usize, Option<(f64, bool)>>>,
@@ -56,13 +55,10 @@ impl EpochView {
             results.epoch,
             "epoch-consistency contract: snapshot and results must share an epoch"
         );
-        let mut by_name = HashMap::with_capacity(results.domains.len() * 2);
-        for (i, d) in results.domains.iter().enumerate() {
-            let bare = d.listed.without_www();
-            by_name.insert(bare.with_www(), i);
-            by_name.insert(bare, i);
-            by_name.insert(d.listed.clone(), i);
-        }
+        // The first view of a ranking pays for the name index here, at
+        // start-up, instead of in its first request; every later view is
+        // built from a clone that already shares it.
+        results.domains.ensure_index();
         // Built once per view, shared from then on: the VRP exports and
         // any co-hosted RTR/proxy plane all serve this one canonically
         // ordered payload, so equal epochs are byte-identical across
@@ -72,7 +68,6 @@ impl EpochView {
             snapshot,
             results,
             payload,
-            by_name,
             topology,
             exposure,
             exposure_memo: Mutex::new(HashMap::new()),
@@ -143,11 +138,7 @@ impl EpochView {
     /// Like [`EpochView::domain`], but also yields the domain's index in
     /// `results().domains` — the key the exposure memo is filed under.
     pub fn domain_entry(&self, name: &DomainName) -> Option<(usize, &DomainMeasurement)> {
-        let &i = self
-            .by_name
-            .get(name)
-            .or_else(|| self.by_name.get(&name.without_www()))?;
-        Some((i, self.results.domains.get(i)?))
+        self.results.domains.lookup(name)
     }
 
     /// Hijack exposure `(capture_rate, fully_covered)` for the measured
@@ -171,14 +162,9 @@ impl EpochView {
             stride: 1,
             ..self.exposure.clone()
         };
-        let computed = exposure_curve(
-            std::slice::from_ref(domain),
-            topology,
-            self.validator(),
-            &cfg,
-        )
-        .first()
-        .map(|e| (e.capture_rate, e.fully_covered));
+        let computed = exposure_curve([domain], topology, self.validator(), &cfg)
+            .first()
+            .map(|e| (e.capture_rate, e.fully_covered));
         self.memo_put(index, computed);
         computed
     }
@@ -287,6 +273,10 @@ impl SharedView {
             view.epoch()
         );
         self.newest.fetch_max(view.epoch(), Ordering::SeqCst);
-        *guard = Arc::new(view);
+        let retired = std::mem::replace(&mut *guard, Arc::new(view));
+        // Unlock first: if this is the retired view's last reference,
+        // freeing it must not keep every reader waiting on the lock.
+        drop(guard);
+        drop(retired);
     }
 }

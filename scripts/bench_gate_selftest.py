@@ -23,6 +23,7 @@ ROWS = {
     "ripki.engine_new_ms": (100.0, "ms"),
     "ripki.run_ms": (200.0, "ms"),
     "ripki.apply_events_ms_p50": (30.0, "ms"),
+    "stage.view_build_ms": (7.5, "ms"),
 }
 
 
@@ -62,6 +63,11 @@ gate(
     {"churn_rpki": verdict(**{"rpki.apply_ms_p50": (90.0, "ms")})},
     1,
     "÷ rpki.apply_ms_p50 @ churn_rpki: 8.89 < floor 10",
+)
+gate(
+    {"churn_web": verdict(**{"stage.view_build_ms": (183.4, "ms")}), "study_full": ok},
+    1,
+    "÷ stage.view_build_ms @ churn_web: 0.164 < floor 2",
 )
 gate({"churn_rpki": verdict(correct=False)}, 1, "churn_rpki: not a valid run")
 gate({"churn_rpki": verdict(failed=2)}, 1, "churn_rpki: not a valid run")
