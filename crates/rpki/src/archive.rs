@@ -33,6 +33,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Archive I/O and format errors.
 #[derive(Debug)]
@@ -194,11 +195,11 @@ pub fn load(dir: &Path) -> Result<Repository, ArchiveError> {
             match file.extension().and_then(|x| x.to_str()) {
                 Some("cer") => {
                     let cert = Cert::decode(&fs::read(&file)?).map_err(|e| decode_err(&file, e))?;
-                    child_certs.push(cert);
+                    child_certs.push(Arc::new(cert));
                 }
                 Some("roa") => {
                     let roa = Roa::decode(&fs::read(&file)?).map_err(|e| decode_err(&file, e))?;
-                    roas.push(roa);
+                    roas.push(Arc::new(roa));
                 }
                 _ => {}
             }
@@ -208,8 +209,8 @@ pub fn load(dir: &Path) -> Result<Repository, ArchiveError> {
             PublicationPoint {
                 child_certs,
                 roas,
-                crl,
-                manifest,
+                crl: Arc::new(crl),
+                manifest: Arc::new(manifest),
             },
         );
     }

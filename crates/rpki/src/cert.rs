@@ -76,15 +76,6 @@ impl Cert {
         KeyId::of(&self.subject_key)
     }
 
-    /// Fold this certificate into a republication fingerprint. The
-    /// deterministic signature covers the full TBS encoding, so serial +
-    /// signature distinguishes any two distinctly *issued* certificates
-    /// without hashing their contents.
-    pub fn fold_fingerprint(&self, fp: &mut crate::repo::Fingerprint) {
-        fp.write_u64(self.serial);
-        fp.write(&self.signature.to_bytes());
-    }
-
     /// Whether this certificate claims to be self-signed (a trust anchor).
     pub fn is_self_signed(&self) -> bool {
         self.subject_key_id() == self.issuer_key_id

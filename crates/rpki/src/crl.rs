@@ -119,15 +119,6 @@ impl Crl {
     pub fn is_current(&self, now: SimTime) -> bool {
         self.validity.contains(now)
     }
-
-    /// Fold this CRL into a republication fingerprint. The deterministic
-    /// signature covers issuer, window, and the full revocation set, so
-    /// signature + entry count distinguishes any two distinctly issued
-    /// CRLs without walking the serials.
-    pub fn fold_fingerprint(&self, fp: &mut crate::repo::Fingerprint) {
-        fp.write_u64(self.revoked_serials.len() as u64);
-        fp.write(&self.signature.to_bytes());
-    }
 }
 
 impl fmt::Display for Crl {

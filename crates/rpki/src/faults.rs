@@ -5,13 +5,20 @@
 //! do. Tests and ablation benches use them to prove that every validator
 //! rejection path fires (and that *only* the intended objects are lost).
 //!
-//! All functions mutate in place and return how many objects they touched.
+//! Every function edits the repository it is handed and returns how many
+//! objects it touched. Objects are shared between snapshots, clones and
+//! validator caches, so an edit is copy-on-write per object
+//! (`Arc::make_mut`): the damaged repository gets its own copy of each
+//! object it changes and keeps sharing the rest; no other holder —
+//! `repo.clone()`'s source, the builder, a validator — ever sees the
+//! damage.
 
 use crate::manifest::Manifest;
 use crate::repo::Repository;
 use crate::time::{Duration, Validity};
 use ripki_crypto::keystore::KeyId;
 use ripki_crypto::schnorr::Signature;
+use std::sync::Arc;
 
 /// Flip a bit in every ROA content signature at `ca`'s publication point,
 /// simulating storage corruption or a broken signer.
@@ -19,7 +26,7 @@ pub fn corrupt_roa_signatures(repo: &mut Repository, ca: KeyId) -> usize {
     let Some(pp) = repo.points.get_mut(&ca) else {
         return 0;
     };
-    for roa in &mut pp.roas {
+    for roa in pp.roas.iter_mut().map(Arc::make_mut) {
         roa.signature = Signature {
             e: roa.signature.e ^ 1,
             s: roa.signature.s,
@@ -38,7 +45,8 @@ pub fn stale_crl(repo: &mut Repository, ca: KeyId) -> usize {
     let v = pp.crl.validity;
     // Shift the window to end before it begins relative to "now" users:
     // one second of life at the original not_before.
-    pp.crl.validity = Validity::new(v.not_before, v.not_before + Duration::secs(1));
+    Arc::make_mut(&mut pp.crl).validity =
+        Validity::new(v.not_before, v.not_before + Duration::secs(1));
     // NOTE: deliberately does NOT re-sign — a stale *but authentic* CRL.
     // The signature is now invalid too (validity is in the TBS), which is
     // fine: the validator reports the first failure it hits.
@@ -66,7 +74,7 @@ pub fn substitute_roa_asn(repo: &mut Repository, ca: KeyId, new_asn: u32) -> usi
         return 0;
     };
     let mut touched = 0;
-    for roa in &mut pp.roas {
+    for roa in pp.roas.iter_mut().map(Arc::make_mut) {
         roa.asn = ripki_net::Asn::new(new_asn);
         touched += 1;
     }
@@ -78,20 +86,15 @@ pub fn ghost_manifest_entry(repo: &mut Repository, ca: KeyId) -> usize {
     let Some(pp) = repo.points.get_mut(&ca) else {
         return 0;
     };
-    let mut entries = pp.manifest.entries.clone();
-    entries.insert(
-        "ghost.roa".to_string(),
-        ripki_crypto::sha256::sha256(b"never published"),
-    );
     // Signed by nobody — reuse the old signature; the signature check
     // fails first unless callers re-sign. To exercise the *mismatch*
     // (not signature) path, forge with the correct structure but keep
     // the break localized: tests that want a signed-but-inconsistent
     // manifest should use [`resign_manifest`] afterwards.
-    pp.manifest = Manifest {
-        entries,
-        ..pp.manifest.clone()
-    };
+    Arc::make_mut(&mut pp.manifest).entries.insert(
+        "ghost.roa".to_string(),
+        ripki_crypto::sha256::sha256(b"never published"),
+    );
     1
 }
 
@@ -105,13 +108,13 @@ pub fn resign_manifest(
     let Some(pp) = repo.points.get_mut(&ca) else {
         return false;
     };
-    pp.manifest = Manifest::issue(
+    pp.manifest = Arc::new(Manifest::issue(
         secret,
         ca,
         pp.manifest.manifest_number + 1,
         pp.manifest.entries.clone(),
         pp.manifest.validity,
-    );
+    ));
     true
 }
 
@@ -247,6 +250,40 @@ mod tests {
         assert_eq!(withhold_roa(&mut repo, bogus, 0), 0);
         assert_eq!(substitute_roa_asn(&mut repo, bogus, 1), 0);
         assert_eq!(ghost_manifest_entry(&mut repo, bogus), 0);
+    }
+
+    /// Faults copy on write: damaging a clone never reaches the
+    /// repository it was cloned from, and the two keep sharing every
+    /// object the fault did not touch.
+    #[test]
+    fn faults_on_a_clone_leave_the_original_intact_and_share_the_rest() {
+        let (original, isp, now) = build();
+        let clean = validate(&original, now);
+        assert_eq!(clean.rejected_count(), 0);
+        let ta = original.trust_anchors[0].cert.subject_key_id();
+
+        let mut copy = original.clone();
+        assert!(copy.points[&isp].ptr_eq(&original.points[&isp]));
+        assert_eq!(substitute_roa_asn(&mut copy, isp, 666), 2);
+        assert_eq!(stale_crl(&mut copy, isp), 1);
+        assert!(validate(&copy, now).vrps.is_empty());
+
+        let after = validate(&original, now);
+        assert_eq!(after.vrps, clean.vrps);
+        assert_eq!(after.log, clean.log);
+        let (ours, theirs) = (&original.points[&isp], &copy.points[&isp]);
+        assert!(ours.roas.iter().all(|r| r.asn != Asn::new(666)));
+        assert!(!Arc::ptr_eq(&ours.roas[0], &theirs.roas[0]));
+        assert!(!Arc::ptr_eq(&ours.crl, &theirs.crl));
+        // Untouched: the damaged point's manifest, the whole TA point.
+        assert!(Arc::ptr_eq(&ours.manifest, &theirs.manifest));
+        assert!(original.points[&ta].ptr_eq(&copy.points[&ta]));
+
+        // One ROA withheld: the survivor is still the shared object.
+        let mut copy = original.clone();
+        assert_eq!(withhold_roa(&mut copy, isp, 0), 1);
+        assert!(Arc::ptr_eq(&ours.roas[1], &copy.points[&isp].roas[0]));
+        assert_eq!(ours.roas.len(), 2);
     }
 
     #[test]

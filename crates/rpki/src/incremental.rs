@@ -4,9 +4,10 @@
 //! signature in the repository on every run. Between two relying-party
 //! passes almost nothing changes: the paper's longitudinal study replays
 //! years of ROA churn where each day touches a handful of publication
-//! points out of thousands. [`IncrementalValidator`] exploits that by
-//! caching the outcome of every publication point and only revalidating
-//! the ones whose inputs changed.
+//! points out of thousands. [`IncrementalValidator`] exploits that at
+//! two grains: it caches the outcome of every publication point and only
+//! revalidates the ones whose inputs changed, and when it does revalidate
+//! a point it only re-does the cryptography of the objects that are new.
 //!
 //! ## The dependency graph
 //!
@@ -20,11 +21,11 @@
 //!   the walk consults, which partition time into intervals of constant
 //!   outcome (an [`Era`]).
 //!
-//! So the cache key is `(CA cert fingerprint, content fingerprint,
-//! trust-anchor name)` and a cached entry is reusable while
-//! `era.contains(now)`. Everything the paper's hard cases require falls
-//! out of this: a CRL revoking a sibling re-issues the CRL, changing the
-//! content fingerprint, so the whole point (all sibling ROAs) is
+//! So a cached entry keeps exactly those inputs — the issuing
+//! certificate, the published objects, the trust-anchor name — and is
+//! reusable while they are the same and `era.contains(now)`. Everything
+//! the paper's hard cases require falls out of this: a CRL revoking a
+//! sibling re-issues the CRL, so the whole point (all sibling ROAs) is
 //! revalidated; a manifest replacement likewise; a key rollover changes
 //! the parent's content (new child cert) *and* every descendant's issuing
 //! cert, dirtying the whole subtree; an expiry sweep moves `now` out of
@@ -35,29 +36,54 @@
 //! Each [`apply`](IncrementalValidator::apply) is a breadth-first wave
 //! sweep in three stages per wave:
 //!
-//! 1. **Plan** (serial): diff the frontier's CA certificates and
-//!    publication-point fingerprints against the cache, splitting it
-//!    into reused entries and an independent dirty work list.
+//! 1. **Plan** (serial): compare the frontier's CA certificates and
+//!    publication points against the cache, splitting it into reused
+//!    entries and an independent dirty work list.
 //! 2. **Execute** (parallel): revalidate the dirty points over the
 //!    work-stealing pool (`ripki-par`), each item a pure
-//!    `(CA cert, point) → CachedPoint` computation with no shared
-//!    mutable state. A panicking item is isolated: its point alone is
-//!    marked skipped ([`ApplyStats::points_skipped`]) and revalidated on
-//!    the next pass.
+//!    `(CA cert, point, previous entry) → CachedPoint` computation with
+//!    no shared mutable state. A panicking item is isolated: its point
+//!    alone is marked skipped ([`ApplyStats::points_skipped`]) and
+//!    revalidated on the next pass.
 //! 3. **Commit** (serial): fold outcomes back in frontier order —
 //!    VRP refcounts, the point cache, the next wave's frontier. Commit
 //!    order is the plan order, so parallel ≡ serial byte-for-byte;
 //!    thread count can change wall-clock time only, never results.
 //!
-//! ## Fingerprints are republication detectors
+//! ## "The same" means the same allocation
 //!
-//! Content fingerprints ([`Fingerprint`]) fold object *identities*
-//! (serials, deterministic signatures), not full content hashes. They
-//! detect republication — a CA issuing different objects — in O(1) per
-//! object. They deliberately do not detect in-place tampering with a
-//! published object's payload bytes (the fault injector does this);
-//! flows that mutate repositories behind the builder's back must start
-//! from a fresh validator, which performs a full pass.
+//! A [`Repository`] keeps every object behind an `Arc`, and
+//! [`RepositoryBuilder`](crate::repo::RepositoryBuilder) hands out the
+//! same `Arc` from every snapshot until it reissues the object. The
+//! cache keeps a pointer-copy of what it validated, and both stages
+//! compare *addresses*, never contents:
+//!
+//! * **Plan.** A point is reused iff its trust-anchor name, its issuing
+//!   certificate and every published object are pointer-identical to
+//!   the cached ones and the era contains `now` — one pointer compare
+//!   per object in the repository.
+//! * **Execute.** A dirty point runs `validate_point` in full: every
+//!   decision, in order, with every short-circuit, era narrowing, CRL
+//!   lookup, window and resource check. But the three answers that
+//!   depend on nothing except an object's bytes and the issuing key —
+//!   its manifest digest, its issuer-signature verdict, a ROA's
+//!   content-signature verdict — are taken from the previous outcome
+//!   when the object is the very allocation that outcome holds *and*
+//!   the issuing certificate is too. Republishing a 400-ROA point to
+//!   swap one ROA verifies four signatures, not 802
+//!   ([`ApplyStats::signatures_verified`]).
+//!
+//! This is sound because the address is that of an immutable value the
+//! cache itself keeps alive: it cannot be freed and handed to another
+//! object, and nobody else can edit it in place — `Arc::make_mut` on a
+//! shared object copies, which is what [`crate::faults`] does. Tampering
+//! with a repository the validator has already seen therefore shows up
+//! as new allocations and is validated like any other new object.
+//!
+//! A repository whose objects are all fresh allocations (a loaded
+//! archive, a builder replayed from its event log) shares nothing with
+//! the cache: validating it is a full pass — correct, merely not
+//! incremental.
 //!
 //! Each CA key is assumed reachable from at most one trust anchor (true
 //! of every builder-produced repository); a key shared between anchor
@@ -74,11 +100,11 @@
 //! set off the refcount table — there is no full-rebuild replay path.
 
 use crate::cert::Cert;
-use crate::repo::{Fingerprint, Repository};
+use crate::repo::{PublicationPoint, Repository};
 use crate::time::{Era, SimTime};
 use crate::validate::{
-    ca_accept_event, missing_point_event, trust_anchor_event, validate_point, PointItem,
-    PointOutcome, ValidationEvent, ValidationOptions, ValidationReport, Vrp,
+    ca_accept_event, missing_point_event, trust_anchor_event, validate_point, ObjectFacts,
+    PointFacts, PointItem, PointOutcome, ValidationEvent, ValidationOptions, ValidationReport, Vrp,
 };
 use ripki_crypto::keystore::KeyId;
 use serde::{Deserialize, Serialize};
@@ -101,6 +127,12 @@ pub struct ApplyStats {
     /// skipped (their subtree is withdrawn until the next pass).
     #[serde(default)]
     pub points_skipped: usize,
+    /// Schnorr verifications this pass executed (trust-anchor
+    /// self-signatures, CRLs, manifests, child and EE certificates, ROA
+    /// contents). A recomputed decision about an object the validator
+    /// has already seen under the same issuing certificate costs none.
+    #[serde(default)]
+    pub signatures_verified: usize,
 }
 
 impl ApplyStats {
@@ -129,20 +161,22 @@ impl VrpDelta {
     }
 }
 
-/// Cached verdict for one trust anchor, in walk order.
+/// Cached verdict for one trust anchor, in walk order. It answers for a
+/// repository's anchor that equals it by value (name and certificate).
 #[derive(Debug, Clone)]
 struct CachedTa {
-    fingerprint: Fingerprint,
+    name: Arc<str>,
+    /// The anchor certificate. One allocation for as long as the
+    /// verdict is reused, so the anchor's own publication point — whose
+    /// issuing certificate this is — can be reused with it.
+    cert: Arc<Cert>,
     era: Era,
     event: ValidationEvent,
-    /// The anchor certificate, kept so the log linearization can start
-    /// the descent without the repository.
-    cert: Cert,
-    name: String,
     usable: bool,
 }
 
-/// Cached outcome for one publication point (or its absence).
+/// Cached outcome for one publication point (or its absence), together
+/// with the inputs it was computed from.
 ///
 /// The point's event stream is pre-rendered into `chunks`: `chunks[i]`
 /// holds the events up to and including child `i`'s accept event, and
@@ -151,23 +185,32 @@ struct CachedTa {
 /// pure `Arc`-pointer work.
 #[derive(Debug, Clone)]
 struct CachedPoint {
-    ta_name: String,
-    /// Fingerprint of the issuing CA certificate.
-    ca_fp: Fingerprint,
-    /// Fingerprint of the published content; `None` caches "no
-    /// publication point exists for this CA".
-    content_fp: Option<Fingerprint>,
+    ta_name: Arc<str>,
+    /// The issuing CA certificate.
+    issuer: Arc<Cert>,
+    /// The published objects, as a pointer-copy of the publication
+    /// point: holding them is what makes their addresses identities.
+    /// `None` caches "no publication point exists for this CA".
+    published: Option<PublicationPoint>,
+    /// What validating `published` under `issuer` established about
+    /// each object, slot for slot.
+    facts: PointFacts,
     era: Era,
     /// Pre-rendered event chunks; `chunks.len() == children.len() + 1`
     /// for validated points, empty for skipped ones.
     chunks: Vec<Arc<Vec<ValidationEvent>>>,
-    /// Child CA certificates in walk order, interleaved with `chunks`.
-    children: Vec<Cert>,
+    /// Accepted child CA certificates in walk order, interleaved with
+    /// `chunks` — the allocations `published` holds, so they are the
+    /// children's issuing certificates by identity.
+    children: Vec<Arc<Cert>>,
     vrps: Vec<Vrp>,
     rejected: usize,
     /// Object decisions this entry cost to compute (what a revalidation
     /// adds to [`ApplyStats::objects_validated`]).
     objects: usize,
+    /// Signatures it cost to compute (likewise,
+    /// [`ApplyStats::signatures_verified`]).
+    signatures: usize,
     /// The execute stage panicked on this point: it holds no outcome,
     /// is never reusable, and is invisible in the event log.
     skipped: bool,
@@ -175,9 +218,9 @@ struct CachedPoint {
 
 impl CachedPoint {
     fn from_outcome(
-        ta_name: &str,
-        ca_fp: Fingerprint,
-        content_fp: Option<Fingerprint>,
+        ta_name: &Arc<str>,
+        issuer: &Arc<Cert>,
+        pp: &PublicationPoint,
         outcome: PointOutcome,
     ) -> CachedPoint {
         let rejected = outcome
@@ -188,50 +231,121 @@ impl CachedPoint {
         let objects = outcome.items.len();
         let (chunks, children) = render_chunks(&outcome.items, ta_name);
         CachedPoint {
-            ta_name: ta_name.to_string(),
-            ca_fp,
-            content_fp,
+            ta_name: Arc::clone(ta_name),
+            issuer: Arc::clone(issuer),
+            published: Some(pp.clone()),
+            facts: outcome.facts,
             era: outcome.era,
             chunks,
             children,
             vrps: outcome.vrps,
             rejected,
             objects,
+            signatures: outcome.signatures_verified,
             skipped: false,
         }
     }
 
-    fn missing(ta_name: &str, ca_fp: Fingerprint, ca_cert: &Cert) -> CachedPoint {
-        CachedPoint {
-            ta_name: ta_name.to_string(),
-            ca_fp,
-            content_fp: None,
-            era: Era::unbounded(),
-            chunks: vec![Arc::new(vec![missing_point_event(ta_name, ca_cert)])],
-            children: Vec::new(),
-            vrps: Vec::new(),
-            rejected: 1,
-            objects: 0,
-            skipped: false,
-        }
-    }
-
-    fn skipped(
-        ta_name: String,
-        ca_fp: Fingerprint,
-        content_fp: Option<Fingerprint>,
-    ) -> CachedPoint {
+    /// An entry with no outcome: `missing` and `skipped` fill it in.
+    fn empty(ta_name: Arc<str>, issuer: Arc<Cert>) -> CachedPoint {
         CachedPoint {
             ta_name,
-            ca_fp,
-            content_fp,
+            issuer,
+            published: None,
+            facts: PointFacts::default(),
             era: Era::unbounded(),
             chunks: Vec::new(),
             children: Vec::new(),
             vrps: Vec::new(),
             rejected: 0,
             objects: 0,
+            signatures: 0,
+            skipped: false,
+        }
+    }
+
+    fn missing(ta_name: Arc<str>, issuer: Arc<Cert>) -> CachedPoint {
+        let event = missing_point_event(&ta_name, &issuer);
+        CachedPoint {
+            chunks: vec![Arc::new(vec![event])],
+            rejected: 1,
+            ..CachedPoint::empty(ta_name, issuer)
+        }
+    }
+
+    fn skipped(ta_name: Arc<str>, issuer: Arc<Cert>) -> CachedPoint {
+        CachedPoint {
             skipped: true,
+            ..CachedPoint::empty(ta_name, issuer)
+        }
+    }
+
+    /// Whether this outcome still stands for `pp` (or its absence)
+    /// under `issuer` at `now`: every input is the one it was computed
+    /// from, by identity.
+    fn reusable(
+        &self,
+        ta_name: &str,
+        issuer: &Arc<Cert>,
+        pp: Option<&PublicationPoint>,
+        now: SimTime,
+    ) -> bool {
+        !self.skipped
+            && *self.ta_name == *ta_name
+            && Arc::ptr_eq(&self.issuer, issuer)
+            && match (&self.published, pp) {
+                (Some(mine), Some(theirs)) => mine.ptr_eq(theirs),
+                (None, None) => true,
+                _ => false,
+            }
+            && self.era.contains(now)
+    }
+
+    /// What this outcome established that still holds for `pp` under
+    /// `issuer`: the facts of each object of `pp` that is the very
+    /// allocation this entry holds — and nothing at all unless the
+    /// issuing certificate is, too.
+    fn recall(&self, issuer: &Arc<Cert>, pp: &PublicationPoint) -> PointFacts {
+        let mut known = PointFacts::unknown(pp);
+        let Some(mine) = &self.published else {
+            return known;
+        };
+        if !Arc::ptr_eq(&self.issuer, issuer) {
+            return known;
+        }
+        if Arc::ptr_eq(&mine.crl, &pp.crl) {
+            known.crl = self.facts.crl;
+        }
+        if Arc::ptr_eq(&mine.manifest, &pp.manifest) {
+            known.manifest = self.facts.manifest;
+        }
+        carry_over(
+            &mine.child_certs,
+            &self.facts.child_certs,
+            &pp.child_certs,
+            &mut known.child_certs,
+        );
+        carry_over(&mine.roas, &self.facts.roas, &pp.roas, &mut known.roas);
+        known
+    }
+}
+
+/// Copy the facts of each `old` object into the `known` slot of the
+/// `new` object at the same address, wherever there is one.
+fn carry_over<T>(
+    old: &[Arc<T>],
+    old_facts: &[ObjectFacts],
+    new: &[Arc<T>],
+    known: &mut [ObjectFacts],
+) {
+    let by_address: HashMap<*const T, ObjectFacts> = old
+        .iter()
+        .map(Arc::as_ptr)
+        .zip(old_facts.iter().copied())
+        .collect();
+    for (object, slot) in new.iter().zip(known) {
+        if let Some(facts) = by_address.get(&Arc::as_ptr(object)) {
+            *slot = *facts;
         }
     }
 }
@@ -241,7 +355,7 @@ impl CachedPoint {
 fn render_chunks(
     items: &[PointItem],
     ta_name: &str,
-) -> (Vec<Arc<Vec<ValidationEvent>>>, Vec<Cert>) {
+) -> (Vec<Arc<Vec<ValidationEvent>>>, Vec<Arc<Cert>>) {
     let mut chunks = Vec::new();
     let mut children = Vec::new();
     let mut current: Vec<ValidationEvent> = Vec::new();
@@ -251,7 +365,7 @@ fn render_chunks(
             PointItem::Child(child) => {
                 current.push(ca_accept_event(ta_name, child));
                 chunks.push(Arc::new(std::mem::take(&mut current)));
-                children.push((**child).clone());
+                children.push(Arc::clone(child));
             }
         }
     }
@@ -263,19 +377,20 @@ fn render_chunks(
 enum Planned {
     /// Cached outcome still valid: committed untouched.
     Reused(KeyId, CachedPoint),
-    /// No publication point for this CA — the verdict involves no
-    /// crypto, so it is computed at plan time.
-    Missing(KeyId, CachedPoint, Option<CachedPoint>),
-    /// Inputs changed: revalidated on the (parallel) execute stage.
+    /// Inputs changed (or the point is gone): the outcome is computed
+    /// on the (parallel) execute stage, which may still recall
+    /// per-object facts from `old`.
     Dirty {
         ca_id: KeyId,
-        cert: Cert,
-        ta_name: String,
-        ca_fp: Fingerprint,
-        content_fp: Option<Fingerprint>,
+        cert: Arc<Cert>,
+        ta_name: Arc<str>,
         old: Option<CachedPoint>,
     },
 }
+
+/// A CA certificate whose publication point the next wave visits, and
+/// the trust anchor it descends from.
+type Frontier = Vec<(Arc<Cert>, Arc<str>)>;
 
 /// A validator that carries per-publication-point outcome caches across
 /// repository snapshots and clock advances.
@@ -357,11 +472,18 @@ impl IncrementalValidator {
     }
 
     /// Validate `repo` as of `now`, reusing every cached publication
-    /// point whose inputs are unchanged, and return the VRP delta
-    /// relative to the previous call.
+    /// point whose inputs are unchanged and, within a changed point,
+    /// the cryptography of every object that is not new; return the VRP
+    /// delta relative to the previous call.
+    ///
+    /// "Unchanged" is object identity (see the module documentation): a
+    /// repository that shares its allocations with the previously
+    /// applied one — successive snapshots of one builder, or a clone
+    /// edited copy-on-write — costs what changed; any other repository
+    /// is a full pass.
     ///
     /// Runs as a breadth-first wave sweep: each wave plans serially
-    /// (fingerprint diffing), executes the dirty points in parallel
+    /// (pointer compares), executes the dirty points in parallel
     /// (over [`worker_threads`](Self::worker_threads) workers), and
     /// commits serially in plan order — so the outcome is byte-for-byte
     /// independent of the thread count.
@@ -382,31 +504,30 @@ impl IncrementalValidator {
 
         // Trust-anchor stage, serial: one signature check per anchor at
         // worst, and the anchors seed the first wave's frontier.
-        let mut frontier: Vec<(Cert, String)> = Vec::new();
+        let mut frontier: Frontier = Vec::new();
         for ta in &repo.trust_anchors {
-            let fp = ta.fingerprint();
             let cached = prev_tas
                 .iter()
-                .find(|c| c.fingerprint == fp && c.era.contains(now));
+                .find(|c| *c.name == *ta.name && *c.cert == ta.cert && c.era.contains(now));
             let entry = match cached {
                 Some(c) => c.clone(),
                 None => {
                     stats.objects_validated += 1;
                     log_dirty = true;
                     let mut era = Era::unbounded();
-                    let event = trust_anchor_event(ta, now, &mut era);
+                    let event =
+                        trust_anchor_event(ta, now, &mut era, &mut stats.signatures_verified);
                     CachedTa {
-                        fingerprint: fp,
+                        name: ta.name.as_str().into(),
+                        cert: Arc::new(ta.cert.clone()),
                         era,
                         usable: event.rejected.is_none(),
                         event,
-                        cert: ta.cert.clone(),
-                        name: ta.name.clone(),
                     }
                 }
             };
             if entry.usable {
-                frontier.push((entry.cert.clone(), entry.name.clone()));
+                frontier.push((Arc::clone(&entry.cert), Arc::clone(&entry.name)));
             }
             self.tas.push(entry);
         }
@@ -417,13 +538,13 @@ impl IncrementalValidator {
                 .tas
                 .iter()
                 .zip(&prev_tas)
-                .any(|(a, b)| a.fingerprint != b.fingerprint)
+                .any(|(a, b)| !Arc::ptr_eq(&a.cert, &b.cert))
         {
             log_dirty = true;
         }
 
         while !frontier.is_empty() {
-            // --- Plan (serial): diff the frontier against the cache. ---
+            // --- Plan (serial): compare the frontier with the cache. ---
             let mut plan: Vec<Planned> = Vec::with_capacity(frontier.len());
             for (cert, ta_name) in frontier.drain(..) {
                 let ca_id = cert.subject_key_id();
@@ -431,43 +552,26 @@ impl IncrementalValidator {
                     continue;
                 }
                 stats.points_total += 1;
-                let mut ca_fp = Fingerprint::new();
-                cert.fold_fingerprint(&mut ca_fp);
-                let pp = repo.points.get(&ca_id);
-                let content_fp = pp.map(super::repo::PublicationPoint::quick_fingerprint);
-                let prev_entry = prev.remove(&ca_id);
-                let reusable = prev_entry.as_ref().is_some_and(|c| {
-                    !c.skipped
-                        && c.ta_name == ta_name
-                        && c.ca_fp == ca_fp
-                        && c.content_fp == content_fp
-                        && c.era.contains(now)
-                });
-                if reusable {
-                    stats.points_reused += 1;
-                    plan.push(Planned::Reused(
-                        ca_id,
-                        prev_entry.expect("reusable entry exists"),
-                    ));
-                } else {
-                    stats.points_revalidated += 1;
-                    if pp.is_some() {
+                match prev.remove(&ca_id) {
+                    Some(entry)
+                        if entry.reusable(&ta_name, &cert, repo.points.get(&ca_id), now) =>
+                    {
+                        stats.points_reused += 1;
+                        plan.push(Planned::Reused(ca_id, entry));
+                    }
+                    old => {
+                        stats.points_revalidated += 1;
                         plan.push(Planned::Dirty {
                             ca_id,
                             cert,
                             ta_name,
-                            ca_fp,
-                            content_fp,
-                            old: prev_entry,
+                            old,
                         });
-                    } else {
-                        let entry = CachedPoint::missing(&ta_name, ca_fp, &cert);
-                        plan.push(Planned::Missing(ca_id, entry, prev_entry));
                     }
                 }
             }
 
-            // --- Execute (parallel): pure (cert, point) → outcome. ---
+            // --- Execute (parallel): pure (cert, point, old) → outcome. ---
             let dirty: Vec<&Planned> = plan
                 .iter()
                 .filter(|p| matches!(p, Planned::Dirty { .. }))
@@ -483,9 +587,7 @@ impl IncrementalValidator {
                         ca_id,
                         cert,
                         ta_name,
-                        ca_fp,
-                        content_fp,
-                        ..
+                        old,
                     } = p
                     else {
                         unreachable!("execute stage only sees dirty work items");
@@ -494,12 +596,16 @@ impl IncrementalValidator {
                         !poisoned.contains(ca_id),
                         "publication point poisoned for tests"
                     );
-                    let pp = repo
-                        .points
-                        .get(ca_id)
-                        .expect("planned dirty point has a publication point");
-                    let outcome = validate_point(cert, pp, ta_name, now, options);
-                    CachedPoint::from_outcome(ta_name, *ca_fp, *content_fp, outcome)
+                    // No publication point: a verdict without crypto.
+                    let Some(pp) = repo.points.get(ca_id) else {
+                        return CachedPoint::missing(Arc::clone(ta_name), Arc::clone(cert));
+                    };
+                    let known = match old {
+                        Some(old) => old.recall(cert, pp),
+                        None => PointFacts::unknown(pp),
+                    };
+                    let outcome = validate_point(cert, pp, ta_name, now, options, known);
+                    CachedPoint::from_outcome(ta_name, cert, pp, outcome)
                 },
             );
 
@@ -509,21 +615,15 @@ impl IncrementalValidator {
                 match planned {
                     Planned::Reused(ca_id, entry) => {
                         for child in &entry.children {
-                            frontier.push((child.clone(), entry.ta_name.clone()));
+                            frontier.push((Arc::clone(child), Arc::clone(&entry.ta_name)));
                         }
                         self.points.insert(ca_id, entry);
                     }
-                    Planned::Missing(ca_id, entry, old) => {
-                        log_dirty = true;
-                        self.commit_fresh(ca_id, entry, old, &mut frontier, &mut touched);
-                    }
                     Planned::Dirty {
                         ca_id,
+                        cert,
                         ta_name,
-                        ca_fp,
-                        content_fp,
                         old,
-                        ..
                     } => {
                         log_dirty = true;
                         let entry = match outcome_iter
@@ -532,11 +632,12 @@ impl IncrementalValidator {
                         {
                             Some(entry) => {
                                 stats.objects_validated += entry.objects;
+                                stats.signatures_verified += entry.signatures;
                                 entry
                             }
                             None => {
                                 stats.points_skipped += 1;
-                                CachedPoint::skipped(ta_name, ca_fp, content_fp)
+                                CachedPoint::skipped(ta_name, cert)
                             }
                         };
                         self.commit_fresh(ca_id, entry, old, &mut frontier, &mut touched);
@@ -586,7 +687,7 @@ impl IncrementalValidator {
         ca_id: KeyId,
         entry: CachedPoint,
         old: Option<CachedPoint>,
-        frontier: &mut Vec<(Cert, String)>,
+        frontier: &mut Frontier,
         touched: &mut HashMap<Vrp, bool>,
     ) {
         if let Some(old) = old {
@@ -594,7 +695,7 @@ impl IncrementalValidator {
         }
         self.acquire_vrps(&entry.vrps, touched);
         for child in &entry.children {
-            frontier.push((child.clone(), entry.ta_name.clone()));
+            frontier.push((Arc::clone(child), Arc::clone(&entry.ta_name)));
         }
         self.points.insert(ca_id, entry);
     }
@@ -936,6 +1037,208 @@ mod tests {
         let delta = inc.apply(&repo, now);
         assert_eq!(delta.announced.len(), 1);
         assert_equiv(&inc, &repo, now);
+    }
+
+    /// TA → ISP-1 holding `n` ROAs and ISP-2 holding one, all valid, and
+    /// a validator that has seen the first snapshot.
+    fn counted_world(n: usize) -> (RepositoryBuilder, KeyId, IncrementalValidator) {
+        let mut b = RepositoryBuilder::new(5, SimTime::EPOCH);
+        let ta = b.add_trust_anchor("RIPE", res(&["80.0.0.0/4"]));
+        let isp1 = b.add_ca(ta, "ISP-1", res(&["85.0.0.0/8"])).unwrap();
+        let isp2 = b.add_ca(ta, "ISP-2", res(&["86.0.0.0/8"])).unwrap();
+        for k in 0..n {
+            let prefix = p(&format!("85.{k}.0.0/16"));
+            b.add_roa(isp1, Asn::new(100), vec![RoaPrefix::exact(prefix)])
+                .unwrap();
+        }
+        b.add_roa(
+            isp2,
+            Asn::new(200),
+            vec![RoaPrefix::exact(p("86.1.0.0/16"))],
+        )
+        .unwrap();
+        let mut inc = IncrementalValidator::default();
+        inc.apply(&b.snapshot(), NOW);
+        (b, isp1, inc)
+    }
+
+    /// One day in: every window the builder opens at the epoch is current.
+    const NOW: SimTime = SimTime(Duration::days(1).0);
+
+    /// The sizes every count below is taken at: the cost of an edit must
+    /// not depend on how many ROAs sit beside it.
+    const SIBLINGS: [usize; 2] = [1, 40];
+
+    #[test]
+    fn first_pass_verifies_every_signature_once() {
+        for n in SIBLINGS {
+            let (mut b, _, _) = counted_world(n);
+            let repo = b.snapshot();
+            let expected = repo.trust_anchors.len()
+                + repo
+                    .points
+                    .values()
+                    .map(|pp| 2 + pp.child_certs.len() + 2 * pp.roas.len())
+                    .sum::<usize>();
+            assert_eq!(expected, 11 + 2 * n);
+            let stats = IncrementalValidator::default().apply(&repo, NOW).stats;
+            assert_eq!(stats.signatures_verified, expected, "n={n}");
+        }
+    }
+
+    #[test]
+    fn unchanged_repository_verifies_nothing() {
+        for n in SIBLINGS {
+            let (mut b, _, mut inc) = counted_world(n);
+            let stats = inc.apply(&b.snapshot(), NOW).stats;
+            assert_eq!(stats.signatures_verified, 0, "n={n}");
+            assert_eq!(stats.points_revalidated, 0);
+        }
+    }
+
+    #[test]
+    fn added_roa_costs_four_signatures() {
+        for n in SIBLINGS {
+            let (mut b, isp1, mut inc) = counted_world(n);
+            b.add_roa(
+                isp1,
+                Asn::new(101),
+                vec![RoaPrefix::exact(p("85.200.0.0/16"))],
+            )
+            .unwrap();
+            let repo = b.snapshot();
+            let delta = inc.apply(&repo, NOW);
+            // CRL, manifest, the new EE certificate, the new content.
+            assert_eq!(delta.stats.signatures_verified, 4, "n={n}");
+            // Every decision at the point is still re-derived.
+            assert_eq!(delta.stats.objects_validated, n + 1);
+            assert_eq!(delta.announced.len(), 1);
+            assert_equiv(&inc, &repo, NOW);
+        }
+    }
+
+    #[test]
+    fn republication_costs_two_signatures() {
+        for n in SIBLINGS {
+            let (mut b, isp1, mut inc) = counted_world(n);
+            b.republish(isp1).unwrap();
+            let repo = b.snapshot();
+            let delta = inc.apply(&repo, NOW);
+            assert_eq!(delta.stats.signatures_verified, 2, "n={n}");
+            assert_eq!(delta.stats.objects_validated, n);
+            assert!(delta.is_empty());
+            assert_equiv(&inc, &repo, NOW);
+        }
+    }
+
+    #[test]
+    fn revocation_flips_a_decision_without_new_signatures() {
+        for n in SIBLINGS {
+            let (mut b, isp1, mut inc) = counted_world(n);
+            let (_, serial, _) = b.list_roas()[0];
+            b.revoke(isp1, serial).unwrap();
+            let repo = b.snapshot();
+            let delta = inc.apply(&repo, NOW);
+            // The new CRL and manifest; the revoked EE's signature is
+            // remembered and the CRL lookup alone rejects it.
+            assert_eq!(delta.stats.signatures_verified, 2, "n={n}");
+            assert_eq!(delta.withdrawn.len(), 1);
+            assert_equiv(&inc, &repo, NOW);
+        }
+    }
+
+    #[test]
+    fn expiry_sweep_verifies_nothing() {
+        for n in SIBLINGS {
+            // ROAs directly under the anchor, so that one of them can
+            // lapse before its issuing certificate does: one issued at
+            // the epoch, `n` a hundred days later.
+            let mut b = RepositoryBuilder::new(5, SimTime::EPOCH).crl_validity(Duration::years(3));
+            let ta = b.add_trust_anchor("RIPE", res(&["80.0.0.0/4"]));
+            b.add_roa(ta, Asn::new(99), vec![RoaPrefix::exact(p("84.0.0.0/16"))])
+                .unwrap();
+            b.set_now(SimTime::EPOCH + Duration::days(100));
+            for k in 0..n {
+                let prefix = p(&format!("85.{k}.0.0/16"));
+                b.add_roa(ta, Asn::new(100), vec![RoaPrefix::exact(prefix)])
+                    .unwrap();
+            }
+            let repo = b.snapshot();
+            let mut inc = IncrementalValidator::default();
+            inc.apply(&repo, SimTime::EPOCH + Duration::days(101));
+            assert_eq!(inc.vrps().len(), n + 1);
+
+            let late = SimTime::EPOCH + Duration::years(1) + Duration::days(1);
+            let delta = inc.apply(&repo, late);
+            assert_eq!(delta.stats.points_revalidated, 1);
+            assert_eq!(delta.stats.objects_validated, n + 1);
+            assert_eq!(delta.stats.signatures_verified, 0, "n={n}");
+            assert_eq!(delta.withdrawn.len(), 1);
+            assert_eq!(delta.withdrawn[0].asn, Asn::new(99));
+            assert_equiv(&inc, &repo, late);
+        }
+    }
+
+    #[test]
+    fn key_rollover_reverifies_only_what_the_new_key_signed() {
+        for n in SIBLINGS {
+            let (mut b, isp1, mut inc) = counted_world(n);
+            b.rollover_key(isp1).unwrap();
+            let repo = b.snapshot();
+            let delta = inc.apply(&repo, NOW);
+            // At the parent: CRL, manifest and the replacement child
+            // certificate (ISP-2's is remembered). Under the new key
+            // nothing is: CRL, manifest, and every reissued ROA's EE
+            // certificate and content.
+            assert_eq!(delta.stats.signatures_verified, 3 + 2 + 2 * n, "n={n}");
+            assert_eq!(delta.stats.points_revalidated, 2);
+            assert!(delta.is_empty());
+            assert_equiv(&inc, &repo, NOW);
+        }
+    }
+
+    /// The `churn_rpki` epoch at a reduced size: four CAs each retire
+    /// their oldest ROA and issue a fresh one.
+    #[test]
+    fn swap_epoch_verifies_four_signatures_per_republished_point() {
+        const ROAS: usize = 10;
+        let mut b = RepositoryBuilder::new(5, SimTime::EPOCH);
+        let mut cas = Vec::new();
+        for t in 0..2 {
+            let ta = b.add_trust_anchor(&format!("TA-{t}"), res(&[&format!("{}.0.0.0/8", 10 + t)]));
+            for c in 0..3 {
+                let block = format!("{}.{c}.0.0/16", 10 + t);
+                let ca = b
+                    .add_ca(ta, &format!("CA-{t}-{c}"), res(&[&block]))
+                    .unwrap();
+                for k in 0..ROAS {
+                    let prefix = p(&format!("{}.{c}.{k}.0/24", 10 + t));
+                    b.add_roa(ca, Asn::new(100), vec![RoaPrefix::exact(prefix)])
+                        .unwrap();
+                }
+                cas.push((t, c, ca));
+            }
+        }
+        let mut inc = IncrementalValidator::default();
+        inc.apply(&b.snapshot(), NOW);
+
+        let published = b.list_roas();
+        for &(t, c, ca) in &cas[..4] {
+            let (_, oldest, _) = published.iter().find(|(owner, _, _)| *owner == ca).unwrap();
+            b.remove_roa(ca, *oldest).unwrap();
+            let prefix = p(&format!("{}.{c}.200.0/24", 10 + t));
+            b.add_roa(ca, Asn::new(500), vec![RoaPrefix::exact(prefix)])
+                .unwrap();
+        }
+        let repo = b.snapshot();
+        let delta = inc.apply(&repo, NOW);
+        assert_eq!(delta.stats.points_revalidated, 4);
+        assert_eq!(delta.stats.objects_validated, 4 * ROAS);
+        // Per point: CRL, manifest, one EE certificate, one content —
+        // where validating the point afresh costs 2 + 2·ROAS.
+        assert_eq!(delta.stats.signatures_verified, 4 * 4);
+        assert_eq!((delta.announced.len(), delta.withdrawn.len()), (4, 4));
+        assert_equiv(&inc, &repo, NOW);
     }
 
     /// Two-CA world for the panic-isolation cases below.

@@ -135,14 +135,6 @@ impl Manifest {
     pub fn digest_of(&self, name: &str) -> Option<&Digest> {
         self.entries.get(name)
     }
-
-    /// Fold this manifest into a republication fingerprint. Number +
-    /// deterministic signature (covering window and every entry hash)
-    /// distinguish any two distinctly issued manifests in O(1).
-    pub fn fold_fingerprint(&self, fp: &mut crate::repo::Fingerprint) {
-        fp.write_u64(self.manifest_number);
-        fp.write(&self.signature.to_bytes());
-    }
 }
 
 impl fmt::Display for Manifest {

@@ -18,61 +18,27 @@ use ripki_crypto::keystore::{KeyId, Keypair};
 use ripki_net::Asn;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-
-/// An order-sensitive FNV-1a accumulator for cheap change detection.
-///
-/// The incremental validator needs to ask "did this publication point
-/// change since I last validated it?" without re-hashing every object
-/// (that would cost as much as the manifest-consistency check it is
-/// trying to avoid). Signed objects already carry a deterministic
-/// signature over their full to-be-signed encoding, so folding the
-/// signatures (plus serials and counts) detects any republication at a
-/// few nanoseconds per object.
-///
-/// This is a *republication* detector, not a tamper detector: mutating
-/// an object's payload in place without re-signing it (as the fault
-/// injector does) leaves the fingerprint unchanged. Validators that may
-/// face such repositories must start from a fresh full pass; see the
-/// republication contract in `incremental`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fingerprint(u64);
-
-impl Fingerprint {
-    /// FNV-1a offset basis.
-    pub fn new() -> Fingerprint {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Fold raw bytes (order-sensitive).
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Fold one integer.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
-impl Default for Fingerprint {
-    fn default() -> Fingerprint {
-        Fingerprint::new()
-    }
-}
+use std::sync::Arc;
 
 /// Everything one CA publishes.
+///
+/// Every object sits behind an `Arc`, so a snapshot is *persistent*:
+/// cloning a point (or a whole [`Repository`]) copies pointers, two
+/// successive [`RepositoryBuilder::snapshot`]s share every object that
+/// was not reissued in between, and editing an object through
+/// `Arc::make_mut` copies that one object and leaves every other holder
+/// of it untouched. The incremental validator relies on exactly this:
+/// an object it still holds cannot change underneath it.
 #[derive(Debug, Clone)]
 pub struct PublicationPoint {
     /// Certificates this CA issued to subordinate CAs.
-    pub child_certs: Vec<Cert>,
+    pub child_certs: Vec<Arc<Cert>>,
     /// ROAs published by this CA.
-    pub roas: Vec<Roa>,
+    pub roas: Vec<Arc<Roa>>,
     /// The CA's current CRL.
-    pub crl: Crl,
+    pub crl: Arc<Crl>,
     /// The CA's current manifest.
-    pub manifest: Manifest,
+    pub manifest: Arc<Manifest>,
 }
 
 impl PublicationPoint {
@@ -89,24 +55,20 @@ impl PublicationPoint {
     /// Canonical file name of the CRL.
     pub const CRL_FILE_NAME: &'static str = "ca.crl";
 
-    /// Cheap content fingerprint of the whole point (CRL, manifest,
-    /// child certificates, ROAs — in publication order). Two points
-    /// published through [`RepositoryBuilder`] compare equal iff nothing
-    /// at the point was republished; see [`Fingerprint`] for the
-    /// contract and its limits.
-    pub fn quick_fingerprint(&self) -> Fingerprint {
-        let mut fp = Fingerprint::new();
-        self.crl.fold_fingerprint(&mut fp);
-        self.manifest.fold_fingerprint(&mut fp);
-        fp.write_u64(self.child_certs.len() as u64);
-        for cert in &self.child_certs {
-            cert.fold_fingerprint(&mut fp);
+    /// Whether `self` and `other` publish the very same objects — the
+    /// same allocations in the same order, not merely equal values. Two
+    /// snapshots of one [`RepositoryBuilder`] agree on a point iff
+    /// nothing there was reissued in between; a point whose objects
+    /// were allocated afresh (a loaded archive, a replayed builder)
+    /// agrees with nothing but its own clones.
+    pub fn ptr_eq(&self, other: &PublicationPoint) -> bool {
+        fn all_ptr_eq<T>(a: &[Arc<T>], b: &[Arc<T>]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
         }
-        fp.write_u64(self.roas.len() as u64);
-        for roa in &self.roas {
-            roa.fold_fingerprint(&mut fp);
-        }
-        fp
+        Arc::ptr_eq(&self.crl, &other.crl)
+            && Arc::ptr_eq(&self.manifest, &other.manifest)
+            && all_ptr_eq(&self.child_certs, &other.child_certs)
+            && all_ptr_eq(&self.roas, &other.roas)
     }
 }
 
@@ -140,7 +102,9 @@ impl Repository {
     /// Iterate all ROAs (regardless of validity — validation is the
     /// relying party's job).
     pub fn all_roas(&self) -> impl Iterator<Item = &Roa> {
-        self.points.values().flat_map(|p| p.roas.iter())
+        self.points
+            .values()
+            .flat_map(|p| p.roas.iter().map(|r| &**r))
     }
 }
 
@@ -196,20 +160,20 @@ impl std::error::Error for BuildError {}
 struct CaState {
     name: String,
     keys: Keypair,
-    cert: Cert,
-    children: Vec<Cert>,
-    roas: Vec<Roa>,
+    cert: Arc<Cert>,
+    children: Vec<Arc<Cert>>,
+    roas: Vec<Arc<Roa>>,
     revoked: BTreeSet<u64>,
     is_trust_anchor: bool,
     /// Key generation, bumped on rollover (keys derive from name + gen).
     generation: u32,
-    /// The CRL/manifest pair signed at the last snapshot, reused while
-    /// the point's content is unchanged. `None` marks the point dirty:
-    /// the next [`RepositoryBuilder::snapshot`] re-signs it. Real CAs
-    /// behave the same way — a manifest is only reissued when the point
-    /// republishes — and the incremental validator's change detection
-    /// relies on it.
-    published: Option<(Crl, Manifest)>,
+    /// The CRL/manifest pair signed at the last snapshot, handed out
+    /// again (the same allocations) while the point's content is
+    /// unchanged. `None` marks the point dirty: the next
+    /// [`RepositoryBuilder::snapshot`] re-signs it. Real CAs behave the
+    /// same way — a manifest is only reissued when the point
+    /// republishes.
+    published: Option<(Arc<Crl>, Arc<Manifest>)>,
 }
 
 /// The issuing side of the RPKI: builds a consistent [`Repository`].
@@ -278,7 +242,7 @@ impl RepositoryBuilder {
     pub fn add_trust_anchor(&mut self, name: &str, resources: Resources) -> KeyId {
         let keys = Keypair::derive(self.master_seed, &format!("ta/{name}"));
         let serial = self.next_serial();
-        let cert = Cert::issue(
+        let cert = Arc::new(Cert::issue(
             serial,
             name,
             keys.public,
@@ -287,7 +251,7 @@ impl RepositoryBuilder {
             Validity::starting(self.now, Duration::years(10)),
             resources,
             true,
-        );
+        ));
         let id = keys.key_id;
         self.cas.insert(
             id,
@@ -331,7 +295,7 @@ impl RepositoryBuilder {
             });
         }
         let keys = Keypair::derive(self.master_seed, &format!("ca/{name}"));
-        let cert = Cert::issue(
+        let cert = Arc::new(Cert::issue(
             serial,
             name,
             keys.public,
@@ -340,11 +304,11 @@ impl RepositoryBuilder {
             Validity::starting(self.now, self.cert_validity),
             resources,
             true,
-        );
+        ));
         let id = keys.key_id;
         {
             let parent_state = self.cas.get_mut(&parent).expect("parent just looked up");
-            parent_state.children.push(cert.clone());
+            parent_state.children.push(Arc::clone(&cert));
             parent_state.published = None;
         }
         self.cas.insert(
@@ -397,7 +361,7 @@ impl RepositoryBuilder {
             prefixes,
             Validity::starting(now, validity_dur),
         );
-        state.roas.push(roa);
+        state.roas.push(Arc::new(roa));
         state.published = None;
         Ok(())
     }
@@ -524,7 +488,7 @@ impl RepositoryBuilder {
         let new_id = keys.key_id;
         let cert = {
             let parent_state = &self.cas[&parent];
-            Cert::issue(
+            Arc::new(Cert::issue(
                 serial,
                 &name,
                 keys.public,
@@ -533,12 +497,12 @@ impl RepositoryBuilder {
                 Validity::starting(self.now, self.cert_validity),
                 resources,
                 true,
-            )
+            ))
         };
         {
             let parent_state = self.cas.get_mut(&parent).expect("parent just looked up");
             parent_state.children.retain(|c| c.subject_key_id() != ca);
-            parent_state.children.push(cert.clone());
+            parent_state.children.push(Arc::clone(&cert));
             parent_state.revoked.insert(old_serial);
             parent_state.published = None;
         }
@@ -581,6 +545,10 @@ impl RepositoryBuilder {
     /// CA would (manifests are only replaced when the point
     /// republishes). Each call bumps the global manifest number, so
     /// every republication carries a strictly larger number (RFC 9286).
+    ///
+    /// The snapshot shares its objects with the builder and with every
+    /// earlier snapshot: an object is a new allocation only when it was
+    /// issued since (see [`PublicationPoint::ptr_eq`]).
     pub fn snapshot(&mut self) -> Repository {
         self.manifest_number += 1;
         let manifest_number = self.manifest_number;
@@ -591,7 +559,7 @@ impl RepositoryBuilder {
             let state = self.cas.get_mut(id).expect("ordered CA exists");
             if state.is_trust_anchor {
                 repo.trust_anchors
-                    .push(TrustAnchor::new(state.name.clone(), state.cert.clone()));
+                    .push(TrustAnchor::new(state.name.clone(), (*state.cert).clone()));
             }
             let stale = match &state.published {
                 Some((crl, manifest)) => !crl.is_current(now) || !manifest.is_current(now),
@@ -619,7 +587,7 @@ impl RepositoryBuilder {
                     entries,
                     crl_window,
                 );
-                state.published = Some((crl, manifest));
+                state.published = Some((Arc::new(crl), Arc::new(manifest)));
             }
             let (crl, manifest) = state.published.clone().expect("published just ensured");
             repo.points.insert(
@@ -821,41 +789,41 @@ mod tests {
         let isp = b.add_ca(ta, "ISP-1", res(&["85.0.0.0/8"])).unwrap();
         b.add_roa(isp, Asn::new(100), vec![RoaPrefix::exact(p("85.1.0.0/16"))])
             .unwrap();
+        b.add_roa(isp, Asn::new(101), vec![RoaPrefix::exact(p("85.3.0.0/16"))])
+            .unwrap();
         let first = b.snapshot();
 
-        // Only the ISP republishes; the TA's point is untouched.
+        // Only the ISP republishes; the TA's point is untouched and is
+        // handed out again as the very same objects.
         b.add_roa(isp, Asn::new(200), vec![RoaPrefix::exact(p("85.2.0.0/16"))])
             .unwrap();
         let second = b.snapshot();
-        assert_eq!(first.points[&ta].manifest, second.points[&ta].manifest);
-        assert_eq!(first.points[&ta].crl, second.points[&ta].crl);
-        assert_eq!(
-            first.points[&ta].quick_fingerprint(),
-            second.points[&ta].quick_fingerprint()
-        );
-        assert_ne!(
-            first.points[&isp].manifest.manifest_number,
-            second.points[&isp].manifest.manifest_number
-        );
-        assert_ne!(
-            first.points[&isp].quick_fingerprint(),
-            second.points[&isp].quick_fingerprint()
-        );
+        assert!(first.points[&ta].ptr_eq(&second.points[&ta]));
+        assert!(first.points[&ta].ptr_eq(&first.clone().points[&ta]));
 
-        // An explicit republish replaces the manifest without changing
-        // the published objects.
+        // The point that gained a ROA keeps every old ROA and has a new
+        // CRL and manifest.
+        let (old, new) = (&first.points[&isp], &second.points[&isp]);
+        assert!(!old.ptr_eq(new));
+        assert_eq!(new.roas.len(), old.roas.len() + 1);
+        for (a, b) in old.roas.iter().zip(&new.roas) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        assert!(!Arc::ptr_eq(&old.crl, &new.crl));
+        assert!(!Arc::ptr_eq(&old.manifest, &new.manifest));
+        assert_eq!(new.manifest.manifest_number, 2);
+
+        // An explicit republish replaces exactly the CRL and manifest.
         b.republish(ta).unwrap();
         let third = b.snapshot();
-        assert_ne!(second.points[&ta].manifest, third.points[&ta].manifest);
-        assert_eq!(third.points[&ta].manifest.manifest_number, 3);
-        assert_ne!(
-            second.points[&ta].quick_fingerprint(),
-            third.points[&ta].quick_fingerprint()
-        );
-        assert_eq!(
-            second.points[&ta].child_certs.len(),
-            third.points[&ta].child_certs.len()
-        );
+        let (old, new) = (&second.points[&ta], &third.points[&ta]);
+        assert!(!Arc::ptr_eq(&old.crl, &new.crl));
+        assert!(!Arc::ptr_eq(&old.manifest, &new.manifest));
+        assert_ne!(old.manifest, new.manifest);
+        assert_eq!(new.manifest.manifest_number, 3);
+        assert_eq!(new.child_certs.len(), 1);
+        assert!(Arc::ptr_eq(&old.child_certs[0], &new.child_certs[0]));
+        assert!(second.points[&isp].ptr_eq(&third.points[&isp]));
     }
 
     #[test]

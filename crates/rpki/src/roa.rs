@@ -106,14 +106,6 @@ impl Roa {
         sha256(&self.encoded())
     }
 
-    /// Fold this ROA into a republication fingerprint: the EE
-    /// certificate identity plus the content signature (which covers the
-    /// ASN and every prefix entry).
-    pub fn fold_fingerprint(&self, fp: &mut crate::repo::Fingerprint) {
-        self.ee.fold_fingerprint(fp);
-        fp.write(&self.signature.to_bytes());
-    }
-
     /// Self-delimiting encoding for archives: the EE certificate,
     /// content, and signature each framed in an outer TLV.
     pub fn archive_encoded(&self) -> Vec<u8> {

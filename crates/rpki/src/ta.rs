@@ -32,16 +32,6 @@ impl TrustAnchor {
             cert,
         }
     }
-
-    /// Republication fingerprint of the anchor: its (operator-assigned)
-    /// name plus the certificate identity. The incremental validator
-    /// keys its cached trust-anchor verdicts on this.
-    pub fn fingerprint(&self) -> crate::repo::Fingerprint {
-        let mut fp = crate::repo::Fingerprint::new();
-        fp.write(self.name.as_bytes());
-        self.cert.fold_fingerprint(&mut fp);
-        fp
-    }
 }
 
 impl fmt::Display for TrustAnchor {

@@ -24,10 +24,12 @@ use crate::repo::{PublicationPoint, Repository};
 use crate::ta::TrustAnchor;
 use crate::time::{Era, SimTime};
 use ripki_crypto::keystore::KeyId;
+use ripki_crypto::sha256::Digest;
 pub use ripki_net::Vrp;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why an object was rejected.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -184,7 +186,9 @@ pub fn validate_with(
     let mut vrps: HashSet<Vrp> = HashSet::new();
     for ta in &repo.trust_anchors {
         let mut era = Era::unbounded();
-        report.log.push(trust_anchor_event(ta, now, &mut era));
+        report
+            .log
+            .push(trust_anchor_event(ta, now, &mut era, &mut 0));
         if report.log.last().is_some_and(|e| e.rejected.is_some()) {
             continue;
         }
@@ -210,13 +214,20 @@ pub fn validate_with(
 /// Check a trust anchor certificate and produce its accept/reject event.
 ///
 /// `era` is narrowed to the interval of `now` values over which the
-/// verdict is unchanged (the incremental validator caches on it).
-pub(crate) fn trust_anchor_event(ta: &TrustAnchor, now: SimTime, era: &mut Era) -> ValidationEvent {
+/// verdict is unchanged (the incremental validator caches on it);
+/// `verified` counts the self-signature check if the walk reaches it.
+pub(crate) fn trust_anchor_event(
+    ta: &TrustAnchor,
+    now: SimTime,
+    era: &mut Era,
+    verified: &mut usize,
+) -> ValidationEvent {
     let cert = &ta.cert;
     let desc = format!("trust anchor \"{}\"", ta.name);
     if !cert.is_self_signed() || !cert.is_ca {
         return ValidationEvent::rejected(&ta.name, desc, RejectReason::MalformedTrustAnchor);
     }
+    *verified += 1;
     if !cert.verify_signature(&cert.subject_key) {
         return ValidationEvent::rejected(&ta.name, desc, RejectReason::BadSignature);
     }
@@ -237,15 +248,74 @@ fn window_reason(cert: &Cert, now: SimTime) -> Option<RejectReason> {
     }
 }
 
-/// Compare the manifest against the actually published objects.
-fn manifest_consistency(pp: &PublicationPoint) -> Result<(), String> {
-    let mut expected: Vec<(String, ripki_crypto::sha256::Digest)> = Vec::new();
-    expected.push((PublicationPoint::CRL_FILE_NAME.to_string(), pp.crl.digest()));
-    for cert in &pp.child_certs {
-        expected.push((PublicationPoint::cert_file_name(cert), cert.digest()));
+/// What validating a publication point established about one of its
+/// objects that neither the clock nor a CRL can change: each is a
+/// function of the object's bytes and (for `issuer_signed`) the issuing
+/// key alone. `None` means the walk never needed the answer — it
+/// short-circuited first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ObjectFacts {
+    /// SHA-256 of the full encoding, as a manifest lists it.
+    digest: Option<Digest>,
+    /// Whether the object's signature verifies under the issuing CA key.
+    issuer_signed: Option<bool>,
+    /// ROAs only: whether the content verifies under the EE key.
+    content_signed: Option<bool>,
+}
+
+/// The [`ObjectFacts`] of every object of one publication point, slot
+/// for slot in publication order.
+///
+/// [`validate_point`] takes one in — what the caller already knows —
+/// and hands it back completed by whatever it had to compute. The full
+/// walk knows nothing ([`PointFacts::unknown`]); the incremental
+/// validator carries over the facts of objects it has seen before.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct PointFacts {
+    pub crl: ObjectFacts,
+    pub manifest: ObjectFacts,
+    pub child_certs: Vec<ObjectFacts>,
+    pub roas: Vec<ObjectFacts>,
+}
+
+impl PointFacts {
+    /// Nothing known about any object of `pp`.
+    pub fn unknown(pp: &PublicationPoint) -> PointFacts {
+        PointFacts {
+            child_certs: vec![ObjectFacts::default(); pp.child_certs.len()],
+            roas: vec![ObjectFacts::default(); pp.roas.len()],
+            ..PointFacts::default()
+        }
     }
-    for roa in &pp.roas {
-        expected.push((PublicationPoint::roa_file_name(roa), roa.digest()));
+}
+
+/// A signature verdict: the known one if there is one, otherwise
+/// verified now, counted and remembered.
+fn verdict(known: &mut Option<bool>, verified: &mut usize, verify: impl FnOnce() -> bool) -> bool {
+    *known.get_or_insert_with(|| {
+        *verified += 1;
+        verify()
+    })
+}
+
+/// Compare the manifest against the actually published objects.
+fn manifest_consistency(pp: &PublicationPoint, facts: &mut PointFacts) -> Result<(), String> {
+    let mut expected: Vec<(String, Digest)> = Vec::new();
+    expected.push((
+        PublicationPoint::CRL_FILE_NAME.to_string(),
+        *facts.crl.digest.get_or_insert_with(|| pp.crl.digest()),
+    ));
+    for (cert, known) in pp.child_certs.iter().zip(&mut facts.child_certs) {
+        expected.push((
+            PublicationPoint::cert_file_name(cert),
+            *known.digest.get_or_insert_with(|| cert.digest()),
+        ));
+    }
+    for (roa, known) in pp.roas.iter().zip(&mut facts.roas) {
+        expected.push((
+            PublicationPoint::roa_file_name(roa),
+            *known.digest.get_or_insert_with(|| roa.digest()),
+        ));
     }
     for (name, digest) in &expected {
         match pp.manifest.digest_of(name) {
@@ -275,9 +345,10 @@ pub(crate) enum PointItem {
     /// A terminal decision: point-level failure, child/ROA reject, or
     /// ROA accept.
     Event(ValidationEvent),
-    /// An accepted subordinate CA certificate; the walk emits its accept
-    /// event and recurses into its publication point.
-    Child(Box<Cert>),
+    /// An accepted subordinate CA certificate — the publication point's
+    /// own allocation; the walk emits its accept event and recurses into
+    /// its publication point.
+    Child(Arc<Cert>),
 }
 
 /// The complete, self-contained outcome of validating one publication
@@ -292,6 +363,11 @@ pub(crate) struct PointOutcome {
     /// Interval of `now` values over which this outcome is unchanged.
     /// Every validity window the walk consulted narrows it.
     pub era: Era,
+    /// The facts the walk was given, completed by those it computed.
+    pub facts: PointFacts,
+    /// Schnorr verifications the walk executed itself, i.e. signature
+    /// verdicts it was not given.
+    pub signatures_verified: usize,
 }
 
 /// The accept event emitted for a subordinate CA certificate.
@@ -318,23 +394,41 @@ pub(crate) fn missing_point_event(ta_name: &str, ca_cert: &Cert) -> ValidationEv
 /// narrowed by windows the walk actually consulted: a child whose
 /// signature fails is rejected regardless of time, so its window does
 /// not constrain the outcome.
+///
+/// `known` holds what the caller already established about `pp`'s
+/// objects *under this very `ca_cert`*. Every decision is still taken,
+/// in the same order with the same short-circuits; a known fact only
+/// replaces the computation that would have produced it.
 pub(crate) fn validate_point(
     ca_cert: &Cert,
     pp: &PublicationPoint,
     ta_name: &str,
     now: SimTime,
     options: ValidationOptions,
+    known: PointFacts,
 ) -> PointOutcome {
+    // A short slot list would silently drop objects from the zips below.
+    assert!(
+        known.child_certs.len() == pp.child_certs.len() && known.roas.len() == pp.roas.len(),
+        "known facts do not line up with the publication point"
+    );
     let mut out = PointOutcome {
         items: Vec::new(),
         vrps: Vec::new(),
         era: Era::unbounded(),
+        facts: known,
+        signatures_verified: 0,
     };
     let ca_desc = format!("publication point of \"{}\"", ca_cert.subject);
+    let ca_key = &ca_cert.subject_key;
 
     // CRL checks. A broken CRL makes revocation status unknowable; the
     // point is unusable.
-    if !pp.crl.verify_signature(&ca_cert.subject_key) {
+    if !verdict(
+        &mut out.facts.crl.issuer_signed,
+        &mut out.signatures_verified,
+        || pp.crl.verify_signature(ca_key),
+    ) {
         out.items.push(PointItem::Event(ValidationEvent::rejected(
             ta_name,
             ca_desc,
@@ -353,7 +447,11 @@ pub(crate) fn validate_point(
     }
 
     // Manifest checks.
-    let manifest_ok = if !pp.manifest.verify_signature(&ca_cert.subject_key) {
+    let manifest_ok = if !verdict(
+        &mut out.facts.manifest.issuer_signed,
+        &mut out.signatures_verified,
+        || pp.manifest.verify_signature(ca_key),
+    ) {
         out.items.push(PointItem::Event(ValidationEvent::rejected(
             ta_name,
             &ca_desc,
@@ -369,7 +467,7 @@ pub(crate) fn validate_point(
                 RejectReason::BadManifest(Box::new(RejectReason::Expired)),
             )));
             false
-        } else if let Err(detail) = manifest_consistency(pp) {
+        } else if let Err(detail) = manifest_consistency(pp, &mut out.facts) {
             out.items.push(PointItem::Event(ValidationEvent::rejected(
                 ta_name,
                 &ca_desc,
@@ -385,8 +483,12 @@ pub(crate) fn validate_point(
     }
 
     // Subordinate CA certificates.
-    for child in &pp.child_certs {
-        let reason = if !child.verify_signature(&ca_cert.subject_key) {
+    for (child, known) in pp.child_certs.iter().zip(&mut out.facts.child_certs) {
+        let reason = if !verdict(
+            &mut known.issuer_signed,
+            &mut out.signatures_verified,
+            || child.verify_signature(ca_key),
+        ) {
             Some(RejectReason::BadSignature)
         } else if pp.crl.is_revoked(child.serial) {
             Some(RejectReason::Revoked)
@@ -409,14 +511,18 @@ pub(crate) fn validate_point(
                     ta_name, desc, r,
                 )));
             }
-            None => out.items.push(PointItem::Child(Box::new(child.clone()))),
+            None => out.items.push(PointItem::Child(Arc::clone(child))),
         }
     }
 
     // ROAs.
-    for roa in &pp.roas {
+    for (roa, known) in pp.roas.iter().zip(&mut out.facts.roas) {
         let ee = &roa.ee;
-        let reason = if !ee.verify_signature(&ca_cert.subject_key) {
+        let reason = if !verdict(
+            &mut known.issuer_signed,
+            &mut out.signatures_verified,
+            || ee.verify_signature(ca_key),
+        ) {
             Some(RejectReason::BadSignature)
         } else if pp.crl.is_revoked(ee.serial) {
             Some(RejectReason::Revoked)
@@ -428,7 +534,11 @@ pub(crate) fn validate_point(
                 Some(RejectReason::UnexpectedCa)
             } else if !ca_cert.resources.encompasses(&ee.resources) {
                 Some(RejectReason::ResourceOverclaim)
-            } else if !roa.verify_content_signature() {
+            } else if !verdict(
+                &mut known.content_signed,
+                &mut out.signatures_verified,
+                || roa.verify_content_signature(),
+            ) {
                 Some(RejectReason::BadContentSignature)
             } else if roa.prefixes.iter().any(|rp| !rp.is_well_formed()) {
                 Some(RejectReason::MalformedRoaPrefix)
@@ -478,7 +588,7 @@ fn walk_ca(
         report.log.push(missing_point_event(ta_name, ca_cert));
         return;
     };
-    let outcome = validate_point(ca_cert, pp, ta_name, now, options);
+    let outcome = validate_point(ca_cert, pp, ta_name, now, options, PointFacts::unknown(pp));
     for item in outcome.items {
         match item {
             PointItem::Event(event) => report.log.push(event),
@@ -628,7 +738,7 @@ mod tests {
         let (mut repo, now) = happy_repo();
         for pp in repo.points.values_mut() {
             for roa in &mut pp.roas {
-                roa.asn = Asn::new(666);
+                Arc::make_mut(roa).asn = Asn::new(666);
             }
         }
         // Re-fix manifests? No — tampering also breaks manifest hashes.
@@ -645,7 +755,7 @@ mod tests {
         let (mut repo, now) = happy_repo();
         for pp in repo.points.values_mut() {
             for roa in &mut pp.roas {
-                roa.asn = Asn::new(666);
+                Arc::make_mut(roa).asn = Asn::new(666);
             }
         }
         let report = validate_with(
@@ -683,7 +793,7 @@ mod tests {
         // derivation), and update the manifest accordingly.
         let ca_keys = ripki_crypto::keystore::Keypair::derive(5, "ca/ISP-1");
         let pp = repo.points.get_mut(&ca_keys.key_id).unwrap();
-        let roa = &mut pp.roas[0];
+        let roa = Arc::make_mut(&mut pp.roas[0]);
         let mut forged_ee = roa.ee.clone();
         forged_ee.resources = Resources {
             prefixes: PrefixSet::from_prefixes(vec![p("9.0.0.0/8")]),
@@ -702,7 +812,8 @@ mod tests {
             2,
             entries,
             pp.manifest.validity,
-        );
+        )
+        .into();
 
         let report = validate(&repo, now);
         assert!(report.vrps.is_empty());

@@ -79,7 +79,7 @@ fn mid_chain_expiry_prunes_descendants_only() {
         old.resources.clone(),
         true,
     );
-    ta_pp.child_certs[idx] = expired.clone();
+    ta_pp.child_certs[idx] = expired.clone().into();
     // Fix the TA manifest for the re-issued cert (complicit CA).
     let mut entries = ta_pp.manifest.entries.clone();
     entries.insert(PublicationPoint::cert_file_name(&expired), expired.digest());
@@ -89,7 +89,8 @@ fn mid_chain_expiry_prunes_descendants_only() {
         2,
         entries,
         ta_pp.manifest.validity,
-    );
+    )
+    .into();
 
     let report = validate(&repo, SimTime::EPOCH + Duration::days(1));
     let asns: Vec<Asn> = report.vrps.iter().map(|v| v.asn).collect();
@@ -125,7 +126,7 @@ fn non_ca_cert_in_ca_position_rejected() {
         old.resources.clone(),
         false, // ← the forgery
     );
-    ta_pp.child_certs[0] = not_ca.clone();
+    ta_pp.child_certs[0] = not_ca.clone().into();
     let mut entries = ta_pp.manifest.entries.clone();
     entries.insert(PublicationPoint::cert_file_name(&not_ca), not_ca.digest());
     ta_pp.manifest = ripki_rpki::manifest::Manifest::issue(
@@ -134,7 +135,8 @@ fn non_ca_cert_in_ca_position_rejected() {
         2,
         entries,
         ta_pp.manifest.validity,
-    );
+    )
+    .into();
 
     let report = validate(&repo, now);
     assert!(report.vrps.is_empty());
@@ -158,7 +160,7 @@ fn ca_flagged_ee_in_roa_rejected() {
     // key; manifest fixed).
     let lir_keys = Keypair::derive(24, "ca/LIR");
     let pp = repo.points.get_mut(&lir_keys.key_id).unwrap();
-    let roa = &mut pp.roas[0];
+    let roa = std::sync::Arc::make_mut(&mut pp.roas[0]);
     let old_ee = &roa.ee;
     let forged_ee = Cert::issue(
         old_ee.serial,
@@ -181,7 +183,8 @@ fn ca_flagged_ee_in_roa_rejected() {
         2,
         entries,
         pp.manifest.validity,
-    );
+    )
+    .into();
 
     let report = validate(&repo, now);
     assert!(report.vrps.is_empty());

@@ -15,10 +15,19 @@
 //! * manifest replacement — `Republish` re-signs an unchanged point;
 //! * key rollover — `Rollover` replaces a CA's key, killing the old
 //!   subtree and re-issuing every ROA under the new one.
+//!
+//! A fifth class is not the issuer's doing at all: `Tamper` damages a
+//! copy of the repository the validator has *already validated* (the
+//! [`faults`] mutators — a corrupted store, a withholding or complicit
+//! authority) and applies it to the same validator. What the validator
+//! remembers about the undamaged objects must not leak into its verdict
+//! on the damaged ones; afterwards the CA republishes, none the wiser,
+//! and the validator must recover just as exactly.
 
 use proptest::prelude::*;
-use ripki_crypto::keystore::KeyId;
+use ripki_crypto::keystore::{KeyId, Keypair};
 use ripki_net::{Asn, IpPrefix};
+use ripki_rpki::faults;
 use ripki_rpki::repo::{Repository, RepositoryBuilder};
 use ripki_rpki::resources::Resources;
 use ripki_rpki::roa::RoaPrefix;
@@ -48,7 +57,37 @@ enum Op {
     /// Large enough advances cross the 20-day certificate / 7-day CRL
     /// validity edges and force era-driven revalidation.
     AdvanceTime { hours: u64 },
+    /// Damage CA `ca`'s publication point in a copy of the repository
+    /// the validator last saw, then have the CA republish.
+    Tamper { ca: usize, fault: Fault },
 }
+
+/// One way of damaging a publication point behind the issuer's back.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    CorruptRoaSignatures,
+    StaleCrl,
+    WithholdRoa,
+    SubstituteRoaAsn,
+    /// A manifest entry nobody signed for: the signature breaks.
+    GhostManifestEntry,
+    /// The same, re-signed by a complicit CA: validly signed, inconsistent.
+    GhostManifestEntryResigned,
+    /// A complicit CA re-signs its unchanged manifest out of schedule.
+    ResignManifest,
+    Unpublish,
+}
+
+const FAULTS: [Fault; 8] = [
+    Fault::CorruptRoaSignatures,
+    Fault::StaleCrl,
+    Fault::WithholdRoa,
+    Fault::SubstituteRoaAsn,
+    Fault::GhostManifestEntry,
+    Fault::GhostManifestEntryResigned,
+    Fault::ResignManifest,
+    Fault::Unpublish,
+];
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let ca = 0..TAS * CAS_PER_TA;
@@ -57,19 +96,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ca.clone().prop_map(|ca| Op::RemoveRoa { ca }),
         ca.clone().prop_map(|ca| Op::RevokeRoa { ca }),
         ca.clone().prop_map(|ca| Op::Republish { ca }),
-        ca.prop_map(|ca| Op::Rollover { ca }),
+        ca.clone().prop_map(|ca| Op::Rollover { ca }),
         (1u64..1000).prop_map(|hours| Op::AdvanceTime { hours }),
+        (ca, 0..FAULTS.len()).prop_map(|(ca, k)| Op::Tamper {
+            ca,
+            fault: FAULTS[k]
+        }),
     ]
 }
 
-/// The world under churn: the issuing builder, the CA handle table
-/// (rollover replaces ids), the validation clock, and a monotonically
-/// increasing counter minting fresh /24s.
+/// The world under churn: the issuing builder and what it last
+/// published, the CA handle table (rollover replaces ids and bumps the
+/// key generation), the validation clock, and a monotonically increasing
+/// counter minting fresh /24s.
 struct World {
+    seed: u64,
     builder: RepositoryBuilder,
-    cas: Vec<(usize, usize, KeyId)>,
+    published: Repository,
+    cas: Vec<Ca>,
     now: SimTime,
     next_roa: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Ca {
+    t: usize,
+    c: usize,
+    id: KeyId,
+    generation: u32,
 }
 
 impl World {
@@ -96,56 +150,110 @@ impl World {
                 for _ in 0..INITIAL_ROAS_PER_CA {
                     add_fresh_roa(&mut builder, ca, t, c, &mut next_roa);
                 }
-                cas.push((t, c, ca));
+                cas.push(Ca {
+                    t,
+                    c,
+                    id: ca,
+                    generation: 0,
+                });
             }
         }
+        let published = builder.snapshot();
         World {
+            seed,
             builder,
+            published,
             cas,
             now: start + Duration::hours(1),
             next_roa,
         }
     }
 
-    /// Apply one op. Returns whether the repository needs re-snapshotting
-    /// (`false` for pure clock advances — the expiry-sweep path).
-    fn apply(&mut self, op: &Op) -> bool {
+    /// Apply one op and return every repository state a relying party
+    /// gets to see because of it, in order. Issuer-side ops publish one
+    /// new snapshot; a pure clock advance shows the last one again (the
+    /// expiry-sweep path); tampering shows a damaged copy of the last
+    /// one and then the CA's next, clean publication.
+    fn step(&mut self, op: &Op) -> Vec<Repository> {
+        let slot = |ca: usize| ca % self.cas.len();
         match *op {
             Op::AddRoa { ca } => {
-                let (t, c, id) = self.cas[ca % self.cas.len()];
+                let Ca { t, c, id, .. } = self.cas[slot(ca)];
                 add_fresh_roa(&mut self.builder, id, t, c, &mut self.next_roa);
-                true
             }
             Op::RemoveRoa { ca } => {
-                let (_, _, id) = self.cas[ca % self.cas.len()];
+                let id = self.cas[slot(ca)].id;
                 if let Some(serial) = self.oldest_roa(id) {
                     self.builder.remove_roa(id, serial).expect("CA exists");
                 }
-                true
             }
             Op::RevokeRoa { ca } => {
-                let (_, _, id) = self.cas[ca % self.cas.len()];
+                let id = self.cas[slot(ca)].id;
                 if let Some(serial) = self.oldest_roa(id) {
                     self.builder.revoke(id, serial).expect("CA exists");
                 }
-                true
             }
             Op::Republish { ca } => {
-                let (_, _, id) = self.cas[ca % self.cas.len()];
+                let id = self.cas[slot(ca)].id;
                 self.builder.republish(id).expect("CA exists");
-                true
             }
             Op::Rollover { ca } => {
-                let slot = ca % self.cas.len();
-                let (_, _, id) = self.cas[slot];
-                let new_id = self.builder.rollover_key(id).expect("leaf CA rolls over");
-                self.cas[slot].2 = new_id;
-                true
+                let slot = slot(ca);
+                let id = self.cas[slot].id;
+                self.cas[slot].id = self.builder.rollover_key(id).expect("leaf CA rolls over");
+                self.cas[slot].generation += 1;
             }
             Op::AdvanceTime { hours } => {
                 self.now = self.now + Duration::hours(hours);
                 self.builder.set_now(self.now);
-                false
+                return vec![self.published.clone()];
+            }
+            Op::Tamper { ca, fault } => {
+                let ca = self.cas[slot(ca)];
+                let mut damaged = self.published.clone();
+                self.damage(&mut damaged, ca, fault);
+                self.builder.republish(ca.id).expect("CA exists");
+                self.published = self.builder.snapshot();
+                return vec![damaged, self.published.clone()];
+            }
+        }
+        self.published = self.builder.snapshot();
+        vec![self.published.clone()]
+    }
+
+    fn damage(&self, repo: &mut Repository, ca: Ca, fault: Fault) {
+        let resign = |repo: &mut Repository| {
+            let mut label = format!("ca/CA-{}-{}", ca.t, ca.c);
+            if ca.generation > 0 {
+                label.push_str(&format!("#gen{}", ca.generation));
+            }
+            let keys = Keypair::derive(self.seed, &label);
+            assert_eq!(keys.key_id, ca.id, "the test re-derives the CA's key");
+            faults::resign_manifest(repo, ca.id, &keys.secret);
+        };
+        match fault {
+            Fault::CorruptRoaSignatures => {
+                faults::corrupt_roa_signatures(repo, ca.id);
+            }
+            Fault::StaleCrl => {
+                faults::stale_crl(repo, ca.id);
+            }
+            Fault::WithholdRoa => {
+                faults::withhold_roa(repo, ca.id, 0);
+            }
+            Fault::SubstituteRoaAsn => {
+                faults::substitute_roa_asn(repo, ca.id, 666);
+            }
+            Fault::GhostManifestEntry => {
+                faults::ghost_manifest_entry(repo, ca.id);
+            }
+            Fault::GhostManifestEntryResigned => {
+                faults::ghost_manifest_entry(repo, ca.id);
+                resign(repo);
+            }
+            Fault::ResignManifest => resign(repo),
+            Fault::Unpublish => {
+                faults::unpublish(repo, ca.id);
             }
         }
     }
@@ -230,15 +338,13 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..12),
     ) {
         let mut world = World::build(seed);
-        let mut repo = world.builder.snapshot();
         let mut inc = IncrementalValidator::default();
-        let mut prev = check_step(&mut inc, &repo, world.now, &BTreeSet::new());
+        let mut prev = check_step(&mut inc, &world.published, world.now, &BTreeSet::new());
 
         for op in &ops {
-            if world.apply(op) {
-                repo = world.builder.snapshot();
+            for repo in world.step(op) {
+                prev = check_step(&mut inc, &repo, world.now, &prev);
             }
-            prev = check_step(&mut inc, &repo, world.now, &prev);
         }
     }
 
@@ -254,7 +360,6 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..12),
     ) {
         let mut world = World::build(seed);
-        let mut repo = world.builder.snapshot();
         let mut serial = IncrementalValidator::default();
         serial.set_worker_threads(1);
         let mut parallel = IncrementalValidator::default();
@@ -272,12 +377,11 @@ proptest! {
             prop_assert_eq!(serial.rejected_count(), parallel.rejected_count());
             step += 1;
         };
-        check(&repo, world.now);
+        check(&world.published, world.now);
         for op in &ops {
-            if world.apply(op) {
-                repo = world.builder.snapshot();
+            for repo in world.step(op) {
+                check(&repo, world.now);
             }
-            check(&repo, world.now);
         }
     }
 }
@@ -288,9 +392,8 @@ proptest! {
 #[test]
 fn all_four_invalidation_classes_in_one_stream() {
     let mut world = World::build(7);
-    let mut repo = world.builder.snapshot();
     let mut inc = IncrementalValidator::default();
-    let mut prev = check_step(&mut inc, &repo, world.now, &BTreeSet::new());
+    let mut prev = check_step(&mut inc, &world.published, world.now, &BTreeSet::new());
 
     let script = [
         Op::RevokeRoa { ca: 0 },            // CRL revocation
@@ -305,14 +408,68 @@ fn all_four_invalidation_classes_in_one_stream() {
         Op::AddRoa { ca: 3 },
     ];
     for op in &script {
-        if world.apply(op) {
-            repo = world.builder.snapshot();
+        for repo in world.step(op) {
+            prev = check_step(&mut inc, &repo, world.now, &prev);
         }
-        prev = check_step(&mut inc, &repo, world.now, &prev);
     }
     assert_eq!(
         prev.len(),
         INITIAL_ROAS_PER_CA + 1,
         "exactly the reissued CA's ROAs survive total expiry: {prev:?}"
     );
+}
+
+/// Deterministic companion for the fifth class: every fault, applied
+/// behind the back of one validator that has seen the clean repository,
+/// then republished away — at a CA that has also rolled its key, so the
+/// re-signing faults meet a second key generation.
+#[test]
+fn every_fault_after_a_clean_pass_in_one_stream() {
+    let mut world = World::build(11);
+    let mut inc = IncrementalValidator::default();
+    let mut prev = check_step(&mut inc, &world.published, world.now, &BTreeSet::new());
+    let all = prev.len();
+
+    let mut script = vec![Op::Rollover { ca: 1 }];
+    for (k, fault) in FAULTS.into_iter().enumerate() {
+        script.push(Op::Tamper { ca: k % 2, fault });
+    }
+    for op in &script {
+        let seen = world.step(op);
+        for repo in &seen {
+            prev = check_step(&mut inc, repo, world.now, &prev);
+        }
+        assert_eq!(prev.len(), all, "republication restores every VRP");
+    }
+}
+
+/// The minimal regression: a validator that has validated a repository
+/// must not keep serving the VRP of a ROA whose ASN is then rewritten
+/// in the store. (A validator that detects change by serials and
+/// signatures reuses both points here and keeps the stale VRPs.)
+#[test]
+fn substituted_roa_after_a_clean_pass_withdraws_its_vrps() {
+    let world = World::build(7);
+    let mut inc = IncrementalValidator::default();
+    inc.apply(&world.published, world.now);
+    let victim = world.cas[0].id;
+    let held: Vec<Vrp> = inc.vrps();
+
+    let mut damaged = world.published.clone();
+    assert_eq!(
+        faults::substitute_roa_asn(&mut damaged, victim, 666),
+        INITIAL_ROAS_PER_CA
+    );
+    let delta = inc.apply(&damaged, world.now);
+    assert_eq!(delta.stats.points_revalidated, 1);
+    assert_eq!(delta.withdrawn.len(), INITIAL_ROAS_PER_CA);
+    assert!(delta.announced.is_empty());
+    let full = validate(&damaged, world.now);
+    assert_eq!(inc.vrps(), full.vrps);
+    assert_eq!(inc.report().log, full.log);
+
+    // The copy was damaged, not the original: going back restores it.
+    let delta = inc.apply(&world.published, world.now);
+    assert_eq!(delta.announced.len(), INITIAL_ROAS_PER_CA);
+    assert_eq!(inc.vrps(), held);
 }

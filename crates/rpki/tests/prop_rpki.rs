@@ -92,7 +92,7 @@ proptest! {
             &ripki_crypto::keystore::Keypair::derive(seed, "ca/ISP-1").key_id
         ).unwrap();
         let i = victim.index(pp.roas.len());
-        pp.roas[i].asn = Asn::new(EVIL);
+        std::sync::Arc::make_mut(&mut pp.roas[i]).asn = Asn::new(EVIL);
         let report = validate(&repo, now);
         prop_assert!(report.vrps.iter().all(|v| v.asn != Asn::new(EVIL)));
     }

@@ -44,8 +44,11 @@ import sys
 # live only on the workloads benchmark/README.md lists for it):
 # (numerator terms, which add; denominator; minimum ratio).
 RATIOS = [
-    # Incremental validation against a full pass over the repository.
-    (["rpki.full_validate_ms @ churn_rpki"], "rpki.apply_ms_p50 @ churn_rpki", 10.0),
+    # Incremental validation against a full pass over the repository:
+    # an epoch that republishes 4 of 255 points costs under 1 % of a
+    # full pass (16 signatures verified against 200 765; a validator
+    # that re-verifies the republished points' unchanged ROAs reads 47).
+    (["rpki.full_validate_ms @ churn_rpki"], "rpki.apply_ms_p50 @ churn_rpki", 100.0),
     # A delta through the RTR cache against reinstalling the snapshot
     # (the delta row is live on churn_web; a churn_rpki run carries its
     # smoke-size reference, the snapshot row is live at 100k VRPs).
