@@ -10,9 +10,12 @@
 //! currency that flows through every hop unchanged:
 //!
 //! * [`VrpPayload`] — an **epoch-stamped, canonically ordered** VRP set.
-//!   The set lives behind an `Arc`, so fan-out to N subscribers clones a
-//!   pointer, not the data. Two payloads are byte-identical on the wire
-//!   iff they are `==` here (the `BTreeSet` fixes the order).
+//!   The set is a [`VrpSet`]: sorted chunks of a few hundred VRPs, each
+//!   behind an `Arc`, under an `Arc`'d spine. A clone — fan-out to N
+//!   subscribers, a Reset snapshot, a cache's `payload()` — is a handle;
+//!   a successor shares every chunk its delta did not touch. Two
+//!   payloads are byte-identical on the wire iff they are `==` here
+//!   (the set's order is `VrpTriple`'s `Ord`, whatever the chunking).
 //! * [`VrpDelta`] — what changed between two adjacent epochs, in RTR
 //!   announce/withdraw terms. Built by [`VrpPayload::diff`] or converted
 //!   from the engine's `EpochDelta`; consumed by the RTR cache's
@@ -33,27 +36,41 @@
 //! injective; the RTR layers already force a Cache Reset on any
 //! non-contiguous jump, which covers the pathological wrap.
 //!
+//! ## What an epoch costs
+//!
+//! Per epoch and holder, advancing by a delta of k records
+//! ([`VrpPayload::apply`], `CacheServer::apply_delta`, a proxy unit
+//! following its upstream) is one spine copy (one pointer per chunk,
+//! ≈ 400 at 100 000 VRPs) plus at most 2k chunk copies (≤ 32 KiB
+//! each) — never the 6.4 MB the elements occupy. When the last handle on
+//! the previous epoch dies, what is freed is that epoch's spine and the
+//! chunks the delta replaced; the rest lives on in the successor. A set
+//! built from scratch ([`VrpPayload::new`], a `vrps.json` parse, a
+//! router's full reload) shares nothing and costs O(n log n) once.
+//! [`VrpPayload::diff`] between a set and its successor skips shared
+//! chunks by pointer, so it too costs the delta, not the set.
+//!
 //! This module is one of the lint catalog's *blessed epoch modules*
 //! (R5): it writes `epoch`/`from_epoch`/`to_epoch` fields directly and
 //! in exchange carries the monotonicity assertions every consumer
 //! inherits by construction.
 
 pub use ripki_bgp::rov::VrpTriple;
+pub use set::VrpSet;
 
-use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+
+mod set;
 
 /// An epoch-stamped, canonically ordered VRP set.
 ///
-/// Cheap to clone (the set is shared behind an `Arc`) and totally
-/// ordered inside (a `BTreeSet`), so equality here implies byte
-/// equality of every derived wire form (RTR PDU stream, `vrps.json`,
-/// CSV).
+/// Cheap to clone (a [`VrpSet`] handle) and totally ordered inside, so
+/// equality here implies byte equality of every derived wire form (RTR
+/// PDU stream, `vrps.json`, CSV).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VrpPayload {
     epoch: u64,
-    vrps: Arc<BTreeSet<VrpTriple>>,
+    vrps: VrpSet,
 }
 
 impl VrpPayload {
@@ -61,12 +78,12 @@ impl VrpPayload {
     pub fn new<I: IntoIterator<Item = VrpTriple>>(epoch: u64, vrps: I) -> VrpPayload {
         VrpPayload {
             epoch,
-            vrps: Arc::new(vrps.into_iter().collect()),
+            vrps: vrps.into_iter().collect(),
         }
     }
 
-    /// Wrap an already-shared set without copying it.
-    pub fn from_shared(epoch: u64, vrps: Arc<BTreeSet<VrpTriple>>) -> VrpPayload {
+    /// Stamp an existing set (a handle: nothing is copied).
+    pub fn from_shared(epoch: u64, vrps: VrpSet) -> VrpPayload {
         VrpPayload { epoch, vrps }
     }
 
@@ -82,13 +99,13 @@ impl VrpPayload {
     }
 
     /// The VRPs, in canonical order.
-    pub fn vrps(&self) -> &BTreeSet<VrpTriple> {
+    pub fn vrps(&self) -> &VrpSet {
         &self.vrps
     }
 
-    /// Shared handle to the set (for zero-copy fan-out).
-    pub fn shared_vrps(&self) -> Arc<BTreeSet<VrpTriple>> {
-        Arc::clone(&self.vrps)
+    /// A handle on the set (for zero-copy fan-out).
+    pub fn shared_vrps(&self) -> VrpSet {
+        self.vrps.clone()
     }
 
     /// Number of VRPs.
@@ -101,36 +118,14 @@ impl VrpPayload {
         self.vrps.is_empty()
     }
 
-    /// A digest of the set contents: FNV-1a over each VRP's binary
-    /// form (family tag, network octets, prefix length, max length,
-    /// ASN) in the set's canonical iteration order. Equal sets iterate
-    /// identically, so they share a digest; equal digests plus equal
-    /// lengths make byte-identity overwhelmingly likely (tests use full
-    /// `==`, operators use this for log lines). The value is only
+    /// A digest of the set contents, kept by the set as it is edited
+    /// (see [`VrpSet::digest`]) — reading it costs nothing. Equal sets
+    /// share a digest however they were reached; equal digests plus
+    /// equal lengths make byte-identity overwhelmingly likely (tests use
+    /// full `==`, operators use this for log lines). The value is only
     /// meaningful within one build of this crate.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for vrp in self.vrps.iter() {
-            match vrp.prefix {
-                ripki_net::IpPrefix::V4(p) => {
-                    mix(&[4]);
-                    mix(&p.network().octets());
-                }
-                ripki_net::IpPrefix::V6(p) => {
-                    mix(&[6]);
-                    mix(&p.network().octets());
-                }
-            }
-            mix(&[vrp.prefix.len(), vrp.max_length]);
-            mix(&vrp.asn.value().to_be_bytes());
-        }
-        h
+        self.vrps.digest()
     }
 
     /// The delta that turns `self` into `newer`.
@@ -150,19 +145,20 @@ impl VrpPayload {
         VrpDelta {
             from_epoch: self.epoch,
             to_epoch: newer.epoch,
-            announced: newer.vrps.difference(&self.vrps).copied().collect(),
-            withdrawn: self.vrps.difference(&newer.vrps).copied().collect(),
+            announced: newer.vrps.difference(&self.vrps),
+            withdrawn: self.vrps.difference(&newer.vrps),
         }
     }
 
-    /// Apply a delta, producing the next payload. Returns `None` when
+    /// Apply a delta, producing the next payload — which shares every
+    /// chunk the delta did not touch with this one. Returns `None` when
     /// the delta does not chain from this payload's epoch (the caller
     /// falls back to a snapshot fetch, mirroring RTR's Cache Reset).
     pub fn apply(&self, delta: &VrpDelta) -> Option<VrpPayload> {
         if delta.from_epoch != self.epoch {
             return None;
         }
-        let mut vrps: BTreeSet<VrpTriple> = (*self.vrps).clone();
+        let mut vrps = self.vrps.clone();
         for vrp in &delta.withdrawn {
             vrps.remove(vrp);
         }
@@ -171,7 +167,7 @@ impl VrpPayload {
         }
         Some(VrpPayload {
             epoch: delta.to_epoch,
-            vrps: Arc::new(vrps),
+            vrps,
         })
     }
 }
@@ -390,42 +386,37 @@ pub mod json {
         let malformed = |s: String| ParseError::Malformed(s);
         let root: serde_json::Value =
             serde_json::from_str(text).map_err(|e| malformed(format!("invalid JSON: {e}")))?;
-        let field = |v: &serde_json::Value, key: &str| -> Option<serde_json::Value> {
-            v.as_object().and_then(|m| m.get(key)).cloned()
+        fn field<'a>(v: &'a serde_json::Value, key: &str) -> Option<&'a serde_json::Value> {
+            v.as_object().and_then(|m| m.get(key))
+        }
+        let number = |v: Option<&serde_json::Value>| {
+            v.and_then(serde_json::Value::as_u128)
+                .and_then(|n| u64::try_from(n).ok())
         };
         let metadata = field(&root, "metadata");
-        let epoch = metadata
-            .as_ref()
-            .and_then(|m| field(m, "epoch"))
-            .and_then(|v| v.as_u128())
-            .and_then(|n| u64::try_from(n).ok())
+        let epoch = number(metadata.and_then(|m| field(m, "epoch")))
             .ok_or_else(|| malformed("missing metadata.epoch".into()))?;
         // A producer that also stamps a `serial` must agree with its own
         // epoch; two overlapping serial claims are garbage, not data.
-        if let Some(serial) = metadata
-            .as_ref()
-            .and_then(|m| field(m, "serial"))
-            .and_then(|v| v.as_u128())
-            .and_then(|n| u64::try_from(n).ok())
-        {
+        if let Some(serial) = number(metadata.and_then(|m| field(m, "serial"))) {
             if serial != epoch {
                 return Err(ParseError::ConflictingSerial { epoch, serial });
             }
         }
         let roas = field(&root, "roas")
-            .and_then(|v| v.as_array().map(<[serde_json::Value]>::to_vec))
+            .and_then(serde_json::Value::as_array)
             .ok_or_else(|| malformed("missing roas array".into()))?;
         let mut vrps = Vec::with_capacity(roas.len());
         let mut seen: BTreeSet<VrpTriple> = BTreeSet::new();
         for (i, roa) in roas.iter().enumerate() {
             let asn = field(roa, "asn")
-                .and_then(|v| v.as_str().map(str::to_string))
+                .and_then(serde_json::Value::as_str)
                 .ok_or_else(|| malformed(format!("roas[{i}]: missing asn")))?;
             let prefix = field(roa, "prefix")
-                .and_then(|v| v.as_str().map(str::to_string))
+                .and_then(serde_json::Value::as_str)
                 .ok_or_else(|| malformed(format!("roas[{i}]: missing prefix")))?;
             let max_length = field(roa, "maxLength")
-                .and_then(|v| v.as_u128())
+                .and_then(serde_json::Value::as_u128)
                 .ok_or_else(|| malformed(format!("roas[{i}]: missing maxLength")))?;
             let max_length = u8::try_from(max_length)
                 .map_err(|_| malformed(format!("roas[{i}]: maxLength {max_length} > 255")))?;
@@ -454,6 +445,7 @@ pub mod json {
 mod tests {
     use super::*;
     use ripki_net::Asn;
+    use std::collections::BTreeSet;
 
     fn vrp(prefix: &str, ml: u8, asn: u32) -> VrpTriple {
         VrpTriple {
@@ -527,6 +519,28 @@ mod tests {
             VrpPayload::new(1, [base]).digest(),
             VrpPayload::new(2, [base]).digest()
         );
+    }
+
+    #[test]
+    fn digest_follows_the_set_through_apply() {
+        let (a, b, c) = (
+            vrp("10.0.0.0/16", 16, 1),
+            vrp("11.0.0.0/16", 16, 2),
+            vrp("2001:db8::/32", 48, 3),
+        );
+        let base = VrpPayload::new(1, [a, b]);
+        let next = base
+            .apply(&VrpDelta::new(1, 2, vec![c], vec![a]))
+            .expect("chains");
+        assert_eq!(next.digest(), VrpPayload::new(2, [b, c]).digest());
+        // Announcing what is held and withdrawing what is not change
+        // neither the set nor its digest.
+        let same = next
+            .apply(&VrpDelta::new(2, 3, vec![b, c], vec![a]))
+            .expect("chains");
+        assert_eq!(same.vrps(), next.vrps());
+        assert_eq!(same.digest(), next.digest());
+        assert_eq!(VrpPayload::new(1, []).digest(), 0);
     }
 
     #[test]

@@ -117,3 +117,34 @@ proptest! {
         prop_assert_eq!(parse_vrps_json(&agreeing), Ok(payload));
     }
 }
+
+/// The fabric's working size, deterministically: 100 000 VRPs survive
+/// the round trip. No timing assertion — the point is that it finishes
+/// (the parser used to be quadratic in the document: minutes here).
+#[test]
+fn a_100_000_vrp_document_round_trips() {
+    let vrps = (0..100_000u32).map(|i| {
+        let prefix = if i.is_multiple_of(4) {
+            IpPrefix::new(
+                IpAddr::V6(Ipv6Addr::from(u128::from(i) << 80 | 0x2001 << 112)),
+                48,
+            )
+        } else {
+            IpPrefix::new(IpAddr::V4(Ipv4Addr::from(i << 8)), 24)
+        }
+        .expect("length within the family");
+        VrpTriple {
+            prefix,
+            max_length: prefix.len() + (i % 3) as u8,
+            asn: Asn::new(64_500 + i % 5_000),
+        }
+    });
+    let payload = VrpPayload::new(7, vrps);
+    assert_eq!(payload.len(), 100_000);
+    let mut bytes = Vec::new();
+    write_vrps_json(&payload, Some(3), &mut bytes).expect("write to Vec");
+    let text = String::from_utf8(bytes).expect("writer emits UTF-8");
+    let parsed = parse_vrps_json(&text).expect("own output parses");
+    assert_eq!(parsed, payload);
+    assert_eq!(parsed.digest(), payload.digest());
+}

@@ -11,12 +11,11 @@ use crate::comms::{Gossip, Subscription, Wait};
 use crate::log::Log;
 use ripki::engine::{EpochDelta, StudyEngine, WorldSnapshot};
 use ripki::pipeline::PipelineConfig;
-use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload};
+use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet};
 use ripki_rtr::{Backoff, PersistentClient};
 use ripki_slurm::{SlurmApplier, SlurmFile};
 use ripki_websim::churn::{ChurnConfig, ChurnStream};
 use ripki_websim::{Scenario, ScenarioConfig};
-use std::collections::BTreeSet;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,10 +127,13 @@ pub struct RtrUnitConfig {
 
 /// Run an RTR client unit until shutdown. Connection drops are ridden
 /// out by [`PersistentClient`] (incremental resume, capped backoff).
-/// Every new serial is published; when the sync was a Serial Query
-/// answered incrementally, the update carries the delta the wire just
-/// delivered, and only a full reload (first contact, Cache Reset, cache
-/// restart) falls back to diffing against the previous payload.
+/// Every new serial is published. The unit keeps its own payload beside
+/// the client's set: when the sync was a Serial Query answered
+/// incrementally, it advances that payload by the delta the wire just
+/// delivered — O(delta), sharing the rest with the epoch before — and
+/// forwards the same delta; only a full reload (first contact, Cache
+/// Reset, cache restart, a voided client) rebuilds the payload from the
+/// client's set and falls back to diffing against the previous one.
 pub fn run_rtr_unit(
     name: &str,
     config: &RtrUnitConfig,
@@ -163,34 +165,41 @@ pub fn run_rtr_unit(
                 continue;
             }
         }
-        if let Some(payload) = client.payload() {
-            let newer = previous
-                .as_ref()
-                .is_none_or(|prev| payload.epoch() > prev.epoch());
-            if newer {
-                log.line(&format_args!(
-                    "unit {name} (rtr): synced {payload} from {}",
-                    config.connect,
-                ));
+        if let Some((_, serial)) = client.state() {
+            let epoch = u64::from(serial);
+            if previous.as_ref().is_none_or(|prev| epoch > prev.epoch()) {
                 let update = match (&previous, client.last_delta()) {
                     // Every advance is published, so the set the sync
                     // started from is `prev`'s whenever the serials
-                    // agree: the wire delta is exactly prev → payload.
+                    // agree: the wire delta is exactly prev → now.
                     (Some(prev), Some(wire)) if wire.from_serial == prev.serial() => {
+                        let delta = VrpDelta::new(
+                            prev.epoch(),
+                            epoch,
+                            wire.announced.clone(),
+                            wire.withdrawn.clone(),
+                        );
                         PayloadUpdate {
-                            delta: Some(VrpDelta::new(
-                                prev.epoch(),
-                                payload.epoch(),
-                                wire.announced.clone(),
-                                wire.withdrawn.clone(),
-                            )),
-                            payload: payload.clone(),
+                            payload: prev
+                                .apply(&delta)
+                                .expect("the delta starts at prev's epoch"),
+                            delta: Some(delta),
                         }
                     }
-                    (Some(prev), _) => PayloadUpdate::from_previous(prev, payload.clone()),
-                    (None, _) => PayloadUpdate::snapshot(payload.clone()),
+                    (prev, _) => {
+                        let payload = VrpPayload::new(epoch, client.vrps().iter().copied());
+                        match prev {
+                            Some(prev) => PayloadUpdate::from_previous(prev, payload),
+                            None => PayloadUpdate::snapshot(payload),
+                        }
+                    }
                 };
-                previous = Some(payload);
+                debug_assert_eq!(update.payload.vrps(), client.vrps());
+                log.line(&format_args!(
+                    "unit {name} (rtr): synced {} from {}",
+                    update.payload, config.connect,
+                ));
+                previous = Some(update.payload.clone());
                 gossip.publish(update);
             }
         }
@@ -488,8 +497,8 @@ pub fn run_combinator(
         }
         let out = match kind {
             Combinator::Any => newest_arrival.clone().map(|update| update.payload),
-            Combinator::Merge => combined(&latest, |a, b| a.union(b).copied().collect()),
-            Combinator::Diff => combined(&latest, |a, b| a.difference(b).copied().collect()),
+            Combinator::Merge => combined(&latest, |a, b| a.iter().chain(b).copied().collect()),
+            Combinator::Diff => combined(&latest, |a, b| a.difference(b).into_iter().collect()),
         };
         let Some(payload) = out else { continue };
         let advanced = previous_out
@@ -533,21 +542,18 @@ pub fn run_combinator(
 /// which downstream RTR clients would see as mass withdrawals).
 fn combined(
     latest: &[Option<VrpPayload>],
-    op: fn(
-        &BTreeSet<ripki_payload::VrpTriple>,
-        &BTreeSet<ripki_payload::VrpTriple>,
-    ) -> BTreeSet<ripki_payload::VrpTriple>,
+    op: fn(&VrpSet, &VrpSet) -> VrpSet,
 ) -> Option<VrpPayload> {
     let mut payloads = latest.iter();
     let first = payloads.next()?.as_ref()?;
-    let mut set = first.vrps().clone();
+    let mut set = first.shared_vrps();
     let mut epoch = first.epoch();
     for payload in payloads {
         let payload = payload.as_ref()?;
         set = op(&set, payload.vrps());
         epoch += payload.epoch();
     }
-    Some(VrpPayload::new(epoch, set))
+    Some(VrpPayload::from_shared(epoch, set))
 }
 
 #[cfg(test)]
@@ -814,19 +820,14 @@ mod tests {
         out: Subscription,
         shutdown: Arc<AtomicBool>,
         unit: std::thread::JoinHandle<()>,
-        _origin: ripki_rtr::RtrListener,
+        origin: ripki_rtr::RtrListener,
     }
 
     impl RtrFeed {
         fn start(initial: &VrpPayload) -> RtrFeed {
             let cache = Arc::new(ripki_rtr::CacheServer::new(7));
             cache.install_payload(initial);
-            let origin = ripki_rtr::RtrListener::spawn(
-                std::net::TcpListener::bind("127.0.0.1:0").expect("bind"),
-                Arc::clone(&cache),
-                ripki_rtr::ListenerConfig::default(),
-            )
-            .expect("origin listener");
+            let origin = RtrFeed::listen("127.0.0.1:0", &cache);
             let gossip = Gossip::new();
             let out = gossip.subscribe();
             let shutdown = Arc::new(AtomicBool::new(false));
@@ -845,7 +846,44 @@ mod tests {
                 out,
                 shutdown,
                 unit,
-                _origin: origin,
+                origin,
+            }
+        }
+
+        fn listen(addr: &str, cache: &Arc<ripki_rtr::CacheServer>) -> ripki_rtr::RtrListener {
+            ripki_rtr::RtrListener::spawn(
+                std::net::TcpListener::bind(addr).expect("bind"),
+                Arc::clone(cache),
+                ripki_rtr::ListenerConfig::default(),
+            )
+            .expect("origin listener")
+        }
+
+        /// Take the origin off the network: the unit's session drops.
+        fn go_down(&mut self) {
+            self.origin.shutdown();
+        }
+
+        /// Serve `cache` at the origin's address again.
+        fn come_up(&mut self, cache: Arc<ripki_rtr::CacheServer>) {
+            self.origin = RtrFeed::listen(&self.origin.addr().to_string(), &cache);
+            self.cache = cache;
+        }
+
+        /// Receive until the unit has published `epoch`. Every update
+        /// that carries a delta must chain: `previous.apply(delta)` is
+        /// its payload; and the last one is what the origin serves.
+        fn follow_to(&mut self, previous: &mut VrpPayload, epoch: u64) -> PayloadUpdate {
+            loop {
+                let update = recv_update(&mut self.out);
+                if let Some(delta) = &update.delta {
+                    assert_eq!(previous.apply(delta).as_ref(), Some(&update.payload));
+                }
+                *previous = update.payload.clone();
+                if update.epoch() == epoch {
+                    assert_eq!(update.payload, self.cache.payload().expect("payload"));
+                    return update;
+                }
             }
         }
 
@@ -882,7 +920,148 @@ mod tests {
             previous = update.payload;
         }
         assert_eq!(previous, feed.cache.payload().expect("payload"));
+
+        // From here on the unit's own payload — advanced by wire deltas,
+        // never re-read from the client — has to survive everything an
+        // upstream can do to a session. A serial jump: Cache Reset, the
+        // one full reload, published with the snapshot diff.
+        let p9 = VrpPayload::new(9, [vrp("10.4.0.0/24", 5), vrp("10.9.0.0/24", 9)]);
+        feed.cache.install_payload(&p9);
+        let before = previous.clone();
+        let reloaded = feed.follow_to(&mut previous, 9);
+        assert_eq!(reloaded.delta, Some(before.diff(&p9)));
+
+        // A dropped connection: two serials pass while the unit is cut
+        // off; it resumes with a Serial Query and forwards their net.
+        feed.go_down();
+        feed.cache.apply_delta(10, &[vrp("10.10.0.0/24", 10)], &[]);
+        feed.cache
+            .apply_delta(11, &[vrp("10.11.0.0/24", 11)], &[vrp("10.9.0.0/24", 9)]);
+        feed.come_up(Arc::clone(&feed.cache));
+        let resumed = feed.follow_to(&mut previous, 11);
+        assert_eq!(resumed.delta, Some(p9.diff(&resumed.payload)));
+
+        // A cache restart: new session, unrelated set. The unit's
+        // context is void; it reloads and publishes the difference.
+        feed.go_down();
+        let restarted = Arc::new(ripki_rtr::CacheServer::new(8));
+        let p20 = VrpPayload::new(20, [vrp("10.20.0.0/24", 20), vrp("10.11.0.0/24", 11)]);
+        restarted.install_payload(&p20);
+        feed.come_up(restarted);
+        let reloaded = feed.follow_to(&mut previous, 20);
+        assert_eq!(reloaded.delta, Some(resumed.payload.diff(&p20)));
+
+        // And the new session is followed incrementally again.
+        feed.cache.apply_delta(21, &[], &[vrp("10.20.0.0/24", 20)]);
+        let next = feed.follow_to(&mut previous, 21);
+        assert_eq!(next.delta, Some(p20.diff(&next.payload)));
         feed.stop();
+    }
+
+    /// One scripted RTR answer: Cache Response, an IPv4 record per
+    /// entry (`true` = announce), End of Data at `serial`.
+    fn rtr_answer(records: &[(bool, VrpTriple)], serial: u32) -> Vec<u8> {
+        use ripki_rtr::Pdu;
+        let mut out = Pdu::CacheResponse { session_id: 7 }.encode();
+        for (announce, vrp) in records {
+            let prefix = *vrp.prefix.as_v4().expect("scripted answers are IPv4");
+            Pdu::Ipv4Prefix {
+                announce: *announce,
+                prefix_len: prefix.len(),
+                max_len: vrp.max_length,
+                prefix: prefix.network(),
+                asn: vrp.asn,
+            }
+            .encode_into(&mut out);
+        }
+        Pdu::EndOfData {
+            session_id: 7,
+            serial,
+        }
+        .encode_into(&mut out);
+        out
+    }
+
+    /// Upstreams are untrusted: one that answers a Serial Query with a
+    /// delta contradicting what it served before must cost the unit one
+    /// reload, not wedge it on a half-applied set that every retry of
+    /// the same query trips over again.
+    #[test]
+    fn rtr_unit_recovers_from_a_delta_that_contradicts_its_set() {
+        use ripki_rtr::pdu::{read_pdu, PduBuf};
+        use ripki_rtr::Pdu;
+        use std::io::Write;
+
+        let (a, b, c) = (
+            vrp("10.0.0.0/24", 1),
+            vrp("10.1.0.0/24", 2),
+            vrp("10.2.0.0/24", 3),
+        );
+        let mut first = rtr_answer(&[(true, a), (true, b)], 1);
+        Pdu::SerialNotify {
+            session_id: 7,
+            serial: 2,
+        }
+        .encode_into(&mut first);
+        let script = [
+            first,
+            // The delta's first record applies; its second announces a
+            // VRP the unit already holds.
+            rtr_answer(&[(true, c), (true, a)], 2),
+            rtr_answer(&[(true, a), (true, b), (true, c)], 2),
+        ];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let connect = listener.local_addr().expect("addr").to_string();
+        let upstream = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("the unit connects");
+            let mut buf = PduBuf::new();
+            let mut queries = Vec::new();
+            for reply in script {
+                queries.push(read_pdu(&mut stream, &mut buf).expect("a query"));
+                stream.write_all(&reply).expect("reply");
+            }
+            // Keep the session open until the unit hangs up.
+            let _ = read_pdu(&mut stream, &mut buf);
+            queries
+        });
+
+        let gossip = Gossip::new();
+        let mut out = gossip.subscribe();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let unit = {
+            let shutdown = Arc::clone(&shutdown);
+            let config = RtrUnitConfig {
+                connect,
+                poll: Duration::from_millis(20),
+            };
+            std::thread::spawn(move || {
+                run_rtr_unit("up", &config, &gossip, &Log::sink(), &shutdown);
+            })
+        };
+
+        let p1 = VrpPayload::new(1, [a, b]);
+        assert_eq!(recv_update(&mut out), PayloadUpdate::snapshot(p1.clone()));
+        let recovered = recv_update(&mut out);
+        assert_eq!(recovered.payload, VrpPayload::new(2, [a, b, c]));
+        assert_eq!(
+            recovered.delta,
+            Some(p1.diff(&recovered.payload)),
+            "a reload is published with the snapshot diff"
+        );
+
+        shutdown.store(true, Ordering::SeqCst);
+        unit.join().expect("rtr unit thread");
+        assert_eq!(
+            upstream.join().expect("upstream thread"),
+            [
+                Pdu::ResetQuery,
+                Pdu::SerialQuery {
+                    session_id: 7,
+                    serial: 1
+                },
+                Pdu::ResetQuery,
+            ]
+        );
     }
 
     #[test]

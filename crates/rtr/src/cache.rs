@@ -9,12 +9,11 @@
 use crate::pdu::{read_pdu, ErrorCode, Pdu, PduBuf, PduError};
 use ripki_bgp::rov::VrpTriple;
 use ripki_net::IpPrefix;
-use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload};
-use std::collections::{BTreeSet, VecDeque};
+use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::ops::Bound;
 use std::os::unix::net::UnixStream;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One serial increment's changes.
 #[derive(Debug, Clone, Default)]
@@ -28,10 +27,10 @@ struct CacheState {
     session_id: u16,
     serial: u32,
     has_data: bool,
-    /// Shared so a Reset response streams from a snapshot without the
-    /// lock; mutation is copy-on-write only while such a snapshot (or a
-    /// [`CacheServer::payload`] handle) is still alive.
-    current: Arc<BTreeSet<VrpTriple>>,
+    /// A Reset response streams from a handle on this set without the
+    /// lock, and [`CacheServer::payload`] hands one out; an edit copies
+    /// the chunks it touches, never the set, whoever else holds it.
+    current: VrpSet,
     history: VecDeque<Delta>,
 }
 
@@ -68,9 +67,9 @@ pub(crate) struct Response {
 }
 
 struct ResetBody {
-    set: Arc<BTreeSet<VrpTriple>>,
-    /// Where the next chunk resumes in the set's order.
-    resume: Bound<VrpTriple>,
+    set: VrpSet,
+    /// The last record handed out: the next chunk resumes after it.
+    resume: Option<VrpTriple>,
     session_id: u16,
     serial: u32,
 }
@@ -100,10 +99,13 @@ impl Response {
             return false;
         };
         let mut taken = 0;
-        let records = body.set.range((body.resume, Bound::Unbounded));
+        let records = match body.resume {
+            Some(last) => body.set.iter_after(&last),
+            None => body.set.iter(),
+        };
         for vrp in records.take(RESET_CHUNK) {
             vrp_pdu(vrp, true).encode_into(out);
-            body.resume = Bound::Excluded(*vrp);
+            body.resume = Some(*vrp);
             taken += 1;
         }
         if taken == RESET_CHUNK {
@@ -178,7 +180,7 @@ impl CacheServer {
                 session_id,
                 serial: 0,
                 has_data: false,
-                current: Arc::default(),
+                current: VrpSet::new(),
                 history: VecDeque::new(),
             }),
             wakers: Mutex::new(Vec::new()),
@@ -236,11 +238,11 @@ impl CacheServer {
     /// boundary's half-space, so every router is forced through a Cache
     /// Reset and refetches the full set (RFC 8210 §5.1 / RFC 1982).
     pub fn update<I: IntoIterator<Item = VrpTriple>>(&self, vrps: I) -> u32 {
-        let new: BTreeSet<VrpTriple> = vrps.into_iter().collect();
+        let new: VrpSet = vrps.into_iter().collect();
         let serial = {
             let mut st = self.state_lock();
-            let announced: Vec<VrpTriple> = new.difference(&st.current).copied().collect();
-            let withdrawn: Vec<VrpTriple> = st.current.difference(&new).copied().collect();
+            let announced = new.difference(&st.current);
+            let withdrawn = st.current.difference(&new);
             let wrapped = st.serial == u32::MAX;
             st.serial = st.serial.wrapping_add(1);
             let serial = st.serial;
@@ -256,7 +258,7 @@ impl CacheServer {
                     st.history.pop_front();
                 }
             }
-            st.current = Arc::new(new);
+            st.current = new;
             st.has_data = true;
             serial
         };
@@ -284,7 +286,10 @@ impl CacheServer {
         serial: u32,
         vrps: I,
     ) -> bool {
-        let new: BTreeSet<VrpTriple> = vrps.into_iter().collect();
+        self.install_set(serial, vrps.into_iter().collect())
+    }
+
+    fn install_set(&self, serial: u32, new: VrpSet) -> bool {
         {
             let mut st = self.state_lock();
             if st.has_data && serial == st.serial {
@@ -293,8 +298,8 @@ impl CacheServer {
             let wraps = st.serial == u32::MAX && serial == 0;
             let contiguous = st.has_data && !wraps && serial == st.serial.wrapping_add(1);
             if contiguous {
-                let announced: Vec<VrpTriple> = new.difference(&st.current).copied().collect();
-                let withdrawn: Vec<VrpTriple> = st.current.difference(&new).copied().collect();
+                let announced = new.difference(&st.current);
+                let withdrawn = st.current.difference(&new);
                 st.history.push_back(Delta {
                     to_serial: serial,
                     announced,
@@ -307,7 +312,7 @@ impl CacheServer {
                 st.history.clear();
             }
             st.serial = serial;
-            st.current = Arc::new(new);
+            st.current = new;
             st.has_data = true;
         }
         self.wake();
@@ -350,14 +355,13 @@ impl CacheServer {
                 announced: Vec::new(),
                 withdrawn: Vec::new(),
             };
-            let current = Arc::make_mut(&mut st.current);
             for vrp in withdrawn {
-                if current.remove(vrp) {
+                if st.current.remove(vrp) {
                     effective.withdrawn.push(*vrp);
                 }
             }
             for vrp in announced {
-                if current.insert(*vrp) {
+                if st.current.insert(*vrp) {
                     effective.announced.push(*vrp);
                 }
             }
@@ -388,9 +392,10 @@ impl CacheServer {
 
     /// Install a full payload snapshot under its serial (see
     /// [`install_snapshot`](Self::install_snapshot) for the delta-vs-
-    /// reset rules the serial jump decides).
+    /// reset rules the serial jump decides). The cache adopts the
+    /// payload's set as a handle; nothing is copied or re-sorted.
     pub fn install_payload(&self, payload: &VrpPayload) -> bool {
-        self.install_snapshot(payload.serial(), payload.vrps().iter().copied())
+        self.install_set(payload.serial(), payload.shared_vrps())
     }
 
     /// Stream a payload delta into the cache. Succeeds only when the
@@ -415,7 +420,7 @@ impl CacheServer {
     pub fn payload(&self) -> Option<VrpPayload> {
         let st = self.state_lock();
         st.has_data
-            .then(|| VrpPayload::from_shared(u64::from(st.serial), Arc::clone(&st.current)))
+            .then(|| VrpPayload::from_shared(u64::from(st.serial), st.current.clone()))
     }
 
     /// Current serial.
@@ -548,8 +553,8 @@ impl CacheServer {
                 return Response {
                     head,
                     reset: Some(ResetBody {
-                        set: Arc::clone(&st.current),
-                        resume: Bound::Unbounded,
+                        set: st.current.clone(),
+                        resume: None,
                         session_id: st.session_id,
                         serial: st.serial,
                     }),

@@ -23,7 +23,6 @@ use ripki_payload::VrpPayload;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{Read, Write};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Client-side failures.
@@ -104,14 +103,22 @@ pub struct WireDelta {
 }
 
 /// An RTR client over any blocking byte stream.
+///
+/// The VRP set is the router's own model: a plain `BTreeSet`, edited in
+/// place by every sync and never shared. [`vrps`](Self::vrps) lends it;
+/// [`payload`](Self::payload) converts it (O(n)). It is never half
+/// advanced: a failed sync leaves the set as it was (records are staged
+/// until End of Data) or — after a Cache Reset, or a response that
+/// contradicts the set held — empty with no `(session, serial)`, so the
+/// next sync is a Reset Query.
 pub struct Client<S: Read + Write> {
     stream: S,
     buf: PduBuf,
     /// `(session_id, serial)` once synchronized.
     state: Option<(u16, u32)>,
-    /// Behind an `Arc` so [`payload`](Self::payload) is a handle clone;
-    /// a sync copies the set only while such a handle is still alive.
-    vrps: Arc<BTreeSet<VrpTriple>>,
+    /// The router's own mutable model of the cache's set: plain, owned,
+    /// edited in place by every sync and shared with nobody.
+    vrps: BTreeSet<VrpTriple>,
     /// Latest serial announced by an unsolicited Serial Notify.
     notified_serial: Option<u32>,
     /// What the last successful sync changed, when it was incremental.
@@ -137,7 +144,7 @@ fn pdu_vrp(
 impl<S: Read + Write> Client<S> {
     /// Wrap a connected stream.
     pub fn new(stream: S) -> Client<S> {
-        Client::resume(stream, None, Arc::default())
+        Client::resume(stream, None, BTreeSet::new())
     }
 
     /// Wrap a freshly connected stream, resuming from context salvaged
@@ -146,11 +153,7 @@ impl<S: Read + Write> Client<S> {
     /// incremental Serial Query instead of refetching the full set —
     /// the cache decides whether the gap is still bridgeable or forces
     /// a Cache Reset.
-    pub fn resume(
-        stream: S,
-        state: Option<(u16, u32)>,
-        vrps: Arc<BTreeSet<VrpTriple>>,
-    ) -> Client<S> {
+    pub fn resume(stream: S, state: Option<(u16, u32)>, vrps: BTreeSet<VrpTriple>) -> Client<S> {
         Client {
             stream,
             buf: PduBuf::new(),
@@ -164,7 +167,7 @@ impl<S: Read + Write> Client<S> {
     /// Tear the client down, salvaging the `(session_id, serial)`
     /// context and VRP set for a future [`Client::resume`] on a new
     /// connection.
-    pub fn into_state(self) -> (Option<(u16, u32)>, Arc<BTreeSet<VrpTriple>>) {
+    pub fn into_state(self) -> (Option<(u16, u32)>, BTreeSet<VrpTriple>) {
         (self.state, self.vrps)
     }
 
@@ -200,13 +203,15 @@ impl<S: Read + Write> Client<S> {
         RouteOriginValidator::from_vrps(self.vrps.iter().copied())
     }
 
-    /// The current VRP set as an epoch-stamped payload (`None` before
-    /// the first sync). The epoch is the RTR serial widened to `u64`,
-    /// mirroring [`VrpPayload::serial`]'s truncation in the other
-    /// direction.
+    /// The current VRP set converted to an epoch-stamped payload
+    /// (`None` before the first sync) — an O(n) copy, for probes, tests
+    /// and a follower's full reload; a follower that stays in lockstep
+    /// advances its own payload by [`last_delta`](Self::last_delta)
+    /// instead. The epoch is the RTR serial widened to `u64`, mirroring
+    /// [`VrpPayload::serial`]'s truncation in the other direction.
     pub fn payload(&self) -> Option<VrpPayload> {
         self.state
-            .map(|(_, serial)| VrpPayload::from_shared(u64::from(serial), Arc::clone(&self.vrps)))
+            .map(|(_, serial)| VrpPayload::new(u64::from(serial), self.vrps.iter().copied()))
     }
 
     /// The net announce/withdraw lists of the last successful
@@ -267,8 +272,7 @@ impl<S: Read + Write> Client<S> {
             Some(outcome) => Ok(outcome),
             None => {
                 // Cache Reset: drop state and start over.
-                self.state = None;
-                self.vrps = Arc::default();
+                self.forget();
                 match self.exchange(&Pdu::ResetQuery)? {
                     Some(outcome) => Ok(outcome),
                     None => Err(ClientError::ProtocolViolation(
@@ -279,8 +283,21 @@ impl<S: Read + Write> Client<S> {
         }
     }
 
+    /// Void everything learned from the cache, so the next
+    /// [`sync`](Self::sync) starts over with a Reset Query.
+    fn forget(&mut self) {
+        self.state = None;
+        self.vrps.clear();
+        self.last_delta = None;
+    }
+
     /// Send one query and apply the response. `Ok(None)` means the cache
-    /// sent a Cache Reset.
+    /// sent a Cache Reset. A response that arrives intact but contradicts
+    /// the set held (a duplicate announcement, a withdrawal of an unknown
+    /// record) cannot be trusted in any part: the client
+    /// [forgets](Self::forget) what it held rather than keep a set that
+    /// is half advanced under the old serial, which every retry of the
+    /// same Serial Query would trip over again.
     fn exchange(&mut self, query: &Pdu) -> Result<Option<SyncOutcome>, ClientError> {
         self.last_delta = None;
         self.stream
@@ -381,30 +398,28 @@ impl<S: Read + Write> Client<S> {
             Pdu::SerialQuery { serial, .. } => Some((*serial, BTreeSet::new(), BTreeSet::new())),
             _ => None,
         };
-        // An empty answer must not copy a set a payload handle shares.
-        if !staged.is_empty() {
-            let vrps = Arc::make_mut(&mut self.vrps);
-            for (announce, vrp) in staged {
-                if announce {
-                    if !vrps.insert(vrp) {
-                        return Err(ClientError::DuplicateAnnouncement(vrp));
-                    }
-                    announced += 1;
-                } else {
-                    if !vrps.remove(&vrp) {
-                        return Err(ClientError::WithdrawalOfUnknown(vrp));
-                    }
-                    withdrawn += 1;
+        for (announce, vrp) in staged {
+            if announce {
+                if !self.vrps.insert(vrp) {
+                    self.forget();
+                    return Err(ClientError::DuplicateAnnouncement(vrp));
                 }
-                if let Some((_, net_announced, net_withdrawn)) = &mut net {
-                    let (same, opposite) = if announce {
-                        (net_announced, net_withdrawn)
-                    } else {
-                        (net_withdrawn, net_announced)
-                    };
-                    if !opposite.remove(&vrp) {
-                        same.insert(vrp);
-                    }
+                announced += 1;
+            } else {
+                if !self.vrps.remove(&vrp) {
+                    self.forget();
+                    return Err(ClientError::WithdrawalOfUnknown(vrp));
+                }
+                withdrawn += 1;
+            }
+            if let Some((_, net_announced, net_withdrawn)) = &mut net {
+                let (same, opposite) = if announce {
+                    (net_announced, net_withdrawn)
+                } else {
+                    (net_withdrawn, net_announced)
+                };
+                if !opposite.remove(&vrp) {
+                    same.insert(vrp);
                 }
             }
         }
@@ -488,7 +503,7 @@ pub struct PersistentClient<S: Read + Write, F: FnMut() -> std::io::Result<S>> {
     /// Context carried while between connections; authoritative only
     /// when `client` is `None`.
     state: Option<(u16, u32)>,
-    vrps: Arc<BTreeSet<VrpTriple>>,
+    vrps: BTreeSet<VrpTriple>,
     backoff: Backoff,
     max_attempts: u32,
     sleep: fn(Duration),
@@ -502,7 +517,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
             connect,
             client: None,
             state: None,
-            vrps: Arc::default(),
+            vrps: BTreeSet::new(),
             backoff: Backoff::default(),
             max_attempts: 8,
             sleep: std::thread::sleep,
@@ -531,18 +546,15 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
 
     /// The VRPs currently held — survive between connections.
     pub fn vrps(&self) -> &BTreeSet<VrpTriple> {
-        self.client.as_ref().map_or(&*self.vrps, Client::vrps)
+        self.client.as_ref().map_or(&self.vrps, Client::vrps)
     }
 
-    /// The current VRP set as an epoch-stamped payload (`None` before
-    /// the first successful sync).
+    /// The current VRP set converted to an epoch-stamped payload
+    /// (`None` before the first successful sync); O(n), see
+    /// [`Client::payload`].
     pub fn payload(&self) -> Option<VrpPayload> {
-        match &self.client {
-            Some(client) => client.payload(),
-            None => self.state.map(|(_, serial)| {
-                VrpPayload::from_shared(u64::from(serial), Arc::clone(&self.vrps))
-            }),
-        }
+        self.state()
+            .map(|(_, serial)| VrpPayload::new(u64::from(serial), self.vrps().iter().copied()))
     }
 
     /// The last sync's net delta (see [`Client::last_delta`]); `None`
@@ -633,7 +645,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
                     // context is void. Start over from nothing.
                     self.client = None;
                     self.state = None;
-                    self.vrps = Arc::default();
+                    self.vrps.clear();
                     failures += 1;
                     if failures >= self.max_attempts {
                         return Err(err);
@@ -652,7 +664,7 @@ impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
                     // change.
                     self.client = None;
                     self.state = None;
-                    self.vrps = Arc::default();
+                    self.vrps.clear();
                     failures += 1;
                     if failures >= self.max_attempts {
                         return Err(err);
@@ -917,23 +929,122 @@ mod tests {
     }
 
     /// A transcript stream: reads come from a canned PDU script,
-    /// writes vanish. Lets a test exercise server behaviors the real
-    /// `CacheServer` never emits (e.g. a mid-response Cache Reset).
-    struct Scripted(std::io::Cursor<Vec<u8>>);
+    /// writes are kept for inspection. Lets a test exercise server
+    /// behaviors the real `CacheServer` never emits (e.g. a
+    /// mid-response Cache Reset).
+    struct Scripted {
+        script: std::io::Cursor<Vec<u8>>,
+        sent: Vec<u8>,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<u8>) -> Scripted {
+            Scripted {
+                script: std::io::Cursor::new(script),
+                sent: Vec::new(),
+            }
+        }
+
+        /// The queries written so far.
+        fn queries(&self) -> Vec<Pdu> {
+            let mut buf = PduBuf::new();
+            buf.extend(&self.sent);
+            std::iter::from_fn(|| buf.next_pdu().unwrap()).collect()
+        }
+    }
 
     impl std::io::Read for Scripted {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.0.read(buf)
+            self.script.read(buf)
         }
     }
 
     impl std::io::Write for Scripted {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.sent.extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
+    }
+
+    /// A scripted answer: Cache Response, one IPv4 record per entry
+    /// (`true` = announce), End of Data at `serial`.
+    fn answer(session_id: u16, records: &[(bool, VrpTriple)], serial: u32) -> Vec<u8> {
+        let mut out = Pdu::CacheResponse { session_id }.encode();
+        for (announce, vrp) in records {
+            let IpPrefix::V4(prefix) = vrp.prefix else {
+                panic!("scripted answers are IPv4");
+            };
+            Pdu::Ipv4Prefix {
+                announce: *announce,
+                prefix_len: prefix.len(),
+                max_len: vrp.max_length,
+                prefix: prefix.network(),
+                asn: vrp.asn,
+            }
+            .encode_into(&mut out);
+        }
+        Pdu::EndOfData { session_id, serial }.encode_into(&mut out);
+        out
+    }
+
+    /// Upstreams are untrusted: a delta that contradicts the set held
+    /// must not leave the router half advanced under its old serial —
+    /// every retry of the same Serial Query would then fail on the
+    /// delta's *first* record. The client forgets what it held instead
+    /// and the next sync is a Reset Query.
+    #[test]
+    fn a_failed_delta_voids_the_client_instead_of_half_applying() {
+        let (a, b, c) = (
+            vrp("10.0.0.0/16", 16, 1),
+            vrp("11.0.0.0/16", 16, 2),
+            vrp("12.0.0.0/16", 16, 3),
+        );
+        let mut script = answer(7, &[(true, a), (true, b)], 1);
+        // The delta's first record is fine; its second announces a VRP
+        // the router already holds.
+        script.extend(answer(7, &[(true, c), (true, a)], 2));
+        // What the cache really serves at serial 2.
+        script.extend(answer(7, &[(true, a), (true, b), (true, c)], 2));
+
+        let mut client = Client::new(Scripted::new(script));
+        client.sync().unwrap();
+        assert_eq!(client.state(), Some((7, 1)));
+
+        assert_eq!(client.sync(), Err(ClientError::DuplicateAnnouncement(a)));
+        assert_eq!(
+            client.state(),
+            None,
+            "the old serial no longer describes the set"
+        );
+        assert!(client.vrps().is_empty());
+        assert_eq!(client.last_delta(), None);
+        assert_eq!(client.payload(), None);
+
+        let outcome = client.sync().unwrap();
+        assert_eq!(
+            outcome,
+            SyncOutcome::Updated {
+                serial: 2,
+                announced: 3,
+                withdrawn: 0
+            }
+        );
+        assert_eq!(client.vrps(), &BTreeSet::from([a, b, c]));
+        assert_eq!(client.last_delta(), None, "a full reload has no delta");
+        assert_eq!(
+            client.stream.queries(),
+            [
+                Pdu::ResetQuery,
+                Pdu::SerialQuery {
+                    session_id: 7,
+                    serial: 1
+                },
+                Pdu::ResetQuery,
+            ]
+        );
     }
 
     #[test]
@@ -974,7 +1085,7 @@ mod tests {
             .encode(),
         );
 
-        let mut client = Client::new(Scripted(std::io::Cursor::new(script)));
+        let mut client = Client::new(Scripted::new(script));
         let outcome = client.sync().unwrap();
         assert_eq!(
             outcome,

@@ -272,25 +272,21 @@ impl ExceptionSet {
 
     /// [`ExceptionSet::excepted`], also reporting what changed.
     pub fn excepted_with_stats(&self, payload: &VrpPayload) -> (VrpPayload, SlurmStats) {
-        let mut stats = SlurmStats::default();
-        let mut vrps: BTreeSet<VrpTriple> = payload
+        let mut vrps: Vec<VrpTriple> = payload
             .vrps()
             .iter()
-            .filter(|vrp| {
-                let keep = !self.filters_out(vrp);
-                if !keep {
-                    stats.filtered += 1;
-                }
-                keep
-            })
+            .filter(|vrp| !self.filters_out(vrp))
             .copied()
             .collect();
-        for vrp in self.asserted.iter() {
-            if vrps.insert(*vrp) {
-                stats.asserted += 1;
-            }
-        }
-        (VrpPayload::new(payload.epoch(), vrps), stats)
+        let kept = vrps.len();
+        vrps.extend(self.asserted.iter().copied());
+        // The set drops assertions the filtered input already held.
+        let excepted = VrpPayload::new(payload.epoch(), vrps);
+        let stats = SlurmStats {
+            filtered: payload.len() - kept,
+            asserted: excepted.len() - kept,
+        };
+        (excepted, stats)
     }
 
     /// Map a delta through the exceptions so it chains between
@@ -359,7 +355,9 @@ pub struct AppliedUpdate {
 ///
 /// - A source delta that chains is *mapped*, not re-excepted: the next
 ///   output is `last_out.apply(map_delta(d))` — O(|delta|), correct by
-///   the commutation law.
+///   the commutation law. (The cost claim rests on the payload's set:
+///   `apply` copies the chunks the delta touches and shares the rest
+///   with `last_out`, and `last_raw` is a handle on the source's set.)
 /// - A hot [`SlurmApplier::reload`] publishes a **new epoch** without a
 ///   new source epoch by bumping a constant offset added to every
 ///   source epoch from then on, so later source deltas still chain

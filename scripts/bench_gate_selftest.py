@@ -18,7 +18,10 @@ GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_gate.py")
 ROWS = {
     "rpki.full_validate_ms": (800.0, "ms"),
     "rpki.apply_ms_p50": (4.0, "ms"),
-    "rtr.cache_install_snapshot_ms": (6.0, "ms"),
+    "payload.apply_ms_p50": (0.1, "ms"),
+    "slurm.ingest_us_p50": (100.0, "us"),
+    "rtr.cache_install_snapshot_ms": (0.0001, "ms"),
+    "rtr.encode_reset_ms": (6.0, "ms"),
     "rtr.cache_apply_delta_us_p50": (300.0, "us"),
     "ripki.engine_new_ms": (100.0, "ms"),
     "ripki.run_ms": (200.0, "ms"),
@@ -63,6 +66,16 @@ gate(
     {"churn_rpki": verdict(**{"rpki.apply_ms_p50": (17.0, "ms")})},
     1,
     "÷ rpki.apply_ms_p50 @ churn_rpki: 47.1 < floor 100",
+)
+gate(
+    {"churn_rpki": verdict(**{"payload.apply_ms_p50": (2.28, "ms")})},
+    1,
+    "÷ payload.apply_ms_p50 @ churn_rpki: 1.75 < floor 20",
+)
+gate(
+    {"churn_rpki": verdict(**{"slurm.ingest_us_p50": (2536.0, "us")})},
+    1,
+    "÷ slurm.ingest_us_p50 @ churn_rpki: 1.58 < floor 20",
 )
 gate(
     {"churn_web": verdict(**{"stage.view_build_ms": (183.4, "ms")}), "study_full": ok},
