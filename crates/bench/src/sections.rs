@@ -608,16 +608,7 @@ fn run_epoch(domains: usize, factor: f64) -> (f64, usize) {
         },
         ..base
     });
-    let engine = StudyEngine::new(
-        scenario.zones.clone(),
-        scenario.rib.clone(),
-        &scenario.repository,
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now: scenario.now,
-            ..Default::default()
-        },
-    );
+    let engine = StudyEngine::for_scenario(&scenario, 0);
     let results = engine.run(&scenario.ranking);
     let valid = figures::fig2_rpki_outcome(&results, (domains / 10).max(1))
         .valid

@@ -348,11 +348,13 @@ mod tests {
         assert!(Rule::NoPanic.applies_to("crates/rtr/src/listener.rs"));
         assert!(Rule::NoPanic.applies_to("crates/proxy/src/targets.rs"));
         assert!(!Rule::NoPanic.applies_to("crates/proxy/src/units.rs"));
+        assert!(!Rule::NoPanic.applies_to("crates/proxy/src/origin.rs"));
         assert!(!Rule::NoPanic.applies_to("crates/rtr/src/cache.rs"));
         assert!(!Rule::NoPanic.applies_to("crates/rpki/src/validate.rs"));
 
         assert!(!Rule::WallClock.applies_to("crates/rpki/src/time.rs"));
-        assert!(!Rule::WallClock.applies_to("crates/cli/src/lib.rs"));
+        assert!(!Rule::WallClock.applies_to("crates/cli/src/signal.rs"));
+        assert!(Rule::WallClock.applies_to("crates/proxy/src/origin.rs"));
         assert!(Rule::WallClock.applies_to("crates/serve/src/metrics.rs"));
 
         assert!(Rule::AtomicOrder.applies_to("crates/dns/src/cache.rs"));
@@ -366,12 +368,14 @@ mod tests {
         assert!(!Rule::EpochWrite.applies_to("crates/slurm/src/lib.rs"));
         assert!(Rule::EpochWrite.applies_to("crates/serve/src/view.rs"));
         assert!(Rule::EpochWrite.applies_to("crates/proxy/src/units.rs"));
+        assert!(Rule::EpochWrite.applies_to("crates/proxy/src/origin.rs"));
 
         assert!(Rule::NoBlocking.applies_to("crates/serve/src/reactor.rs"));
         assert!(Rule::NoBlocking.applies_to("crates/rtr/src/listener.rs"));
         assert!(!Rule::NoBlocking.applies_to("crates/par/src/lib.rs"));
         assert!(Rule::LockOrder.applies_to("crates/par/src/lib.rs"));
         assert!(Rule::LockOrder.applies_to("crates/proxy/src/comms.rs"));
+        assert!(Rule::LockOrder.applies_to("crates/proxy/src/origin.rs"));
         assert!(Rule::LockOrder.applies_to("crates/rtr/src/cache.rs"));
 
         assert!(admits_monotonic_clock("crates/serve/src/reactor.rs"));

@@ -16,6 +16,9 @@
 //!   JSON/CSV/metrics HTTP exporter.
 //! * The [`comms::Gossip`] watch channel carries [`VrpPayload`] epochs
 //!   between them with monotonicity enforced at both ends.
+//! * [`origin`] is where epochs come from: the one driver that commits
+//!   an engine epoch and hands it to an origin's serving planes, under
+//!   the `engine` unit and the CLI's serving commands alike.
 //!
 //! Because every hop speaks [`ripki_payload::VrpPayload`], a chain of
 //! proxies is transparent: the VRP set a router receives N hops
@@ -31,6 +34,7 @@ pub mod config;
 pub mod http;
 pub mod log;
 pub mod manager;
+pub mod origin;
 pub mod targets;
 pub mod units;
 
@@ -38,3 +42,4 @@ pub use comms::{Gossip, Subscription, Wait};
 pub use config::{ConfigError, ProxyConfig};
 pub use log::Log;
 pub use manager::{FabricError, Manager};
+pub use origin::{EpochDriver, EpochReport, OriginError, Planes};

@@ -401,6 +401,33 @@ unit = "feed"
     }
 
     #[test]
+    fn shutdown_interrupts_an_engine_unit_in_its_pause() {
+        struct Lines(std::sync::mpsc::Sender<String>);
+        impl io::Write for Lines {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let _ = self.0.send(String::from_utf8_lossy(buf).into_owned());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (lines, logged) = std::sync::mpsc::channel();
+        let toml =
+            "[units.world]\ntype = \"engine\"\ndomains = 40\nepochs = 3\ninterval-ms = 60000\n";
+        let manager = Manager::from_toml(toml, &Log::to(Box::new(Lines(lines)))).expect("start");
+        // Once epoch 1 is out the unit sits in its minute-long pause.
+        let mut seen = String::new();
+        while !seen.contains("epoch 1 validated") {
+            seen.push_str(&logged.recv().expect("the unit logs its first epoch"));
+        }
+        let started = std::time::Instant::now();
+        manager.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    }
+
+    #[test]
     fn bad_wiring_is_a_startup_error() {
         let log = Log::sink();
         for (toml, needle) in [

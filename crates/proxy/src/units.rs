@@ -9,8 +9,7 @@
 
 use crate::comms::{Gossip, Subscription, Wait};
 use crate::log::Log;
-use ripki::engine::{EpochDelta, StudyEngine, WorldSnapshot};
-use ripki::pipeline::PipelineConfig;
+use crate::origin::{pause, EpochDriver, Planes};
 use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet};
 use ripki_rtr::{Backoff, PersistentClient};
 use ripki_slurm::{SlurmApplier, SlurmFile};
@@ -41,26 +40,10 @@ pub struct EngineUnitConfig {
     pub interval: Duration,
 }
 
-/// One engine epoch in the fabric's currency: the snapshot's VRPs under
-/// its epoch, with the engine's exact announce/withdraw delta attached
-/// when the epoch came out of `apply_events`.
-pub fn epoch_update(snapshot: &WorldSnapshot, delta: Option<&EpochDelta>) -> PayloadUpdate {
-    PayloadUpdate {
-        payload: VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied()),
-        delta: delta.map(|d| {
-            VrpDelta::new(
-                d.from_epoch,
-                d.to_epoch,
-                d.announced.clone(),
-                d.withdrawn.clone(),
-            )
-        }),
-    }
-}
-
-/// Run a local study engine as an ingest unit. Publishes the initial
-/// validation epoch, then `epochs` churn epochs (each with its exact
-/// engine delta attached), then closes the gossip.
+/// Run a local study engine as an ingest unit: an origin with no
+/// serving plane of its own. Publishes the initial validation epoch,
+/// then `epochs` churn epochs (each with its exact engine delta
+/// attached), then closes the gossip.
 pub fn run_engine_unit(
     name: &str,
     config: &EngineUnitConfig,
@@ -72,19 +55,7 @@ pub fn run_engine_unit(
         seed: config.seed,
         ..ScenarioConfig::with_domains(config.domains)
     });
-    let engine = StudyEngine::new(
-        scenario.zones.clone(),
-        scenario.rib.clone(),
-        &scenario.repository,
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now: scenario.now,
-            ..Default::default()
-        },
-    );
-    let mut results = engine.run(&scenario.ranking);
-    let publish = |delta: Option<&EpochDelta>| {
-        let update = epoch_update(&engine.snapshot(), delta);
+    let publish = |update: PayloadUpdate| {
         log.line(&format_args!(
             "unit {name} (engine): epoch {} validated ({})",
             update.epoch(),
@@ -92,8 +63,6 @@ pub fn run_engine_unit(
         ));
         gossip.publish(update);
     };
-    publish(None);
-
     let mut stream = ChurnStream::new(
         &scenario,
         ChurnConfig {
@@ -101,13 +70,18 @@ pub fn run_engine_unit(
             ..ChurnConfig::default()
         },
     );
-    for _ in 0..config.epochs {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
+    let outcome = EpochDriver::measure(&scenario, 0, Planes::new(None)).and_then(|mut driver| {
+        publish(PayloadUpdate::snapshot(driver.raw().clone()));
+        for _ in 0..config.epochs {
+            if !pause(config.interval, shutdown) {
+                break;
+            }
+            publish(driver.step(&stream.next_epoch())?.raw);
         }
-        std::thread::sleep(config.interval);
-        let batch = stream.next_epoch();
-        publish(Some(&engine.apply_events(&batch, &mut results)));
+        Ok(())
+    });
+    if let Err(e) = outcome {
+        log.line(&format_args!("unit {name} (engine): {e}"));
     }
     log.line(&format_args!("unit {name} (engine): finished"));
     gossip.close();

@@ -71,6 +71,7 @@ use ripki_rpki::repo::Repository;
 use ripki_rpki::time::SimTime;
 use ripki_rpki::validate::ValidationOptions;
 use ripki_websim::churn::{EpochChurn, WorldEvent};
+use ripki_websim::Scenario;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -629,6 +630,26 @@ impl StudyEngine {
         config: PipelineConfig,
     ) -> StudyEngine {
         StudyEngine::from_shared(Arc::new(zones), Arc::new(rib), repository, config)
+    }
+
+    /// Build an engine at epoch 1 over a generated world, as every
+    /// scenario-backed origin measures it: at the scenario's instant,
+    /// without DNS answer corruption, on `threads` workers (0 =
+    /// auto-detect). A study that wants the scenario's own
+    /// `bogus_dns_ppm`, another vantage or another instant spells its
+    /// [`PipelineConfig`] out and calls [`new`](Self::new).
+    pub fn for_scenario(scenario: &Scenario, threads: usize) -> StudyEngine {
+        StudyEngine::new(
+            scenario.zones.clone(),
+            scenario.rib.clone(),
+            &scenario.repository,
+            PipelineConfig {
+                bogus_dns_ppm: 0,
+                now: scenario.now,
+                threads,
+                ..Default::default()
+            },
+        )
     }
 
     /// Build an engine at epoch 1 from already-shared substrate.

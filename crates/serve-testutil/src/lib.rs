@@ -8,7 +8,6 @@
 
 use ripki::engine::StudyEngine;
 use ripki::exposure::ExposureConfig;
-use ripki::pipeline::PipelineConfig;
 use ripki_serve::{EpochView, Server, ServerConfig, SharedView};
 use ripki_websim::{Scenario, ScenarioConfig};
 use std::io::{ErrorKind, Read, Write};
@@ -41,16 +40,7 @@ pub fn serve_scenario_config(domains: usize, seed: u64, config: ServerConfig) ->
         seed,
         ..ScenarioConfig::with_domains(domains)
     });
-    let engine = StudyEngine::new(
-        scenario.zones.clone(),
-        scenario.rib.clone(),
-        &scenario.repository,
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now: scenario.now,
-            ..Default::default()
-        },
-    );
+    let engine = StudyEngine::for_scenario(&scenario, 0);
     let results = engine.run(&scenario.ranking);
     let view = EpochView::new(
         engine.snapshot(),

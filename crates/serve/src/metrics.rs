@@ -267,13 +267,13 @@ impl Metrics {
     /// come from the *current* epoch view so the scrape shows which
     /// world version the answers reflect.
     pub fn render(&self, epoch: u64, vrp_count: usize) -> String {
-        self.render_with_exceptions(epoch, vrp_count, None)
+        self.render_with_slurm(epoch, vrp_count, None)
     }
 
     /// [`Metrics::render`] with the SLURM exception-layer gauges
     /// appended when a layer is configured (`(filtered, asserted)`
     /// VRP counts from the current view).
-    pub fn render_with_exceptions(
+    pub fn render_with_slurm(
         &self,
         epoch: u64,
         vrp_count: usize,

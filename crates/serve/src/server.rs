@@ -260,7 +260,7 @@ fn route(
             vrp_export(current.payload(), request, Export::Csv),
         ),
         "/metrics" => {
-            let text = metrics.render_with_exceptions(
+            let text = metrics.render_with_slurm(
                 current.epoch(),
                 current.payload().len(),
                 current.slurm_stats().map(|s| (s.filtered, s.asserted)),

@@ -17,7 +17,7 @@ use ripki_bgp::topology::Topology;
 use ripki_dns::DomainName;
 use ripki_net::{Asn, IpPrefix};
 use ripki_payload::VrpPayload;
-use ripki_slurm::{ExceptionSet, SlurmStats};
+use ripki_slurm::SlurmStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -37,7 +37,8 @@ pub struct EpochView {
 }
 
 impl EpochView {
-    /// Bind a snapshot to the results measured from it.
+    /// Bind a snapshot to the results measured from it, serving the
+    /// snapshot's own VRP set.
     ///
     /// # Panics
     ///
@@ -50,20 +51,51 @@ impl EpochView {
         topology: Option<Arc<Topology>>,
         exposure: ExposureConfig,
     ) -> EpochView {
+        let payload = VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied());
+        EpochView::with_payload(snapshot, results, topology, exposure, payload, None)
+    }
+
+    /// Bind a snapshot to the results measured from it and to the
+    /// payload the origin serves for it: the snapshot's VRP set
+    /// advanced by the epoch's delta, or — with `slurm` stats — that
+    /// set behind the RFC 8416 local-exception layer. Validity and
+    /// exposure queries then answer from a validator built over the
+    /// excepted set, so `/vrps.{json,csv}`, `/api/v1/validity`, and the
+    /// co-hosted RTR cache installed from the same payload all agree.
+    /// The exports and every co-hosted plane serve this one canonically
+    /// ordered payload, so equal epochs are byte-identical across every
+    /// wire form.
+    ///
+    /// # Panics
+    ///
+    /// If the snapshot, the results and the payload do not share one
+    /// epoch.
+    pub fn with_payload(
+        snapshot: Arc<WorldSnapshot>,
+        results: Arc<StudyResults>,
+        topology: Option<Arc<Topology>>,
+        exposure: ExposureConfig,
+        payload: VrpPayload,
+        slurm: Option<SlurmStats>,
+    ) -> EpochView {
         assert_eq!(
             snapshot.epoch(),
             results.epoch,
             "epoch-consistency contract: snapshot and results must share an epoch"
         );
+        assert_eq!(
+            snapshot.epoch(),
+            payload.epoch(),
+            "epoch-consistency contract: snapshot and payload must share an epoch"
+        );
         // The first view of a ranking pays for the name index here, at
         // start-up, instead of in its first request; every later view is
         // built from a clone that already shares it.
         results.domains.ensure_index();
-        // Built once per view, shared from then on: the VRP exports and
-        // any co-hosted RTR/proxy plane all serve this one canonically
-        // ordered payload, so equal epochs are byte-identical across
-        // every wire form.
-        let payload = VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied());
+        let slurm = slurm.map(|stats| {
+            let validator = RouteOriginValidator::from_vrps(payload.vrps().iter().copied());
+            (validator, stats)
+        });
         EpochView {
             snapshot,
             results,
@@ -71,21 +103,8 @@ impl EpochView {
             topology,
             exposure,
             exposure_memo: Mutex::new(HashMap::new()),
-            slurm: None,
+            slurm,
         }
-    }
-
-    /// Layer RFC 8416 local exceptions over this view: the served
-    /// payload becomes the excepted set (same epoch), and validity and
-    /// exposure queries answer from a validator built over it — so
-    /// `/vrps.{json,csv}`, `/api/v1/validity`, and any co-hosted RTR
-    /// cache fed from [`EpochView::payload`] all agree.
-    pub fn with_exceptions(mut self, exceptions: &ExceptionSet) -> EpochView {
-        let (payload, stats) = exceptions.excepted_with_stats(&self.payload);
-        let validator = RouteOriginValidator::from_vrps(payload.vrps().iter().copied());
-        self.payload = payload;
-        self.slurm = Some((validator, stats));
-        self
     }
 
     /// How the local-exception layer changed this epoch's set, when one
@@ -115,7 +134,7 @@ impl EpochView {
     }
 
     /// The epoch's VRP set as the crate-neutral payload every serving
-    /// plane shares (built once in [`EpochView::new`]).
+    /// plane shares (handed to [`EpochView::with_payload`]).
     pub fn payload(&self) -> &VrpPayload {
         &self.payload
     }

@@ -32,7 +32,7 @@
 use loom::thread;
 use ripki::engine::StudyEngine;
 use ripki::exposure::ExposureConfig;
-use ripki::pipeline::{PipelineConfig, StudyResults};
+use ripki::pipeline::StudyResults;
 use ripki_serve::http::parse_head;
 use ripki_serve::pool::{Completion, CompletionQueue, Job, Wake, WorkerPool};
 use ripki_serve::{EpochView, SharedView};
@@ -56,16 +56,7 @@ fn two_epochs() -> EpochPair {
         seed: 23,
         ..ScenarioConfig::with_domains(8)
     });
-    let engine = StudyEngine::new(
-        scenario.zones.clone(),
-        scenario.rib.clone(),
-        &scenario.repository,
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now: scenario.now,
-            ..Default::default()
-        },
-    );
+    let engine = StudyEngine::for_scenario(&scenario, 0);
     let mut results = engine.run(&scenario.ranking);
     let snap0 = engine.snapshot();
     let res0 = Arc::new(results.clone());

@@ -403,6 +403,12 @@ impl SlurmApplier {
         self.resyncs
     }
 
+    /// The last source payload ingested — the base the next chaining
+    /// source delta advances.
+    pub fn last_raw(&self) -> Option<&VrpPayload> {
+        self.last_raw.as_ref()
+    }
+
     /// The last excepted output, if any epoch has been ingested.
     pub fn last_out(&self) -> Option<&VrpPayload> {
         self.last_out.as_ref()

@@ -28,3 +28,12 @@ echo "==> bench gate self-test"
 python3 scripts/bench_gate_selftest.py
 
 echo "All checks passed."
+
+# The ROADMAP tracks `wc -l` per crate: a PR's before-row is the table
+# its parent's run of this script printed.
+echo "==> lines under crates/*/src"
+for crate in crates/*/; do
+    printf '%-16s %6d\n' "$(basename "$crate")" \
+        "$(find "$crate/src" -name '*.rs' -exec cat {} + | wc -l)"
+done
+printf '%-16s %6d\n' total "$(find crates/*/src -name '*.rs' -exec cat {} + | wc -l)"

@@ -7,22 +7,11 @@
 
 use ripki_repro::ripki::engine::StudyEngine;
 use ripki_repro::ripki::figures::fig2_rpki_outcome;
-use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki_rpki::faults;
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
 
 fn valid_share(scenario: &Scenario) -> (f64, usize) {
-    let snapshot = StudyEngine::new(
-        scenario.zones.clone(),
-        scenario.rib.clone(),
-        &scenario.repository,
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now: scenario.now,
-            ..Default::default()
-        },
-    )
-    .snapshot();
+    let snapshot = StudyEngine::for_scenario(scenario, 0).snapshot();
     let vrps = snapshot.validator().len();
     let results = snapshot.run(&scenario.ranking);
     let fig2 = fig2_rpki_outcome(&results, 1_000);

@@ -3,7 +3,6 @@
 //! and the scenario's real topology is the battlefield.
 
 use ripki_repro::ripki::engine::{StudyEngine, WorldSnapshot};
-use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki_bgp::hijack::{run, HijackScenario};
 use ripki_repro::ripki_bgp::rov::RpkiState;
 use ripki_repro::ripki_net::Asn;
@@ -17,17 +16,7 @@ fn build() -> (
     Arc<WorldSnapshot>,
 ) {
     let scenario = Scenario::build(ScenarioConfig::with_domains(10_000));
-    let snapshot = StudyEngine::new(
-        scenario.zones.clone(),
-        scenario.rib.clone(),
-        &scenario.repository,
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now: scenario.now,
-            ..Default::default()
-        },
-    )
-    .snapshot();
+    let snapshot = StudyEngine::for_scenario(&scenario, 0).snapshot();
     let results = snapshot.run(&scenario.ranking);
     (scenario, results, snapshot)
 }

@@ -3,7 +3,6 @@
 //! router-side validator that agrees exactly with the pipeline's own.
 
 use ripki_repro::ripki::engine::StudyEngine;
-use ripki_repro::ripki::pipeline::PipelineConfig;
 use ripki_repro::ripki_rpki::validate;
 use ripki_repro::ripki_rtr::{CacheServer, Client};
 use ripki_repro::ripki_websim::{Scenario, ScenarioConfig};
@@ -31,16 +30,7 @@ fn router_via_rtr_agrees_with_pipeline_validator() {
 
     // The pipeline's internal validator and the router's RTR-fed one
     // classify every measured pair identically.
-    let engine = StudyEngine::new(
-        scenario.zones.clone(),
-        scenario.rib.clone(),
-        &scenario.repository,
-        PipelineConfig {
-            bogus_dns_ppm: 0,
-            now: scenario.now,
-            ..Default::default()
-        },
-    );
+    let engine = StudyEngine::for_scenario(&scenario, 0);
     let results = engine.run(&scenario.ranking);
     let mut pairs_checked = 0usize;
     for d in &results.domains {
