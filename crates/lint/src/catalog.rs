@@ -25,7 +25,11 @@ use std::path::Path;
 /// v6: the proxy `http` target's route function runs on `ripki-serve`
 /// workers, where a panic kills the worker and strands its connection —
 /// R1 scopes `crates/proxy/src/targets.rs`.
-pub const CATALOG_VERSION: u32 = 6;
+///
+/// v7: the proxy's pure stages run under one fabric lock
+/// (`Fabric.stages`) on the thread that published — R7 declares that
+/// lock outermost over the channel and target locks a stage takes.
+pub const CATALOG_VERSION: u32 = 7;
 
 /// The enforced invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -294,7 +298,21 @@ pub const REACTOR_BLESSED: &[(&str, Option<&str>, &str)] = &[
 /// at all; the declared direction is the only one a future nesting may
 /// take (a signal under `state` is tolerable, a state read under
 /// `wakers` would let a slow waker list stall every query).
-pub const DECLARED_LOCK_ORDER: &[(&str, &str)] = &[("CacheServer.state", "CacheServer.wakers")];
+///
+/// `Fabric.stages` → `Channel.slot`, `CacheServer.state`,
+/// `HttpState.payload`: a pump steps every stage under the fabric lock,
+/// and a stage takes from and publishes into gossip slots and installs
+/// into its target's serving state. The other way round — pumping with
+/// a slot, cache or payload lock held — would deadlock against a pump
+/// in progress on another unit's thread, so `Publisher` releases the
+/// slot before it pumps and stages publish with the plain
+/// `Gossip::publish`.
+pub const DECLARED_LOCK_ORDER: &[(&str, &str)] = &[
+    ("CacheServer.state", "CacheServer.wakers"),
+    ("Fabric.stages", "Channel.slot"),
+    ("Fabric.stages", "CacheServer.state"),
+    ("Fabric.stages", "HttpState.payload"),
+];
 
 /// Method names R6 treats as potentially blocking when reached from a
 /// reactor root. `lock`/`read`/`write` are deliberately *absent*:

@@ -60,7 +60,7 @@ fn violating_fixture_fails_with_exact_diagnostics() {
     }
     assert_eq!(
         lines.next(),
-        Some("ripki-lint: 7 file(s), 8 violation(s) [R1 3, R2 1, R3 1, R4 1, R5 2], 0 allow(s) (catalog v6)"),
+        Some("ripki-lint: 7 file(s), 8 violation(s) [R1 3, R2 1, R3 1, R4 1, R5 2], 0 allow(s) (catalog v7)"),
         "full output:\n{text}"
     );
     assert_eq!(lines.next(), None, "trailing output:\n{text}");
@@ -72,7 +72,7 @@ fn violating_fixture_json_report_is_structured() {
     assert_eq!(output.status.code(), Some(1));
     let json: Value = serde_json::from_str(&stdout(&output)).expect("valid JSON");
     assert_eq!(json["clean"], Value::from(false));
-    assert_eq!(json["catalog_version"], Value::from(6));
+    assert_eq!(json["catalog_version"], Value::from(7));
     assert_eq!(json["files_scanned"], Value::from(7));
     assert_eq!(json["violations"].as_array().map(<[Value]>::len), Some(8));
     assert_eq!(json["violations_by_rule"]["no-panic"], Value::from(3));
@@ -113,7 +113,7 @@ fn allowed_fixture_passes_and_audits_every_entry() {
         "{text}"
     );
     assert!(
-        text.contains("ripki-lint: 5 file(s), 0 violation(s), 5 allow(s) (catalog v6)"),
+        text.contains("ripki-lint: 5 file(s), 0 violation(s), 5 allow(s) (catalog v7)"),
         "{text}"
     );
 }
@@ -124,7 +124,7 @@ fn clean_fixture_passes_silently() {
     assert_eq!(output.status.code(), Some(0));
     assert_eq!(
         stdout(&output),
-        "ripki-lint: 2 file(s), 0 violation(s), 0 allow(s) (catalog v6)\n"
+        "ripki-lint: 2 file(s), 0 violation(s), 0 allow(s) (catalog v7)\n"
     );
     let json_run = check("clean", &["--format", "json"]);
     let json: Value = serde_json::from_str(&stdout(&json_run)).expect("valid JSON");
@@ -154,7 +154,7 @@ fn transitive_fixture_flags_call_site_and_panic_site() {
     }
     assert_eq!(
         lines.next(),
-        Some("ripki-lint: 2 file(s), 2 violation(s) [R1 2], 0 allow(s) (catalog v6)"),
+        Some("ripki-lint: 2 file(s), 2 violation(s) [R1 2], 0 allow(s) (catalog v7)"),
         "full output:\n{text}"
     );
     // `unreferenced_helper` has the same `.expect` shape but no caller
@@ -261,7 +261,7 @@ fn fp_r1_fixture_is_clean_despite_panic_shaped_text() {
     assert_eq!(output.status.code(), Some(0));
     assert_eq!(
         stdout(&output),
-        "ripki-lint: 1 file(s), 0 violation(s), 0 allow(s) (catalog v6)\n"
+        "ripki-lint: 1 file(s), 0 violation(s), 0 allow(s) (catalog v7)\n"
     );
 }
 
@@ -290,7 +290,7 @@ fn rules_subcommand_lists_the_catalog() {
     let output = run(&["rules"]);
     assert_eq!(output.status.code(), Some(0));
     let text = stdout(&output);
-    assert!(text.contains("rule catalog v6:"), "{text}");
+    assert!(text.contains("rule catalog v7:"), "{text}");
     for code in ["R1", "R2", "R3", "R4", "R5", "R6", "R7"] {
         assert!(text.contains(code), "missing {code} in:\n{text}");
     }

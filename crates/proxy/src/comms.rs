@@ -1,8 +1,10 @@
 //! The gossip channel connecting units, combinators, and targets.
 //!
 //! A watch-style single-slot channel: publishers overwrite the slot
-//! with the newest [`PayloadUpdate`], subscribers wake and read it.
-//! Only the *latest* update is retained — a slow subscriber skips
+//! with the newest [`PayloadUpdate`]; a fabric stage takes it without
+//! blocking when it is stepped ([`Subscription::try_recv`]), a
+//! subscriber with a thread of its own waits for it
+//! ([`Subscription::recv`]). Only the *latest* update is retained — a slow subscriber skips
 //! intermediate epochs rather than queueing them (it resynchronizes
 //! from the update's full payload; the delta only applies when it
 //! chains, exactly the RTR Cache Reset discipline).
@@ -14,15 +16,15 @@
 //! * [`Gossip::publish`] **refuses** updates that do not advance the
 //!   published epoch (returns `false`; a unit replaying an old epoch is
 //!   a no-op, not a poison pill), and
-//! * [`Subscription::recv`] **asserts** that observed epochs strictly
-//!   increase — a subscriber can never witness a serial regression, no
-//!   matter how hops are composed.
+//! * every delivery **asserts** that observed epochs strictly increase
+//!   — a subscriber can never witness a serial regression, no matter
+//!   how hops are composed.
 
 use ripki_payload::PayloadUpdate;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Slot state shared between one publisher and its subscribers.
+#[derive(Default)]
 struct Slot {
     /// Newest update published so far.
     update: Option<PayloadUpdate>,
@@ -32,6 +34,7 @@ struct Slot {
     closed: bool,
 }
 
+#[derive(Default)]
 struct Channel {
     slot: Mutex<Slot>,
     cond: Condvar,
@@ -40,30 +43,15 @@ struct Channel {
 /// The publishing half of a gossip channel (unit or combinator output).
 /// Clones share the same slot, so the manager can hand one clone to the
 /// producing thread and keep another for wiring subscribers.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Gossip {
     shared: Arc<Channel>,
-}
-
-impl Default for Gossip {
-    fn default() -> Gossip {
-        Gossip::new()
-    }
 }
 
 impl Gossip {
     /// A fresh channel with nothing published.
     pub fn new() -> Gossip {
-        Gossip {
-            shared: Arc::new(Channel {
-                slot: Mutex::new(Slot {
-                    update: None,
-                    seq: 0,
-                    closed: false,
-                }),
-                cond: Condvar::new(),
-            }),
-        }
+        Gossip::default()
     }
 
     /// Publish an update. Accepted (and `true`) only when it advances
@@ -80,12 +68,6 @@ impl Gossip {
         slot.seq += 1;
         self.shared.cond.notify_all();
         true
-    }
-
-    /// The newest published epoch, if any.
-    pub fn latest_epoch(&self) -> Option<u64> {
-        let slot = self.shared.slot.lock().expect("gossip slot poisoned");
-        slot.update.as_ref().map(PayloadUpdate::epoch)
     }
 
     /// Mark the channel finished. Subscribers drain the final update
@@ -105,17 +87,6 @@ impl Gossip {
             last_epoch: None,
         }
     }
-}
-
-/// What a bounded wait on a subscription yielded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Wait {
-    /// A new update arrived.
-    Update(PayloadUpdate),
-    /// Nothing new within the timeout; poll again.
-    TimedOut,
-    /// The publisher closed and everything published has been seen.
-    Closed,
 }
 
 /// The receiving half of a gossip channel.
@@ -141,27 +112,6 @@ impl Subscription {
         }
     }
 
-    /// Like [`recv`](Self::recv) but bounded: give up after `timeout`
-    /// so pollers can interleave shutdown checks.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Wait {
-        let mut slot = self.shared.slot.lock().expect("gossip slot poisoned");
-        if slot.seq <= self.seen_seq && !slot.closed {
-            let (guard, _) = self
-                .shared
-                .cond
-                .wait_timeout(slot, timeout)
-                .expect("gossip slot poisoned");
-            slot = guard;
-        }
-        if slot.seq > self.seen_seq {
-            return Wait::Update(Self::take(&mut self.seen_seq, &mut self.last_epoch, &slot));
-        }
-        if slot.closed {
-            return Wait::Closed;
-        }
-        Wait::TimedOut
-    }
-
     /// An unseen update if one is ready right now, without blocking.
     pub fn try_recv(&mut self) -> Option<PayloadUpdate> {
         let slot = self.shared.slot.lock().expect("gossip slot poisoned");
@@ -169,9 +119,11 @@ impl Subscription {
             .then(|| Self::take(&mut self.seen_seq, &mut self.last_epoch, &slot))
     }
 
-    /// The last epoch this subscription observed.
-    pub fn last_epoch(&self) -> Option<u64> {
-        self.last_epoch
+    /// Whether the publisher has closed and this subscription has seen
+    /// everything it published: nothing will ever arrive again.
+    pub fn is_closed(&self) -> bool {
+        let slot = self.shared.slot.lock().expect("gossip slot poisoned");
+        slot.closed && slot.seq <= self.seen_seq
     }
 
     fn take(seen_seq: &mut u64, last_epoch: &mut Option<u64>, slot: &Slot) -> PayloadUpdate {
@@ -240,7 +192,8 @@ mod tests {
         assert!(gossip.publish(payload(5, 1)));
         assert!(!gossip.publish(payload(5, 2)), "same epoch refused");
         assert!(!gossip.publish(payload(4, 2)), "regression refused");
-        assert_eq!(gossip.latest_epoch(), Some(5));
+        let held = gossip.subscribe().try_recv().expect("the accepted update");
+        assert_eq!((held.epoch(), held.payload.len()), (5, 1));
     }
 
     #[test]
@@ -251,19 +204,19 @@ mod tests {
         gossip.close();
         assert_eq!(sub.recv().expect("final update").epoch(), 1);
         assert_eq!(sub.recv(), None);
-        assert_eq!(sub.recv_timeout(Duration::from_millis(1)), Wait::Closed);
     }
 
     #[test]
-    fn next_timeout_times_out_when_quiet() {
+    fn a_subscription_is_closed_only_once_it_has_seen_the_last_update() {
         let gossip = Gossip::new();
         let mut sub = gossip.subscribe();
-        assert_eq!(sub.recv_timeout(Duration::from_millis(1)), Wait::TimedOut);
+        assert!(!sub.is_closed());
         assert!(gossip.publish(payload(1, 1)));
-        assert!(matches!(
-            sub.recv_timeout(Duration::from_millis(100)),
-            Wait::Update(_)
-        ));
+        gossip.close();
+        assert!(!sub.is_closed(), "the final update is still unseen");
+        assert_eq!(sub.try_recv().expect("final update").epoch(), 1);
+        assert!(sub.is_closed());
+        assert_eq!(sub.try_recv(), None);
     }
 
     #[test]

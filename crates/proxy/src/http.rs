@@ -6,7 +6,9 @@
 //! `http://host:port/path` URLs, `Content-Length` bodies, and
 //! close-delimited bodies (what [`ripki_serve`] streams its exports
 //! as). No redirects, no TLS, no chunked encoding — a peer answering
-//! with any of those is an error, not a silent truncation.
+//! with any of those is an error, not a silent truncation. The upstream
+//! is untrusted: a head or body beyond [`MAX_HEAD`] / [`MAX_BODY`] is an
+//! error too, before memory is spent on it.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -33,6 +35,13 @@ impl HttpResponse {
             .map(|(_, v)| v.as_str())
     }
 }
+
+/// The longest response head accepted.
+pub const MAX_HEAD: usize = 16 << 10;
+
+/// The largest response body accepted: several times the `vrps.json`
+/// of the whole RPKI.
+pub const MAX_BODY: usize = 256 << 20;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -82,20 +91,40 @@ pub fn get(
     read_response(&mut stream)
 }
 
-/// Parse a full response off `stream` (status line, headers, body).
+/// Parse a full response off `stream` (status line, headers, body),
+/// within [`MAX_HEAD`] and [`MAX_BODY`].
 pub fn read_response<R: Read>(stream: &mut R) -> io::Result<HttpResponse> {
+    read_bounded(stream, MAX_HEAD, MAX_BODY)
+}
+
+fn read_bounded<R: Read>(
+    stream: &mut R,
+    max_head: usize,
+    max_body: usize,
+) -> io::Result<HttpResponse> {
+    let head_too_long = || bad(format!("response head exceeds {max_head} bytes"));
+    let body_too_long = || bad(format!("response body exceeds {max_body} bytes"));
     let mut raw = Vec::with_capacity(4096);
     let mut chunk = [0u8; 4096];
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(i) = find_head_end(&raw) {
-            break i;
+        if let Some(i) = find_head_end(&raw[scanned..]) {
+            break scanned + i;
         }
+        if raw.len() >= max_head {
+            return Err(head_too_long());
+        }
+        // The terminator may straddle two reads.
+        scanned = raw.len().saturating_sub(3);
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(bad("connection closed before response head"));
         }
         raw.extend_from_slice(&chunk[..n]);
     };
+    if head_end > max_head {
+        return Err(head_too_long());
+    }
     let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("non-UTF-8 head"))?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
@@ -129,31 +158,27 @@ pub fn read_response<R: Read>(stream: &mut R) -> io::Result<HttpResponse> {
     {
         return Err(bad("chunked transfer encoding is not supported"));
     }
-    let mut body = raw[head_end + 4..].to_vec();
-    match response.header("content-length") {
-        Some(len) => {
-            let len: usize = len
-                .parse()
-                .map_err(|_| bad(format!("unparseable content-length {len:?}")))?;
-            while body.len() < len {
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Err(bad("connection closed mid-body"));
-                }
-                body.extend_from_slice(&chunk[..n]);
-            }
-            body.truncate(len);
-        }
-        None => {
-            // Close-delimited body: read to EOF.
-            loop {
-                let n = stream.read(&mut chunk)?;
-                if n == 0 {
-                    break;
-                }
-                body.extend_from_slice(&chunk[..n]);
-            }
-        }
+    let mut body = raw.split_off(head_end + 4);
+    let declared = match response.header("content-length") {
+        Some(len) => Some(
+            len.parse::<usize>()
+                .map_err(|_| bad(format!("unparseable content-length {len:?}")))?,
+        ),
+        None => None,
+    };
+    if declared.is_some_and(|len| len > max_body) {
+        return Err(body_too_long());
+    }
+    // A close-delimited body runs to EOF; reading one byte past the
+    // bound is enough to know it ran over.
+    let want = declared.unwrap_or(max_body + 1);
+    let missing = want.saturating_sub(body.len()) as u64;
+    stream.by_ref().take(missing).read_to_end(&mut body)?;
+    match declared {
+        Some(len) if body.len() < len => return Err(bad("connection closed mid-body")),
+        Some(len) => body.truncate(len),
+        None if body.len() > max_body => return Err(body_too_long()),
+        None => {}
     }
     Ok(HttpResponse { body, ..response })
 }
@@ -190,6 +215,26 @@ mod tests {
         assert!(read_response(&mut &chunked[..]).is_err());
         let garbage = b"SPDY/3 200\r\n\r\n";
         assert!(read_response(&mut &garbage[..]).is_err());
+    }
+
+    #[test]
+    fn an_oversized_head_or_body_is_a_typed_error() {
+        let rejected = |result: io::Result<HttpResponse>, which: &str| {
+            let error = result.expect_err("an oversized response is refused");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert!(error.to_string().contains(which), "{error}");
+        };
+        // A head that never ends, and one that ends past the bound.
+        rejected(read_response(&mut io::repeat(b'a')), "head exceeds");
+        let padded = format!("HTTP/1.1 200 OK\r\nx: {}\r\n\r\n", "a".repeat(64));
+        rejected(read_bounded(&mut padded.as_bytes(), 64, 64), "head exceeds");
+        assert!(read_bounded(&mut padded.as_bytes(), 128, 64).is_ok());
+        // A declared length is refused before anything is allocated for
+        // it; a close-delimited body as soon as it runs over.
+        let declared = b"HTTP/1.1 200 OK\r\ncontent-length: 999999999999\r\n\r\n";
+        rejected(read_response(&mut &declared[..]), "body exceeds");
+        let mut endless = b"HTTP/1.1 200 OK\r\n\r\n".chain(io::repeat(b'x'));
+        rejected(read_bounded(&mut endless, 1 << 10, 1 << 16), "body exceeds");
     }
 
     #[test]

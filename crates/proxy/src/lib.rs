@@ -10,12 +10,15 @@
 //! * **Units** ingest payloads: a local [`StudyEngine`] run
 //!   ([`units::run_engine_unit`]), an RTR client with reconnect/resume
 //!   ([`units::run_rtr_unit`]), or a conditional `/vrps.json` poller
-//!   ([`units::run_json_unit`]). Combinators (`any`, `merge`, `diff`)
-//!   are units whose input is other units.
+//!   ([`units::run_json_unit`]). The `slurm` unit and the combinators
+//!   (`any`, `merge`, `diff`) are units whose input is other units.
 //! * **Targets** fan out: an RTR cache server ([`targets`]) and a
 //!   JSON/CSV/metrics HTTP exporter.
 //! * The [`comms::Gossip`] watch channel carries [`VrpPayload`] epochs
 //!   between them with monotonicity enforced at both ends.
+//! * Only the ingest units have threads; everything downstream of them
+//!   is a step the publishing thread runs under the one fabric lock
+//!   ([`manager::Fabric`]).
 //! * [`origin`] is where epochs come from: the one driver that commits
 //!   an engine epoch and hands it to an origin's serving planes, under
 //!   the `engine` unit and the CLI's serving commands alike.
@@ -38,7 +41,7 @@ pub mod origin;
 pub mod targets;
 pub mod units;
 
-pub use comms::{Gossip, Subscription, Wait};
+pub use comms::{Gossip, Subscription};
 pub use config::{ConfigError, ProxyConfig};
 pub use log::Log;
 pub use manager::{FabricError, Manager};

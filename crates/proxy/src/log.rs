@@ -50,15 +50,15 @@ impl Log {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::mpsc;
 
-    #[derive(Clone, Default)]
-    struct Capture(Arc<Mutex<Vec<u8>>>);
+    struct Lines(mpsc::Sender<String>);
 
-    impl Write for Capture {
+    impl Write for Lines {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("capture").extend_from_slice(buf);
+            let _ = self.0.send(String::from_utf8_lossy(buf).into_owned());
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -66,12 +66,16 @@ mod tests {
         }
     }
 
+    /// A log whose text a test reads back, in order, as it is written.
+    pub(crate) fn captured() -> (Log, mpsc::Receiver<String>) {
+        let (lines, logged) = mpsc::channel();
+        (Log::to(Box::new(Lines(lines))), logged)
+    }
+
     #[test]
     fn lines_are_written_and_flushed() {
-        let capture = Capture::default();
-        let log = Log::to(Box::new(capture.clone()));
+        let (log, logged) = captured();
         log.line(&format_args!("hello {}", 7));
-        let text = String::from_utf8(capture.0.lock().expect("capture").clone()).expect("utf8");
-        assert_eq!(text, "hello 7\n");
+        assert_eq!(logged.try_iter().collect::<String>(), "hello 7\n");
     }
 }

@@ -2,26 +2,34 @@
 //! [`ProxyConfig`], owns every thread in it, and tears it down.
 //!
 //! Wiring is name-based and declaration-order independent: every unit
-//! gets a [`Gossip`] up front, then producers (units), transforms
-//! (combinators), and consumers (targets) are spawned against those
-//! channels. A reference to an undeclared unit is a startup error, not
-//! a silently dead hop.
+//! gets a [`Gossip`] up front, and a reference to an undeclared unit or
+//! a `sources` cycle is a startup error, not a silently dead hop. Only
+//! the units that wait on a clock or a socket (`engine`, `rtr`, `json`)
+//! get a thread. Everything else — the `slurm` unit, the combinators,
+//! the targets' installs — is a [`Stage`] in the [`Fabric`]: a list in
+//! topological order behind one lock, which the thread that just
+//! published pumps before it goes back to its socket, so an update
+//! travels from the ingest unit to every target's serving state on one
+//! thread.
 
-use crate::comms::Gossip;
+use crate::comms::{Gossip, Subscription};
 use crate::config::{ConfigError, ProxyConfig, Section};
 use crate::log::Log;
-use crate::targets::{start_http_target, start_rtr_target, TargetHandle};
+use crate::origin::pause;
+use crate::targets::{start_http_target, start_rtr_target, Install, TargetHandle};
 use crate::units::{
-    run_combinator, run_engine_unit, run_json_unit, run_rtr_unit, run_slurm_unit, Combinator,
-    EngineUnitConfig, JsonUnitConfig, RtrUnitConfig, SlurmUnitConfig,
+    combinator_stage, run_engine_unit, run_json_unit, run_rtr_unit, slurm_stage, Combinator,
+    EngineUnitConfig, JsonUnitConfig, RtrUnitConfig,
 };
+use ripki_serve::ServerConfig;
 use ripki_slurm::SlurmFile;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,28 +72,39 @@ fn wiring_error(message: impl Into<String>) -> FabricError {
     })
 }
 
-/// A validated unit declaration, ready to spawn.
+/// A validated unit declaration, ready to start.
 enum UnitPlan {
     Engine(EngineUnitConfig),
     Rtr(RtrUnitConfig),
     Json(JsonUnitConfig),
-    Slurm(SlurmUnitConfig, String),
+    Slurm {
+        file: PathBuf,
+        /// How often the file's mtime is looked at when nothing flows.
+        poll: Duration,
+        source: String,
+    },
     Combinator(Combinator, Vec<String>),
 }
 
-/// Check that `source` names another declared unit.
-fn check_source(config: &ProxyConfig, name: &str, source: &str) -> Result<(), FabricError> {
-    if source == name {
-        return Err(wiring_error(format!(
-            "[units.{name}] lists itself as a source",
-        )));
+impl UnitPlan {
+    /// The units this one subscribes to.
+    fn sources(&self) -> &[String] {
+        match self {
+            UnitPlan::Slurm { source, .. } => std::slice::from_ref(source),
+            UnitPlan::Combinator(_, sources) => sources,
+            UnitPlan::Engine(_) | UnitPlan::Rtr(_) | UnitPlan::Json(_) => &[],
+        }
     }
-    if !config.units.iter().any(|(n, _)| n == source) {
-        return Err(wiring_error(format!(
-            "[units.{name}] references undeclared unit {source:?}",
-        )));
+}
+
+/// Check that `unit`, which section `[owner]` refers to, is declared.
+fn check_declared(config: &ProxyConfig, owner: &str, unit: &str) -> Result<(), FabricError> {
+    if config.units.iter().any(|(n, _)| n == unit) {
+        return Ok(());
     }
-    Ok(())
+    Err(wiring_error(format!(
+        "[{owner}] references undeclared unit {unit:?}",
+    )))
 }
 
 enum TargetKind {
@@ -103,7 +122,8 @@ struct TargetPlan {
 
 /// Validate every unit section: types, required keys, and source
 /// references (forward references are fine — names resolve against the
-/// whole declaration).
+/// whole declaration). The plans come back in topological order: every
+/// unit after its sources.
 fn plan_units(config: &ProxyConfig) -> Result<Vec<(String, UnitPlan)>, FabricError> {
     let mut plans = Vec::new();
     for (name, table) in &config.units {
@@ -130,21 +150,19 @@ fn plan_units(config: &ProxyConfig) -> Result<Vec<(String, UnitPlan)>, FabricErr
                 poll: Duration::from_millis(section.int_or("poll-ms", 200)?),
             }),
             "slurm" => {
-                let file = std::path::PathBuf::from(section.str("file")?);
+                let file = PathBuf::from(section.str("file")?);
                 // Fail the whole pipeline now if the exception file is
                 // malformed — a typo must never silently change which
-                // routes get dropped (the unit re-loads at spawn and on
+                // routes get dropped (the unit re-loads at start and on
                 // every mtime change).
                 SlurmFile::load(&file).map_err(|e| wiring_error(format!("[units.{name}]: {e}")))?;
                 let source = section.str("source")?.to_string();
-                check_source(config, name, &source)?;
-                UnitPlan::Slurm(
-                    SlurmUnitConfig {
-                        file,
-                        poll: Duration::from_millis(section.int_or("poll-ms", 100)?),
-                    },
+                check_declared(config, &format!("units.{name}"), &source)?;
+                UnitPlan::Slurm {
+                    file,
+                    poll: Duration::from_millis(section.int_or("poll-ms", 100)?),
                     source,
-                )
+                }
             }
             combinator => {
                 let Some(kind) = Combinator::from_kind(combinator) else {
@@ -160,14 +178,33 @@ fn plan_units(config: &ProxyConfig) -> Result<Vec<(String, UnitPlan)>, FabricErr
                     )));
                 }
                 for source in &sources {
-                    check_source(config, name, source)?;
+                    check_declared(config, &format!("units.{name}"), source)?;
                 }
                 UnitPlan::Combinator(kind, sources)
             }
         };
         plans.push((name.clone(), plan));
     }
-    Ok(plans)
+    // Place a unit once all its sources are placed; a round that places
+    // nothing has found a cycle (a unit that lists itself is the
+    // shortest).
+    let mut ordered: Vec<(String, UnitPlan)> = Vec::new();
+    while !plans.is_empty() {
+        let placed = |source: &String| ordered.iter().any(|(name, _)| name == source);
+        let (ready, blocked): (Vec<_>, Vec<_>) = plans
+            .into_iter()
+            .partition(|(_, plan)| plan.sources().iter().all(placed));
+        if ready.is_empty() {
+            let names: Vec<&str> = blocked.iter().map(|(name, _)| name.as_str()).collect();
+            return Err(wiring_error(format!(
+                "units {} cannot be ordered: their sources form a cycle",
+                names.join(", "),
+            )));
+        }
+        ordered.extend(ready);
+        plans = blocked;
+    }
+    Ok(ordered)
 }
 
 /// Validate every target section against the declared units.
@@ -185,11 +222,7 @@ fn plan_targets(config: &ProxyConfig) -> Result<Vec<TargetPlan>, FabricError> {
             }
         };
         let unit = section.str("unit")?.to_string();
-        if !config.units.iter().any(|(n, _)| n == &unit) {
-            return Err(wiring_error(format!(
-                "[targets.{name}] references undeclared unit {unit:?}",
-            )));
-        }
+        check_declared(config, &format!("targets.{name}"), &unit)?;
         plans.push(TargetPlan {
             name: name.clone(),
             kind,
@@ -200,16 +233,66 @@ fn plan_targets(config: &ProxyConfig) -> Result<Vec<TargetPlan>, FabricError> {
     Ok(plans)
 }
 
-/// A running fabric: all threads of all units, combinators, and
-/// targets, plus the shared shutdown flag.
+/// A part of the pipeline that does no I/O, as its one non-blocking
+/// step: take what its subscriptions hold, transform, publish or
+/// install, log. `false` once its sources have closed and it has said
+/// so and closed its own output — it then leaves the fabric.
+pub type Stage = Box<dyn FnMut(&Log) -> bool + Send>;
+
+/// Every [`Stage`] of a pipeline, each after the stages it subscribes
+/// to, behind the one fabric lock. Stages publish with
+/// [`Gossip::publish`] and never pump, so the lock is not re-entered,
+/// and no channel or target lock is held when it is taken.
+#[derive(Default)]
+pub struct Fabric {
+    stages: Mutex<Vec<Stage>>,
+}
+
+impl Fabric {
+    /// Step every stage once, in order, on the calling thread. One pass
+    /// reaches quiescence: a stage publishes only to stages after it,
+    /// and a publish from outside is followed by its own pump. When
+    /// this returns, whatever was published before the call has reached
+    /// every target it leads to. `false` once no stage is left.
+    pub fn pump(&self, log: &Log) -> bool {
+        let Ok(mut stages) = self.stages.lock() else {
+            // A stage panicked under this lock, so its state may be
+            // half-updated: forwarding stops, and every publish that
+            // goes nowhere says so.
+            log.line(&format_args!(
+                "fabric: a stage panicked; updates are no longer forwarded"
+            ));
+            return false;
+        };
+        stages.retain_mut(|step| step(log));
+        !stages.is_empty()
+    }
+}
+
+/// A target's stage: install what `feed` holds and log the lockstep
+/// line under `label` (`name (type)`).
+fn install_stage(label: String, mut feed: Subscription, mut install: Install) -> Stage {
+    Box::new(move |log| {
+        while let Some(update) = feed.try_recv() {
+            let state = install(update);
+            log.line(&format_args!("target {label}: {state}"));
+        }
+        if !feed.is_closed() {
+            return true;
+        }
+        log.line(&format_args!("target {label}: feed drained"));
+        false
+    })
+}
+
+/// A running fabric: its threads — the stages they pump live as long
+/// as they do — and the serving side of every target.
 pub struct Manager {
     shutdown: Arc<AtomicBool>,
-    gossips: Vec<Gossip>,
-    /// Threads that finish on their own once their input drains
-    /// (engine units, combinators, target consumers).
-    finite: Vec<JoinHandle<()>>,
-    /// Threads that only stop on shutdown (rtr/json ingest units).
-    service: Vec<JoinHandle<()>>,
+    /// One thread per `engine`, `rtr` and `json` unit, plus the file
+    /// watch of a pipeline with a `slurm` unit: it pumps when nothing
+    /// flows, so an edited SLURM file is noticed.
+    threads: Vec<JoinHandle<()>>,
     targets: Vec<TargetHandle>,
 }
 
@@ -228,71 +311,83 @@ impl Manager {
         let units = plan_units(config)?;
         let targets = plan_targets(config)?;
 
-        let shutdown = Arc::new(AtomicBool::new(false));
         let gossips: BTreeMap<String, Gossip> = config
             .units
             .iter()
             .map(|(name, _)| (name.clone(), Gossip::new()))
             .collect();
 
-        let mut manager = Manager {
-            shutdown: Arc::clone(&shutdown),
-            gossips: gossips.values().cloned().collect(),
-            finite: Vec::new(),
-            service: Vec::new(),
-            targets: Vec::new(),
-        };
-
         // Targets first: binding is the only fallible step left, and
-        // with no units running yet a bind failure tears down cleanly.
+        // with nothing running yet a bind failure tears down cleanly.
+        let mut handles = Vec::new();
+        let mut installs: Vec<Stage> = Vec::new();
         for plan in targets {
-            let feed = gossips[&plan.unit].subscribe();
-            let started = match plan.kind {
-                TargetKind::Rtr => start_rtr_target(&plan.name, &plan.listen, feed, log),
-                TargetKind::Http => start_http_target(&plan.name, &plan.listen, feed, log),
+            let (name, listen) = (&plan.name, &plan.listen);
+            let (started, kind) = match plan.kind {
+                TargetKind::Rtr => (start_rtr_target(name, listen, log), "rtr"),
+                TargetKind::Http => {
+                    let plane = ServerConfig::default();
+                    (start_http_target(name, listen, log, plane), "http")
+                }
             };
-            match started {
-                Ok(handle) => manager.targets.push(handle),
+            let (handle, install) = match started {
+                Ok(started) => started,
                 Err(e) => {
-                    manager.shutdown();
+                    handles.into_iter().for_each(TargetHandle::stop);
                     return Err(e.into());
                 }
-            }
+            };
+            handles.push(handle);
+            let feed = gossips[&plan.unit].subscribe();
+            installs.push(install_stage(format!("{name} ({kind})"), feed, install));
         }
 
+        // Wired under the fabric lock: a unit that publishes before the
+        // last stage is in place waits here with its first pump.
+        let fabric = Arc::new(Fabric::default());
+        let mut stages = fabric.stages.lock().expect("a new lock is not poisoned");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut threads = Vec::new();
+        let mut watch_every: Option<Duration> = None;
         for (name, plan) in units {
+            let subscribe = |source: &String| gossips[source].subscribe();
             let gossip = gossips[&name].clone();
-            let log = log.clone();
-            let shutdown_flag = Arc::clone(&shutdown);
+            let (fabric, log) = (Arc::clone(&fabric), log.clone());
+            let shutdown = Arc::clone(&shutdown);
             match plan {
-                UnitPlan::Engine(unit) => manager.finite.push(std::thread::spawn(move || {
-                    run_engine_unit(&name, &unit, &gossip, &log, &shutdown_flag);
+                UnitPlan::Engine(unit) => threads.push(std::thread::spawn(move || {
+                    run_engine_unit(&name, &unit, &gossip, &fabric, &log, &shutdown);
                 })),
-                UnitPlan::Rtr(unit) => manager.service.push(std::thread::spawn(move || {
-                    run_rtr_unit(&name, &unit, &gossip, &log, &shutdown_flag);
+                UnitPlan::Rtr(unit) => threads.push(std::thread::spawn(move || {
+                    run_rtr_unit(&name, &unit, &gossip, &fabric, &log, &shutdown);
                 })),
-                UnitPlan::Json(unit) => manager.service.push(std::thread::spawn(move || {
-                    run_json_unit(&name, &unit, &gossip, &log, &shutdown_flag);
+                UnitPlan::Json(unit) => threads.push(std::thread::spawn(move || {
+                    run_json_unit(&name, &unit, &gossip, &fabric, &log, &shutdown);
                 })),
-                UnitPlan::Slurm(unit, source) => {
-                    let source = gossips[&source].subscribe();
-                    manager.finite.push(std::thread::spawn(move || {
-                        run_slurm_unit(&name, &unit, source, &gossip, &log, &shutdown_flag);
-                    }));
+                // `plan_units` put these after their sources.
+                UnitPlan::Slurm { file, poll, source } => {
+                    watch_every = Some(watch_every.map_or(poll, |every| every.min(poll)));
+                    stages.push(slurm_stage(&name, file, subscribe(&source), gossip, &log));
                 }
                 UnitPlan::Combinator(kind, sources) => {
-                    let sources = sources
-                        .iter()
-                        .map(|source| gossips[source].subscribe())
-                        .collect();
-                    manager.finite.push(std::thread::spawn(move || {
-                        run_combinator(&name, kind, sources, &gossip, &log, &shutdown_flag);
-                    }));
+                    let sources = sources.iter().map(subscribe).collect();
+                    stages.push(combinator_stage(&name, kind, sources, gossip));
                 }
             }
         }
-
-        Ok(manager)
+        stages.extend(installs);
+        drop(stages);
+        if let Some(every) = watch_every {
+            let (log, shutdown) = (log.clone(), Arc::clone(&shutdown));
+            threads.push(std::thread::spawn(move || {
+                while pause(every, &shutdown) && fabric.pump(&log) {}
+            }));
+        }
+        Ok(Manager {
+            shutdown,
+            threads,
+            targets: handles,
+        })
     }
 
     /// The bound address of every target, in declaration order.
@@ -303,38 +398,28 @@ impl Manager {
             .collect()
     }
 
-    /// Block until every self-terminating stage has drained: engine
-    /// units have published their last epoch, combinators have seen all
-    /// sources close, and target consumers have installed the final
-    /// payload. Targets keep *serving* that final state afterwards.
+    /// Block until the pipeline has drained: every ingest unit has
+    /// ended — an `engine` unit does after its last epoch — and closed
+    /// its output. The pump that follows a close is synchronous, so
+    /// every stage downstream has then seen it and every target has
+    /// installed the final payload; the file watch ends with the last
+    /// stage. Targets keep *serving* that final state afterwards.
     ///
     /// Only meaningful for pipelines rooted at finite units (`engine`
     /// with an epoch budget); an `rtr`/`json`-fed pipeline never drains
     /// on its own — use [`shutdown`](Self::shutdown) instead.
     pub fn drain(&mut self) {
-        for handle in self.finite.drain(..) {
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
-        }
-        for target in &mut self.targets {
-            if let Some(consume) = target.consume.take() {
-                let _ = consume.join();
-            }
         }
     }
 
-    /// Stop everything: raise the shutdown flag, close all gossip
-    /// channels, join every unit thread, and stop every target.
+    /// Stop everything: raise the shutdown flag, join every thread — a
+    /// unit closes its output on the way out, and the stages downstream
+    /// say they drained — and stop every target.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for gossip in &self.gossips {
-            gossip.close();
-        }
-        for handle in self.finite.drain(..) {
-            let _ = handle.join();
-        }
-        for handle in self.service.drain(..) {
-            let _ = handle.join();
-        }
+        self.drain();
         for target in self.targets.drain(..) {
             target.stop();
         }
@@ -344,8 +429,25 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::tests::captured;
+    use ripki_net::Asn;
+    use ripki_payload::{PayloadUpdate, VrpPayload, VrpTriple};
     use std::net::TcpStream;
-    use std::time::Duration;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// Read the log up to the end of the line that carries `needle`.
+    fn wait_for(logged: &mpsc::Receiver<String>, needle: &str) {
+        let mut seen = String::new();
+        while !(seen.contains(needle) && seen.ends_with('\n')) {
+            seen.push_str(&logged.recv().expect("the line is logged"));
+        }
+    }
+
+    /// Everything logged so far.
+    fn logged_so_far(logged: &mpsc::Receiver<String>) -> String {
+        logged.try_iter().collect()
+    }
 
     #[test]
     fn engine_pipeline_reaches_both_targets_in_lockstep() {
@@ -401,30 +503,110 @@ unit = "feed"
     }
 
     #[test]
-    fn shutdown_interrupts_an_engine_unit_in_its_pause() {
-        struct Lines(std::sync::mpsc::Sender<String>);
-        impl io::Write for Lines {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                let _ = self.0.send(String::from_utf8_lossy(buf).into_owned());
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
+    fn shutdown_interrupts_a_unit_in_its_pause() {
+        for (toml, in_its_pause) in [
+            // Once epoch 1 is out the unit sits in its minute-long pause.
+            (
+                "[units.world]\ntype = \"engine\"\ndomains = 40\nepochs = 3\ninterval-ms = 60000\n",
+                "epoch 1 validated",
+            ),
+            // Nothing listens on port 1: the first fetch fails at once.
+            (
+                "[units.up]\ntype = \"json\"\nurl = \"http://127.0.0.1:1/vrps.json\"\npoll-ms = 60000\n",
+                "fetch failed",
+            ),
+        ] {
+            let (log, logged) = captured();
+            let manager = Manager::from_toml(toml, &log).expect("start");
+            wait_for(&logged, in_its_pause);
+            let started = Instant::now();
+            manager.shutdown();
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
         }
-        let (lines, logged) = std::sync::mpsc::channel();
-        let toml =
-            "[units.world]\ntype = \"engine\"\ndomains = 40\nepochs = 3\ninterval-ms = 60000\n";
-        let manager = Manager::from_toml(toml, &Log::to(Box::new(Lines(lines)))).expect("start");
-        // Once epoch 1 is out the unit sits in its minute-long pause.
-        let mut seen = String::new();
-        while !seen.contains("epoch 1 validated") {
-            seen.push_str(&logged.recv().expect("the unit logs its first epoch"));
-        }
-        let started = std::time::Instant::now();
-        manager.shutdown();
-        let took = started.elapsed();
-        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    }
+
+    fn epoch(epoch: u64, asns: std::ops::Range<u32>) -> VrpPayload {
+        VrpPayload::new(
+            epoch,
+            asns.map(|asn| VrpTriple {
+                prefix: "10.0.0.0/24".parse().expect("prefix"),
+                max_length: 24,
+                asn: Asn::new(asn),
+            }),
+        )
+    }
+
+    #[test]
+    fn a_pump_carries_the_newest_update_through_every_stage() {
+        let (log, logged) = captured();
+        let (up, relay) = (Gossip::new(), Gossip::new());
+        let (edge, install) = start_rtr_target("edge", "127.0.0.1:0", &log).expect("bind");
+        let fabric = Fabric::default();
+        fabric.stages.lock().expect("fabric").extend([
+            combinator_stage(
+                "relay",
+                Combinator::Any,
+                vec![up.subscribe()],
+                relay.clone(),
+            ),
+            install_stage("edge (rtr)".into(), relay.subscribe(), install),
+        ]);
+        wait_for(&logged, "listening on");
+        let (p1, p2, p3) = (epoch(1, 0..1), epoch(2, 0..2), epoch(3, 0..3));
+
+        // One publish, one pump: the update is at the edge when the
+        // pump returns, and each stage has logged its line in order.
+        up.publish(PayloadUpdate::snapshot(p1.clone()));
+        assert!(fabric.pump(&log));
+        assert_eq!(
+            logged_so_far(&logged),
+            format!(
+                "unit relay (Any): epoch 1 out ({p1})\n\
+                 target edge (rtr): serial 1 in lockstep with {p1} [snapshot]\n"
+            )
+        );
+
+        // Two publishes before a pump conflate: the stages see only the
+        // newest, whose delta no longer chains — a counted re-sync.
+        up.publish(PayloadUpdate::from_previous(&p1, p2.clone()));
+        up.publish(PayloadUpdate::from_previous(&p2, p3.clone()));
+        assert!(fabric.pump(&log));
+        assert_eq!(
+            logged_so_far(&logged),
+            format!(
+                "unit relay (Any): epoch 3 out ({p3})\n\
+                 target edge (rtr): serial 3 in lockstep with {p3} [snapshot resync #1]\n"
+            )
+        );
+
+        // A pump with nothing new does nothing; the pump after a close
+        // carries it down the fabric and leaves no stage behind.
+        assert!(fabric.pump(&log));
+        assert_eq!(logged_so_far(&logged), "");
+        up.close();
+        assert!(!fabric.pump(&log));
+        assert_eq!(
+            logged_so_far(&logged),
+            "unit relay (Any): sources drained\ntarget edge (rtr): feed drained\n"
+        );
+        edge.stop();
+    }
+
+    #[test]
+    fn a_stage_that_panicked_stops_the_fabric_loudly() {
+        let (log, logged) = captured();
+        let fabric = Arc::new(Fabric::default());
+        let poisoner = {
+            let fabric = Arc::clone(&fabric);
+            std::thread::spawn(move || {
+                let _stages = fabric.stages.lock().expect("first holder");
+                panic!("a stage panics under the fabric lock");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        fabric.pump(&log);
+        assert!(logged_so_far(&logged).contains("a stage panicked"));
     }
 
     #[test]
@@ -435,7 +617,15 @@ unit = "feed"
                 "[units.a]\ntype = \"any\"\nsources = [\"ghost\"]",
                 "undeclared unit",
             ),
-            ("[units.a]\ntype = \"any\"\nsources = [\"a\"]", "itself"),
+            (
+                "[units.a]\ntype = \"any\"\nsources = [\"a\"]",
+                "units a cannot be ordered",
+            ),
+            (
+                "[units.a]\ntype = \"any\"\nsources = [\"b\"]\n\
+                 [units.b]\ntype = \"any\"\nsources = [\"a\"]",
+                "units a, b cannot be ordered",
+            ),
             ("[units.a]\ntype = \"flux\"", "unknown type"),
             (
                 "[units.a]\ntype = \"engine\"\n[targets.t]\ntype = \"rtr\"\nlisten = \"127.0.0.1:0\"\nunit = \"ghost\"",

@@ -1,20 +1,20 @@
 //! Fan-out targets: everything that *serves* payloads out of the
 //! fabric.
 //!
-//! Each target subscribes to one unit's gossip and keeps its serving
-//! state in lockstep with the fabric's epoch; one drainer thread per
-//! target ([`drain`]) is the only thread this module spawns. Serving is
-//! left to the repo's two event loops. The RTR target feeds a
-//! [`CacheServer`] and serves it through the one RTR session plane,
-//! [`RtrListener`] — every install wakes that loop, which pushes Serial
-//! Notify to the routers at once. The HTTP target is a route function
-//! on the one HTTP plane, [`ripki_serve::Server`] — connection caps,
-//! read deadlines, write-stall drops, graceful drain and the reactor's
-//! `/metrics` series are that plane's — serving the JSON/CSV exports
-//! (through the shared [`vrp_export`] responder) plus `/status` and
-//! Prometheus `/metrics`.
+//! A target is a bound listener plus an [`Install`]: the function the
+//! fabric's pump calls with each update of the unit the target follows,
+//! keeping the serving state in lockstep with the fabric's epoch. This
+//! module spawns no thread and knows no channel; serving is left to the
+//! repo's two event loops. The RTR target feeds a [`CacheServer`] and
+//! serves it through the one RTR session plane, [`RtrListener`] — every
+//! install wakes that loop, which pushes Serial Notify to the routers
+//! at once. The HTTP target is a route function on the one HTTP plane,
+//! [`ripki_serve::Server`] — connection caps, read deadlines,
+//! write-stall drops, graceful drain and the reactor's `/metrics`
+//! series are that plane's — serving the JSON/CSV exports (through the
+//! shared [`vrp_export`] responder) plus `/status` and Prometheus
+//! `/metrics`.
 
-use crate::comms::Subscription;
 use crate::log::Log;
 use ripki_payload::{PayloadUpdate, VrpPayload};
 use ripki_rtr::{CacheServer, ListenerConfig, RtrListener};
@@ -26,7 +26,6 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 
 /// The event loop that keeps serving a target's clients until
 /// shutdown, so late ones can still fetch the final state.
@@ -37,27 +36,20 @@ enum Serving {
     Http(Server),
 }
 
-/// A running target: its bound address, the thread the manager joins
-/// on drain (`consume`), and the serving side it stops on shutdown.
+/// A running target: its bound address and the serving side it stops
+/// on shutdown.
 pub struct TargetHandle {
     /// The target's configured name.
     pub name: String,
     /// The socket the target actually bound (port 0 resolved).
     pub addr: SocketAddr,
-    /// The subscription-draining thread; finishes when the feeding
-    /// unit closes its gossip.
-    pub consume: Option<JoinHandle<()>>,
     serving: Serving,
 }
 
 impl TargetHandle {
-    /// Join the drainer and stop serving: responses in flight are
-    /// delivered whole before their connections close. The caller has
-    /// closed the feeding gossip.
+    /// Stop serving: responses in flight are delivered whole before
+    /// their connections close.
     pub fn stop(self) {
-        if let Some(consume) = self.consume {
-            let _ = consume.join();
-        }
         match self.serving {
             Serving::Rtr(mut listener) => listener.shutdown(),
             Serving::Http(mut server) => server.shutdown(),
@@ -65,24 +57,9 @@ impl TargetHandle {
     }
 }
 
-/// The one drainer behind every target: block on the feed, hand each
-/// update to the target's `install`, and log the lockstep line it
-/// returns. Ends when the feeding unit closes its gossip, which
-/// `Manager::shutdown` does for every unit before it joins anything.
-fn drain(
-    mut sub: Subscription,
-    name: String,
-    log: Log,
-    mut install: impl FnMut(PayloadUpdate) -> String + Send + 'static,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Some(update) = sub.recv() {
-            let state = install(update);
-            log.line(&format_args!("target {name}: {state}"));
-        }
-        log.line(&format_args!("target {name}: feed drained"));
-    })
-}
+/// A target's sink: install one update into the serving state and
+/// return the lockstep line to log for it.
+pub type Install = Box<dyn FnMut(PayloadUpdate) -> String + Send>;
 
 /// How an update reached a target, as its lockstep line tags it. A
 /// delta that fails to chain onto what the target holds (stale base
@@ -111,53 +88,49 @@ fn session_id(name: &str) -> u16 {
     h
 }
 
-/// Start an RTR cache target: bind `listen`, feed a [`CacheServer`]
-/// from `sub`, serve its routers (with pushed Serial Notify) from one
-/// [`RtrListener`] session loop. Returns once the socket is bound (so
-/// the caller knows the real port before any log line races).
+/// Start an RTR cache target: bind `listen` and serve a [`CacheServer`]
+/// to its routers (with pushed Serial Notify) from one [`RtrListener`]
+/// session loop; the returned [`Install`] feeds that cache. Returns
+/// once the socket is bound (so the caller knows the real port before
+/// any log line races).
 pub fn start_rtr_target(
     name: &str,
     listen: &str,
-    sub: Subscription,
     log: &Log,
-) -> io::Result<TargetHandle> {
+) -> io::Result<(TargetHandle, Install)> {
     let listener = TcpListener::bind(listen)?;
     let addr = listener.local_addr()?;
     log.line(&format_args!("target {name} (rtr): listening on {addr}"));
     let cache = Arc::new(CacheServer::new(session_id(name)));
 
-    let consume = {
-        let cache = Arc::clone(&cache);
-        let resyncs = AtomicU64::new(0);
-        drain(sub, format!("{name} (rtr)"), log.clone(), move |update| {
-            let chained = update
-                .delta
-                .as_ref()
-                .is_some_and(|delta| cache.apply_vrp_delta(delta));
-            if !chained {
-                cache.install_payload(&update.payload);
-            }
-            format!(
-                "serial {} in lockstep with {} [{}]",
-                cache.serial(),
-                update.payload,
-                install_mode(&update, chained, &resyncs),
-            )
-        })
+    let serving = RtrListener::spawn(listener, Arc::clone(&cache), ListenerConfig::default())?;
+
+    let resyncs = AtomicU64::new(0);
+    let install = move |update: PayloadUpdate| {
+        let chained = update
+            .delta
+            .as_ref()
+            .is_some_and(|delta| cache.apply_vrp_delta(delta));
+        if !chained {
+            cache.install_payload(&update.payload);
+        }
+        format!(
+            "serial {} in lockstep with {} [{}]",
+            cache.serial(),
+            update.payload,
+            install_mode(&update, chained, &resyncs),
+        )
     };
-
-    let serving = RtrListener::spawn(listener, cache, ListenerConfig::default())?;
-
-    Ok(TargetHandle {
+    let handle = TargetHandle {
         name: name.to_string(),
         addr,
-        consume: Some(consume),
         serving: Serving::Rtr(serving),
-    })
+    };
+    Ok((handle, Box::new(install)))
 }
 
-/// Serving state shared between the HTTP route and the subscription
-/// drainer.
+/// Serving state shared between the HTTP route and the target's
+/// [`Install`].
 struct HttpState {
     payload: Mutex<Option<VrpPayload>>,
     updates_total: AtomicU64,
@@ -233,26 +206,15 @@ fn route(state: &HttpState, metrics: &Metrics, request: &Request) -> (Endpoint, 
 }
 
 /// Start an HTTP export target serving `/vrps.json`, `/vrps.csv`,
-/// `/status`, and `/metrics` from the newest payload on `sub`. Returns
-/// once the socket is bound.
+/// `/status`, and `/metrics` from the payload last installed. Returns
+/// once the socket is bound. `config` is the serving plane's tunables,
+/// which only tests shrink.
 pub fn start_http_target(
     name: &str,
     listen: &str,
-    sub: Subscription,
-    log: &Log,
-) -> io::Result<TargetHandle> {
-    http_target(name, listen, sub, log, ServerConfig::default())
-}
-
-/// [`start_http_target`] with explicit plane tunables, which only the
-/// tests shrink.
-fn http_target(
-    name: &str,
-    listen: &str,
-    sub: Subscription,
     log: &Log,
     config: ServerConfig,
-) -> io::Result<TargetHandle> {
+) -> io::Result<(TargetHandle, Install)> {
     let state = Arc::new(HttpState {
         payload: Mutex::new(None),
         updates_total: AtomicU64::new(0),
@@ -267,7 +229,7 @@ fn http_target(
     let addr = server.addr();
     log.line(&format_args!("target {name} (http): listening on {addr}"));
 
-    let consume = drain(sub, format!("{name} (http)"), log.clone(), move |update| {
+    let install = move |update: PayloadUpdate| {
         let mut held = state.held();
         let chained = matches!(
             (&update.delta, held.as_ref()),
@@ -281,20 +243,18 @@ fn http_target(
         // published under the mutex.
         state.updates_total.fetch_add(1, Ordering::Relaxed);
         line
-    });
-
-    Ok(TargetHandle {
+    };
+    let handle = TargetHandle {
         name: name.to_string(),
         addr,
-        consume: Some(consume),
         serving: Serving::Http(server),
-    })
+    };
+    Ok((handle, Box::new(install)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comms::Gossip;
     use ripki_net::Asn;
     use ripki_payload::{PayloadUpdate, VrpTriple};
     use ripki_serve::server::export_etag;
@@ -305,6 +265,15 @@ mod tests {
     use std::io::{Read, Write};
     use std::time::{Duration, Instant};
 
+    /// The payload the target serves at `/vrps.json`.
+    fn served(base: &str) -> VrpPayload {
+        let response = crate::http::get(&format!("{base}/vrps.json"), &[], Duration::from_secs(1))
+            .expect("fetch");
+        assert_eq!(response.status, 200);
+        let text = std::str::from_utf8(&response.body).expect("utf8 body");
+        ripki_payload::json::parse_vrps_json(text).expect("parseable export")
+    }
+
     fn vrp(prefix: &str, asn: u32) -> VrpTriple {
         VrpTriple {
             prefix: prefix.parse().expect("prefix"),
@@ -313,28 +282,11 @@ mod tests {
         }
     }
 
-    fn wait_for_epoch(url: &str, epoch: u64) -> ripki_payload::VrpPayload {
-        for _ in 0..100 {
-            if let Ok(response) = crate::http::get(url, &[], Duration::from_secs(1)) {
-                if response.status == 200 {
-                    let text = std::str::from_utf8(&response.body).expect("utf8 body");
-                    let payload =
-                        ripki_payload::json::parse_vrps_json(text).expect("parseable export");
-                    if payload.epoch() == epoch {
-                        return payload;
-                    }
-                }
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        panic!("target never served epoch {epoch}");
-    }
-
     #[test]
     fn http_target_serves_payloads_with_etags() {
-        let gossip = Gossip::new();
-        let handle =
-            start_http_target("t", "127.0.0.1:0", gossip.subscribe(), &Log::sink()).expect("bind");
+        let (handle, mut install) =
+            start_http_target("t", "127.0.0.1:0", &Log::sink(), ServerConfig::default())
+                .expect("bind");
         let base = format!("http://{}", handle.addr);
 
         // Before any payload: 503.
@@ -346,9 +298,9 @@ mod tests {
             4,
             [vrp("10.0.0.0/24", 64496), vrp("10.1.0.0/24", 64497)],
         );
-        gossip.publish(PayloadUpdate::snapshot(payload.clone()));
-        let served = wait_for_epoch(&format!("{base}/vrps.json"), 4);
-        assert_eq!(served, payload, "served set is byte-identical");
+        let line = install(PayloadUpdate::snapshot(payload.clone()));
+        assert_eq!(line, format!("in lockstep with {payload} [snapshot]"));
+        assert_eq!(served(&base), payload, "served set is byte-identical");
 
         // Conditional refetch: 304 against the served ETag.
         let conditional = crate::http::get(
@@ -370,25 +322,20 @@ mod tests {
         let text = std::str::from_utf8(&metrics.body).expect("utf8");
         assert!(text.contains("ripki_proxy_epoch 4"), "metrics: {text}");
 
-        gossip.close();
         handle.stop();
     }
 
     #[test]
     fn rtr_target_installs_updates_into_its_cache() {
-        let gossip = Gossip::new();
-        let mut handle =
-            start_rtr_target("r", "127.0.0.1:0", gossip.subscribe(), &Log::sink()).expect("bind");
+        let (handle, mut install) =
+            start_rtr_target("r", "127.0.0.1:0", &Log::sink()).expect("bind");
 
         let payload = ripki_payload::VrpPayload::new(2, [vrp("10.0.0.0/24", 64496)]);
-        gossip.publish(PayloadUpdate::snapshot(payload.clone()));
-        gossip.close();
-        handle
-            .consume
-            .take()
-            .expect("consume handle")
-            .join()
-            .expect("consume");
+        let line = install(PayloadUpdate::snapshot(payload.clone()));
+        assert_eq!(
+            line,
+            format!("serial 2 in lockstep with {payload} [snapshot]")
+        );
 
         // A real RTR client syncing against the target sees the set.
         let mut client = ripki_rtr::Client::new(connect(handle.addr));
@@ -405,39 +352,18 @@ mod tests {
         assert_ne!(session_id("rtr-a"), session_id("rtr-b"));
     }
 
-    /// A log sink tests can read back.
-    #[derive(Clone, Default)]
-    struct Capture(Arc<Mutex<Vec<u8>>>);
-
-    impl Capture {
-        fn text(&self) -> String {
-            String::from_utf8(self.0.lock().expect("capture").clone()).expect("utf8 log")
-        }
-    }
-
-    impl std::io::Write for Capture {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("capture").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn http_target_counts_a_resync_when_a_unit_resumes_mid_stream() {
         // Simulates a feeding unit killed during epoch 2 and resumed at
         // epoch 3: the target holds epoch 1 and receives a 2→3 delta it
         // cannot chain. That must be an explicit, counted re-sync.
-        let gossip = Gossip::new();
-        let handle =
-            start_http_target("t", "127.0.0.1:0", gossip.subscribe(), &Log::sink()).expect("bind");
+        let (handle, mut install) =
+            start_http_target("t", "127.0.0.1:0", &Log::sink(), ServerConfig::default())
+                .expect("bind");
         let base = format!("http://{}", handle.addr);
 
         let p1 = ripki_payload::VrpPayload::new(1, [vrp("10.0.0.0/24", 64496)]);
-        gossip.publish(PayloadUpdate::snapshot(p1));
-        wait_for_epoch(&format!("{base}/vrps.json"), 1);
+        install(PayloadUpdate::snapshot(p1));
 
         // The unit died at epoch 2; its resumed self diffs 2→3.
         let p2 = ripki_payload::VrpPayload::new(
@@ -448,9 +374,13 @@ mod tests {
             3,
             [vrp("10.0.0.0/24", 64496), vrp("10.2.0.0/24", 64498)],
         );
-        gossip.publish(PayloadUpdate::from_previous(&p2, p3.clone()));
-        let served = wait_for_epoch(&format!("{base}/vrps.json"), 3);
-        assert_eq!(served, p3, "resync serves the snapshot, never a skip");
+        let line = install(PayloadUpdate::from_previous(&p2, p3.clone()));
+        assert!(line.ends_with("[snapshot resync #1]"), "line: {line}");
+        assert_eq!(
+            served(&base),
+            p3,
+            "resync serves the snapshot, never a skip"
+        );
 
         let status = crate::http::get(&format!("{base}/status"), &[], Duration::from_secs(1))
             .expect("status");
@@ -466,48 +396,31 @@ mod tests {
 
         // A chaining 3→4 delta is incremental again: the counter stays.
         let p4 = ripki_payload::VrpPayload::new(4, [vrp("10.0.0.0/24", 64496)]);
-        gossip.publish(PayloadUpdate::from_previous(&p3, p4));
-        wait_for_epoch(&format!("{base}/vrps.json"), 4);
+        let line = install(PayloadUpdate::from_previous(&p3, p4));
+        assert!(line.ends_with("[delta]"), "line: {line}");
         let status = crate::http::get(&format!("{base}/status"), &[], Duration::from_secs(1))
             .expect("status");
         let text = std::str::from_utf8(&status.body).expect("utf8");
         assert!(text.contains("\"resyncs_total\":1"), "status: {text}");
 
-        gossip.close();
         handle.stop();
     }
 
     #[test]
     fn rtr_target_resyncs_explicitly_on_an_unchained_delta() {
-        let capture = Capture::default();
-        let log = Log::to(Box::new(capture.clone()));
-        let gossip = Gossip::new();
-        let mut handle =
-            start_rtr_target("r", "127.0.0.1:0", gossip.subscribe(), &log).expect("bind");
+        let (handle, mut install) =
+            start_rtr_target("r", "127.0.0.1:0", &Log::sink()).expect("bind");
 
         let p1 = ripki_payload::VrpPayload::new(1, [vrp("10.0.0.0/24", 64496)]);
-        gossip.publish(PayloadUpdate::snapshot(p1));
-        for _ in 0..100 {
-            if capture.text().contains("serial 1 in lockstep") {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let line = install(PayloadUpdate::snapshot(p1));
+        assert!(line.starts_with("serial 1 in lockstep"), "line: {line}");
 
         // Killed during epoch 2, resumed at 3: the 2→3 delta cannot
         // chain onto serial 1 and must fall back to a counted snapshot.
         let p2 = ripki_payload::VrpPayload::new(2, [vrp("10.1.0.0/24", 64497)]);
         let p3 = ripki_payload::VrpPayload::new(3, [vrp("10.2.0.0/24", 64498)]);
-        gossip.publish(PayloadUpdate::from_previous(&p2, p3.clone()));
-        gossip.close();
-        handle
-            .consume
-            .take()
-            .expect("consume handle")
-            .join()
-            .expect("consume");
-        let text = capture.text();
-        assert!(text.contains("[snapshot resync #1]"), "log: {text}");
+        let line = install(PayloadUpdate::from_previous(&p2, p3.clone()));
+        assert!(line.ends_with("[snapshot resync #1]"), "line: {line}");
 
         // The cache still converged on the full epoch-3 set.
         let mut client = ripki_rtr::Client::new(connect(handle.addr));
@@ -521,18 +434,11 @@ mod tests {
 
     /// A started HTTP target holding `payload`, with `config` as the
     /// plane's tunables.
-    fn serving(payload: &VrpPayload, config: ServerConfig) -> (Gossip, TargetHandle) {
-        let gossip = Gossip::new();
-        let handle = http_target("t", "127.0.0.1:0", gossip.subscribe(), &Log::sink(), config)
-            .expect("bind");
-        gossip.publish(PayloadUpdate::snapshot(payload.clone()));
-        for _ in 0..500 {
-            if get(handle.addr, "/status").status == 200 {
-                return (gossip, handle);
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        panic!("target never installed {payload}");
+    fn serving(payload: &VrpPayload, config: ServerConfig) -> TargetHandle {
+        let (handle, mut install) =
+            start_http_target("t", "127.0.0.1:0", &Log::sink(), config).expect("bind");
+        install(PayloadUpdate::snapshot(payload.clone()));
+        handle
     }
 
     fn small_payload(epoch: u64) -> VrpPayload {
@@ -549,7 +455,7 @@ mod tests {
             read_deadline: deadline,
             ..ServerConfig::default()
         };
-        let (gossip, handle) = serving(&small_payload(4), config);
+        let handle = serving(&small_payload(4), config);
 
         // One header byte per 200 ms: every read succeeds, so only a
         // deadline on the *message* can end this.
@@ -575,13 +481,12 @@ mod tests {
         assert!(took >= deadline, "answered early, after {took:?}");
         assert!(took < deadline + Duration::from_secs(1), "took {took:?}");
 
-        gossip.close();
         handle.stop();
     }
 
     #[test]
     fn pipelined_requests_are_answered_in_order_on_their_connection() {
-        let (gossip, handle) = serving(&small_payload(4), ServerConfig::default());
+        let handle = serving(&small_payload(4), ServerConfig::default());
         let mut stream = connect(handle.addr);
         stream
             .write_all(
@@ -605,14 +510,13 @@ mod tests {
         assert_eq!(replies[1].header("connection"), Some("keep-alive"));
         assert_eq!(replies[2].header("connection"), Some("close"));
 
-        gossip.close();
         handle.stop();
     }
 
     #[test]
     fn if_none_match_is_a_weak_list_match_on_every_export() {
         let payload = small_payload(4);
-        let (gossip, handle) = serving(&payload, ServerConfig::default());
+        let handle = serving(&payload, ServerConfig::default());
         let study = serve_scenario(20, 7);
         let study_payload = study.view.current().payload().clone();
         assert_eq!(export_etag(&payload), "\"ripki-epoch-4\"");
@@ -643,7 +547,6 @@ mod tests {
             }
         }
 
-        gossip.close();
         handle.stop();
     }
 
@@ -669,7 +572,7 @@ mod tests {
             "export is {} bytes",
             expected.len()
         );
-        let (gossip, handle) = serving(&payload, ServerConfig::default());
+        let handle = serving(&payload, ServerConfig::default());
         let addr = handle.addr;
 
         let mut stream = connect(addr);
@@ -681,7 +584,6 @@ mod tests {
             .read_exact(&mut first)
             .expect("the response has begun");
 
-        gossip.close();
         let stopper = std::thread::spawn(move || handle.stop());
         // The listener is gone once the drain has begun …
         let status = format!("http://{addr}/status");

@@ -1,14 +1,18 @@
 //! Ingest units and combinators: everything that *produces* payload
 //! updates into the fabric.
 //!
-//! Units run as plain threads (workspace policy: `std::net` + threads,
-//! no async) publishing into a [`Gossip`]; combinators subscribe to
-//! other units' gossip and publish their own. All of them poll a shared
-//! shutdown flag between blocking steps, so the manager can stop a
-//! pipeline without killing the process.
+//! Only the units that wait on a clock or a socket — `engine`, `rtr`,
+//! `json` — run as threads (workspace policy: `std::net` + threads, no
+//! async). Each follows a publish (and its final close) with
+//! [`Fabric::pump`], which carries the update through every stage
+//! downstream on that same thread, and re-checks a shared shutdown flag
+//! between blocking steps. The `slurm` unit and the combinators do no
+//! I/O: each is a [`Stage`], a non-blocking step the pump calls under
+//! the fabric lock.
 
-use crate::comms::{Gossip, Subscription, Wait};
+use crate::comms::{Gossip, Subscription};
 use crate::log::Log;
+use crate::manager::{Fabric, Stage};
 use crate::origin::{pause, EpochDriver, Planes};
 use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet};
 use ripki_rtr::{Backoff, PersistentClient};
@@ -19,9 +23,6 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, SystemTime};
-
-/// How combinators pace their source polling.
-const COMBINATOR_TICK: Duration = Duration::from_millis(2);
 
 /// The local-validator unit: a study engine plus its churn stream,
 /// publishing one payload per epoch.
@@ -34,7 +35,7 @@ pub struct EngineUnitConfig {
     /// Churn seed.
     pub churn_seed: u64,
     /// Churn epochs to publish after the initial one (the unit closes
-    /// its gossip when done).
+    /// its output when done).
     pub epochs: u64,
     /// Pause between epochs.
     pub interval: Duration,
@@ -43,11 +44,12 @@ pub struct EngineUnitConfig {
 /// Run a local study engine as an ingest unit: an origin with no
 /// serving plane of its own. Publishes the initial validation epoch,
 /// then `epochs` churn epochs (each with its exact engine delta
-/// attached), then closes the gossip.
+/// attached), then closes its output.
 pub fn run_engine_unit(
     name: &str,
     config: &EngineUnitConfig,
     gossip: &Gossip,
+    fabric: &Fabric,
     log: &Log,
     shutdown: &AtomicBool,
 ) {
@@ -62,6 +64,7 @@ pub fn run_engine_unit(
             update.payload,
         ));
         gossip.publish(update);
+        fabric.pump(log);
     };
     let mut stream = ChurnStream::new(
         &scenario,
@@ -85,6 +88,7 @@ pub fn run_engine_unit(
     }
     log.line(&format_args!("unit {name} (engine): finished"));
     gossip.close();
+    fabric.pump(log);
 }
 
 /// The RTR ingest unit: a reconnecting router-side client feeding an
@@ -112,6 +116,7 @@ pub fn run_rtr_unit(
     name: &str,
     config: &RtrUnitConfig,
     gossip: &Gossip,
+    fabric: &Fabric,
     log: &Log,
     shutdown: &AtomicBool,
 ) {
@@ -135,7 +140,7 @@ pub fn run_rtr_unit(
             Ok(_) => {}
             Err(e) => {
                 log.line(&format_args!("unit {name} (rtr): sync failed: {e}"));
-                std::thread::sleep(config.poll);
+                pause(config.poll, shutdown);
                 continue;
             }
         }
@@ -175,6 +180,7 @@ pub fn run_rtr_unit(
                 ));
                 previous = Some(update.payload.clone());
                 gossip.publish(update);
+                fabric.pump(log);
             }
         }
         // Idle until the cache pushes a Serial Notify (or the poll
@@ -196,6 +202,7 @@ pub fn run_rtr_unit(
         }
     }
     gossip.close();
+    fabric.pump(log);
 }
 
 /// The JSON-over-HTTP ingest unit: polls a `/vrps.json` endpoint with
@@ -214,6 +221,7 @@ pub fn run_json_unit(
     name: &str,
     config: &JsonUnitConfig,
     gossip: &Gossip,
+    fabric: &Fabric,
     log: &Log,
     shutdown: &AtomicBool,
 ) {
@@ -255,6 +263,7 @@ pub fn run_json_unit(
                             };
                             previous = Some(payload);
                             gossip.publish(update);
+                            fabric.pump(log);
                         }
                     }
                     Err(e) => {
@@ -272,19 +281,10 @@ pub fn run_json_unit(
                 log.line(&format_args!("unit {name} (json): fetch failed: {e}"));
             }
         }
-        std::thread::sleep(config.poll);
+        pause(config.poll, shutdown);
     }
     gossip.close();
-}
-
-/// The SLURM exception unit: RFC 8416 local filters/assertions applied
-/// over a single source, with mtime-based hot reload of the file.
-#[derive(Debug, Clone)]
-pub struct SlurmUnitConfig {
-    /// Path to the RFC 8416 SLURM JSON file.
-    pub file: PathBuf,
-    /// Pace of the source wait (doubles as the mtime poll interval).
-    pub poll: Duration,
+    fabric.pump(log);
 }
 
 fn slurm_mtime(path: &Path) -> Option<SystemTime> {
@@ -299,25 +299,27 @@ fn load_slurm(name: &str, path: &Path, log: &Log) -> Result<ripki_slurm::Excepti
     Ok(file.compile())
 }
 
-/// Run a SLURM exception unit until its source closes (or shutdown).
+/// The SLURM exception unit: RFC 8416 local filters/assertions applied
+/// over a single source, with mtime-based hot reload of the file.
 /// Every source update is re-published with the exceptions applied —
 /// delta-aware when the source delta chains (`[delta]`), via a counted
 /// snapshot re-sync when it does not (`[snapshot resync #N]`, never a
 /// silent skip). Editing the file hot-reloads it and publishes the
-/// re-excepted set at a **new** epoch.
-pub fn run_slurm_unit(
+/// re-excepted set at a **new** epoch. The stage ends, closing `out`,
+/// once its source has closed.
+pub fn slurm_stage(
     name: &str,
-    config: &SlurmUnitConfig,
+    file: PathBuf,
     mut source: Subscription,
-    gossip: &Gossip,
+    out: Gossip,
     log: &Log,
-    shutdown: &AtomicBool,
-) {
-    let exceptions = match load_slurm(name, &config.file, log) {
+) -> Stage {
+    let name = name.to_string();
+    let exceptions = match load_slurm(&name, &file, log) {
         Ok(exceptions) => exceptions,
         Err(e) => {
             // The manager validated the file at plan time; losing it
-            // between plan and spawn degrades to a pass-through, loudly.
+            // between plan and start degrades to a pass-through, loudly.
             log.line(&format_args!(
                 "unit {name} (slurm): {e}; passing payloads through unfiltered",
             ));
@@ -326,24 +328,24 @@ pub fn run_slurm_unit(
     };
     log.line(&format_args!(
         "unit {name} (slurm): loaded {} ({exceptions})",
-        config.file.display(),
+        file.display(),
     ));
     let mut applier = SlurmApplier::new(exceptions);
-    let mut mtime = slurm_mtime(&config.file);
-    while !shutdown.load(Ordering::SeqCst) {
+    let mut mtime = slurm_mtime(&file);
+    Box::new(move |log| {
         // Hot reload: a changed mtime swaps the exception set and
         // republishes the held base at a fresh epoch.
-        let current = slurm_mtime(&config.file);
+        let current = slurm_mtime(&file);
         if current != mtime {
             mtime = current;
-            match load_slurm(name, &config.file, log) {
+            match load_slurm(&name, &file, log) {
                 Ok(exceptions) => {
                     log.line(&format_args!(
                         "unit {name} (slurm): reloaded {} ({exceptions})",
-                        config.file.display(),
+                        file.display(),
                     ));
-                    if let Some(out) = applier.reload(exceptions) {
-                        publish_slurm(name, &applier, out, gossip, log);
+                    if let Some(applied) = applier.reload(exceptions) {
+                        publish_slurm(&name, &applier, applied, &out, log);
                     }
                 }
                 Err(e) => {
@@ -353,18 +355,18 @@ pub fn run_slurm_unit(
                 }
             }
         }
-        match source.recv_timeout(config.poll) {
-            Wait::Update(update) => {
-                if let Some(out) = applier.ingest(&update) {
-                    publish_slurm(name, &applier, out, gossip, log);
-                }
+        while let Some(update) = source.try_recv() {
+            if let Some(applied) = applier.ingest(&update) {
+                publish_slurm(&name, &applier, applied, &out, log);
             }
-            Wait::TimedOut => {}
-            Wait::Closed => break,
         }
-    }
-    log.line(&format_args!("unit {name} (slurm): source drained"));
-    gossip.close();
+        if !source.is_closed() {
+            return true;
+        }
+        log.line(&format_args!("unit {name} (slurm): source drained"));
+        out.close();
+        false
+    })
 }
 
 fn publish_slurm(
@@ -421,92 +423,88 @@ impl Combinator {
     }
 }
 
-/// Run a combinator over its source subscriptions until every source
-/// closes (or shutdown). Output updates carry a delta from the previous
-/// output payload, so in-lockstep receivers stay incremental.
-pub fn run_combinator(
+/// A combinator over its source subscriptions. Output updates carry a
+/// delta from the previous output payload, so in-lockstep receivers
+/// stay incremental. The stage ends, closing `out`, once every source
+/// has closed.
+pub fn combinator_stage(
     name: &str,
     kind: Combinator,
     mut sources: Vec<Subscription>,
-    gossip: &Gossip,
-    log: &Log,
-    shutdown: &AtomicBool,
-) {
+    out: Gossip,
+) -> Stage {
+    let name = name.to_string();
     let mut latest: Vec<Option<VrpPayload>> = sources.iter().map(|_| None).collect();
-    let mut open: Vec<bool> = sources.iter().map(|_| true).collect();
     let mut newest_arrival: Option<PayloadUpdate> = None;
     let mut previous_out: Option<VrpPayload> = None;
-    while !shutdown.load(Ordering::SeqCst) && open.iter().any(|&o| o) {
+    Box::new(move |log| {
         let mut changed = false;
-        for (i, source) in sources.iter_mut().enumerate() {
-            if !open[i] {
-                continue;
-            }
-            // Bounded wait on the first open source paces the loop;
-            // the rest are drained without blocking.
-            let update = if changed {
-                source.try_recv().map_or(Wait::TimedOut, Wait::Update)
-            } else {
-                source.recv_timeout(COMBINATOR_TICK)
-            };
-            match update {
-                Wait::Update(update) => {
-                    let is_newest = newest_arrival
-                        .as_ref()
-                        .is_none_or(|held| update.epoch() > held.epoch());
-                    if is_newest {
-                        newest_arrival = Some(update.clone());
-                    }
-                    latest[i] = Some(update.payload);
-                    changed = true;
-                }
-                Wait::TimedOut => {}
-                Wait::Closed => {
-                    open[i] = false;
-                }
-            }
-        }
-        if !changed {
-            continue;
-        }
-        let out = match kind {
-            Combinator::Any => newest_arrival.clone().map(|update| update.payload),
-            Combinator::Merge => combined(&latest, |a, b| a.iter().chain(b).copied().collect()),
-            Combinator::Diff => combined(&latest, |a, b| a.difference(b).into_iter().collect()),
-        };
-        let Some(payload) = out else { continue };
-        let advanced = previous_out
-            .as_ref()
-            .is_none_or(|prev| payload.epoch() > prev.epoch());
-        if !advanced {
-            continue;
-        }
-        let update = match (&kind, &previous_out, &newest_arrival) {
-            // `any` forwards the arrival's own delta when it chains
-            // from what we previously emitted (lockstep fast path).
-            (Combinator::Any, Some(prev), Some(arrival))
-                if arrival
-                    .delta
+        for (source, latest) in sources.iter_mut().zip(&mut latest) {
+            while let Some(update) = source.try_recv() {
+                let is_newest = newest_arrival
                     .as_ref()
-                    .is_some_and(|d| d.from_epoch == prev.epoch()) =>
-            {
-                PayloadUpdate {
-                    payload: payload.clone(),
-                    delta: arrival.delta.clone(),
+                    .is_none_or(|held| update.epoch() > held.epoch());
+                if is_newest {
+                    newest_arrival = Some(update.clone());
                 }
+                *latest = Some(update.payload);
+                changed = true;
             }
-            (_, Some(prev), _) => PayloadUpdate::from_previous(prev, payload.clone()),
-            _ => PayloadUpdate::snapshot(payload.clone()),
+        }
+        let (arrival, held) = (newest_arrival.as_ref(), previous_out.as_ref());
+        let next = if changed {
+            next_output(kind, &latest, arrival, held)
+        } else {
+            None
         };
-        log.line(&format_args!(
-            "unit {name} ({kind:?}): epoch {} out ({payload})",
-            payload.epoch(),
-        ));
-        previous_out = Some(payload);
-        gossip.publish(update);
+        if let Some(update) = next {
+            log.line(&format_args!(
+                "unit {name} ({kind:?}): epoch {} out ({})",
+                update.epoch(),
+                update.payload,
+            ));
+            previous_out = Some(update.payload.clone());
+            out.publish(update);
+        }
+        if !sources.iter().all(Subscription::is_closed) {
+            return true;
+        }
+        log.line(&format_args!("unit {name} ({kind:?}): sources drained"));
+        out.close();
+        false
+    })
+}
+
+/// What a combinator publishes once its sources hold `latest`: nothing
+/// until the combination advances past `previous_out`.
+fn next_output(
+    kind: Combinator,
+    latest: &[Option<VrpPayload>],
+    newest_arrival: Option<&PayloadUpdate>,
+    previous_out: Option<&VrpPayload>,
+) -> Option<PayloadUpdate> {
+    let payload = match kind {
+        Combinator::Any => newest_arrival?.payload.clone(),
+        Combinator::Merge => combined(latest, |a, b| a.iter().chain(b).copied().collect())?,
+        Combinator::Diff => combined(latest, |a, b| a.difference(b).into_iter().collect())?,
+    };
+    let Some(prev) = previous_out else {
+        return Some(PayloadUpdate::snapshot(payload));
+    };
+    if payload.epoch() <= prev.epoch() {
+        return None;
     }
-    log.line(&format_args!("unit {name} ({kind:?}): sources drained"));
-    gossip.close();
+    Some(
+        match (kind, newest_arrival.and_then(|u| u.delta.as_ref())) {
+            // `any` forwards the arrival's own delta when it chains from
+            // what we previously emitted (lockstep fast path).
+            (Combinator::Any, Some(delta)) if delta.from_epoch == prev.epoch() => PayloadUpdate {
+                payload,
+                delta: Some(delta.clone()),
+            },
+            _ => PayloadUpdate::from_previous(prev, payload),
+        },
+    )
 }
 
 /// Apply a binary set operation left-to-right across every source's
@@ -545,37 +543,28 @@ mod tests {
         }
     }
 
+    /// Publish each feed's payloads in turn, stepping the combinator
+    /// after every publish; returns what it published.
     fn run_combinator_once(kind: Combinator, feeds: Vec<Vec<VrpPayload>>) -> Vec<PayloadUpdate> {
         let inputs: Vec<Gossip> = feeds.iter().map(|_| Gossip::new()).collect();
         let sources = inputs.iter().map(Gossip::subscribe).collect();
         let output = Gossip::new();
         let mut collected = output.subscribe();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let log = Log::sink();
-        let handle = {
-            let output = output.clone();
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                run_combinator("t", kind, sources, &output, &log, &shutdown);
-            })
-        };
+        let mut step = combinator_stage("t", kind, sources, output);
+        let mut updates = Vec::new();
         for (gossip, payloads) in inputs.iter().zip(feeds) {
             for payload in payloads {
                 gossip.publish(PayloadUpdate::snapshot(payload));
-                // Give the combinator a tick to drain each publish so
-                // single-slot overwrites do not hide intermediate
-                // epochs from this test's expectations.
-                std::thread::sleep(Duration::from_millis(10));
+                assert!(step(&log), "sources are still open");
+                updates.extend(collected.try_recv());
             }
         }
         for gossip in &inputs {
             gossip.close();
         }
-        handle.join().expect("combinator thread");
-        let mut updates = Vec::new();
-        while let Some(update) = collected.try_recv() {
-            updates.push(update);
-        }
+        assert!(!step(&log), "every source closed");
+        assert!(collected.is_closed(), "and so did the output");
         updates
     }
 
@@ -644,16 +633,17 @@ mod tests {
         path
     }
 
-    /// Wait out idle polls until the unit publishes.
+    /// Wait for an `rtr` unit's thread to publish.
     fn recv_update(sub: &mut Subscription) -> PayloadUpdate {
-        for _ in 0..200 {
-            match sub.recv_timeout(Duration::from_millis(50)) {
-                Wait::Update(update) => return update,
-                Wait::TimedOut => {}
-                Wait::Closed => panic!("unit closed without publishing"),
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(update) = sub.try_recv() {
+                return update;
             }
+            assert!(!sub.is_closed(), "unit closed without publishing");
+            assert!(std::time::Instant::now() < deadline, "unit never published");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        panic!("unit never published");
     }
 
     const UNIT_SLURM: &str = r#"{
@@ -668,29 +658,26 @@ mod tests {
         }
     }"#;
 
+    /// A `slurm` stage over `file` between a source and its output.
+    fn slurm_between(file: &Path) -> (Gossip, Stage, Subscription) {
+        let source = Gossip::new();
+        let output = Gossip::new();
+        let out = output.subscribe();
+        let feed = source.subscribe();
+        let step = slurm_stage("s", file.to_path_buf(), feed, output, &Log::sink());
+        (source, step, out)
+    }
+
     #[test]
     fn slurm_unit_applies_exceptions_delta_aware() {
         let file = slurm_file("delta-aware", UNIT_SLURM);
-        let source = Gossip::new();
-        let output = Gossip::new();
-        let mut out = output.subscribe();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let config = SlurmUnitConfig {
-                file: file.clone(),
-                poll: Duration::from_millis(10),
-            };
-            let sub = source.subscribe();
-            let output = output.clone();
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                run_slurm_unit("s", &config, sub, &output, &Log::sink(), &shutdown);
-            })
-        };
+        let (source, mut step, mut out) = slurm_between(&file);
+        let log = Log::sink();
 
         let p1 = VrpPayload::new(1, [vrp("10.0.0.0/24", 64496), vrp("10.1.0.0/24", 64497)]);
         source.publish(PayloadUpdate::snapshot(p1.clone()));
-        let first = recv_update(&mut out);
+        assert!(step(&log));
+        let first = out.try_recv().expect("the excepted snapshot");
         assert_eq!(first.epoch(), 1);
         assert!(
             !first.payload.vrps().contains(&vrp("10.0.0.0/24", 64496)),
@@ -712,7 +699,8 @@ mod tests {
             ],
         );
         source.publish(PayloadUpdate::from_previous(&p1, p2));
-        let second = recv_update(&mut out);
+        assert!(step(&log));
+        let second = out.try_recv().expect("the excepted delta");
         assert_eq!(second.epoch(), 2);
         let delta = second.delta.expect("delta-aware output");
         assert_eq!((delta.from_epoch, delta.to_epoch), (1, 2));
@@ -723,41 +711,38 @@ mod tests {
         );
 
         source.close();
-        handle.join().expect("slurm unit thread");
+        assert!(!step(&log), "the source closed");
+        assert!(out.is_closed(), "and so did the output");
         let _ = std::fs::remove_file(file);
     }
 
     #[test]
     fn slurm_unit_hot_reloads_at_a_new_epoch() {
         let file = slurm_file("hot-reload", UNIT_SLURM);
-        let source = Gossip::new();
-        let output = Gossip::new();
-        let mut out = output.subscribe();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let config = SlurmUnitConfig {
-                file: file.clone(),
-                poll: Duration::from_millis(10),
-            };
-            let sub = source.subscribe();
-            let output = output.clone();
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                run_slurm_unit("s", &config, sub, &output, &Log::sink(), &shutdown);
-            })
-        };
+        let (source, mut step, mut out) = slurm_between(&file);
+        let log = Log::sink();
 
         let p1 = VrpPayload::new(1, [vrp("10.0.0.0/24", 64496), vrp("10.1.0.0/24", 64497)]);
         source.publish(PayloadUpdate::snapshot(p1.clone()));
-        let first = recv_update(&mut out);
+        assert!(step(&log));
+        let first = out.try_recv().expect("the excepted snapshot");
         assert_eq!(first.epoch(), 1);
         assert!(!first.payload.vrps().contains(&vrp("10.0.0.0/24", 64496)));
 
-        // Rewrite the file without the filter: the unit must republish
-        // the held base at a NEW epoch, with the dropped VRP restored.
-        std::thread::sleep(Duration::from_millis(50));
+        // Rewrite the file without the filter (stamped a second on, so
+        // the mtime moves whatever the clock's grain): with no source
+        // update at all, the next step must republish the held base at
+        // a NEW epoch, with the dropped VRP restored.
         std::fs::write(&file, r#"{ "slurmVersion": 1 }"#).expect("rewrite slurm file");
-        let reloaded = recv_update(&mut out);
+        let rewritten = std::fs::File::options()
+            .write(true)
+            .open(&file)
+            .expect("open");
+        rewritten
+            .set_modified(SystemTime::now() + Duration::from_secs(1))
+            .expect("set mtime");
+        assert!(step(&log));
+        let reloaded = out.try_recv().expect("the re-excepted set");
         assert_eq!(reloaded.epoch(), 2, "reload publishes a fresh epoch");
         assert!(
             reloaded.payload.vrps().contains(&vrp("10.0.0.0/24", 64496)),
@@ -777,13 +762,11 @@ mod tests {
         // reload's epoch offset.
         let p2 = VrpPayload::new(2, [vrp("10.0.0.0/24", 64496)]);
         source.publish(PayloadUpdate::from_previous(&p1, p2));
-        let shifted = recv_update(&mut out);
+        assert!(step(&log));
+        let shifted = out.try_recv().expect("the shifted delta");
         assert_eq!(shifted.epoch(), 3);
         let delta = shifted.delta.expect("still delta-aware after reload");
         assert_eq!((delta.from_epoch, delta.to_epoch), (2, 3));
-
-        source.close();
-        handle.join().expect("slurm unit thread");
         let _ = std::fs::remove_file(file);
     }
 
@@ -812,7 +795,8 @@ mod tests {
             let unit = {
                 let shutdown = Arc::clone(&shutdown);
                 std::thread::spawn(move || {
-                    run_rtr_unit("up", &config, &gossip, &Log::sink(), &shutdown);
+                    let fabric = Fabric::default();
+                    run_rtr_unit("up", &config, &gossip, &fabric, &Log::sink(), &shutdown);
                 })
             };
             RtrFeed {
@@ -844,14 +828,17 @@ mod tests {
             self.cache = cache;
         }
 
-        /// Receive until the unit has published `epoch`. Every update
-        /// that carries a delta must chain: `previous.apply(delta)` is
-        /// its payload; and the last one is what the origin serves.
+        /// Receive until the unit has published `epoch`. The slot keeps
+        /// only the latest update, so this thread may miss one: a delta
+        /// that starts at `previous` must be exactly the difference to
+        /// its payload, any other update re-bases `previous`; and the
+        /// last one is what the origin serves.
         fn follow_to(&mut self, previous: &mut VrpPayload, epoch: u64) -> PayloadUpdate {
             loop {
                 let update = recv_update(&mut self.out);
-                if let Some(delta) = &update.delta {
-                    assert_eq!(previous.apply(delta).as_ref(), Some(&update.payload));
+                let chains = |delta: &&VrpDelta| delta.from_epoch == previous.epoch();
+                if let Some(delta) = update.delta.as_ref().filter(chains) {
+                    assert_eq!(*delta, previous.diff(&update.payload));
                 }
                 *previous = update.payload.clone();
                 if update.epoch() == epoch {
@@ -887,13 +874,9 @@ mod tests {
         feed.cache.apply_delta(3, &[vrp("10.3.0.0/24", 4)], &[]);
         feed.cache
             .apply_delta(4, &[vrp("10.4.0.0/24", 5)], &[vrp("10.3.0.0/24", 4)]);
-        // The unit may catch serial 3 on its own or 3 and 4 together.
-        while previous.epoch() < 4 {
-            let update = recv_update(&mut feed.out);
-            assert_eq!(update.delta, Some(previous.diff(&update.payload)));
-            previous = update.payload;
-        }
-        assert_eq!(previous, feed.cache.payload().expect("payload"));
+        // The unit may catch serial 3 on its own or 3 and 4 together,
+        // and this thread may see its serial 3 or only its 3 → 4.
+        feed.follow_to(&mut previous, 4);
 
         // From here on the unit's own payload — advanced by wire deltas,
         // never re-read from the client — has to survive everything an
@@ -1009,7 +992,8 @@ mod tests {
                 poll: Duration::from_millis(20),
             };
             std::thread::spawn(move || {
-                run_rtr_unit("up", &config, &gossip, &Log::sink(), &shutdown);
+                let fabric = Fabric::default();
+                run_rtr_unit("up", &config, &gossip, &fabric, &Log::sink(), &shutdown);
             })
         };
 
@@ -1078,6 +1062,7 @@ mod tests {
                 interval: Duration::ZERO,
             },
             &gossip,
+            &Fabric::default(),
             &Log::sink(),
             &shutdown,
         );

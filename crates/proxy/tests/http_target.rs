@@ -4,7 +4,8 @@
 
 use ripki_payload::{PayloadUpdate, VrpPayload};
 use ripki_proxy::targets::start_http_target;
-use ripki_proxy::{Gossip, Log};
+use ripki_proxy::Log;
+use ripki_serve::ServerConfig;
 use ripki_serve_testutil::{connect, get};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -22,13 +23,9 @@ fn thread_count() -> usize {
 #[test]
 #[cfg(target_os = "linux")]
 fn idle_keep_alive_connections_cost_no_threads() {
-    let gossip = Gossip::new();
-    let handle =
-        start_http_target("t", "127.0.0.1:0", gossip.subscribe(), &Log::sink()).expect("bind");
-    gossip.publish(PayloadUpdate::snapshot(VrpPayload::new(1, Vec::new())));
-    while get(handle.addr, "/status").status != 200 {
-        std::thread::yield_now();
-    }
+    let (handle, mut install) =
+        start_http_target("t", "127.0.0.1:0", &Log::sink(), ServerConfig::default()).expect("bind");
+    install(PayloadUpdate::snapshot(VrpPayload::new(1, Vec::new())));
 
     // 64 clients that each made a request and then sit on their
     // keep-alive connection.
@@ -62,6 +59,5 @@ fn idle_keep_alive_connections_cost_no_threads() {
     );
 
     drop(idle);
-    gossip.close();
     handle.stop();
 }
