@@ -7,6 +7,7 @@
 //! provide that pairing.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -125,16 +126,23 @@ impl DomainName {
     }
 
     /// Whether the name ends with the given suffix string (used by the
-    /// HTTPArchive-style CDN pattern classifier).
+    /// HTTPArchive-style CDN pattern classifier). The suffix is matched
+    /// ASCII case-insensitively and only at a label boundary.
     pub fn has_suffix(&self, suffix: &str) -> bool {
-        let suffix = suffix.to_ascii_lowercase();
-        self.0 == suffix
-            || (self.0.ends_with(&suffix)
-                && self
-                    .0
-                    .as_bytes()
-                    .get(self.0.len() - suffix.len() - 1)
-                    .is_some_and(|b| *b == b'.'))
+        let (name, suffix) = (self.0.as_bytes(), suffix.as_bytes());
+        let Some(split) = name.len().checked_sub(suffix.len()) else {
+            return false;
+        };
+        name[split..].eq_ignore_ascii_case(suffix) && (split == 0 || name[split - 1] == b'.')
+    }
+}
+
+/// Maps keyed by `DomainName` can be probed with a borrowed `&str`: the
+/// derived `Hash`, `Eq` and `Ord` of the one-field newtype are the
+/// inner `String`'s, which agree with `str`'s.
+impl Borrow<str> for DomainName {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -230,6 +238,50 @@ mod tests {
         assert!(!d.has_suffix("kamai.net"));
         assert!(n("akamai.net").has_suffix("akamai.net"));
         assert!(!n("net").has_suffix("akamai.net"));
+    }
+
+    /// The lowercasing, `String`-building matcher `has_suffix` replaced.
+    fn has_suffix_by_lowercasing(name: &DomainName, suffix: &str) -> bool {
+        let suffix = suffix.to_ascii_lowercase();
+        name.0 == suffix
+            || (name.0.ends_with(&suffix)
+                && name
+                    .0
+                    .as_bytes()
+                    .get(name.0.len() - suffix.len() - 1)
+                    .is_some_and(|b| *b == b'.'))
+    }
+
+    #[test]
+    fn suffix_matching_answers_as_the_lowercasing_matcher_did() {
+        let cases = [
+            ("a495.g.akamai-sim.net", "AKAMAI-SIM.NET", true),
+            ("a495.g.akamai-sim.net", "G.Akamai-Sim.net", true),
+            ("akamai-sim.net", "akamai-sim.net", true),
+            ("akamai-sim.net", "Akamai-Sim.Net", true),
+            ("notakamai-sim.net", "akamai-sim.net", false),
+            ("net", "akamai-sim.net", false),
+            ("sim.net", "akamai-sim.net", false),
+            ("akamai-sim.net", "", false),
+            ("a495.g.akamai-sim.net", ".akamai-sim.net", false),
+        ];
+        for (name, suffix, expected) in cases {
+            let name = n(name);
+            assert_eq!(name.has_suffix(suffix), expected, "{name} ~ {suffix:?}");
+            assert_eq!(
+                name.has_suffix(suffix),
+                has_suffix_by_lowercasing(&name, suffix),
+                "{name} ~ {suffix:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn maps_probe_by_str() {
+        let mut m = std::collections::HashMap::new();
+        m.insert(n("Edge.CDN.example"), 1);
+        assert_eq!(m.get("edge.cdn.example"), Some(&1));
+        assert_eq!(m.get("cdn.example"), None);
     }
 
     #[test]

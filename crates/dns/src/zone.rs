@@ -16,9 +16,21 @@
 //! (flattened into a fresh root) once they exceed [`MAX_LAYER_DEPTH`],
 //! bounding lookup cost.
 //!
+//! Each store's own data (base records, tombstones, overrides, signed
+//! apexes) sits behind an `Arc` too, the root's included: cloning a
+//! store is O(1) — two pointer bumps and three counters — and both
+//! copies share that data until one of them edits, which then copies it
+//! once (`Arc::make_mut`). An engine built over a generated world
+//! therefore shares the world's 100 000-name map instead of copying it.
+//!
 //! Deltas only touch *base* records; per-vantage overrides and DNSSEC
 //! signing flags always win regardless of layer, mirroring how geo-DNS
 //! steering and zone signing outlive individual record edits.
+//!
+//! Lookups take the name as `&str` internally (`DomainName: Borrow<str>`)
+//! and allocate nothing: overrides are keyed by name with the handful of
+//! per-vantage answers under it, and the DNSSEC walk steps through label
+//! suffixes of the query string.
 
 use crate::name::DomainName;
 use crate::record::RecordData;
@@ -34,20 +46,29 @@ pub const MAX_LAYER_DEPTH: usize = 64;
 /// The authoritative record store.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneStore {
-    base: HashMap<DomainName, Vec<RecordData>>,
-    /// Tombstones: names present in an ancestor layer but deleted here.
-    removed: HashSet<DomainName>,
-    overrides: HashMap<(DomainName, Vantage), Vec<RecordData>>,
-    /// Zone apexes whose operators sign with DNSSEC. A name is
-    /// authenticatable when it or a parent is listed here (modelling a
-    /// validating resolver's AD bit, not the full DS/DNSKEY machinery).
-    signed_zones: HashSet<DomainName>,
+    /// This layer's own data, shared between clones until one edits.
+    layer: Arc<Layer>,
     parent: Option<Arc<ZoneStore>>,
     depth: usize,
     /// Effective number of names with base records (whole chain).
     names: usize,
     /// Effective number of base records (whole chain).
     records: usize,
+}
+
+/// The data one layer owns.
+#[derive(Debug, Clone, Default)]
+struct Layer {
+    base: HashMap<DomainName, Vec<RecordData>>,
+    /// Tombstones: names present in an ancestor layer but deleted here.
+    removed: HashSet<DomainName>,
+    /// Per-vantage answers, keyed by name (a name has at most one entry
+    /// per vantage, and there are only a few vantages).
+    overrides: HashMap<DomainName, Vec<(Vantage, Vec<RecordData>)>>,
+    /// Zone apexes whose operators sign with DNSSEC. A name is
+    /// authenticatable when it or a parent is listed here (modelling a
+    /// validating resolver's AD bit, not the full DS/DNSKEY machinery).
+    signed_zones: HashSet<DomainName>,
 }
 
 impl ZoneStore {
@@ -60,7 +81,7 @@ impl ZoneStore {
     /// override exists for that vantage).
     pub fn add(&mut self, name: DomainName, data: RecordData) {
         let mut recs = self
-            .base_records(&name)
+            .base_records(name.as_str())
             .map(<[_]>::to_vec)
             .unwrap_or_default();
         recs.push(data);
@@ -80,45 +101,48 @@ impl ZoneStore {
     /// Append a record visible only from `vantage` (replacing the base
     /// answer for that vantage entirely).
     pub fn add_override(&mut self, name: DomainName, vantage: Vantage, data: RecordData) {
-        let key = (name, vantage);
         let mut recs = self
-            .override_records(&key.0, vantage)
+            .override_records(name.as_str(), vantage)
             .map(<[_]>::to_vec)
             .unwrap_or_default();
         recs.push(data);
-        self.overrides.insert(key, recs);
+        Arc::make_mut(&mut self.layer).set_override(name, vantage, recs);
     }
 
     /// The records `vantage` receives for `name`.
     pub fn lookup(&self, name: &DomainName, vantage: Vantage) -> Option<&[RecordData]> {
-        if let Some(v) = self.override_records(name, vantage) {
-            return Some(v);
-        }
-        self.base_records(name)
+        let name = name.as_str();
+        self.override_records(name, vantage)
+            .or_else(|| self.base_records(name))
     }
 
     /// Effective base records for `name`, honouring layer tombstones.
-    fn base_records(&self, name: &DomainName) -> Option<&[RecordData]> {
-        if let Some(v) = self.base.get(name) {
+    fn base_records(&self, name: &str) -> Option<&[RecordData]> {
+        if let Some(v) = self.layer.base.get(name) {
             return Some(v);
         }
-        if self.removed.contains(name) {
+        if self.layer.removed.contains(name) {
             return None;
         }
         self.parent.as_ref().and_then(|p| p.base_records(name))
     }
 
-    fn override_records(&self, name: &DomainName, vantage: Vantage) -> Option<&[RecordData]> {
-        if let Some(v) = self.overrides.get(&(name.clone(), vantage)) {
-            return Some(v);
-        }
-        self.parent
-            .as_ref()
-            .and_then(|p| p.override_records(name, vantage))
+    fn override_records(&self, name: &str, vantage: Vantage) -> Option<&[RecordData]> {
+        let here = self.layer.overrides.get(name).and_then(|per_vantage| {
+            per_vantage
+                .iter()
+                .find(|(v, _)| *v == vantage)
+                .map(|(_, recs)| recs.as_slice())
+        });
+        here.or_else(|| {
+            self.parent
+                .as_ref()
+                .and_then(|p| p.override_records(name, vantage))
+        })
     }
 
-    fn has_any_override(&self, name: &DomainName) -> bool {
-        self.overrides.keys().any(|(n, _)| n == name)
+    fn has_any_override(&self, name: &str) -> bool {
+        self.layer.overrides.contains_key(name)
             || self
                 .parent
                 .as_ref()
@@ -127,6 +151,7 @@ impl ZoneStore {
 
     /// Whether any record exists for `name` from any vantage.
     pub fn contains(&self, name: &DomainName) -> bool {
+        let name = name.as_str();
         self.base_records(name).is_some() || self.has_any_override(name)
     }
 
@@ -142,13 +167,13 @@ impl ZoneStore {
 
     /// Mark `apex` as a DNSSEC-signed zone.
     pub fn set_signed(&mut self, apex: DomainName) {
-        if !self.is_signed_exact(&apex) {
-            self.signed_zones.insert(apex);
+        if !self.is_signed_exact(apex.as_str()) {
+            Arc::make_mut(&mut self.layer).signed_zones.insert(apex);
         }
     }
 
-    fn is_signed_exact(&self, apex: &DomainName) -> bool {
-        self.signed_zones.contains(apex)
+    fn is_signed_exact(&self, apex: &str) -> bool {
+        self.layer.signed_zones.contains(apex)
             || self
                 .parent
                 .as_ref()
@@ -157,22 +182,21 @@ impl ZoneStore {
 
     /// Whether `name` belongs to a signed zone (itself or any ancestor).
     pub fn is_signed(&self, name: &DomainName) -> bool {
-        if self.is_signed_exact(name) {
-            return true;
-        }
-        let mut cursor = name.clone();
-        while let Some(parent) = cursor.parent() {
-            if self.is_signed_exact(&parent) {
+        let mut suffix = name.as_str();
+        loop {
+            if self.is_signed_exact(suffix) {
                 return true;
             }
-            cursor = parent;
+            match suffix.split_once('.') {
+                Some((_, parent)) => suffix = parent,
+                None => return false,
+            }
         }
-        false
     }
 
     /// Number of signed zone apexes.
     pub fn signed_zone_count(&self) -> usize {
-        self.signed_zones.len() + self.parent.as_ref().map_or(0, |p| p.signed_zone_count())
+        self.layer.signed_zones.len() + self.parent.as_ref().map_or(0, |p| p.signed_zone_count())
     }
 
     /// Number of layers above the root (0 for a root store).
@@ -183,7 +207,7 @@ impl ZoneStore {
     /// Replace the effective base record set for `name`, keeping the
     /// name/record counters accurate. An empty `recs` is a removal.
     fn set_base_records(&mut self, name: DomainName, recs: Vec<RecordData>) {
-        match self.base_records(&name).map(<[_]>::len) {
+        match self.base_records(name.as_str()).map(<[_]>::len) {
             Some(len) => self.records -= len,
             None => {
                 if recs.is_empty() {
@@ -192,22 +216,23 @@ impl ZoneStore {
                 self.names += 1;
             }
         }
+        let layer = Arc::make_mut(&mut self.layer);
         if recs.is_empty() {
             self.names -= 1;
-            self.base.remove(&name);
+            layer.base.remove(&name);
             if self
                 .parent
                 .as_ref()
-                .is_some_and(|p| p.base_records(&name).is_some())
+                .is_some_and(|p| p.base_records(name.as_str()).is_some())
             {
-                self.removed.insert(name);
+                layer.removed.insert(name);
             } else {
-                self.removed.remove(&name);
+                layer.removed.remove(&name);
             }
         } else {
             self.records += recs.len();
-            self.removed.remove(&name);
-            self.base.insert(name, recs);
+            layer.removed.remove(&name);
+            layer.base.insert(name, recs);
         }
     }
 
@@ -221,15 +246,22 @@ impl ZoneStore {
         }
         chain.reverse(); // root first, newest layer last
         let mut flat = ZoneStore::new();
-        for layer in chain {
+        for store in chain {
+            let layer = &store.layer;
             for name in &layer.removed {
                 flat.set_base_records(name.clone(), Vec::new());
             }
             for (name, recs) in &layer.base {
                 flat.set_base_records(name.clone(), recs.clone());
             }
-            for (key, recs) in &layer.overrides {
-                flat.overrides.insert(key.clone(), recs.clone());
+            for (name, per_vantage) in &layer.overrides {
+                for (vantage, recs) in per_vantage {
+                    Arc::make_mut(&mut flat.layer).set_override(
+                        name.clone(),
+                        *vantage,
+                        recs.clone(),
+                    );
+                }
             }
             for apex in &layer.signed_zones {
                 flat.set_signed(apex.clone());
@@ -246,10 +278,7 @@ impl ZoneStore {
             parent.flatten()
         } else {
             ZoneStore {
-                base: HashMap::new(),
-                removed: HashSet::new(),
-                overrides: HashMap::new(),
-                signed_zones: HashSet::new(),
+                layer: Arc::default(),
                 names: parent.names,
                 records: parent.records,
                 depth: parent.depth + 1,
@@ -261,7 +290,7 @@ impl ZoneStore {
             match op {
                 ZoneOp::SetRecords(name, recs) => {
                     let unchanged = next
-                        .base_records(name)
+                        .base_records(name.as_str())
                         .map_or(recs.is_empty(), |old| old == recs.as_slice());
                     if unchanged {
                         continue;
@@ -270,7 +299,7 @@ impl ZoneStore {
                     changed.insert(name.clone());
                 }
                 ZoneOp::Remove(name) => {
-                    if next.base_records(name).is_none() {
+                    if next.base_records(name.as_str()).is_none() {
                         continue;
                     }
                     next.set_base_records(name.clone(), Vec::new());
@@ -279,6 +308,17 @@ impl ZoneStore {
             }
         }
         (next, ZoneChanges { changed })
+    }
+}
+
+impl Layer {
+    /// Set this layer's answer for `(name, vantage)`, replacing any.
+    fn set_override(&mut self, name: DomainName, vantage: Vantage, recs: Vec<RecordData>) {
+        let per_vantage = self.overrides.entry(name).or_default();
+        match per_vantage.iter_mut().find(|(v, _)| *v == vantage) {
+            Some((_, slot)) => *slot = recs,
+            None => per_vantage.push((vantage, recs)),
+        }
     }
 }
 
@@ -562,6 +602,125 @@ mod cow_tests {
         }
         assert_eq!(current.name_count(), 4);
         assert!(current.is_signed(&n("www.a.example")));
+    }
+}
+
+#[cfg(test)]
+mod sharing_tests {
+    use super::*;
+
+    fn n(s: &str) -> DomainName {
+        DomainName::parse(s).unwrap()
+    }
+
+    fn world() -> ZoneStore {
+        let mut z = ZoneStore::new();
+        z.add_addr(n("a.example"), "85.1.0.1".parse().unwrap());
+        z.add_cname(n("www.a.example"), n("edge.cdn.example"));
+        z.add_addr(n("edge.cdn.example"), "9.9.1.1".parse().unwrap());
+        z.add_override(
+            n("edge.cdn.example"),
+            Vantage::OPEN_DNS,
+            RecordData::A("9.9.1.2".parse().unwrap()),
+        );
+        z.set_signed(n("a.example"));
+        z
+    }
+
+    const PROBES: [&str; 6] = [
+        "a.example",
+        "www.a.example",
+        "edge.cdn.example",
+        "new.example",
+        "b.example",
+        "x.signed.example",
+    ];
+
+    /// Everything a reader can observe of `z` over [`PROBES`].
+    fn observe(z: &ZoneStore) -> Vec<String> {
+        let mut seen = vec![format!("{} {}", z.name_count(), z.record_count())];
+        for s in PROBES {
+            let name = n(s);
+            for vantage in Vantage::ALL {
+                seen.push(format!("{s} {vantage:?} {:?}", z.lookup(&name, vantage)));
+            }
+            seen.push(format!("{s} {} {}", z.contains(&name), z.is_signed(&name)));
+        }
+        seen
+    }
+
+    type Edit = fn(&mut ZoneStore);
+
+    fn edits() -> [(&'static str, Edit); 4] {
+        [
+            ("add", |z| {
+                z.add_addr(n("new.example"), "10.0.0.1".parse().unwrap());
+            }),
+            ("add_override", |z| {
+                z.add_override(
+                    n("a.example"),
+                    Vantage::HTTPARCHIVE_REDWOOD,
+                    RecordData::A("10.0.0.2".parse().unwrap()),
+                );
+            }),
+            ("set_signed", |z| z.set_signed(n("signed.example"))),
+            ("apply", |z| {
+                let mut delta = ZoneDelta::new();
+                delta.set_addr(n("b.example"), "10.0.0.3".parse().unwrap());
+                delta.remove(n("a.example"));
+                *z = ZoneStore::apply(Arc::new(z.clone()), &delta).0;
+            }),
+        ]
+    }
+
+    #[test]
+    fn a_clone_shares_its_layer_until_edited() {
+        let original = world();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.layer, &copy.layer));
+        copy.add_addr(n("new.example"), "10.0.0.1".parse().unwrap());
+        assert!(!Arc::ptr_eq(&original.layer, &copy.layer));
+        // An edit of a store nobody shares stays in place.
+        let before = Arc::as_ptr(&copy.layer);
+        copy.add_addr(n("newer.example"), "10.0.0.4".parse().unwrap());
+        assert_eq!(Arc::as_ptr(&copy.layer), before);
+    }
+
+    #[test]
+    fn an_edit_on_either_side_leaves_the_other_unchanged() {
+        for (what, edit) in edits() {
+            // Edit the clone: the original reads as before.
+            let original = world();
+            let expected = observe(&original);
+            let mut copy = original.clone();
+            edit(&mut copy);
+            assert_ne!(observe(&copy), expected, "{what} changed nothing");
+            assert_eq!(observe(&original), expected, "{what} on the clone");
+
+            // Edit the original: the clone reads as before.
+            let mut original = world();
+            let copy = original.clone();
+            edit(&mut original);
+            assert_eq!(observe(&copy), expected, "{what} on the original");
+        }
+    }
+
+    #[test]
+    fn contains_sees_a_parent_override_and_not_a_tombstone() {
+        let mut root = ZoneStore::new();
+        root.add_override(
+            n("geo.example"),
+            Vantage::LOOKING_GLASS_US01,
+            RecordData::A("10.0.0.5".parse().unwrap()),
+        );
+        root.add_addr(n("gone.example"), "10.0.0.6".parse().unwrap());
+        let mut delta = ZoneDelta::new();
+        delta.remove(n("gone.example"));
+        let (layer, _) = ZoneStore::apply(Arc::new(root), &delta);
+        assert_eq!(layer.layer_depth(), 1);
+        assert!(layer.contains(&n("geo.example")));
+        assert!(!layer.contains(&n("gone.example")));
+        assert!(!layer.contains(&n("example")));
     }
 }
 

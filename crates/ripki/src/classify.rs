@@ -9,12 +9,27 @@
 //! * [`HttpArchiveClassifier`] — the cross-check: "HTTPArchive classifies
 //!   the first 300k Alexa domains based on DNS pattern matching of
 //!   CNAMEs", from a geographically distinct vantage (Redwood City).
+//!
+//! The HTTPArchive side reads only the CNAME chain. From its vantage it
+//! follows each name with [`ZoneStore::lookup`] over names borrowed from
+//! the zone's own records, running [`Resolver::resolve`]'s loop step for
+//! step: the same [`MAX_CHAIN`] bound, the same loop test against the
+//! query and every link so far, NXDOMAIN when a lookup finds nothing,
+//! and no-address when the terminal record set has no A/AAAA. A walk
+//! that `resolve` would fail fails here too and counts "not CDN"; one it
+//! would answer yields the same chain, so the verdict — "some link
+//! matches a pattern" — is `resolve`'s. What the walk skips is what the
+//! verdict never read: the [`Resolution`](ripki_dns::Resolution), its
+//! address vector and the per-link DNSSEC check. The walk allocates
+//! nothing; `classify` builds the two name forms once per domain.
+//!
+//! [`Resolver::resolve`]: ripki_dns::Resolver::resolve
 
 use crate::pipeline::DomainMeasurement;
-use ripki_dns::resolver::Resolver;
+use ripki_dns::resolver::MAX_CHAIN;
 use ripki_dns::vantage::Vantage;
 use ripki_dns::zone::ZoneStore;
-use ripki_dns::DomainName;
+use ripki_dns::{DomainName, RecordData};
 
 /// HTTPArchive's classification covered only the first 300k ranks.
 pub const HTTPARCHIVE_LIMIT: usize = 300_000;
@@ -63,18 +78,33 @@ impl<'z> HttpArchiveClassifier<'z> {
         if rank >= self.limit {
             return None;
         }
-        let resolver = Resolver::new(self.zones, self.vantage);
         let bare = listed.without_www();
         let www = bare.with_www();
-        let mut is_cdn = false;
-        for name in [&www, &bare] {
-            if let Ok(res) = resolver.resolve(name) {
-                if res.cname_chain.iter().any(|c| self.matches_pattern(c)) {
-                    is_cdn = true;
+        Some(self.chain_matches(&www) || self.chain_matches(&bare))
+    }
+
+    /// Whether `name` resolves from this vantage through a CNAME that
+    /// matches a CDN pattern (see the module doc for the walk).
+    fn chain_matches(&self, name: &DomainName) -> bool {
+        let mut chain = [name; MAX_CHAIN];
+        let mut len = 0;
+        let mut current = name;
+        loop {
+            let Some(records) = self.zones.lookup(current, self.vantage) else {
+                return false; // NXDOMAIN
+            };
+            if let Some(target) = records.iter().find_map(RecordData::cname) {
+                if len == MAX_CHAIN || target == name || chain[..len].contains(&target) {
+                    return false; // chain too long, or a loop
                 }
+                chain[len] = target;
+                len += 1;
+                current = target;
+                continue;
             }
+            return records.iter().any(|r| r.addr().is_some())
+                && chain[..len].iter().any(|c| self.matches_pattern(c));
         }
-        Some(is_cdn)
     }
 }
 
@@ -208,6 +238,123 @@ mod tests {
         };
         let c = HttpArchiveClassifier::new(&z, vec!["akamai-sim.net".into()]);
         assert_eq!(c.classify(0, &n("t.example")), Some(false));
+    }
+
+    /// The classification `classify` replaced: a full
+    /// `Resolver::resolve` of each name form, kept as the oracle.
+    fn classify_by_resolving(
+        c: &HttpArchiveClassifier<'_>,
+        rank: usize,
+        listed: &DomainName,
+    ) -> Option<bool> {
+        if rank >= c.limit {
+            return None;
+        }
+        let resolver = ripki_dns::Resolver::new(c.zones, c.vantage);
+        let bare = listed.without_www();
+        let www = bare.with_www();
+        let mut is_cdn = false;
+        for name in [&www, &bare] {
+            if let Ok(res) = resolver.resolve(name) {
+                if res.cname_chain.iter().any(|link| c.matches_pattern(link)) {
+                    is_cdn = true;
+                }
+            }
+        }
+        Some(is_cdn)
+    }
+
+    #[test]
+    fn chain_walk_equals_full_resolution_on_a_scenario() {
+        let scenario =
+            ripki_websim::Scenario::build(ripki_websim::ScenarioConfig::with_domains(2_000));
+        let patterns = scenario
+            .cdn_infras
+            .iter()
+            .map(|i| format!("{}-sim.net", i.name))
+            .collect();
+        let c = HttpArchiveClassifier::new(&scenario.zones, patterns);
+        let mut cdn = 0;
+        for (rank, listed) in scenario.ranking.iter().enumerate() {
+            let verdict = c.classify(rank, listed);
+            assert_eq!(verdict, classify_by_resolving(&c, rank, listed), "{listed}");
+            cdn += usize::from(verdict == Some(true));
+        }
+        assert!(cdn > 0 && cdn < scenario.ranking.len(), "{cdn} CDN domains");
+    }
+
+    #[test]
+    fn chain_walk_equals_full_resolution_on_failing_chains() {
+        let a = |s: &str| s.parse().unwrap();
+        let mut z = ZoneStore::new();
+        // A loop back to the query through a CDN name.
+        z.add_cname(n("www.loop.example"), n("l1.akamai-sim.net"));
+        z.add_cname(n("l1.akamai-sim.net"), n("www.loop.example"));
+        // A loop among CDN names, not through the query.
+        z.add_cname(n("www.ring.example"), n("r1.akamai-sim.net"));
+        z.add_cname(n("r1.akamai-sim.net"), n("r2.akamai-sim.net"));
+        z.add_cname(n("r2.akamai-sim.net"), n("r1.akamai-sim.net"));
+        // NXDOMAIN after a CDN name.
+        z.add_cname(n("www.nx.example"), n("nx.akamai-sim.net"));
+        z.add_cname(n("nx.akamai-sim.net"), n("void.example"));
+        // A record-less tail: the zone API cannot hold an empty record
+        // set (a delta that empties one removes the name), so the tail a
+        // resolver finds without addresses reads as absent.
+        z.add_cname(n("www.na.example"), n("na.akamai-sim.net"));
+        z.add_addr(n("na.akamai-sim.net"), a("7.7.7.1"));
+        let mut delta = ripki_dns::ZoneDelta::new();
+        delta.set_records(n("na.akamai-sim.net"), Vec::new());
+        let (z, _) = ZoneStore::apply(std::sync::Arc::new(z), &delta);
+        let mut z = z;
+        // MAX_CHAIN links resolve; MAX_CHAIN + 1 do not.
+        for (query, links) in [
+            ("www.ok.example", MAX_CHAIN),
+            ("www.long.example", MAX_CHAIN + 1),
+        ] {
+            let hop = |i: usize| n(&format!("h{i}.{}.akamai-sim.net", links));
+            z.add_cname(n(query), hop(1));
+            for i in 1..links {
+                z.add_cname(hop(i), hop(i + 1));
+            }
+            z.add_addr(hop(links), a("7.7.7.2"));
+        }
+        // The HTTPArchive vantage sees a CDN chain the base does not…
+        z.add_addr(n("www.geo.example"), a("7.7.7.3"));
+        z.add_override(
+            n("www.geo.example"),
+            Vantage::HTTPARCHIVE_REDWOOD,
+            RecordData::Cname(n("geo.akamai-sim.net")),
+        );
+        z.add_addr(n("geo.akamai-sim.net"), a("7.7.7.4"));
+        // …and an address where the base has a CDN chain.
+        z.add_cname(n("www.direct.example"), n("d.akamai-sim.net"));
+        z.add_addr(n("d.akamai-sim.net"), a("7.7.7.5"));
+        z.add_override(
+            n("www.direct.example"),
+            Vantage::HTTPARCHIVE_REDWOOD,
+            RecordData::A("7.7.7.6".parse().unwrap()),
+        );
+
+        let c = HttpArchiveClassifier::new(&z, vec!["AKAMAI-sim.net".into()]);
+        for (listed, expected) in [
+            ("loop.example", false),
+            ("ring.example", false),
+            ("nx.example", false),
+            ("na.example", false),
+            ("ok.example", true),
+            ("long.example", false),
+            ("geo.example", true),
+            ("direct.example", false),
+            ("absent.example", false),
+        ] {
+            let listed = n(listed);
+            assert_eq!(c.classify(0, &listed), Some(expected), "{listed}");
+            assert_eq!(
+                c.classify(0, &listed),
+                classify_by_resolving(&c, 0, &listed),
+                "{listed}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Figure builders: the exact per-bin series of the paper's four graphs.
 
 use crate::classify::{cname_chain_is_cdn, HttpArchiveClassifier};
-use crate::pipeline::StudyResults;
+use crate::pipeline::{DomainMeasurement, PipelineConfig, StudyResults};
 use crate::stats::BinnedSeries;
 use ripki_bgp::rov::RpkiState;
 use serde::{Deserialize, Serialize};
@@ -66,7 +66,10 @@ pub struct Fig3Series {
 }
 
 /// Build Figure 3. `classifier` supplies the HTTPArchive side; pass the
-/// scenario's CDN patterns to construct it.
+/// scenario's CDN patterns to construct it. The classifier's walks run
+/// on [`PipelineConfig::worker_threads`] threads (the `RIPKI_THREADS`
+/// knob) and are folded in rank order, so the series do not depend on
+/// the thread count.
 pub fn fig3_cdn_popularity(
     results: &StudyResults,
     classifier: &HttpArchiveClassifier<'_>,
@@ -83,12 +86,18 @@ pub fn fig3_cdn_popularity(
         total,
         bin,
     );
+    let domains: Vec<&DomainMeasurement> = results.domains.iter().collect();
+    let verdicts = ripki_par::run_indexed(
+        PipelineConfig::default().worker_threads(),
+        &domains,
+        |_| (),
+        |(), _, d| classifier.classify(d.rank, &d.listed),
+    );
     let httparchive = BinnedSeries::from_samples(
-        results.domains.iter().map(|d| {
-            let verdict = classifier
-                .classify(d.rank, &d.listed)
-                .map(|c| if c { 1.0 } else { 0.0 });
-            (d.rank, verdict)
+        domains.iter().zip(verdicts).map(|(d, verdict)| {
+            // A panicked walk is a bug, not an out-of-coverage rank.
+            let verdict = verdict.unwrap_or_else(|| panic!("classifying {} panicked", d.listed));
+            (d.rank, verdict.map(|c| if c { 1.0 } else { 0.0 }))
         }),
         total,
         bin,
@@ -183,7 +192,7 @@ pub fn ext_dnssec_comparison(results: &StudyResults, bin: usize) -> ExtDnssecSer
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{DomainMeasurement, NameMeasurement, PairState};
+    use crate::pipeline::{NameMeasurement, PairState};
     use ripki_net::Asn;
 
     fn nm(states: &[RpkiState], chain: usize) -> NameMeasurement {

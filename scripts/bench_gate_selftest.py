@@ -23,10 +23,11 @@ ROWS = {
     "rtr.cache_install_snapshot_ms": (0.0001, "ms"),
     "rtr.encode_reset_ms": (6.0, "ms"),
     "rtr.cache_apply_delta_us_p50": (300.0, "us"),
-    "ripki.engine_new_ms": (100.0, "ms"),
+    "ripki.engine_new_ms": (5.0, "ms"),
     "ripki.run_ms": (200.0, "ms"),
-    "ripki.apply_events_ms_p50": (30.0, "ms"),
-    "stage.view_build_ms": (7.5, "ms"),
+    "ripki.figures_ms": (50.0, "ms"),
+    "ripki.apply_events_ms_p50": (20.5, "ms"),
+    "stage.view_build_ms": (5.125, "ms"),
 }
 
 
@@ -80,7 +81,17 @@ gate(
 gate(
     {"churn_web": verdict(**{"stage.view_build_ms": (183.4, "ms")}), "study_full": ok},
     1,
-    "÷ stage.view_build_ms @ churn_web: 0.164 < floor 2",
+    "÷ stage.view_build_ms @ churn_web: 0.112 < floor 2",
+)
+gate(
+    {"study_full": verdict(**{"ripki.engine_new_ms": (85.0, "ms")})},
+    1,
+    "÷ ripki.engine_new_ms @ study_full: 2.35 < floor 20",
+)
+gate(
+    {"study_full": verdict(**{"ripki.figures_ms": (220.0, "ms")})},
+    1,
+    "÷ ripki.figures_ms @ study_full: 0.909 < floor 2",
 )
 gate({"churn_rpki": verdict(correct=False)}, 1, "churn_rpki: not a valid run")
 gate({"churn_rpki": verdict(failed=2)}, 1, "churn_rpki: not a valid run")
