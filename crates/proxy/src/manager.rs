@@ -330,13 +330,8 @@ impl Manager {
                     (start_http_target(name, listen, log, plane), "http")
                 }
             };
-            let (handle, install) = match started {
-                Ok(started) => started,
-                Err(e) => {
-                    handles.into_iter().for_each(TargetHandle::stop);
-                    return Err(e.into());
-                }
-            };
+            // On failure the targets bound so far stop as they drop.
+            let (handle, install) = started?;
             handles.push(handle);
             let feed = gossips[&plan.unit].subscribe();
             installs.push(install_stage(format!("{name} ({kind})"), feed, install));
@@ -416,13 +411,12 @@ impl Manager {
 
     /// Stop everything: raise the shutdown flag, join every thread — a
     /// unit closes its output on the way out, and the stages downstream
-    /// say they drained — and stop every target.
+    /// say they drained — and stop every target, in declaration order,
+    /// by dropping it.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.drain();
-        for target in self.targets.drain(..) {
-            target.stop();
-        }
+        self.targets.clear();
     }
 }
 
@@ -515,14 +509,23 @@ unit = "feed"
                 "[units.up]\ntype = \"json\"\nurl = \"http://127.0.0.1:1/vrps.json\"\npoll-ms = 60000\n",
                 "fetch failed",
             ),
+            // The first dial fails at once and is logged; the unit then
+            // waits out its backoff and redials, on and on.
+            (
+                "[units.up]\ntype = \"rtr\"\nconnect = \"127.0.0.1:1\"\npoll-ms = 60000\n",
+                "failed",
+            ),
         ] {
             let (log, logged) = captured();
+            let started = Instant::now();
             let manager = Manager::from_toml(toml, &log).expect("start");
             wait_for(&logged, in_its_pause);
-            let started = Instant::now();
+            let paused = Instant::now();
             manager.shutdown();
-            let took = started.elapsed();
+            let took = paused.elapsed();
             assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+            let whole = started.elapsed();
+            assert!(whole < Duration::from_secs(2), "start to stop took {whole:?}");
         }
     }
 
@@ -590,7 +593,7 @@ unit = "feed"
             logged_so_far(&logged),
             "unit relay (Any): sources drained\ntarget edge (rtr): feed drained\n"
         );
-        edge.stop();
+        drop(edge);
     }
 
     #[test]

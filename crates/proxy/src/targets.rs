@@ -27,34 +27,19 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The event loop that keeps serving a target's clients until
-/// shutdown, so late ones can still fetch the final state.
-enum Serving {
-    /// The RTR session loop.
-    Rtr(RtrListener),
-    /// The HTTP reactor and its workers.
-    Http(Server),
-}
-
-/// A running target: its bound address and the serving side it stops
-/// on shutdown.
+/// A running target: its bound address and its serving side. Dropping
+/// the handle stops serving: responses in flight are delivered whole
+/// before their connections close.
 pub struct TargetHandle {
     /// The target's configured name.
     pub name: String,
     /// The socket the target actually bound (port 0 resolved).
     pub addr: SocketAddr,
-    serving: Serving,
-}
-
-impl TargetHandle {
-    /// Stop serving: responses in flight are delivered whole before
-    /// their connections close.
-    pub fn stop(self) {
-        match self.serving {
-            Serving::Rtr(mut listener) => listener.shutdown(),
-            Serving::Http(mut server) => server.shutdown(),
-        }
-    }
+    /// The event loop that keeps serving the target's clients until the
+    /// handle drops, so late ones can still fetch the final state: the
+    /// RTR session loop ([`RtrListener`]) or the HTTP reactor and its
+    /// workers ([`Server`]), each of which shuts down in its `Drop`.
+    _serving: Box<dyn Send + Sync>,
 }
 
 /// A target's sink: install one update into the serving state and
@@ -124,7 +109,7 @@ pub fn start_rtr_target(
     let handle = TargetHandle {
         name: name.to_string(),
         addr,
-        serving: Serving::Rtr(serving),
+        _serving: Box::new(serving),
     };
     Ok((handle, Box::new(install)))
 }
@@ -247,7 +232,7 @@ pub fn start_http_target(
     let handle = TargetHandle {
         name: name.to_string(),
         addr,
-        serving: Serving::Http(server),
+        _serving: Box::new(server),
     };
     Ok((handle, Box::new(install)))
 }
@@ -322,7 +307,7 @@ mod tests {
         let text = std::str::from_utf8(&metrics.body).expect("utf8");
         assert!(text.contains("ripki_proxy_epoch 4"), "metrics: {text}");
 
-        handle.stop();
+        drop(handle);
     }
 
     #[test]
@@ -344,7 +329,7 @@ mod tests {
         let (_, serial) = client.state().expect("synced state");
         assert_eq!(serial, 2, "RTR serial tracks the fabric epoch");
 
-        handle.stop();
+        drop(handle);
     }
 
     #[test]
@@ -403,7 +388,7 @@ mod tests {
         let text = std::str::from_utf8(&status.body).expect("utf8");
         assert!(text.contains("\"resyncs_total\":1"), "status: {text}");
 
-        handle.stop();
+        drop(handle);
     }
 
     #[test]
@@ -427,7 +412,7 @@ mod tests {
         client.sync().expect("sync");
         assert_eq!(client.payload().expect("payload"), p3);
 
-        handle.stop();
+        drop(handle);
     }
 
     // ---- the HTTP target on the `ripki-serve` plane ----
@@ -481,7 +466,7 @@ mod tests {
         assert!(took >= deadline, "answered early, after {took:?}");
         assert!(took < deadline + Duration::from_secs(1), "took {took:?}");
 
-        handle.stop();
+        drop(handle);
     }
 
     #[test]
@@ -510,7 +495,7 @@ mod tests {
         assert_eq!(replies[1].header("connection"), Some("keep-alive"));
         assert_eq!(replies[2].header("connection"), Some("close"));
 
-        handle.stop();
+        drop(handle);
     }
 
     #[test]
@@ -547,7 +532,7 @@ mod tests {
             }
         }
 
-        handle.stop();
+        drop(handle);
     }
 
     #[test]
@@ -584,7 +569,7 @@ mod tests {
             .read_exact(&mut first)
             .expect("the response has begun");
 
-        let stopper = std::thread::spawn(move || handle.stop());
+        let stopper = std::thread::spawn(move || drop(handle));
         // The listener is gone once the drain has begun …
         let status = format!("http://{addr}/status");
         while crate::http::get(&status, &[], Duration::from_secs(1)).is_ok() {

@@ -15,7 +15,7 @@ use crate::log::Log;
 use crate::manager::{Fabric, Stage};
 use crate::origin::{pause, EpochDriver, Planes};
 use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet};
-use ripki_rtr::{Backoff, PersistentClient};
+use ripki_rtr::{Backoff, Client, ClientError, PduError};
 use ripki_slurm::{SlurmApplier, SlurmFile};
 use ripki_websim::churn::{ChurnConfig, ChurnStream};
 use ripki_websim::{Scenario, ScenarioConfig};
@@ -91,8 +91,8 @@ pub fn run_engine_unit(
     fabric.pump(log);
 }
 
-/// The RTR ingest unit: a reconnecting router-side client feeding an
-/// upstream cache's serials into the fabric as epochs.
+/// The RTR ingest unit: a router-side client feeding an upstream
+/// cache's serials into the fabric as epochs.
 #[derive(Debug, Clone)]
 pub struct RtrUnitConfig {
     /// Upstream cache address (`host:port`).
@@ -103,8 +103,15 @@ pub struct RtrUnitConfig {
     pub poll: Duration,
 }
 
-/// Run an RTR client unit until shutdown. Connection drops are ridden
-/// out by [`PersistentClient`] (incremental resume, capped backoff).
+/// Run an RTR client unit until shutdown, with one [`Client`] for its
+/// whole life. A dial or a sync that fails at the transport is logged at
+/// once; the unit then waits out a capped exponential [`Backoff`]
+/// (50 ms doubling to 2 s, reset by a successful sync), redials, and
+/// [`Client::reconnect`]s, so the session resumes with an incremental
+/// Serial Query. Any other failure is retried on the same connection
+/// after `poll`. Every wait is a [`pause`]: shutdown is honoured within
+/// one `PAUSE_SLICE` even while the upstream is down.
+///
 /// Every new serial is published. The unit keeps its own payload beside
 /// the client's set: when the sync was a Serial Query answered
 /// incrementally, it advances that payload by the delta the wire just
@@ -120,27 +127,50 @@ pub fn run_rtr_unit(
     log: &Log,
     shutdown: &AtomicBool,
 ) {
-    let addr = config.connect.clone();
-    let poll = config.poll;
-    let mut client = PersistentClient::new(move || {
-        let stream = TcpStream::connect(&addr)?;
-        // The read timeout bounds an idle `poll_notify`, i.e. how often
-        // the shutdown flag is re-checked; a notify returns at once.
-        stream.set_read_timeout(Some(poll))?;
-        Ok(stream)
-    })
-    .with_backoff(Backoff::new(
-        Duration::from_millis(50),
-        Duration::from_secs(2),
-    ));
+    let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(2));
+    // Dial until connected, waiting out the backoff after each failure;
+    // `None` once shut down.
+    let dial = |backoff: &mut Backoff| loop {
+        let dialed = TcpStream::connect(&config.connect).and_then(|stream| {
+            // The read timeout bounds an idle `poll_notify`, i.e. how
+            // often the shutdown flag is re-checked; a notify returns at
+            // once.
+            stream.set_read_timeout(Some(config.poll))?;
+            Ok(stream)
+        });
+        match dialed {
+            Ok(stream) => return Some(stream),
+            Err(e) => log.line(&format_args!(
+                "unit {name} (rtr): dial {} failed: {e}",
+                config.connect,
+            )),
+        }
+        if !pause(backoff.next_delay(), shutdown) {
+            return None;
+        }
+    };
+    let Some(stream) = dial(&mut backoff) else {
+        gossip.close();
+        fabric.pump(log);
+        return;
+    };
+    let mut client = Client::new(stream);
     let mut previous: Option<VrpPayload> = None;
 
     while !shutdown.load(Ordering::SeqCst) {
         match client.sync() {
-            Ok(_) => {}
+            Ok(_) => backoff.reset(),
             Err(e) => {
                 log.line(&format_args!("unit {name} (rtr): sync failed: {e}"));
-                pause(config.poll, shutdown);
+                if !matches!(e, ClientError::Pdu(PduError::Io { .. })) {
+                    pause(config.poll, shutdown);
+                } else if pause(backoff.next_delay(), shutdown) {
+                    // The connection died: resume the session on a new
+                    // one (`None` means shutdown, which the loop sees).
+                    if let Some(stream) = dial(&mut backoff) {
+                        client.reconnect(stream);
+                    }
+                }
                 continue;
             }
         }
@@ -185,15 +215,12 @@ pub fn run_rtr_unit(
         }
         // Idle until the cache pushes a Serial Notify (or the poll
         // timeout passes — then loop to re-check shutdown; a dead
-        // connection surfaces here and the next sync reconnects).
+        // connection ends the wait quietly, and the next sync says so
+        // and redials).
         while !shutdown.load(Ordering::SeqCst) {
             match client.poll_notify() {
-                Ok(Some(_)) => break,
-                Ok(None) => {
-                    if !client.is_connected() {
-                        break;
-                    }
-                }
+                Ok(Some(_)) | Err(ClientError::Pdu(PduError::Io { .. })) => break,
+                Ok(None) => {}
                 Err(e) => {
                     log.line(&format_args!("unit {name} (rtr): notify poll failed: {e}"));
                     break;

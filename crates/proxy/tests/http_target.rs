@@ -59,5 +59,5 @@ fn idle_keep_alive_connections_cost_no_threads() {
     );
 
     drop(idle);
-    handle.stop();
+    drop(handle);
 }

@@ -6,15 +6,15 @@
 //! records, and hands back a summary. The resulting VRP set plugs
 //! straight into [`ripki_bgp::rov::RouteOriginValidator`].
 //!
-//! For proxy duty — where the client is a long-lived ingest unit, not a
-//! one-shot test fixture — the plain [`Client`] is wrapped by
-//! [`PersistentClient`]: it owns a connect factory instead of a single
-//! stream, survives connection drops by carrying the
-//! `(session_id, serial)` context and VRP set across reconnects (so a
-//! resumed session issues an incremental Serial Query, not a full
-//! refetch), backs off with capped exponential delays, and degrades to
-//! a full resync only when the cache forces one (Cache Reset after a
-//! serial gap, or a session id change after a cache restart).
+//! The context outlives a connection: [`Client::reconnect`] carries
+//! `(session_id, serial)` and the set onto a fresh stream, so a dropped
+//! session resumes with an incremental Serial Query, not a full
+//! refetch. It is void once the cache's session no longer matches —
+//! another session id in its answer, or Corrupt Data in answer to a
+//! Serial Query, i.e. a cache restart — and the client then flushes
+//! what it learned (RFC 8210 §5.1) so the next sync is a Reset Query.
+//! When to redial, and how long to wait, is the caller's: the proxy's
+//! `rtr` unit paces its attempts with a [`Backoff`].
 
 use crate::pdu::{read_pdu, ErrorCode, Pdu, PduBuf, PduError};
 use ripki_bgp::rov::{RouteOriginValidator, VrpTriple};
@@ -108,9 +108,10 @@ pub struct WireDelta {
 /// place by every sync and never shared. [`vrps`](Self::vrps) lends it;
 /// [`payload`](Self::payload) converts it (O(n)). It is never half
 /// advanced: a failed sync leaves the set as it was (records are staged
-/// until End of Data) or — after a Cache Reset, or a response that
-/// contradicts the set held — empty with no `(session, serial)`, so the
-/// next sync is a Reset Query.
+/// until End of Data) or — after a Cache Reset, a response that
+/// contradicts the set held, or a cache whose session no longer matches
+/// — empty with no `(session, serial)`, so the next sync is a Reset
+/// Query.
 pub struct Client<S: Read + Write> {
     stream: S,
     buf: PduBuf,
@@ -144,31 +145,28 @@ fn pdu_vrp(
 impl<S: Read + Write> Client<S> {
     /// Wrap a connected stream.
     pub fn new(stream: S) -> Client<S> {
-        Client::resume(stream, None, BTreeSet::new())
-    }
-
-    /// Wrap a freshly connected stream, resuming from context salvaged
-    /// off a dead connection (see [`Client::into_state`]). With a
-    /// `Some` state the first [`sync`](Self::sync) issues an
-    /// incremental Serial Query instead of refetching the full set —
-    /// the cache decides whether the gap is still bridgeable or forces
-    /// a Cache Reset.
-    pub fn resume(stream: S, state: Option<(u16, u32)>, vrps: BTreeSet<VrpTriple>) -> Client<S> {
         Client {
             stream,
             buf: PduBuf::new(),
-            state,
-            vrps,
+            state: None,
+            vrps: BTreeSet::new(),
             notified_serial: None,
             last_delta: None,
         }
     }
 
-    /// Tear the client down, salvaging the `(session_id, serial)`
-    /// context and VRP set for a future [`Client::resume`] on a new
-    /// connection.
-    pub fn into_state(self) -> (Option<(u16, u32)>, BTreeSet<VrpTriple>) {
-        (self.state, self.vrps)
+    /// Carry on over `stream`, a fresh connection replacing one that
+    /// died, keeping `(session_id, serial)` and the VRP set: the next
+    /// [`sync`](Self::sync) is an incremental Serial Query, and the
+    /// cache decides whether the gap is still bridgeable or forces a
+    /// reload. What was read off the old stream is dropped — a partial
+    /// PDU is never decoded — and so are the last delta and any notified
+    /// serial.
+    pub fn reconnect(&mut self, stream: S) {
+        self.stream = stream;
+        self.buf = PduBuf::new();
+        self.notified_serial = None;
+        self.last_delta = None;
     }
 
     /// The `(session_id, serial)` pair, once synchronized.
@@ -291,13 +289,26 @@ impl<S: Read + Write> Client<S> {
         self.last_delta = None;
     }
 
+    /// An Error Report from the cache. Corrupt Data in answer to a
+    /// Serial Query is how a cache rejects a session id it does not
+    /// know — it restarted — so what we learned from it is
+    /// [forgotten](Self::forget) (RFC 8210 §5.1).
+    fn cache_error(&mut self, query: &Pdu, code: ErrorCode, text: String) -> ClientError {
+        if code == ErrorCode::CorruptData && matches!(query, Pdu::SerialQuery { .. }) {
+            self.forget();
+        }
+        ClientError::CacheError { code, text }
+    }
+
     /// Send one query and apply the response. `Ok(None)` means the cache
     /// sent a Cache Reset. A response that arrives intact but contradicts
     /// the set held (a duplicate announcement, a withdrawal of an unknown
     /// record) cannot be trusted in any part: the client
     /// [forgets](Self::forget) what it held rather than keep a set that
     /// is half advanced under the old serial, which every retry of the
-    /// same Serial Query would trip over again.
+    /// same Serial Query would trip over again. So does an answer under
+    /// another session id than the one held: the cache restarted, and
+    /// RFC 8210 §5.1 says the router MUST flush what it learned.
     fn exchange(&mut self, query: &Pdu) -> Result<Option<SyncOutcome>, ClientError> {
         self.last_delta = None;
         self.stream
@@ -317,17 +328,14 @@ impl<S: Read + Write> Client<S> {
         let session_id = match first {
             Pdu::CacheResponse { session_id } => session_id,
             Pdu::CacheReset => return Ok(None),
-            Pdu::ErrorReport { code, text, .. } => {
-                return Err(ClientError::CacheError { code, text })
-            }
+            Pdu::ErrorReport { code, text, .. } => return Err(self.cache_error(query, code, text)),
             _ => return Err(ClientError::ProtocolViolation("expected Cache Response")),
         };
-        if let Some((held_session, _)) = self.state {
-            if held_session != session_id {
-                return Err(ClientError::ProtocolViolation(
-                    "session id changed mid-session",
-                ));
-            }
+        if self.state.is_some_and(|(held, _)| held != session_id) {
+            self.forget();
+            return Err(ClientError::ProtocolViolation(
+                "session id changed mid-session",
+            ));
         }
 
         let mut announced = 0usize;
@@ -370,6 +378,7 @@ impl<S: Read + Write> Client<S> {
                     session_id: eod_session,
                 } => {
                     if eod_session != session_id {
+                        self.forget();
                         return Err(ClientError::ProtocolViolation(
                             "End of Data session mismatch",
                         ));
@@ -382,7 +391,7 @@ impl<S: Read + Write> Client<S> {
                 // Query, exactly as for an up-front Cache Reset.
                 Pdu::CacheReset => return Ok(None),
                 Pdu::ErrorReport { code, text, .. } => {
-                    return Err(ClientError::CacheError { code, text })
+                    return Err(self.cache_error(query, code, text))
                 }
                 _ => {
                     return Err(ClientError::ProtocolViolation(
@@ -472,211 +481,6 @@ impl Backoff {
     }
 }
 
-impl Default for Backoff {
-    /// 100 ms doubling to a 5 s ceiling.
-    fn default() -> Backoff {
-        Backoff::new(Duration::from_millis(100), Duration::from_secs(5))
-    }
-}
-
-/// A reconnecting RTR client for proxy duty: owns a connect factory
-/// instead of a single stream and keeps the `(session_id, serial)`
-/// context plus VRP set alive across connection drops.
-///
-/// Recovery policy per failure class:
-///
-/// - **Transport errors** (connect refused, mid-exchange EOF): the
-///   context is salvaged with [`Client::into_state`], the next
-///   connection resumes with [`Client::resume`], and the retry waits
-///   out a capped exponential [`Backoff`]. A resumed session issues an
-///   incremental Serial Query — not a full refetch — so a blip costs
-///   one delta, not the whole set.
-/// - **Cache restart** (session id changed in-band, or the cache
-///   rejects our session as corrupt data): the salvaged context is
-///   void; it is discarded and the next connection starts from a Reset
-///   Query.
-/// - **Everything else** (genuine protocol violations, error reports
-///   like "no data available") is surfaced to the caller unchanged.
-pub struct PersistentClient<S: Read + Write, F: FnMut() -> std::io::Result<S>> {
-    connect: F,
-    client: Option<Client<S>>,
-    /// Context carried while between connections; authoritative only
-    /// when `client` is `None`.
-    state: Option<(u16, u32)>,
-    vrps: BTreeSet<VrpTriple>,
-    backoff: Backoff,
-    max_attempts: u32,
-    sleep: fn(Duration),
-}
-
-impl<S: Read + Write, F: FnMut() -> std::io::Result<S>> PersistentClient<S, F> {
-    /// A persistent client around a connect factory. No connection is
-    /// made until the first [`sync`](Self::sync).
-    pub fn new(connect: F) -> PersistentClient<S, F> {
-        PersistentClient {
-            connect,
-            client: None,
-            state: None,
-            vrps: BTreeSet::new(),
-            backoff: Backoff::default(),
-            max_attempts: 8,
-            sleep: std::thread::sleep,
-        }
-    }
-
-    /// Replace the reconnect backoff schedule (tests use zero delays).
-    pub fn with_backoff(mut self, backoff: Backoff) -> PersistentClient<S, F> {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Cap on consecutive failed attempts within one
-    /// [`sync`](Self::sync) before the last error is surfaced
-    /// (default 8).
-    pub fn with_max_attempts(mut self, n: u32) -> PersistentClient<S, F> {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// The `(session_id, serial)` pair, once synchronized — survives
-    /// between connections.
-    pub fn state(&self) -> Option<(u16, u32)> {
-        self.client.as_ref().map_or(self.state, Client::state)
-    }
-
-    /// The VRPs currently held — survive between connections.
-    pub fn vrps(&self) -> &BTreeSet<VrpTriple> {
-        self.client.as_ref().map_or(&self.vrps, Client::vrps)
-    }
-
-    /// The current VRP set converted to an epoch-stamped payload
-    /// (`None` before the first successful sync); O(n), see
-    /// [`Client::payload`].
-    pub fn payload(&self) -> Option<VrpPayload> {
-        self.state()
-            .map(|(_, serial)| VrpPayload::new(u64::from(serial), self.vrps().iter().copied()))
-    }
-
-    /// The last sync's net delta (see [`Client::last_delta`]); `None`
-    /// while disconnected.
-    pub fn last_delta(&self) -> Option<&WireDelta> {
-        self.client.as_ref().and_then(Client::last_delta)
-    }
-
-    /// Whether a connection is currently established.
-    pub fn is_connected(&self) -> bool {
-        self.client.is_some()
-    }
-
-    /// Drop the current connection (if any), salvaging the sync
-    /// context for the next one.
-    pub fn disconnect(&mut self) {
-        if let Some(client) = self.client.take() {
-            let (state, vrps) = client.into_state();
-            self.state = state;
-            self.vrps = vrps;
-        }
-    }
-
-    /// Absorb unsolicited Serial Notifies without issuing a query (see
-    /// [`Client::poll_notify`]). `Ok(None)` when not connected or
-    /// nothing was pending; a dead connection is torn down (context
-    /// salvaged) and reported as nothing pending — the next
-    /// [`sync`](Self::sync) reconnects.
-    pub fn poll_notify(&mut self) -> Result<Option<u32>, ClientError> {
-        let Some(client) = self.client.as_mut() else {
-            return Ok(None);
-        };
-        match client.poll_notify() {
-            Ok(latest) => Ok(latest),
-            Err(ClientError::Pdu(PduError::Io { .. })) => {
-                self.disconnect();
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Synchronize with the cache, transparently (re)connecting and
-    /// retrying per the recovery policy above. Fails only after
-    /// `max_attempts` consecutive recoverable failures or on the first
-    /// unrecoverable error.
-    pub fn sync(&mut self) -> Result<SyncOutcome, ClientError> {
-        let mut failures = 0u32;
-        loop {
-            if self.client.is_none() {
-                match (self.connect)() {
-                    Ok(stream) => {
-                        self.client = Some(Client::resume(
-                            stream,
-                            self.state,
-                            std::mem::take(&mut self.vrps),
-                        ));
-                    }
-                    Err(e) => {
-                        let err = ClientError::Pdu(PduError::from(e));
-                        failures += 1;
-                        if failures >= self.max_attempts {
-                            return Err(err);
-                        }
-                        (self.sleep)(self.backoff.next_delay());
-                        continue;
-                    }
-                }
-            }
-            let client = self.client.as_mut().expect("connected above");
-            match client.sync() {
-                Ok(outcome) => {
-                    self.backoff.reset();
-                    return Ok(outcome);
-                }
-                Err(err @ ClientError::Pdu(PduError::Io { .. })) => {
-                    // Connection died: salvage context, retry on a
-                    // fresh connection with an incremental query.
-                    self.disconnect();
-                    failures += 1;
-                    if failures >= self.max_attempts {
-                        return Err(err);
-                    }
-                    (self.sleep)(self.backoff.next_delay());
-                }
-                Err(err @ ClientError::ProtocolViolation("session id changed mid-session")) => {
-                    // The cache restarted under us; our incremental
-                    // context is void. Start over from nothing.
-                    self.client = None;
-                    self.state = None;
-                    self.vrps.clear();
-                    failures += 1;
-                    if failures >= self.max_attempts {
-                        return Err(err);
-                    }
-                    (self.sleep)(self.backoff.next_delay());
-                }
-                Err(
-                    err @ ClientError::CacheError {
-                        code: ErrorCode::CorruptData,
-                        ..
-                    },
-                ) if self.state().is_some() => {
-                    // The cache rejected the session we presented
-                    // (RFC 6810 answers a foreign session id with
-                    // Corrupt Data): same story as an in-band session
-                    // change.
-                    self.client = None;
-                    self.state = None;
-                    self.vrps.clear();
-                    failures += 1;
-                    if failures >= self.max_attempts {
-                        return Err(err);
-                    }
-                    (self.sleep)(self.backoff.next_delay());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 // Tests may panic freely; the `unwrap_used` deny targets the PDU codec.
 #[allow(clippy::unwrap_used)]
@@ -695,13 +499,20 @@ mod tests {
         }
     }
 
-    /// Spin up a cache on one end of a socket pair.
-    fn connect(cache: Arc<CacheServer>) -> (Client<UnixStream>, std::thread::JoinHandle<()>) {
+    /// Serve a cache on one end of a socket pair; the other is the
+    /// router's.
+    fn serve(cache: Arc<CacheServer>) -> (UnixStream, std::thread::JoinHandle<()>) {
         let (a, b) = UnixStream::pair().expect("socketpair");
         let handle = std::thread::spawn(move || {
             let _ = cache.serve_connection(b);
         });
-        (Client::new(a), handle)
+        (a, handle)
+    }
+
+    /// A client of a cache served on one end of a socket pair.
+    fn connect(cache: Arc<CacheServer>) -> (Client<UnixStream>, std::thread::JoinHandle<()>) {
+        let (stream, handle) = serve(cache);
+        (Client::new(stream), handle)
     }
 
     #[test]
@@ -878,20 +689,19 @@ mod tests {
         assert_eq!(c1.vrps(), c2.vrps());
     }
 
-    /// The resume-after-serial-gap scenario: a dropped connection no
-    /// longer loses the `(session_id, serial)` context. The salvaged
-    /// state rides over to a fresh connection and the next sync is an
-    /// incremental Serial Query covering exactly the missed serials.
+    /// The resume-after-serial-gap scenario: a dropped connection does
+    /// not lose the `(session_id, serial)` context. `reconnect` carries
+    /// it onto a fresh connection and the next sync is an incremental
+    /// Serial Query covering exactly the missed serials.
     #[test]
     fn resume_after_serial_gap_is_incremental() {
         let cache = Arc::new(CacheServer::new(11));
         cache.update([vrp("10.0.0.0/16", 16, 1), vrp("11.0.0.0/16", 16, 2)]);
         let (mut client, _h) = connect(cache.clone());
         client.sync().unwrap();
+        assert_eq!(client.state(), Some((11, 1)));
 
         // Connection drops; the world moves on by two serials.
-        let (state, vrps) = client.into_state();
-        assert_eq!(state, Some((11, 1)));
         cache.update([
             vrp("10.0.0.0/16", 16, 1),
             vrp("11.0.0.0/16", 16, 2),
@@ -903,13 +713,9 @@ mod tests {
             vrp("13.0.0.0/16", 16, 4),
         ]);
 
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let cache2 = cache.clone();
-        let _h2 = std::thread::spawn(move || {
-            let _ = cache2.serve_connection(b);
-        });
-        let mut resumed = Client::resume(a, state, vrps);
-        let outcome = resumed.sync().unwrap();
+        let (stream, _h2) = serve(cache.clone());
+        client.reconnect(stream);
+        let outcome = client.sync().unwrap();
         // Only the gap's delta crosses the wire, not the full set.
         assert_eq!(
             outcome,
@@ -919,12 +725,54 @@ mod tests {
                 withdrawn: 1
             }
         );
-        assert_eq!(resumed.state(), Some((11, 3)));
-        assert_eq!(resumed.vrps().len(), 3);
+        assert_eq!(client.state(), Some((11, 3)));
+        assert_eq!(client.vrps().len(), 3);
         assert_eq!(
-            resumed.payload().unwrap(),
+            client.payload().unwrap(),
             cache.payload().unwrap(),
             "resumed set is byte-identical to the cache's"
+        );
+    }
+
+    /// A cache restart between connections: under its new session id
+    /// the router's context is void. The first sync fails and flushes
+    /// (RFC 8210 §5.1); the second reloads under the new session.
+    #[test]
+    fn reconnecting_to_a_restarted_cache_flushes_then_reloads() {
+        let before = Arc::new(CacheServer::new(5));
+        before.update([vrp("10.0.0.0/16", 16, 1)]);
+        let (mut client, _h) = connect(before);
+        client.sync().unwrap();
+        assert_eq!(client.state(), Some((5, 1)));
+
+        // The cache comes back with a new session id and serial space.
+        let after = Arc::new(CacheServer::new(9));
+        after.update([vrp("12.0.0.0/16", 16, 3)]);
+        let (stream, _h2) = serve(after);
+        client.reconnect(stream);
+        assert!(matches!(
+            client.sync(),
+            Err(ClientError::CacheError {
+                code: ErrorCode::CorruptData,
+                ..
+            })
+        ));
+        assert_eq!(client.state(), None);
+        assert!(client.vrps().is_empty());
+
+        let outcome = client.sync().unwrap();
+        assert_eq!(
+            outcome,
+            SyncOutcome::Updated {
+                serial: 1,
+                announced: 1,
+                withdrawn: 0
+            }
+        );
+        assert_eq!(client.state(), Some((9, 1)));
+        assert_eq!(
+            client.vrps().iter().copied().collect::<Vec<_>>(),
+            [vrp("12.0.0.0/16", 16, 3)]
         );
     }
 
@@ -1047,6 +895,53 @@ mod tests {
         );
     }
 
+    /// A cache that restarted no longer knows session 7 and answers the
+    /// router's Serial Query with `restarted`. The router must flush all
+    /// data learned from that cache (RFC 8210 §5.1): the next sync is a
+    /// Reset Query, not the same Serial Query again.
+    fn assert_a_cache_restart_flushes_the_set(restarted: &Pdu) {
+        let (a, b) = (vrp("10.0.0.0/16", 16, 1), vrp("11.0.0.0/16", 16, 2));
+        let mut script = answer(7, &[(true, a)], 1);
+        script.extend(restarted.encode());
+        script.extend(answer(8, &[(true, b)], 1));
+
+        let mut client = Client::new(Scripted::new(script));
+        client.sync().unwrap();
+        assert!(client.sync().is_err());
+        assert_eq!(client.state(), None, "the old session is void");
+        assert!(client.vrps().is_empty());
+        assert_eq!(client.last_delta(), None);
+
+        client.sync().unwrap();
+        assert_eq!(client.state(), Some((8, 1)));
+        assert_eq!(client.vrps(), &BTreeSet::from([b]));
+        assert_eq!(
+            client.stream.queries(),
+            [
+                Pdu::ResetQuery,
+                Pdu::SerialQuery {
+                    session_id: 7,
+                    serial: 1
+                },
+                Pdu::ResetQuery,
+            ]
+        );
+    }
+
+    #[test]
+    fn corrupt_data_in_answer_to_a_serial_query_flushes_the_set() {
+        assert_a_cache_restart_flushes_the_set(&Pdu::ErrorReport {
+            code: ErrorCode::CorruptData,
+            erroneous_pdu: Vec::new(),
+            text: "session id mismatch".into(),
+        });
+    }
+
+    #[test]
+    fn a_cache_response_under_another_session_flushes_the_set() {
+        assert_a_cache_restart_flushes_the_set(&Pdu::CacheResponse { session_id: 8 });
+    }
+
     #[test]
     fn cache_reset_mid_stream_discards_staged_records() {
         let good = vrp("11.0.0.0/16", 16, 2);
@@ -1108,152 +1003,5 @@ mod tests {
         assert_eq!(b.next_delay(), Duration::from_millis(400), "capped");
         b.reset();
         assert_eq!(b.next_delay(), Duration::from_millis(100));
-    }
-
-    type SharedEnds = Arc<std::sync::Mutex<Vec<UnixStream>>>;
-
-    /// A connect factory over `cache`: each call makes a socketpair,
-    /// serves the far end from a thread, and parks a clone of it in
-    /// `ends` so the test can sever the connection server-side.
-    fn factory(
-        cache: Arc<CacheServer>,
-        ends: SharedEnds,
-        connects: Arc<std::sync::atomic::AtomicUsize>,
-    ) -> impl FnMut() -> std::io::Result<UnixStream> {
-        move || {
-            connects.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let (a, b) = UnixStream::pair()?;
-            ends.lock().unwrap().push(b.try_clone()?);
-            let cache = cache.clone();
-            std::thread::spawn(move || {
-                let _ = cache.serve_connection(b);
-            });
-            Ok(a)
-        }
-    }
-
-    fn sever_newest(ends: &SharedEnds) {
-        let end = ends.lock().unwrap().pop().expect("an open connection");
-        end.shutdown(std::net::Shutdown::Both).expect("shutdown");
-    }
-
-    #[test]
-    fn persistent_client_resumes_incrementally_after_drop() {
-        let cache = Arc::new(CacheServer::new(11));
-        cache.update([vrp("10.0.0.0/16", 16, 1), vrp("11.0.0.0/16", 16, 2)]);
-        let ends: SharedEnds = Arc::default();
-        let connects = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut pc = PersistentClient::new(factory(cache.clone(), ends.clone(), connects.clone()))
-            .with_backoff(Backoff::new(Duration::ZERO, Duration::ZERO));
-        let first = pc.sync().unwrap();
-        assert_eq!(
-            first,
-            SyncOutcome::Updated {
-                serial: 1,
-                announced: 2,
-                withdrawn: 0
-            }
-        );
-
-        // The cache side drops the connection, then publishes serial 2.
-        sever_newest(&ends);
-        cache.update([
-            vrp("10.0.0.0/16", 16, 1),
-            vrp("11.0.0.0/16", 16, 2),
-            vrp("12.0.0.0/16", 16, 3),
-        ]);
-        let second = pc.sync().unwrap();
-        assert_eq!(
-            second,
-            SyncOutcome::Updated {
-                serial: 2,
-                announced: 1,
-                withdrawn: 0
-            },
-            "resumed sync carries only the delta, not a refetch"
-        );
-        assert_eq!(pc.state(), Some((11, 2)));
-        assert_eq!(pc.vrps().len(), 3);
-        assert_eq!(connects.load(std::sync::atomic::Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn persistent_client_discards_context_on_cache_restart() {
-        // The "cache" restarts between connections: a new session id
-        // and a fresh serial space.
-        let before = Arc::new(CacheServer::new(5));
-        before.update([vrp("10.0.0.0/16", 16, 1)]);
-        let after = Arc::new(CacheServer::new(9));
-        after.update([vrp("12.0.0.0/16", 16, 3)]);
-
-        let ends: SharedEnds = Arc::default();
-        let connects = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut pc = {
-            let (before, after) = (before.clone(), after.clone());
-            let (ends, connects) = (ends.clone(), connects.clone());
-            PersistentClient::new(move || {
-                let n = connects.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                let cache = if n == 0 {
-                    before.clone()
-                } else {
-                    after.clone()
-                };
-                let (a, b) = UnixStream::pair()?;
-                ends.lock().unwrap().push(b.try_clone()?);
-                std::thread::spawn(move || {
-                    let _ = cache.serve_connection(b);
-                });
-                Ok(a)
-            })
-            .with_backoff(Backoff::new(Duration::ZERO, Duration::ZERO))
-        };
-        pc.sync().unwrap();
-        assert_eq!(pc.state(), Some((5, 1)));
-
-        sever_newest(&ends);
-        let outcome = pc.sync().unwrap();
-        // The restarted cache rejects session 5; the client discards
-        // its context and resyncs from scratch against session 9.
-        assert_eq!(
-            outcome,
-            SyncOutcome::Updated {
-                serial: 1,
-                announced: 1,
-                withdrawn: 0
-            }
-        );
-        assert_eq!(pc.state(), Some((9, 1)));
-        assert_eq!(
-            pc.vrps().iter().copied().collect::<Vec<_>>(),
-            [vrp("12.0.0.0/16", 16, 3)]
-        );
-        assert_eq!(
-            connects.load(std::sync::atomic::Ordering::SeqCst),
-            3,
-            "resume attempt plus the post-restart full resync"
-        );
-    }
-
-    #[test]
-    fn persistent_client_gives_up_after_max_attempts() {
-        let attempts = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = attempts.clone();
-        let mut pc = PersistentClient::<UnixStream, _>::new(move || {
-            counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                "refused",
-            ))
-        })
-        .with_backoff(Backoff::new(Duration::ZERO, Duration::ZERO))
-        .with_max_attempts(3);
-        match pc.sync() {
-            Err(ClientError::Pdu(PduError::Io { kind, message })) => {
-                assert_eq!(kind, std::io::ErrorKind::ConnectionRefused);
-                assert!(message.contains("refused"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(attempts.load(std::sync::atomic::Ordering::SeqCst), 3);
     }
 }

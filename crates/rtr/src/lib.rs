@@ -19,8 +19,10 @@
 //!   the serial moves;
 //! * [`client`] — the router side: a synchronous sync state machine
 //!   producing a VRP set ready to feed
-//!   [`ripki_bgp::RouteOriginValidator`], and remembering the delta the
-//!   wire just carried so a proxy can forward it.
+//!   [`ripki_bgp::RouteOriginValidator`], remembering the delta the
+//!   wire just carried so a proxy can forward it, keeping its session
+//!   context across a reconnect and flushing it when the cache
+//!   restarted.
 //!
 //! The client and [`CacheServer::serve_connection`] work over any
 //! `Read + Write` transport: TCP sockets, Unix socket pairs (used by
@@ -41,6 +43,6 @@ pub mod listener;
 pub mod pdu;
 
 pub use cache::CacheServer;
-pub use client::{Backoff, Client, ClientError, PersistentClient, SyncOutcome, WireDelta};
+pub use client::{Backoff, Client, ClientError, SyncOutcome, WireDelta};
 pub use listener::{ListenerConfig, RtrListener};
 pub use pdu::{ErrorCode, Pdu, PduError, PROTOCOL_VERSION};
