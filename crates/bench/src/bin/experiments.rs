@@ -14,6 +14,8 @@
 //! none given every section runs and the record files are written (a
 //! partial pass prints only, so it never overwrites a full record).
 
+#![allow(clippy::disallowed_methods)]
+
 use ripki_bench::{sections, Study};
 use std::io::Write;
 

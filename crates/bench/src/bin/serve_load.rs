@@ -17,6 +17,8 @@
 //! serve_load --connect 127.0.0.1:8080 --sessions 10000 --requests 50000
 //! ```
 
+#![allow(clippy::disallowed_methods)]
+
 use ripki_serve::reactor::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};

@@ -103,16 +103,6 @@ impl RoutingOutcome {
         self.routes.get(&asn).map(|r| r.origin)
     }
 
-    /// All ASes whose selected route leads to `origin` (including the
-    /// origin itself).
-    pub fn captured_by(&self, origin: Asn) -> Vec<Asn> {
-        self.routes
-            .iter()
-            .filter(|(_, r)| r.origin == origin)
-            .map(|(a, _)| *a)
-            .collect()
-    }
-
     /// Number of ASes holding any route.
     pub fn routed_count(&self) -> usize {
         self.routes.len()

@@ -38,8 +38,11 @@ pub(crate) fn cmd_proxy(flags: &Flags, out: &mut dyn Write) -> Result<(), CliErr
 pub(crate) fn cmd_rtr_probe(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let addr = flags.require("connect")?;
     let timeout_ms: u64 = flags.get_parsed("timeout-ms", 3_000)?;
-    let stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_millis(timeout_ms)))?;
+    // One bound for the dial and for every read and write after it.
+    let timeout = std::time::Duration::from_millis(timeout_ms);
+    let stream = ripki_rtr::dial(addr, timeout)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
     let mut client = ripki_rtr::Client::new(stream);
     client
         .sync()
@@ -89,6 +92,21 @@ mod tests {
         assert!(text.contains("serial 3"), "{text}");
         assert!(text.contains("epoch 3 (1 vrps"), "{text}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn rtr_probe_gives_up_on_a_cache_that_drops_syns() {
+        // A backlog-0 listener holding one unaccepted connection: on
+        // Linux loopback every later SYN is dropped.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        ripki_serve::reactor::set_accept_backlog(&listener, 0).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let _queued = std::net::TcpStream::connect(&addr).unwrap();
+        let started = std::time::Instant::now();
+        let outcome = run_args(&["rtr-probe", "--connect", &addr, "--timeout-ms", "300"]);
+        assert!(outcome.is_err(), "{outcome:?}");
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]

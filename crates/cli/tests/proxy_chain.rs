@@ -10,6 +10,7 @@
 //! * the VRP set two hops downstream is **byte-identical** to the
 //!   engine's, and
 //! * every hop's RTR serial is in **lockstep** with the engine's epoch.
+#![expect(clippy::disallowed_methods, reason = "R2 exempts test code")]
 
 use std::collections::BTreeSet;
 use std::io::BufRead;

@@ -2,6 +2,11 @@
 //! applies. DESIGN.md ("Invariants & enforcement") is the prose twin of
 //! this file; bump [`CATALOG_VERSION`] whenever a rule's scope or
 //! semantics change so downstream automation can detect drift.
+//!
+//! The rules here are the ones that need the workspace call graph or
+//! the comment stream. R2 (wall clock) and R4 (prints) look at one
+//! expression each, so clippy enforces them (`clippy.toml`,
+//! `[workspace.lints.clippy]`); their codes are not reused.
 
 use std::fmt;
 use std::path::Path;
@@ -29,7 +34,10 @@ use std::path::Path;
 /// v7: the proxy's pure stages run under one fabric lock
 /// (`Fabric.stages`) on the thread that published — R7 declares that
 /// lock outermost over the channel and target locks a stage takes.
-pub const CATALOG_VERSION: u32 = 7;
+///
+/// v8: R2 and R4 moved to clippy, which resolves paths by meaning
+/// (`disallowed_methods`, `print_stdout`/`print_stderr`/`dbg_macro`).
+pub const CATALOG_VERSION: u32 = 8;
 
 /// The enforced invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,22 +55,11 @@ pub enum Rule {
     /// the in-scope call that reaches it. A malformed request or PDU
     /// must map to a typed error, never a worker or reactor panic.
     NoPanic,
-    /// R2: `SystemTime::now` only inside `ripki_rpki::time` (the
-    /// simulation clock) and the `cli` / `bench` crates; `Instant::now`
-    /// additionally allowed in `crates/serve/**` and the RTR session
-    /// plane `crates/rtr/src/listener.rs` (monotonic deadline
-    /// arithmetic on a real-time plane). Everything else must take time
-    /// as a parameter so study runs stay deterministic and replayable.
-    WallClock,
     /// R3: every `Ordering::Relaxed` / `Acquire` / `Release` / `AcqRel`
     /// carries a same-line or immediately-preceding comment saying why
     /// that ordering is sufficient. (`SeqCst` is exempt: it is the
     /// conservative default.)
     AtomicOrder,
-    /// R4: no `println!` / `eprintln!` / `print!` / `eprint!` / `dbg!`
-    /// outside the `cli`, `bench`, and `lint` crates — library crates
-    /// report through return values, not stdout.
-    PrintOutput,
     /// R5: epoch-bearing fields (`epoch`, `from_epoch`, `to_epoch`) are
     /// written only inside the blessed engine module, whose constructors
     /// assert monotonicity; everywhere else must go through those
@@ -84,11 +81,9 @@ pub enum Rule {
 }
 
 /// All rules, in report order.
-pub const ALL_RULES: [Rule; 7] = [
+pub const ALL_RULES: [Rule; 5] = [
     Rule::NoPanic,
-    Rule::WallClock,
     Rule::AtomicOrder,
-    Rule::PrintOutput,
     Rule::EpochWrite,
     Rule::NoBlocking,
     Rule::LockOrder,
@@ -100,22 +95,18 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::NoPanic => "no-panic",
-            Rule::WallClock => "wall-clock",
             Rule::AtomicOrder => "atomic-order",
-            Rule::PrintOutput => "print-output",
             Rule::EpochWrite => "epoch-write",
             Rule::NoBlocking => "no-blocking",
             Rule::LockOrder => "lock-order",
         }
     }
 
-    /// Short catalog code (`R1`..`R7`).
+    /// Short catalog code (`R1`, `R3`, `R5`–`R7`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::NoPanic => "R1",
-            Rule::WallClock => "R2",
             Rule::AtomicOrder => "R3",
-            Rule::PrintOutput => "R4",
             Rule::EpochWrite => "R5",
             Rule::NoBlocking => "R6",
             Rule::LockOrder => "R7",
@@ -131,16 +122,10 @@ impl Rule {
                  session plane, and the proxy targets — directly or via any workspace \
                  function they reach"
             }
-            Rule::WallClock => {
-                "SystemTime::now only in ripki_rpki::time and the cli/bench crates; \
-                 Instant::now additionally allowed in crates/serve and the RTR session \
-                 plane (monotonic deadlines)"
-            }
             Rule::AtomicOrder => {
                 "every Ordering::Relaxed/Acquire/Release/AcqRel needs a same-line or \
                  preceding justification comment"
             }
-            Rule::PrintOutput => "no println!/eprintln!/print!/eprint!/dbg! outside cli/bench/lint",
             Rule::EpochWrite => {
                 "epoch/from_epoch/to_epoch fields are written only in the blessed engine \
                  module, which must assert epoch monotonicity"
@@ -176,18 +161,7 @@ impl Rule {
                     || path == "crates/rtr/src/listener.rs"
                     || path == "crates/proxy/src/targets.rs"
             }
-            Rule::WallClock => {
-                path != "crates/rpki/src/time.rs"
-                    && !path.starts_with("crates/cli/")
-                    && !path.starts_with("crates/bench/")
-                    && !path.starts_with("crates/lint/")
-            }
             Rule::AtomicOrder => true,
-            Rule::PrintOutput => {
-                !path.starts_with("crates/cli/")
-                    && !path.starts_with("crates/bench/")
-                    && !path.starts_with("crates/lint/")
-            }
             Rule::EpochWrite => !is_blessed_epoch_module(path),
             // R6 roots in the I/O loops; R7 collects locks from the
             // concurrent crates. Reporting sites follow chains, so the
@@ -226,13 +200,6 @@ pub fn is_blessed_epoch_module(path: &str) -> bool {
             | "crates/proxy/src/comms.rs"
             | "crates/slurm/src/lib.rs"
     )
-}
-
-/// Where R2 admits the monotonic `Instant::now`: the real-time serving
-/// planes, whose job includes deadline arithmetic (read/write-stall
-/// drops). `SystemTime` stays confined everywhere.
-pub fn admits_monotonic_clock(path: &str) -> bool {
-    path.starts_with("crates/serve/") || path == "crates/rtr/src/listener.rs"
 }
 
 /// R6 analysis roots: `(file suffix, impl type, fn name)` of the
@@ -370,15 +337,7 @@ mod tests {
         assert!(!Rule::NoPanic.applies_to("crates/rtr/src/cache.rs"));
         assert!(!Rule::NoPanic.applies_to("crates/rpki/src/validate.rs"));
 
-        assert!(!Rule::WallClock.applies_to("crates/rpki/src/time.rs"));
-        assert!(!Rule::WallClock.applies_to("crates/cli/src/signal.rs"));
-        assert!(Rule::WallClock.applies_to("crates/proxy/src/origin.rs"));
-        assert!(Rule::WallClock.applies_to("crates/serve/src/metrics.rs"));
-
         assert!(Rule::AtomicOrder.applies_to("crates/dns/src/cache.rs"));
-
-        assert!(!Rule::PrintOutput.applies_to("crates/bench/src/bin/experiments.rs"));
-        assert!(Rule::PrintOutput.applies_to("crates/ripki/src/engine.rs"));
 
         assert!(!Rule::EpochWrite.applies_to("crates/ripki/src/engine.rs"));
         assert!(!Rule::EpochWrite.applies_to("crates/payload/src/lib.rs"));
@@ -395,10 +354,6 @@ mod tests {
         assert!(Rule::LockOrder.applies_to("crates/proxy/src/comms.rs"));
         assert!(Rule::LockOrder.applies_to("crates/proxy/src/origin.rs"));
         assert!(Rule::LockOrder.applies_to("crates/rtr/src/cache.rs"));
-
-        assert!(admits_monotonic_clock("crates/serve/src/reactor.rs"));
-        assert!(admits_monotonic_clock("crates/rtr/src/listener.rs"));
-        assert!(!admits_monotonic_clock("crates/rtr/src/cache.rs"));
         assert!(!Rule::LockOrder.applies_to("crates/rpki/src/validate.rs"));
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! Everything else — numbers, identifiers, punctuation — is tokenized
 //! just precisely enough to ask "is this `[` an index expression?" or
-//! "is this `now` preceded by `Instant::`?".
+//! "is this `Relaxed` preceded by `Ordering::`?".
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

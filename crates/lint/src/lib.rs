@@ -1,16 +1,20 @@
-//! `ripki-lint`: the workspace invariant checker.
+//! `ripki-lint`: the workspace invariant checker for the rules clippy
+//! cannot express.
 //!
-//! The engine rests on invariants no compiler pass checks: epoch
+//! The engine rests on invariants no compiler pass checks: panic-freedom
+//! on the `ripki-serve` request path and the RTR PDU codec, reached
+//! through any workspace call chain; justified atomic orderings; epoch
 //! monotonicity between `WorldSnapshot`, `EpochDelta`, and the RTR
-//! serial; panic-freedom on the `ripki-serve` request path and the RTR
-//! PDU codec; wall-clock confinement to `ripki_rpki::time`. This crate
-//! enforces them as a versioned rule catalog ([`catalog`]) over a
-//! hand-rolled token stream ([`lex`] — the offline build has no `syn`),
-//! with a counted, justification-required `// lint: allow(<rule>)`
-//! escape hatch.
+//! serial; no blocking inside an I/O loop turn; one lock order. This
+//! crate enforces them as a versioned rule catalog ([`catalog`]) over a
+//! hand-rolled token stream ([`lex`] — the offline build has no `syn`)
+//! and the workspace call graph ([`graph`]), with a counted,
+//! justification-required `// lint: allow(<rule>)` escape hatch. The
+//! rules that look at one expression — wall-clock reads and prints —
+//! are clippy's (`clippy.toml`, `[workspace.lints.clippy]`).
 //!
-//! Run as `cargo run -p ripki-lint -- check` (wired into
-//! `scripts/check.sh` and the CI `static-analysis` job).
+//! Run as `cargo run -p ripki-lint -- check` from the workspace root
+//! (wired into `scripts/check.sh` and the CI `static-analysis` job).
 
 pub mod catalog;
 pub mod graph;

@@ -1,28 +1,34 @@
-//! CLI entry point: `ripki-lint check [--root DIR] [--format text|json]`,
-//! `ripki-lint bench [--root DIR] [--out FILE]`, and `ripki-lint rules`.
+//! CLI entry point: `ripki-lint check [--format text|json]`,
+//! `ripki-lint bench`, and `ripki-lint rules`, each run from the
+//! workspace root.
 //!
 //! Exit codes: 0 = clean, 1 = violations found, 2 = usage or I/O error.
 
+#![allow(clippy::print_stderr, clippy::disallowed_methods)]
+
 use ripki_lint::catalog::{ALL_RULES, CATALOG_VERSION};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "\
-ripki-lint — workspace invariant checker
+ripki-lint — workspace invariant checker (run from the workspace root)
 
 USAGE:
-    ripki-lint check [--root DIR] [--format text|json]
-    ripki-lint bench [--root DIR] [--out FILE] [--iters N]
+    ripki-lint check [--format text|json]
+    ripki-lint bench
     ripki-lint rules
 
 OPTIONS:
-    --root DIR       workspace root to scan (default: current directory)
     --format FORMAT  `text` (default) or `json`
-    --out FILE       bench JSON output (default: results/BENCH_lint.json)
-    --iters N        bench iterations; the best wall time is kept (default: 3)
+
+`bench` writes results/BENCH_lint.json, the best wall time of 3 scans.
 ";
+
+/// Where `bench` writes, and how many scans it keeps the best of.
+const BENCH_OUT: &str = "results/BENCH_lint.json";
+const BENCH_ITERS: u32 = 3;
 
 /// Write to stdout without panicking when the reader has gone away
 /// (`ripki-lint rules | head` closes the pipe mid-stream).
@@ -54,53 +60,29 @@ fn main() -> ExitCode {
             emit(USAGE);
             ExitCode::from(if args.is_empty() { 2 } else { 0 })
         }
-        Some(other) => {
-            eprintln!("ripki-lint: unknown command `{other}`\n{USAGE}");
-            ExitCode::from(2)
-        }
+        Some(other) => usage_error(&format!("unknown command `{other}`")),
     }
 }
 
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("ripki-lint: {message}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn run_check(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = "text".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("ripki-lint: --root needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                root = PathBuf::from(value);
-                i += 2;
-            }
-            "--format" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("ripki-lint: --format needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                if value != "text" && value != "json" {
-                    eprintln!("ripki-lint: unknown format `{value}`\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                format = value.clone();
-                i += 2;
-            }
-            other => {
-                eprintln!("ripki-lint: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let report = match ripki_lint::check_workspace(&root) {
+    let format = match args {
+        [] => "text",
+        [flag, value] if flag == "--format" && matches!(value.as_str(), "text" | "json") => value,
+        _ => return usage_error("`check` takes only `--format text|json`"),
+    };
+    let report = match ripki_lint::check_workspace(Path::new(".")) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("ripki-lint: cannot scan {}: {e}", root.display());
+            eprintln!("ripki-lint: cannot scan the workspace: {e}");
             return ExitCode::from(2);
         }
     };
-    match format.as_str() {
+    match format {
         "json" => emit(&report.render_json()),
         _ => emit(&report.render_text()),
     }
@@ -111,66 +93,27 @@ fn run_check(args: &[String]) -> ExitCode {
     }
 }
 
-/// Time the full two-phase workspace scan (lex + parse + link + all
-/// seven rules) and write the bench JSON `scripts/bench_gate.py` gates
-/// on. The scan repeats `--iters` times and keeps the best wall time:
-/// the gate bounds the *tool's* cost, not the host's page-cache state.
+/// Time the full two-phase workspace scan (lex + parse + link + every
+/// rule) and write the bench JSON `scripts/bench_gate.py` gates on. The
+/// scan repeats [`BENCH_ITERS`] times and keeps the best wall time: the
+/// gate bounds the *tool's* cost, not the host's page-cache state.
 fn run_bench(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut out = PathBuf::from("results/BENCH_lint.json");
-    let mut iters: u32 = 3;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("ripki-lint: --root needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                root = PathBuf::from(value);
-                i += 2;
-            }
-            "--out" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("ripki-lint: --out needs a value\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                out = PathBuf::from(value);
-                i += 2;
-            }
-            "--iters" => {
-                let Some(parsed) = args.get(i + 1).and_then(|v| v.parse().ok()) else {
-                    eprintln!("ripki-lint: --iters needs a positive integer\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                iters = parsed;
-                i += 2;
-            }
-            other => {
-                eprintln!("ripki-lint: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
+    if !args.is_empty() {
+        return usage_error("`bench` takes no options");
     }
-    if iters == 0 {
-        eprintln!("ripki-lint: --iters needs a positive integer\n{USAGE}");
-        return ExitCode::from(2);
-    }
-
     let mut best_ms = f64::INFINITY;
     let mut files_scanned = 0usize;
     let mut violations = 0usize;
-    for _ in 0..iters {
+    for _ in 0..BENCH_ITERS {
         let start = Instant::now();
-        let report = match ripki_lint::check_workspace(&root) {
+        let report = match ripki_lint::check_workspace(Path::new(".")) {
             Ok(report) => report,
             Err(e) => {
-                eprintln!("ripki-lint: cannot scan {}: {e}", root.display());
+                eprintln!("ripki-lint: cannot scan the workspace: {e}");
                 return ExitCode::from(2);
             }
         };
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        best_ms = best_ms.min(elapsed_ms);
+        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
         files_scanned = report.files_scanned;
         violations = report.violations.len();
     }
@@ -178,19 +121,16 @@ fn run_bench(args: &[String]) -> ExitCode {
     let json = format!(
         "{{\"bench\":\"lint_workspace\",\"catalog_version\":{CATALOG_VERSION},\
          \"wall_ms\":{best_ms:.3},\"files_scanned\":{files_scanned},\
-         \"violations\":{violations},\"iters\":{iters}}}\n"
+         \"violations\":{violations},\"iters\":{BENCH_ITERS}}}\n"
     );
-    if let Some(parent) = out.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("ripki-lint: cannot write {}: {e}", out.display());
+    let _ = std::fs::create_dir_all("results");
+    if let Err(e) = std::fs::write(BENCH_OUT, &json) {
+        eprintln!("ripki-lint: cannot write {BENCH_OUT}: {e}");
         return ExitCode::from(2);
     }
     emit(&format!(
         "lint_workspace: {files_scanned} file(s) in {best_ms:.1} ms \
-         (best of {iters}) -> {}\n",
-        out.display()
+         (best of {BENCH_ITERS}) -> {BENCH_OUT}\n"
     ));
     ExitCode::SUCCESS
 }

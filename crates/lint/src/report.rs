@@ -177,10 +177,10 @@ mod tests {
                 message: "`.unwrap()` on the panic-free path".into(),
             }],
             allows: vec![AllowEntry {
-                rule: "wall-clock".into(),
+                rule: "atomic-order".into(),
                 path: "crates/serve/src/metrics.rs".into(),
                 line: 3,
-                justification: "latency measurement".into(),
+                justification: "independent counter".into(),
                 used: true,
             }],
             files_scanned: 2,
@@ -196,7 +196,7 @@ mod tests {
         );
         assert!(text.contains("2 file(s), 1 violation(s)"), "{text}");
         assert!(
-            text.contains("allow(wall-clock) — latency measurement"),
+            text.contains("allow(atomic-order) — independent counter"),
             "{text}"
         );
     }

@@ -1,7 +1,7 @@
-//! The R1–R7 checks, evaluated over the parsed item tree and the
-//! workspace call graph.
+//! The R1, R3 and R5–R7 checks, evaluated over the parsed item tree
+//! and the workspace call graph.
 //!
-//! The per-file rules (direct R1, R2–R5) walk each function's [`Op`]
+//! The per-file rules (direct R1, R3, R5) walk each function's [`Op`]
 //! stream — string literals, comments, and doc examples were never
 //! tokens, and `#[cfg(test)]` items are masked at item granularity by
 //! the parser, so the classic heuristic false positives are impossible
@@ -14,8 +14,8 @@
 //! justification required, unused entries are themselves violations.
 
 use crate::catalog::{
-    admits_monotonic_clock, is_blessed_epoch_module, Rule, BLOCKING_METHODS, BLOCKING_PATHS,
-    DECLARED_LOCK_ORDER, REACTOR_BLESSED, REACTOR_ROOTS,
+    is_blessed_epoch_module, Rule, BLOCKING_METHODS, BLOCKING_PATHS, DECLARED_LOCK_ORDER,
+    REACTOR_BLESSED, REACTOR_ROOTS,
 };
 use crate::graph::{FnId, FnNode, LockOrder, Workspace};
 use crate::lex::{tokenize, Token};
@@ -149,8 +149,6 @@ impl CheckSet {
             let path_str = node.path.to_string_lossy().into_owned();
             let view = self.view_of(&node.path);
             let r1 = Rule::NoPanic.applies_to(&path_str);
-            let r2 = Rule::WallClock.applies_to(&path_str);
-            let r4 = Rule::PrintOutput.applies_to(&path_str);
             let r5 = Rule::EpochWrite.applies_to(&path_str);
             for op in &node.def.ops {
                 match op {
@@ -192,28 +190,6 @@ impl CheckSet {
                             out,
                         );
                     }
-                    Op::Call { path, line, column } if r2 => {
-                        if let Some(clock) = wall_clock_type(path) {
-                            // A real-time serving plane measures
-                            // deadlines: the monotonic clock is part of
-                            // its job. The wall clock stays confined.
-                            let serving_instant =
-                                clock == "Instant" && admits_monotonic_clock(&path_str);
-                            if !serving_instant {
-                                self.emit(
-                                    Rule::WallClock,
-                                    &node.path,
-                                    *line,
-                                    *column,
-                                    format!(
-                                        "`{clock}::now()` outside ripki_rpki::time — take the \
-                                         clock as a parameter"
-                                    ),
-                                    out,
-                                );
-                            }
-                        }
-                    }
                     Op::OrderingUse { name, line, column } => {
                         let justified = view.is_some_and(|v| v.has_adjacent_comment(*line));
                         if !justified {
@@ -229,23 +205,6 @@ impl CheckSet {
                                 out,
                             );
                         }
-                    }
-                    Op::MacroUse {
-                        name, line, column, ..
-                    } if r4
-                        && matches!(
-                            name.as_str(),
-                            "println" | "eprintln" | "print" | "eprint" | "dbg"
-                        ) =>
-                    {
-                        self.emit(
-                            Rule::PrintOutput,
-                            &node.path,
-                            *line,
-                            *column,
-                            format!("`{name}!` in a library crate — report through return values"),
-                            out,
-                        );
                     }
                     Op::FieldWrite { name, line, column } if r5 => {
                         self.emit(
@@ -739,15 +698,6 @@ fn is_panic_macro(name: &str) -> bool {
     matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
 }
 
-/// `…::Instant::now` / `…::SystemTime::now` → the clock type.
-fn wall_clock_type(path: &[String]) -> Option<&'static str> {
-    match path {
-        [.., ty, last] if last == "now" && ty == "Instant" => Some("Instant"),
-        [.., ty, last] if last == "now" && ty == "SystemTime" => Some("SystemTime"),
-        _ => None,
-    }
-}
-
 impl FileView {
     /// Is there a comment on `line`, or on the contiguous run of
     /// comment-only lines directly above it?
@@ -909,24 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_outside_time_module() {
-        let src = "fn f() { let _ = std::time::Instant::now(); }";
-        assert_eq!(violations("crates/ripki/src/stats.rs", src).len(), 1);
-        assert!(violations("crates/rpki/src/time.rs", src).is_empty());
-        assert!(violations("crates/cli/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn serve_gets_the_monotonic_clock_but_not_the_wall_clock() {
-        let mono = "fn f() { let _ = Instant::now(); }";
-        let wall = "fn f() { let _ = SystemTime::now(); }";
-        assert!(violations("crates/serve/src/reactor.rs", mono).is_empty());
-        assert_eq!(violations("crates/serve/src/reactor.rs", wall).len(), 1);
-        // The carve-out is serve-only.
-        assert_eq!(violations("crates/ripki/src/stats.rs", mono).len(), 1);
-    }
-
-    #[test]
     fn ordering_needs_a_comment() {
         let bare = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }";
         let same_line =
@@ -945,13 +877,6 @@ mod tests {
     fn cmp_ordering_is_not_atomic_ordering() {
         let src = "fn f() -> std::cmp::Ordering { std::cmp::Ordering::Less }";
         assert!(violations("crates/dns/src/cache.rs", src).is_empty());
-    }
-
-    #[test]
-    fn println_in_library_flagged() {
-        let src = "fn f() { println!(\"hi\"); }";
-        assert_eq!(violations("crates/ripki/src/stats.rs", src).len(), 1);
-        assert!(violations("crates/cli/src/main.rs", src).is_empty());
     }
 
     #[test]

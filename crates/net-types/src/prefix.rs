@@ -92,11 +92,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True only for the default route.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The raw network bits, left-aligned.
     pub fn raw_bits(&self) -> u32 {
         self.bits
@@ -197,11 +192,6 @@ impl Ipv6Prefix {
     #[allow(clippy::len_without_is_empty)] // mask length, not a container
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// True only for the default route.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
     }
 
     /// The raw network bits, left-aligned.
@@ -379,11 +369,6 @@ impl IpPrefix {
             IpPrefix::V4(p) => p.len(),
             IpPrefix::V6(p) => p.len(),
         }
-    }
-
-    /// True only for a default route of either family.
-    pub fn is_default(&self) -> bool {
-        self.len() == 0
     }
 
     /// The network address.

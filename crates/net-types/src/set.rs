@@ -174,12 +174,6 @@ impl AsnSet {
         Self::normalise(&mut self.ranges);
     }
 
-    /// Insert one range (re-normalising).
-    pub fn insert_range(&mut self, range: AsnRange) {
-        self.ranges.push(range);
-        Self::normalise(&mut self.ranges);
-    }
-
     /// The merged, sorted ranges.
     pub fn ranges(&self) -> &[AsnRange] {
         &self.ranges

@@ -22,8 +22,6 @@
 //! stress, not exhaustive model checking — see `vendor/loom`), so these
 //! tests explore hundreds of schedules per run rather than all of them.
 #![cfg(loom)]
-// Test code: unwrap on join handles is fine here.
-#![allow(clippy::unwrap_used)]
 
 use loom::thread;
 use ripki_par::WorkQueue;

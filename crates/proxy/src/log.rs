@@ -1,6 +1,6 @@
 //! A shared line logger injected by the embedding binary.
 //!
-//! The fabric never prints on its own (ripki-lint R4 reserves stdout
+//! The fabric never prints on its own (R4's clippy lints reserve stdout
 //! for the CLI): every unit, combinator, and target writes through a
 //! [`Log`] handed in by whoever started the manager — the CLI passes
 //! stdout, in-process tests pass a captured buffer or a sink.

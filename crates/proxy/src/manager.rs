@@ -421,6 +421,7 @@ impl Manager {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "R2 exempts test code")]
 mod tests {
     use super::*;
     use crate::log::tests::captured;
@@ -527,6 +528,20 @@ unit = "feed"
             let whole = started.elapsed();
             assert!(whole < Duration::from_secs(2), "start to stop took {whole:?}");
         }
+
+        // An upstream that drops SYNs: a backlog-0 listener holding one
+        // unaccepted connection (on Linux loopback every later SYN is
+        // dropped). Only the dial's own bound ends a connect in flight.
+        let blackhole = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        ripki_serve::reactor::set_accept_backlog(&blackhole, 0).expect("listen");
+        let addr = blackhole.local_addr().expect("addr");
+        let _queued = TcpStream::connect(addr).expect("the one queued connection");
+        let (log, _logged) = captured();
+        let started = Instant::now();
+        let toml = format!("[units.up]\ntype = \"rtr\"\nconnect = \"{addr}\"\npoll-ms = 60000\n");
+        Manager::from_toml(&toml, &log).expect("start").shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "start to stop took {took:?}");
     }
 
     fn epoch(epoch: u64, asns: std::ops::Range<u32>) -> VrpPayload {

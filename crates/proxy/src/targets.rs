@@ -238,6 +238,7 @@ pub fn start_http_target(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "R2 exempts test code")]
 mod tests {
     use super::*;
     use ripki_net::Asn;

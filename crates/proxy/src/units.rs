@@ -19,7 +19,6 @@ use ripki_rtr::{Backoff, Client, ClientError, PduError};
 use ripki_slurm::{SlurmApplier, SlurmFile};
 use ripki_websim::churn::{ChurnConfig, ChurnStream};
 use ripki_websim::{Scenario, ScenarioConfig};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, SystemTime};
@@ -103,14 +102,20 @@ pub struct RtrUnitConfig {
     pub poll: Duration,
 }
 
+/// How long the `rtr` unit's dial waits for a connect before it backs
+/// off and retries. Not `poll`: that can be a minute, and shutdown waits
+/// out a dial in flight.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Run an RTR client unit until shutdown, with one [`Client`] for its
 /// whole life. A dial or a sync that fails at the transport is logged at
 /// once; the unit then waits out a capped exponential [`Backoff`]
 /// (50 ms doubling to 2 s, reset by a successful sync), redials, and
 /// [`Client::reconnect`]s, so the session resumes with an incremental
 /// Serial Query. Any other failure is retried on the same connection
-/// after `poll`. Every wait is a [`pause`]: shutdown is honoured within
-/// one `PAUSE_SLICE` even while the upstream is down.
+/// after `poll`. Every wait is a [`pause`] and every dial gives up after
+/// `DIAL_TIMEOUT`, so shutdown is honoured within about a second even
+/// while the upstream is down or drops SYNs.
 ///
 /// Every new serial is published. The unit keeps its own payload beside
 /// the client's set: when the sync was a Serial Query answered
@@ -131,7 +136,7 @@ pub fn run_rtr_unit(
     // Dial until connected, waiting out the backoff after each failure;
     // `None` once shut down.
     let dial = |backoff: &mut Backoff| loop {
-        let dialed = TcpStream::connect(&config.connect).and_then(|stream| {
+        let dialed = ripki_rtr::dial(&config.connect, DIAL_TIMEOUT).and_then(|stream| {
             // The read timeout bounds an idle `poll_notify`, i.e. how
             // often the shutdown flag is re-checked; a notify returns at
             // once.
@@ -556,6 +561,7 @@ fn combined(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "R2 exempts test code")]
 mod tests {
     use super::*;
     use ripki_net::Asn;

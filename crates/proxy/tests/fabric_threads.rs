@@ -3,6 +3,7 @@
 //! three threads — the `rtr` unit, the SLURM file watch, the edge's
 //! session loop — and still carries the origin's set to a router. Alone
 //! in its own test binary so the thread census of the process is exact.
+#![expect(clippy::disallowed_methods, reason = "R2 exempts test code")]
 
 use ripki_net::Asn;
 use ripki_payload::{VrpPayload, VrpTriple};

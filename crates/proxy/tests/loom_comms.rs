@@ -15,8 +15,6 @@
 //! monotonicity (the R5 bargain), so any interleaving that could
 //! deliver a regression panics the model.
 #![cfg(loom)]
-// Test code: unwrap on join handles is fine here.
-#![allow(clippy::unwrap_used)]
 
 use loom::thread;
 use ripki_net::Asn;

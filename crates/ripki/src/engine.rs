@@ -164,11 +164,6 @@ impl WorldSnapshot {
         &self.config
     }
 
-    /// The memoized resolution cache (hit/miss counters for benches).
-    pub fn resolution_cache(&self) -> &ResolutionCache {
-        &self.cache
-    }
-
     /// A resolver over this snapshot's zones. Constructing one is not
     /// free (it captures the fault-injection state), so `run` builds
     /// one per worker thread rather than one per name.

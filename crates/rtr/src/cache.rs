@@ -241,25 +241,8 @@ impl CacheServer {
         let new: VrpSet = vrps.into_iter().collect();
         let serial = {
             let mut st = self.state_lock();
-            let announced = new.difference(&st.current);
-            let withdrawn = st.current.difference(&new);
-            let wrapped = st.serial == u32::MAX;
-            st.serial = st.serial.wrapping_add(1);
-            let serial = st.serial;
-            if wrapped {
-                st.history.clear();
-            } else if st.has_data {
-                st.history.push_back(Delta {
-                    to_serial: serial,
-                    announced,
-                    withdrawn,
-                });
-                while st.history.len() > self.max_history {
-                    st.history.pop_front();
-                }
-            }
-            st.current = new;
-            st.has_data = true;
+            let serial = st.serial.wrapping_add(1);
+            self.install_locked(&mut st, serial, new);
             serial
         };
         self.wake();
@@ -290,32 +273,39 @@ impl CacheServer {
     }
 
     fn install_set(&self, serial: u32, new: VrpSet) -> bool {
-        {
-            let mut st = self.state_lock();
-            if st.has_data && serial == st.serial {
-                return false;
-            }
-            let wraps = st.serial == u32::MAX && serial == 0;
-            let contiguous = st.has_data && !wraps && serial == st.serial.wrapping_add(1);
-            if contiguous {
-                let announced = new.difference(&st.current);
-                let withdrawn = st.current.difference(&new);
-                st.history.push_back(Delta {
-                    to_serial: serial,
-                    announced,
-                    withdrawn,
-                });
-                while st.history.len() > self.max_history {
-                    st.history.pop_front();
-                }
-            } else {
-                st.history.clear();
-            }
-            st.serial = serial;
-            st.current = new;
-            st.has_data = true;
+        let installed = self.install_locked(&mut self.state_lock(), serial, new);
+        if installed {
+            self.wake();
         }
-        self.wake();
+        installed
+    }
+
+    /// The one install path, under the state lock: record a contiguous
+    /// step as a delta, clear the history on any other jump (the wrap
+    /// included). The caller wakes the sessions once the lock is gone.
+    fn install_locked(&self, st: &mut CacheState, serial: u32, new: VrpSet) -> bool {
+        if st.has_data && serial == st.serial {
+            return false;
+        }
+        let wraps = st.serial == u32::MAX && serial == 0;
+        let contiguous = st.has_data && !wraps && serial == st.serial.wrapping_add(1);
+        if contiguous {
+            let announced = new.difference(&st.current);
+            let withdrawn = st.current.difference(&new);
+            st.history.push_back(Delta {
+                to_serial: serial,
+                announced,
+                withdrawn,
+            });
+            while st.history.len() > self.max_history {
+                st.history.pop_front();
+            }
+        } else {
+            st.history.clear();
+        }
+        st.serial = serial;
+        st.current = new;
+        st.has_data = true;
         true
     }
 
@@ -597,8 +587,6 @@ impl CacheServer {
 }
 
 #[cfg(test)]
-// Tests may panic freely; the `unwrap_used` deny targets the PDU codec.
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use ripki_net::Asn;

@@ -22,7 +22,8 @@ use ripki_net::{IpPrefix, Ipv4Prefix, Ipv6Prefix};
 use ripki_payload::VrpPayload;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Client-side failures.
@@ -446,6 +447,24 @@ impl<S: Read + Write> Client<S> {
     }
 }
 
+/// Connect to a cache at `addr` (`host:port`), trying each address it
+/// resolves to for at most `timeout`. A bare `TcpStream::connect` to an
+/// upstream that drops SYNs blocks for the OS connect timeout (≈ 2 min
+/// on Linux), and with it whatever waits on the caller.
+pub fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let mut last = io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("{addr} resolves to no address"),
+    );
+    for resolved in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&resolved, timeout) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
 /// Capped exponential backoff schedule for reconnect attempts.
 ///
 /// Pure duration bookkeeping — it never sleeps or reads a clock itself,
@@ -482,8 +501,6 @@ impl Backoff {
 }
 
 #[cfg(test)]
-// Tests may panic freely; the `unwrap_used` deny targets the PDU codec.
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::cache::CacheServer;

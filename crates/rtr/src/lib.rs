@@ -37,12 +37,16 @@
 //! * No TCP-AO/SSH transport security (RFC 6810 §7 lists them as
 //!   options; the transport is pluggable).
 
+// Hostile PDUs must never panic the codec or the session loop (ripki-lint R1
+// checks the same ground transitively). clippy.toml exempts test code.
+#![deny(clippy::unwrap_used)]
+
 pub mod cache;
 pub mod client;
 pub mod listener;
 pub mod pdu;
 
 pub use cache::CacheServer;
-pub use client::{Backoff, Client, ClientError, SyncOutcome, WireDelta};
+pub use client::{dial, Backoff, Client, ClientError, SyncOutcome, WireDelta};
 pub use listener::{ListenerConfig, RtrListener};
 pub use pdu::{ErrorCode, Pdu, PduError, PROTOCOL_VERSION};

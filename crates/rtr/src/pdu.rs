@@ -548,8 +548,6 @@ pub fn read_pdu<R: io::Read>(r: &mut R, buf: &mut PduBuf) -> Result<Pdu, PduErro
 }
 
 #[cfg(test)]
-// Tests may panic freely; the `unwrap_used` deny targets the PDU codec.
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

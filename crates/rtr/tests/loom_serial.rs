@@ -18,9 +18,6 @@
 //! The vendored `loom` is an offline stand-in (bounded randomized
 //! stress, not exhaustive model checking — see `vendor/loom`).
 #![cfg(loom)]
-// Test code: unwrap on fixture plumbing is fine here, the crate-level
-// deny targets the PDU codec.
-#![allow(clippy::unwrap_used)]
 
 use loom::thread;
 use ripki_bgp::rov::VrpTriple;

@@ -1,9 +1,7 @@
 //! The RTR session plane over real TCP: Serial Notify is pushed the
 //! moment the cache's serial advances, every session lives on one
 //! wake-driven loop, and no peer can hurt another.
-// Tests may panic freely; the crate's `unwrap_used` deny targets the
-// PDU codec and serving path.
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::disallowed_methods, reason = "R2 exempts test code")]
 
 use ripki_bgp::rov::VrpTriple;
 use ripki_net::Asn;

@@ -1,7 +1,4 @@
 //! Property tests for the RTR wire format and cache/client convergence.
-// Tests may panic freely; the crate's `unwrap_used` deny targets the
-// PDU codec and serving path.
-#![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 use ripki_bgp::rov::VrpTriple;

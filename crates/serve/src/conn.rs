@@ -408,8 +408,6 @@ pub fn error_bytes(status: u16, reason: &str) -> Vec<u8> {
 }
 
 #[cfg(test)]
-// Tests may panic freely; the `unwrap_used` deny targets the request path.
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

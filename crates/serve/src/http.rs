@@ -458,8 +458,6 @@ pub fn status_reason(status: u16) -> &'static str {
 }
 
 #[cfg(test)]
-// Tests may panic freely; the `unwrap_used` deny targets the request path.
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -37,6 +37,10 @@
 //! response. HTTP answers, RTR serials and `EpochDelta`s all advance in
 //! lockstep; `DESIGN.md` § "The serving plane" states the contract.
 
+// The request path must not panic on hostile input (ripki-lint R1 checks
+// the same ground transitively). clippy.toml exempts test code.
+#![deny(clippy::unwrap_used)]
+
 pub mod api;
 pub mod conn;
 pub mod http;

@@ -441,8 +441,6 @@ impl Metrics {
 }
 
 #[cfg(test)]
-// Tests may panic freely; the `unwrap_used` deny targets the request path.
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

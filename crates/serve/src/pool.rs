@@ -212,8 +212,6 @@ fn worker_loop(
 }
 
 #[cfg(test)]
-// Tests may panic freely; the `unwrap_used` deny targets the request path.
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::http::parse_head;

@@ -214,11 +214,6 @@ impl EpochView {
     pub fn topology(&self) -> Option<&Topology> {
         self.topology.as_deref()
     }
-
-    /// Exposure experiment parameters used by the domain endpoint.
-    pub fn exposure_config(&self) -> &ExposureConfig {
-        &self.exposure
-    }
 }
 
 /// The swap point between the study engine and the request handlers.

@@ -4,10 +4,6 @@
 //! sheds must never poison a pipelining client with an RST), and
 //! graceful-drain shutdown.
 
-// Test code: unwrap on fixture plumbing is fine here, the crate-level
-// deny targets the request path.
-#![allow(clippy::unwrap_used)]
-
 use ripki_serve::ServerConfig;
 use ripki_serve_testutil::{
     parse_response, read_to_eof_no_reset, serve_scenario_config, split_responses,

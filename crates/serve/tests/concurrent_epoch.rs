@@ -8,9 +8,6 @@
 //! verdict is exactly what that epoch's snapshot computes. The epoch
 //! registry is filled *before* each publish, so any epoch a client can
 //! observe is already verifiable.
-// Tests may panic freely; the crate's `unwrap_used` deny targets the
-// request path.
-#![allow(clippy::unwrap_used)]
 
 use ripki_net::{Asn, IpPrefix};
 use ripki_serve::api::state_label;

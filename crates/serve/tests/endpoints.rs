@@ -2,9 +2,6 @@
 //! route is exercised through an actual TCP connection against the
 //! running server, and the payloads are checked against the engine's
 //! own answers.
-// Tests may panic freely; the crate's `unwrap_used` deny targets the
-// request path.
-#![allow(clippy::unwrap_used)]
 
 use ripki_serve::api::state_label;
 use ripki_serve_testutil::{get, raw_roundtrip, serve_scenario};

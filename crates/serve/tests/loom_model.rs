@@ -25,9 +25,6 @@
 //! stress, not exhaustive model checking — see `vendor/loom`), so these
 //! tests explore hundreds of schedules per run rather than all of them.
 #![cfg(loom)]
-// Test code: unwrap on fixture plumbing is fine here, the crate-level
-// deny targets the request path.
-#![allow(clippy::unwrap_used)]
 
 use loom::thread;
 use ripki::engine::StudyEngine;

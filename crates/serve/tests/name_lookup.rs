@@ -3,9 +3,6 @@
 //! domain resolves to what a scan of the table finds, on a world where a
 //! skipped domain makes position differ from rank, and consecutive views
 //! share one index.
-// Tests may panic freely; the crate's `unwrap_used` deny targets the
-// request path.
-#![allow(clippy::unwrap_used)]
 
 use ripki::engine::StudyEngine;
 use ripki::exposure::ExposureConfig;

@@ -5,10 +5,6 @@
 //! partial reads and writes safe — TCP segmentation cannot change what
 //! a client observes.
 
-// Test code: unwrap on harness plumbing is fine here, the crate-level
-// deny targets the request path.
-#![allow(clippy::unwrap_used)]
-
 use proptest::prelude::*;
 use ripki_serve::conn::{ConnConfig, ConnMachine};
 

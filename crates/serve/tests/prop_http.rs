@@ -2,9 +2,6 @@
 //! never panic, truncation must ask for more bytes (never mis-parse),
 //! and whatever garbage a live connection sends, the server answers
 //! with a well-formed error response.
-// Tests may panic freely; the crate's `unwrap_used` deny targets the
-// request path.
-#![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 use ripki_serve::http::{parse_head, HttpError, MAX_HEAD_BYTES};

@@ -8,7 +8,7 @@
 //! validates the RFC 8416 JSON shape ([`SlurmFile::parse`]), compiles
 //! it into an efficient matcher ([`SlurmFile::compile`] →
 //! [`ExceptionSet`]), and applies it over the `ripki-payload` currency
-//! **per epoch and delta-aware**: [`ExceptionSet::apply`] maps a whole
+//! **per epoch and delta-aware**: a [`SlurmApplier`] maps a whole
 //! [`PayloadUpdate`] — snapshot *and* delta — so exceptions compose
 //! with `VrpDelta` streaming without forcing downstream hops into
 //! snapshot rebuilds. The governing algebra is commutation:
@@ -313,24 +313,6 @@ impl ExceptionSet {
             announced: delta.announced.iter().filter(keep).copied().collect(),
             withdrawn: delta.withdrawn.iter().filter(keep).copied().collect(),
         }
-    }
-
-    /// Apply the exceptions to a whole fabric update: the payload is
-    /// re-excepted at its epoch and the delta (when present) is mapped
-    /// so it still chains — downstream hops keep streaming deltas, no
-    /// snapshot rebuild.
-    pub fn apply(&self, update: &PayloadUpdate) -> PayloadUpdate {
-        self.apply_with_stats(update).0
-    }
-
-    /// [`ExceptionSet::apply`], also reporting what changed.
-    pub fn apply_with_stats(&self, update: &PayloadUpdate) -> (PayloadUpdate, SlurmStats) {
-        let (payload, stats) = self.excepted_with_stats(&update.payload);
-        let update = PayloadUpdate {
-            payload,
-            delta: update.delta.as_ref().map(|d| self.map_delta(d)),
-        };
-        (update, stats)
     }
 }
 
@@ -737,8 +719,12 @@ mod tests {
         let ex = exceptions(FILTER_AND_ASSERT);
         let prev = VrpPayload::new(1, [vrp("20.0.0.0/8", 8, 3), vrp("10.0.0.0/8", 8, 9)]);
         let next = VrpPayload::new(2, [vrp("20.0.0.0/8", 8, 3), vrp("30.0.0.0/8", 8, 4)]);
-        let update = PayloadUpdate::from_previous(&prev, next);
-        let out = ex.apply(&update);
+        let mut applier = SlurmApplier::new(ex.clone());
+        applier.ingest(&PayloadUpdate::snapshot(prev.clone()));
+        let out = applier
+            .ingest(&PayloadUpdate::from_previous(&prev, next))
+            .expect("epoch 2 advances")
+            .update;
         assert_eq!(out.epoch(), 2);
         let delta = out.delta.expect("delta preserved");
         // Withdrawal of the filtered 10/8 VRP is dropped — it was never
@@ -795,7 +781,8 @@ mod tests {
         assert!(ex.is_empty());
         let base = VrpPayload::new(5, [vrp("10.0.0.0/8", 8, 1)]);
         let update = PayloadUpdate::snapshot(base.clone());
-        assert_eq!(ex.apply(&update), update);
+        let applied = SlurmApplier::new(ex).ingest(&update).expect("first epoch");
+        assert_eq!(applied.update, update);
     }
 
     #[test]

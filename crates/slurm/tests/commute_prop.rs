@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use ripki_bgp::rov::VrpTriple;
 use ripki_net::{Asn, IpPrefix};
 use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload};
-use ripki_slurm::{ExceptionSet, PrefixAssertion, PrefixFilter, SlurmFile};
+use ripki_slurm::{ExceptionSet, PrefixAssertion, PrefixFilter, SlurmApplier, SlurmFile};
 
 /// A small shared universe so payloads, deltas, filters, and
 /// assertions collide constantly — the interesting regime.
@@ -121,9 +121,9 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
-    /// Applying exceptions to a whole `PayloadUpdate` keeps the delta
-    /// usable: a downstream hop holding the previous *excepted* epoch
-    /// can keep streaming, never forced into a snapshot resync.
+    /// A fabric hop's `SlurmApplier` keeps the delta usable: a
+    /// downstream hop holding the previous *excepted* epoch can keep
+    /// streaming, never forced into a snapshot resync.
     #[test]
     fn excepted_updates_still_chain(
         ex in arb_exceptions(),
@@ -132,9 +132,13 @@ proptest! {
     ) {
         let prev = VrpPayload::new(7, prev_vrps);
         let next = VrpPayload::new(8, next_vrps);
-        let update = PayloadUpdate::from_previous(&prev, next);
-        let out = ex.apply(&update);
-        let delta = out.delta.expect("delta preserved through apply");
+        let mut applier = SlurmApplier::new(ex.clone());
+        applier.ingest(&PayloadUpdate::snapshot(prev.clone()));
+        let out = applier
+            .ingest(&PayloadUpdate::from_previous(&prev, next))
+            .expect("epoch 8 advances")
+            .update;
+        let delta = out.delta.expect("delta preserved through ingest");
         let chained = ex
             .excepted(&prev)
             .apply(&delta)

@@ -241,11 +241,6 @@ impl ChurnStream {
         }
     }
 
-    /// Number of epochs generated so far.
-    pub fn epochs_generated(&self) -> u64 {
-        self.epoch_index
-    }
-
     /// Generate the next epoch's churn batch. Deterministic: the same
     /// scenario and config yield the same sequence of batches.
     pub fn next_epoch(&mut self) -> EpochChurn {

@@ -5,6 +5,8 @@
 //! cargo run --release --example cdn_audit
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use ripki_repro::ripki::cdn_audit::{audit_cdns, summarize};
 use ripki_repro::ripki_rpki::validate;
 use ripki_repro::ripki_websim::operators::CDN_SPECS;

@@ -6,6 +6,8 @@
 //! cargo run --release --example full_study -- 1000000 # the paper's 1M
 //! ```
 
+#![allow(clippy::print_stdout, clippy::disallowed_methods)]
+
 use ripki_repro::ripki::cdn_audit;
 use ripki_repro::ripki::classify::HttpArchiveClassifier;
 use ripki_repro::ripki::figures;

@@ -13,6 +13,8 @@
 //! cargo run --release --example hijack_defense
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use ripki_repro::ripki_bgp::hijack::{deployment_sweep, run, HijackScenario};
 use ripki_repro::ripki_bgp::rov::{RouteOriginValidator, VrpTriple};
 use ripki_repro::ripki_bgp::topology::Topology;

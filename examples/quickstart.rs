@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use ripki_repro::ripki::figures;
 use ripki_repro::ripki::report::HeadlineStats;
 use ripki_repro::ripki::tables;

@@ -7,6 +7,8 @@
 //! cargo run --release --example repo_inspect
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use ripki_repro::ripki_net::{Asn, IpPrefix};
 use ripki_repro::ripki_rpki::faults;
 use ripki_repro::ripki_rpki::repo::RepositoryBuilder;

@@ -11,6 +11,8 @@
 //! cargo run --release --example roa_privacy
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use ripki_repro::ripki_bgp::collector::Collector;
 use ripki_repro::ripki_bgp::propagate::{accept_all, propagate};
 use ripki_repro::ripki_bgp::topology::Topology;

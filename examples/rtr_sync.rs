@@ -7,6 +7,8 @@
 //! cargo run --release --example rtr_sync
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use ripki_repro::ripki_bgp::rov::RpkiState;
 use ripki_repro::ripki_rpki::{faults, validate};
 use ripki_repro::ripki_rtr::{CacheServer, Client, ListenerConfig, RtrListener, SyncOutcome};
