@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use std::io::BufRead;
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Final epoch the engine publishes: 1 initial + CHURN_EPOCHS churn.
@@ -24,11 +24,13 @@ const CHURN_EPOCHS: u64 = 3;
 const FINAL_EPOCH: u64 = 1 + CHURN_EPOCHS;
 const DEADLINE: Duration = Duration::from_secs(60);
 
-/// A spawned `ripki-cli` child whose stdout is collected line by line.
-/// Killed on drop so a failing assert never leaks processes.
+/// A spawned `ripki-cli` child whose stdout lines arrive over a
+/// channel. Killed on drop so a failing assert never leaks processes.
 struct Proxy {
     child: Child,
-    lines: Arc<Mutex<Vec<String>>>,
+    lines: mpsc::Receiver<String>,
+    /// Every line received so far, in order.
+    seen: Vec<String>,
 }
 
 impl Proxy {
@@ -40,40 +42,46 @@ impl Proxy {
             .spawn()
             .expect("spawn ripki-cli proxy");
         let stdout = child.stdout.take().expect("piped stdout");
-        let lines = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&lines);
+        let (sink, lines) = mpsc::channel();
         std::thread::spawn(move || {
             for line in std::io::BufReader::new(stdout).lines() {
                 let Ok(line) = line else { break };
-                sink.lock().expect("line sink").push(line);
+                if sink.send(line).is_err() {
+                    break;
+                }
             }
         });
-        Proxy { child, lines }
+        Proxy {
+            child,
+            lines,
+            seen: Vec::new(),
+        }
     }
 
-    /// Wait until some collected stdout line satisfies `pred`.
-    fn wait_for_line<F: Fn(&str) -> bool>(&self, what: &str, pred: F) -> String {
-        let start = Instant::now();
-        while start.elapsed() < DEADLINE {
-            if let Some(line) = self
-                .lines
-                .lock()
-                .expect("line sink")
-                .iter()
-                .find(|l| pred(l))
-            {
-                return line.clone();
+    /// Wait until some stdout line satisfies `pred`.
+    fn wait_for_line<F: Fn(&str) -> bool>(&mut self, what: &str, pred: F) -> String {
+        if let Some(line) = self.seen.iter().find(|l| pred(l)) {
+            return line.clone();
+        }
+        let deadline = Instant::now() + DEADLINE;
+        // A timeout and an exited child (the sender is gone) both fail.
+        while let Ok(line) = self
+            .lines
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
+            self.seen.push(line.clone());
+            if pred(&line) {
+                return line;
             }
-            std::thread::sleep(Duration::from_millis(25));
         }
         panic!(
             "timed out waiting for {what}; stdout so far:\n{}",
-            self.lines.lock().expect("line sink").join("\n")
+            self.seen.join("\n")
         );
     }
 
     /// The `host:port` a named target logged at startup.
-    fn target_addr(&self, target: &str) -> String {
+    fn target_addr(&mut self, target: &str) -> String {
         let needle = format!("target {target} ");
         let line = self.wait_for_line(&format!("{target} listening"), |l| {
             l.contains(&needle) && l.contains("listening on ")
@@ -93,19 +101,18 @@ impl Drop for Proxy {
     }
 }
 
-/// Sync an RTR client against `addr` until it reports `epoch`.
+/// Sync one RTR client against `addr` until it reports `epoch`,
+/// waiting for the cache's Serial Notify between syncs. A cache without
+/// data yet answers with an Error Report; its first install is pushed
+/// as a notify too. The read timeout bounds each wait.
 fn sync_until_epoch(addr: &str, epoch: u64) -> ripki_payload::VrpPayload {
-    let start = Instant::now();
+    let stream = TcpStream::connect(addr).expect("connect to the cache");
+    stream
+        .set_read_timeout(Some(DEADLINE))
+        .expect("read timeout");
+    let mut client = ripki_rtr::Client::new(stream);
     let mut last = None;
-    while start.elapsed() < DEADLINE {
-        let Ok(stream) = TcpStream::connect(addr) else {
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        };
-        stream
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .expect("read timeout");
-        let mut client = ripki_rtr::Client::new(stream);
+    loop {
         if client.sync().is_ok() {
             if let Some(payload) = client.payload() {
                 if payload.epoch() == epoch {
@@ -114,9 +121,10 @@ fn sync_until_epoch(addr: &str, epoch: u64) -> ripki_payload::VrpPayload {
                 last = Some(payload.epoch());
             }
         }
-        std::thread::sleep(Duration::from_millis(50));
+        if !matches!(client.poll_notify(), Ok(Some(_))) {
+            panic!("cache at {addr} never reached epoch {epoch} (last seen: {last:?})");
+        }
     }
-    panic!("cache at {addr} never reached epoch {epoch} (last seen: {last:?})");
 }
 
 #[test]
@@ -149,7 +157,7 @@ fn two_hop_chain_stays_byte_identical_and_in_serial_lockstep() {
         ),
     )
     .expect("write hop1 config");
-    let hop1 = Proxy::spawn(&hop1_config);
+    let mut hop1 = Proxy::spawn(&hop1_config);
     let hop1_rtr = hop1.target_addr("cache");
     let hop1_http = hop1.target_addr("export");
 
@@ -181,7 +189,7 @@ fn two_hop_chain_stays_byte_identical_and_in_serial_lockstep() {
         ),
     )
     .expect("write hop2 config");
-    let hop2 = Proxy::spawn(&hop2_config);
+    let mut hop2 = Proxy::spawn(&hop2_config);
     let hop2_rtr = hop2.target_addr("relay");
 
     // The router at the end of the chain reaches the engine's final

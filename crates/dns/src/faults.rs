@@ -71,24 +71,12 @@ impl<'z> FaultyResolver<'z> {
     }
 
     /// Like [`resolve`](Self::resolve), but honest answers go through the
-    /// shared-tail [`ResolutionCache`]. Corruption keys on the query name
-    /// only, so it composes transparently with tail memoization.
-    pub fn resolve_cached(
-        &self,
-        name: &DomainName,
-        cache: &crate::cache::ResolutionCache,
-    ) -> Result<Resolution, ResolveError> {
-        if self.is_corrupted(name) {
-            return Ok(self.bogus_resolution(name));
-        }
-        self.inner.resolve_cached(name, cache)
-    }
-
-    /// Like [`resolve_cached`](Self::resolve_cached), but also reports
-    /// the touched-name dependency set (see
-    /// [`Resolver::resolve_cached_traced`]). A corrupted answer depends
-    /// only on the query name: corruption keys on the name itself and
-    /// never consults zone data.
+    /// shared-tail [`ResolutionCache`](crate::cache::ResolutionCache), and
+    /// the touched-name dependency set is reported too (see
+    /// [`Resolver::resolve_cached_traced`]). Corruption keys on the query
+    /// name only and never consults zone data, so it composes
+    /// transparently with tail memoization and a corrupted answer
+    /// depends on the query name alone.
     pub fn resolve_cached_traced(
         &self,
         name: &DomainName,

@@ -75,7 +75,7 @@ impl Resolution {
 /// A resolution outcome plus every name whose records were consulted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracedResolution {
-    /// Exactly what [`Resolver::resolve_cached`] would have returned.
+    /// Exactly what [`Resolver::resolve`] would have returned.
     pub outcome: Result<Resolution, ResolveError>,
     /// Every name whose zone data the walk depended on: the query, each
     /// CNAME target followed, and each memoized-tail node spliced in.
@@ -137,66 +137,19 @@ impl<'z> Resolver<'z> {
         }
     }
 
-    /// Resolve `name` with shared-tail memoization: identical to
-    /// [`resolve`](Self::resolve) (same answers, same errors), but CNAME
-    /// tails already walked — by this call or any other thread sharing
-    /// `cache` — are spliced in instead of re-walked. Loop and
+    /// Resolve `name` with shared-tail memoization, and report every
+    /// name whose zone data the walk consulted. The outcome is identical
+    /// to [`resolve`](Self::resolve) (same answers, same errors), but
+    /// CNAME tails already walked — by this call or any other thread
+    /// sharing `cache` — are spliced in instead of re-walked. Loop and
     /// chain-length checks run against the caller's full chain, so the
     /// memoization is observably transparent.
     ///
     /// Panics if `cache` is pinned to a different vantage (answers are
     /// vantage-dependent; mixing would serve wrong data).
-    pub fn resolve_cached(
-        &self,
-        name: &DomainName,
-        cache: &ResolutionCache,
-    ) -> Result<Resolution, ResolveError> {
-        assert_eq!(
-            cache.vantage(),
-            self.vantage,
-            "resolution cache pinned to a different vantage"
-        );
-        let mut chain: Vec<DomainName> = Vec::new();
-        let mut current = name.clone();
-        let mut authenticated = self.zones.is_signed(name);
-        loop {
-            if let Some(tail) = cache.get(&current) {
-                return self.splice(name, chain, authenticated, &tail);
-            }
-            let Some(records) = self.zones.lookup(&current, self.vantage) else {
-                cache.fill(&chain, &Terminal::NxDomain(current.clone()));
-                return Err(ResolveError::NxDomain(current));
-            };
-            if let Some(target) = records.iter().find_map(RecordData::cname) {
-                if chain.len() + 1 > MAX_CHAIN {
-                    return Err(ResolveError::ChainTooLong(name.clone()));
-                }
-                if *target == *name || chain.contains(target) {
-                    return Err(ResolveError::CnameLoop(target.clone()));
-                }
-                authenticated &= self.zones.is_signed(target);
-                chain.push(target.clone());
-                current = target.clone();
-                continue;
-            }
-            let addresses: Vec<IpAddr> = records.iter().filter_map(RecordData::addr).collect();
-            if addresses.is_empty() {
-                cache.fill(&chain, &Terminal::NoAddress(current.clone()));
-                return Err(ResolveError::NoAddress(current));
-            }
-            cache.fill(&chain, &Terminal::Addresses(addresses.clone()));
-            return Ok(Resolution {
-                query: name.clone(),
-                cname_chain: chain,
-                addresses,
-                authenticated,
-            });
-        }
-    }
-
-    /// Like [`resolve_cached`](Self::resolve_cached), but also reports
-    /// every name whose zone data the walk consulted. The incremental
-    /// engine uses the touched set as a dependency list: a zone delta
+    ///
+    /// The incremental engine uses the touched set as a dependency
+    /// list: a zone delta
     /// that changes none of the touched names cannot alter `outcome`
     /// (the walk never read anything else). The set is a slight
     /// over-approximation on errors — memoized tail nodes past a loop /
@@ -453,7 +406,7 @@ mod tests {
             // Twice: once filling, once hitting.
             for _ in 0..2 {
                 assert_eq!(
-                    r.resolve_cached(&name, &cache),
+                    r.resolve_cached_traced(&name, &cache).outcome,
                     r.resolve(&name),
                     "divergence on {name}"
                 );
@@ -473,9 +426,15 @@ mod tests {
         z.add_addr(n("edge.cdn.net"), "198.51.100.9".parse().unwrap());
         let r = Resolver::new(&z, Vantage::OPEN_DNS);
         let cache = ResolutionCache::new(Vantage::OPEN_DNS);
-        let one = r.resolve_cached(&n("www.one.example"), &cache).unwrap();
+        let one = r
+            .resolve_cached_traced(&n("www.one.example"), &cache)
+            .outcome
+            .unwrap();
         let hits_before = cache.hits();
-        let two = r.resolve_cached(&n("www.two.example"), &cache).unwrap();
+        let two = r
+            .resolve_cached_traced(&n("www.two.example"), &cache)
+            .outcome
+            .unwrap();
         assert!(cache.hits() > hits_before, "second query must hit the tail");
         assert_eq!(one.addresses, two.addresses);
         assert_eq!(one.cname_chain, two.cname_chain);
@@ -495,9 +454,9 @@ mod tests {
         let r = Resolver::new(&z, Vantage::OPEN_DNS);
         let cache = ResolutionCache::new(Vantage::OPEN_DNS);
         // Warm the cache with the inner tail.
-        let _ = r.resolve_cached(&n("tail.example"), &cache);
+        let _ = r.resolve_cached_traced(&n("tail.example"), &cache);
         assert_eq!(
-            r.resolve_cached(&n("enter.example"), &cache),
+            r.resolve_cached_traced(&n("enter.example"), &cache).outcome,
             r.resolve(&n("enter.example"))
         );
     }
@@ -508,7 +467,7 @@ mod tests {
         let z = store();
         let r = Resolver::new(&z, Vantage::GOOGLE_DNS_BERLIN);
         let cache = ResolutionCache::new(Vantage::OPEN_DNS);
-        let _ = r.resolve_cached(&n("direct.example"), &cache);
+        let _ = r.resolve_cached_traced(&n("direct.example"), &cache);
     }
 
     #[test]

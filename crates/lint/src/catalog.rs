@@ -37,7 +37,10 @@ use std::path::Path;
 ///
 /// v8: R2 and R4 moved to clippy, which resolves paths by meaning
 /// (`disallowed_methods`, `print_stdout`/`print_stderr`/`dbg_macro`).
-pub const CATALOG_VERSION: u32 = 8;
+///
+/// v9: the RTR session is an I/O-free machine — R6 blesses the poll
+/// shell's `Peer::read_ready`/`write_some`, not `Session`'s.
+pub const CATALOG_VERSION: u32 = 9;
 
 /// The enforced invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,8 +225,8 @@ pub const REACTOR_ROOTS: &[(&str, Option<&str>, &str)] = &[
 /// `CompletionQueue::drain`/`push` hold a lock for a bounded O(len)
 /// splice that the loom lane models. The RTR session loop has the same
 /// shape: `poll_ready` is its idle state, and `accept_ready`,
-/// `drain_wake`, `Session::read_ready`/`write_some` touch non-blocking
-/// fds only.
+/// `drain_wake`, `Peer::read_ready`/`write_some` touch non-blocking
+/// fds only. The `Session` machine they feed touches no fd at all.
 pub const REACTOR_BLESSED: &[(&str, Option<&str>, &str)] = &[
     ("crates/rtr/src/listener.rs", None, "poll_ready"),
     (
@@ -236,8 +239,8 @@ pub const REACTOR_BLESSED: &[(&str, Option<&str>, &str)] = &[
         Some("SessionLoop"),
         "drain_wake",
     ),
-    ("crates/rtr/src/listener.rs", Some("Session"), "read_ready"),
-    ("crates/rtr/src/listener.rs", Some("Session"), "write_some"),
+    ("crates/rtr/src/listener.rs", Some("Peer"), "read_ready"),
+    ("crates/rtr/src/listener.rs", Some("Peer"), "write_some"),
     ("crates/serve/src/reactor.rs", None, "poll_fds"),
     ("crates/serve/src/reactor.rs", Some("Reactor"), "read_ready"),
     ("crates/serve/src/reactor.rs", None, "write_some"),

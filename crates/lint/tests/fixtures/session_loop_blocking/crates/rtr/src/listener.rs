@@ -1,7 +1,7 @@
 //! Fixture RTR session loop: R6 also roots at `SessionLoop::turn` in
 //! this exact file. `Session::drive` is reached through a loop variable
 //! (the unique-name fallback) and blocks in a channel `recv`; the
-//! blessed `poll_ready` and `Session::read_ready` park and `accept` by
+//! blessed `poll_ready` and `Peer::read_ready` park and `accept` by
 //! design and must not be traversed.
 
 pub struct Session {
@@ -10,10 +10,6 @@ pub struct Session {
 }
 
 impl Session {
-    fn read_ready(&mut self, listener: &std::net::TcpListener) {
-        let _ = listener.accept();
-    }
-
     fn drive(&mut self) {
         if let Ok(reply) = self.replies.recv() {
             self.outbound = reply;
@@ -21,17 +17,27 @@ impl Session {
     }
 }
 
+pub struct Peer {
+    pub session: Session,
+}
+
+impl Peer {
+    fn read_ready(&mut self, listener: &std::net::TcpListener) {
+        let _ = listener.accept();
+    }
+}
+
 pub struct SessionLoop {
     pub listener: std::net::TcpListener,
-    pub sessions: Vec<Session>,
+    pub peers: Vec<Peer>,
 }
 
 impl SessionLoop {
     pub fn turn(&mut self) {
         poll_ready(10);
-        for session in &mut self.sessions {
-            session.read_ready(&self.listener);
-            session.drive();
+        for peer in &mut self.peers {
+            peer.read_ready(&self.listener);
+            peer.session.drive();
         }
     }
 }

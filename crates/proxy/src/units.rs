@@ -123,7 +123,9 @@ const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 /// delivered — O(delta), sharing the rest with the epoch before — and
 /// forwards the same delta; only a full reload (first contact, Cache
 /// Reset, cache restart, a voided client) rebuilds the payload from the
-/// client's set and falls back to diffing against the previous one.
+/// client's set and falls back to diffing against the previous one. An
+/// upstream that restarts below the last published epoch is re-based:
+/// its reload is published at that epoch + 1.
 pub fn run_rtr_unit(
     name: &str,
     config: &RtrUnitConfig,
@@ -161,6 +163,12 @@ pub fn run_rtr_unit(
     };
     let mut client = Client::new(stream);
     let mut previous: Option<VrpPayload> = None;
+    // Published epochs are upstream serials plus `base`. An upstream
+    // that restarts comes back at a lower serial, or at the same one
+    // under a new session id; `base` then moves so that its reload is
+    // published at the previous epoch + 1, and later serials follow.
+    let mut base = 0u64;
+    let mut session = None;
 
     while !shutdown.load(Ordering::SeqCst) {
         match client.sync() {
@@ -179,14 +187,23 @@ pub fn run_rtr_unit(
                 continue;
             }
         }
-        if let Some((_, serial)) = client.state() {
-            let epoch = u64::from(serial);
+        if let Some((session_id, serial)) = client.state() {
+            let restarted = session.replace(session_id).is_some_and(|s| s != session_id);
+            if let Some(prev) = &previous {
+                let epoch = base + u64::from(serial);
+                if epoch < prev.epoch() || (restarted && epoch == prev.epoch()) {
+                    base = prev.epoch() + 1 - u64::from(serial);
+                }
+            }
+            let epoch = base + u64::from(serial);
             if previous.as_ref().is_none_or(|prev| epoch > prev.epoch()) {
                 let update = match (&previous, client.last_delta()) {
                     // Every advance is published, so the set the sync
                     // started from is `prev`'s whenever the serials
                     // agree: the wire delta is exactly prev → now.
-                    (Some(prev), Some(wire)) if wire.from_serial == prev.serial() => {
+                    (Some(prev), Some(wire))
+                        if base + u64::from(wire.from_serial) == prev.epoch() =>
+                    {
                         let delta = VrpDelta::new(
                             prev.epoch(),
                             epoch,
@@ -945,6 +962,47 @@ mod tests {
         feed.cache.apply_delta(21, &[], &[vrp("10.20.0.0/24", 20)]);
         let next = feed.follow_to(&mut previous, 21);
         assert_eq!(next.delta, Some(p20.diff(&next.payload)));
+        feed.stop();
+    }
+
+    #[test]
+    fn rtr_unit_follows_an_upstream_that_restarts_at_a_lower_serial() {
+        let p1 = VrpPayload::new(1, [vrp("10.0.0.0/24", 1)]);
+        let mut feed = RtrFeed::start(&p1);
+        assert_eq!(recv_update(&mut feed.out).epoch(), 1);
+        feed.cache.apply_delta(2, &[vrp("10.2.0.0/24", 2)], &[]);
+        let prev = recv_update(&mut feed.out).payload;
+        assert_eq!(prev.epoch(), 2);
+
+        // The origin restarts at serial 1 under a new session id, with
+        // another set: published at prev + 1, as the snapshot diff.
+        let restart = |feed: &mut RtrFeed, vrps: &[VrpTriple]| {
+            feed.go_down();
+            let cache = Arc::new(ripki_rtr::CacheServer::new(8));
+            cache.install_snapshot(1, vrps.iter().copied());
+            feed.come_up(cache);
+        };
+        restart(&mut feed, &[vrp("10.5.0.0/24", 5)]);
+        let reloaded = recv_update(&mut feed.out);
+        assert_eq!(
+            reloaded.payload,
+            VrpPayload::new(3, [vrp("10.5.0.0/24", 5)])
+        );
+        assert_eq!(reloaded.delta, Some(prev.diff(&reloaded.payload)));
+
+        // Its next delta follows from that base, on the wire delta.
+        feed.cache.apply_delta(2, &[vrp("10.6.0.0/24", 6)], &[]);
+        let next = recv_update(&mut feed.out);
+        assert_eq!(next.epoch(), 4);
+        let delta = next.delta.expect("delta");
+        assert_eq!((delta.from_epoch, delta.to_epoch), (3, 4));
+        assert_eq!(delta.announced, [vrp("10.6.0.0/24", 6)]);
+
+        // A restart under the same session id is seen by its serial.
+        restart(&mut feed, &[vrp("10.7.0.0/24", 7)]);
+        let again = recv_update(&mut feed.out);
+        assert_eq!(again.payload, VrpPayload::new(5, [vrp("10.7.0.0/24", 7)]));
+        assert_eq!(again.delta, Some(next.payload.diff(&again.payload)));
         feed.stop();
     }
 

@@ -6,12 +6,12 @@
 //! Query). The cache keeps a bounded delta history; askers that fall
 //! off the end get a Cache Reset and start over — exactly RFC 6810 §5.
 
-use crate::pdu::{read_pdu, ErrorCode, Pdu, PduBuf, PduError};
+use crate::pdu::{ErrorCode, Pdu};
 use ripki_bgp::rov::VrpTriple;
 use ripki_net::IpPrefix;
 use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
 
@@ -48,7 +48,7 @@ pub struct CacheServer {
 
 /// VRP records a Reset response encodes per chunk (≈ 80 KiB of wire
 /// bytes): what one session may hold encoded but unsent.
-const RESET_CHUNK: usize = 4096;
+pub(crate) const RESET_CHUNK: usize = 4096;
 
 /// One query's answer as wire bytes, handed out in bounded chunks.
 ///
@@ -119,17 +119,6 @@ impl Response {
         self.reset = None;
         false
     }
-}
-
-/// The Error Report a session sends before dropping a peer whose bytes
-/// do not decode.
-pub(crate) fn corrupt_data_report(error: &PduError) -> Vec<u8> {
-    Pdu::ErrorReport {
-        code: ErrorCode::CorruptData,
-        erroneous_pdu: Vec::new(),
-        text: error.to_string(),
-    }
-    .encode()
 }
 
 /// RFC 1982 serial-number arithmetic (as required by RFC 8210 §5.1):
@@ -528,8 +517,9 @@ impl CacheServer {
         })
     }
 
-    /// One query's answer in wire form — the single response encoder
-    /// behind both [`serve_connection`](Self::serve_connection) and the
+    /// One query's answer in wire form — the single response encoder,
+    /// called by the session machine behind both
+    /// [`serve_connection`](Self::serve_connection) and the
     /// [`RtrListener`](crate::RtrListener) session loop.
     pub(crate) fn response_to(&self, query: &Pdu) -> Response {
         if matches!(query, Pdu::ResetQuery) {
@@ -553,36 +543,6 @@ impl CacheServer {
             }
         }
         Response::encoded(&self.handle_query(query))
-    }
-
-    /// Serve one router connection until it closes: read a query,
-    /// write the response, repeat. Strictly request/response (no Serial
-    /// Notify) — the transport for in-memory streams and tests; TCP
-    /// routers are served by [`RtrListener`](crate::RtrListener).
-    pub fn serve_connection<S: Read + Write>(&self, mut stream: S) -> Result<(), PduError> {
-        let mut buf = PduBuf::new();
-        let mut out = Vec::new();
-        loop {
-            let query = match read_pdu(&mut stream, &mut buf) {
-                Ok(pdu) => pdu,
-                Err(PduError::Io { .. }) => return Ok(()), // clean close
-                Err(e) => {
-                    // Protocol error: report and drop the session.
-                    let _ = stream.write_all(&corrupt_data_report(&e));
-                    return Err(e);
-                }
-            };
-            let mut response = self.response_to(&query);
-            loop {
-                out.clear();
-                let more = response.next_chunk(&mut out);
-                stream.write_all(&out)?;
-                if !more {
-                    break;
-                }
-            }
-            stream.flush()?;
-        }
     }
 }
 
@@ -924,75 +884,6 @@ mod tests {
         let replay = PayloadUpdate::snapshot(VrpPayload::new(9, [vrp("13.0.0.0/16", 16, 4)]));
         assert!(!cache.install_update(&replay));
         assert_eq!(cache.vrp_count(), 1);
-    }
-
-    /// Everything a response hands out, chunk by chunk.
-    fn response_bytes(cache: &CacheServer, query: &Pdu) -> (Vec<u8>, usize) {
-        let mut response = cache.response_to(query);
-        let (mut bytes, mut chunks) = (Vec::new(), 1);
-        while response.next_chunk(&mut bytes) {
-            chunks += 1;
-        }
-        (bytes, chunks)
-    }
-
-    #[test]
-    fn the_response_encoder_matches_handle_query_byte_for_byte() {
-        let cache = CacheServer::new(7);
-        let reference = |query: &Pdu| -> Vec<u8> {
-            cache
-                .handle_query(query)
-                .iter()
-                .flat_map(Pdu::encode)
-                .collect()
-        };
-        let queries = [
-            Pdu::ResetQuery,
-            Pdu::SerialQuery {
-                session_id: 7,
-                serial: 1,
-            },
-            Pdu::SerialQuery {
-                session_id: 8,
-                serial: 1,
-            },
-            Pdu::CacheReset,
-        ];
-        // No data yet: every answer is an error, in one chunk.
-        for query in &queries {
-            assert_eq!(response_bytes(&cache, query), (reference(query), 1));
-        }
-        // A set spanning several Reset chunks (one ending exactly on a
-        // chunk boundary is the second size).
-        for n in [RESET_CHUNK as u32 * 2 + 17, RESET_CHUNK as u32 * 3] {
-            cache.update((0..n).map(|i| vrp(&format!("10.{}.{}.0/24", i >> 8, i & 0xff), 24, i)));
-            cache.update(
-                (1..n)
-                    .map(|i| vrp(&format!("10.{}.{}.0/24", i >> 8, i & 0xff), 24, i))
-                    .chain([vrp("2001:db8::/32", 48, 2)]),
-            );
-            for query in &queries {
-                let (bytes, chunks) = response_bytes(&cache, query);
-                assert_eq!(bytes, reference(query), "{query:?}");
-                let reset = matches!(query, Pdu::ResetQuery);
-                assert_eq!(chunks > 1, reset, "{query:?} took {chunks} chunks");
-            }
-        }
-    }
-
-    #[test]
-    fn a_reset_response_streams_the_set_it_started_with() {
-        let cache = CacheServer::new(7);
-        cache.update([vrp("10.0.0.0/16", 16, 1)]);
-        let mut response = cache.response_to(&Pdu::ResetQuery);
-        // The cache moves on mid-response; the snapshot does not.
-        cache.update([vrp("11.0.0.0/16", 16, 2)]);
-        let mut bytes = Vec::new();
-        while response.next_chunk(&mut bytes) {}
-        assert_eq!(response.end_of_data, Some(1));
-        let (_, used) = Pdu::decode(&bytes).unwrap().unwrap();
-        let (record, _) = Pdu::decode(&bytes[used..]).unwrap().unwrap();
-        assert!(matches!(record, Pdu::Ipv4Prefix { asn, .. } if asn == Asn::new(1)));
     }
 
     #[test]

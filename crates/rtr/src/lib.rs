@@ -13,10 +13,11 @@
 //! * [`cache`] — the cache side: versioned VRP state with serial-numbered
 //!   incremental deltas, answering Reset/Serial Queries, and waking its
 //!   session loops on every serial advance;
-//! * [`listener`] — the one TCP serving stack: a single wake-driven
-//!   `poll(2)` loop that owns every router session of a cache as a small
-//!   non-blocking state machine and *pushes* Serial Notify the moment
-//!   the serial moves;
+//! * [`listener`] — the session plane: one I/O-free session machine
+//!   under two shells — the one TCP serving stack, a single wake-driven
+//!   `poll(2)` loop that owns every router session of a cache and
+//!   *pushes* Serial Notify the moment the serial moves, and the
+//!   blocking [`CacheServer::serve_connection`];
 //! * [`client`] — the router side: a synchronous sync state machine
 //!   producing a VRP set ready to feed
 //!   [`ripki_bgp::RouteOriginValidator`], remembering the delta the
