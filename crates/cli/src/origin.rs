@@ -12,14 +12,21 @@ use ripki_proxy::origin::{pause, EpochDriver, OriginError, Planes};
 use ripki_rtr::{CacheServer, ListenerConfig, RtrListener};
 use ripki_websim::churn::{ChurnConfig, ChurnStream};
 use ripki_websim::{Scenario, ScenarioConfig};
+use std::hash::{BuildHasher, RandomState};
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The RTR session id of every origin cache this binary starts.
-const ORIGIN_SESSION: u16 = 0x1715;
+/// A fresh RTR session id for an origin cache this process starts: a
+/// restarted origin must not take a router's serials from the run
+/// before as its own (RFC 6810 §5.1). Drawn from `RandomState`'s
+/// per-process random keys, not from a clock.
+fn fresh_session_id() -> u16 {
+    // Truncation: any 16 bits of the keyed hash will do.
+    RandomState::new().hash_one("ripki-origin") as u16
+}
 
 impl From<OriginError> for CliError {
     fn from(e: OriginError) -> CliError {
@@ -35,7 +42,7 @@ pub(crate) fn cmd_rtr_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), Cl
     // every later epoch of a churning origin is. Nothing is measured,
     // so there are no results and no view.
     let engine = load_world(&dir)?.engine();
-    let cache = Arc::new(CacheServer::new(ORIGIN_SESSION));
+    let cache = Arc::new(CacheServer::new(fresh_session_id()));
     Planes::new(None)
         .with_rtr(Arc::clone(&cache))
         .hand_off(engine.snapshot(), None, None)?;
@@ -141,7 +148,7 @@ pub(crate) fn cmd_longitudinal(flags: &Flags, out: &mut dyn Write) -> Result<(),
     // then each epoch's announce/withdraw sets stream in as a delta
     // under the epoch as serial — the same incremental path a router
     // sees, not a full reinstall.
-    let cache = Arc::new(CacheServer::new(ORIGIN_SESSION));
+    let cache = Arc::new(CacheServer::new(fresh_session_id()));
     let planes = Planes::new(exceptions).with_rtr(Arc::clone(&cache));
     let mut driver = EpochDriver::measure(&scenario, threads, planes)?;
     // One line with the *effective* count (after the RIPKI_THREADS
@@ -268,7 +275,7 @@ pub(crate) fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliErr
     // excepted update, epoch by epoch, that the HTTP view is built on.
     let rtr = flags
         .get("rtr-listen")
-        .map(|addr| (addr, Arc::new(CacheServer::new(ORIGIN_SESSION))));
+        .map(|addr| (addr, Arc::new(CacheServer::new(fresh_session_id()))));
     let mut planes =
         Planes::new(exceptions).with_http(Some(Arc::new(scenario.topology.clone())), exposure_cfg);
     if let Some((_, cache)) = &rtr {

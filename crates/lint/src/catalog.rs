@@ -40,7 +40,10 @@ use std::path::Path;
 ///
 /// v9: the RTR session is an I/O-free machine — R6 blesses the poll
 /// shell's `Peer::read_ready`/`write_some`, not `Session`'s.
-pub const CATALOG_VERSION: u32 = 9;
+///
+/// v10: the router's RTR machine decodes an untrusted upstream on the
+/// fabric's threads — R1 scopes `crates/rtr/src/client.rs`.
+pub const CATALOG_VERSION: u32 = 10;
 
 /// The enforced invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +53,8 @@ pub enum Rule {
     /// (`crates/serve/src/**`, which includes the poll(2) reactor and
     /// connection state machines), in the RTR PDU codec
     /// (`crates/rtr/src/pdu.rs`), in the RTR session plane
-    /// (`crates/rtr/src/listener.rs`), or in the proxy targets
+    /// (`crates/rtr/src/listener.rs`), in the router's RTR machine and
+    /// its shell (`crates/rtr/src/client.rs`), or in the proxy targets
     /// (`crates/proxy/src/targets.rs`, whose HTTP route runs on serve's
     /// workers) — *including transitively*: a
     /// helper anywhere in the workspace that can panic and is reachable
@@ -162,6 +166,7 @@ impl Rule {
                 path.starts_with("crates/serve/src/")
                     || path == "crates/rtr/src/pdu.rs"
                     || path == "crates/rtr/src/listener.rs"
+                    || path == "crates/rtr/src/client.rs"
                     || path == "crates/proxy/src/targets.rs"
             }
             Rule::AtomicOrder => true,

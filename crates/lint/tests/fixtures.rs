@@ -61,7 +61,7 @@ fn violating_fixture_fails_with_exact_diagnostics() {
     }
     assert_eq!(
         lines.next(),
-        Some("ripki-lint: 5 file(s), 6 violation(s) [R1 3, R3 1, R5 2], 0 allow(s) (catalog v9)"),
+        Some("ripki-lint: 5 file(s), 6 violation(s) [R1 3, R3 1, R5 2], 0 allow(s) (catalog v10)"),
         "full output:\n{text}"
     );
     assert_eq!(lines.next(), None, "trailing output:\n{text}");
@@ -73,7 +73,7 @@ fn violating_fixture_json_report_is_structured() {
     assert_eq!(output.status.code(), Some(1));
     let json: Value = serde_json::from_str(&stdout(&output)).expect("valid JSON");
     assert_eq!(json["clean"], Value::from(false));
-    assert_eq!(json["catalog_version"], Value::from(9));
+    assert_eq!(json["catalog_version"], Value::from(10));
     assert_eq!(json["files_scanned"], Value::from(5));
     assert_eq!(json["violations"].as_array().map(<[Value]>::len), Some(6));
     assert_eq!(json["violations_by_rule"]["no-panic"], Value::from(3));
@@ -112,7 +112,7 @@ fn allowed_fixture_passes_and_audits_every_entry() {
         "{text}"
     );
     assert!(
-        text.contains("ripki-lint: 3 file(s), 0 violation(s), 3 allow(s) (catalog v9)"),
+        text.contains("ripki-lint: 3 file(s), 0 violation(s), 3 allow(s) (catalog v10)"),
         "{text}"
     );
 }
@@ -123,7 +123,7 @@ fn clean_fixture_passes_silently() {
     assert_eq!(output.status.code(), Some(0));
     assert_eq!(
         stdout(&output),
-        "ripki-lint: 2 file(s), 0 violation(s), 0 allow(s) (catalog v9)\n"
+        "ripki-lint: 2 file(s), 0 violation(s), 0 allow(s) (catalog v10)\n"
     );
     let json_run = check("clean", &["--format", "json"]);
     let json: Value = serde_json::from_str(&stdout(&json_run)).expect("valid JSON");
@@ -153,7 +153,7 @@ fn transitive_fixture_flags_call_site_and_panic_site() {
     }
     assert_eq!(
         lines.next(),
-        Some("ripki-lint: 2 file(s), 2 violation(s) [R1 2], 0 allow(s) (catalog v9)"),
+        Some("ripki-lint: 2 file(s), 2 violation(s) [R1 2], 0 allow(s) (catalog v10)"),
         "full output:\n{text}"
     );
     // `unreferenced_helper` has the same `.expect` shape but no caller
@@ -260,7 +260,7 @@ fn fp_r1_fixture_is_clean_despite_panic_shaped_text() {
     assert_eq!(output.status.code(), Some(0));
     assert_eq!(
         stdout(&output),
-        "ripki-lint: 1 file(s), 0 violation(s), 0 allow(s) (catalog v9)\n"
+        "ripki-lint: 1 file(s), 0 violation(s), 0 allow(s) (catalog v10)\n"
     );
 }
 
@@ -290,7 +290,7 @@ fn rules_subcommand_lists_the_catalog() {
     let output = run(&["rules"]);
     assert_eq!(output.status.code(), Some(0));
     let text = stdout(&output);
-    assert!(text.contains("rule catalog v9:"), "{text}");
+    assert!(text.contains("rule catalog v10:"), "{text}");
     let codes: Vec<&str> = text
         .lines()
         .skip(1)

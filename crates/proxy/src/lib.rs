@@ -38,6 +38,8 @@ pub mod http;
 pub mod log;
 pub mod manager;
 pub mod origin;
+#[cfg(test)]
+mod sim;
 pub mod targets;
 pub mod units;
 

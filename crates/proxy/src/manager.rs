@@ -245,7 +245,7 @@ pub type Stage = Box<dyn FnMut(&Log) -> bool + Send>;
 /// and no channel or target lock is held when it is taken.
 #[derive(Default)]
 pub struct Fabric {
-    stages: Mutex<Vec<Stage>>,
+    pub(crate) stages: Mutex<Vec<Stage>>,
 }
 
 impl Fabric {
@@ -271,7 +271,7 @@ impl Fabric {
 
 /// A target's stage: install what `feed` holds and log the lockstep
 /// line under `label` (`name (type)`).
-fn install_stage(label: String, mut feed: Subscription, mut install: Install) -> Stage {
+pub(crate) fn install_stage(label: String, mut feed: Subscription, mut install: Install) -> Stage {
     Box::new(move |log| {
         while let Some(update) = feed.try_recv() {
             let state = install(update);

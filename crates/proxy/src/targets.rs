@@ -22,10 +22,11 @@ use ripki_serve::http::{Request, Response};
 use ripki_serve::server::{vrp_export, Export};
 use ripki_serve::{Endpoint, Metrics, Server, ServerConfig};
 use serde_json::{Map, Value};
+use std::hash::{BuildHasher, RandomState};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A running target: its bound address and its serving side. Dropping
 /// the handle stops serving: responses in flight are delivered whole
@@ -62,11 +63,13 @@ fn install_mode(update: &PayloadUpdate, chained: bool, resyncs: &AtomicU64) -> S
     }
 }
 
-/// A deterministic per-target RTR session id, so chained caches present
-/// distinct sessions (a router failing over between hops must resync,
-/// not silently mix serial spaces).
+/// A per-target RTR session id: the name mixed into a draw made once per
+/// process, so chained caches present distinct sessions and a restarted
+/// proxy's caches are new ones (RFC 6810 §5.1).
 fn session_id(name: &str) -> u16 {
-    let mut h: u16 = 0x1715;
+    static DRAWN: OnceLock<u16> = OnceLock::new();
+    // Truncation: any 16 bits of the keyed hash will do.
+    let mut h = *DRAWN.get_or_init(|| RandomState::new().hash_one("ripki-proxy") as u16);
     for b in name.bytes() {
         h = h.rotate_left(5) ^ u16::from(b);
     }
@@ -89,9 +92,20 @@ pub fn start_rtr_target(
     let cache = Arc::new(CacheServer::new(session_id(name)));
 
     let serving = RtrListener::spawn(listener, Arc::clone(&cache), ListenerConfig::default())?;
+    let handle = TargetHandle {
+        name: name.to_string(),
+        addr,
+        _serving: Box::new(serving),
+    };
+    Ok((handle, rtr_install(cache)))
+}
 
+/// An RTR target's [`Install`]: stream each update's delta into `cache`
+/// when it chains onto the serial held, install the full payload
+/// otherwise.
+pub(crate) fn rtr_install(cache: Arc<CacheServer>) -> Install {
     let resyncs = AtomicU64::new(0);
-    let install = move |update: PayloadUpdate| {
+    Box::new(move |update: PayloadUpdate| {
         let chained = update
             .delta
             .as_ref()
@@ -105,13 +119,7 @@ pub fn start_rtr_target(
             update.payload,
             install_mode(&update, chained, &resyncs),
         )
-    };
-    let handle = TargetHandle {
-        name: name.to_string(),
-        addr,
-        _serving: Box::new(serving),
-    };
-    Ok((handle, Box::new(install)))
+    })
 }
 
 /// Serving state shared between the HTTP route and the target's

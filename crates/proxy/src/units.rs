@@ -14,11 +14,12 @@ use crate::comms::{Gossip, Subscription};
 use crate::log::Log;
 use crate::manager::{Fabric, Stage};
 use crate::origin::{pause, EpochDriver, Planes};
-use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet};
-use ripki_rtr::{Backoff, Client, ClientError, PduError};
+use ripki_payload::{PayloadUpdate, VrpDelta, VrpPayload, VrpSet, VrpTriple};
+use ripki_rtr::{Backoff, Client, ClientError, PduError, WireDelta};
 use ripki_slurm::{SlurmApplier, SlurmFile};
 use ripki_websim::churn::{ChurnConfig, ChurnStream};
 use ripki_websim::{Scenario, ScenarioConfig};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, SystemTime};
@@ -115,17 +116,8 @@ const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 /// Serial Query. Any other failure is retried on the same connection
 /// after `poll`. Every wait is a [`pause`] and every dial gives up after
 /// `DIAL_TIMEOUT`, so shutdown is honoured within about a second even
-/// while the upstream is down or drops SYNs.
-///
-/// Every new serial is published. The unit keeps its own payload beside
-/// the client's set: when the sync was a Serial Query answered
-/// incrementally, it advances that payload by the delta the wire just
-/// delivered — O(delta), sharing the rest with the epoch before — and
-/// forwards the same delta; only a full reload (first contact, Cache
-/// Reset, cache restart, a voided client) rebuilds the payload from the
-/// client's set and falls back to diffing against the previous one. An
-/// upstream that restarts below the last published epoch is re-based:
-/// its reload is published at that epoch + 1.
+/// while the upstream is down or drops SYNs. What each sync publishes is
+/// [`RelayEpochs::after_sync`]'s decision.
 pub fn run_rtr_unit(
     name: &str,
     config: &RtrUnitConfig,
@@ -162,13 +154,7 @@ pub fn run_rtr_unit(
         return;
     };
     let mut client = Client::new(stream);
-    let mut previous: Option<VrpPayload> = None;
-    // Published epochs are upstream serials plus `base`. An upstream
-    // that restarts comes back at a lower serial, or at the same one
-    // under a new session id; `base` then moves so that its reload is
-    // published at the previous epoch + 1, and later serials follow.
-    let mut base = 0u64;
-    let mut session = None;
+    let mut epochs = RelayEpochs::default();
 
     while !shutdown.load(Ordering::SeqCst) {
         match client.sync() {
@@ -187,53 +173,14 @@ pub fn run_rtr_unit(
                 continue;
             }
         }
-        if let Some((session_id, serial)) = client.state() {
-            let restarted = session.replace(session_id).is_some_and(|s| s != session_id);
-            if let Some(prev) = &previous {
-                let epoch = base + u64::from(serial);
-                if epoch < prev.epoch() || (restarted && epoch == prev.epoch()) {
-                    base = prev.epoch() + 1 - u64::from(serial);
-                }
-            }
-            let epoch = base + u64::from(serial);
-            if previous.as_ref().is_none_or(|prev| epoch > prev.epoch()) {
-                let update = match (&previous, client.last_delta()) {
-                    // Every advance is published, so the set the sync
-                    // started from is `prev`'s whenever the serials
-                    // agree: the wire delta is exactly prev → now.
-                    (Some(prev), Some(wire))
-                        if base + u64::from(wire.from_serial) == prev.epoch() =>
-                    {
-                        let delta = VrpDelta::new(
-                            prev.epoch(),
-                            epoch,
-                            wire.announced.clone(),
-                            wire.withdrawn.clone(),
-                        );
-                        PayloadUpdate {
-                            payload: prev
-                                .apply(&delta)
-                                .expect("the delta starts at prev's epoch"),
-                            delta: Some(delta),
-                        }
-                    }
-                    (prev, _) => {
-                        let payload = VrpPayload::new(epoch, client.vrps().iter().copied());
-                        match prev {
-                            Some(prev) => PayloadUpdate::from_previous(prev, payload),
-                            None => PayloadUpdate::snapshot(payload),
-                        }
-                    }
-                };
-                debug_assert_eq!(update.payload.vrps(), client.vrps());
-                log.line(&format_args!(
-                    "unit {name} (rtr): synced {} from {}",
-                    update.payload, config.connect,
-                ));
-                previous = Some(update.payload.clone());
-                gossip.publish(update);
-                fabric.pump(log);
-            }
+        if let Some(update) = epochs.after_sync(client.state(), client.vrps(), client.last_delta())
+        {
+            log.line(&format_args!(
+                "unit {name} (rtr): synced {} from {}",
+                update.payload, config.connect,
+            ));
+            gossip.publish(update);
+            fabric.pump(log);
         }
         // Idle until the cache pushes a Serial Notify (or the poll
         // timeout passes — then loop to re-check shutdown; a dead
@@ -252,6 +199,77 @@ pub fn run_rtr_unit(
     }
     gossip.close();
     fabric.pump(log);
+}
+
+/// The `rtr` unit's publish decision, a pure step over what a sync left
+/// the client holding. Every new serial is published, at upstream serial
+/// plus `base`; an upstream that comes back below the last epoch, or at
+/// it under a new session id, restarted, and `base` moves so that its
+/// reload is published at that epoch + 1. The step keeps its own payload
+/// and advances it by the wire delta when that starts at the payload's
+/// epoch — O(delta), forwarding the same delta; a full reload (first
+/// contact, Cache Reset, cache restart, a voided client) is rebuilt from
+/// the client's set and diffed against the previous payload.
+#[derive(Default)]
+pub(crate) struct RelayEpochs {
+    /// The payload last published.
+    previous: Option<VrpPayload>,
+    base: u64,
+    /// The upstream session the last sync was answered under.
+    session: Option<u16>,
+}
+
+impl RelayEpochs {
+    /// The update to publish after a sync that left the client at
+    /// `state`, holding `vrps`, with `wire` the delta it applied; `None`
+    /// when the epoch did not advance or the client was voided.
+    pub(crate) fn after_sync(
+        &mut self,
+        state: Option<(u16, u32)>,
+        vrps: &BTreeSet<VrpTriple>,
+        wire: Option<&WireDelta>,
+    ) -> Option<PayloadUpdate> {
+        let (session_id, serial) = state?;
+        let restarted = self.session.replace(session_id) != Some(session_id);
+        let mut epoch = self.base + u64::from(serial);
+        if let Some(prev) = &self.previous {
+            if epoch < prev.epoch() || (restarted && epoch == prev.epoch()) {
+                self.base = prev.epoch() + 1 - u64::from(serial);
+                epoch = self.base + u64::from(serial);
+            } else if epoch == prev.epoch() {
+                return None;
+            }
+        }
+        let update = match (&self.previous, wire) {
+            // Every advance is published, so the set the sync started
+            // from is `prev`'s whenever the serials agree: the wire
+            // delta is exactly prev → now.
+            (Some(prev), Some(wire)) if self.base + u64::from(wire.from_serial) == prev.epoch() => {
+                let delta = VrpDelta::new(
+                    prev.epoch(),
+                    epoch,
+                    wire.announced.clone(),
+                    wire.withdrawn.clone(),
+                );
+                PayloadUpdate {
+                    payload: prev
+                        .apply(&delta)
+                        .expect("the delta starts at prev's epoch"),
+                    delta: Some(delta),
+                }
+            }
+            (prev, _) => {
+                let payload = VrpPayload::new(epoch, vrps.iter().copied());
+                match prev {
+                    Some(prev) => PayloadUpdate::from_previous(prev, payload),
+                    None => PayloadUpdate::snapshot(payload),
+                }
+            }
+        };
+        debug_assert_eq!(update.payload.vrps(), vrps);
+        self.previous = Some(update.payload.clone());
+        Some(update)
+    }
 }
 
 /// The JSON-over-HTTP ingest unit: polls a `/vrps.json` endpoint with
@@ -1036,9 +1054,24 @@ mod tests {
     /// the same query trips over again.
     #[test]
     fn rtr_unit_recovers_from_a_delta_that_contradicts_its_set() {
-        use ripki_rtr::pdu::{read_pdu, PduBuf};
+        use ripki_rtr::pdu::PduBuf;
         use ripki_rtr::Pdu;
-        use std::io::Write;
+        use std::io::{Read, Write};
+
+        /// The unit's next query: what is buffered, else what the
+        /// stream brings; `None` once it is closed.
+        fn read_query(stream: &mut std::net::TcpStream, buf: &mut PduBuf) -> Option<Pdu> {
+            loop {
+                if let Some(query) = buf.next_pdu().expect("a query decodes") {
+                    return Some(query);
+                }
+                let mut chunk = [0u8; 64];
+                match stream.read(&mut chunk) {
+                    Ok(0) | Err(_) => return None,
+                    Ok(n) => buf.extend(&chunk[..n]),
+                }
+            }
+        }
 
         let (a, b, c) = (
             vrp("10.0.0.0/24", 1),
@@ -1065,11 +1098,11 @@ mod tests {
             let mut buf = PduBuf::new();
             let mut queries = Vec::new();
             for reply in script {
-                queries.push(read_pdu(&mut stream, &mut buf).expect("a query"));
+                queries.push(read_query(&mut stream, &mut buf).expect("a query"));
                 stream.write_all(&reply).expect("reply");
             }
             // Keep the session open until the unit hangs up.
-            let _ = read_pdu(&mut stream, &mut buf);
+            let _ = read_query(&mut stream, &mut buf);
             queries
         });
 
@@ -1162,5 +1195,110 @@ mod tests {
             epochs.push(update.epoch());
         }
         assert_eq!(*epochs.last().expect("epochs"), 3, "1 initial + 2 churn");
+    }
+}
+
+#[cfg(test)]
+mod relay_epochs_tests {
+    //! The `rtr` unit's publish step on its own: one row per branch.
+    use super::*;
+    use ripki_net::Asn;
+
+    fn vrp(i: u32) -> VrpTriple {
+        VrpTriple {
+            prefix: format!("10.{i}.0.0/24").parse().expect("prefix"),
+            max_length: 24,
+            asn: Asn::new(i),
+        }
+    }
+
+    #[test]
+    fn each_sync_outcome_publishes_what_its_branch_says() {
+        let (a, b, c) = (vrp(1), vrp(2), vrp(3));
+        let prev = VrpPayload::new(5, [a, b]);
+        let wire = |from_serial, announced: &[VrpTriple], withdrawn: &[VrpTriple]| WireDelta {
+            from_serial,
+            announced: announced.to_vec(),
+            withdrawn: withdrawn.to_vec(),
+        };
+        // Each row follows a reload published at epoch 5: session 7,
+        // serial 5, `{a, b}`. It gives the next sync's state, set and
+        // wire delta, and the epoch it publishes (`None`: nothing).
+        let rows = [
+            (
+                "a wire delta that chains onto prev",
+                Some((7, 6)),
+                vec![a, b, c],
+                Some(wire(5, &[c], &[])),
+                Some(6),
+            ),
+            (
+                "a full reload, diffed against prev",
+                Some((7, 9)),
+                vec![b, c],
+                None,
+                Some(9),
+            ),
+            (
+                "a wire delta from another serial, diffed against prev",
+                Some((7, 8)),
+                vec![c],
+                Some(wire(7, &[], &[b])),
+                Some(8),
+            ),
+            (
+                "a serial below the last epoch, re-based to prev + 1",
+                Some((7, 2)),
+                vec![c],
+                None,
+                Some(6),
+            ),
+            (
+                "the same epoch under a new session id, re-based",
+                Some((8, 5)),
+                vec![a, c],
+                None,
+                Some(6),
+            ),
+            (
+                "no advance",
+                Some((7, 5)),
+                vec![a, b],
+                Some(wire(5, &[], &[])),
+                None,
+            ),
+            ("a voided client", None, vec![], None, None),
+        ];
+        for (branch, state, vrps, wire, epoch) in rows {
+            let mut epochs = RelayEpochs::default();
+            let first = epochs.after_sync(Some((7, 5)), &BTreeSet::from([a, b]), None);
+            assert_eq!(first, Some(PayloadUpdate::snapshot(prev.clone())));
+            let vrps = BTreeSet::from_iter(vrps);
+            let update = epochs.after_sync(state, &vrps, wire.as_ref());
+            let expected =
+                epoch.map(|e| PayloadUpdate::from_previous(&prev, VrpPayload::new(e, vrps)));
+            assert_eq!(update, expected, "{branch}");
+        }
+    }
+
+    /// After a re-base the upstream's next delta chains onto the new
+    /// base and is forwarded as it came off the wire.
+    #[test]
+    fn a_re_based_upstream_is_followed_by_its_wire_deltas() {
+        let (a, b) = (vrp(1), vrp(2));
+        let mut epochs = RelayEpochs::default();
+        epochs.after_sync(Some((7, 5)), &BTreeSet::from([a]), None);
+        let reload = epochs.after_sync(Some((8, 1)), &BTreeSet::from([b]), None);
+        assert_eq!(reload.map(|u| u.epoch()), Some(6));
+        let wire = WireDelta {
+            from_serial: 1,
+            announced: vec![a],
+            withdrawn: vec![],
+        };
+        let next = epochs
+            .after_sync(Some((8, 2)), &BTreeSet::from([a, b]), Some(&wire))
+            .expect("an advance");
+        assert_eq!(next.delta, Some(VrpDelta::new(6, 7, vec![a], vec![])));
+        assert_eq!(next.payload, VrpPayload::new(7, [a, b]));
     }
 }

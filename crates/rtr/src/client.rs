@@ -1,22 +1,16 @@
-//! The router side of RTR: a synchronous client state machine.
+//! The router side of RTR: one I/O-free machine and its blocking shell.
 //!
-//! A router keeps `(session_id, serial)` plus the VRP set. Each
-//! [`Client::sync`] either performs a Reset Query (first contact, or
-//! after a Cache Reset) or a Serial Query, applies the announce/withdraw
-//! records, and hands back a summary. The resulting VRP set plugs
-//! straight into [`ripki_bgp::rov::RouteOriginValidator`].
-//!
-//! The context outlives a connection: [`Client::reconnect`] carries
-//! `(session_id, serial)` and the set onto a fresh stream, so a dropped
-//! session resumes with an incremental Serial Query, not a full
-//! refetch. It is void once the cache's session no longer matches —
-//! another session id in its answer, or Corrupt Data in answer to a
-//! Serial Query, i.e. a cache restart — and the client then flushes
-//! what it learned (RFC 8210 §5.1) so the next sync is a Reset Query.
-//! When to redial, and how long to wait, is the caller's: the proxy's
-//! `rtr` unit paces its attempts with a [`Backoff`].
+//! [`ClientMachine`] is the protocol, shaped like the cache's
+//! [`Session`](crate::listener::Session): query bytes out, the cache's
+//! bytes in, and an [`Event`] — notified, synced or failed — once one is
+//! complete; no stream, no clock. [`Client`] is its one blocking shell
+//! over any `Read + Write` stream. The session context outlives a
+//! connection ([`Client::reconnect`]), and is flushed when the cache
+//! turns out to have restarted (RFC 8210 §5.1). When to redial, and how
+//! long to wait, is the caller's: the proxy's `rtr` unit paces its
+//! attempts with a [`Backoff`].
 
-use crate::pdu::{read_pdu, ErrorCode, Pdu, PduBuf, PduError};
+use crate::pdu::{ErrorCode, Pdu, PduBuf, PduError};
 use ripki_bgp::rov::{RouteOriginValidator, VrpTriple};
 use ripki_net::{IpPrefix, Ipv4Prefix, Ipv6Prefix};
 use ripki_payload::VrpPayload;
@@ -103,23 +97,45 @@ pub struct WireDelta {
     pub withdrawn: Vec<VrpTriple>,
 }
 
-/// An RTR client over any blocking byte stream.
+/// What [`ClientMachine::received`] reports once bytes complete it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Event {
+    /// Idle, the cache pushed Serial Notify (the newest buffered).
+    Notified(u32),
+    /// The sync finished.
+    Synced(SyncOutcome),
+    /// The sync failed, or an idle router got another PDU.
+    Failed(ClientError),
+}
+
+/// A query in flight and what its answer has delivered so far.
+struct Exchange {
+    /// The serial a Serial Query asked from; `None` for a Reset Query.
+    from_serial: Option<u32>,
+    /// The Cache Response's session id, once it arrived.
+    session_id: Option<u16>,
+    /// Records staged until End of Data arrives intact.
+    staged: Vec<(bool, VrpTriple)>,
+    /// This is the Reset Query that followed a Cache Reset.
+    retry: bool,
+}
+
+/// The router's RTR session as an I/O-free state machine.
 ///
 /// The VRP set is the router's own model: a plain `BTreeSet`, edited in
-/// place by every sync and never shared. [`vrps`](Self::vrps) lends it;
-/// [`payload`](Self::payload) converts it (O(n)). It is never half
-/// advanced: a failed sync leaves the set as it was (records are staged
-/// until End of Data) or — after a Cache Reset, a response that
-/// contradicts the set held, or a cache whose session no longer matches
-/// — empty with no `(session, serial)`, so the next sync is a Reset
-/// Query.
-pub struct Client<S: Read + Write> {
-    stream: S,
-    buf: PduBuf,
+/// place by every sync and never shared. It is never half advanced: a
+/// failed sync leaves the set as it was (records are staged until End
+/// of Data) or — after a Cache Reset, a response that contradicts the
+/// set held, or a cache whose session no longer matches — empty with no
+/// `(session, serial)`, so the next sync is a Reset Query.
+#[derive(Default)]
+pub struct ClientMachine {
+    inbound: PduBuf,
+    /// Query bytes the cache has not taken yet.
+    outbound: Vec<u8>,
+    exchange: Option<Exchange>,
     /// `(session_id, serial)` once synchronized.
     state: Option<(u16, u32)>,
-    /// The router's own mutable model of the cache's set: plain, owned,
-    /// edited in place by every sync and shared with nobody.
     vrps: BTreeSet<VrpTriple>,
     /// Latest serial announced by an unsolicited Serial Notify.
     notified_serial: Option<u32>,
@@ -127,47 +143,15 @@ pub struct Client<S: Read + Write> {
     last_delta: Option<WireDelta>,
 }
 
-fn pdu_vrp(
-    announce: bool,
-    prefix: IpPrefix,
-    max_len: u8,
-    asn: ripki_net::Asn,
-) -> (bool, VrpTriple) {
-    (
-        announce,
-        VrpTriple {
-            prefix,
-            max_length: max_len,
-            asn,
-        },
-    )
-}
-
-impl<S: Read + Write> Client<S> {
-    /// Wrap a connected stream.
-    pub fn new(stream: S) -> Client<S> {
-        Client {
-            stream,
-            buf: PduBuf::new(),
-            state: None,
-            vrps: BTreeSet::new(),
-            notified_serial: None,
-            last_delta: None,
-        }
-    }
-
-    /// Carry on over `stream`, a fresh connection replacing one that
-    /// died, keeping `(session_id, serial)` and the VRP set: the next
-    /// [`sync`](Self::sync) is an incremental Serial Query, and the
-    /// cache decides whether the gap is still bridgeable or forces a
-    /// reload. What was read off the old stream is dropped — a partial
-    /// PDU is never decoded — and so are the last delta and any notified
-    /// serial.
-    pub fn reconnect(&mut self, stream: S) {
-        self.stream = stream;
-        self.buf = PduBuf::new();
-        self.notified_serial = None;
-        self.last_delta = None;
+impl ClientMachine {
+    /// Carry on over a fresh connection with `(session_id, serial)` and
+    /// the VRP set; whatever else the old connection left is dropped.
+    pub fn reconnect(&mut self) {
+        *self = ClientMachine {
+            state: self.state,
+            vrps: std::mem::take(&mut self.vrps),
+            ..ClientMachine::default()
+        };
     }
 
     /// The `(session_id, serial)` pair, once synchronized.
@@ -181,244 +165,220 @@ impl<S: Read + Write> Client<S> {
     }
 
     /// The serial most recently announced by an unsolicited Serial
-    /// Notify (RFC 6810 §5.2), if any arrived. A value newer than
-    /// [`state`](Self::state)'s serial means a [`sync`](Self::sync) is
-    /// due.
+    /// Notify (RFC 6810 §5.2), if any arrived.
     pub fn notified_serial(&self) -> Option<u32> {
         self.notified_serial
     }
 
-    /// Whether the cache has announced data newer than what we hold.
-    pub fn needs_sync(&self) -> bool {
-        match (self.notified_serial, self.state) {
-            (Some(n), Some((_, held))) => n != held,
-            (Some(_), None) => true,
-            _ => false,
-        }
-    }
-
-    /// Build an origin validator from the current VRP set.
-    pub fn to_validator(&self) -> RouteOriginValidator {
-        RouteOriginValidator::from_vrps(self.vrps.iter().copied())
-    }
-
-    /// The current VRP set converted to an epoch-stamped payload
-    /// (`None` before the first sync) — an O(n) copy, for probes, tests
-    /// and a follower's full reload; a follower that stays in lockstep
-    /// advances its own payload by [`last_delta`](Self::last_delta)
-    /// instead. The epoch is the RTR serial widened to `u64`, mirroring
-    /// [`VrpPayload::serial`]'s truncation in the other direction.
-    pub fn payload(&self) -> Option<VrpPayload> {
-        self.state
-            .map(|(_, serial)| VrpPayload::new(u64::from(serial), self.vrps.iter().copied()))
-    }
-
-    /// The net announce/withdraw lists of the last successful
-    /// [`sync`](Self::sync), when a Serial Query was answered with a
-    /// delta; `None` after a full reload (first contact, Cache Reset)
-    /// or a failed sync. A proxy forwards this instead of diffing two
-    /// full sets to rediscover it.
+    /// The net announce/withdraw lists of the last successful sync,
+    /// when a Serial Query was answered with a delta.
     pub fn last_delta(&self) -> Option<&WireDelta> {
         self.last_delta.as_ref()
     }
 
-    /// Wait for an unsolicited Serial Notify without issuing a query,
-    /// returning the newest serial absorbed (`Ok(None)` when none
-    /// arrived).
-    ///
-    /// Blocks in at most one read: the stream must have a read timeout
-    /// (or be non-blocking), and a timed-out read is reported as
-    /// "nothing pending". Once a notify is decoded, only PDUs already
-    /// complete in the buffer are drained — back-to-back notifies
-    /// collapse to the newest — and the call returns at once rather
-    /// than waiting out another timeout. Anything other than a Serial
-    /// Notify outside a query/response exchange is a protocol
-    /// violation.
-    pub fn poll_notify(&mut self) -> Result<Option<u32>, ClientError> {
-        let mut latest = None;
-        loop {
-            let pdu = if latest.is_none() {
-                match read_pdu(&mut self.stream, &mut self.buf) {
-                    Ok(pdu) => pdu,
-                    Err(e) if e.is_idle() => return Ok(None),
-                    Err(e) => return Err(e.into()),
-                }
-            } else {
-                match self.buf.next_pdu()? {
-                    Some(pdu) => pdu,
-                    None => return Ok(latest),
-                }
-            };
-            let Pdu::SerialNotify { serial, .. } = pdu else {
-                return Err(ClientError::ProtocolViolation(
-                    "unsolicited PDU other than Serial Notify",
-                ));
-            };
-            self.notified_serial = Some(serial);
-            latest = Some(serial);
-        }
+    /// Start a sync, abandoning any in flight: queue a Serial Query
+    /// when synchronized, a Reset Query otherwise.
+    pub fn sync(&mut self) {
+        self.outbound.clear();
+        self.ask(false);
     }
 
-    /// Synchronize with the cache: Serial Query when we have state,
-    /// Reset Query otherwise; falls back to a Reset Query when the cache
-    /// answers Cache Reset.
-    pub fn sync(&mut self) -> Result<SyncOutcome, ClientError> {
-        let query = match self.state {
-            Some((session_id, serial)) => Pdu::SerialQuery { session_id, serial },
-            None => Pdu::ResetQuery,
-        };
-        match self.exchange(&query)? {
-            Some(outcome) => Ok(outcome),
-            None => {
-                // Cache Reset: drop state and start over.
-                self.forget();
-                match self.exchange(&Pdu::ResetQuery)? {
-                    Some(outcome) => Ok(outcome),
-                    None => Err(ClientError::ProtocolViolation(
-                        "Cache Reset in response to Reset Query",
-                    )),
-                }
+    /// Query bytes waiting for the cache.
+    pub fn writable(&self) -> &[u8] {
+        &self.outbound
+    }
+
+    /// The cache took `n` bytes of [`writable`](Self::writable).
+    pub fn advance_write(&mut self, n: usize) {
+        self.outbound.drain(..n.min(self.outbound.len()));
+    }
+
+    /// Bytes from the cache, decoded until an [`Event`] is complete
+    /// (`None`: more are needed); what follows it stays buffered for the
+    /// next call. Serial Notify is absorbed at any time.
+    pub fn received(&mut self, bytes: &[u8]) -> Option<Event> {
+        self.inbound.extend(bytes);
+        let mut notified = None;
+        loop {
+            let pdu = match self.inbound.next_pdu() {
+                Ok(Some(pdu)) => pdu,
+                Ok(None) => return notified.map(Event::Notified),
+                Err(e) => return Some(self.fail(ClientError::Pdu(e))),
+            };
+            if let Pdu::SerialNotify { serial, .. } = pdu {
+                self.notified_serial = Some(serial);
+                notified = self.exchange.is_none().then_some(serial);
+            } else if let Some(event) = self.answer(pdu) {
+                return Some(event);
             }
         }
     }
 
-    /// Void everything learned from the cache, so the next
-    /// [`sync`](Self::sync) starts over with a Reset Query.
+    /// Queue the query the state calls for and open its exchange.
+    fn ask(&mut self, retry: bool) {
+        self.last_delta = None;
+        let query = match self.state {
+            Some((session_id, serial)) => Pdu::SerialQuery { session_id, serial },
+            None => Pdu::ResetQuery,
+        };
+        query.encode_into(&mut self.outbound);
+        self.exchange = Some(Exchange {
+            from_serial: self.state.map(|(_, serial)| serial),
+            session_id: None,
+            staged: Vec::new(),
+            retry,
+        });
+    }
+
+    /// End the exchange in flight with `error`.
+    fn fail(&mut self, error: ClientError) -> Event {
+        self.exchange = None;
+        Event::Failed(error)
+    }
+
+    /// One PDU other than Serial Notify: staged in the exchange in
+    /// flight, or the event that ends it.
+    fn answer(&mut self, pdu: Pdu) -> Option<Event> {
+        let violation = ClientError::ProtocolViolation;
+        let Some(exchange) = &mut self.exchange else {
+            return Some(Event::Failed(violation(
+                "unsolicited PDU other than Serial Notify",
+            )));
+        };
+        let (retry, serial_query) = (exchange.retry, exchange.from_serial.is_some());
+        let Some(session_id) = exchange.session_id else {
+            return match pdu {
+                Pdu::CacheResponse { session_id } => {
+                    // An answer under another session id than the one
+                    // held: the cache restarted, and RFC 8210 §5.1 says
+                    // the router MUST flush what it learned.
+                    if self.state.is_some_and(|(held, _)| held != session_id) {
+                        self.forget();
+                        return Some(self.fail(violation("session id changed mid-session")));
+                    }
+                    exchange.session_id = Some(session_id);
+                    None
+                }
+                Pdu::CacheReset => self.cache_reset(retry),
+                Pdu::ErrorReport { code, text, .. } => {
+                    Some(self.cache_error(code, text, serial_query))
+                }
+                _ => Some(self.fail(violation("expected Cache Response"))),
+            };
+        };
+        let (announce, prefix, max_length, asn) = match pdu {
+            Pdu::Ipv4Prefix {
+                announce,
+                prefix_len,
+                max_len,
+                prefix,
+                asn,
+            } => match Ipv4Prefix::new(prefix, prefix_len) {
+                Ok(prefix) => (announce, IpPrefix::V4(prefix), max_len, asn),
+                Err(_) => return Some(self.fail(violation("bad v4 prefix"))),
+            },
+            Pdu::Ipv6Prefix {
+                announce,
+                prefix_len,
+                max_len,
+                prefix,
+                asn,
+            } => match Ipv6Prefix::new(prefix, prefix_len) {
+                Ok(prefix) => (announce, IpPrefix::V6(prefix), max_len, asn),
+                Err(_) => return Some(self.fail(violation("bad v6 prefix"))),
+            },
+            Pdu::EndOfData {
+                serial,
+                session_id: eod_session,
+            } => {
+                if eod_session != session_id {
+                    self.forget();
+                    return Some(self.fail(violation("End of Data session mismatch")));
+                }
+                let staged = std::mem::take(&mut exchange.staged);
+                let from_serial = exchange.from_serial;
+                self.exchange = None;
+                return Some(self.apply(staged, from_serial, (session_id, serial)));
+            }
+            // The cache noticed mid-response that it cannot finish the
+            // delta (history evicted under it, serial wrapped): discard
+            // everything staged and start over, exactly as for an
+            // up-front Cache Reset.
+            Pdu::CacheReset => return self.cache_reset(retry),
+            Pdu::ErrorReport { code, text, .. } => {
+                return Some(self.cache_error(code, text, serial_query))
+            }
+            _ => return Some(self.fail(violation("unexpected PDU inside response"))),
+        };
+        let vrp = VrpTriple {
+            prefix,
+            max_length,
+            asn,
+        };
+        exchange.staged.push((announce, vrp));
+        None
+    }
+
+    /// Void everything learned from the cache, so the next sync starts
+    /// over with a Reset Query.
     fn forget(&mut self) {
         self.state = None;
         self.vrps.clear();
         self.last_delta = None;
     }
 
-    /// An Error Report from the cache. Corrupt Data in answer to a
-    /// Serial Query is how a cache rejects a session id it does not
-    /// know — it restarted — so what we learned from it is
-    /// [forgotten](Self::forget) (RFC 8210 §5.1).
-    fn cache_error(&mut self, query: &Pdu, code: ErrorCode, text: String) -> ClientError {
-        if code == ErrorCode::CorruptData && matches!(query, Pdu::SerialQuery { .. }) {
-            self.forget();
+    /// A Cache Reset: drop state and ask again with a Reset Query —
+    /// unless this exchange is that retry already.
+    fn cache_reset(&mut self, retry: bool) -> Option<Event> {
+        if retry {
+            return Some(self.fail(ClientError::ProtocolViolation(
+                "Cache Reset in response to Reset Query",
+            )));
         }
-        ClientError::CacheError { code, text }
+        self.forget();
+        self.ask(true);
+        None
     }
 
-    /// Send one query and apply the response. `Ok(None)` means the cache
-    /// sent a Cache Reset. A response that arrives intact but contradicts
-    /// the set held (a duplicate announcement, a withdrawal of an unknown
-    /// record) cannot be trusted in any part: the client
-    /// [forgets](Self::forget) what it held rather than keep a set that
-    /// is half advanced under the old serial, which every retry of the
-    /// same Serial Query would trip over again. So does an answer under
-    /// another session id than the one held: the cache restarted, and
-    /// RFC 8210 §5.1 says the router MUST flush what it learned.
-    fn exchange(&mut self, query: &Pdu) -> Result<Option<SyncOutcome>, ClientError> {
-        self.last_delta = None;
-        self.stream
-            .write_all(&query.encode())
-            .map_err(PduError::from)?;
-        self.stream.flush().map_err(PduError::from)?;
-
-        // Unsolicited Serial Notifies may arrive at any time; absorb them.
-        let first = loop {
-            match read_pdu(&mut self.stream, &mut self.buf)? {
-                Pdu::SerialNotify { serial, .. } => {
-                    self.notified_serial = Some(serial);
-                }
-                other => break other,
-            }
-        };
-        let session_id = match first {
-            Pdu::CacheResponse { session_id } => session_id,
-            Pdu::CacheReset => return Ok(None),
-            Pdu::ErrorReport { code, text, .. } => return Err(self.cache_error(query, code, text)),
-            _ => return Err(ClientError::ProtocolViolation("expected Cache Response")),
-        };
-        if self.state.is_some_and(|(held, _)| held != session_id) {
+    /// An Error Report from the cache, which ends the exchange. Corrupt
+    /// Data in answer to a Serial Query is how a cache rejects a session
+    /// id it does not know — it restarted — so what we learned from it
+    /// is [forgotten](Self::forget) (RFC 8210 §5.1).
+    fn cache_error(&mut self, code: ErrorCode, text: String, serial_query: bool) -> Event {
+        if code == ErrorCode::CorruptData && serial_query {
             self.forget();
-            return Err(ClientError::ProtocolViolation(
-                "session id changed mid-session",
-            ));
         }
+        self.fail(ClientError::CacheError { code, text })
+    }
 
-        let mut announced = 0usize;
-        let mut withdrawn = 0usize;
-        // Stage records; apply only when End of Data arrives intact.
-        let mut staged: Vec<(bool, VrpTriple)> = Vec::new();
-        let serial = loop {
-            match read_pdu(&mut self.stream, &mut self.buf)? {
-                Pdu::SerialNotify { serial, .. } => {
-                    self.notified_serial = Some(serial);
-                }
-                Pdu::Ipv4Prefix {
-                    announce,
-                    prefix_len,
-                    max_len,
-                    prefix,
-                    asn,
-                } => {
-                    let prefix = IpPrefix::V4(
-                        Ipv4Prefix::new(prefix, prefix_len)
-                            .map_err(|_| ClientError::ProtocolViolation("bad v4 prefix"))?,
-                    );
-                    staged.push(pdu_vrp(announce, prefix, max_len, asn));
-                }
-                Pdu::Ipv6Prefix {
-                    announce,
-                    prefix_len,
-                    max_len,
-                    prefix,
-                    asn,
-                } => {
-                    let prefix = IpPrefix::V6(
-                        Ipv6Prefix::new(prefix, prefix_len)
-                            .map_err(|_| ClientError::ProtocolViolation("bad v6 prefix"))?,
-                    );
-                    staged.push(pdu_vrp(announce, prefix, max_len, asn));
-                }
-                Pdu::EndOfData {
-                    serial,
-                    session_id: eod_session,
-                } => {
-                    if eod_session != session_id {
-                        self.forget();
-                        return Err(ClientError::ProtocolViolation(
-                            "End of Data session mismatch",
-                        ));
-                    }
-                    break serial;
-                }
-                // The cache noticed mid-response that it cannot finish
-                // the delta (history evicted under it, serial wrapped):
-                // discard everything staged and start over via Reset
-                // Query, exactly as for an up-front Cache Reset.
-                Pdu::CacheReset => return Ok(None),
-                Pdu::ErrorReport { code, text, .. } => {
-                    return Err(self.cache_error(query, code, text))
-                }
-                _ => {
-                    return Err(ClientError::ProtocolViolation(
-                        "unexpected PDU inside response",
-                    ))
-                }
-            }
-        };
+    /// End of Data arrived intact: apply what was staged. A response
+    /// that contradicts the set held (a duplicate announcement, a
+    /// withdrawal of an unknown record) cannot be trusted in any part:
+    /// the machine [forgets](Self::forget) what it held rather than
+    /// keep a set that is half advanced under the old serial, which
+    /// every retry of the same Serial Query would trip over again.
+    fn apply(
+        &mut self,
+        staged: Vec<(bool, VrpTriple)>,
+        from_serial: Option<u32>,
+        (session_id, serial): (u16, u32),
+    ) -> Event {
+        let (mut announced, mut withdrawn) = (0usize, 0usize);
         // Net change of an incremental answer (records that cancel
         // across the serials of one answer drop out); a full reload has
         // none worth keeping — it is the whole set.
-        let mut net = match query {
-            Pdu::SerialQuery { serial, .. } => Some((*serial, BTreeSet::new(), BTreeSet::new())),
-            _ => None,
-        };
+        let mut net = from_serial.map(|from| (from, BTreeSet::new(), BTreeSet::new()));
         for (announce, vrp) in staged {
             if announce {
                 if !self.vrps.insert(vrp) {
                     self.forget();
-                    return Err(ClientError::DuplicateAnnouncement(vrp));
+                    return Event::Failed(ClientError::DuplicateAnnouncement(vrp));
                 }
                 announced += 1;
             } else {
                 if !self.vrps.remove(&vrp) {
                     self.forget();
-                    return Err(ClientError::WithdrawalOfUnknown(vrp));
+                    return Event::Failed(ClientError::WithdrawalOfUnknown(vrp));
                 }
                 withdrawn += 1;
             }
@@ -439,11 +399,157 @@ impl<S: Read + Write> Client<S> {
             withdrawn: withdrawn.into_iter().collect(),
         });
         self.state = Some((session_id, serial));
-        Ok(Some(SyncOutcome::Updated {
+        Event::Synced(SyncOutcome::Updated {
             serial,
             announced,
             withdrawn,
-        }))
+        })
+    }
+}
+
+/// Bytes one read of the shell takes: a 100k-record Reset response is
+/// about thirty of them.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// An RTR client over any blocking byte stream: the [`ClientMachine`]'s
+/// one shell, writing what it queues and feeding it what each read
+/// returns.
+pub struct Client<S: Read + Write> {
+    stream: S,
+    machine: ClientMachine,
+}
+
+impl<S: Read + Write> Client<S> {
+    /// Wrap a connected stream.
+    pub fn new(stream: S) -> Client<S> {
+        Client {
+            stream,
+            machine: ClientMachine::default(),
+        }
+    }
+
+    /// Carry on over `stream`, a fresh connection replacing one that
+    /// died, keeping `(session_id, serial)` and the VRP set: the next
+    /// [`sync`](Self::sync) is an incremental Serial Query, and the
+    /// cache decides whether the gap is still bridgeable.
+    pub fn reconnect(&mut self, stream: S) {
+        self.stream = stream;
+        self.machine.reconnect();
+    }
+
+    /// The `(session_id, serial)` pair, once synchronized.
+    pub fn state(&self) -> Option<(u16, u32)> {
+        self.machine.state()
+    }
+
+    /// The VRPs currently held.
+    pub fn vrps(&self) -> &BTreeSet<VrpTriple> {
+        self.machine.vrps()
+    }
+
+    /// The serial most recently announced by an unsolicited Serial
+    /// Notify (RFC 6810 §5.2), if any arrived. A value newer than
+    /// [`state`](Self::state)'s serial means a [`sync`](Self::sync) is
+    /// due.
+    pub fn notified_serial(&self) -> Option<u32> {
+        self.machine.notified_serial()
+    }
+
+    /// Whether the cache has announced data newer than what we hold.
+    pub fn needs_sync(&self) -> bool {
+        match (self.notified_serial(), self.state()) {
+            (Some(n), Some((_, held))) => n != held,
+            (Some(_), None) => true,
+            _ => false,
+        }
+    }
+
+    /// Build an origin validator from the current VRP set.
+    pub fn to_validator(&self) -> RouteOriginValidator {
+        RouteOriginValidator::from_vrps(self.vrps().iter().copied())
+    }
+
+    /// The current VRP set converted to an epoch-stamped payload
+    /// (`None` before the first sync) — an O(n) copy, for probes, tests
+    /// and a follower's full reload; a follower that stays in lockstep
+    /// advances its own payload by [`last_delta`](Self::last_delta)
+    /// instead. The epoch is the RTR serial widened to `u64`, mirroring
+    /// [`VrpPayload::serial`]'s truncation in the other direction.
+    pub fn payload(&self) -> Option<VrpPayload> {
+        self.state()
+            .map(|(_, serial)| VrpPayload::new(u64::from(serial), self.vrps().iter().copied()))
+    }
+
+    /// The net announce/withdraw lists of the last successful
+    /// [`sync`](Self::sync), when a Serial Query was answered with a
+    /// delta; `None` after a full reload (first contact, Cache Reset)
+    /// or a failed sync. A proxy forwards this instead of diffing two
+    /// full sets to rediscover it.
+    pub fn last_delta(&self) -> Option<&WireDelta> {
+        self.machine.last_delta()
+    }
+
+    /// Wait for an unsolicited Serial Notify without issuing a query,
+    /// returning the newest serial absorbed (`Ok(None)` when none
+    /// arrived). A notify already buffered returns at once; otherwise
+    /// the stream must have a read timeout (or be non-blocking), and a
+    /// timed-out read is "nothing pending". Back-to-back notifies
+    /// collapse to the newest. Anything other than a Serial Notify
+    /// outside a query/response exchange is a protocol violation.
+    pub fn poll_notify(&mut self) -> Result<Option<u32>, ClientError> {
+        loop {
+            match self.next_event() {
+                Ok(Event::Notified(serial)) => return Ok(Some(serial)),
+                Ok(Event::Failed(e)) => return Err(e),
+                // The late answer to a sync abandoned at the transport.
+                Ok(Event::Synced(_)) => {}
+                Err(e) if e.is_idle() => return Ok(None),
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Synchronize with the cache: Serial Query when we have state,
+    /// Reset Query otherwise; falls back to a Reset Query when the cache
+    /// answers Cache Reset.
+    pub fn sync(&mut self) -> Result<SyncOutcome, ClientError> {
+        self.machine.sync();
+        loop {
+            match self.next_event()? {
+                Event::Synced(outcome) => return Ok(outcome),
+                Event::Failed(e) => return Err(e),
+                Event::Notified(_) => {}
+            }
+        }
+    }
+
+    /// Send what the machine queued, then feed it what is buffered and
+    /// one read at a time until it reports.
+    fn next_event(&mut self) -> Result<Event, PduError> {
+        let (mut chunk, mut read) = ([0; READ_CHUNK], 0);
+        loop {
+            let queued = self.machine.writable().len();
+            if queued > 0 {
+                self.stream.write_all(self.machine.writable())?;
+                self.stream.flush()?;
+                self.machine.advance_write(queued);
+            }
+            let bytes = chunk.get(..read).unwrap_or_default();
+            if let Some(event) = self.machine.received(bytes) {
+                return Ok(event);
+            }
+            // A Cache Reset queued a Reset Query: it goes out first.
+            read = 0;
+            if self.machine.writable().is_empty() {
+                read = self.stream.read(&mut chunk)?;
+                if read == 0 {
+                    return Err(PduError::Io {
+                        kind: io::ErrorKind::UnexpectedEof,
+                        message: "connection closed mid-PDU".into(),
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -501,12 +607,16 @@ impl Backoff {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "R2 exempts test code")]
 mod tests {
+    //! The router machine with no socket: it talks to the cache's
+    //! [`Session`] machine in memory, or takes a canned answer script.
     use super::*;
     use crate::cache::CacheServer;
+    use crate::listener::Session;
+    use proptest::prelude::*;
     use ripki_net::Asn;
-    use std::os::unix::net::UnixStream;
-    use std::sync::Arc;
+    use std::time::Instant;
 
     fn vrp(prefix: &str, ml: u8, asn: u32) -> VrpTriple {
         VrpTriple {
@@ -516,28 +626,65 @@ mod tests {
         }
     }
 
-    /// Serve a cache on one end of a socket pair; the other is the
-    /// router's.
-    fn serve(cache: Arc<CacheServer>) -> (UnixStream, std::thread::JoinHandle<()>) {
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let handle = std::thread::spawn(move || {
-            let _ = cache.serve_connection(b);
-        });
-        (a, handle)
+    /// What `Client::payload` makes of the router's set.
+    fn payload(router: &ClientMachine) -> Option<VrpPayload> {
+        let vrps = router.vrps().iter().copied();
+        router
+            .state()
+            .map(|(_, serial)| VrpPayload::new(u64::from(serial), vrps))
     }
 
-    /// A client of a cache served on one end of a socket pair.
-    fn connect(cache: Arc<CacheServer>) -> (Client<UnixStream>, std::thread::JoinHandle<()>) {
-        let (stream, handle) = serve(cache);
-        (Client::new(stream), handle)
+    /// One connection to `cache`: its session machine, fed in memory.
+    struct Conn<'c> {
+        cache: &'c CacheServer,
+        session: Session,
+        now: Instant,
+    }
+
+    impl<'c> Conn<'c> {
+        fn open(cache: &'c CacheServer) -> Conn<'c> {
+            let now = Instant::now();
+            Conn {
+                cache,
+                session: Session::new(cache.serial(), now),
+                now,
+            }
+        }
+
+        /// Run one sync of `router` to its end, moving every byte.
+        fn sync(&mut self, router: &mut ClientMachine) -> Result<SyncOutcome, ClientError> {
+            router.sync();
+            loop {
+                let query = router.writable().to_vec();
+                router.advance_write(query.len());
+                self.session.received(&query, self.cache, self.now);
+                let answer = self.session.writable().to_vec();
+                self.session
+                    .advance_write(answer.len(), self.cache, self.now);
+                assert!(
+                    !query.is_empty() || !answer.is_empty(),
+                    "neither end has anything to say"
+                );
+                match router.received(&answer) {
+                    Some(Event::Synced(outcome)) => return Ok(outcome),
+                    Some(Event::Failed(e)) => return Err(e),
+                    Some(Event::Notified(_)) | None => {}
+                }
+            }
+        }
+    }
+
+    /// A fresh router synced over a fresh connection.
+    fn connect(cache: &CacheServer) -> (ClientMachine, Conn<'_>) {
+        (ClientMachine::default(), Conn::open(cache))
     }
 
     #[test]
     fn initial_reset_sync() {
-        let cache = Arc::new(CacheServer::new(11));
+        let cache = CacheServer::new(11);
         cache.update([vrp("10.0.0.0/16", 20, 100), vrp("2001:db8::/32", 32, 200)]);
-        let (mut client, _h) = connect(cache.clone());
-        let outcome = client.sync().unwrap();
+        let (mut client, mut conn) = connect(&cache);
+        let outcome = conn.sync(&mut client).unwrap();
         assert_eq!(
             outcome,
             SyncOutcome::Updated {
@@ -548,7 +695,7 @@ mod tests {
         );
         assert_eq!(client.state(), Some((11, 1)));
         assert_eq!(client.vrps().len(), 2);
-        let validator = client.to_validator();
+        let validator = RouteOriginValidator::from_vrps(client.vrps().iter().copied());
         assert_eq!(
             validator.validate(&"10.0.0.0/18".parse().unwrap(), Asn::new(100)),
             ripki_bgp::rov::RpkiState::Valid
@@ -557,13 +704,13 @@ mod tests {
 
     #[test]
     fn incremental_sync_applies_delta() {
-        let cache = Arc::new(CacheServer::new(11));
+        let cache = CacheServer::new(11);
         cache.update([vrp("10.0.0.0/16", 16, 100)]);
-        let (mut client, _h) = connect(cache.clone());
-        client.sync().unwrap();
+        let (mut client, mut conn) = connect(&cache);
+        conn.sync(&mut client).unwrap();
 
         cache.update([vrp("11.0.0.0/16", 16, 200)]); // withdraw 10/16, announce 11/16
-        let outcome = client.sync().unwrap();
+        let outcome = conn.sync(&mut client).unwrap();
         assert_eq!(
             outcome,
             SyncOutcome::Updated {
@@ -578,12 +725,12 @@ mod tests {
 
     #[test]
     fn last_delta_is_the_net_change_of_an_incremental_sync() {
-        let cache = Arc::new(CacheServer::new(11));
+        let cache = CacheServer::new(11);
         cache.update([vrp("10.0.0.0/16", 16, 1), vrp("11.0.0.0/16", 16, 2)]);
-        let (mut client, _h) = connect(cache.clone());
-        client.sync().unwrap();
+        let (mut client, mut conn) = connect(&cache);
+        conn.sync(&mut client).unwrap();
         assert_eq!(client.last_delta(), None, "a full reload has no delta");
-        let before = client.payload().unwrap();
+        let before = payload(&client).unwrap();
 
         // Three serials in one answer: 12/16 comes and goes again,
         // 11/16 goes and comes back, 13/16 stays.
@@ -598,8 +745,8 @@ mod tests {
             vrp("13.0.0.0/16", 16, 4),
             vrp("14.0.0.0/16", 16, 5),
         ]);
-        client.sync().unwrap();
-        let after = client.payload().unwrap();
+        conn.sync(&mut client).unwrap();
+        let after = payload(&client).unwrap();
         assert_eq!(after, cache.payload().unwrap());
         let wire = client.last_delta().unwrap();
         let diff = before.diff(&after);
@@ -610,7 +757,7 @@ mod tests {
         assert_eq!(before.len(), 2);
 
         // An empty answer is an empty delta, not a stale one.
-        client.sync().unwrap();
+        conn.sync(&mut client).unwrap();
         assert_eq!(
             client.last_delta(),
             Some(&WireDelta {
@@ -622,11 +769,11 @@ mod tests {
 
     #[test]
     fn noop_sync_when_current() {
-        let cache = Arc::new(CacheServer::new(11));
+        let cache = CacheServer::new(11);
         cache.update([vrp("10.0.0.0/16", 16, 100)]);
-        let (mut client, _h) = connect(cache);
-        client.sync().unwrap();
-        let outcome = client.sync().unwrap();
+        let (mut client, mut conn) = connect(&cache);
+        conn.sync(&mut client).unwrap();
+        let outcome = conn.sync(&mut client).unwrap();
         assert_eq!(
             outcome,
             SyncOutcome::Updated {
@@ -639,15 +786,15 @@ mod tests {
 
     #[test]
     fn stale_client_recovers_via_cache_reset() {
-        let cache = Arc::new(CacheServer::new(11).with_max_history(1));
+        let cache = CacheServer::new(11).with_max_history(1);
         cache.update([vrp("10.0.0.0/16", 16, 100)]);
-        let (mut client, _h) = connect(cache.clone());
-        client.sync().unwrap();
+        let (mut client, mut conn) = connect(&cache);
+        conn.sync(&mut client).unwrap();
         // Age the client's serial out of the history window.
         for i in 0..4 {
             cache.update([vrp(&format!("10.{i}.0.0/16"), 16, 100)]);
         }
-        let outcome = client.sync().unwrap();
+        let outcome = conn.sync(&mut client).unwrap();
         match outcome {
             SyncOutcome::Updated {
                 serial,
@@ -665,9 +812,9 @@ mod tests {
 
     #[test]
     fn empty_cache_error_is_reported() {
-        let cache = Arc::new(CacheServer::new(11));
-        let (mut client, _h) = connect(cache);
-        match client.sync() {
+        let cache = CacheServer::new(11);
+        let (mut client, mut conn) = connect(&cache);
+        match conn.sync(&mut client) {
             Err(ClientError::CacheError { code, .. }) => {
                 assert_eq!(code, ErrorCode::NoDataAvailable);
             }
@@ -677,13 +824,13 @@ mod tests {
 
     #[test]
     fn many_vrps_over_the_wire() {
-        let cache = Arc::new(CacheServer::new(3));
+        let cache = CacheServer::new(3);
         let vrps: Vec<VrpTriple> = (0..2000u32)
             .map(|i| vrp(&format!("10.{}.{}.0/24", i / 256, i % 256), 24, i))
             .collect();
         cache.update(vrps.clone());
-        let (mut client, _h) = connect(cache);
-        let outcome = client.sync().unwrap();
+        let (mut client, mut conn) = connect(&cache);
+        let outcome = conn.sync(&mut client).unwrap();
         assert_eq!(
             outcome,
             SyncOutcome::Updated {
@@ -697,12 +844,12 @@ mod tests {
 
     #[test]
     fn multiple_clients_share_one_cache() {
-        let cache = Arc::new(CacheServer::new(5));
+        let cache = CacheServer::new(5);
         cache.update([vrp("10.0.0.0/16", 16, 1)]);
-        let (mut c1, _h1) = connect(cache.clone());
-        let (mut c2, _h2) = connect(cache.clone());
-        c1.sync().unwrap();
-        c2.sync().unwrap();
+        let (mut c1, mut conn1) = connect(&cache);
+        let (mut c2, mut conn2) = connect(&cache);
+        conn1.sync(&mut c1).unwrap();
+        conn2.sync(&mut c2).unwrap();
         assert_eq!(c1.vrps(), c2.vrps());
     }
 
@@ -712,10 +859,10 @@ mod tests {
     /// Serial Query covering exactly the missed serials.
     #[test]
     fn resume_after_serial_gap_is_incremental() {
-        let cache = Arc::new(CacheServer::new(11));
+        let cache = CacheServer::new(11);
         cache.update([vrp("10.0.0.0/16", 16, 1), vrp("11.0.0.0/16", 16, 2)]);
-        let (mut client, _h) = connect(cache.clone());
-        client.sync().unwrap();
+        let (mut client, mut conn) = connect(&cache);
+        conn.sync(&mut client).unwrap();
         assert_eq!(client.state(), Some((11, 1)));
 
         // Connection drops; the world moves on by two serials.
@@ -730,9 +877,9 @@ mod tests {
             vrp("13.0.0.0/16", 16, 4),
         ]);
 
-        let (stream, _h2) = serve(cache.clone());
-        client.reconnect(stream);
-        let outcome = client.sync().unwrap();
+        let mut conn = Conn::open(&cache);
+        client.reconnect();
+        let outcome = conn.sync(&mut client).unwrap();
         // Only the gap's delta crosses the wire, not the full set.
         assert_eq!(
             outcome,
@@ -745,7 +892,7 @@ mod tests {
         assert_eq!(client.state(), Some((11, 3)));
         assert_eq!(client.vrps().len(), 3);
         assert_eq!(
-            client.payload().unwrap(),
+            payload(&client).unwrap(),
             cache.payload().unwrap(),
             "resumed set is byte-identical to the cache's"
         );
@@ -756,19 +903,19 @@ mod tests {
     /// (RFC 8210 §5.1); the second reloads under the new session.
     #[test]
     fn reconnecting_to_a_restarted_cache_flushes_then_reloads() {
-        let before = Arc::new(CacheServer::new(5));
+        let before = CacheServer::new(5);
         before.update([vrp("10.0.0.0/16", 16, 1)]);
-        let (mut client, _h) = connect(before);
-        client.sync().unwrap();
+        let (mut client, mut conn) = connect(&before);
+        conn.sync(&mut client).unwrap();
         assert_eq!(client.state(), Some((5, 1)));
 
         // The cache comes back with a new session id and serial space.
-        let after = Arc::new(CacheServer::new(9));
+        let after = CacheServer::new(9);
         after.update([vrp("12.0.0.0/16", 16, 3)]);
-        let (stream, _h2) = serve(after);
-        client.reconnect(stream);
+        let mut conn = Conn::open(&after);
+        client.reconnect();
         assert!(matches!(
-            client.sync(),
+            conn.sync(&mut client),
             Err(ClientError::CacheError {
                 code: ErrorCode::CorruptData,
                 ..
@@ -777,7 +924,7 @@ mod tests {
         assert_eq!(client.state(), None);
         assert!(client.vrps().is_empty());
 
-        let outcome = client.sync().unwrap();
+        let outcome = conn.sync(&mut client).unwrap();
         assert_eq!(
             outcome,
             SyncOutcome::Updated {
@@ -793,44 +940,42 @@ mod tests {
         );
     }
 
-    /// A transcript stream: reads come from a canned PDU script,
-    /// writes are kept for inspection. Lets a test exercise server
-    /// behaviors the real `CacheServer` never emits (e.g. a
-    /// mid-response Cache Reset).
+    /// A router fed a canned answer script, for cache behaviours the
+    /// real `CacheServer` never shows (e.g. a mid-response Cache
+    /// Reset). Each sync decodes its answer from what is buffered; the
+    /// queries it sends are kept for inspection.
     struct Scripted {
-        script: std::io::Cursor<Vec<u8>>,
+        router: ClientMachine,
+        script: Vec<u8>,
         sent: Vec<u8>,
     }
 
     impl Scripted {
         fn new(script: Vec<u8>) -> Scripted {
             Scripted {
-                script: std::io::Cursor::new(script),
+                router: ClientMachine::default(),
+                script,
                 sent: Vec::new(),
             }
         }
 
-        /// The queries written so far.
+        fn sync(&mut self) -> Result<SyncOutcome, ClientError> {
+            self.router.sync();
+            let event = self.router.received(&std::mem::take(&mut self.script));
+            self.sent.extend_from_slice(self.router.writable());
+            self.router.advance_write(usize::MAX);
+            match event {
+                Some(Event::Synced(outcome)) => Ok(outcome),
+                Some(Event::Failed(e)) => Err(e),
+                other => panic!("the script ran out: {other:?}"),
+            }
+        }
+
+        /// The queries sent so far.
         fn queries(&self) -> Vec<Pdu> {
             let mut buf = PduBuf::new();
             buf.extend(&self.sent);
             std::iter::from_fn(|| buf.next_pdu().unwrap()).collect()
-        }
-    }
-
-    impl std::io::Read for Scripted {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.script.read(buf)
-        }
-    }
-
-    impl std::io::Write for Scripted {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.sent.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
         }
     }
 
@@ -874,19 +1019,19 @@ mod tests {
         // What the cache really serves at serial 2.
         script.extend(answer(7, &[(true, a), (true, b), (true, c)], 2));
 
-        let mut client = Client::new(Scripted::new(script));
+        let mut client = Scripted::new(script);
         client.sync().unwrap();
-        assert_eq!(client.state(), Some((7, 1)));
+        assert_eq!(client.router.state(), Some((7, 1)));
 
         assert_eq!(client.sync(), Err(ClientError::DuplicateAnnouncement(a)));
         assert_eq!(
-            client.state(),
+            client.router.state(),
             None,
             "the old serial no longer describes the set"
         );
-        assert!(client.vrps().is_empty());
-        assert_eq!(client.last_delta(), None);
-        assert_eq!(client.payload(), None);
+        assert!(client.router.vrps().is_empty());
+        assert_eq!(client.router.last_delta(), None);
+        assert_eq!(payload(&client.router), None);
 
         let outcome = client.sync().unwrap();
         assert_eq!(
@@ -897,10 +1042,14 @@ mod tests {
                 withdrawn: 0
             }
         );
-        assert_eq!(client.vrps(), &BTreeSet::from([a, b, c]));
-        assert_eq!(client.last_delta(), None, "a full reload has no delta");
+        assert_eq!(client.router.vrps(), &BTreeSet::from([a, b, c]));
         assert_eq!(
-            client.stream.queries(),
+            client.router.last_delta(),
+            None,
+            "a full reload has no delta"
+        );
+        assert_eq!(
+            client.queries(),
             [
                 Pdu::ResetQuery,
                 Pdu::SerialQuery {
@@ -922,18 +1071,18 @@ mod tests {
         script.extend(restarted.encode());
         script.extend(answer(8, &[(true, b)], 1));
 
-        let mut client = Client::new(Scripted::new(script));
+        let mut client = Scripted::new(script);
         client.sync().unwrap();
         assert!(client.sync().is_err());
-        assert_eq!(client.state(), None, "the old session is void");
-        assert!(client.vrps().is_empty());
-        assert_eq!(client.last_delta(), None);
+        assert_eq!(client.router.state(), None, "the old session is void");
+        assert!(client.router.vrps().is_empty());
+        assert_eq!(client.router.last_delta(), None);
 
         client.sync().unwrap();
-        assert_eq!(client.state(), Some((8, 1)));
-        assert_eq!(client.vrps(), &BTreeSet::from([b]));
+        assert_eq!(client.router.state(), Some((8, 1)));
+        assert_eq!(client.router.vrps(), &BTreeSet::from([b]));
         assert_eq!(
-            client.stream.queries(),
+            client.queries(),
             [
                 Pdu::ResetQuery,
                 Pdu::SerialQuery {
@@ -978,26 +1127,9 @@ mod tests {
         );
         script.extend(Pdu::CacheReset.encode());
         // Recovery exchange (the client's follow-up Reset Query).
-        script.extend(Pdu::CacheResponse { session_id: 7 }.encode());
-        script.extend(
-            Pdu::Ipv4Prefix {
-                announce: true,
-                prefix_len: 16,
-                max_len: 16,
-                prefix: "11.0.0.0".parse().unwrap(),
-                asn: Asn::new(2),
-            }
-            .encode(),
-        );
-        script.extend(
-            Pdu::EndOfData {
-                session_id: 7,
-                serial: 5,
-            }
-            .encode(),
-        );
+        script.extend(answer(7, &[(true, good)], 5));
 
-        let mut client = Client::new(Scripted::new(script));
+        let mut client = Scripted::new(script);
         let outcome = client.sync().unwrap();
         assert_eq!(
             outcome,
@@ -1007,8 +1139,45 @@ mod tests {
                 withdrawn: 0
             }
         );
-        assert_eq!(client.vrps().iter().copied().collect::<Vec<_>>(), [good]);
-        assert_eq!(client.state(), Some((7, 5)));
+        assert_eq!(
+            client.router.vrps().iter().copied().collect::<Vec<_>>(),
+            [good]
+        );
+        assert_eq!(client.router.state(), Some((7, 5)));
+        assert_eq!(client.queries(), [Pdu::ResetQuery, Pdu::ResetQuery]);
+    }
+
+    /// Serial Notify is absorbed at any time: while idle, back-to-back
+    /// notifies are one event carrying the newest serial; inside a
+    /// response, it is noted and the sync goes on.
+    #[test]
+    fn notifies_collapse_while_idle_and_are_absorbed_mid_response() {
+        let notify = |serial| Pdu::SerialNotify {
+            session_id: 7,
+            serial,
+        };
+        let mut router = ClientMachine::default();
+        let idle = [notify(4).encode(), notify(5).encode(), vec![0, 0, 0]].concat();
+        assert_eq!(router.received(&idle), Some(Event::Notified(5)));
+        assert_eq!(router.notified_serial(), Some(5));
+        assert_ne!(router.notified_serial(), router.state().map(|(_, s)| s));
+        router.reconnect();
+
+        let a = vrp("10.0.0.0/16", 16, 1);
+        let mut script = answer(7, &[(true, a)], 6);
+        let end_of_data = script.split_off(script.len() - 12);
+        router.sync();
+        let mid = [script, notify(6).encode(), end_of_data].concat();
+        assert_eq!(
+            router.received(&mid),
+            Some(Event::Synced(SyncOutcome::Updated {
+                serial: 6,
+                announced: 1,
+                withdrawn: 0
+            }))
+        );
+        assert_eq!(router.notified_serial(), Some(6));
+        assert_eq!(router.notified_serial(), router.state().map(|(_, s)| s));
     }
 
     #[test]
@@ -1020,5 +1189,210 @@ mod tests {
         assert_eq!(b.next_delay(), Duration::from_millis(400), "capped");
         b.reset();
         assert_eq!(b.next_delay(), Duration::from_millis(100));
+    }
+
+    // ---- hostile caches: any bytes, in any split ------------------------
+
+    /// A small record pool, so duplicates and unknown withdrawals are
+    /// common.
+    fn pool(i: u8) -> VrpTriple {
+        vrp(&format!("10.{}.0.0/16", i % 4), 16, u32::from(i % 2))
+    }
+
+    /// An announce or withdraw of a pool record.
+    fn arb_record() -> impl Strategy<Value = Vec<u8>> {
+        (any::<bool>(), any::<u8>()).prop_map(|(announce, i)| {
+            let v = pool(i);
+            let IpPrefix::V4(prefix) = v.prefix else {
+                unreachable!()
+            };
+            Pdu::Ipv4Prefix {
+                announce,
+                prefix_len: prefix.len(),
+                max_len: v.max_length,
+                prefix: prefix.network(),
+                asn: v.asn,
+            }
+            .encode()
+        })
+    }
+
+    /// What a cache (hostile or not) may send: PDUs of every type
+    /// around sessions 7 and 8, and bytes that do not decode.
+    fn arb_piece() -> impl Strategy<Value = Vec<u8>> {
+        let session = 7u16..9;
+        prop_oneof![
+            session
+                .clone()
+                .prop_map(|s| Pdu::CacheResponse { session_id: s }.encode()),
+            arb_record(),
+            (any::<bool>(), 0u8..=130).prop_map(|(announce, len)| Pdu::Ipv6Prefix {
+                announce,
+                prefix_len: len,
+                max_len: 64,
+                prefix: "2001:db8::".parse().unwrap(),
+                asn: Asn::new(3),
+            }
+            .encode()),
+            (session.clone(), 0u32..4).prop_map(|(s, n)| Pdu::EndOfData {
+                session_id: s,
+                serial: n
+            }
+            .encode()),
+            (session, 0u32..4).prop_map(|(s, n)| Pdu::SerialNotify {
+                session_id: s,
+                serial: n
+            }
+            .encode()),
+            Just(Pdu::CacheReset.encode()),
+            Just(Pdu::ResetQuery.encode()),
+            (0u16..8).prop_map(|code| Pdu::ErrorReport {
+                code: ErrorCode::from_code(code).unwrap(),
+                erroneous_pdu: Vec::new(),
+                text: "no".into(),
+            }
+            .encode()),
+            prop::collection::vec(any::<u8>(), 1..12),
+        ]
+    }
+
+    /// Something shaped like an answer, so that whole answers — ones
+    /// that apply and ones that contradict the set part way through —
+    /// are common: a Cache Response and End of Data, each present half
+    /// the time, around records that mostly fit a router holding
+    /// `{pool(0), pool(1)}` (one in four is flipped), then any pieces.
+    fn arb_answer() -> impl Strategy<Value = Vec<u8>> {
+        let flip = prop_oneof![Just(false), Just(false), Just(false), Just(true)];
+        (
+            prop::option::of(7u16..9),
+            prop::collection::vec((0u8..4, flip), 0..5),
+            prop::option::of((7u16..9, 0u32..4)),
+            prop::collection::vec(arb_piece(), 0..3),
+        )
+            .prop_map(|(session, records, end, tail)| {
+                let mut out = Vec::new();
+                if let Some(session_id) = session {
+                    Pdu::CacheResponse { session_id }.encode_into(&mut out);
+                }
+                for (i, flip) in records {
+                    let v = pool(i);
+                    let IpPrefix::V4(prefix) = v.prefix else {
+                        unreachable!()
+                    };
+                    Pdu::Ipv4Prefix {
+                        announce: (i >= 2) != flip,
+                        prefix_len: prefix.len(),
+                        max_len: v.max_length,
+                        prefix: prefix.network(),
+                        asn: v.asn,
+                    }
+                    .encode_into(&mut out);
+                }
+                if let Some((session_id, serial)) = end {
+                    Pdu::EndOfData { session_id, serial }.encode_into(&mut out);
+                }
+                [out, tail.concat()].concat()
+            })
+    }
+
+    /// What a sync left behind, to compare runs.
+    type Outcome = (
+        Option<Event>,
+        Option<(u16, u32)>,
+        BTreeSet<VrpTriple>,
+        Option<WireDelta>,
+        Vec<u8>,
+    );
+
+    /// Start a sync on a router that holds `{a, b}` at `(7, 1)` (so
+    /// its query is a Serial Query) or nothing (a Reset Query), feed it
+    /// `input` in the pieces `cuts` marks, and stop at the first event.
+    /// After every piece the set is as it was, or empty with no state —
+    /// never half applied; a finished sync applied its answer whole.
+    fn hostile_sync(holding: bool, input: &[u8], cuts: &[usize]) -> Outcome {
+        let mut router = ClientMachine::default();
+        if holding {
+            router.sync();
+            let held = answer(7, &[(true, pool(0)), (true, pool(1))], 1);
+            assert!(matches!(router.received(&held), Some(Event::Synced(_))));
+        }
+        let (before, held) = (router.vrps().clone(), router.state());
+        router.sync();
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (input.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(input.len());
+        let (mut start, mut event) = (0, None);
+        for cut in cuts {
+            event = router.received(&input[start..cut]);
+            start = cut;
+            if !matches!(event, Some(Event::Synced(_))) {
+                let intact = router.vrps() == &before && router.state() == held;
+                let flushed = router.vrps().is_empty() && router.state().is_none();
+                assert!(intact || flushed, "half applied: {:?}", router.vrps());
+            }
+            if event.is_some() {
+                break;
+            }
+        }
+        if let Some(Event::Synced(_)) = event {
+            assert!(router.state().is_some());
+            if let Some(delta) = router.last_delta() {
+                assert_eq!(Some(delta.from_serial), held.map(|(_, serial)| serial));
+                let mut applied = before.clone();
+                delta
+                    .withdrawn
+                    .iter()
+                    .for_each(|v| assert!(applied.remove(v)));
+                delta
+                    .announced
+                    .iter()
+                    .for_each(|v| assert!(applied.insert(*v)));
+                assert_eq!(&applied, router.vrps(), "the whole delta, once");
+            }
+        }
+        (
+            event,
+            router.state(),
+            router.vrps().clone(),
+            router.last_delta().cloned(),
+            router.writable().to_vec(),
+        )
+    }
+
+    #[test]
+    fn an_answer_delivered_one_byte_at_a_time_syncs_as_one_shot() {
+        let (a, b, c) = (pool(0), pool(1), pool(2));
+        let input = [
+            answer(7, &[(true, c), (false, a)], 2),
+            Pdu::SerialNotify {
+                session_id: 7,
+                serial: 3,
+            }
+            .encode(),
+        ]
+        .concat();
+        let every_byte: Vec<usize> = (0..input.len()).collect();
+        let one_shot = hostile_sync(true, &input, &[]);
+        assert_eq!(hostile_sync(true, &input, &every_byte), one_shot);
+        assert_eq!(one_shot.2, BTreeSet::from([b, c]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever a cache sends after a Reset Query or a Serial
+        /// Query, however it is split, the machine does not panic,
+        /// never holds a half-applied set, and ends exactly as when the
+        /// same bytes arrive in one piece.
+        #[test]
+        fn hostile_bytes_in_any_split_never_half_apply(
+            holding in any::<bool>(),
+            answers in prop::collection::vec(arb_answer(), 1..3),
+            cuts in prop::collection::vec(any::<usize>(), 0..12),
+        ) {
+            let input = answers.concat();
+            let one_shot = hostile_sync(holding, &input, &[]);
+            prop_assert_eq!(hostile_sync(holding, &input, &cuts), one_shot);
+        }
     }
 }

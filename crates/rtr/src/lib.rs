@@ -14,20 +14,22 @@
 //!   incremental deltas, answering Reset/Serial Queries, and waking its
 //!   session loops on every serial advance;
 //! * [`listener`] — the session plane: one I/O-free session machine
-//!   under two shells — the one TCP serving stack, a single wake-driven
-//!   `poll(2)` loop that owns every router session of a cache and
-//!   *pushes* Serial Notify the moment the serial moves, and the
-//!   blocking [`CacheServer::serve_connection`];
-//! * [`client`] — the router side: a synchronous sync state machine
-//!   producing a VRP set ready to feed
+//!   ([`listener::Session`]) under two shells — the one TCP serving
+//!   stack, a single wake-driven `poll(2)` loop that owns every router
+//!   session of a cache and *pushes* Serial Notify the moment the
+//!   serial moves, and the blocking [`CacheServer::serve_connection`];
+//! * [`client`] — the router side, the same shape: one I/O-free machine
+//!   ([`client::ClientMachine`]) that stages an answer until End of
+//!   Data and yields a VRP set ready to feed
 //!   [`ripki_bgp::RouteOriginValidator`], remembering the delta the
 //!   wire just carried so a proxy can forward it, keeping its session
 //!   context across a reconnect and flushing it when the cache
-//!   restarted.
+//!   restarted — under one blocking shell, [`Client`].
 //!
-//! The client and [`CacheServer::serve_connection`] work over any
-//! `Read + Write` transport: TCP sockets, Unix socket pairs (used by
-//! the tests), or in-memory streams.
+//! Neither machine touches a stream or a clock, so a test can drive a
+//! router against a cache in memory; the shells, [`Client`] and
+//! [`CacheServer::serve_connection`], work over any `Read + Write`
+//! transport.
 //!
 //! ## Omissions
 //!

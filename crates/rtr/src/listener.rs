@@ -222,7 +222,7 @@ impl Drop for RtrListener {
 /// and no clock: `Idle` (wants input) when nothing is queued,
 /// `Responding` while `outbound`/`response` hold bytes, `Closing` once
 /// an Error Report is queued.
-struct Session {
+pub struct Session {
     inbound: PduBuf,
     /// Encoded bytes the peer has not accepted yet, from `sent` on.
     outbound: Vec<u8>,
@@ -245,7 +245,7 @@ struct Session {
 impl Session {
     /// A fresh, idle session whose router has been told nothing newer
     /// than `serial`.
-    fn new(serial: u32, now: Instant) -> Session {
+    pub fn new(serial: u32, now: Instant) -> Session {
         Session {
             inbound: PduBuf::new(),
             outbound: Vec::new(),
@@ -266,48 +266,48 @@ impl Session {
     /// a Serial Notify). A session takes its next query only once its
     /// previous answer is flushed, so a peer that stops reading stalls
     /// only itself.
-    fn wants_read(&self) -> bool {
+    pub fn wants_read(&self) -> bool {
         !self.has_output() && self.response.is_none() && self.failed.is_none() && !self.closed
     }
 
     /// When a session that owes its peer bytes is given up on.
-    fn stall_deadline(&self) -> Option<Instant> {
+    pub fn stall_deadline(&self) -> Option<Instant> {
         (!self.wants_read()).then(|| self.progress + WRITE_STALL)
     }
 
     /// Owed bytes have made no progress for [`WRITE_STALL`].
-    fn expired(&self, now: Instant) -> bool {
+    pub fn expired(&self, now: Instant) -> bool {
         self.stall_deadline()
             .is_some_and(|deadline| now >= deadline)
     }
 
     /// Nothing more will be said: the peer hung up, or the Error Report
     /// is flushed.
-    fn finished(&self) -> bool {
+    pub fn finished(&self) -> bool {
         self.closed || (self.failed.is_some() && !self.has_output())
     }
 
     /// The peer hung up or its transport failed.
-    fn hang_up(&mut self) {
+    pub fn hang_up(&mut self) {
         self.closed = true;
     }
 
     /// Bytes from the peer: buffered, and answered as far as the
     /// previous answer's flush allows.
-    fn received(&mut self, bytes: &[u8], cache: &CacheServer, now: Instant) {
+    pub fn received(&mut self, bytes: &[u8], cache: &CacheServer, now: Instant) {
         self.inbound.extend(bytes);
         self.answer(cache, now);
     }
 
     /// Encoded bytes waiting for the peer.
-    fn writable(&self) -> &[u8] {
+    pub fn writable(&self) -> &[u8] {
         self.outbound.get(self.sent..).unwrap_or_default()
     }
 
     /// The peer accepted `n` bytes of [`writable`](Self::writable). A
     /// drained queue is refilled with the streaming response's next
     /// chunk, or the answer to the next buffered query.
-    fn advance_write(&mut self, n: usize, cache: &CacheServer, now: Instant) {
+    pub fn advance_write(&mut self, n: usize, cache: &CacheServer, now: Instant) {
         if n == 0 {
             return;
         }
@@ -354,7 +354,7 @@ impl Session {
 
     /// Queue one Serial Notify if the cache moved past what this idle
     /// router was last told; `true` if one was queued.
-    fn notify(&mut self, notify: &Pdu, now: Instant) -> bool {
+    pub fn notify(&mut self, notify: &Pdu, now: Instant) -> bool {
         let Pdu::SerialNotify { serial, .. } = notify else {
             return false;
         };

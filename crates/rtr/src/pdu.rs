@@ -472,14 +472,12 @@ impl Pdu {
     }
 }
 
-/// How much [`read_pdu`] asks the transport for per refill.
-const READ_CHUNK: usize = 64 * 1024;
-
 /// Bytes received but not yet decoded.
 ///
 /// Decoding advances a consumed cursor instead of shifting the buffer,
-/// and the consumed prefix is dropped once per refill — a 100k-record
-/// response costs one small memmove per 64 KiB read, not one per PDU.
+/// and the consumed prefix is dropped once per [`extend`](Self::extend)
+/// — a 100k-record response costs one small memmove per read, not one
+/// per PDU.
 #[derive(Debug, Default)]
 pub struct PduBuf {
     bytes: Vec<u8>,
@@ -503,47 +501,12 @@ impl PduBuf {
         }))
     }
 
-    /// Append bytes a caller read itself (the non-blocking session
-    /// loop feeds its sockets' reads through here).
+    /// Append bytes a caller read itself (both session machines, the
+    /// cache's and the router's, take their transport's reads here).
     pub fn extend(&mut self, chunk: &[u8]) {
-        self.compact();
+        self.bytes.drain(..self.consumed);
+        self.consumed = 0;
         self.bytes.extend_from_slice(chunk);
-    }
-
-    fn compact(&mut self) {
-        if self.consumed > 0 {
-            self.bytes.drain(..self.consumed);
-            self.consumed = 0;
-        }
-    }
-
-    /// One `read` of up to [`READ_CHUNK`] bytes straight into the
-    /// buffer's tail.
-    fn refill<R: io::Read>(&mut self, r: &mut R) -> Result<(), PduError> {
-        self.compact();
-        let held = self.bytes.len();
-        self.bytes.resize(held + READ_CHUNK, 0);
-        let read = r.read(self.bytes.get_mut(held..).unwrap_or_default());
-        self.bytes.truncate(held + read.as_ref().map_or(0, |n| *n));
-        match read? {
-            0 => Err(PduError::Io {
-                kind: io::ErrorKind::UnexpectedEof,
-                message: "connection closed mid-PDU".into(),
-            }),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// Blocking framed reader: pull bytes from `r` until one complete PDU is
-/// available in `buf`, then decode it. `buf` carries leftover bytes
-/// between calls (RTR responses arrive as back-to-back PDUs).
-pub fn read_pdu<R: io::Read>(r: &mut R, buf: &mut PduBuf) -> Result<Pdu, PduError> {
-    loop {
-        if let Some(pdu) = buf.next_pdu()? {
-            return Ok(pdu);
-        }
-        buf.refill(r)?;
     }
 }
 
@@ -768,23 +731,6 @@ mod tests {
         }
     }
 
-    /// A transport that hands out its bytes `step` at a time.
-    struct Dribble {
-        bytes: Vec<u8>,
-        step: usize,
-        reads: usize,
-    }
-
-    impl io::Read for Dribble {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.reads += 1;
-            let n = self.step.min(self.bytes.len()).min(buf.len());
-            buf[..n].copy_from_slice(&self.bytes[..n]);
-            self.bytes.drain(..n);
-            Ok(n)
-        }
-    }
-
     fn sample_stream() -> (Vec<Pdu>, Vec<u8>) {
         let pdus = vec![
             Pdu::CacheResponse { session_id: 3 },
@@ -812,44 +758,20 @@ mod tests {
     }
 
     #[test]
-    fn read_pdu_is_fragmentation_invariant() {
+    fn buffered_decoding_is_fragmentation_invariant() {
         let (pdus, wire) = sample_stream();
         for step in [1, 3, 7, 19, 20, 21, wire.len()] {
-            let mut transport = Dribble {
-                bytes: wire.clone(),
-                step,
-                reads: 0,
-            };
             let mut buf = PduBuf::new();
-            for want in &pdus {
-                assert_eq!(&read_pdu(&mut transport, &mut buf).unwrap(), want);
+            let mut decoded = Vec::new();
+            for chunk in wire.chunks(step) {
+                buf.extend(chunk);
+                while let Some(pdu) = buf.next_pdu().unwrap() {
+                    decoded.push(pdu);
+                }
             }
-            // End of stream surfaces as a typed I/O error, not a hang.
-            assert!(matches!(
-                read_pdu(&mut transport, &mut buf),
-                Err(PduError::Io {
-                    kind: io::ErrorKind::UnexpectedEof,
-                    ..
-                })
-            ));
+            assert_eq!(decoded, pdus, "chunks of {step}");
+            assert_eq!(buf.next_pdu().unwrap(), None);
         }
-    }
-
-    #[test]
-    fn buffered_pdus_decode_without_touching_the_transport() {
-        let (pdus, wire) = sample_stream();
-        let mut transport = Dribble {
-            bytes: wire,
-            step: usize::MAX,
-            reads: 0,
-        };
-        let mut buf = PduBuf::new();
-        assert_eq!(read_pdu(&mut transport, &mut buf).unwrap(), pdus[0]);
-        for want in &pdus[1..] {
-            assert_eq!(buf.next_pdu().unwrap().as_ref(), Some(want));
-        }
-        assert_eq!(buf.next_pdu().unwrap(), None);
-        assert_eq!(transport.reads, 1, "one refill carried all four PDUs");
     }
 
     #[test]
