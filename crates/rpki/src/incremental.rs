@@ -7,7 +7,8 @@
 //! points out of thousands. [`IncrementalValidator`] exploits that at
 //! two grains: it caches the outcome of every publication point and only
 //! revalidates the ones whose inputs changed, and when it does revalidate
-//! a point it only re-does the cryptography of the objects that are new.
+//! a point it only re-decides the objects that are new or whose CRL
+//! entry or validity window turned.
 //!
 //! ## The dependency graph
 //!
@@ -48,7 +49,10 @@
 //! 3. **Commit** (serial): fold outcomes back in frontier order —
 //!    VRP refcounts, the point cache, the next wave's frontier. Commit
 //!    order is the plan order, so parallel ≡ serial byte-for-byte;
-//!    thread count can change wall-clock time only, never results.
+//!    thread count can change wall-clock time only, never results. A
+//!    point's VRPs are committed as a diff the execute stage computed:
+//!    only ROAs that left, arrived or were decided afresh move a
+//!    refcount.
 //!
 //! ## "The same" means the same allocation
 //!
@@ -62,16 +66,23 @@
 //!   certificate and every published object are pointer-identical to
 //!   the cached ones and the era contains `now` — one pointer compare
 //!   per object in the repository.
-//! * **Execute.** A dirty point runs `validate_point` in full: every
-//!   decision, in order, with every short-circuit, era narrowing, CRL
-//!   lookup, window and resource check. But the three answers that
-//!   depend on nothing except an object's bytes and the issuing key —
-//!   its manifest digest, its issuer-signature verdict, a ROA's
-//!   content-signature verdict — are taken from the previous outcome
-//!   when the object is the very allocation that outcome holds *and*
-//!   the issuing certificate is too. Republishing a 400-ROA point to
-//!   swap one ROA verifies four signatures, not 802
-//!   ([`ApplyStats::signatures_verified`]).
+//! * **Execute.** A dirty point runs `validate_point`, which walks every
+//!   object in order with every short-circuit. What depends on nothing
+//!   except an object's bytes and the issuing certificate — its file
+//!   name and manifest digest, its issuer-signature verdict, and for a
+//!   ROA the rest of its decision: content signature, resources, the
+//!   event it logs and the VRPs it yields — is taken from the previous
+//!   outcome when the object is the very allocation that outcome holds
+//!   *and* the issuing certificate and trust-anchor name are too. Two
+//!   inputs of a ROA decision change without a new allocation, and
+//!   both are re-checked on every pass: whether the point's CRL lists
+//!   the EE serial, and whether the EE window contains `now` (which
+//!   narrows the point's era exactly as a fresh decision would). A
+//!   decision they still lead to is carried, event and all; one they
+//!   flip is taken afresh. Republishing a 400-ROA point to swap one ROA
+//!   verifies four signatures, not 802
+//!   ([`ApplyStats::signatures_verified`]), and decides one ROA, not
+//!   400 ([`ApplyStats::objects_validated`]).
 //!
 //! This is sound because the address is that of an immutable value the
 //! cache itself keeps alive: it cannot be freed and handed to another
@@ -89,22 +100,24 @@
 //! of every builder-produced repository); a key shared between anchor
 //! hierarchies would thrash its single cache slot.
 //!
-//! ## The event log is maintained, not replayed
+//! ## The event log is kept, not replayed
 //!
 //! Every cached point pre-renders its event stream into chunks split at
-//! child-descent positions (`Arc`-shared, so relinearization is pointer
-//! work). Whenever a pass changes any point or trust anchor, the flat
-//! log is re-linearized from the cached tree in O(points); an unchanged
-//! pass leaves it untouched. [`report`](IncrementalValidator::report)
-//! therefore just concatenates the maintained chunks and reads the VRP
-//! set off the refcount table — there is no full-rebuild replay path.
+//! child-descent positions; each event is an `Arc` its decision shares,
+//! so a carried decision costs its point a pointer, not a string.
+//! [`report`](IncrementalValidator::report) walks the cached tree in the
+//! full validator's order, copying the chunks, and reads the VRP set off
+//! the refcount table — no object is revalidated. A pass itself touches
+//! no log beyond the chunks of the points it revalidates.
 
 use crate::cert::Cert;
 use crate::repo::{PublicationPoint, Repository};
+use crate::roa::Roa;
 use crate::time::{Era, SimTime};
 use crate::validate::{
-    ca_accept_event, missing_point_event, trust_anchor_event, validate_point, ObjectFacts,
-    PointFacts, PointItem, PointOutcome, ValidationEvent, ValidationOptions, ValidationReport, Vrp,
+    accepted_vrps, ca_accept_event, missing_point_event, roa_vrps, trust_anchor_event,
+    validate_point, ObjectFacts, PointFacts, PointItem, PointOutcome, ValidationEvent,
+    ValidationOptions, ValidationReport, Vrp,
 };
 use ripki_crypto::keystore::KeyId;
 use serde::{Deserialize, Serialize};
@@ -120,8 +133,11 @@ pub struct ApplyStats {
     pub points_reused: usize,
     /// Points (re)validated from scratch this pass.
     pub points_revalidated: usize,
-    /// Individual object decisions recomputed (trust anchors, CA certs,
-    /// ROAs, point-level CRL/manifest verdicts).
+    /// Object decisions this pass recomputed (trust anchors, CA certs,
+    /// ROAs, point-level CRL/manifest verdicts). A ROA decision carried
+    /// over from the previous pass — the same object under the same
+    /// issuing certificate, still unrevoked and still in its window if
+    /// it was before — costs none.
     pub objects_validated: usize,
     /// Points whose revalidation panicked on the execute stage and were
     /// skipped (their subtree is withdrawn until the next pass).
@@ -166,12 +182,14 @@ impl VrpDelta {
 #[derive(Debug, Clone)]
 struct CachedTa {
     name: Arc<str>,
+    /// The anchor's key id: its publication point's key.
+    id: KeyId,
     /// The anchor certificate. One allocation for as long as the
     /// verdict is reused, so the anchor's own publication point — whose
     /// issuing certificate this is — can be reused with it.
     cert: Arc<Cert>,
     era: Era,
-    event: ValidationEvent,
+    event: Arc<ValidationEvent>,
     usable: bool,
 }
 
@@ -180,9 +198,9 @@ struct CachedTa {
 ///
 /// The point's event stream is pre-rendered into `chunks`: `chunks[i]`
 /// holds the events up to and including child `i`'s accept event, and
-/// the final chunk holds the trailing events. Rendering once at
-/// validation time makes relinearizing the whole log after a change
-/// pure `Arc`-pointer work.
+/// the final chunk holds the trailing events. Each event is the one the
+/// decision's [`ObjectFacts`] hold, so a decision carried into the next
+/// outcome carries its event too: a pointer, not a string.
 #[derive(Debug, Clone)]
 struct CachedPoint {
     ta_name: Arc<str>,
@@ -193,17 +211,18 @@ struct CachedPoint {
     /// `None` caches "no publication point exists for this CA".
     published: Option<PublicationPoint>,
     /// What validating `published` under `issuer` established about
-    /// each object, slot for slot.
+    /// each object, slot for slot — each ROA's decision included, which
+    /// is also what says which VRPs the point contributes.
     facts: PointFacts,
     era: Era,
     /// Pre-rendered event chunks; `chunks.len() == children.len() + 1`
     /// for validated points, empty for skipped ones.
-    chunks: Vec<Arc<Vec<ValidationEvent>>>,
+    chunks: Vec<Vec<Arc<ValidationEvent>>>,
     /// Accepted child CA certificates in walk order, interleaved with
     /// `chunks` — the allocations `published` holds, so they are the
-    /// children's issuing certificates by identity.
-    children: Vec<Arc<Cert>>,
-    vrps: Vec<Vrp>,
+    /// children's issuing certificates by identity — each with its key
+    /// id, hashed once here rather than on every pass.
+    children: Vec<(KeyId, Arc<Cert>)>,
     rejected: usize,
     /// Object decisions this entry cost to compute (what a revalidation
     /// adds to [`ApplyStats::objects_validated`]).
@@ -217,33 +236,39 @@ struct CachedPoint {
 }
 
 impl CachedPoint {
+    /// The entry for `outcome`, its items rendered into event chunks
+    /// split at child descents: each child's accept event closes its
+    /// chunk.
     fn from_outcome(
         ta_name: &Arc<str>,
         issuer: &Arc<Cert>,
         pp: &PublicationPoint,
         outcome: PointOutcome,
     ) -> CachedPoint {
-        let rejected = outcome
-            .items
-            .iter()
-            .filter(|i| matches!(i, PointItem::Event(e) if e.rejected.is_some()))
-            .count();
-        let objects = outcome.items.len();
-        let (chunks, children) = render_chunks(&outcome.items, ta_name);
-        CachedPoint {
-            ta_name: Arc::clone(ta_name),
-            issuer: Arc::clone(issuer),
+        let mut entry = CachedPoint {
             published: Some(pp.clone()),
-            facts: outcome.facts,
             era: outcome.era,
-            chunks,
-            children,
-            vrps: outcome.vrps,
-            rejected,
-            objects,
+            objects: outcome.items.len() - outcome.carried,
             signatures: outcome.signatures_verified,
-            skipped: false,
+            facts: outcome.facts,
+            ..CachedPoint::empty(Arc::clone(ta_name), Arc::clone(issuer))
+        };
+        let mut chunk = Vec::with_capacity(outcome.items.len());
+        for item in outcome.items {
+            match item {
+                PointItem::Event(event) => {
+                    entry.rejected += usize::from(event.rejected.is_some());
+                    chunk.push(event);
+                }
+                PointItem::Child(child) => {
+                    chunk.push(Arc::new(ca_accept_event(ta_name, &child)));
+                    entry.chunks.push(std::mem::take(&mut chunk));
+                    entry.children.push((child.subject_key_id(), child));
+                }
+            }
         }
+        entry.chunks.push(chunk);
+        entry
     }
 
     /// An entry with no outcome: `missing` and `skipped` fill it in.
@@ -256,7 +281,6 @@ impl CachedPoint {
             era: Era::unbounded(),
             chunks: Vec::new(),
             children: Vec::new(),
-            vrps: Vec::new(),
             rejected: 0,
             objects: 0,
             signatures: 0,
@@ -267,7 +291,7 @@ impl CachedPoint {
     fn missing(ta_name: Arc<str>, issuer: Arc<Cert>) -> CachedPoint {
         let event = missing_point_event(&ta_name, &issuer);
         CachedPoint {
-            chunks: vec![Arc::new(vec![event])],
+            chunks: vec![vec![Arc::new(event)]],
             rejected: 1,
             ..CachedPoint::empty(ta_name, issuer)
         }
@@ -278,6 +302,17 @@ impl CachedPoint {
             skipped: true,
             ..CachedPoint::empty(ta_name, issuer)
         }
+    }
+
+    /// The ROAs this entry decided about, slot for slot with
+    /// `facts.roas`.
+    fn roas(&self) -> &[Arc<Roa>] {
+        self.published.as_ref().map_or(&[], |pp| &pp.roas)
+    }
+
+    /// The VRPs this entry contributes, duplicates kept.
+    fn vrps(&self) -> impl Iterator<Item = Vrp> + '_ {
+        accepted_vrps(self.roas(), &self.facts.roas)
     }
 
     /// Whether this outcome still stands for `pp` (or its absence)
@@ -300,83 +335,111 @@ impl CachedPoint {
             }
             && self.era.contains(now)
     }
-
-    /// What this outcome established that still holds for `pp` under
-    /// `issuer`: the facts of each object of `pp` that is the very
-    /// allocation this entry holds — and nothing at all unless the
-    /// issuing certificate is, too.
-    fn recall(&self, issuer: &Arc<Cert>, pp: &PublicationPoint) -> PointFacts {
-        let mut known = PointFacts::unknown(pp);
-        let Some(mine) = &self.published else {
-            return known;
-        };
-        if !Arc::ptr_eq(&self.issuer, issuer) {
-            return known;
-        }
-        if Arc::ptr_eq(&mine.crl, &pp.crl) {
-            known.crl = self.facts.crl;
-        }
-        if Arc::ptr_eq(&mine.manifest, &pp.manifest) {
-            known.manifest = self.facts.manifest;
-        }
-        carry_over(
-            &mine.child_certs,
-            &self.facts.child_certs,
-            &pp.child_certs,
-            &mut known.child_certs,
-        );
-        carry_over(&mine.roas, &self.facts.roas, &pp.roas, &mut known.roas);
-        known
-    }
 }
 
-/// Copy the facts of each `old` object into the `known` slot of the
-/// `new` object at the same address, wherever there is one.
+/// What `old` established that still holds for `pp` under `issuer` and
+/// `ta_name`: the facts, last decisions included, of each object of `pp`
+/// that is the very allocation `old` holds — and nothing at all unless
+/// the issuing certificate and the trust-anchor name are the same, too.
+/// Also, for each ROA of `pp`, the slot of `old` its facts came from.
+fn recall(
+    old: Option<&CachedPoint>,
+    ta_name: &str,
+    issuer: &Arc<Cert>,
+    pp: &PublicationPoint,
+) -> (PointFacts, Vec<Option<usize>>) {
+    let old = old.filter(|old| Arc::ptr_eq(&old.issuer, issuer) && *old.ta_name == *ta_name);
+    let Some((old, mine)) = old.and_then(|old| Some((old, old.published.as_ref()?))) else {
+        return (PointFacts::unknown(pp), vec![None; pp.roas.len()]);
+    };
+    let recalled = |same: bool, facts: &ObjectFacts| {
+        if same {
+            facts.clone()
+        } else {
+            ObjectFacts::default()
+        }
+    };
+    let (child_certs, _) = carry_over(&mine.child_certs, &old.facts.child_certs, &pp.child_certs);
+    let (roas, origins) = carry_over(&mine.roas, &old.facts.roas, &pp.roas);
+    let known = PointFacts {
+        crl: recalled(Arc::ptr_eq(&mine.crl, &pp.crl), &old.facts.crl),
+        manifest: recalled(
+            Arc::ptr_eq(&mine.manifest, &pp.manifest),
+            &old.facts.manifest,
+        ),
+        child_certs,
+        roas,
+    };
+    (known, origins)
+}
+
+/// The facts of each `new` object: those of the `old` object at the
+/// same address, wherever there is one, and which old slot they came
+/// from. An old slot is recalled at most once, so a republished
+/// duplicate pairs with one copy, not two.
 fn carry_over<T>(
     old: &[Arc<T>],
     old_facts: &[ObjectFacts],
     new: &[Arc<T>],
-    known: &mut [ObjectFacts],
-) {
-    let by_address: HashMap<*const T, ObjectFacts> = old
+) -> (Vec<ObjectFacts>, Vec<Option<usize>>) {
+    let mut by_address: HashMap<*const T, usize> = old
         .iter()
-        .map(Arc::as_ptr)
-        .zip(old_facts.iter().copied())
+        .enumerate()
+        .map(|(slot, object)| (Arc::as_ptr(object), slot))
         .collect();
-    for (object, slot) in new.iter().zip(known) {
-        if let Some(facts) = by_address.get(&Arc::as_ptr(object)) {
-            *slot = *facts;
-        }
-    }
+    new.iter()
+        .map(|object| match by_address.remove(&Arc::as_ptr(object)) {
+            Some(slot) => (old_facts[slot].clone(), Some(slot)),
+            None => (ObjectFacts::default(), None),
+        })
+        .unzip()
 }
 
-/// Render a point's items into event chunks split at child descents
-/// (each child's accept event closes its chunk), plus the child list.
-fn render_chunks(
-    items: &[PointItem],
-    ta_name: &str,
-) -> (Vec<Arc<Vec<ValidationEvent>>>, Vec<Arc<Cert>>) {
-    let mut chunks = Vec::new();
-    let mut children = Vec::new();
-    let mut current: Vec<ValidationEvent> = Vec::new();
-    for item in items {
-        match item {
-            PointItem::Event(e) => current.push(e.clone()),
-            PointItem::Child(child) => {
-                current.push(ca_accept_event(ta_name, child));
-                chunks.push(Arc::new(std::mem::take(&mut current)));
-                children.push(Arc::clone(child));
+/// The refcount moves that turn one point's VRP contribution into
+/// another's.
+#[derive(Debug, Default)]
+struct VrpMoves {
+    released: Vec<Vrp>,
+    acquired: Vec<Vrp>,
+}
+
+impl VrpMoves {
+    /// From `old` (if any) to `new`, whose ROA `j` was recalled from
+    /// `old`'s slot `origins[j]`: a ROA whose decision `new` carried
+    /// over moves nothing; one that left, arrived or was decided afresh
+    /// moves its VRPs.
+    fn between(
+        old: Option<&CachedPoint>,
+        new: &CachedPoint,
+        origins: &[Option<usize>],
+    ) -> VrpMoves {
+        let mut moves = VrpMoves::default();
+        let mut kept = vec![false; old.map_or(0, |old| old.facts.roas.len())];
+        for ((roa, known), origin) in new.roas().iter().zip(&new.facts.roas).zip(origins) {
+            match (old, *origin) {
+                (Some(old), Some(slot)) if old.facts.roas[slot].same_decision(known) => {
+                    kept[slot] = true;
+                }
+                _ if known.accepted() => moves.acquired.extend(roa_vrps(roa)),
+                _ => {}
             }
         }
+        if let Some(old) = old {
+            let left = old.roas().iter().zip(&old.facts.roas).zip(kept);
+            for ((roa, known), kept) in left {
+                if !kept && known.accepted() {
+                    moves.released.extend(roa_vrps(roa));
+                }
+            }
+        }
+        moves
     }
-    chunks.push(Arc::new(current));
-    (chunks, children)
 }
 
 /// One frontier entry after the plan stage classified it.
 enum Planned {
-    /// Cached outcome still valid: committed untouched.
-    Reused(KeyId, CachedPoint),
+    /// Cached outcome still valid: left in place untouched.
+    Reused(KeyId),
     /// Inputs changed (or the point is gone): the outcome is computed
     /// on the (parallel) execute stage, which may still recall
     /// per-object facts from `old`.
@@ -384,13 +447,13 @@ enum Planned {
         ca_id: KeyId,
         cert: Arc<Cert>,
         ta_name: Arc<str>,
-        old: Option<CachedPoint>,
+        old: Option<Box<CachedPoint>>,
     },
 }
 
-/// A CA certificate whose publication point the next wave visits, and
-/// the trust anchor it descends from.
-type Frontier = Vec<(Arc<Cert>, Arc<str>)>;
+/// A CA whose publication point the next wave visits — its key id and
+/// certificate — and the trust anchor it descends from.
+type Frontier = Vec<(KeyId, Arc<Cert>, Arc<str>)>;
 
 /// A validator that carries per-publication-point outcome caches across
 /// repository snapshots and clock advances.
@@ -404,11 +467,9 @@ pub struct IncrementalValidator {
     /// Reference-counted VRP multiset: distinct ROAs may assert the same
     /// payload, and one leaving must not withdraw the other's.
     vrp_counts: BTreeMap<Vrp, usize>,
+    /// Rejection events of the cached points (the anchors' are counted
+    /// on demand).
     rejected: usize,
-    /// The maintained flat event log: the cached tree linearized in walk
-    /// order, `Arc`-sharing each point's pre-rendered chunks. Rebuilt in
-    /// O(points) only by passes that changed something.
-    log_pieces: Vec<Arc<Vec<ValidationEvent>>>,
     /// Test-only fault hook: points whose revalidation panics.
     poisoned: HashSet<KeyId>,
 }
@@ -429,7 +490,6 @@ impl IncrementalValidator {
             points: HashMap::new(),
             vrp_counts: BTreeMap::new(),
             rejected: 0,
-            log_pieces: Vec::new(),
             poisoned: HashSet::new(),
         }
     }
@@ -468,7 +528,8 @@ impl IncrementalValidator {
 
     /// Number of rejection events in the current (cached) walk.
     pub fn rejected_count(&self) -> usize {
-        self.rejected
+        let anchors = self.tas.iter().filter(|t| t.event.rejected.is_some());
+        anchors.count() + self.rejected
     }
 
     /// Validate `repo` as of `now`, reusing every cached publication
@@ -493,14 +554,11 @@ impl IncrementalValidator {
         // lazily: a count that dips to zero and recovers within one apply
         // must not surface in the delta.
         let mut touched: HashMap<Vrp, bool> = HashMap::new();
-        let mut visited: HashSet<KeyId> = HashSet::new();
-        // Previous cache; entries still live move back into self.points,
-        // the rest are dead and release their VRPs.
-        let mut prev = std::mem::take(&mut self.points);
+        // Points reached this pass. A reused entry stays where it is, a
+        // dirty one is taken out and its successor put back; whatever
+        // is left unvisited at the end is dead.
+        let mut visited: HashSet<KeyId> = HashSet::with_capacity(self.points.len());
         let prev_tas = std::mem::take(&mut self.tas);
-        // Whether anything in the cached tree changed this pass — only
-        // then is the maintained flat log relinearized.
-        let mut log_dirty = false;
 
         // Trust-anchor stage, serial: one signature check per anchor at
         // worst, and the anchors seed the first wave's frontier.
@@ -513,61 +571,46 @@ impl IncrementalValidator {
                 Some(c) => c.clone(),
                 None => {
                     stats.objects_validated += 1;
-                    log_dirty = true;
                     let mut era = Era::unbounded();
                     let event =
                         trust_anchor_event(ta, now, &mut era, &mut stats.signatures_verified);
                     CachedTa {
                         name: ta.name.as_str().into(),
+                        id: ta.cert.subject_key_id(),
                         cert: Arc::new(ta.cert.clone()),
                         era,
                         usable: event.rejected.is_none(),
-                        event,
+                        event: Arc::new(event),
                     }
                 }
             };
             if entry.usable {
-                frontier.push((Arc::clone(&entry.cert), Arc::clone(&entry.name)));
+                frontier.push((entry.id, Arc::clone(&entry.cert), Arc::clone(&entry.name)));
             }
             self.tas.push(entry);
-        }
-        // Anchor removals and reorders change the log even when every
-        // surviving anchor hit the cache.
-        if self.tas.len() != prev_tas.len()
-            || self
-                .tas
-                .iter()
-                .zip(&prev_tas)
-                .any(|(a, b)| !Arc::ptr_eq(&a.cert, &b.cert))
-        {
-            log_dirty = true;
         }
 
         while !frontier.is_empty() {
             // --- Plan (serial): compare the frontier with the cache. ---
             let mut plan: Vec<Planned> = Vec::with_capacity(frontier.len());
-            for (cert, ta_name) in frontier.drain(..) {
-                let ca_id = cert.subject_key_id();
+            for (ca_id, cert, ta_name) in frontier.drain(..) {
                 if !visited.insert(ca_id) {
                     continue;
                 }
                 stats.points_total += 1;
-                match prev.remove(&ca_id) {
-                    Some(entry)
-                        if entry.reusable(&ta_name, &cert, repo.points.get(&ca_id), now) =>
-                    {
-                        stats.points_reused += 1;
-                        plan.push(Planned::Reused(ca_id, entry));
-                    }
-                    old => {
-                        stats.points_revalidated += 1;
-                        plan.push(Planned::Dirty {
-                            ca_id,
-                            cert,
-                            ta_name,
-                            old,
-                        });
-                    }
+                let pp = repo.points.get(&ca_id);
+                let cached = self.points.get(&ca_id);
+                if cached.is_some_and(|entry| entry.reusable(&ta_name, &cert, pp, now)) {
+                    stats.points_reused += 1;
+                    plan.push(Planned::Reused(ca_id));
+                } else {
+                    stats.points_revalidated += 1;
+                    plan.push(Planned::Dirty {
+                        ca_id,
+                        cert,
+                        ta_name,
+                        old: self.points.remove(&ca_id).map(Box::new),
+                    });
                 }
             }
 
@@ -598,69 +641,72 @@ impl IncrementalValidator {
                     );
                     // No publication point: a verdict without crypto.
                     let Some(pp) = repo.points.get(ca_id) else {
-                        return CachedPoint::missing(Arc::clone(ta_name), Arc::clone(cert));
+                        let entry = CachedPoint::missing(Arc::clone(ta_name), Arc::clone(cert));
+                        let moves = VrpMoves::between(old.as_deref(), &entry, &[]);
+                        return (entry, moves);
                     };
-                    let known = match old {
-                        Some(old) => old.recall(cert, pp),
-                        None => PointFacts::unknown(pp),
-                    };
+                    let (known, origins) = recall(old.as_deref(), ta_name, cert, pp);
                     let outcome = validate_point(cert, pp, ta_name, now, options, known);
-                    CachedPoint::from_outcome(ta_name, cert, pp, outcome)
+                    let entry = CachedPoint::from_outcome(ta_name, cert, pp, outcome);
+                    let moves = VrpMoves::between(old.as_deref(), &entry, &origins);
+                    (entry, moves)
                 },
             );
 
             // --- Commit (serial, plan order): fold outcomes back. ---
             let mut outcome_iter = outcomes.into_iter();
             for planned in plan {
-                match planned {
-                    Planned::Reused(ca_id, entry) => {
-                        for child in &entry.children {
-                            frontier.push((Arc::clone(child), Arc::clone(&entry.ta_name)));
-                        }
-                        self.points.insert(ca_id, entry);
-                    }
+                let ca_id = match planned {
+                    Planned::Reused(ca_id) => ca_id,
                     Planned::Dirty {
                         ca_id,
                         cert,
                         ta_name,
                         old,
                     } => {
-                        log_dirty = true;
-                        let entry = match outcome_iter
+                        let (entry, moves) = match outcome_iter
                             .next()
                             .expect("one execute outcome per dirty item")
                         {
-                            Some(entry) => {
+                            Some((entry, moves)) => {
                                 stats.objects_validated += entry.objects;
                                 stats.signatures_verified += entry.signatures;
-                                entry
+                                (entry, moves)
                             }
                             None => {
                                 stats.points_skipped += 1;
-                                CachedPoint::skipped(ta_name, cert)
+                                let entry = CachedPoint::skipped(ta_name, cert);
+                                let moves = VrpMoves::between(old.as_deref(), &entry, &[]);
+                                (entry, moves)
                             }
                         };
-                        self.commit_fresh(ca_id, entry, old, &mut frontier, &mut touched);
+                        let counts = &mut self.vrp_counts;
+                        release_vrps(counts, moves.released, &mut touched);
+                        acquire_vrps(counts, moves.acquired, &mut touched);
+                        self.rejected += entry.rejected;
+                        self.rejected -= old.map_or(0, |old| old.rejected);
+                        self.points.insert(ca_id, entry);
+                        ca_id
                     }
+                };
+                let entry = &self.points[&ca_id];
+                for (id, child) in &entry.children {
+                    frontier.push((*id, Arc::clone(child), Arc::clone(&entry.ta_name)));
                 }
             }
         }
 
         // Points no longer reachable: withdraw their VRPs.
-        for (_, dead) in prev.drain() {
-            log_dirty = true;
-            self.release_vrps(&dead.vrps, &mut touched);
-        }
-
-        self.rejected = self
-            .tas
-            .iter()
-            .filter(|t| t.event.rejected.is_some())
-            .count()
-            + self.points.values().map(|p| p.rejected).sum::<usize>();
-
-        if log_dirty {
-            self.relinearize_log();
+        if self.points.len() > visited.len() {
+            let (counts, rejected) = (&mut self.vrp_counts, &mut self.rejected);
+            self.points.retain(|ca_id, entry| {
+                let live = visited.contains(ca_id);
+                if !live {
+                    release_vrps(counts, entry.vrps(), &mut touched);
+                    *rejected -= entry.rejected;
+                }
+                live
+            });
         }
 
         let mut delta = VrpDelta {
@@ -680,104 +726,71 @@ impl IncrementalValidator {
         delta
     }
 
-    /// Commit one freshly computed (or skipped) entry: swap the VRP
-    /// refcounts, extend the next wave's frontier, install the entry.
-    fn commit_fresh(
-        &mut self,
-        ca_id: KeyId,
-        entry: CachedPoint,
-        old: Option<CachedPoint>,
-        frontier: &mut Frontier,
-        touched: &mut HashMap<Vrp, bool>,
-    ) {
-        if let Some(old) = old {
-            self.release_vrps(&old.vrps, touched);
-        }
-        self.acquire_vrps(&entry.vrps, touched);
-        for child in &entry.children {
-            frontier.push((Arc::clone(child), Arc::clone(&entry.ta_name)));
-        }
-        self.points.insert(ca_id, entry);
-    }
-
-    fn acquire_vrps(&mut self, vrps: &[Vrp], touched: &mut HashMap<Vrp, bool>) {
-        for vrp in vrps {
-            let count = self.vrp_counts.entry(*vrp).or_insert(0);
-            touched.entry(*vrp).or_insert(*count > 0);
-            *count += 1;
-        }
-    }
-
-    fn release_vrps(&mut self, vrps: &[Vrp], touched: &mut HashMap<Vrp, bool>) {
-        for vrp in vrps {
-            let count = self
-                .vrp_counts
-                .get_mut(vrp)
-                .expect("released VRP was never acquired");
-            touched.entry(*vrp).or_insert(true);
-            *count -= 1;
-            if *count == 0 {
-                self.vrp_counts.remove(vrp);
-            }
-        }
-    }
-
-    /// Rebuild the maintained flat log from the cached tree: a
-    /// depth-first descent (matching the full validator's walk order)
-    /// that clones chunk `Arc`s, never events — O(points), not
-    /// O(events).
-    fn relinearize_log(&mut self) {
-        let mut pieces: Vec<Arc<Vec<ValidationEvent>>> = Vec::with_capacity(self.log_pieces.len());
-        let mut seen: HashSet<KeyId> = HashSet::new();
-        for ta in &self.tas {
-            pieces.push(Arc::new(vec![ta.event.clone()]));
-            if ta.usable {
-                Self::linearize(&self.points, &ta.cert, &mut seen, &mut pieces);
-            }
-        }
-        self.log_pieces = pieces;
-    }
-
-    fn linearize(
-        points: &HashMap<KeyId, CachedPoint>,
-        ca_cert: &Cert,
-        seen: &mut HashSet<KeyId>,
-        pieces: &mut Vec<Arc<Vec<ValidationEvent>>>,
-    ) {
-        let ca_id = ca_cert.subject_key_id();
-        if !seen.insert(ca_id) {
-            return;
-        }
-        let Some(entry) = points.get(&ca_id) else {
-            return;
-        };
-        for (i, chunk) in entry.chunks.iter().enumerate() {
-            if !chunk.is_empty() {
-                pieces.push(Arc::clone(chunk));
-            }
-            if let Some(child) = entry.children.get(i) {
-                Self::linearize(points, child, seen, pieces);
-            }
-        }
-    }
-
     /// The [`ValidationReport`] a full `validate_with` run would produce
     /// for the last applied `(repo, now)` — identical event order and
-    /// VRP set — assembled from the incrementally maintained log and the
-    /// VRP refcount table. No walk is replayed and nothing is
-    /// revalidated; the cost is one clone of the event stream.
+    /// VRP set — read off the cached tree: a depth-first descent
+    /// matching the full validator's walk order, copying each point's
+    /// pre-rendered events, and the VRP refcount table. Nothing is
+    /// revalidated.
     ///
     /// A point skipped by panic isolation is absent from the log until a
     /// later pass revalidates it.
     pub fn report(&self) -> ValidationReport {
-        let total: usize = self.log_pieces.iter().map(|c| c.len()).sum();
-        let mut log = Vec::with_capacity(total);
-        for chunk in &self.log_pieces {
-            log.extend(chunk.iter().cloned());
+        let mut log = Vec::new();
+        let mut seen: HashSet<KeyId> = HashSet::new();
+        for ta in &self.tas {
+            log.push(ValidationEvent::clone(&ta.event));
+            if ta.usable {
+                self.linearize(ta.id, &mut seen, &mut log);
+            }
         }
         ValidationReport {
             vrps: self.vrps(),
             log,
+        }
+    }
+
+    fn linearize(&self, ca_id: KeyId, seen: &mut HashSet<KeyId>, log: &mut Vec<ValidationEvent>) {
+        if !seen.insert(ca_id) {
+            return;
+        }
+        let Some(entry) = self.points.get(&ca_id) else {
+            return;
+        };
+        for (i, chunk) in entry.chunks.iter().enumerate() {
+            log.extend(chunk.iter().map(|event| ValidationEvent::clone(event)));
+            if let Some((child, _)) = entry.children.get(i) {
+                self.linearize(*child, seen, log);
+            }
+        }
+    }
+}
+
+fn acquire_vrps(
+    counts: &mut BTreeMap<Vrp, usize>,
+    vrps: impl IntoIterator<Item = Vrp>,
+    touched: &mut HashMap<Vrp, bool>,
+) {
+    for vrp in vrps {
+        let count = counts.entry(vrp).or_insert(0);
+        touched.entry(vrp).or_insert(*count > 0);
+        *count += 1;
+    }
+}
+
+fn release_vrps(
+    counts: &mut BTreeMap<Vrp, usize>,
+    vrps: impl IntoIterator<Item = Vrp>,
+    touched: &mut HashMap<Vrp, bool>,
+) {
+    for vrp in vrps {
+        let count = counts
+            .get_mut(&vrp)
+            .expect("released VRP was never acquired");
+        touched.entry(vrp).or_insert(true);
+        *count -= 1;
+        if *count == 0 {
+            counts.remove(&vrp);
         }
     }
 }
@@ -785,11 +798,13 @@ impl IncrementalValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::Manifest;
     use crate::repo::RepositoryBuilder;
     use crate::resources::Resources;
     use crate::roa::RoaPrefix;
     use crate::time::Duration;
-    use crate::validate::validate;
+    use crate::validate::{validate, RejectReason};
+    use ripki_crypto::keystore::Keypair;
     use ripki_net::{Asn, IpPrefix};
 
     fn p(s: &str) -> IpPrefix {
@@ -1110,8 +1125,8 @@ mod tests {
             let delta = inc.apply(&repo, NOW);
             // CRL, manifest, the new EE certificate, the new content.
             assert_eq!(delta.stats.signatures_verified, 4, "n={n}");
-            // Every decision at the point is still re-derived.
-            assert_eq!(delta.stats.objects_validated, n + 1);
+            // The new ROA is decided; its siblings' decisions carry over.
+            assert_eq!(delta.stats.objects_validated, 1, "n={n}");
             assert_eq!(delta.announced.len(), 1);
             assert_equiv(&inc, &repo, NOW);
         }
@@ -1125,7 +1140,7 @@ mod tests {
             let repo = b.snapshot();
             let delta = inc.apply(&repo, NOW);
             assert_eq!(delta.stats.signatures_verified, 2, "n={n}");
-            assert_eq!(delta.stats.objects_validated, n);
+            assert_eq!(delta.stats.objects_validated, 0, "n={n}");
             assert!(delta.is_empty());
             assert_equiv(&inc, &repo, NOW);
         }
@@ -1140,9 +1155,15 @@ mod tests {
             let repo = b.snapshot();
             let delta = inc.apply(&repo, NOW);
             // The new CRL and manifest; the revoked EE's signature is
-            // remembered and the CRL lookup alone rejects it.
+            // remembered and the CRL lookup alone rejects it: its
+            // decision is the one not carried.
             assert_eq!(delta.stats.signatures_verified, 2, "n={n}");
+            assert_eq!(delta.stats.objects_validated, 1, "n={n}");
             assert_eq!(delta.withdrawn.len(), 1);
+            let object = format!("ROA #{serial} (");
+            assert!(inc.report().log.iter().any(|e| {
+                e.object.starts_with(&object) && e.rejected == Some(RejectReason::Revoked)
+            }));
             assert_equiv(&inc, &repo, NOW);
         }
     }
@@ -1163,18 +1184,37 @@ mod tests {
                 b.add_roa(ta, Asn::new(100), vec![RoaPrefix::exact(prefix)])
                     .unwrap();
             }
-            let repo = b.snapshot();
             let mut inc = IncrementalValidator::default();
-            inc.apply(&repo, SimTime::EPOCH + Duration::days(101));
+            inc.apply(&b.snapshot(), SimTime::EPOCH + Duration::days(101));
             assert_eq!(inc.vrps().len(), n + 1);
+
+            // A republication carries every decision, so the era the
+            // sweep below leaves is one the carried decisions narrowed.
+            let day_200 = SimTime::EPOCH + Duration::days(200);
+            b.set_now(day_200);
+            b.republish(ta).unwrap();
+            let repo = b.snapshot();
+            let delta = inc.apply(&repo, day_200);
+            assert_eq!(delta.stats.objects_validated, 0, "n={n}");
+            assert_equiv(&inc, &repo, day_200);
 
             let late = SimTime::EPOCH + Duration::years(1) + Duration::days(1);
             let delta = inc.apply(&repo, late);
             assert_eq!(delta.stats.points_revalidated, 1);
-            assert_eq!(delta.stats.objects_validated, n + 1);
+            // The lapsed ROA flips; the `n` still in their windows carry.
+            assert_eq!(delta.stats.objects_validated, 1, "n={n}");
             assert_eq!(delta.stats.signatures_verified, 0, "n={n}");
             assert_eq!(delta.withdrawn.len(), 1);
             assert_eq!(delta.withdrawn[0].asn, Asn::new(99));
+            assert_equiv(&inc, &repo, late);
+
+            // The next republication carries the `Expired` decision.
+            b.set_now(late);
+            b.republish(ta).unwrap();
+            let repo = b.snapshot();
+            let delta = inc.apply(&repo, late);
+            assert_eq!(delta.stats.objects_validated, 0, "n={n}");
+            assert!(delta.is_empty());
             assert_equiv(&inc, &repo, late);
         }
     }
@@ -1233,12 +1273,63 @@ mod tests {
         let repo = b.snapshot();
         let delta = inc.apply(&repo, NOW);
         assert_eq!(delta.stats.points_revalidated, 4);
-        assert_eq!(delta.stats.objects_validated, 4 * ROAS);
+        // Per point, the one new ROA: every sibling's decision carries.
+        assert_eq!(delta.stats.objects_validated, 4);
         // Per point: CRL, manifest, one EE certificate, one content —
         // where validating the point afresh costs 2 + 2·ROAS.
         assert_eq!(delta.stats.signatures_verified, 4 * 4);
         assert_eq!((delta.announced.len(), delta.withdrawn.len()), (4, 4));
         assert_equiv(&inc, &repo, NOW);
+    }
+
+    /// The same repository under a renamed anchor: the points below it
+    /// keep their issuing certificates and objects, but every decision
+    /// names the anchor it was taken under, so none is carried.
+    #[test]
+    fn a_renamed_anchor_carries_no_decision() {
+        for n in SIBLINGS {
+            let (mut b, _, mut inc) = counted_world(n);
+            let mut repo = b.snapshot();
+            repo.trust_anchors[0].name = "RIPE NCC".to_string();
+            let delta = inc.apply(&repo, NOW);
+            assert!(delta.is_empty());
+            assert_equiv(&inc, &repo, NOW);
+        }
+    }
+
+    /// ISP-1's certificate reissued under the same key with narrower
+    /// resources: its point keeps its key and its objects, but a
+    /// decision taken under the old certificate is not carried — every
+    /// ROA outside the new holdings now overclaims.
+    #[test]
+    fn a_reissued_issuer_carries_no_decision() {
+        for n in SIBLINGS {
+            let (mut b, isp1, mut inc) = counted_world(n);
+            let mut repo = b.snapshot();
+            let anchor = Keypair::derive(5, "ta/RIPE");
+            let pp = repo.points.get_mut(&anchor.key_id).unwrap();
+            let slot = pp
+                .child_certs
+                .iter()
+                .position(|c| c.subject_key_id() == isp1)
+                .unwrap();
+            let cert = Arc::make_mut(&mut pp.child_certs[slot]);
+            cert.resources = res(&["85.0.0.0/16"]);
+            cert.signature = anchor.secret.sign(&cert.tbs_bytes());
+            let mut entries = pp.manifest.entries.clone();
+            entries.insert(PublicationPoint::cert_file_name(cert), cert.digest());
+            pp.manifest = Arc::new(Manifest::issue(
+                &anchor.secret,
+                anchor.key_id,
+                pp.manifest.manifest_number + 1,
+                entries,
+                pp.manifest.validity,
+            ));
+            let delta = inc.apply(&repo, NOW);
+            // 85.0.0.0/16 alone is still held.
+            assert_eq!(delta.withdrawn.len(), n - 1, "n={n}");
+            assert_equiv(&inc, &repo, NOW);
+        }
     }
 
     /// Two-CA world for the panic-isolation cases below.

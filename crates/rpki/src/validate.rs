@@ -21,6 +21,7 @@
 
 use crate::cert::Cert;
 use crate::repo::{PublicationPoint, Repository};
+use crate::roa::Roa;
 use crate::ta::TrustAnchor;
 use crate::time::{Era, SimTime};
 use ripki_crypto::keystore::KeyId;
@@ -253,14 +254,75 @@ fn window_reason(cert: &Cert, now: SimTime) -> Option<RejectReason> {
 /// function of the object's bytes and (for `issuer_signed`) the issuing
 /// key alone. `None` means the walk never needed the answer — it
 /// short-circuited first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct ObjectFacts {
+    /// The file name a manifest lists it under.
+    name: Option<FileName>,
     /// SHA-256 of the full encoding, as a manifest lists it.
     digest: Option<Digest>,
     /// Whether the object's signature verifies under the issuing CA key.
     issuer_signed: Option<bool>,
     /// ROAs only: whether the content verifies under the EE key.
     content_signed: Option<bool>,
+    /// ROAs only: the event of the decision taken about the object, an
+    /// `Arc` so that a carried decision is recognisable by address.
+    /// Going into [`validate_point`] it is the last pass's decision
+    /// under the same issuing certificate and trust-anchor name, if the
+    /// caller knows one; coming out it is this pass's, or `None` if the
+    /// walk stopped before the point's objects.
+    decision: Option<Arc<ValidationEvent>>,
+}
+
+impl ObjectFacts {
+    /// Whether the walk accepted the object (a ROA's VRPs count).
+    pub fn accepted(&self) -> bool {
+        self.decision.as_ref().is_some_and(|e| e.rejected.is_none())
+    }
+
+    /// Whether `self` and `other` hold the very same decision event:
+    /// one was carried over from the other.
+    pub fn same_decision(&self, other: &ObjectFacts) -> bool {
+        match (&self.decision, &other.decision) {
+            (Some(mine), Some(theirs)) => Arc::ptr_eq(mine, theirs),
+            _ => false,
+        }
+    }
+
+    /// The object's manifest entry, remembered after the first ask.
+    fn entry(
+        &mut self,
+        name: impl FnOnce() -> String,
+        digest: impl FnOnce() -> Digest,
+    ) -> (&[u8], &Digest) {
+        let name = self.name.get_or_insert_with(|| FileName::new(&name()));
+        (name.as_bytes(), self.digest.get_or_insert_with(digest))
+    }
+}
+
+/// A manifest file name, held inline: a canonical name is a short
+/// prefix and suffix around a `u64` serial of at most 20 digits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileName {
+    len: u8,
+    bytes: [u8; 30],
+}
+
+impl FileName {
+    fn new(name: &str) -> FileName {
+        let mut bytes = [0; 30];
+        bytes
+            .get_mut(..name.len())
+            .expect("a canonical file name fits inline")
+            .copy_from_slice(name.as_bytes());
+        FileName {
+            len: name.len() as u8,
+            bytes,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
 }
 
 /// The [`ObjectFacts`] of every object of one publication point, slot
@@ -298,41 +360,44 @@ fn verdict(known: &mut Option<bool>, verified: &mut usize, verify: impl FnOnce()
     })
 }
 
-/// Compare the manifest against the actually published objects.
+/// Compare the manifest against the actually published objects in one
+/// walk over both in file-name order: every published name is listed
+/// with its digest, every listed name is published, and no name is
+/// published twice.
 fn manifest_consistency(pp: &PublicationPoint, facts: &mut PointFacts) -> Result<(), String> {
-    let mut expected: Vec<(String, Digest)> = Vec::new();
-    expected.push((
-        PublicationPoint::CRL_FILE_NAME.to_string(),
-        *facts.crl.digest.get_or_insert_with(|| pp.crl.digest()),
-    ));
+    let crl = *facts.crl.digest.get_or_insert_with(|| pp.crl.digest());
+    let mut published: Vec<(&[u8], &Digest)> =
+        Vec::with_capacity(1 + pp.child_certs.len() + pp.roas.len());
+    published.push((PublicationPoint::CRL_FILE_NAME.as_bytes(), &crl));
     for (cert, known) in pp.child_certs.iter().zip(&mut facts.child_certs) {
-        expected.push((
-            PublicationPoint::cert_file_name(cert),
-            *known.digest.get_or_insert_with(|| cert.digest()),
-        ));
+        published.push(known.entry(|| PublicationPoint::cert_file_name(cert), || cert.digest()));
     }
     for (roa, known) in pp.roas.iter().zip(&mut facts.roas) {
-        expected.push((
-            PublicationPoint::roa_file_name(roa),
-            *known.digest.get_or_insert_with(|| roa.digest()),
-        ));
+        published.push(known.entry(|| PublicationPoint::roa_file_name(roa), || roa.digest()));
     }
-    for (name, digest) in &expected {
-        match pp.manifest.digest_of(name) {
-            None => return Err(format!("{name} published but not on manifest")),
-            Some(listed) if listed != digest => return Err(format!("{name} hash mismatch")),
+    // Issue order is nearly name order: a stable sort merges its runs.
+    published.sort_by(|a, b| a.0.cmp(b.0));
+    let mut listed = pp.manifest.entries.iter().peekable();
+    for (k, &(name, digest)) in published.iter().enumerate() {
+        let shown = || String::from_utf8_lossy(name);
+        if published.get(k + 1).is_some_and(|next| next.0 == name) {
+            return Err(format!("{} published twice", shown()));
+        }
+        if let Some((ghost, _)) = listed.next_if(|(listed, _)| listed.as_bytes() < name) {
+            return Err(format!("{ghost} on manifest but not published"));
+        }
+        match listed.next_if(|(listed, _)| listed.as_bytes() == name) {
+            None => return Err(format!("{} published but not on manifest", shown())),
+            Some((_, listed)) if listed != digest => {
+                return Err(format!("{} hash mismatch", shown()))
+            }
             Some(_) => {}
         }
     }
-    if pp.manifest.entries.len() != expected.len() {
-        let published: HashSet<&String> = expected.iter().map(|(n, _)| n).collect();
-        for name in pp.manifest.entries.keys() {
-            if !published.contains(name) {
-                return Err(format!("{name} on manifest but not published"));
-            }
-        }
+    match listed.next() {
+        Some((ghost, _)) => Err(format!("{ghost} on manifest but not published")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// One logged decision of a publication-point validation, in walk order.
@@ -343,8 +408,8 @@ fn manifest_consistency(pp: &PublicationPoint, facts: &mut PointFacts) -> Result
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum PointItem {
     /// A terminal decision: point-level failure, child/ROA reject, or
-    /// ROA accept.
-    Event(ValidationEvent),
+    /// ROA accept. A ROA's event is the one its [`ObjectFacts`] hold.
+    Event(Arc<ValidationEvent>),
     /// An accepted subordinate CA certificate — the publication point's
     /// own allocation; the walk emits its accept event and recurses into
     /// its publication point.
@@ -357,17 +422,18 @@ pub(crate) enum PointItem {
 pub(crate) struct PointOutcome {
     /// Decisions in exactly the order `validate` logs them.
     pub items: Vec<PointItem>,
-    /// VRPs contributed by this point's accepted ROAs. Duplicates are
-    /// preserved: the incremental validator reference-counts them.
-    pub vrps: Vec<Vrp>,
     /// Interval of `now` values over which this outcome is unchanged.
     /// Every validity window the walk consulted narrows it.
     pub era: Era,
-    /// The facts the walk was given, completed by those it computed.
+    /// The facts the walk was given, completed by those it computed;
+    /// each ROA's slot holds this walk's decision about it.
     pub facts: PointFacts,
     /// Schnorr verifications the walk executed itself, i.e. signature
     /// verdicts it was not given.
     pub signatures_verified: usize,
+    /// ROA decisions the walk carried over from the facts it was given
+    /// (the rest of `items` it took itself).
+    pub carried: usize,
 }
 
 /// The accept event emitted for a subordinate CA certificate.
@@ -387,6 +453,69 @@ pub(crate) fn missing_point_event(ta_name: &str, ca_cert: &Cert) -> ValidationEv
     )
 }
 
+/// The VRPs an accepted ROA contributes.
+pub(crate) fn roa_vrps(roa: &Roa) -> impl Iterator<Item = Vrp> + '_ {
+    roa.prefixes.iter().map(|rp| Vrp {
+        prefix: rp.prefix,
+        max_length: rp.effective_max_length(),
+        asn: roa.asn,
+    })
+}
+
+/// The VRPs of every ROA the walk accepted, slot for slot with its
+/// facts, duplicates kept.
+pub(crate) fn accepted_vrps<'a>(
+    roas: &'a [Arc<Roa>],
+    facts: &'a [ObjectFacts],
+) -> impl Iterator<Item = Vrp> + 'a {
+    roas.iter()
+        .zip(facts)
+        .filter(|(_, known)| known.accepted())
+        .flat_map(|(roa, _)| roa_vrps(roa))
+}
+
+/// The checks a ROA meets once its signature, the CRL and the clock have
+/// let it through. They read nothing but the ROA and its issuing
+/// certificate.
+fn roa_content_reason(
+    roa: &Roa,
+    ca_cert: &Cert,
+    content_signed: &mut Option<bool>,
+    verified: &mut usize,
+) -> Option<RejectReason> {
+    let ee = &roa.ee;
+    if ee.is_ca {
+        Some(RejectReason::UnexpectedCa)
+    } else if !ca_cert.resources.encompasses(&ee.resources) {
+        Some(RejectReason::ResourceOverclaim)
+    } else if !verdict(content_signed, verified, || roa.verify_content_signature()) {
+        Some(RejectReason::BadContentSignature)
+    } else if roa.prefixes.iter().any(|rp| !rp.is_well_formed()) {
+        Some(RejectReason::MalformedRoaPrefix)
+    } else if !ee.resources.prefixes.encompasses(&roa.claimed_prefixes()) {
+        Some(RejectReason::RoaResourceMismatch)
+    } else {
+        None
+    }
+}
+
+/// What [`roa_content_reason`] answered when `decision` was taken, if
+/// the decision got that far: it is accepted, or rejected by one of
+/// those checks.
+fn content_verdict(decision: &ValidationEvent) -> Option<Option<RejectReason>> {
+    match &decision.rejected {
+        None => Some(None),
+        Some(
+            reason @ (RejectReason::UnexpectedCa
+            | RejectReason::ResourceOverclaim
+            | RejectReason::BadContentSignature
+            | RejectReason::MalformedRoaPrefix
+            | RejectReason::RoaResourceMismatch),
+        ) => Some(Some(reason.clone())),
+        Some(_) => None,
+    }
+}
+
 /// Validate a single publication point under its issuing certificate.
 ///
 /// This is the one place the per-object checks live; the full walk and
@@ -396,9 +525,12 @@ pub(crate) fn missing_point_event(ta_name: &str, ca_cert: &Cert) -> ValidationEv
 /// not constrain the outcome.
 ///
 /// `known` holds what the caller already established about `pp`'s
-/// objects *under this very `ca_cert`*. Every decision is still taken,
-/// in the same order with the same short-circuits; a known fact only
-/// replaces the computation that would have produced it.
+/// objects *under this very `ca_cert`* and trust-anchor name. Every
+/// decision is still taken, in the same order with the same
+/// short-circuits; a known fact only replaces the computation that
+/// would have produced it. A known ROA decision is re-checked against
+/// the two inputs that change without a new allocation — the CRL and
+/// the clock — and carried, event and all, if they still lead to it.
 pub(crate) fn validate_point(
     ca_cert: &Cert,
     pp: &PublicationPoint,
@@ -413,74 +545,20 @@ pub(crate) fn validate_point(
         "known facts do not line up with the publication point"
     );
     let mut out = PointOutcome {
-        items: Vec::new(),
-        vrps: Vec::new(),
+        items: Vec::with_capacity(1 + pp.child_certs.len() + pp.roas.len()),
         era: Era::unbounded(),
         facts: known,
         signatures_verified: 0,
+        carried: 0,
     };
-    let ca_desc = format!("publication point of \"{}\"", ca_cert.subject);
-    let ca_key = &ca_cert.subject_key;
-
-    // CRL checks. A broken CRL makes revocation status unknowable; the
-    // point is unusable.
-    if !verdict(
-        &mut out.facts.crl.issuer_signed,
-        &mut out.signatures_verified,
-        || pp.crl.verify_signature(ca_key),
-    ) {
-        out.items.push(PointItem::Event(ValidationEvent::rejected(
-            ta_name,
-            ca_desc,
-            RejectReason::BadCrl(Box::new(RejectReason::BadSignature)),
-        )));
-        return out;
-    }
-    out.era.observe(&pp.crl.validity, now);
-    if !pp.crl.is_current(now) {
-        out.items.push(PointItem::Event(ValidationEvent::rejected(
-            ta_name,
-            ca_desc,
-            RejectReason::BadCrl(Box::new(RejectReason::Expired)),
-        )));
-        return out;
-    }
-
-    // Manifest checks.
-    let manifest_ok = if !verdict(
-        &mut out.facts.manifest.issuer_signed,
-        &mut out.signatures_verified,
-        || pp.manifest.verify_signature(ca_key),
-    ) {
-        out.items.push(PointItem::Event(ValidationEvent::rejected(
-            ta_name,
-            &ca_desc,
-            RejectReason::BadManifest(Box::new(RejectReason::BadSignature)),
-        )));
-        false
-    } else {
-        out.era.observe(&pp.manifest.validity, now);
-        if !pp.manifest.is_current(now) {
-            out.items.push(PointItem::Event(ValidationEvent::rejected(
-                ta_name,
-                &ca_desc,
-                RejectReason::BadManifest(Box::new(RejectReason::Expired)),
-            )));
-            false
-        } else if let Err(detail) = manifest_consistency(pp, &mut out.facts) {
-            out.items.push(PointItem::Event(ValidationEvent::rejected(
-                ta_name,
-                &ca_desc,
-                RejectReason::ManifestMismatch(detail),
-            )));
-            false
-        } else {
-            true
+    if !point_usable(ca_cert, pp, ta_name, now, options, &mut out) {
+        // No object of the point is decided, so no decision stands.
+        for known in &mut out.facts.roas {
+            known.decision = None;
         }
-    };
-    if !manifest_ok && options.strict_manifests {
         return out;
     }
+    let ca_key = &ca_cert.subject_key;
 
     // Subordinate CA certificates.
     for (child, known) in pp.child_certs.iter().zip(&mut out.facts.child_certs) {
@@ -504,20 +582,19 @@ pub(crate) fn validate_point(
                 None
             }
         };
-        match reason {
+        out.items.push(match reason {
             Some(r) => {
                 let desc = format!("CA cert #{} \"{}\"", child.serial, child.subject);
-                out.items.push(PointItem::Event(ValidationEvent::rejected(
-                    ta_name, desc, r,
-                )));
+                PointItem::Event(Arc::new(ValidationEvent::rejected(ta_name, desc, r)))
             }
-            None => out.items.push(PointItem::Child(Arc::clone(child))),
-        }
+            None => PointItem::Child(Arc::clone(child)),
+        });
     }
 
     // ROAs.
     for (roa, known) in pp.roas.iter().zip(&mut out.facts.roas) {
         let ee = &roa.ee;
+        let last = known.decision.take();
         let reason = if !verdict(
             &mut known.issuer_signed,
             &mut out.signatures_verified,
@@ -528,45 +605,91 @@ pub(crate) fn validate_point(
             Some(RejectReason::Revoked)
         } else {
             out.era.observe(&ee.validity, now);
-            if let Some(r) = window_reason(ee, now) {
-                Some(r)
-            } else if ee.is_ca {
-                Some(RejectReason::UnexpectedCa)
-            } else if !ca_cert.resources.encompasses(&ee.resources) {
-                Some(RejectReason::ResourceOverclaim)
-            } else if !verdict(
-                &mut known.content_signed,
-                &mut out.signatures_verified,
-                || roa.verify_content_signature(),
-            ) {
-                Some(RejectReason::BadContentSignature)
-            } else if roa.prefixes.iter().any(|rp| !rp.is_well_formed()) {
-                Some(RejectReason::MalformedRoaPrefix)
-            } else if !ee.resources.prefixes.encompasses(&roa.claimed_prefixes()) {
-                Some(RejectReason::RoaResourceMismatch)
-            } else {
-                None
-            }
+            window_reason(ee, now).or_else(|| match last.as_deref().and_then(content_verdict) {
+                Some(reason) => reason,
+                None => roa_content_reason(
+                    roa,
+                    ca_cert,
+                    &mut known.content_signed,
+                    &mut out.signatures_verified,
+                ),
+            })
         };
-        let desc = format!("ROA #{} ({})", roa.ee.serial, roa);
-        match reason {
-            Some(r) => out.items.push(PointItem::Event(ValidationEvent::rejected(
-                ta_name, desc, r,
-            ))),
-            None => {
-                out.items
-                    .push(PointItem::Event(ValidationEvent::accepted(ta_name, desc)));
-                for rp in &roa.prefixes {
-                    out.vrps.push(Vrp {
-                        prefix: rp.prefix,
-                        max_length: rp.effective_max_length(),
-                        asn: roa.asn,
-                    });
-                }
+        let event = match last {
+            Some(last) if last.rejected == reason => {
+                out.carried += 1;
+                last
             }
-        }
+            _ => Arc::new(ValidationEvent {
+                object: format!("ROA #{} ({})", ee.serial, roa),
+                trust_anchor: ta_name.to_string(),
+                rejected: reason,
+            }),
+        };
+        known.decision = Some(Arc::clone(&event));
+        out.items.push(PointItem::Event(event));
     }
     out
+}
+
+/// The point-level checks — the CRL, then the manifest — logging the
+/// first failure; whether the walk goes on to the point's objects.
+fn point_usable(
+    ca_cert: &Cert,
+    pp: &PublicationPoint,
+    ta_name: &str,
+    now: SimTime,
+    options: ValidationOptions,
+    out: &mut PointOutcome,
+) -> bool {
+    let ca_key = &ca_cert.subject_key;
+    let mut reject = |reason| {
+        let desc = format!("publication point of \"{}\"", ca_cert.subject);
+        let event = ValidationEvent::rejected(ta_name, desc, reason);
+        out.items.push(PointItem::Event(Arc::new(event)));
+    };
+
+    // A broken CRL makes revocation status unknowable; the point is
+    // unusable.
+    if !verdict(
+        &mut out.facts.crl.issuer_signed,
+        &mut out.signatures_verified,
+        || pp.crl.verify_signature(ca_key),
+    ) {
+        reject(RejectReason::BadCrl(Box::new(RejectReason::BadSignature)));
+        return false;
+    }
+    out.era.observe(&pp.crl.validity, now);
+    if !pp.crl.is_current(now) {
+        reject(RejectReason::BadCrl(Box::new(RejectReason::Expired)));
+        return false;
+    }
+
+    let manifest = if !verdict(
+        &mut out.facts.manifest.issuer_signed,
+        &mut out.signatures_verified,
+        || pp.manifest.verify_signature(ca_key),
+    ) {
+        Some(RejectReason::BadManifest(Box::new(
+            RejectReason::BadSignature,
+        )))
+    } else {
+        out.era.observe(&pp.manifest.validity, now);
+        if !pp.manifest.is_current(now) {
+            Some(RejectReason::BadManifest(Box::new(RejectReason::Expired)))
+        } else {
+            manifest_consistency(pp, &mut out.facts)
+                .err()
+                .map(RejectReason::ManifestMismatch)
+        }
+    };
+    match manifest {
+        None => true,
+        Some(reason) => {
+            reject(reason);
+            !options.strict_manifests
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -588,26 +711,31 @@ fn walk_ca(
         report.log.push(missing_point_event(ta_name, ca_cert));
         return;
     };
-    let outcome = validate_point(ca_cert, pp, ta_name, now, options, PointFacts::unknown(pp));
-    for item in outcome.items {
+    let PointOutcome { items, facts, .. } =
+        validate_point(ca_cert, pp, ta_name, now, options, PointFacts::unknown(pp));
+    vrps.extend(accepted_vrps(&pp.roas, &facts.roas));
+    // The facts share each ROA's event: let the log take it, not a copy.
+    drop(facts);
+    for item in items {
         match item {
-            PointItem::Event(event) => report.log.push(event),
+            PointItem::Event(event) => report.log.push(Arc::unwrap_or_clone(event)),
             PointItem::Child(child) => {
                 report.log.push(ca_accept_event(ta_name, &child));
                 walk_ca(repo, &child, ta_name, now, options, report, vrps, visited);
             }
         }
     }
-    vrps.extend(outcome.vrps);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::IncrementalValidator;
     use crate::repo::RepositoryBuilder;
     use crate::resources::Resources;
     use crate::roa::RoaPrefix;
     use crate::time::Duration;
+    use ripki_crypto::sha256::sha256;
     use ripki_net::{Asn, IpPrefix, PrefixSet};
 
     fn p(s: &str) -> IpPrefix {
@@ -772,6 +900,51 @@ mod tests {
             .log
             .iter()
             .any(|e| e.rejected == Some(RejectReason::BadContentSignature)));
+    }
+
+    /// One ROA published twice under a re-signed manifest that also
+    /// lists a file nobody publishes: the name counts agree, the point
+    /// does not.
+    #[test]
+    fn duplicate_publication_hides_a_ghost_manifest_entry() {
+        let (clean, now) = happy_repo();
+        let isp = ripki_crypto::keystore::Keypair::derive(5, "ca/ISP-1");
+        let mut repo = clean.clone();
+        let pp = repo.points.get_mut(&isp.key_id).unwrap();
+        let twin = Arc::clone(&pp.roas[0]);
+        pp.roas.push(twin);
+        let mut entries = pp.manifest.entries.clone();
+        entries.insert("ghost.roa".to_string(), sha256(b"never published"));
+        pp.manifest = Arc::new(crate::manifest::Manifest::issue(
+            &isp.secret,
+            isp.key_id,
+            pp.manifest.manifest_number + 1,
+            entries,
+            pp.manifest.validity,
+        ));
+
+        let report = validate(&repo, now);
+        assert!(report.vrps.is_empty(), "vrps: {:?}", report.vrps);
+        assert!(report.log.iter().any(|e| {
+            matches!(&e.rejected, Some(RejectReason::ManifestMismatch(d)) if d.contains("published twice"))
+        }));
+
+        // The incremental validator agrees under either manifest policy,
+        // on the way in and out — the last step withholds the twin's
+        // original, so a refcount the duplicate left behind would show.
+        let mut withheld = clean.clone();
+        crate::faults::withhold_roa(&mut withheld, isp.key_id, 0);
+        for strict_manifests in [true, false] {
+            let options = ValidationOptions { strict_manifests };
+            let mut inc = IncrementalValidator::new(options);
+            for step in [&clean, &repo, &clean, &repo, &withheld] {
+                inc.apply(step, now);
+                let full = validate_with(step, now, options);
+                let replay = inc.report();
+                assert_eq!(replay.vrps, full.vrps, "strict={strict_manifests}");
+                assert_eq!(replay.log, full.log, "strict={strict_manifests}");
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@ GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_gate.py")
 # Rows as a traced run reports them; every ratio sits at twice its floor.
 ROWS = {
     "rpki.full_validate_ms": (800.0, "ms"),
-    "rpki.apply_ms_p50": (4.0, "ms"),
-    "payload.apply_ms_p50": (0.1, "ms"),
-    "slurm.ingest_us_p50": (100.0, "us"),
+    "rpki.apply_ms_p50": (1.0, "ms"),
+    "payload.apply_ms_p50": (0.075, "ms"),
+    "slurm.ingest_us_p50": (75.0, "us"),
     "rtr.cache_install_snapshot_ms": (0.0001, "ms"),
     "rtr.encode_reset_ms": (6.0, "ms"),
     "rtr.cache_apply_delta_us_p50": (300.0, "us"),
@@ -64,19 +64,19 @@ def gate(runs, expect_exit, expect_named=""):
 ok = verdict()
 gate({"study_full": ok, "churn_web": ok, "churn_rpki": ok}, 0)
 gate(
-    {"churn_rpki": verdict(**{"rpki.apply_ms_p50": (17.0, "ms")})},
+    {"churn_rpki": verdict(**{"rpki.apply_ms_p50": (2.86, "ms")})},
     1,
-    "÷ rpki.apply_ms_p50 @ churn_rpki: 47.1 < floor 100",
+    "÷ rpki.apply_ms_p50 @ churn_rpki: 280 < floor 400",
 )
 gate(
     {"churn_rpki": verdict(**{"payload.apply_ms_p50": (2.28, "ms")})},
     1,
-    "÷ payload.apply_ms_p50 @ churn_rpki: 1.75 < floor 20",
+    "÷ payload.apply_ms_p50 @ churn_rpki: 2.63 < floor 40",
 )
 gate(
     {"churn_rpki": verdict(**{"slurm.ingest_us_p50": (2536.0, "us")})},
     1,
-    "÷ slurm.ingest_us_p50 @ churn_rpki: 1.58 < floor 20",
+    "÷ slurm.ingest_us_p50 @ churn_rpki: 2.37 < floor 40",
 )
 gate(
     {"churn_web": verdict(**{"stage.view_build_ms": (183.4, "ms")}), "study_full": ok},
