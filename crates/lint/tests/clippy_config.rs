@@ -1,5 +1,6 @@
 //! Clippy enforces the single-expression rules — R2 (wall clock) and R4
-//! (prints) — and the `unwrap` ban of `serve` and `rtr` (DESIGN.md
+//! (prints) — the `unwrap` ban of `serve` and `rtr`, and the SAFETY
+//! comment on every `unsafe` block (DESIGN.md
 //! § "Invariants & enforcement"). A config that goes missing does not
 //! fail clippy, it just stops checking, so this test pins each piece.
 
@@ -28,6 +29,14 @@ fn disallowed_methods(toml: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The body of the root manifest's `[workspace.lints.clippy]` table.
+fn workspace_clippy_lints(workspace: &str) -> &str {
+    let (_, lints) = workspace
+        .split_once("\n[workspace.lints.clippy]\n")
+        .expect("[workspace.lints.clippy]");
+    lints.split("\n[").next().unwrap_or_default()
+}
+
 #[test]
 fn clock_reads_are_disallowed_and_test_code_is_exempt() {
     // The serving plane measures deadlines: `Instant::now` is its job.
@@ -52,10 +61,7 @@ fn clock_reads_are_disallowed_and_test_code_is_exempt() {
 #[test]
 fn print_lints_and_the_unwrap_deny_reach_serve_and_rtr() {
     let workspace = read("Cargo.toml");
-    let (_, lints) = workspace
-        .split_once("\n[workspace.lints.clippy]\n")
-        .expect("[workspace.lints.clippy]");
-    let lints = lints.split("\n[").next().unwrap_or_default();
+    let lints = workspace_clippy_lints(&workspace);
     for lint in ["print_stdout", "print_stderr", "dbg_macro"] {
         assert!(has_line(lints, &format!("{lint} = \"warn\"")), "{lint}");
     }
@@ -69,5 +75,20 @@ fn print_lints_and_the_unwrap_deny_reach_serve_and_rtr() {
         assert!(!manifest.contains("[lints."), "{krate}");
         let lib = read(&format!("crates/{krate}/src/lib.rs"));
         assert!(has_line(&lib, "#![deny(clippy::unwrap_used)]"), "{krate}");
+    }
+}
+
+#[test]
+fn every_unsafe_block_carries_a_safety_comment() {
+    let workspace = read("Cargo.toml");
+    let lints = workspace_clippy_lints(&workspace);
+    assert!(has_line(lints, "undocumented_unsafe_blocks = \"warn\""));
+    // The crates that hold `unsafe` blocks inherit the table.
+    for krate in ["crypto", "serve", "rtr", "cli"] {
+        let manifest = read(&format!("crates/{krate}/Cargo.toml"));
+        assert!(
+            manifest.contains("\n[lints]\nworkspace = true\n"),
+            "{krate}"
+        );
     }
 }

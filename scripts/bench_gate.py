@@ -47,7 +47,9 @@ RATIOS = [
     # Incremental validation against a full pass over the repository:
     # an epoch that republishes 4 of 255 points costs under 0.25 % of a
     # full pass (16 signatures verified against 200 765, 4 decisions
-    # taken against 100 255; traced runs read 560-880). A validator that
+    # taken against 100 255). Traced runs on an x86-64 host with the
+    # SHA extensions read 550-650; with the portable hash and binary
+    # exponentiation the same host read 660-750. A validator that
     # re-derives the republished points' 1 600 unchanged decisions reads
     # 140-340, one that also re-verifies their signatures 47.
     (["rpki.full_validate_ms @ churn_rpki"], "rpki.apply_ms_p50 @ churn_rpki", 400.0),
