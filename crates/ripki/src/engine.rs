@@ -176,10 +176,12 @@ impl WorldSnapshot {
     }
 
     /// Measure one name form with a caller-provided (per-worker)
-    /// resolver, going through the memoized resolution cache. This is
-    /// the single implementation of steps 2–4; every other entry point
-    /// (full runs, incremental re-measurement)
-    /// routes through it.
+    /// resolver, going through the memoized resolution cache: steps 1–2
+    /// (resolution and the special-purpose exclusion), then
+    /// [`route_name`](Self::route_name) for steps 3–4. Every entry point
+    /// (full runs, incremental re-measurement) routes through it or,
+    /// when the name's answers cannot have moved, through `route_name`
+    /// alone.
     ///
     /// The second return value is the resolution's *touched set*: every
     /// name whose zone data the walk consulted. A zone delta touching
@@ -200,18 +202,34 @@ impl WorldSnapshot {
         m.cname_chain = resolution.cname_chain;
         m.dnssec_authenticated = resolution.authenticated;
         let registry = SpecialRegistry::global();
+        for addr in resolution.addresses {
+            // Step 2 exclusion: special-purpose answers are invalid.
+            if registry.is_invalid_answer(addr) {
+                m.excluded_invalid += 1;
+            } else {
+                m.addresses.push(addr);
+            }
+        }
+        self.route_name(&mut m);
+        (m, touched)
+    }
+
+    /// Steps 3–4 over a name form's retained addresses, in address
+    /// order: the single implementation of both. Resets `pairs`,
+    /// `unreachable` and `as_set_skipped` and recomputes them from
+    /// `addresses` against this snapshot's RIB and VRPs, so a
+    /// measurement taken at an earlier epoch can be re-routed in place
+    /// when only the RIB or the VRP set moved.
+    fn route_name(&self, m: &mut NameMeasurement) {
+        m.pairs.clear();
+        m.unreachable = 0;
+        m.as_set_skipped = 0;
         // Within one epoch the state is a function of (prefix, origin),
         // so deduplicating on the pair before validating preserves the
         // old `Vec::contains` output while dropping the O(n²) scan and
         // the redundant validator lookups.
         let mut seen: HashSet<(IpPrefix, Asn)> = HashSet::new();
-        for addr in resolution.addresses {
-            // Step 2 exclusion: special-purpose answers are invalid.
-            if registry.is_invalid_answer(addr) {
-                m.excluded_invalid += 1;
-                continue;
-            }
-            m.addresses.push(addr);
+        for &addr in &m.addresses {
             // Step 3: all covering prefixes and origins.
             let mapping = self.rib.origins_for_addr(addr);
             m.as_set_skipped += mapping.as_set_skipped;
@@ -232,7 +250,6 @@ impl WorldSnapshot {
                 });
             }
         }
-        (m, touched)
     }
 
     /// Measure one ranked domain (both name forms).
@@ -246,21 +263,34 @@ impl WorldSnapshot {
         rank: usize,
         listed: &DomainName,
     ) -> DomainMeasurement {
-        self.measure_domain_traced(resolver, rank, listed).0
+        self.measure_domain_traced(resolver, rank, listed, None).0
     }
 
-    /// Measure both name forms and return the union of their touched
-    /// name sets (sorted, deduplicated) for index maintenance.
+    /// The one per-domain entry: measure both name forms and return the
+    /// union of their touched name sets (sorted, deduplicated) for index
+    /// maintenance.
+    ///
+    /// With `reroute`, a stored measurement of this domain whose DNS
+    /// answers cannot have moved, only steps 3–4 run again, over its
+    /// addresses; nothing is resolved and no touched set is returned
+    /// (the caller's stored one still holds).
     fn measure_domain_traced(
         &self,
         resolver: &FaultyResolver<'_>,
         rank: usize,
         listed: &DomainName,
-    ) -> (DomainMeasurement, Vec<DomainName>) {
+        reroute: Option<&DomainMeasurement>,
+    ) -> (DomainMeasurement, Option<Vec<DomainName>>) {
         assert!(
             self.config.poison_domain.as_ref() != Some(listed),
             "injected measurement fault for {listed:?} (PipelineConfig::poison_domain)"
         );
+        if let Some(row) = reroute {
+            let mut m = row.clone();
+            self.route_name(&mut m.www);
+            self.route_name(&mut m.bare);
+            return (m, None);
+        }
         let bare = listed.without_www();
         let www = bare.with_www();
         let (www_m, mut touched) = self.measure_name_traced(resolver, &www);
@@ -275,7 +305,7 @@ impl WorldSnapshot {
                 www: www_m,
                 bare: bare_m,
             },
-            touched,
+            Some(touched),
         )
     }
 
@@ -358,6 +388,10 @@ pub struct EpochDelta {
     pub pairs_changed: usize,
     /// Domains [`StudyEngine::apply_events`] re-measured.
     pub domains_remeasured: usize,
+    /// How many of `domains_remeasured` went through DNS again: those a
+    /// zone change reached. The rest were reached only through the RIB
+    /// or the VRP set and redid steps 3–4 over their stored addresses.
+    pub domains_resolved: usize,
     /// Work accounting from the incremental RPKI validator, when the
     /// epoch involved validation (a repository swap or a clock advance).
     /// `None` for pure DNS/BGP epochs.
@@ -400,7 +434,8 @@ impl std::error::Error for EngineError {}
 
 /// Per-rank postings: everything one domain's measurement depends on,
 /// kept so the reverse indices can be patched when the rank is
-/// re-measured.
+/// re-measured. Each list is sorted and deduplicated.
+#[derive(Default)]
 struct RankPostings {
     /// Names whose zone data either name form's resolution consulted.
     names: Vec<DomainName>,
@@ -411,18 +446,26 @@ struct RankPostings {
 }
 
 /// Reverse indices from world state into domain ranks: given a changed
-/// name, RIB prefix, or VRP prefix, which domains must be re-measured?
+/// name, RIB prefix, or VRP prefix, which domains must be re-measured,
+/// and must they resolve again or only re-route?
 ///
 /// Invalidation rules (each an over-approximation, never an under-
 /// approximation — see DESIGN.md):
 ///
 /// * **zone delta** touching name `n` → ranks in `by_name[n]`; a
-///   resolution that never consulted `n`'s records cannot change.
+///   resolution that never consulted `n`'s records cannot change. These
+///   ranks **re-resolve**: steps 1–4 run again.
 /// * **RIB delta** on prefix `p` → ranks whose host prefixes are
 ///   covered by `p`; step 3 depends only on the prefixes covering each
 ///   retained address.
 /// * **VRP delta** on prefix `v` → ranks with a pair prefix covered by
 ///   `v`; RFC 6811 only consults VRPs whose prefix covers the route.
+///
+/// A rank reached by the last two rules only **re-routes**: DNS answers
+/// depend on zones alone and none of its touched names changed, so
+/// steps 3–4 redo over its stored addresses and its touched names stay.
+/// A re-measured rank's postings are patched by difference
+/// ([`patch`](Self::patch)): only keys that moved cost an index update.
 struct DomainIndex {
     /// Epoch of the [`StudyResults`] this index describes.
     epoch: u64,
@@ -430,6 +473,56 @@ struct DomainIndex {
     by_host: PrefixTrie<BTreeSet<usize>>,
     by_pair: PrefixTrie<BTreeSet<usize>>,
     per_rank: HashMap<usize, RankPostings>,
+}
+
+/// The ranks a batch reaches, split by the half of the chain it reaches
+/// them through (see [`DomainIndex`]). The two sets are disjoint.
+struct Affected {
+    /// Reached through a touched name: resolve again.
+    resolve: BTreeSet<usize>,
+    /// Reached only through a host or pair prefix: re-route.
+    route: BTreeSet<usize>,
+}
+
+/// Call `f(key, added)` for every key in exactly one of two sorted,
+/// deduplicated lists — `added` when it is in `new` — in one merge.
+fn for_each_difference<T: Ord>(old: &[T], new: &[T], mut f: impl FnMut(&T, bool)) {
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            std::cmp::Ordering::Less => {
+                f(&old[i], false);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                f(&new[j], true);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    old[i..].iter().for_each(|k| f(k, false));
+    new[j..].iter().for_each(|k| f(k, true));
+}
+
+/// Size of the symmetric difference between two measurements of one
+/// name form, as (prefix, origin, state) sets.
+fn pair_difference(before: &NameMeasurement, after: &NameMeasurement) -> usize {
+    let sorted = |m: &NameMeasurement| {
+        let mut keys: Vec<_> = m
+            .pairs
+            .iter()
+            .map(|p| (p.prefix, p.origin, p.state))
+            .collect();
+        keys.sort_unstable();
+        keys
+    };
+    let mut changed = 0;
+    for_each_difference(&sorted(before), &sorted(after), |_, _| changed += 1);
+    changed
 }
 
 impl DomainIndex {
@@ -461,7 +554,7 @@ impl DomainIndex {
             );
             names.sort();
             names.dedup();
-            index.insert(d.rank, Self::postings(d, names));
+            index.patch(d.rank, Self::postings(d, names));
         }
         index
     }
@@ -492,59 +585,44 @@ impl DomainIndex {
         }
     }
 
-    fn insert(&mut self, rank: usize, postings: RankPostings) {
-        for name in &postings.names {
-            self.by_name.entry(name.clone()).or_default().insert(rank);
-        }
-        for trie_and_keys in [
-            (&mut self.by_host, &postings.hosts),
-            (&mut self.by_pair, &postings.pairs),
-        ] {
-            let (trie, keys) = trie_and_keys;
-            for p in keys {
-                match trie.get_mut(p) {
-                    Some(set) => {
-                        set.insert(rank);
-                    }
-                    None => {
-                        trie.insert(*p, BTreeSet::from([rank]));
-                    }
-                }
-            }
-        }
-        self.per_rank.insert(rank, postings);
-    }
-
-    fn remove(&mut self, rank: usize) {
-        let Some(postings) = self.per_rank.remove(&rank) else {
-            return;
-        };
-        for name in &postings.names {
-            if let Some(set) = self.by_name.get_mut(name) {
+    /// Make `postings` the rank's postings, touching only the index keys
+    /// that differ from its old ones (a sorted merge per list): a rank
+    /// whose names, hosts and pairs did not move costs no index update.
+    fn patch(&mut self, rank: usize, postings: RankPostings) {
+        let old = self.per_rank.remove(&rank).unwrap_or_default();
+        let by_name = &mut self.by_name;
+        for_each_difference(&old.names, &postings.names, |name, added| {
+            if added {
+                by_name.entry(name.clone()).or_default().insert(rank);
+            } else if let Some(set) = by_name.get_mut(name) {
                 set.remove(&rank);
                 if set.is_empty() {
-                    self.by_name.remove(name);
+                    by_name.remove(name);
                 }
             }
-        }
-        for trie_and_keys in [
-            (&mut self.by_host, &postings.hosts),
-            (&mut self.by_pair, &postings.pairs),
+        });
+        for (trie, old_keys, new_keys) in [
+            (&mut self.by_host, &old.hosts, &postings.hosts),
+            (&mut self.by_pair, &old.pairs, &postings.pairs),
         ] {
-            let (trie, keys) = trie_and_keys;
-            for p in keys {
-                let emptied = match trie.get_mut(p) {
-                    Some(set) => {
+            for_each_difference(old_keys, new_keys, |p, added| match trie.get_mut(p) {
+                Some(set) => {
+                    if added {
+                        set.insert(rank);
+                    } else {
                         set.remove(&rank);
-                        set.is_empty()
+                        if set.is_empty() {
+                            trie.remove(p);
+                        }
                     }
-                    None => false,
-                };
-                if emptied {
-                    trie.remove(p);
                 }
-            }
+                None if added => {
+                    trie.insert(*p, BTreeSet::from([rank]));
+                }
+                None => {}
+            });
         }
+        self.per_rank.insert(rank, postings);
     }
 
     /// Ranks whose measurement may be affected by the given changes.
@@ -553,24 +631,25 @@ impl DomainIndex {
         zone_changes: &ZoneChanges,
         rib_changes: &RibChanges,
         vrp_prefixes: &BTreeSet<IpPrefix>,
-    ) -> BTreeSet<usize> {
-        let mut ranks = BTreeSet::new();
+    ) -> Affected {
+        let mut resolve = BTreeSet::new();
         for name in &zone_changes.changed {
             if let Some(set) = self.by_name.get(name) {
-                ranks.extend(set.iter().copied());
+                resolve.extend(set.iter().copied());
             }
         }
-        for prefix in &rib_changes.changed {
-            for (_, set) in self.by_host.covered_by(prefix) {
-                ranks.extend(set.iter().copied());
+        let mut route = BTreeSet::new();
+        for (trie, prefixes) in [
+            (&self.by_host, &rib_changes.changed),
+            (&self.by_pair, vrp_prefixes),
+        ] {
+            for prefix in prefixes {
+                for (_, set) in trie.covered_by(prefix) {
+                    route.extend(set.iter().filter(|rank| !resolve.contains(rank)));
+                }
             }
         }
-        for prefix in vrp_prefixes {
-            for (_, set) in self.by_pair.covered_by(prefix) {
-                ranks.extend(set.iter().copied());
-            }
-        }
-        ranks
+        Affected { resolve, route }
     }
 }
 
@@ -695,7 +774,9 @@ impl StudyEngine {
     /// shared with the old snapshot) and its repository snapshot if
     /// any, then re-measure **only the domains the changes can reach**
     /// — found through reverse indices from names, covering prefixes,
-    /// and VRP prefixes back to domain ranks — and commit each to
+    /// and VRP prefixes back to domain ranks; a domain no changed name
+    /// reaches redoes steps 3–4 over its stored addresses without
+    /// resolving (see `DomainIndex`) — and commit each to
     /// `results` copy-on-write ([`DomainTable::replace`]): a clone of
     /// `results` taken before the call keeps its own epoch, which is
     /// what lets a server publish `results.clone()` per epoch at the
@@ -834,26 +915,34 @@ impl StudyEngine {
 
         let index = index_guard.as_mut().expect("index just built");
 
-        // Plan: resolve the affected ranks (already in ascending rank
-        // order from the BTreeSet) to their result positions and listed
-        // names — an independent work list that borrows nothing mutable.
-        // A skipped rank has no position and stays skipped.
-        let work: Vec<(usize, usize, DomainName)> = affected
-            .into_iter()
-            .filter_map(|rank| {
+        // Plan: the affected ranks in ascending rank order, each with its
+        // result position and whether it only re-routes — an independent
+        // work list. A skipped rank has no position and stays skipped; a
+        // rank skipped by an earlier batch may hold a row older than its
+        // names' answers, so it resolves again.
+        let work: Vec<(usize, usize, bool)> = affected
+            .resolve
+            .union(&affected.route)
+            .filter_map(|&rank| {
                 let pos = results.domains.position_of_rank(rank)?;
-                Some((rank, pos, results.domains[pos].listed.clone()))
+                let reroute =
+                    affected.route.contains(&rank) && results.skipped.binary_search(&rank).is_err();
+                Some((rank, pos, reroute))
             })
             .collect();
 
         // Execute: measure every planned rank against the new snapshot,
         // one resolver per worker, each item a pure (measurement,
-        // touched-set) outcome.
+        // touched-set) outcome; a re-routed rank starts from its row.
+        let domains = &results.domains;
         let outcomes = ripki_par::run_indexed(
             next.config.worker_threads(),
             &work,
             |_| next.resolver(),
-            |resolver, _, (rank, _, listed)| next.measure_domain_traced(resolver, *rank, listed),
+            |resolver, _, &(rank, pos, reroute)| {
+                let row = &domains[pos];
+                next.measure_domain_traced(resolver, rank, &row.listed, reroute.then_some(row))
+            },
         );
 
         // Commit: fold the outcomes in plan order — deterministic at
@@ -863,23 +952,27 @@ impl StudyEngine {
         // again.
         let mut pairs_changed = 0;
         let mut remeasured = 0;
-        for ((rank, pos, _), outcome) in work.iter().zip(outcomes) {
+        let mut resolved = 0;
+        for (&(rank, pos, _), outcome) in work.iter().zip(outcomes) {
             let Some((measured, touched)) = outcome else {
-                results.skipped.push(*rank);
+                results.skipped.push(rank);
                 continue;
             };
-            for (old_m, new_m) in [
-                (&results.domains[*pos].www, &measured.www),
-                (&results.domains[*pos].bare, &measured.bare),
-            ] {
-                let key = |p: &PairState| (p.prefix, p.origin, p.state);
-                let before: BTreeSet<_> = old_m.pairs.iter().map(key).collect();
-                let after: BTreeSet<_> = new_m.pairs.iter().map(key).collect();
-                pairs_changed += before.symmetric_difference(&after).count();
-            }
-            index.remove(*rank);
-            index.insert(*rank, DomainIndex::postings(&measured, touched));
-            results.domains.replace(*pos, measured);
+            let prior = &results.domains[pos];
+            pairs_changed += pair_difference(&prior.www, &measured.www)
+                + pair_difference(&prior.bare, &measured.bare);
+            let names = match touched {
+                Some(names) => {
+                    resolved += 1;
+                    names
+                }
+                None => index
+                    .per_rank
+                    .get(&rank)
+                    .map_or_else(Vec::new, |p| p.names.clone()),
+            };
+            index.patch(rank, DomainIndex::postings(&measured, names));
+            results.domains.replace(pos, measured);
             remeasured += 1;
         }
         results.skipped.sort_unstable();
@@ -896,6 +989,7 @@ impl StudyEngine {
             withdrawn,
             pairs_changed,
             domains_remeasured: remeasured,
+            domains_resolved: resolved,
             rpki_stats,
         };
         *guard = Arc::new(next);
@@ -1057,6 +1151,7 @@ mod tests {
         assert_eq!(delta.from_epoch, 1);
         assert_eq!(delta.to_epoch, 2);
         assert_eq!(delta.domains_remeasured, 2);
+        assert_eq!(delta.domains_resolved, 2);
         assert!(delta.is_empty());
         assert_eq!(results.epoch, 2);
         // The tail moved to AS77 space.
@@ -1210,6 +1305,169 @@ mod tests {
         assert_eq!(results.domains[1].bare.pairs[0].state, RpkiState::Valid);
         // Its www form was not edited and still points at 9.9/16.
         assert_eq!(results.domains[1].www.pairs[0].origin, Asn::new(9));
+    }
+
+    fn announce(prefix: &str, origin: u32) -> WorldEvent {
+        WorldEvent::RibAnnounce(RibEntry {
+            prefix: prefix.parse().unwrap(),
+            path: AsPath::sequence([64601, origin]),
+            peer: Asn::new(64496),
+        })
+    }
+
+    #[test]
+    fn rib_and_repository_batches_resolve_nothing() {
+        let (zones, rib, mut b, now) = world();
+        let repo = b.snapshot();
+        let engine = StudyEngine::new(zones.clone(), rib.clone(), &repo, cfg(now));
+        let mut results = engine.run(&ranking());
+
+        // A RIB-only batch: a more-specific under the CDN tail's /16.
+        let hijack = announce("85.3.0.0/24", 666);
+        let batch = EpochChurn {
+            events: vec![hijack.clone()],
+            repository: None,
+            now,
+        };
+        let delta = engine.apply_events(&batch, &mut results);
+        assert_eq!((delta.domains_remeasured, delta.domains_resolved), (2, 0));
+        assert_same_study(&results, &full_rerun(&zones, &rib, &batch, &repo, now));
+
+        // A repository-only batch: a ROA that makes the hijack valid.
+        let isp = b.find_ca("ISP-1").unwrap();
+        b.add_roa(
+            isp,
+            Asn::new(666),
+            vec![RoaPrefix::exact("85.3.0.0/24".parse().unwrap())],
+        )
+        .unwrap();
+        let repository = Arc::new(b.snapshot());
+        let batch = EpochChurn {
+            events: vec![],
+            repository: Some(Arc::clone(&repository)),
+            now,
+        };
+        let delta = engine.apply_events(&batch, &mut results);
+        assert_eq!((delta.domains_remeasured, delta.domains_resolved), (2, 0));
+        assert_eq!(results.domains[2].bare.pairs.len(), 2);
+        let both = EpochChurn {
+            events: vec![hijack],
+            repository: Some(repository),
+            now,
+        };
+        assert_same_study(&results, &full_rerun(&zones, &rib, &both, &repo, now));
+    }
+
+    #[test]
+    fn zone_edit_and_covering_announce_resolve_the_domain() {
+        let (zones, rib, mut b, now) = world();
+        let repo = b.snapshot();
+        let engine = StudyEngine::new(zones.clone(), rib.clone(), &repo, cfg(now));
+        let mut results = engine.run(&ranking());
+
+        // plain.example moves into covered space while a more-specific
+        // appears over its old address: the index reaches it through
+        // both its name and its host, and only resolving again finds
+        // the new address.
+        let batch = EpochChurn {
+            events: vec![
+                WorldEvent::ZoneEdit {
+                    name: n("plain.example"),
+                    records: vec![RecordData::from_addr("85.1.9.1".parse().unwrap())],
+                },
+                announce("9.9.1.0/24", 666),
+            ],
+            repository: None,
+            now,
+        };
+        let delta = engine.apply_events(&batch, &mut results);
+        assert_eq!((delta.domains_remeasured, delta.domains_resolved), (1, 1));
+        assert_eq!(results.domains[1].bare.pairs[0].state, RpkiState::Valid);
+        assert_same_study(&results, &full_rerun(&zones, &rib, &batch, &repo, now));
+    }
+
+    #[test]
+    fn withdrawing_the_only_covering_route_leaves_the_domain_unreachable() {
+        let (zones, rib, mut b, now) = world();
+        let repo = b.snapshot();
+        let engine = StudyEngine::new(zones.clone(), rib.clone(), &repo, cfg(now));
+        let original = engine.run(&ranking());
+        let mut results = original.clone();
+
+        let batch = EpochChurn {
+            events: vec![WorldEvent::RibWithdraw {
+                prefix: "9.9.0.0/16".parse().unwrap(),
+                peer: Asn::new(64496),
+            }],
+            repository: None,
+            now,
+        };
+        let delta = engine.apply_events(&batch, &mut results);
+        assert_eq!((delta.domains_remeasured, delta.domains_resolved), (1, 0));
+        for m in [&results.domains[1].www, &results.domains[1].bare] {
+            assert_eq!(m.unreachable, 1);
+            assert!(m.pairs.is_empty());
+        }
+        assert_same_study(&results, &full_rerun(&zones, &rib, &batch, &repo, now));
+
+        // Announcing it again restores the original measurement: the
+        // re-route recounts, it does not add to the stored counters.
+        let batch = EpochChurn {
+            events: vec![announce("9.9.0.0/16", 9)],
+            repository: None,
+            now,
+        };
+        let delta = engine.apply_events(&batch, &mut results);
+        assert_eq!((delta.domains_remeasured, delta.domains_resolved), (1, 0));
+        assert_eq!(results.domains[1].bare.unreachable, 0);
+        assert_same_study(&results, &original);
+    }
+
+    #[test]
+    fn a_moved_pair_leaves_no_stale_posting() {
+        let (zones, rib, mut b, now) = world();
+        let repo = b.snapshot();
+        let engine = StudyEngine::new(zones.clone(), rib.clone(), &repo, cfg(now));
+        let mut results = engine.run(&ranking());
+
+        // covered.example (both forms) leaves 85.1/16 for 9.9/16.
+        let edit = WorldEvent::ZoneEdit {
+            name: n("covered.example"),
+            records: vec![RecordData::from_addr("9.9.1.1".parse().unwrap())],
+        };
+        let batch = EpochChurn {
+            events: vec![edit.clone()],
+            repository: None,
+            now,
+        };
+        assert_eq!(
+            engine.apply_events(&batch, &mut results).domains_resolved,
+            1
+        );
+
+        // A VRP change on 85.1/16 now reaches no domain.
+        let isp = b.find_ca("ISP-1").unwrap();
+        b.add_roa(
+            isp,
+            Asn::new(101),
+            vec![RoaPrefix::exact("85.1.0.0/16".parse().unwrap())],
+        )
+        .unwrap();
+        let repository = Arc::new(b.snapshot());
+        let batch = EpochChurn {
+            events: vec![],
+            repository: Some(Arc::clone(&repository)),
+            now,
+        };
+        let delta = engine.apply_events(&batch, &mut results);
+        assert_eq!(delta.announced.len(), 1);
+        assert_eq!(delta.domains_remeasured, 0);
+        let both = EpochChurn {
+            events: vec![edit],
+            repository: Some(repository),
+            now,
+        };
+        assert_same_study(&results, &full_rerun(&zones, &rib, &both, &repo, now));
     }
 
     /// The measurement semantics of one snapshot (the four pipeline

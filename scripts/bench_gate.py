@@ -94,13 +94,14 @@ RATIOS = [
     # reads 1.4).
     (["ripki.run_ms @ study_full"], "ripki.figures_ms @ study_full", 2.0),
     # Publishing an epoch (results clone, view, swap, retired view's
-    # drop) costs less than half of computing it: the hand-off to
-    # serving stays a delta, not a copy of the world.
-    (
-        ["ripki.apply_events_ms_p50 @ churn_web"],
-        "stage.view_build_ms @ churn_web",
-        2.0,
-    ),
+    # drop) costs under 1/35 of a full run over the same 100 000
+    # domains: the hand-off to serving stays a delta, not a copy of the
+    # world. The numerator is the full run, not the epoch's own apply,
+    # because apply can get cheaper while publishing holds still.
+    # Traced runs at seed 1 read 49-63 (run 489-522 ms, view 7.6-9.9
+    # ms); a hand-off that also deep-copies the results (≈ 76 ms) reads
+    # under 6.
+    (["ripki.run_ms @ study_full"], "stage.view_build_ms @ churn_web", 35.0),
 ]
 WORKLOADS = ("study_full", "churn_web", "churn_rpki", "query_mixed")
 MS_PER_UNIT = {"s": 1000.0, "ms": 1.0, "us": 0.001}
