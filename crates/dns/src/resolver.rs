@@ -80,6 +80,8 @@ pub struct TracedResolution {
     /// Every name whose zone data the walk depended on: the query, each
     /// CNAME target followed, and each memoized-tail node spliced in.
     /// A zone edit touching none of these names cannot change `outcome`.
+    /// When `outcome` is `Ok`, these are exactly the query and its
+    /// `cname_chain`, whether the walk was fresh or spliced.
     pub touched: Vec<DomainName>,
 }
 
@@ -262,6 +264,8 @@ impl<'z> Resolver<'z> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultyResolver;
+    use std::collections::BTreeSet;
 
     fn n(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -478,6 +482,9 @@ mod tests {
         for name in [
             "direct.example",
             "www.shop.example",
+            // Mid-chain and terminal nodes of a walk already cached.
+            "shop.cdnprovider.net",
+            "edge7.cdnprovider.net",
             "a.loop.example",
             "dangling.example",
             "missing.example",
@@ -488,15 +495,26 @@ mod tests {
                 let traced = r.resolve_cached_traced(&name, &cache);
                 assert_eq!(traced.outcome, r.resolve(&name), "divergence on {name}");
                 assert_eq!(traced.touched[0], name);
+                // A resolved walk consulted exactly the query and its
+                // chain: the engine indexes resolved rows by that set
+                // without walking them again.
                 if let Ok(res) = &traced.outcome {
-                    for link in &res.cname_chain {
-                        assert!(
-                            traced.touched.contains(link),
-                            "chain node {link} missing from touched set of {name}"
-                        );
-                    }
+                    let touched: BTreeSet<_> = traced.touched.iter().collect();
+                    let walked: BTreeSet<_> =
+                        std::iter::once(&name).chain(&res.cname_chain).collect();
+                    assert_eq!(touched, walked, "touched set of {name}");
                 }
             }
+        }
+        // A corrupted answer never reads zone data: it touches exactly
+        // the query, whatever the honest walk would have followed.
+        let faulty = FaultyResolver::new(r, 1_000_000, 7);
+        for name in ["www.shop.example", "direct.example", "a.loop.example"] {
+            let name = n(name);
+            let traced = faulty.resolve_cached_traced(&name, &cache);
+            let res = traced.outcome.expect("a corrupted answer resolves");
+            assert!(res.cname_chain.is_empty());
+            assert_eq!(traced.touched, vec![name]);
         }
         // The terminal name of a dangling CNAME is a dependency too: if
         // void.example appeared, dangling.example would start resolving.

@@ -379,6 +379,14 @@ impl IpPrefix {
         }
     }
 
+    /// The highest address in the block.
+    pub fn last_addr(&self) -> IpAddr {
+        match self {
+            IpPrefix::V4(p) => IpAddr::V4(p.broadcast()),
+            IpPrefix::V6(p) => IpAddr::V6(p.last_addr()),
+        }
+    }
+
     /// Whether `addr` falls within this prefix. Always false across
     /// families.
     pub fn contains_addr(&self, addr: IpAddr) -> bool {

@@ -65,14 +65,14 @@ use ripki_dns::resolver::Resolver;
 use ripki_dns::zone::{ZoneChanges, ZoneDelta, ZoneStore};
 use ripki_dns::DomainName;
 use ripki_net::special::SpecialRegistry;
-use ripki_net::{Asn, IpPrefix, PrefixTrie};
+use ripki_net::{Asn, IpPrefix};
 use ripki_rpki::incremental::{ApplyStats, IncrementalValidator, VrpDelta};
 use ripki_rpki::repo::Repository;
 use ripki_rpki::time::SimTime;
 use ripki_rpki::validate::ValidationOptions;
 use ripki_websim::churn::{EpochChurn, WorldEvent};
 use ripki_websim::Scenario;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// An immutable view of the measured world at one epoch.
@@ -452,7 +452,7 @@ struct RankPostings {
 /// Invalidation rules (each an over-approximation, never an under-
 /// approximation — see DESIGN.md):
 ///
-/// * **zone delta** touching name `n` → ranks in `by_name[n]`; a
+/// * **zone delta** touching name `n` → ranks posted under `n`; a
 ///   resolution that never consulted `n`'s records cannot change. These
 ///   ranks **re-resolve**: steps 1–4 run again.
 /// * **RIB delta** on prefix `p` → ranks whose host prefixes are
@@ -464,15 +464,18 @@ struct RankPostings {
 /// A rank reached by the last two rules only **re-routes**: DNS answers
 /// depend on zones alone and none of its touched names changed, so
 /// steps 3–4 redo over its stored addresses and its touched names stay.
-/// A re-measured rank's postings are patched by difference
-/// ([`patch`](Self::patch)): only keys that moved cost an index update.
+///
+/// Each index is one sorted set of `(key, rank)` postings: a lookup is
+/// a range scan ([`covered`]), a patch ([`patch`](Self::patch)) one
+/// insert or remove per key that moved.
 struct DomainIndex {
     /// Epoch of the [`StudyResults`] this index describes.
     epoch: u64,
-    by_name: HashMap<DomainName, BTreeSet<usize>>,
-    by_host: PrefixTrie<BTreeSet<usize>>,
-    by_pair: PrefixTrie<BTreeSet<usize>>,
-    per_rank: HashMap<usize, RankPostings>,
+    by_name: BTreeSet<(DomainName, usize)>,
+    by_host: BTreeSet<(IpPrefix, usize)>,
+    by_pair: BTreeSet<(IpPrefix, usize)>,
+    /// Indexed by rank; a rank without a row has empty postings.
+    per_rank: Vec<RankPostings>,
 }
 
 /// The ranks a batch reaches, split by the half of the chain it reaches
@@ -525,38 +528,66 @@ fn pair_difference(before: &NameMeasurement, after: &NameMeasurement) -> usize {
     changed
 }
 
+/// Insert `(key, rank)` for each key only `new` holds, remove it for
+/// each key only `old` holds.
+fn toggle<K: Ord + Clone>(set: &mut BTreeSet<(K, usize)>, old: &[K], new: &[K], rank: usize) {
+    for_each_difference(old, new, |key, added| {
+        let posting = (key.clone(), rank);
+        if added {
+            set.insert(posting);
+        } else {
+            set.remove(&posting);
+        }
+    });
+}
+
+/// The `(key, rank)` postings whose key `prefix` covers. Prefixes order
+/// by (family, network bits, length), and a key `prefix` covers lies
+/// between `prefix` itself and the host route of its last address.
+fn covered(prefix: &IpPrefix) -> std::ops::RangeInclusive<(IpPrefix, usize)> {
+    (*prefix, 0)..=(IpPrefix::host(prefix.last_addr()), usize::MAX)
+}
+
 impl DomainIndex {
-    /// Index an existing study against the snapshot that produced it.
+    /// Index an existing study against the snapshot that produced it,
+    /// in bulk: each index is one list of postings, sorted once.
     ///
-    /// Hosts and pairs come straight from the stored measurements; the
-    /// touched name sets are recovered by re-walking each resolution
+    /// Hosts, pairs and the names of a form that resolved come from the
+    /// stored rows: such a walk consulted exactly the form's name and
+    /// its CNAME chain. A form whose resolution failed is walked again
     /// against the snapshot's (identical) zones — measurements don't
-    /// record which names a *failed* resolution consulted.
+    /// record which names a failed resolution consulted.
     fn build(snapshot: &WorldSnapshot, results: &StudyResults) -> DomainIndex {
-        let mut index = DomainIndex {
-            epoch: results.epoch,
-            by_name: HashMap::new(),
-            by_host: PrefixTrie::new(),
-            by_pair: PrefixTrie::new(),
-            per_rank: HashMap::new(),
-        };
-        let resolver = snapshot.resolver();
+        let (resolver, cache) = (snapshot.resolver(), &snapshot.cache);
+        let (mut names, mut hosts, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut per_rank = Vec::new();
         for d in &results.domains {
             let bare = d.listed.without_www();
-            let www = bare.with_www();
-            let mut names = resolver
-                .resolve_cached_traced(&www, &snapshot.cache)
-                .touched;
-            names.extend(
-                resolver
-                    .resolve_cached_traced(&bare, &snapshot.cache)
-                    .touched,
-            );
-            names.sort();
-            names.dedup();
-            index.patch(d.rank, Self::postings(d, names));
+            let mut touched = Vec::new();
+            for (form, m) in [(bare.with_www(), &d.www), (bare, &d.bare)] {
+                if m.resolve_failed {
+                    touched.extend(resolver.resolve_cached_traced(&form, cache).touched);
+                } else {
+                    touched.extend(m.cname_chain.iter().cloned());
+                    touched.push(form);
+                }
+            }
+            touched.sort();
+            touched.dedup();
+            let postings = Self::postings(d, touched);
+            names.extend(postings.names.iter().map(|n| (n.clone(), d.rank)));
+            hosts.extend(postings.hosts.iter().map(|&p| (p, d.rank)));
+            pairs.extend(postings.pairs.iter().map(|&p| (p, d.rank)));
+            per_rank.resize_with(per_rank.len().max(d.rank + 1), RankPostings::default);
+            per_rank[d.rank] = postings;
         }
-        index
+        DomainIndex {
+            epoch: results.epoch,
+            by_name: names.into_iter().collect(),
+            by_host: hosts.into_iter().collect(),
+            by_pair: pairs.into_iter().collect(),
+            per_rank,
+        }
     }
 
     fn postings(d: &DomainMeasurement, names: Vec<DomainName>) -> RankPostings {
@@ -585,44 +616,17 @@ impl DomainIndex {
         }
     }
 
-    /// Make `postings` the rank's postings, touching only the index keys
-    /// that differ from its old ones (a sorted merge per list): a rank
-    /// whose names, hosts and pairs did not move costs no index update.
+    /// Make `postings` the rank's postings, inserting or removing one
+    /// `(key, rank)` pair per key that differs from its old ones (a
+    /// sorted merge per list): a rank whose names, hosts and pairs did
+    /// not move costs no index update. `rank` must have had a row when
+    /// the index was built.
     fn patch(&mut self, rank: usize, postings: RankPostings) {
-        let old = self.per_rank.remove(&rank).unwrap_or_default();
-        let by_name = &mut self.by_name;
-        for_each_difference(&old.names, &postings.names, |name, added| {
-            if added {
-                by_name.entry(name.clone()).or_default().insert(rank);
-            } else if let Some(set) = by_name.get_mut(name) {
-                set.remove(&rank);
-                if set.is_empty() {
-                    by_name.remove(name);
-                }
-            }
-        });
-        for (trie, old_keys, new_keys) in [
-            (&mut self.by_host, &old.hosts, &postings.hosts),
-            (&mut self.by_pair, &old.pairs, &postings.pairs),
-        ] {
-            for_each_difference(old_keys, new_keys, |p, added| match trie.get_mut(p) {
-                Some(set) => {
-                    if added {
-                        set.insert(rank);
-                    } else {
-                        set.remove(&rank);
-                        if set.is_empty() {
-                            trie.remove(p);
-                        }
-                    }
-                }
-                None if added => {
-                    trie.insert(*p, BTreeSet::from([rank]));
-                }
-                None => {}
-            });
-        }
-        self.per_rank.insert(rank, postings);
+        let old = std::mem::replace(&mut self.per_rank[rank], postings);
+        let new = &self.per_rank[rank];
+        toggle(&mut self.by_name, &old.names, &new.names, rank);
+        toggle(&mut self.by_host, &old.hosts, &new.hosts, rank);
+        toggle(&mut self.by_pair, &old.pairs, &new.pairs, rank);
     }
 
     /// Ranks whose measurement may be affected by the given changes.
@@ -634,19 +638,17 @@ impl DomainIndex {
     ) -> Affected {
         let mut resolve = BTreeSet::new();
         for name in &zone_changes.changed {
-            if let Some(set) = self.by_name.get(name) {
-                resolve.extend(set.iter().copied());
-            }
+            let run = (name.clone(), 0)..=(name.clone(), usize::MAX);
+            resolve.extend(self.by_name.range(run).map(|&(_, rank)| rank));
         }
         let mut route = BTreeSet::new();
-        for (trie, prefixes) in [
+        for (set, prefixes) in [
             (&self.by_host, &rib_changes.changed),
             (&self.by_pair, vrp_prefixes),
         ] {
             for prefix in prefixes {
-                for (_, set) in trie.covered_by(prefix) {
-                    route.extend(set.iter().filter(|rank| !resolve.contains(rank)));
-                }
+                let postings = set.range(covered(prefix)).map(|&(_, rank)| rank);
+                route.extend(postings.filter(|rank| !resolve.contains(rank)));
             }
         }
         Affected { resolve, route }
@@ -966,10 +968,7 @@ impl StudyEngine {
                     resolved += 1;
                     names
                 }
-                None => index
-                    .per_rank
-                    .get(&rank)
-                    .map_or_else(Vec::new, |p| p.names.clone()),
+                None => index.per_rank[rank].names.clone(),
             };
             index.patch(rank, DomainIndex::postings(&measured, names));
             results.domains.replace(pos, measured);
@@ -1468,6 +1467,139 @@ mod tests {
             now,
         };
         assert_same_study(&results, &full_rerun(&zones, &rib, &both, &repo, now));
+    }
+
+    /// The index derives a resolved form's touched names from its row
+    /// and walks only failed forms again. Oracle: the names a fresh
+    /// traced walk of both forms reports, on a world where walks end
+    /// every way they can — a direct answer, a shared CNAME tail,
+    /// NXDOMAIN (direct and behind a CNAME), a CNAME loop, a chain over
+    /// [`MAX_CHAIN`], and corrupted answers.
+    #[test]
+    fn index_names_from_rows_equal_a_fresh_walk() {
+        use ripki_dns::resolver::MAX_CHAIN;
+        let (mut zones, rib, mut b, now) = world();
+        zones.add_cname(n("www.dangling.example"), n("void.example"));
+        zones.add_cname(n("loop.example"), n("www.loop.example"));
+        zones.add_cname(n("www.loop.example"), n("loop.example"));
+        zones.add_cname(n("long.example"), n("h0.long.example"));
+        for i in 0..=MAX_CHAIN {
+            let (from, to) = (
+                format!("h{i}.long.example"),
+                format!("h{}.long.example", i + 1),
+            );
+            zones.add_cname(n(&from), n(&to));
+        }
+        zones.add_addr(
+            n(&format!("h{}.long.example", MAX_CHAIN + 1)),
+            "85.3.0.9".parse().unwrap(),
+        );
+        let mut ranking = ranking();
+        ranking.extend(["dangling.example", "loop.example", "long.example"].map(n));
+        for i in 0..40 {
+            let site = format!("s{i}.example");
+            zones.add_cname(
+                n(&format!("www.{site}")),
+                n(&format!("lb{}.cdn.example", i % 3)),
+            );
+            zones.add_addr(n(&site), "9.9.2.2".parse().unwrap());
+            ranking.push(n(&site));
+        }
+        for i in 0..3 {
+            zones.add_cname(n(&format!("lb{i}.cdn.example")), n("edge.cdn.example"));
+        }
+        let config = PipelineConfig {
+            bogus_dns_ppm: 200_000,
+            ..cfg(now)
+        };
+        let engine = StudyEngine::new(zones, rib, &b.snapshot(), config);
+        let results = engine.run(&ranking);
+        let snapshot = engine.snapshot();
+        let index = DomainIndex::build(&snapshot, &results);
+
+        let resolver = snapshot.resolver();
+        let forms = |d: &DomainMeasurement| {
+            let bare = d.listed.without_www();
+            [(bare.with_www(), d.www.clone()), (bare, d.bare.clone())]
+        };
+        let all_forms: Vec<_> = results.domains.iter().flat_map(forms).collect();
+        assert!(all_forms.iter().any(|(_, m)| m.resolve_failed));
+        assert!(all_forms.iter().any(|(_, m)| m.cname_chain.len() >= 2));
+        assert!(all_forms.iter().any(|(f, m)| resolver.is_corrupted(f)
+            && !m.resolve_failed
+            && f.as_str().starts_with("www.s")));
+        let mut by_name = BTreeSet::new();
+        for d in &results.domains {
+            let mut walked: Vec<DomainName> = forms(d)
+                .iter()
+                .flat_map(|(form, _)| {
+                    resolver
+                        .resolve_cached_traced(form, &snapshot.cache)
+                        .touched
+                })
+                .collect();
+            walked.sort();
+            walked.dedup();
+            assert_eq!(index.per_rank[d.rank].names, walked, "{}", d.listed);
+            by_name.extend(walked.into_iter().map(|name| (name, d.rank)));
+        }
+        assert_eq!(index.by_name, by_name);
+    }
+
+    fn prefix_strategy() -> impl proptest::strategy::Strategy<Value = IpPrefix> {
+        use proptest::prelude::*;
+        let v4_bits = prop_oneof![
+            any::<u32>(),
+            0u32..0x100,
+            0x0a00_0000u32..0x0a00_0100,
+            (u32::MAX - 0xff)..=u32::MAX,
+        ];
+        let v6_bits = prop_oneof![
+            0..u128::MAX,
+            0u128..0x100,
+            (u128::MAX - 0xff)..u128::MAX,
+            Just(u128::MAX),
+        ];
+        let v4 = (v4_bits, prop_oneof![0u8..=32, Just(0u8), Just(32u8)])
+            .prop_map(|(bits, len)| IpPrefix::new(std::net::Ipv4Addr::from(bits).into(), len));
+        let v6 = (
+            v6_bits,
+            prop_oneof![0u8..=128, Just(0u8), Just(128u8), 120u8..=128],
+        )
+            .prop_map(|(bits, len)| IpPrefix::new(std::net::Ipv6Addr::from(bits).into(), len));
+        prop_oneof![v4, v6].prop_map(|p| p.expect("length in range"))
+    }
+
+    proptest::proptest! {
+        /// A range scan over `(key, rank)` postings finds exactly the keys
+        /// [`PrefixTrie::covered_by`] finds, in both families, down to
+        /// the default routes and up to the last address of each space.
+        #[test]
+        fn covered_range_equals_trie_covered_by(
+            keys in proptest::collection::vec((prefix_strategy(), 0usize..4), 0..60),
+            queries in proptest::collection::vec(prefix_strategy(), 1..12),
+        ) {
+            let tops = ["0.0.0.0/0", "::/0", "255.255.255.0/24", "255.255.255.255/32"];
+            let edges: Vec<IpPrefix> = tops
+                .iter()
+                .map(|p| p.parse().unwrap())
+                .chain([IpPrefix::host(std::net::Ipv6Addr::from(u128::MAX).into())])
+                .collect();
+            let edge_postings = edges.iter().flat_map(|&p| [(p, 0), (p, 3)]);
+            let mut trie = ripki_net::PrefixTrie::new();
+            let mut set = BTreeSet::new();
+            for (key, rank) in keys.iter().copied().chain(edge_postings) {
+                trie.insert(key, ());
+                set.insert((key, rank));
+            }
+            for query in queries.iter().chain(&edges) {
+                let keys: BTreeSet<IpPrefix> =
+                    trie.covered_by(query).into_iter().map(|(k, _)| k).collect();
+                let want: Vec<_> = set.iter().filter(|(k, _)| keys.contains(k)).collect();
+                let got: Vec<_> = set.range(covered(query)).collect();
+                proptest::prop_assert_eq!(got, want, "query {}", query);
+            }
+        }
     }
 
     /// The measurement semantics of one snapshot (the four pipeline

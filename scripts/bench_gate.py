@@ -93,6 +93,15 @@ RATIOS = [
     # the run's worker threads (a full resolve per name on one thread
     # reads 1.4).
     (["ripki.run_ms @ study_full"], "ripki.figures_ms @ study_full", 2.0),
+    # Indexing a study for incremental epochs (the first apply_events)
+    # costs about one full run of that study, not 2.5-3: a resolved
+    # name form's touched names are its stored CNAME chain, so only
+    # failed forms are walked again, and each reverse index is one
+    # sorted (key, rank) set built in one pass. Traced runs at seed 1
+    # read 1.05-1.19 (run 521-542 ms, index 457-496 ms); a build that
+    # walks every form again and inserts each posting into a per-key
+    # rank set reads 0.35-0.41 (index 1 320-1 512 ms).
+    (["ripki.run_ms @ study_full"], "ripki.index_build_ms @ churn_web", 0.7),
     # Publishing an epoch (results clone, view, swap, retired view's
     # drop) costs under 1/35 of a full run over the same 100 000
     # domains: the hand-off to serving stays a delta, not a copy of the

@@ -27,6 +27,7 @@ ROWS = {
     "ripki.run_ms": (200.0, "ms"),
     "ripki.figures_ms": (50.0, "ms"),
     "ripki.apply_events_ms_p50": (20.5, "ms"),
+    "ripki.index_build_ms": (142.857, "ms"),
     "stage.view_build_ms": (2.857, "ms"),
 }
 
@@ -100,6 +101,23 @@ gate(
     },
     1,
     "÷ stage.view_build_ms @ churn_web: 5.8 < floor 35",
+)
+# The index floor at traced seed-1 readings of a build from the stored
+# rows passes; a build that walks every name form again fails it.
+gate(
+    {
+        "study_full": verdict(**{"ripki.run_ms": (521.4, "ms")}),
+        "churn_web": verdict(**{"ripki.index_build_ms": (496.3, "ms")}),
+    },
+    0,
+)
+gate(
+    {
+        "study_full": verdict(**{"ripki.run_ms": (527.5, "ms")}),
+        "churn_web": verdict(**{"ripki.index_build_ms": (1512.0, "ms")}),
+    },
+    1,
+    "÷ ripki.index_build_ms @ churn_web: 0.349 < floor 0.7",
 )
 gate(
     {"study_full": verdict(**{"ripki.engine_new_ms": (85.0, "ms")})},
