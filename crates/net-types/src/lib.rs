@@ -24,6 +24,8 @@
 //!   used by the measurement pipeline to discard invalid DNS answers.
 //! * [`Vrp`] — the (prefix, maxLength, ASN) triple `ripki-rpki` validates
 //!   out of ROAs and `ripki-bgp` validates announcements against.
+//! * [`VrpSet`] — the persistent, structurally shared sorted set of
+//!   [`Vrp`]s every payload, RTR cache and origin validator holds.
 //!
 //! ## What is omitted
 //!
@@ -37,6 +39,7 @@ pub mod set;
 pub mod special;
 pub mod trie;
 pub mod vrp;
+pub mod vrp_set;
 
 pub use asn::{Asn, AsnRange};
 pub use error::NetParseError;
@@ -44,6 +47,7 @@ pub use prefix::{IpPrefix, Ipv4Prefix, Ipv6Prefix};
 pub use set::{AsnSet, PrefixSet};
 pub use trie::PrefixTrie;
 pub use vrp::Vrp;
+pub use vrp_set::VrpSet;
 
 use std::net::IpAddr;
 

@@ -1,5 +1,5 @@
 //! [`VrpSet`]: the persistent, canonically ordered VRP set behind every
-//! [`VrpPayload`](crate::VrpPayload), RTR cache and proxy hop.
+//! VRP payload, RTR cache and proxy hop.
 //!
 //! Sorted chunks of at most `BOUND` VRPs, each behind an `Arc`, under
 //! an `Arc`'d spine. A clone is a handle. An edit copies the spine (one
@@ -8,10 +8,9 @@
 //! with the set the edit started from, so advancing a set by a delta of
 //! k records costs one spine copy plus at most 2k chunk copies, and
 //! dropping the older set frees exactly those. Iteration order is
-//! `VrpTriple`'s `Ord`, which fixes every derived wire form.
+//! `Vrp`'s `Ord`, which fixes every derived wire form.
 
-use crate::VrpTriple;
-use ripki_net::IpPrefix;
+use crate::{IpPrefix, Vrp};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -20,7 +19,7 @@ use std::sync::Arc;
 /// VRPs per chunk at most: 512 × 64 B = 32 KiB, the most one edit copies.
 const CHUNK_BOUND: usize = 512;
 
-type Chunk = Arc<Vec<VrpTriple>>;
+type Chunk = Arc<Vec<Vrp>>;
 
 /// A persistent sorted set of VRPs (see the module docs for the shape
 /// and its cost model). `BOUND` is the chunk size limit; everything but
@@ -40,7 +39,7 @@ pub struct VrpSet<const BOUND: usize = CHUNK_BOUND> {
 
 /// One VRP's contribution to the set digest: a 64-bit mix of family
 /// tag, network bits, prefix length, max length and ASN.
-fn mix(vrp: &VrpTriple) -> u64 {
+fn mix(vrp: &Vrp) -> u64 {
     // The splitmix64 finalizer: a bijection on u64 with full avalanche.
     fn scramble(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -64,7 +63,7 @@ fn mix(vrp: &VrpTriple) -> u64 {
 /// Cut a sorted, duplicate-free run into evenly filled chunks of about
 /// half the bound: as far from a split as from a fold, so a fresh set
 /// absorbs a delta without either.
-fn chunked<const BOUND: usize>(sorted: &[VrpTriple]) -> Vec<Chunk> {
+fn chunked<const BOUND: usize>(sorted: &[Vrp]) -> Vec<Chunk> {
     let pieces = sorted.len().div_ceil(BOUND / 2);
     let mut rest = sorted;
     (0..pieces)
@@ -79,7 +78,7 @@ fn chunked<const BOUND: usize>(sorted: &[VrpTriple]) -> Vec<Chunk> {
 
 /// A chunk this handle may edit in place, with room for one more VRP:
 /// the chunk itself when nothing else holds it, a copy otherwise.
-fn editable(chunk: &mut Chunk) -> &mut Vec<VrpTriple> {
+fn editable(chunk: &mut Chunk) -> &mut Vec<Vrp> {
     if Arc::get_mut(chunk).is_none() {
         let mut copy = Vec::with_capacity(chunk.len() + 1);
         copy.extend_from_slice(chunk);
@@ -118,14 +117,14 @@ impl<const BOUND: usize> VrpSet<BOUND> {
 
     /// The chunks, in order — for sharing tests (`Arc::ptr_eq`) and
     /// invariant checks; nothing on a serving path looks at these.
-    pub fn chunks(&self) -> &[Arc<Vec<VrpTriple>>] {
+    pub fn chunks(&self) -> &[Arc<Vec<Vrp>>] {
         &self.chunks
     }
 
     /// Where `vrp` is, or where it would go: `(chunk, Ok(offset))` when
     /// present, `(chunk, Err(offset))` when absent. The chunk index is
     /// in range unless the set is empty.
-    fn locate(&self, vrp: &VrpTriple) -> (usize, Result<usize, usize>) {
+    fn locate(&self, vrp: &Vrp) -> (usize, Result<usize, usize>) {
         let chunk = self
             .chunks
             .partition_point(|c| c[0] <= *vrp)
@@ -138,7 +137,7 @@ impl<const BOUND: usize> VrpSet<BOUND> {
     }
 
     /// Whether `vrp` is in the set.
-    pub fn contains(&self, vrp: &VrpTriple) -> bool {
+    pub fn contains(&self, vrp: &Vrp) -> bool {
         self.locate(vrp).1.is_ok()
     }
 
@@ -153,7 +152,7 @@ impl<const BOUND: usize> VrpSet<BOUND> {
 
     /// The VRPs strictly after `after`, in canonical order: how a
     /// chunked Reset response resumes where its last chunk ended.
-    pub fn iter_after(&self, after: &VrpTriple) -> Iter<'_> {
+    pub fn iter_after(&self, after: &Vrp) -> Iter<'_> {
         let (chunk, at) = self.locate(after);
         let offset = at.map_or_else(|absent| absent, |present| present + 1);
         let Some(first) = self.chunks.get(chunk) else {
@@ -168,7 +167,7 @@ impl<const BOUND: usize> VrpSet<BOUND> {
     }
 
     /// Add `vrp`; `false` (and nothing touched) when already present.
-    pub fn insert(&mut self, vrp: VrpTriple) -> bool {
+    pub fn insert(&mut self, vrp: Vrp) -> bool {
         let (at, Err(offset)) = self.locate(&vrp) else {
             return false;
         };
@@ -189,7 +188,7 @@ impl<const BOUND: usize> VrpSet<BOUND> {
     }
 
     /// Remove `vrp`; `false` (and nothing touched) when absent.
-    pub fn remove(&mut self, vrp: &VrpTriple) -> bool {
+    pub fn remove(&mut self, vrp: &Vrp) -> bool {
         let (at, Ok(offset)) = self.locate(vrp) else {
             return false;
         };
@@ -219,7 +218,7 @@ impl<const BOUND: usize> VrpSet<BOUND> {
     /// order. Chunks the two sets share are skipped without a look
     /// inside, so diffing a set against its successor costs the chunks
     /// the delta touched, not the set.
-    pub fn difference(&self, other: &Self) -> Vec<VrpTriple> {
+    pub fn difference(&self, other: &Self) -> Vec<Vrp> {
         let (ours, theirs) = (&self.chunks[..], &other.chunks[..]);
         let mut out = Vec::new();
         let (mut i, mut io, mut j, mut jo) = (0, 0, 0, 0);
@@ -256,14 +255,14 @@ impl<const BOUND: usize> VrpSet<BOUND> {
 #[derive(Clone)]
 pub struct Iter<'a> {
     chunks: std::slice::Iter<'a, Chunk>,
-    current: std::slice::Iter<'a, VrpTriple>,
+    current: std::slice::Iter<'a, Vrp>,
     remaining: usize,
 }
 
 impl<'a> Iterator for Iter<'a> {
-    type Item = &'a VrpTriple;
+    type Item = &'a Vrp;
 
-    fn next(&mut self) -> Option<&'a VrpTriple> {
+    fn next(&mut self) -> Option<&'a Vrp> {
         loop {
             if let Some(vrp) = self.current.next() {
                 self.remaining -= 1;
@@ -281,7 +280,7 @@ impl<'a> Iterator for Iter<'a> {
 impl ExactSizeIterator for Iter<'_> {}
 
 impl<'a, const BOUND: usize> IntoIterator for &'a VrpSet<BOUND> {
-    type Item = &'a VrpTriple;
+    type Item = &'a Vrp;
     type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Iter<'a> {
@@ -289,9 +288,9 @@ impl<'a, const BOUND: usize> IntoIterator for &'a VrpSet<BOUND> {
     }
 }
 
-impl<const BOUND: usize> FromIterator<VrpTriple> for VrpSet<BOUND> {
-    fn from_iter<I: IntoIterator<Item = VrpTriple>>(vrps: I) -> Self {
-        let mut sorted: Vec<VrpTriple> = vrps.into_iter().collect();
+impl<const BOUND: usize> FromIterator<Vrp> for VrpSet<BOUND> {
+    fn from_iter<I: IntoIterator<Item = Vrp>>(vrps: I) -> Self {
+        let mut sorted: Vec<Vrp> = vrps.into_iter().collect();
         sorted.sort_unstable();
         sorted.dedup();
         VrpSet {
@@ -321,13 +320,13 @@ impl<const BOUND: usize> PartialEq for VrpSet<BOUND> {
 
 impl<const BOUND: usize> Eq for VrpSet<BOUND> {}
 
-impl<const BOUND: usize> PartialEq<BTreeSet<VrpTriple>> for VrpSet<BOUND> {
-    fn eq(&self, other: &BTreeSet<VrpTriple>) -> bool {
+impl<const BOUND: usize> PartialEq<BTreeSet<Vrp>> for VrpSet<BOUND> {
+    fn eq(&self, other: &BTreeSet<Vrp>) -> bool {
         self.len == other.len() && self.iter().eq(other.iter())
     }
 }
 
-impl<const BOUND: usize> PartialEq<VrpSet<BOUND>> for BTreeSet<VrpTriple> {
+impl<const BOUND: usize> PartialEq<VrpSet<BOUND>> for BTreeSet<Vrp> {
     fn eq(&self, other: &VrpSet<BOUND>) -> bool {
         other == self
     }

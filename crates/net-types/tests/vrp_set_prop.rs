@@ -1,18 +1,17 @@
 //! `VrpSet` against a `BTreeSet` model, and its O(delta) claims as
-//! properties rather than timings: what a successor shares with the set
-//! it came from, and how many chunks any churn can leave behind.
+//! properties rather than timings: how many chunks any churn can leave
+//! behind (what a payload's successor shares with its base is pinned in
+//! `ripki-payload`'s `payload_apply_prop`).
 //!
 //! The model runs use an 8-VRP chunk bound so a few hundred edits over
 //! a few hundred VRPs split and fold chunks constantly; the same runs
 //! at the default bound pin the type the rest of the workspace uses.
 
 use proptest::prelude::*;
-use ripki_net::{Asn, IpPrefix};
-use ripki_payload::{VrpDelta, VrpPayload, VrpSet, VrpTriple};
-use std::collections::{BTreeSet, HashSet};
+use ripki_net::{Asn, IpPrefix, Vrp, VrpSet};
+use std::collections::BTreeSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Indices `0..UNIVERSE` name the VRPs the model runs draw from.
 const UNIVERSE: u16 = 300;
@@ -20,7 +19,7 @@ const UNIVERSE: u16 = 300;
 /// The `i`th VRP of the universe: distinct for distinct `i`, spread
 /// over both families, several lengths and ASNs, and ordered unlike
 /// the indices.
-fn vrp(i: u16) -> VrpTriple {
+fn vrp(i: u16) -> Vrp {
     let scrambled = i.wrapping_mul(40_503); // odd: a bijection on u16
     let prefix = if i.is_multiple_of(3) {
         let addr = Ipv6Addr::from(u128::from(scrambled) << 96 | 0x2001 << 112);
@@ -29,7 +28,7 @@ fn vrp(i: u16) -> VrpTriple {
         IpPrefix::new(IpAddr::V4(Ipv4Addr::from(u32::from(scrambled) << 16)), 16)
     }
     .expect("length within the family");
-    VrpTriple {
+    Vrp {
         prefix,
         max_length: prefix.len() + (i % 5) as u8,
         asn: Asn::new(64_500 + u32::from(i % 7)),
@@ -40,7 +39,7 @@ fn vrp(i: u16) -> VrpTriple {
 enum Step {
     Insert(u16),
     Remove(u16),
-    /// What `VrpPayload::apply` does with a delta, redundant records
+    /// What a payload's `apply` does with a delta, redundant records
     /// and all: withdrawals first, then announcements.
     Apply {
         announced: Vec<u16>,
@@ -93,11 +92,7 @@ fn assert_chunk_invariants<const B: usize>(set: &VrpSet<B>) {
 }
 
 /// `set` is `model`, by every observation the API offers.
-fn assert_matches_model<const B: usize>(
-    set: &VrpSet<B>,
-    model: &BTreeSet<VrpTriple>,
-    probes: &[u16],
-) {
+fn assert_matches_model<const B: usize>(set: &VrpSet<B>, model: &BTreeSet<Vrp>, probes: &[u16]) {
     assert_chunk_invariants(set);
     assert_eq!(set.len(), model.len());
     assert_eq!(set.is_empty(), model.is_empty());
@@ -114,7 +109,7 @@ fn assert_matches_model<const B: usize>(
     assert_eq!(set.digest(), rebuilt.digest());
     // Resume-after: from members and non-members, from the set's own
     // first and last VRP, and from keys before and past everything.
-    let outside = |addr: IpAddr, len: u8, asn: u32| VrpTriple {
+    let outside = |addr: IpAddr, len: u8, asn: u32| Vrp {
         prefix: IpPrefix::new(addr, len).expect("length within the family"),
         max_length: len,
         asn: Asn::new(asn),
@@ -188,41 +183,6 @@ proptest! {
         run_against_model::<512>(&steps, &probes);
     }
 
-    /// `VrpPayload::apply` itself — redundant announcements and
-    /// withdrawals included — lands on the set, and the digest, that
-    /// `VrpPayload::new` builds from the model.
-    #[test]
-    fn payload_apply_matches_the_model(
-        start in proptest::collection::vec(0..UNIVERSE, 0..200),
-        deltas in proptest::collection::vec(
-            (
-                proptest::collection::vec(0..UNIVERSE, 0..16),
-                proptest::collection::vec(0..UNIVERSE, 0..16),
-            ),
-            1..12,
-        ),
-    ) {
-        let mut model: BTreeSet<VrpTriple> = start.iter().map(|&i| vrp(i)).collect();
-        let mut payload = VrpPayload::new(1, model.iter().copied());
-        for (announced, withdrawn) in deltas {
-            let delta = VrpDelta::new(
-                payload.epoch(),
-                payload.epoch() + 1,
-                announced.iter().map(|&i| vrp(i)).collect(),
-                withdrawn.iter().map(|&i| vrp(i)).collect(),
-            );
-            for v in &delta.withdrawn {
-                model.remove(v);
-            }
-            model.extend(delta.announced.iter().copied());
-            let next = payload.apply(&delta).expect("the delta chains");
-            let rebuilt = VrpPayload::new(next.epoch(), model.iter().copied());
-            prop_assert_eq!(&next, &rebuilt);
-            prop_assert_eq!(next.digest(), rebuilt.digest());
-            prop_assert_eq!(payload.diff(&next), payload.diff(&rebuilt));
-            payload = next;
-        }
-    }
 }
 
 /// Adversarial churn for the chunk-count bound: drain a full set in an
@@ -246,7 +206,7 @@ fn chunk_count_stays_bounded_under_remove_heavy_churn() {
         assert!(set.insert(v));
         assert_chunk_invariants(&set);
     }
-    let ordered: Vec<VrpTriple> = set.iter().copied().collect();
+    let ordered: Vec<Vrp> = set.iter().copied().collect();
     for v in &ordered[..ordered.len() - 3] {
         assert!(set.remove(v));
         assert_chunk_invariants(&set);
@@ -254,57 +214,4 @@ fn chunk_count_stays_bounded_under_remove_heavy_churn() {
     let left = &ordered[ordered.len() - 3..];
     assert!(set.iter().eq(left));
     assert_eq!(set, left.iter().copied().collect::<VrpSet<8>>());
-}
-
-/// The sharing bound at the size the fabric runs: after `apply` of a
-/// +k −k delta on a 100 000-VRP payload, at most 2k chunks of the
-/// result are new allocations — every other chunk *is* the base's.
-#[test]
-fn a_successor_shares_all_but_the_chunks_its_delta_touched() {
-    let v4 = |block: u32, i: u32| VrpTriple {
-        prefix: IpPrefix::new(IpAddr::V4(Ipv4Addr::from(block << 24 | i)), 32).expect("a /32"),
-        max_length: 32,
-        asn: Asn::new(64_500 + i % 1_000),
-    };
-    let model: BTreeSet<VrpTriple> = (0..100_000).map(|i| v4(10, i)).collect();
-    for k in [1u32, 4, 32] {
-        let base = VrpPayload::new(1, model.iter().copied());
-        let delta = VrpDelta::new(
-            1,
-            2,
-            (0..k).map(|j| v4(11, j * 2_999)).collect(),
-            (0..k).map(|j| v4(10, 17 + j * 3_001)).collect(),
-        );
-        let next = base.apply(&delta).expect("the delta chains");
-
-        let of_base: HashSet<_> = base.vrps().chunks().iter().map(Arc::as_ptr).collect();
-        let fresh = next
-            .vrps()
-            .chunks()
-            .iter()
-            .filter(|c| !of_base.contains(&Arc::as_ptr(c)))
-            .count();
-        assert!(
-            (1..=2 * k as usize).contains(&fresh),
-            "+{k} −{k}: {fresh} of {} chunks are not the base's",
-            next.vrps().chunks().len()
-        );
-        assert_eq!(
-            base.diff(&next),
-            delta,
-            "the sharing-aware diff finds the delta"
-        );
-
-        // The base is untouched, and the successor does not lean on it.
-        assert!(base.vrps() == &model);
-        drop(base);
-        let mut expected = model.clone();
-        for v in &delta.withdrawn {
-            assert!(expected.remove(v));
-        }
-        expected.extend(delta.announced.iter().copied());
-        assert!(next.vrps() == &expected);
-        assert!(&expected == next.vrps());
-        assert_eq!(next.digest(), VrpPayload::new(2, expected).digest());
-    }
 }

@@ -56,11 +56,9 @@
 //! inherits by construction.
 
 pub use ripki_bgp::rov::VrpTriple;
-pub use set::VrpSet;
+pub use ripki_net::VrpSet;
 
 use std::fmt;
-
-mod set;
 
 /// An epoch-stamped, canonically ordered VRP set.
 ///
