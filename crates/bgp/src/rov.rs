@@ -12,7 +12,7 @@
 //! the hijack simulation applies at ROV-deploying ASes.
 
 pub use ripki_net::Vrp as VrpTriple;
-use ripki_net::{Asn, IpPrefix, PrefixTrie};
+use ripki_net::{Asn, IpPrefix, VrpSet};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -37,12 +37,11 @@ impl fmt::Display for RpkiState {
     }
 }
 
-/// An origin validator over an indexed VRP set.
+/// An origin validator: a handle on a [`VrpSet`]. Building one from a
+/// set, cloning it and advancing the set it wraps copy no VRP; a
+/// lookup walks [`VrpSet::covering`] in place and allocates nothing.
 #[derive(Debug, Clone, Default)]
-pub struct RouteOriginValidator {
-    trie: PrefixTrie<Vec<(u8, Asn)>>,
-    triples: Vec<VrpTriple>,
-}
+pub struct RouteOriginValidator(VrpSet);
 
 impl RouteOriginValidator {
     /// Empty validator (everything is NotFound).
@@ -50,69 +49,45 @@ impl RouteOriginValidator {
         RouteOriginValidator::default()
     }
 
-    /// Build from VRP triples.
+    /// Build from VRP triples, in any order, duplicates dropped.
     pub fn from_vrps<I: IntoIterator<Item = VrpTriple>>(iter: I) -> RouteOriginValidator {
-        let mut v = RouteOriginValidator::new();
-        for vrp in iter {
-            v.add(vrp);
-        }
-        v
-    }
-
-    /// Add one VRP.
-    pub fn add(&mut self, vrp: VrpTriple) {
-        self.triples.push(vrp);
-        if let Some(existing) = self.trie.get_mut(&vrp.prefix) {
-            existing.push((vrp.max_length, vrp.asn));
-        } else {
-            self.trie
-                .insert(vrp.prefix, vec![(vrp.max_length, vrp.asn)]);
-        }
+        RouteOriginValidator(iter.into_iter().collect())
     }
 
     /// Number of VRPs loaded.
     pub fn len(&self) -> usize {
-        self.triples.len()
+        self.0.len()
     }
 
     /// Whether no VRPs are loaded.
     pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
+        self.0.is_empty()
     }
 
-    /// The VRP triples this validator was built from, in insertion
-    /// order — what a snapshot feeds an RTR cache or diffs across
-    /// epochs without re-walking the trie.
-    pub fn vrps(&self) -> &[VrpTriple] {
-        &self.triples
+    /// The VRP set this validator answers from, in canonical order —
+    /// what a snapshot feeds an RTR cache or advances by an epoch's
+    /// delta.
+    pub fn vrps(&self) -> &VrpSet {
+        &self.0
     }
 
     /// RFC 6811 validation of an announcement.
     pub fn validate(&self, prefix: &IpPrefix, origin: Asn) -> RpkiState {
-        let covering = self.trie.covering(prefix);
-        if covering.is_empty() {
-            return RpkiState::NotFound;
-        }
-        for (_, vrps) in &covering {
-            for (max_length, asn) in *vrps {
-                if *asn == origin && prefix.len() <= *max_length {
-                    return RpkiState::Valid;
-                }
+        let mut state = RpkiState::NotFound;
+        for vrp in self.0.covering(prefix) {
+            if vrp.asn == origin && prefix.len() <= vrp.max_length {
+                return RpkiState::Valid;
             }
+            state = RpkiState::Invalid;
         }
-        RpkiState::Invalid
-    }
-
-    /// Whether any VRP covers `prefix` (i.e. validation would not be
-    /// NotFound).
-    pub fn is_covered(&self, prefix: &IpPrefix) -> bool {
-        !self.trie.covering(prefix).is_empty()
+        state
     }
 
     /// Full RFC 6811 verdict with the covering VRPs partitioned by why
     /// they did (not) match — what a relying-party validity API returns
     /// (cf. Routinator's `/api/v1/validity`). The `state` agrees with
-    /// [`validate`](Self::validate) for every input.
+    /// [`validate`](Self::validate) for every input; each list holds
+    /// the shortest VRP prefix first, then by max length and ASN.
     pub fn validity(&self, prefix: &IpPrefix, origin: Asn) -> ValidityDetail {
         let mut detail = ValidityDetail {
             state: RpkiState::NotFound,
@@ -120,20 +95,13 @@ impl RouteOriginValidator {
             unmatched_asn: Vec::new(),
             unmatched_length: Vec::new(),
         };
-        for (vrp_prefix, vrps) in self.trie.covering(prefix) {
-            for (max_length, asn) in vrps {
-                let triple = VrpTriple {
-                    prefix: vrp_prefix,
-                    max_length: *max_length,
-                    asn: *asn,
-                };
-                if *asn != origin {
-                    detail.unmatched_asn.push(triple);
-                } else if prefix.len() > *max_length {
-                    detail.unmatched_length.push(triple);
-                } else {
-                    detail.matched.push(triple);
-                }
+        for &vrp in self.0.covering(prefix) {
+            if vrp.asn != origin {
+                detail.unmatched_asn.push(vrp);
+            } else if prefix.len() > vrp.max_length {
+                detail.unmatched_length.push(vrp);
+            } else {
+                detail.matched.push(vrp);
             }
         }
         detail.state = if !detail.matched.is_empty() {
@@ -144,6 +112,12 @@ impl RouteOriginValidator {
             RpkiState::Invalid
         };
         detail
+    }
+}
+
+impl From<VrpSet> for RouteOriginValidator {
+    fn from(vrps: VrpSet) -> RouteOriginValidator {
+        RouteOriginValidator(vrps)
     }
 }
 
@@ -214,7 +188,6 @@ mod tests {
             v.validate(&p("11.0.0.0/16"), Asn::new(100)),
             RpkiState::NotFound
         );
-        assert!(!v.is_covered(&p("11.0.0.0/16")));
         // A *less specific* announcement than any VRP is also uncovered.
         assert_eq!(
             v.validate(&p("10.0.0.0/8"), Asn::new(100)),

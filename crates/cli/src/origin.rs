@@ -112,7 +112,7 @@ fn longitudinal_row(
             n as f64 / total as f64
         }
     };
-    let validator = RouteOriginValidator::from_vrps(served.vrps().iter().copied());
+    let validator = RouteOriginValidator::from(served.shared_vrps());
     let exposures = exposure_curve(
         &results.domains,
         &scenario.topology,

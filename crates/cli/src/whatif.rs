@@ -252,7 +252,7 @@ pub(crate) fn cmd_whatif(flags: &Flags, out: &mut dyn Write) -> Result<(), CliEr
         out,
         "baseline: epoch {}, {} VRPs, {} domains sampled for exposure",
         baseline_snapshot.epoch(),
-        baseline_snapshot.vrp_count(),
+        baseline_snapshot.vrps().len(),
         baseline.len(),
     )?;
 

@@ -109,12 +109,13 @@ impl Planes {
     /// therefore has no view to publish). Returns the raw update — what
     /// an `engine` unit gossips.
     ///
-    /// The payload is the previous one advanced by the delta, O(delta);
-    /// it is rebuilt from the snapshot's whole VRP set only at epoch 1
-    /// and when the delta does not chain onto the held payload. The
-    /// exception layer maps the same delta, so excepted VRPs never
-    /// churn on the wire, and the cache streams it when it chains onto
-    /// its serial and reinstalls the snapshot otherwise.
+    /// The payload is a handle on the snapshot's VRP set, which the
+    /// engine advanced from the previous epoch's by this delta: it
+    /// shares every chunk the delta did not touch, and building it
+    /// copies no VRP. The exception layer maps the same delta, so
+    /// excepted VRPs never churn on the wire, and the cache streams it
+    /// when it chains onto its serial and reinstalls the snapshot
+    /// otherwise.
     pub fn hand_off(
         &mut self,
         snapshot: Arc<WorldSnapshot>,
@@ -129,12 +130,7 @@ impl Planes {
                 d.withdrawn.clone(),
             )
         });
-        let advanced = match (self.slurm.last_raw(), &delta) {
-            (Some(previous), Some(delta)) => previous.apply(delta),
-            _ => None,
-        };
-        let payload = advanced
-            .unwrap_or_else(|| VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied()));
+        let payload = VrpPayload::from_shared(snapshot.epoch(), snapshot.vrps().clone());
         let raw = PayloadUpdate { payload, delta };
         let applied = self.slurm.ingest(&raw).ok_or(OriginError(raw.epoch()))?;
 

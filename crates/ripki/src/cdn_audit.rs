@@ -42,8 +42,12 @@ impl fmt::Display for CdnAuditRow {
     }
 }
 
-/// Run the keyword audit for the given CDN names.
-pub fn audit_cdns(registry: &AsRegistry, vrps: &[Vrp], cdn_names: &[&str]) -> Vec<CdnAuditRow> {
+/// Run the keyword audit for the given CDN names over a VRP collection
+/// (a slice, a `Vec` or a `VrpSet`), walked once per name.
+pub fn audit_cdns<'a, V>(registry: &AsRegistry, vrps: V, cdn_names: &[&str]) -> Vec<CdnAuditRow>
+where
+    V: IntoIterator<Item = &'a Vrp> + Copy,
+{
     cdn_names
         .iter()
         .map(|name| {
@@ -70,12 +74,16 @@ pub fn audit_cdns(registry: &AsRegistry, vrps: &[Vrp], cdn_names: &[&str]) -> Ve
 
 /// Penetration of a class: fraction of its ASes originating at least one
 /// VRP (the paper's ">5%" for ISPs/webhosters).
-pub fn class_penetration(registry: &AsRegistry, vrps: &[Vrp], class: OperatorClass) -> f64 {
+pub fn class_penetration<'a>(
+    registry: &AsRegistry,
+    vrps: impl IntoIterator<Item = &'a Vrp>,
+    class: OperatorClass,
+) -> f64 {
     let asns = registry.asns_of_class(class);
     if asns.is_empty() {
         return 0.0;
     }
-    let with_roa: BTreeSet<Asn> = vrps.iter().map(|v| v.asn).collect();
+    let with_roa: BTreeSet<Asn> = vrps.into_iter().map(|v| v.asn).collect();
     let covered = asns.iter().filter(|a| with_roa.contains(a)).count();
     covered as f64 / asns.len() as f64
 }
@@ -96,7 +104,10 @@ pub struct CdnAuditSummary {
 }
 
 /// Compute the summary.
-pub fn summarize(rows: &[CdnAuditRow], registry: &AsRegistry, vrps: &[Vrp]) -> CdnAuditSummary {
+pub fn summarize<'a, V>(rows: &[CdnAuditRow], registry: &AsRegistry, vrps: V) -> CdnAuditSummary
+where
+    V: IntoIterator<Item = &'a Vrp> + Copy,
+{
     CdnAuditSummary {
         total_cdn_asns: rows.iter().map(|r| r.as_count).sum(),
         total_rpki_entries: rows.iter().map(|r| r.rpki_prefixes.len()).sum(),

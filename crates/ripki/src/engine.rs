@@ -15,7 +15,7 @@
 //!   events, a re-fetched RPKI repository, a clock advance — goes
 //!   through [`apply_events`](StudyEngine::apply_events): unchanged
 //!   substrate is structurally shared (`Arc` clones), the origin
-//!   validator is rebuilt only when the VRP set moved, and an
+//!   validator's VRP set is advanced by the validator's delta, and an
 //!   [`EpochDelta`] records the announced/withdrawn VRPs — exactly what
 //!   an RTR cache needs to bump its serial.
 //! * A memoized resolution layer: each snapshot carries a
@@ -65,7 +65,7 @@ use ripki_dns::resolver::Resolver;
 use ripki_dns::zone::{ZoneChanges, ZoneDelta, ZoneStore};
 use ripki_dns::DomainName;
 use ripki_net::special::SpecialRegistry;
-use ripki_net::{Asn, IpPrefix};
+use ripki_net::{Asn, IpPrefix, VrpSet};
 use ripki_rpki::incremental::{ApplyStats, IncrementalValidator, VrpDelta};
 use ripki_rpki::repo::Repository;
 use ripki_rpki::time::SimTime;
@@ -85,36 +85,11 @@ pub struct WorldSnapshot {
     rib: Arc<Rib>,
     cache: Arc<ResolutionCache>,
     validator: RouteOriginValidator,
-    vrp_count: usize,
     rpki_rejected: usize,
     config: PipelineConfig,
 }
 
 impl WorldSnapshot {
-    /// Assemble a snapshot from an already-validated VRP set (the
-    /// incremental validator's output).
-    fn assemble(
-        epoch: u64,
-        zones: Arc<ZoneStore>,
-        rib: Arc<Rib>,
-        cache: Arc<ResolutionCache>,
-        vrps: &[VrpTriple],
-        rpki_rejected: usize,
-        config: PipelineConfig,
-    ) -> WorldSnapshot {
-        let validator = RouteOriginValidator::from_vrps(vrps.iter().copied());
-        WorldSnapshot {
-            epoch,
-            zones,
-            rib,
-            cache,
-            vrp_count: vrps.len(),
-            rpki_rejected,
-            validator,
-            config,
-        }
-    }
-
     /// The snapshot's epoch (1 for a fresh engine, +1 per applied batch).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -130,7 +105,7 @@ impl WorldSnapshot {
         &self.rib
     }
 
-    /// The origin validator built from this epoch's validated VRPs.
+    /// The origin validator over this epoch's validated VRPs.
     pub fn validator(&self) -> &RouteOriginValidator {
         &self.validator
     }
@@ -143,15 +118,11 @@ impl WorldSnapshot {
         self.validator.validity(prefix, origin)
     }
 
-    /// This epoch's validated VRPs, in insertion order — the payload an
-    /// RTR cache serves (see `CacheServer::install_snapshot`).
-    pub fn vrps(&self) -> &[VrpTriple] {
+    /// This epoch's validated VRPs, in canonical order: the previous
+    /// epoch's set advanced by this epoch's delta, sharing every chunk
+    /// the delta did not touch — the set an origin's payload wraps.
+    pub fn vrps(&self) -> &VrpSet {
         self.validator.vrps()
-    }
-
-    /// Count of VRPs used for validation.
-    pub fn vrp_count(&self) -> usize {
-        self.vrp_count
     }
 
     /// Objects rejected during cryptographic RPKI validation.
@@ -317,7 +288,7 @@ impl WorldSnapshot {
         let (domains, skipped) = self.run_sharded(ranking);
         StudyResults {
             domains,
-            vrp_count: self.vrp_count,
+            vrp_count: self.validator.len(),
             rpki_rejected: self.rpki_rejected,
             epoch: self.epoch,
             skipped,
@@ -741,15 +712,15 @@ impl StudyEngine {
             repository: Arc::new(repository.clone()),
         };
         rpki.apply(None, config.now, config.worker_threads());
-        let snapshot = WorldSnapshot::assemble(
-            1,
+        let snapshot = WorldSnapshot {
+            epoch: 1,
             zones,
             rib,
             cache,
-            &rpki.validator.vrps(),
-            rpki.validator.rejected_count(),
+            validator: RouteOriginValidator::from_vrps(rpki.validator.vrps()),
+            rpki_rejected: rpki.validator.rejected_count(),
             config,
-        );
+        };
         StudyEngine {
             current: RwLock::new(Arc::new(snapshot)),
             index: Mutex::new(None),
@@ -855,9 +826,10 @@ impl StudyEngine {
         config.now = batch.now;
         // The validator runs only when its inputs moved: a republished
         // repository or a clock advance (expiry sweep). Its delta IS the
-        // epoch's announce/withdraw set — no full-set diffing.
+        // epoch's announce/withdraw set — no full-set diffing — and
+        // advances the old epoch's VRP set in O(delta).
         let rpki_work = batch.repository.is_some() || batch.now != old.config.now;
-        let (changed_vrps, announced, withdrawn, rpki_stats, rpki_rejected) = if rpki_work {
+        let (announced, withdrawn, rpki_stats, rpki_rejected) = if rpki_work {
             let mut rpki = self.rpki.lock().expect("engine rpki lock poisoned");
             let vrp_delta = rpki.apply(
                 batch.repository.as_ref(),
@@ -865,35 +837,37 @@ impl StudyEngine {
                 config.worker_threads(),
             );
             (
-                (!vrp_delta.is_empty()).then(|| rpki.validator.vrps()),
                 vrp_delta.announced,
                 vrp_delta.withdrawn,
                 Some(vrp_delta.stats),
                 rpki.validator.rejected_count(),
             )
         } else {
-            (None, Vec::new(), Vec::new(), None, old.rpki_rejected)
+            (Vec::new(), Vec::new(), None, old.rpki_rejected)
         };
-        let next = match changed_vrps {
-            Some(vrps) => WorldSnapshot::assemble(
-                old.epoch + 1,
-                zones,
-                rib,
-                cache,
-                &vrps,
-                rpki_rejected,
-                config,
-            ),
-            None => WorldSnapshot {
-                epoch: old.epoch + 1,
-                zones,
-                rib,
-                cache,
-                validator: old.validator.clone(),
-                vrp_count: old.vrp_count,
-                rpki_rejected,
-                config,
-            },
+        let mut vrps = old.vrps().clone();
+        for vrp in &withdrawn {
+            assert!(
+                vrps.remove(vrp),
+                "withdrawn {vrp} is not in epoch {}",
+                old.epoch
+            );
+        }
+        for &vrp in &announced {
+            assert!(
+                vrps.insert(vrp),
+                "announced {vrp} is already in epoch {}",
+                old.epoch
+            );
+        }
+        let next = WorldSnapshot {
+            epoch: old.epoch + 1,
+            zones,
+            rib,
+            cache,
+            validator: RouteOriginValidator::from(vrps),
+            rpki_rejected,
+            config,
         };
         let vrp_prefixes: BTreeSet<IpPrefix> = announced
             .iter()
@@ -979,7 +953,7 @@ impl StudyEngine {
         index.epoch = next.epoch;
 
         results.epoch = next.epoch;
-        results.vrp_count = next.vrp_count;
+        results.vrp_count = next.validator.len();
         results.rpki_rejected = next.rpki_rejected;
         let delta = EpochDelta {
             from_epoch: old.epoch,

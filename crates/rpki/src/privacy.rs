@@ -63,7 +63,10 @@ impl ExposureReport {
 /// A VRP is *operational* if some observed announcement matches it under
 /// RFC 6811 semantics (covered by the VRP prefix, length ≤ maxLength,
 /// same origin). Everything else is *latent*.
-pub fn exposure(vrps: &[Vrp], announced: &BTreeSet<(IpPrefix, Asn)>) -> ExposureReport {
+pub fn exposure<'a>(
+    vrps: impl IntoIterator<Item = &'a Vrp>,
+    announced: &BTreeSet<(IpPrefix, Asn)>,
+) -> ExposureReport {
     let mut report = ExposureReport::default();
     for vrp in vrps {
         let auth = Authorization {

@@ -27,13 +27,16 @@ pub struct EpochView {
     snapshot: Arc<WorldSnapshot>,
     results: Arc<StudyResults>,
     payload: VrpPayload,
+    /// A handle on `payload`'s set: what validity and exposure queries
+    /// answer from.
+    validator: RouteOriginValidator,
     topology: Option<Arc<Topology>>,
     exposure: ExposureConfig,
     exposure_memo: Mutex<HashMap<usize, Option<(f64, bool)>>>,
     /// RFC 8416 local-exception layer: when present, `payload` holds
-    /// the excepted set, this validator answers validity queries from
-    /// it, and the stats say how far it diverges from the snapshot.
-    slurm: Option<(RouteOriginValidator, SlurmStats)>,
+    /// the excepted set and the stats say how far it diverges from the
+    /// snapshot's.
+    slurm: Option<SlurmStats>,
 }
 
 impl EpochView {
@@ -51,16 +54,15 @@ impl EpochView {
         topology: Option<Arc<Topology>>,
         exposure: ExposureConfig,
     ) -> EpochView {
-        let payload = VrpPayload::new(snapshot.epoch(), snapshot.vrps().iter().copied());
+        let payload = VrpPayload::from_shared(snapshot.epoch(), snapshot.vrps().clone());
         EpochView::with_payload(snapshot, results, topology, exposure, payload, None)
     }
 
     /// Bind a snapshot to the results measured from it and to the
-    /// payload the origin serves for it: the snapshot's VRP set
-    /// advanced by the epoch's delta, or — with `slurm` stats — that
-    /// set behind the RFC 8416 local-exception layer. Validity and
-    /// exposure queries then answer from a validator built over the
-    /// excepted set, so `/vrps.{json,csv}`, `/api/v1/validity`, and the
+    /// payload the origin serves for it: the snapshot's VRP set, or —
+    /// with `slurm` stats — that set behind the RFC 8416 local-exception
+    /// layer. Validity and exposure queries answer from the payload's
+    /// set, so `/vrps.{json,csv}`, `/api/v1/validity`, and the
     /// co-hosted RTR cache installed from the same payload all agree.
     /// The exports and every co-hosted plane serve this one canonically
     /// ordered payload, so equal epochs are byte-identical across every
@@ -69,7 +71,8 @@ impl EpochView {
     /// # Panics
     ///
     /// If the snapshot, the results and the payload do not share one
-    /// epoch.
+    /// epoch, or if without `slurm` the payload is not the snapshot's
+    /// set (compared by length and digest, O(1)).
     pub fn with_payload(
         snapshot: Arc<WorldSnapshot>,
         results: Arc<StudyResults>,
@@ -88,17 +91,22 @@ impl EpochView {
             payload.epoch(),
             "epoch-consistency contract: snapshot and payload must share an epoch"
         );
+        if slurm.is_none() {
+            let (served, measured) = (payload.vrps(), snapshot.vrps());
+            assert_eq!(
+                (served.len(), served.digest()),
+                (measured.len(), measured.digest()),
+                "epoch-consistency contract: without exceptions the payload is the snapshot's set"
+            );
+        }
         // The first view of a ranking pays for the name index here, at
         // start-up, instead of in its first request; every later view is
         // built from a clone that already shares it.
         results.domains.ensure_index();
-        let slurm = slurm.map(|stats| {
-            let validator = RouteOriginValidator::from_vrps(payload.vrps().iter().copied());
-            (validator, stats)
-        });
         EpochView {
             snapshot,
             results,
+            validator: RouteOriginValidator::from(payload.shared_vrps()),
             payload,
             topology,
             exposure,
@@ -110,15 +118,13 @@ impl EpochView {
     /// How the local-exception layer changed this epoch's set, when one
     /// is configured: `(filtered, asserted)` VRP counts.
     pub fn slurm_stats(&self) -> Option<SlurmStats> {
-        self.slurm.as_ref().map(|(_, stats)| *stats)
+        self.slurm
     }
 
-    /// The validator queries answer from: the exception-layered one
-    /// when configured, the snapshot's otherwise.
+    /// The validator queries answer from: a handle on the payload's
+    /// set, exception-layered when configured.
     pub fn validator(&self) -> &RouteOriginValidator {
-        self.slurm
-            .as_ref()
-            .map_or_else(|| self.snapshot.validator(), |(validator, _)| validator)
+        &self.validator
     }
 
     /// Full RFC 6811 verdict for one announcement, answered from the

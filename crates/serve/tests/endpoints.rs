@@ -14,7 +14,12 @@ fn validity_endpoint_agrees_with_the_engine() {
     let fx = serve_scenario(300, 11);
     let addr = fx.server.addr();
     let snapshot = fx.engine.snapshot();
-    let vrp = snapshot.vrps().first().copied().expect("scenario has VRPs");
+    let vrp = snapshot
+        .vrps()
+        .iter()
+        .next()
+        .copied()
+        .expect("scenario has VRPs");
 
     // The VRP's own (prefix, asn) is valid by construction.
     let reply = get(
@@ -110,7 +115,13 @@ fn validity_endpoint_agrees_with_the_engine() {
 fn vrp_exports_stream_the_full_epoch_set() {
     let fx = serve_scenario(250, 3);
     let addr = fx.server.addr();
-    let vrps = fx.engine.snapshot().vrps().to_vec();
+    let vrps = fx
+        .engine
+        .snapshot()
+        .vrps()
+        .iter()
+        .copied()
+        .collect::<Vec<_>>();
     assert!(!vrps.is_empty());
 
     let reply = get(addr, "/vrps.json");
