@@ -1,4 +1,4 @@
-//! Property-based tests for `ripki-bgp`: ROV against a naive oracle,
+//! Property-based tests for `ripki-bgp`: ROV against a brute-force scan,
 //! valley-free propagation invariants, and dump round-trips.
 
 use proptest::prelude::*;
@@ -6,55 +6,183 @@ use ripki_bgp::dump::TableDump;
 use ripki_bgp::path::AsPath;
 use ripki_bgp::propagate::{accept_all, propagate, RouteKind};
 use ripki_bgp::rib::{Rib, RibEntry};
-use ripki_bgp::rov::{RouteOriginValidator, RpkiState, VrpTriple};
+use ripki_bgp::rov::{RouteOriginValidator, RpkiState, ValidityDetail, VrpTriple};
 use ripki_bgp::topology::{Relationship, Topology};
-use ripki_net::{Asn, IpPrefix, Ipv4Prefix};
-use std::net::Ipv4Addr;
+use ripki_net::{Asn, Family, IpPrefix, Ipv4Prefix, VrpSet};
+use std::collections::BTreeSet;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 fn arb_prefix() -> impl Strategy<Value = IpPrefix> {
     (any::<u32>(), 8u8..=28)
         .prop_map(|(bits, len)| IpPrefix::V4(Ipv4Prefix::new(Ipv4Addr::from(bits), len).unwrap()))
 }
 
-fn arb_vrp() -> impl Strategy<Value = (IpPrefix, u8, u32)> {
-    (any::<u32>(), 8u8..=24, 0u8..=8, 1u32..50).prop_map(|(bits, len, extra, asn)| {
-        let p = IpPrefix::V4(Ipv4Prefix::new(Ipv4Addr::from(bits), len).unwrap());
-        ((p), (len + extra).min(32), asn)
-    })
+/// A prefix length for a family of `max` bits: `/0` and the host
+/// length each an eighth of the time, any length otherwise.
+fn pick_len(pick: u16, max: u8) -> u8 {
+    match pick % 8 {
+        0 => 0,
+        1 => max,
+        _ => ((pick / 8) % (u16::from(max) + 1)) as u8,
+    }
+}
+
+/// A route: family (`true` = IPv6), address bits, length pick.
+type RoutePick = (bool, u128, u16);
+
+fn route_prefix((v6, bits, pick): RoutePick) -> IpPrefix {
+    if v6 {
+        IpPrefix::new(IpAddr::V6(Ipv6Addr::from(bits)), pick_len(pick, 128))
+    } else {
+        let addr = Ipv4Addr::from((bits >> 96) as u32);
+        IpPrefix::new(IpAddr::V4(addr), pick_len(pick, 32))
+    }
+    .expect("length within the family")
+}
+
+/// A VRP on `route`'s address: its prefix is the route masked to a
+/// drawn length (shorter than the route, equal, or longer), its max
+/// length anywhere from there to the family's maximum.
+fn vrp_on(route: IpPrefix, len_pick: u16, extra: u8, asn: u32) -> VrpTriple {
+    let max = route.family().bits();
+    let len = pick_len(len_pick, max);
+    let prefix = IpPrefix::new(route.network(), len).expect("length within the family");
+    VrpTriple {
+        prefix,
+        max_length: len + (u16::from(extra) % (u16::from(max - len) + 1)) as u8,
+        asn: Asn::new(asn),
+    }
+}
+
+/// Routes of both families, most VRPs drawn from their own masks (the
+/// pick indexes the route), a few VRPs anywhere, the origin ASNs the
+/// lookups use, and insert/remove edits over all drawn VRPs.
+#[allow(clippy::type_complexity)]
+fn arb_rov_case() -> impl Strategy<
+    Value = (
+        Vec<RoutePick>,
+        Vec<(prop::sample::Index, u16, u8, u32)>,
+        Vec<(RoutePick, u8, u32)>,
+        Vec<(bool, prop::sample::Index)>,
+    ),
+> {
+    let route = || (any::<bool>(), any::<u128>(), any::<u16>());
+    (
+        prop::collection::vec(route(), 1..4),
+        prop::collection::vec(
+            (
+                any::<prop::sample::Index>(),
+                any::<u16>(),
+                any::<u8>(),
+                1u32..4,
+            ),
+            0..24,
+        ),
+        prop::collection::vec((route(), any::<u8>(), 1u32..4), 0..6),
+        prop::collection::vec((any::<bool>(), any::<prop::sample::Index>()), 0..24),
+    )
+}
+
+/// `validator` answers every route and origin as RFC 6811 read off a
+/// scan of `sorted` (the set's canonical order): a VRP covers a route
+/// when its prefix covers the route's; `validate` and the three
+/// `validity` lists, contents and order, must agree with that scan.
+fn assert_matches_scan(
+    validator: &RouteOriginValidator,
+    sorted: &BTreeSet<VrpTriple>,
+    routes: &[IpPrefix],
+) {
+    for route in routes {
+        for origin in (0..5).map(Asn::new) {
+            let mut expected = ValidityDetail {
+                state: RpkiState::NotFound,
+                matched: Vec::new(),
+                unmatched_asn: Vec::new(),
+                unmatched_length: Vec::new(),
+            };
+            for vrp in sorted.iter().filter(|v| v.prefix.covers(route)) {
+                if vrp.asn != origin {
+                    expected.unmatched_asn.push(*vrp);
+                } else if route.len() > vrp.max_length {
+                    expected.unmatched_length.push(*vrp);
+                } else {
+                    expected.matched.push(*vrp);
+                }
+            }
+            expected.state = if !expected.matched.is_empty() {
+                RpkiState::Valid
+            } else if expected.unmatched_asn.is_empty() && expected.unmatched_length.is_empty() {
+                RpkiState::NotFound
+            } else {
+                RpkiState::Invalid
+            };
+            prop_assert_eq!(
+                validator.validate(route, origin),
+                expected.state,
+                "{} {}",
+                route,
+                origin
+            );
+            prop_assert_eq!(
+                validator.validity(route, origin),
+                expected,
+                "{} {}",
+                route,
+                origin
+            );
+        }
+    }
 }
 
 proptest! {
-    /// ROV agrees with the RFC 6811 definition evaluated naively.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// ROV agrees with the RFC 6811 definition evaluated naively, over
+    /// both families and every length from `/0` to host routes, with
+    /// most VRPs on the routes' own masks so that Valid and Invalid
+    /// verdicts are common. A validator over a set advanced by inserts
+    /// and removes equals one built from scratch, down to the per-length
+    /// counts its lookups probe.
     #[test]
     fn rov_matches_naive_oracle(
-        vrps in prop::collection::vec(arb_vrp(), 0..40),
-        route_prefix in arb_prefix(),
-        origin in 1u32..50,
+        (routes, own, noise, edits) in arb_rov_case(),
     ) {
-        let validator = RouteOriginValidator::from_vrps(
-            vrps.iter().map(|(p, ml, a)| VrpTriple {
-                prefix: *p,
-                max_length: *ml,
-                asn: Asn::new(*a),
-            }),
-        );
-        let origin = Asn::new(origin);
-        let covering: Vec<_> = vrps
+        let routes: Vec<IpPrefix> = routes.into_iter().map(route_prefix).collect();
+        let pool: Vec<VrpTriple> = own
             .iter()
-            .filter(|(p, _, _)| p.covers(&route_prefix))
+            .map(|(i, len, extra, asn)| vrp_on(routes[i.index(routes.len())], *len, *extra, *asn))
+            .chain(noise.iter().map(|(r, extra, asn)| vrp_on(route_prefix(*r), r.2 / 3, *extra, *asn)))
             .collect();
-        let expected = if covering.is_empty() {
-            RpkiState::NotFound
-        } else if covering.iter().any(|(_, ml, a)| {
-            Asn::new(*a) == origin && route_prefix.len() <= *ml
-        }) {
-            RpkiState::Valid
-        } else {
-            RpkiState::Invalid
-        };
-        prop_assert_eq!(validator.validate(&route_prefix, origin), expected);
-    }
+        let all: BTreeSet<VrpTriple> = pool.iter().copied().collect();
+        assert_matches_scan(&RouteOriginValidator::from_vrps(pool.iter().copied()), &all, &routes);
 
+        // Start from half the pool, then insert and remove at random.
+        let mut model: BTreeSet<VrpTriple> = pool.iter().step_by(2).copied().collect();
+        let mut set: VrpSet = model.iter().copied().collect();
+        if !pool.is_empty() {
+            for (insert, i) in &edits {
+                let vrp = pool[i.index(pool.len())];
+                if *insert {
+                    prop_assert_eq!(set.insert(vrp), model.insert(vrp));
+                } else {
+                    prop_assert_eq!(set.remove(&vrp), model.remove(&vrp));
+                }
+            }
+        }
+        let advanced = RouteOriginValidator::from(set);
+        let scratch = RouteOriginValidator::from_vrps(model.iter().copied());
+        prop_assert!(advanced.vrps() == scratch.vrps());
+        for family in [Family::V4, Family::V6] {
+            prop_assert_eq!(
+                advanced.vrps().length_counts(family),
+                scratch.vrps().length_counts(family)
+            );
+        }
+        assert_matches_scan(&advanced, &model, &routes);
+    }
+}
+
+proptest! {
     /// Propagation over random topologies produces valley-free,
     /// loop-free, connected-to-origin routes.
     #[test]

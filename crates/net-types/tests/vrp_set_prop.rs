@@ -8,7 +8,7 @@
 //! at the default bound pin the type the rest of the workspace uses.
 
 use proptest::prelude::*;
-use ripki_net::{Asn, IpPrefix, Vrp, VrpSet};
+use ripki_net::{Asn, Family, IpPrefix, Vrp, VrpSet};
 use std::collections::BTreeSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::ops::Bound;
@@ -17,20 +17,21 @@ use std::ops::Bound;
 const UNIVERSE: u16 = 300;
 
 /// The `i`th VRP of the universe: distinct for distinct `i`, spread
-/// over both families, several lengths and ASNs, and ordered unlike
-/// the indices.
+/// over both families, lengths from /16 (IPv4) and /32 (IPv6) up to
+/// host routes, several ASNs, and ordered unlike the indices.
 fn vrp(i: u16) -> Vrp {
     let scrambled = i.wrapping_mul(40_503); // odd: a bijection on u16
     let prefix = if i.is_multiple_of(3) {
         let addr = Ipv6Addr::from(u128::from(scrambled) << 96 | 0x2001 << 112);
-        IpPrefix::new(IpAddr::V6(addr), 32)
+        IpPrefix::new(IpAddr::V6(addr), 32 + (i % 97) as u8)
     } else {
-        IpPrefix::new(IpAddr::V4(Ipv4Addr::from(u32::from(scrambled) << 16)), 16)
+        let addr = Ipv4Addr::from(u32::from(scrambled) << 16);
+        IpPrefix::new(IpAddr::V4(addr), 16 + (i % 17) as u8)
     }
     .expect("length within the family");
     Vrp {
         prefix,
-        max_length: prefix.len() + (i % 5) as u8,
+        max_length: (prefix.len() + (i % 5) as u8).min(prefix.family().bits()),
         asn: Asn::new(64_500 + u32::from(i % 7)),
     }
 }
@@ -91,10 +92,18 @@ fn assert_chunk_invariants<const B: usize>(set: &VrpSet<B>) {
     );
 }
 
-/// `set` is `model`, by every observation the API offers.
+/// `set` is `model`, by every observation the API offers — the
+/// per-family prefix-length counts included.
 fn assert_matches_model<const B: usize>(set: &VrpSet<B>, model: &BTreeSet<Vrp>, probes: &[u16]) {
     assert_chunk_invariants(set);
     assert_eq!(set.len(), model.len());
+    for family in [Family::V4, Family::V6] {
+        let mut recount = vec![0u32; usize::from(family.bits()) + 1];
+        for vrp in model.iter().filter(|v| v.prefix.family() == family) {
+            recount[usize::from(vrp.prefix.len())] += 1;
+        }
+        assert_eq!(set.length_counts(family), recount, "{family} length counts");
+    }
     assert_eq!(set.is_empty(), model.is_empty());
     assert_eq!(set.iter().len(), model.len());
     assert!(set.iter().eq(model.iter()), "iteration order");
