@@ -14,7 +14,8 @@ use std::fmt;
 ///
 /// The derived order — prefix, then max length, then ASN — is the wire
 /// order of `/vrps.json` and of RTR resets, which serve a
-/// `BTreeSet<Vrp>` front to back.
+/// [`VrpSet`](crate::VrpSet) front to back, and it is what lets the set
+/// find the VRPs covering a route with one seek per prefix length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Vrp {
     /// Authorized prefix.

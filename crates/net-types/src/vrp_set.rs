@@ -10,15 +10,10 @@
 //! dropping the older set frees exactly those. Iteration order is
 //! `Vrp`'s `Ord`, which fixes every derived wire form.
 //!
-//! The set also answers RFC 6811's question — which VRPs cover a route
-//! — in place. `Vrp` orders by (prefix bits, prefix length, max length,
-//! ASN), so the VRPs whose prefix is the route masked to length l sit
-//! side by side, starting at `(masked, 0, AS0)`. [`VrpSet::covering`]
-//! seeks there once for each length l up to the route's that the set
-//! holds (it keeps per-family counts of the lengths present, O(1) per
-//! edit like the digest), and allocates nothing.
+//! It also answers RFC 6811 in place: [`VrpSet::covering`] seeks once
+//! per prefix length present up to the route's (see there).
 
-use crate::{Asn, Family, IpPrefix, Vrp};
+use crate::{Family, IpPrefix, Vrp};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -37,49 +32,21 @@ type Chunk = Arc<Vec<Vrp>>;
 /// across chunk boundaries; no chunk holds more than `BOUND` VRPs, and
 /// none fewer than `BOUND / 4` unless it is the only one — so the chunk
 /// count stays within `len / (BOUND / 4) + 1` under any churn.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct VrpSet<const BOUND: usize = CHUNK_BOUND> {
     chunks: Arc<Vec<Chunk>>,
     len: usize,
     /// Wrapping sum of [`mix`] over the elements.
     digest: u64,
-    /// How many elements have each prefix length, per family.
-    lengths: LengthCounts,
+    /// How many elements have each prefix length: IPv4 /0–/32 at
+    /// 0..=32, IPv6 /0–/128 at 33..=161 (see [`length_slot`]).
+    lengths: [u32; 162],
 }
 
-/// Per-family counts of the prefix lengths present: `v4[l]` is the
-/// number of IPv4 VRPs whose prefix is a /l.
-#[derive(Clone, PartialEq, Eq)]
-struct LengthCounts {
-    v4: [u32; 33],
-    v6: [u32; 129],
-}
-
-impl Default for LengthCounts {
-    fn default() -> Self {
-        LengthCounts {
-            v4: [0; 33],
-            v6: [0; 129],
-        }
-    }
-}
-
-impl LengthCounts {
-    fn of(&self, family: Family) -> &[u32] {
-        match family {
-            Family::V4 => &self.v4,
-            Family::V6 => &self.v6,
-        }
-    }
-
-    /// The counter for `prefix`'s length in its family.
-    fn slot(&mut self, prefix: &IpPrefix) -> &mut u32 {
-        let len = usize::from(prefix.len());
-        match prefix {
-            IpPrefix::V4(_) => &mut self.v4[len],
-            IpPrefix::V6(_) => &mut self.v6[len],
-        }
-    }
+/// Where `prefix`'s length is counted in [`VrpSet::lengths`].
+fn length_slot(prefix: &IpPrefix) -> usize {
+    let offset = if prefix.family() == Family::V4 { 0 } else { 33 };
+    offset + usize::from(prefix.len())
 }
 
 /// One VRP's contribution to the set digest: a 64-bit mix of family
@@ -119,17 +86,6 @@ fn chunked<const BOUND: usize>(sorted: &[Vrp]) -> Vec<Chunk> {
             Arc::new(piece.to_vec())
         })
         .collect()
-}
-
-/// Where `vrp` is in `chunks`, or where it would go: `(chunk,
-/// Ok(offset))` when present, `(chunk, Err(offset))` when absent. The
-/// chunk index is in range unless there are no chunks.
-fn locate(chunks: &[Chunk], vrp: &Vrp) -> (usize, Result<usize, usize>) {
-    let chunk = chunks
-        .partition_point(|c| c.first().is_some_and(|first| first <= vrp))
-        .saturating_sub(1);
-    let at = chunks.get(chunk).map_or(Err(0), |c| c.binary_search(vrp));
-    (chunk, at)
 }
 
 /// A chunk this handle may edit in place, with room for one more VRP:
@@ -181,11 +137,26 @@ impl<const BOUND: usize> VrpSet<BOUND> {
     /// entry l counts the /l prefixes (33 entries for IPv4, 129 for
     /// IPv6). Kept as the set is edited, like the digest.
     pub fn length_counts(&self, family: Family) -> &[u32] {
-        self.lengths.of(family)
+        let (v4, v6) = self.lengths.split_at(33);
+        match family {
+            Family::V4 => v4,
+            Family::V6 => v6,
+        }
     }
 
+    /// Where `vrp` is, or where it would go: `(chunk, Ok(offset))` when
+    /// present, `(chunk, Err(offset))` when absent. The chunk index is
+    /// in range unless the set is empty.
     fn locate(&self, vrp: &Vrp) -> (usize, Result<usize, usize>) {
-        locate(&self.chunks, vrp)
+        let chunk = self
+            .chunks
+            .partition_point(|c| c[0] <= *vrp)
+            .saturating_sub(1);
+        let at = self
+            .chunks
+            .get(chunk)
+            .map_or(Err(0), |c| c.binary_search(vrp));
+        (chunk, at)
     }
 
     /// Whether `vrp` is in the set.
@@ -202,25 +173,26 @@ impl<const BOUND: usize> VrpSet<BOUND> {
         }
     }
 
-    /// The VRPs whose prefix covers `prefix` — equal to it or less
-    /// specific, same family: the RFC 6811 candidates for a route on
-    /// `prefix`. Shortest VRP prefix first, then by max length and ASN.
-    /// One seek per prefix length the set holds up to `prefix`'s;
-    /// nothing is allocated.
-    pub fn covering(&self, prefix: &IpPrefix) -> Covering<'_> {
-        let lengths = self.lengths.of(prefix.family());
-        Covering {
-            chunks: &self.chunks,
-            route: *prefix,
-            lengths: lengths
-                .get(..=usize::from(prefix.len()))
-                .unwrap_or(lengths)
-                .iter()
-                .enumerate(),
-            masked: *prefix,
-            run: [].iter(),
-            rest: [].iter(),
-        }
+    /// The VRPs whose prefix covers `prefix` (equal or less specific,
+    /// same family): the RFC 6811 candidates for a route on `prefix`,
+    /// shortest VRP prefix first, then by max length and ASN. `Vrp`'s
+    /// order puts the VRPs on the route masked to length l side by
+    /// side, so this is one seek — spine, then chunk — per length the
+    /// set holds up to `prefix`'s, and allocates nothing.
+    pub fn covering<'a>(&'a self, prefix: &IpPrefix) -> impl Iterator<Item = &'a Vrp> + 'a {
+        let route = *prefix;
+        (0..=route.len())
+            .zip(self.length_counts(route.family()))
+            .filter(|(_, count)| **count > 0)
+            .filter_map(move |(len, _)| IpPrefix::new(route.network(), len).ok())
+            .flat_map(move |masked| {
+                let below = |vrp: &Vrp| vrp.prefix < masked;
+                let chunk = self.chunks.partition_point(|c| c.last().is_some_and(below));
+                let from = self.chunks.get(chunk..).unwrap_or_default();
+                let offset = from.first().map_or(0, |c| c.partition_point(below));
+                let run = from.iter().flat_map(|c| c.iter()).skip(offset);
+                run.take_while(move |vrp| vrp.prefix == masked)
+            })
     }
 
     /// The VRPs strictly after `after`, in canonical order: how a
@@ -257,7 +229,7 @@ impl<const BOUND: usize> VrpSet<BOUND> {
         }
         self.len += 1;
         self.digest = self.digest.wrapping_add(mix(&vrp));
-        *self.lengths.slot(&vrp.prefix) += 1;
+        self.lengths[length_slot(&vrp.prefix)] += 1;
         true
     }
 
@@ -285,7 +257,7 @@ impl<const BOUND: usize> VrpSet<BOUND> {
         }
         self.len -= 1;
         self.digest = self.digest.wrapping_sub(mix(vrp));
-        *self.lengths.slot(&vrp.prefix) -= 1;
+        self.lengths[length_slot(&vrp.prefix)] -= 1;
         true
     }
 
@@ -354,58 +326,6 @@ impl<'a> Iterator for Iter<'a> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
-/// Iterator over the VRPs of a [`VrpSet`] that cover one prefix (see
-/// [`VrpSet::covering`]).
-#[derive(Clone)]
-pub struct Covering<'a> {
-    chunks: &'a [Chunk],
-    route: IpPrefix,
-    /// The route family's length counts not yet probed, up to the
-    /// route's own length.
-    lengths: std::iter::Enumerate<std::slice::Iter<'a, u32>>,
-    /// The route masked to the length being walked.
-    masked: IpPrefix,
-    /// The rest of the current chunk from the walk's position, then
-    /// the chunks after it.
-    run: std::slice::Iter<'a, Vrp>,
-    rest: std::slice::Iter<'a, Chunk>,
-}
-
-impl<'a> Iterator for Covering<'a> {
-    type Item = &'a Vrp;
-
-    fn next(&mut self) -> Option<&'a Vrp> {
-        loop {
-            if let Some(vrp) = self.run.next() {
-                if vrp.prefix == self.masked {
-                    return Some(vrp);
-                }
-                // Past this length's run: seek the next length.
-                (self.run, self.rest) = ([].iter(), [].iter());
-            } else if let Some(chunk) = self.rest.next() {
-                self.run = chunk.iter();
-            } else {
-                let (len, _) = self.lengths.find(|(_, count)| **count > 0)?;
-                self.masked = IpPrefix::new(self.route.network(), u8::try_from(len).ok()?).ok()?;
-                let start = Vrp {
-                    prefix: self.masked,
-                    max_length: 0,
-                    asn: Asn::new(0),
-                };
-                let (chunk, at) = locate(self.chunks, &start);
-                let offset = at.unwrap_or_else(|absent| absent);
-                let (first, rest) = self.chunks.split_at(self.chunks.len().min(chunk + 1));
-                self.run = first
-                    .last()
-                    .and_then(|c| c.get(offset..))
-                    .unwrap_or_default()
-                    .iter();
-                self.rest = rest.iter();
-            }
-        }
-    }
-}
-
 impl<'a, const BOUND: usize> IntoIterator for &'a VrpSet<BOUND> {
     type Item = &'a Vrp;
     type IntoIter = Iter<'a>;
@@ -420,9 +340,9 @@ impl<const BOUND: usize> FromIterator<Vrp> for VrpSet<BOUND> {
         let mut sorted: Vec<Vrp> = vrps.into_iter().collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut lengths = LengthCounts::default();
+        let mut lengths = [0; 162];
         for vrp in &sorted {
-            *lengths.slot(&vrp.prefix) += 1;
+            lengths[length_slot(&vrp.prefix)] += 1;
         }
         VrpSet {
             chunks: Arc::new(chunked::<BOUND>(&sorted)),
@@ -430,6 +350,12 @@ impl<const BOUND: usize> FromIterator<Vrp> for VrpSet<BOUND> {
             digest: sorted.iter().fold(0, |sum, vrp| sum.wrapping_add(mix(vrp))),
             lengths,
         }
+    }
+}
+
+impl<const BOUND: usize> Default for VrpSet<BOUND> {
+    fn default() -> Self {
+        std::iter::empty().collect()
     }
 }
 

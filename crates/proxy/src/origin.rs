@@ -109,13 +109,12 @@ impl Planes {
     /// therefore has no view to publish). Returns the raw update — what
     /// an `engine` unit gossips.
     ///
-    /// The payload is a handle on the snapshot's VRP set, which the
-    /// engine advanced from the previous epoch's by this delta: it
-    /// shares every chunk the delta did not touch, and building it
-    /// copies no VRP. The exception layer maps the same delta, so
-    /// excepted VRPs never churn on the wire, and the cache streams it
-    /// when it chains onto its serial and reinstalls the snapshot
-    /// otherwise.
+    /// The payload is a handle on the snapshot's VRP set — the previous
+    /// epoch's advanced by this delta, sharing every untouched chunk —
+    /// so building it copies no VRP. The exception layer maps the same
+    /// delta, so excepted VRPs never churn on the wire, and the cache
+    /// streams it when it chains onto its serial and reinstalls the
+    /// snapshot otherwise.
     pub fn hand_off(
         &mut self,
         snapshot: Arc<WorldSnapshot>,

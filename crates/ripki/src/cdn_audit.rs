@@ -42,8 +42,7 @@ impl fmt::Display for CdnAuditRow {
     }
 }
 
-/// Run the keyword audit for the given CDN names over a VRP collection
-/// (a slice, a `Vec` or a `VrpSet`), walked once per name.
+/// Run the keyword audit for the given CDN names over any VRP collection.
 pub fn audit_cdns<'a, V>(registry: &AsRegistry, vrps: V, cdn_names: &[&str]) -> Vec<CdnAuditRow>
 where
     V: IntoIterator<Item = &'a Vrp> + Copy,

@@ -829,37 +829,25 @@ impl StudyEngine {
         // epoch's announce/withdraw set — no full-set diffing — and
         // advances the old epoch's VRP set in O(delta).
         let rpki_work = batch.repository.is_some() || batch.now != old.config.now;
-        let (announced, withdrawn, rpki_stats, rpki_rejected) = if rpki_work {
+        let (vrp_delta, rpki_rejected) = if rpki_work {
             let mut rpki = self.rpki.lock().expect("engine rpki lock poisoned");
-            let vrp_delta = rpki.apply(
-                batch.repository.as_ref(),
-                batch.now,
-                config.worker_threads(),
-            );
-            (
-                vrp_delta.announced,
-                vrp_delta.withdrawn,
-                Some(vrp_delta.stats),
-                rpki.validator.rejected_count(),
-            )
+            let threads = config.worker_threads();
+            let vrp_delta = rpki.apply(batch.repository.as_ref(), batch.now, threads);
+            (Some(vrp_delta), rpki.validator.rejected_count())
         } else {
-            (Vec::new(), Vec::new(), None, old.rpki_rejected)
+            (None, old.rpki_rejected)
+        };
+        let (announced, withdrawn, rpki_stats) = match vrp_delta {
+            Some(d) => (d.announced, d.withdrawn, Some(d.stats)),
+            None => (Vec::new(), Vec::new(), None),
         };
         let mut vrps = old.vrps().clone();
-        for vrp in &withdrawn {
-            assert!(
-                vrps.remove(vrp),
-                "withdrawn {vrp} is not in epoch {}",
-                old.epoch
-            );
-        }
-        for &vrp in &announced {
-            assert!(
-                vrps.insert(vrp),
-                "announced {vrp} is already in epoch {}",
-                old.epoch
-            );
-        }
+        let applies =
+            withdrawn.iter().all(|v| vrps.remove(v)) && announced.iter().all(|&v| vrps.insert(v));
+        assert!(
+            applies,
+            "the validator's delta does not apply to the last epoch's VRPs"
+        );
         let next = WorldSnapshot {
             epoch: old.epoch + 1,
             zones,

@@ -20,8 +20,8 @@
 //!   serial moves, and the blocking [`CacheServer::serve_connection`];
 //! * [`client`] — the router side, the same shape: one I/O-free machine
 //!   ([`client::ClientMachine`]) that stages an answer until End of
-//!   Data and yields a VRP set ready to feed
-//!   [`ripki_bgp::RouteOriginValidator`], remembering the delta the
+//!   Data and yields a `BTreeSet` of VRPs ([`Client::to_validator`]
+//!   copies it into a validator's `VrpSet`), remembering the delta the
 //!   wire just carried so a proxy can forward it, keeping its session
 //!   context across a reconnect and flushing it when the cache
 //!   restarted — under one blocking shell, [`Client`].

@@ -14,12 +14,7 @@ fn validity_endpoint_agrees_with_the_engine() {
     let fx = serve_scenario(300, 11);
     let addr = fx.server.addr();
     let snapshot = fx.engine.snapshot();
-    let vrp = snapshot
-        .vrps()
-        .iter()
-        .next()
-        .copied()
-        .expect("scenario has VRPs");
+    let vrp = *snapshot.vrps().iter().next().expect("scenario has VRPs");
 
     // The VRP's own (prefix, asn) is valid by construction.
     let reply = get(
@@ -115,13 +110,7 @@ fn validity_endpoint_agrees_with_the_engine() {
 fn vrp_exports_stream_the_full_epoch_set() {
     let fx = serve_scenario(250, 3);
     let addr = fx.server.addr();
-    let vrps = fx
-        .engine
-        .snapshot()
-        .vrps()
-        .iter()
-        .copied()
-        .collect::<Vec<_>>();
+    let vrps: Vec<_> = fx.engine.snapshot().vrps().iter().copied().collect();
     assert!(!vrps.is_empty());
 
     let reply = get(addr, "/vrps.json");
