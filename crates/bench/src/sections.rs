@@ -491,7 +491,7 @@ fn ablation_subdomains(study: &Study, out: &mut dyn Write, _record: &mut Record)
     )?;
 
     // Measure the subdomains through the same snapshot (same epoch, same
-    // resolution cache as the apex run).
+    // zones as the apex run).
     let mut covered_apex = Vec::new();
     let mut covered_static = Vec::new();
     for (rank, name) in &static_names {

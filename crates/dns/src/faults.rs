@@ -70,25 +70,21 @@ impl<'z> FaultyResolver<'z> {
         self.inner.resolve(name)
     }
 
-    /// Like [`resolve`](Self::resolve), but honest answers go through the
-    /// shared-tail [`ResolutionCache`](crate::cache::ResolutionCache), and
-    /// the touched-name dependency set is reported too (see
-    /// [`Resolver::resolve_cached_traced`]). Corruption keys on the query
-    /// name only and never consults zone data, so it composes
-    /// transparently with tail memoization and a corrupted answer
-    /// depends on the query name alone.
-    pub fn resolve_cached_traced(
+    /// Resolve like [`resolve`](Self::resolve), appending the names
+    /// the answer depends on to `touched` (see
+    /// [`Resolver::resolve_traced`]). Corruption keys on the query name
+    /// and never consults zone data, so a corrupted answer depends on
+    /// the query name alone.
+    pub fn resolve_traced(
         &self,
         name: &DomainName,
-        cache: &crate::cache::ResolutionCache,
-    ) -> crate::resolver::TracedResolution {
+        touched: &mut Vec<DomainName>,
+    ) -> Result<Resolution, ResolveError> {
         if self.is_corrupted(name) {
-            return crate::resolver::TracedResolution {
-                outcome: Ok(self.bogus_resolution(name)),
-                touched: vec![name.clone()],
-            };
+            touched.push(name.clone());
+            return Ok(self.bogus_resolution(name));
         }
-        self.inner.resolve_cached_traced(name, cache)
+        self.inner.resolve_traced(name, touched)
     }
 
     fn bogus_resolution(&self, name: &DomainName) -> Resolution {

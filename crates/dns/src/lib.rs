@@ -19,20 +19,20 @@
 //!   HTTPArchive's Redwood City agent for cross-checking).
 //! * [`faults::FaultyResolver`] — deterministic answer corruption,
 //!   reproducing the "0.07% incorrect DNS answers" the paper excluded.
-//! * [`cache::ResolutionCache`] — shared-tail memoization for batch
-//!   studies: CNAME tails shared by thousands of domains (CDN names)
-//!   are walked once per epoch and spliced into every chain.
+//!
+//! Every answer is one walk over the zone store that takes no lock and
+//! writes no shared state. There is no memo of CNAME tails: a chain
+//! averages about half a name, so a memo saves at most about one zone
+//! lookup per walk and costs a locked probe on every one (measured in
+//! DESIGN.md, "No resolution cache").
 //!
 //! ## Omissions
 //!
-//! * No wire format, no UDP/TCP transport, no TTL semantics — the
-//!   pipeline consumes final answers, not packets (the
-//!   [`cache`] module memoizes within one immutable zone snapshot; it
-//!   is not a TTL cache).
+//! * No wire format, no UDP/TCP transport, no caching and no TTL
+//!   semantics — the pipeline consumes final answers, not packets.
 //! * No DNSSEC (the paper explicitly defers it to future work).
 //! * No internationalised names; labels are ASCII, as in the Alexa list.
 
-pub mod cache;
 pub mod faults;
 pub mod name;
 pub mod record;
@@ -41,9 +41,8 @@ pub mod vantage;
 pub mod zone;
 pub mod zonefile;
 
-pub use cache::ResolutionCache;
 pub use name::DomainName;
 pub use record::RecordData;
-pub use resolver::{Resolution, ResolveError, Resolver, TracedResolution};
+pub use resolver::{Resolution, ResolveError, Resolver};
 pub use vantage::Vantage;
 pub use zone::{ZoneChanges, ZoneDelta, ZoneOp, ZoneStore};

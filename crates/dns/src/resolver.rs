@@ -5,7 +5,6 @@
 //! the terminal addresses *and* the chain of canonical names (the CDN
 //! classification heuristic counts DNS indirections).
 
-use crate::cache::{CachedTail, ResolutionCache, Terminal};
 use crate::name::DomainName;
 use crate::record::RecordData;
 use crate::vantage::Vantage;
@@ -72,19 +71,6 @@ impl Resolution {
     }
 }
 
-/// A resolution outcome plus every name whose records were consulted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracedResolution {
-    /// Exactly what [`Resolver::resolve`] would have returned.
-    pub outcome: Result<Resolution, ResolveError>,
-    /// Every name whose zone data the walk depended on: the query, each
-    /// CNAME target followed, and each memoized-tail node spliced in.
-    /// A zone edit touching none of these names cannot change `outcome`.
-    /// When `outcome` is `Ok`, these are exactly the query and its
-    /// `cname_chain`, whether the walk was fresh or spliced.
-    pub touched: Vec<DomainName>,
-}
-
 /// A resolver bound to a zone store and a vantage point.
 #[derive(Debug, Clone, Copy)]
 pub struct Resolver<'z> {
@@ -105,12 +91,41 @@ impl<'z> Resolver<'z> {
 
     /// Resolve `name`, chasing CNAMEs.
     pub fn resolve(&self, name: &DomainName) -> Result<Resolution, ResolveError> {
+        self.walk(name, None)
+    }
+
+    /// Resolve `name` like [`resolve`](Self::resolve) (same answers,
+    /// same errors), and append to `touched` every name whose records
+    /// the walk read: the query, then each CNAME target followed, in
+    /// walk order. A zone edit touching none of these names cannot
+    /// change the outcome. When the outcome is `Ok`, they are exactly
+    /// the query and its `cname_chain`; on an error they stop at the
+    /// last name read (a loop's or an over-long chain's next target is
+    /// not read again).
+    pub fn resolve_traced(
+        &self,
+        name: &DomainName,
+        touched: &mut Vec<DomainName>,
+    ) -> Result<Resolution, ResolveError> {
+        self.walk(name, Some(touched))
+    }
+
+    /// The one CNAME walk behind both entry points. It reads the zone
+    /// store and writes only its own locals and the caller's sink.
+    fn walk(
+        &self,
+        name: &DomainName,
+        mut touched: Option<&mut Vec<DomainName>>,
+    ) -> Result<Resolution, ResolveError> {
         let mut chain: Vec<DomainName> = Vec::new();
-        let mut current = name.clone();
         let mut authenticated = self.zones.is_signed(name);
         loop {
-            let Some(records) = self.zones.lookup(&current, self.vantage) else {
-                return Err(ResolveError::NxDomain(current));
+            let current = chain.last().unwrap_or(name);
+            if let Some(touched) = touched.as_deref_mut() {
+                touched.push(current.clone());
+            }
+            let Some(records) = self.zones.lookup(current, self.vantage) else {
+                return Err(ResolveError::NxDomain(current.clone()));
             };
             // Real DNS forbids CNAME alongside other data; the generator
             // conforms, but be defensive: a CNAME wins if present.
@@ -123,12 +138,11 @@ impl<'z> Resolver<'z> {
                 }
                 authenticated &= self.zones.is_signed(target);
                 chain.push(target.clone());
-                current = target.clone();
                 continue;
             }
             let addresses: Vec<IpAddr> = records.iter().filter_map(RecordData::addr).collect();
             if addresses.is_empty() {
-                return Err(ResolveError::NoAddress(current));
+                return Err(ResolveError::NoAddress(current.clone()));
             }
             return Ok(Resolution {
                 query: name.clone(),
@@ -138,133 +152,13 @@ impl<'z> Resolver<'z> {
             });
         }
     }
-
-    /// Resolve `name` with shared-tail memoization, and report every
-    /// name whose zone data the walk consulted. The outcome is identical
-    /// to [`resolve`](Self::resolve) (same answers, same errors), but
-    /// CNAME tails already walked — by this call or any other thread
-    /// sharing `cache` — are spliced in instead of re-walked. Loop and
-    /// chain-length checks run against the caller's full chain, so the
-    /// memoization is observably transparent.
-    ///
-    /// Panics if `cache` is pinned to a different vantage (answers are
-    /// vantage-dependent; mixing would serve wrong data).
-    ///
-    /// The incremental engine uses the touched set as a dependency
-    /// list: a zone delta
-    /// that changes none of the touched names cannot alter `outcome`
-    /// (the walk never read anything else). The set is a slight
-    /// over-approximation on errors — memoized tail nodes past a loop /
-    /// length violation are included even though the walk stopped early.
-    pub fn resolve_cached_traced(
-        &self,
-        name: &DomainName,
-        cache: &ResolutionCache,
-    ) -> TracedResolution {
-        assert_eq!(
-            cache.vantage(),
-            self.vantage,
-            "resolution cache pinned to a different vantage"
-        );
-        let mut touched = vec![name.clone()];
-        let mut chain: Vec<DomainName> = Vec::new();
-        let mut current = name.clone();
-        let mut authenticated = self.zones.is_signed(name);
-        loop {
-            if let Some(tail) = cache.get(&current) {
-                touched.extend(tail.chain.iter().cloned());
-                let outcome = self.splice(name, chain, authenticated, &tail);
-                return TracedResolution { outcome, touched };
-            }
-            let Some(records) = self.zones.lookup(&current, self.vantage) else {
-                cache.fill(&chain, &Terminal::NxDomain(current.clone()));
-                return TracedResolution {
-                    outcome: Err(ResolveError::NxDomain(current)),
-                    touched,
-                };
-            };
-            if let Some(target) = records.iter().find_map(RecordData::cname) {
-                if chain.len() + 1 > MAX_CHAIN {
-                    return TracedResolution {
-                        outcome: Err(ResolveError::ChainTooLong(name.clone())),
-                        touched,
-                    };
-                }
-                if *target == *name || chain.contains(target) {
-                    return TracedResolution {
-                        outcome: Err(ResolveError::CnameLoop(target.clone())),
-                        touched,
-                    };
-                }
-                authenticated &= self.zones.is_signed(target);
-                touched.push(target.clone());
-                chain.push(target.clone());
-                current = target.clone();
-                continue;
-            }
-            let addresses: Vec<IpAddr> = records.iter().filter_map(RecordData::addr).collect();
-            if addresses.is_empty() {
-                cache.fill(&chain, &Terminal::NoAddress(current.clone()));
-                return TracedResolution {
-                    outcome: Err(ResolveError::NoAddress(current)),
-                    touched,
-                };
-            }
-            cache.fill(&chain, &Terminal::Addresses(addresses.clone()));
-            return TracedResolution {
-                outcome: Ok(Resolution {
-                    query: name.clone(),
-                    cname_chain: chain,
-                    addresses,
-                    authenticated,
-                }),
-                touched,
-            };
-        }
-    }
-
-    /// Continue a partially walked chain with a memoized tail, re-running
-    /// the per-step loop/length checks the uncached walk would perform.
-    fn splice(
-        &self,
-        query: &DomainName,
-        mut chain: Vec<DomainName>,
-        mut authenticated: bool,
-        tail: &CachedTail,
-    ) -> Result<Resolution, ResolveError> {
-        for target in &tail.chain {
-            if chain.len() + 1 > MAX_CHAIN {
-                return Err(ResolveError::ChainTooLong(query.clone()));
-            }
-            if *target == *query || chain.contains(target) {
-                return Err(ResolveError::CnameLoop(target.clone()));
-            }
-            authenticated &= self.zones.is_signed(target);
-            chain.push(target.clone());
-        }
-        // No fill here: the tail's own nodes were indexed by the walk
-        // that cached it, and the freshly walked prefix nodes are
-        // per-query aliases that other queries do not funnel through —
-        // indexing them would put a write lock and an allocation on
-        // every spliced (i.e. hot) resolution for entries that are
-        // never probed again.
-        match &tail.terminal {
-            Terminal::Addresses(addresses) => Ok(Resolution {
-                query: query.clone(),
-                cname_chain: chain,
-                addresses: addresses.clone(),
-                authenticated,
-            }),
-            Terminal::NxDomain(n) => Err(ResolveError::NxDomain(n.clone())),
-            Terminal::NoAddress(n) => Err(ResolveError::NoAddress(n.clone())),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultyResolver;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn n(s: &str) -> DomainName {
@@ -393,35 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_resolution_identical_to_uncached() {
-        let z = store();
-        let r = Resolver::new(&z, Vantage::GOOGLE_DNS_BERLIN);
-        let cache = ResolutionCache::new(Vantage::GOOGLE_DNS_BERLIN);
-        for name in [
-            "direct.example",
-            "www.shop.example",
-            "shop.cdnprovider.net",
-            "edge7.cdnprovider.net",
-            "a.loop.example",
-            "dangling.example",
-            "missing.example",
-        ] {
-            let name = n(name);
-            // Twice: once filling, once hitting.
-            for _ in 0..2 {
-                assert_eq!(
-                    r.resolve_cached_traced(&name, &cache).outcome,
-                    r.resolve(&name),
-                    "divergence on {name}"
-                );
-            }
-        }
-        // Shared tails were actually memoized and reused.
-        assert!(cache.hits() > 0);
-    }
-
-    #[test]
-    fn cached_tail_reused_across_queries() {
+    fn shared_tail_resolves_alike_for_every_referrer() {
         let mut z = ZoneStore::new();
         // Two sites CNAME into the same CDN tail.
         z.add_cname(n("www.one.example"), n("lb.cdn.net"));
@@ -429,60 +295,49 @@ mod tests {
         z.add_cname(n("lb.cdn.net"), n("edge.cdn.net"));
         z.add_addr(n("edge.cdn.net"), "198.51.100.9".parse().unwrap());
         let r = Resolver::new(&z, Vantage::OPEN_DNS);
-        let cache = ResolutionCache::new(Vantage::OPEN_DNS);
+        let (mut touched_one, mut touched_two) = (Vec::new(), Vec::new());
         let one = r
-            .resolve_cached_traced(&n("www.one.example"), &cache)
-            .outcome
+            .resolve_traced(&n("www.one.example"), &mut touched_one)
             .unwrap();
-        let hits_before = cache.hits();
         let two = r
-            .resolve_cached_traced(&n("www.two.example"), &cache)
-            .outcome
+            .resolve_traced(&n("www.two.example"), &mut touched_two)
             .unwrap();
-        assert!(cache.hits() > hits_before, "second query must hit the tail");
         assert_eq!(one.addresses, two.addresses);
         assert_eq!(one.cname_chain, two.cname_chain);
         assert_eq!(two.cname_chain, vec![n("lb.cdn.net"), n("edge.cdn.net")]);
+        assert_eq!(touched_one[1..], touched_two[1..]);
     }
 
     #[test]
-    fn cached_loop_checks_respect_caller_chain() {
+    fn loop_checks_run_against_the_whole_chain() {
         let mut z = ZoneStore::new();
         // tail.example resolves fine on its own…
         z.add_cname(n("tail.example"), n("back.example"));
         z.add_addr(n("back.example"), "203.0.113.5".parse().unwrap());
-        // …but a query whose chain already visited back.example loops.
+        // …but a query whose chain already visited back2.example loops.
         z.add_cname(n("enter.example"), n("back2.example"));
         z.add_cname(n("back2.example"), n("tail2.example"));
         z.add_cname(n("tail2.example"), n("back2.example"));
         let r = Resolver::new(&z, Vantage::OPEN_DNS);
-        let cache = ResolutionCache::new(Vantage::OPEN_DNS);
-        // Warm the cache with the inner tail.
-        let _ = r.resolve_cached_traced(&n("tail.example"), &cache);
+        assert!(r.resolve(&n("tail.example")).is_ok());
+        let mut touched = Vec::new();
+        let outcome = r.resolve_traced(&n("enter.example"), &mut touched);
+        assert_eq!(outcome, r.resolve(&n("enter.example")));
+        assert_eq!(outcome, Err(ResolveError::CnameLoop(n("back2.example"))));
         assert_eq!(
-            r.resolve_cached_traced(&n("enter.example"), &cache).outcome,
-            r.resolve(&n("enter.example"))
+            touched,
+            [n("enter.example"), n("back2.example"), n("tail2.example")]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different vantage")]
-    fn cache_vantage_mismatch_panics() {
-        let z = store();
-        let r = Resolver::new(&z, Vantage::GOOGLE_DNS_BERLIN);
-        let cache = ResolutionCache::new(Vantage::OPEN_DNS);
-        let _ = r.resolve_cached_traced(&n("direct.example"), &cache);
     }
 
     #[test]
     fn traced_resolution_matches_untraced_and_covers_chain() {
         let z = store();
         let r = Resolver::new(&z, Vantage::GOOGLE_DNS_BERLIN);
-        let cache = ResolutionCache::new(Vantage::GOOGLE_DNS_BERLIN);
         for name in [
             "direct.example",
             "www.shop.example",
-            // Mid-chain and terminal nodes of a walk already cached.
+            // Mid-chain and terminal nodes of another walk.
             "shop.cdnprovider.net",
             "edge7.cdnprovider.net",
             "a.loop.example",
@@ -490,20 +345,17 @@ mod tests {
             "missing.example",
         ] {
             let name = n(name);
-            // Twice: once filling, once splicing from the cache.
-            for _ in 0..2 {
-                let traced = r.resolve_cached_traced(&name, &cache);
-                assert_eq!(traced.outcome, r.resolve(&name), "divergence on {name}");
-                assert_eq!(traced.touched[0], name);
-                // A resolved walk consulted exactly the query and its
-                // chain: the engine indexes resolved rows by that set
-                // without walking them again.
-                if let Ok(res) = &traced.outcome {
-                    let touched: BTreeSet<_> = traced.touched.iter().collect();
-                    let walked: BTreeSet<_> =
-                        std::iter::once(&name).chain(&res.cname_chain).collect();
-                    assert_eq!(touched, walked, "touched set of {name}");
-                }
+            let mut touched = Vec::new();
+            let outcome = r.resolve_traced(&name, &mut touched);
+            assert_eq!(outcome, r.resolve(&name), "divergence on {name}");
+            assert_eq!(touched[0], name);
+            // A resolved walk consulted exactly the query and its
+            // chain: the engine indexes resolved rows by that set
+            // without walking them again.
+            if let Ok(res) = &outcome {
+                let touched: BTreeSet<_> = touched.iter().collect();
+                let walked: BTreeSet<_> = std::iter::once(&name).chain(&res.cname_chain).collect();
+                assert_eq!(touched, walked, "touched set of {name}");
             }
         }
         // A corrupted answer never reads zone data: it touches exactly
@@ -511,20 +363,143 @@ mod tests {
         let faulty = FaultyResolver::new(r, 1_000_000, 7);
         for name in ["www.shop.example", "direct.example", "a.loop.example"] {
             let name = n(name);
-            let traced = faulty.resolve_cached_traced(&name, &cache);
-            let res = traced.outcome.expect("a corrupted answer resolves");
+            let mut touched = Vec::new();
+            let res = faulty
+                .resolve_traced(&name, &mut touched)
+                .expect("a corrupted answer resolves");
             assert!(res.cname_chain.is_empty());
-            assert_eq!(traced.touched, vec![name]);
+            assert_eq!(touched, vec![name]);
         }
         // The terminal name of a dangling CNAME is a dependency too: if
         // void.example appeared, dangling.example would start resolving.
-        let traced = r.resolve_cached_traced(&n("dangling.example"), &cache);
-        assert!(
-            traced.touched.contains(&n("void.example")) || {
-                // NxDomain names the missing node; the walk consulted it.
-                matches!(&traced.outcome, Err(ResolveError::NxDomain(m)) if *m == n("void.example"))
+        let mut touched = Vec::new();
+        let outcome = r.resolve_traced(&n("dangling.example"), &mut touched);
+        assert_eq!(outcome, Err(ResolveError::NxDomain(n("void.example"))));
+        assert_eq!(touched, [n("dangling.example"), n("void.example")]);
+    }
+
+    /// Names on the generated ladder: room for a chain one past
+    /// [`MAX_CHAIN`] plus a few names off it.
+    const LADDER: usize = MAX_CHAIN + 4;
+
+    /// The vantage the generated overrides answer for.
+    const GEO: Vantage = Vantage::HTTPARCHIVE_REDWOOD;
+
+    /// What one ladder name holds, in the base zone or for [`GEO`].
+    #[derive(Debug, Clone)]
+    enum Node {
+        Absent,
+        Addr,
+        Cname(usize),
+        /// The name exists but answers no record (NODATA).
+        NoData,
+    }
+
+    fn rung(i: usize) -> DomainName {
+        n(&format!("l{i}.ladder.example"))
+    }
+
+    fn node() -> impl Strategy<Value = Node> {
+        prop_oneof![
+            Just(Node::Absent),
+            Just(Node::Addr),
+            Just(Node::NoData),
+            (0..LADDER).prop_map(Node::Cname),
+        ]
+    }
+
+    fn put(z: &mut ZoneStore, i: usize, node: &Node, vantage: Option<Vantage>) {
+        let data = match node {
+            Node::Absent => return,
+            Node::Addr => RecordData::A(std::net::Ipv4Addr::new(10, 0, 0, i as u8)),
+            Node::Cname(j) => RecordData::Cname(rung(*j)),
+            Node::NoData => {
+                for v in vantage.map_or(Vantage::ALL.to_vec(), |v| vec![v]) {
+                    z.add_empty_override(rung(i), v);
+                }
+                return;
             }
-        );
+        };
+        match vantage {
+            Some(v) => z.add_override(rung(i), v, data),
+            None => z.add(rung(i), data),
+        }
+    }
+
+    /// The names a walk from `query` reads, found with plain lookups:
+    /// the query, then each CNAME target until a target would repeat a
+    /// name or exceed [`MAX_CHAIN`], or a name holds no CNAME.
+    fn names_read(z: &ZoneStore, vantage: Vantage, query: &DomainName) -> Vec<DomainName> {
+        let mut read = vec![query.clone()];
+        let cname = |name: &DomainName| {
+            z.lookup(name, vantage)
+                .and_then(|records| records.iter().find_map(RecordData::cname))
+        };
+        while let Some(target) = cname(read.last().expect("starts with the query")) {
+            if read.len() > MAX_CHAIN || read.contains(target) {
+                break;
+            }
+            read.push(target.clone());
+        }
+        read
+    }
+
+    proptest! {
+        /// Over ladders of every length around [`MAX_CHAIN`], ending in
+        /// an address, NXDOMAIN, NODATA or a CNAME back up the ladder,
+        /// with random base edits and [`GEO`] overrides: the traced walk
+        /// answers as `resolve` does; an `Ok` walk touched exactly the
+        /// query and its chain; an `Err` walk touched exactly the names
+        /// it read. The same holds through a `FaultyResolver`, whose
+        /// corrupted answers touch the query alone.
+        #[test]
+        fn traced_walk_reports_what_it_read(
+            len in prop_oneof![Just(MAX_CHAIN), Just(MAX_CHAIN + 1), 0..LADDER],
+            tail in node(),
+            edits in proptest::collection::vec((0..LADDER, node()), 0..3),
+            overrides in proptest::collection::vec((0..LADDER, node()), 0..4),
+            fault_seed in any::<u64>(),
+        ) {
+            let mut nodes: Vec<Node> = (0..LADDER)
+                .map(|i| if i < len { Node::Cname(i + 1) } else { Node::Absent })
+                .collect();
+            nodes[len] = tail;
+            for (i, node) in edits {
+                nodes[i] = node;
+            }
+            let mut z = ZoneStore::new();
+            for (i, node) in nodes.iter().enumerate() {
+                put(&mut z, i, node, None);
+            }
+            for (i, node) in &overrides {
+                put(&mut z, *i, node, Some(GEO));
+            }
+            for vantage in [GEO, Vantage::GOOGLE_DNS_BERLIN] {
+                let r = Resolver::new(&z, vantage);
+                let faulty = FaultyResolver::new(r, 500_000, fault_seed);
+                for query in (0..LADDER).map(rung) {
+                    let mut touched = Vec::new();
+                    let outcome = r.resolve_traced(&query, &mut touched);
+                    prop_assert_eq!(&outcome, &r.resolve(&query));
+                    match &outcome {
+                        Ok(res) => {
+                            let walked: BTreeSet<_> =
+                                std::iter::once(&query).chain(&res.cname_chain).collect();
+                            prop_assert_eq!(touched.iter().collect::<BTreeSet<_>>(), walked);
+                        }
+                        Err(_) => prop_assert_eq!(&touched, &names_read(&z, vantage, &query)),
+                    }
+                    let mut faulty_touched = Vec::new();
+                    let faulty_outcome = faulty.resolve_traced(&query, &mut faulty_touched);
+                    prop_assert_eq!(&faulty_outcome, &faulty.resolve(&query));
+                    if faulty.is_corrupted(&query) {
+                        prop_assert_eq!(faulty_touched, vec![query]);
+                    } else {
+                        prop_assert_eq!((faulty_outcome, faulty_touched), (outcome, touched));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -765,3 +765,13 @@ mod dnssec_tests {
         assert!(!r.resolve(&n("other.example")).unwrap().authenticated);
     }
 }
+
+#[cfg(test)]
+impl ZoneStore {
+    /// Answer `name` with no record at all from `vantage` (NODATA): the
+    /// name exists there, but a resolver finds neither an alias nor an
+    /// address.
+    pub(crate) fn add_empty_override(&mut self, name: DomainName, vantage: Vantage) {
+        Arc::make_mut(&mut self.layer).set_override(name, vantage, Vec::new());
+    }
+}

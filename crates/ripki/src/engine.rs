@@ -18,12 +18,11 @@
 //!   validator's VRP set is advanced by the validator's delta, and an
 //!   [`EpochDelta`] records the announced/withdrawn VRPs — exactly what
 //!   an RTR cache needs to bump its serial.
-//! * A memoized resolution layer: each snapshot carries a
-//!   [`ResolutionCache`] pinned to its vantage, so shared CNAME tails
-//!   (the CDN case) are resolved once per epoch instead of once per
-//!   referring domain. Epochs without a zone change reuse the cache —
-//!   the DNS world did not change — while a zone delta or a different
-//!   vantage gets a fresh one.
+//! * Resolution keeps no state: every name form is one walk over the
+//!   snapshot's zones that takes no lock and writes nothing shared, so
+//!   a zone delta needs no invalidation — the next walk reads the new
+//!   layer. (A memo of shared CNAME tails measured as a loss; see
+//!   DESIGN.md, "No resolution cache".)
 //!
 //! Worker panics during a sharded run no longer abort the study: each
 //! domain is measured under a panic guard and failures are reported as
@@ -41,8 +40,9 @@
 //!    ranking, or the affected ranks recovered from the reverse indices
 //!    — with everything a worker needs captured per item.
 //! 2. **Execute** (parallel): [`ripki_par::run_indexed`] maps each item
-//!    to a pure `(measurement, touched)` outcome with one resolver per
-//!    worker and per-item panic isolation. No shared mutable state.
+//!    to a pure outcome — a measurement, plus its touched names where
+//!    the commit needs them — with one resolver per worker and per-item
+//!    panic isolation. No shared mutable state.
 //! 3. **Commit** (serial): fold the outcomes *in plan order* — pair
 //!    diffs, index patches, result writes. Outcomes come back in item
 //!    order regardless of scheduling, so results are byte-identical at
@@ -59,7 +59,6 @@ use crate::model::{
 };
 use ripki_bgp::rib::{Rib, RibChanges, RibDelta};
 use ripki_bgp::rov::{RouteOriginValidator, ValidityDetail, VrpTriple};
-use ripki_dns::cache::ResolutionCache;
 use ripki_dns::faults::FaultyResolver;
 use ripki_dns::resolver::Resolver;
 use ripki_dns::zone::{ZoneChanges, ZoneDelta, ZoneStore};
@@ -83,7 +82,6 @@ pub struct WorldSnapshot {
     epoch: u64,
     zones: Arc<ZoneStore>,
     rib: Arc<Rib>,
-    cache: Arc<ResolutionCache>,
     validator: RouteOriginValidator,
     rpki_rejected: usize,
     config: PipelineConfig,
@@ -135,9 +133,9 @@ impl WorldSnapshot {
         &self.config
     }
 
-    /// A resolver over this snapshot's zones. Constructing one is not
-    /// free (it captures the fault-injection state), so `run` builds
-    /// one per worker thread rather than one per name.
+    /// A resolver over this snapshot's zones: a `Copy` handle of the
+    /// zones, the vantage and the fault-injection settings, holding no
+    /// state of its own — workers share nothing through it.
     pub fn resolver(&self) -> FaultyResolver<'_> {
         FaultyResolver::new(
             Resolver::new(&self.zones, self.config.vantage),
@@ -147,28 +145,30 @@ impl WorldSnapshot {
     }
 
     /// Measure one name form with a caller-provided (per-worker)
-    /// resolver, going through the memoized resolution cache: steps 1–2
-    /// (resolution and the special-purpose exclusion), then
-    /// [`route_name`](Self::route_name) for steps 3–4. Every entry point
-    /// (full runs, incremental re-measurement) routes through it or,
-    /// when the name's answers cannot have moved, through `route_name`
-    /// alone.
+    /// resolver: steps 1–2 (resolution and the special-purpose
+    /// exclusion), then [`route_name`](Self::route_name) for steps 3–4.
+    /// Every entry point (full runs, incremental re-measurement) routes
+    /// through it or, when the name's answers cannot have moved, through
+    /// `route_name` alone.
     ///
-    /// The second return value is the resolution's *touched set*: every
-    /// name whose zone data the walk consulted. A zone delta touching
-    /// none of those names cannot change this measurement — the
-    /// invalidation rule the incremental engine relies on.
+    /// With a `touched` sink, the walk appends its *touched set*: every
+    /// name whose zone data it consulted. A zone delta touching none of
+    /// those names cannot change this measurement — the invalidation
+    /// rule the incremental engine relies on. A full run passes none.
     fn measure_name_traced(
         &self,
         resolver: &FaultyResolver<'_>,
         name: &DomainName,
-    ) -> (NameMeasurement, Vec<DomainName>) {
+        touched: Option<&mut Vec<DomainName>>,
+    ) -> NameMeasurement {
         let mut m = NameMeasurement::default();
-        let traced = resolver.resolve_cached_traced(name, &self.cache);
-        let touched = traced.touched;
-        let Ok(resolution) = traced.outcome else {
+        let outcome = match touched {
+            Some(touched) => resolver.resolve_traced(name, touched),
+            None => resolver.resolve(name),
+        };
+        let Ok(resolution) = outcome else {
             m.resolve_failed = true;
-            return (m, touched);
+            return m;
         };
         m.cname_chain = resolution.cname_chain;
         m.dnssec_authenticated = resolution.authenticated;
@@ -182,7 +182,7 @@ impl WorldSnapshot {
             }
         }
         self.route_name(&mut m);
-        (m, touched)
+        m
     }
 
     /// Steps 3–4 over a name form's retained addresses, in address
@@ -225,33 +225,25 @@ impl WorldSnapshot {
 
     /// Measure one ranked domain (both name forms).
     pub fn measure_domain(&self, rank: usize, listed: &DomainName) -> DomainMeasurement {
-        self.measure_domain_with(&self.resolver(), rank, listed)
+        self.measure_domain_traced(&self.resolver(), rank, listed, None, None)
     }
 
-    fn measure_domain_with(
-        &self,
-        resolver: &FaultyResolver<'_>,
-        rank: usize,
-        listed: &DomainName,
-    ) -> DomainMeasurement {
-        self.measure_domain_traced(resolver, rank, listed, None).0
-    }
-
-    /// The one per-domain entry: measure both name forms and return the
-    /// union of their touched name sets (sorted, deduplicated) for index
-    /// maintenance.
+    /// The one per-domain entry: measure both name forms. With a
+    /// `touched` sink, append the union of their touched name sets for
+    /// index maintenance and leave the sink sorted and deduplicated.
     ///
     /// With `reroute`, a stored measurement of this domain whose DNS
     /// answers cannot have moved, only steps 3–4 run again, over its
-    /// addresses; nothing is resolved and no touched set is returned
-    /// (the caller's stored one still holds).
+    /// addresses; nothing is resolved and the sink is left as it is
+    /// (the caller's stored touched set still holds).
     fn measure_domain_traced(
         &self,
         resolver: &FaultyResolver<'_>,
         rank: usize,
         listed: &DomainName,
         reroute: Option<&DomainMeasurement>,
-    ) -> (DomainMeasurement, Option<Vec<DomainName>>) {
+        mut touched: Option<&mut Vec<DomainName>>,
+    ) -> DomainMeasurement {
         assert!(
             self.config.poison_domain.as_ref() != Some(listed),
             "injected measurement fault for {listed:?} (PipelineConfig::poison_domain)"
@@ -260,24 +252,22 @@ impl WorldSnapshot {
             let mut m = row.clone();
             self.route_name(&mut m.www);
             self.route_name(&mut m.bare);
-            return (m, None);
+            return m;
         }
         let bare = listed.without_www();
         let www = bare.with_www();
-        let (www_m, mut touched) = self.measure_name_traced(resolver, &www);
-        let (bare_m, bare_touched) = self.measure_name_traced(resolver, &bare);
-        touched.extend(bare_touched);
-        touched.sort();
-        touched.dedup();
-        (
-            DomainMeasurement {
-                rank,
-                listed: listed.clone(),
-                www: www_m,
-                bare: bare_m,
-            },
-            Some(touched),
-        )
+        let www_m = self.measure_name_traced(resolver, &www, touched.as_deref_mut());
+        let bare_m = self.measure_name_traced(resolver, &bare, touched.as_deref_mut());
+        if let Some(touched) = touched {
+            touched.sort();
+            touched.dedup();
+        }
+        DomainMeasurement {
+            rank,
+            listed: listed.clone(),
+            www: www_m,
+            bare: bare_m,
+        }
     }
 
     /// Run the full study over a ranked list, sharded across threads.
@@ -325,7 +315,7 @@ impl WorldSnapshot {
             self.config.worker_threads(),
             ranking,
             |_| self.resolver(),
-            |resolver, rank, name| self.measure_domain_with(resolver, rank, name),
+            |resolver, rank, name| self.measure_domain_traced(resolver, rank, name, None, None),
         );
         let mut skipped = Vec::new();
         let domains = outcomes
@@ -529,7 +519,7 @@ impl DomainIndex {
     /// against the snapshot's (identical) zones — measurements don't
     /// record which names a failed resolution consulted.
     fn build(snapshot: &WorldSnapshot, results: &StudyResults) -> DomainIndex {
-        let (resolver, cache) = (snapshot.resolver(), &snapshot.cache);
+        let resolver = snapshot.resolver();
         let (mut names, mut hosts, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
         let mut per_rank = Vec::new();
         for d in &results.domains {
@@ -537,7 +527,7 @@ impl DomainIndex {
             let mut touched = Vec::new();
             for (form, m) in [(bare.with_www(), &d.www), (bare, &d.bare)] {
                 if m.resolve_failed {
-                    touched.extend(resolver.resolve_cached_traced(&form, cache).touched);
+                    let _ = resolver.resolve_traced(&form, &mut touched);
                 } else {
                     touched.extend(m.cname_chain.iter().cloned());
                     touched.push(form);
@@ -706,7 +696,6 @@ impl StudyEngine {
         repository: &Repository,
         config: PipelineConfig,
     ) -> StudyEngine {
-        let cache = Arc::new(ResolutionCache::new(config.vantage));
         let mut rpki = RpkiState {
             validator: IncrementalValidator::new(ValidationOptions::default()),
             repository: Arc::new(repository.clone()),
@@ -716,7 +705,6 @@ impl StudyEngine {
             epoch: 1,
             zones,
             rib,
-            cache,
             validator: RouteOriginValidator::from_vrps(rpki.validator.vrps()),
             rpki_rejected: rpki.validator.rejected_count(),
             config,
@@ -814,14 +802,6 @@ impl StudyEngine {
             let (r, ch) = Rib::apply(Arc::clone(&old.rib), &rib_delta);
             (Arc::new(r), ch)
         };
-        // The memoized CNAME tails are only valid for the zones that
-        // filled them: any zone change gets a fresh cache.
-        let cache = if zone_changes.changed.is_empty() {
-            Arc::clone(&old.cache)
-        } else {
-            Arc::new(ResolutionCache::new(old.config.vantage))
-        };
-
         let mut config = old.config.clone();
         config.now = batch.now;
         // The validator runs only when its inputs moved: a republished
@@ -852,7 +832,6 @@ impl StudyEngine {
             epoch: old.epoch + 1,
             zones,
             rib,
-            cache,
             validator: RouteOriginValidator::from(vrps),
             rpki_rejected,
             config,
@@ -897,7 +876,8 @@ impl StudyEngine {
 
         // Execute: measure every planned rank against the new snapshot,
         // one resolver per worker, each item a pure (measurement,
-        // touched-set) outcome; a re-routed rank starts from its row.
+        // touched-set) outcome; a re-routed rank starts from its row and
+        // has no new touched set.
         let domains = &results.domains;
         let outcomes = ripki_par::run_indexed(
             next.config.worker_threads(),
@@ -905,7 +885,15 @@ impl StudyEngine {
             |_| next.resolver(),
             |resolver, _, &(rank, pos, reroute)| {
                 let row = &domains[pos];
-                next.measure_domain_traced(resolver, rank, &row.listed, reroute.then_some(row))
+                let mut touched = (!reroute).then(Vec::new);
+                let measured = next.measure_domain_traced(
+                    resolver,
+                    rank,
+                    &row.listed,
+                    reroute.then_some(row),
+                    touched.as_mut(),
+                );
+                (measured, touched)
             },
         );
 
@@ -1495,9 +1483,9 @@ mod tests {
             let mut walked: Vec<DomainName> = forms(d)
                 .iter()
                 .flat_map(|(form, _)| {
-                    resolver
-                        .resolve_cached_traced(form, &snapshot.cache)
-                        .touched
+                    let mut touched = Vec::new();
+                    let _ = resolver.resolve_traced(form, &mut touched);
+                    touched
                 })
                 .collect();
             walked.sort();

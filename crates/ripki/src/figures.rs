@@ -10,13 +10,15 @@ use serde::{Deserialize, Serialize};
 /// prefix sets, per rank bin.
 pub fn fig1_www_overlap(results: &StudyResults, bin: usize) -> BinnedSeries {
     let total = results.domains.len();
+    let mut scratch = Default::default();
     BinnedSeries::from_samples(
         results.domains.iter().map(|d| {
             // Only domains where both forms produced prefixes count.
             if d.www.pairs.is_empty() && d.bare.pairs.is_empty() {
                 (d.rank, None)
             } else {
-                (d.rank, Some(if d.equal_prefixes() { 1.0 } else { 0.0 }))
+                let equal = d.equal_prefixes_with(&mut scratch);
+                (d.rank, Some(if equal { 1.0 } else { 0.0 }))
             }
         }),
         total,

@@ -25,8 +25,8 @@
 //!
 //! The measurement core is the snapshot-based [`engine`]: an
 //! `Arc`-shared, epoch-versioned `WorldSnapshot` owned by a
-//! `StudyEngine`, with memoized CNAME-tail resolution and panic-tolerant
-//! sharded runs — a 1M-domain study is embarrassingly parallel.
+//! `StudyEngine`, with lock-free resolution and panic-tolerant sharded
+//! runs — a 1M-domain study is embarrassingly parallel.
 //! The result types are [`model`]'s; [`pipeline`] is their historical
 //! import path.
 

@@ -55,12 +55,15 @@ pub struct NameMeasurement {
 }
 
 impl NameMeasurement {
-    /// Distinct prefixes among the pairs.
-    pub fn prefixes(&self) -> Vec<IpPrefix> {
-        let mut v: Vec<IpPrefix> = self.pairs.iter().map(|p| p.prefix).collect();
-        v.sort();
-        v.dedup();
-        v
+    /// The distinct prefixes among the pairs, sorted, written over
+    /// `buf`: a pass over many rows reuses one buffer instead of
+    /// allocating per row.
+    pub fn prefixes_into<'b>(&self, buf: &'b mut Vec<IpPrefix>) -> &'b [IpPrefix] {
+        buf.clear();
+        buf.extend(self.pairs.iter().map(|p| p.prefix));
+        buf.sort_unstable();
+        buf.dedup();
+        buf
     }
 
     /// Fraction of pairs in `state` (`None` if no pairs — the paper
@@ -112,7 +115,13 @@ impl DomainMeasurement {
     /// Whether both name forms mapped to exactly equal prefix sets
     /// (Fig 1's quantity).
     pub fn equal_prefixes(&self) -> bool {
-        self.www.prefixes() == self.bare.prefixes()
+        self.equal_prefixes_with(&mut Default::default())
+    }
+
+    /// [`equal_prefixes`](Self::equal_prefixes) over two caller buffers,
+    /// so a pass over every row allocates nothing per row.
+    pub fn equal_prefixes_with(&self, (www, bare): &mut (Vec<IpPrefix>, Vec<IpPrefix>)) -> bool {
+        self.www.prefixes_into(www) == self.bare.prefixes_into(bare)
     }
 }
 

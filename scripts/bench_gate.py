@@ -77,7 +77,8 @@ RATIOS = [
     (["rtr.encode_reset_ms @ churn_rpki"], "slurm.ingest_us_p50 @ churn_rpki", 40.0),
     # An incremental epoch against an engine rebuild + full run. Also
     # the what-if floor (a counterfactual is one synthetic EpochChurn
-    # through apply_events), hence the loose 5x.
+    # through apply_events), hence the loose 5x. Traced runs at seed 1
+    # read 43-54 (run 388-427 ms, apply 8.0-9.2 ms).
     (
         ["ripki.engine_new_ms @ study_full", "ripki.run_ms @ study_full"],
         "ripki.apply_events_ms_p50 @ churn_web",
@@ -86,19 +87,23 @@ RATIOS = [
     # Building an engine over a generated world shares the world: the
     # zone store's layers are copy-on-write, so the build is the RPKI
     # validation and a few Arcs (an engine that deep-copies the
-    # 100 000-name zone map reads 3.6).
+    # 100 000-name zone map reads 3.6). Traced runs at seed 1 read
+    # 106-135 (engine 2.9-4.0 ms).
     (["ripki.run_ms @ study_full"], "ripki.engine_new_ms @ study_full", 20.0),
     # The report — every figure, Table 1 and the CDN audit — costs under
     # half a run: the HTTPArchive classifier walks CNAME chains only, on
-    # the run's worker threads (a full resolve per name on one thread
-    # reads 1.4).
+    # the run's worker threads, and Fig 1 compares prefix sets in two
+    # reused buffers (a full resolve per name on one thread reads 1.4).
+    # Traced runs at seed 1 read 2.35-2.48 (run 388-427 ms, figures
+    # 165-172 ms; 2.96-3.50 while the run still went through a CNAME
+    # tail cache, at 524-622 ms).
     (["ripki.run_ms @ study_full"], "ripki.figures_ms @ study_full", 2.0),
     # Indexing a study for incremental epochs (the first apply_events)
     # costs about one full run of that study, not 2.5-3: a resolved
     # name form's touched names are its stored CNAME chain, so only
     # failed forms are walked again, and each reverse index is one
     # sorted (key, rank) set built in one pass. Traced runs at seed 1
-    # read 1.05-1.19 (run 521-542 ms, index 457-496 ms); a build that
+    # read 0.88-1.29 (run 388-427 ms, index 330-441 ms); a build that
     # walks every form again and inserts each posting into a per-key
     # rank set reads 0.35-0.41 (index 1 320-1 512 ms).
     (["ripki.run_ms @ study_full"], "ripki.index_build_ms @ churn_web", 0.7),
@@ -107,7 +112,7 @@ RATIOS = [
     # domains: the hand-off to serving stays a delta, not a copy of the
     # world. The numerator is the full run, not the epoch's own apply,
     # because apply can get cheaper while publishing holds still.
-    # Traced runs at seed 1 read 49-63 (run 489-522 ms, view 7.6-9.9
+    # Traced runs at seed 1 read 45-62 (run 388-427 ms, view 6.9-8.6
     # ms); a hand-off that also deep-copies the results (≈ 76 ms) reads
     # under 6.
     (["ripki.run_ms @ study_full"], "stage.view_build_ms @ churn_web", 35.0),
