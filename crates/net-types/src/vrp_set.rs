@@ -11,8 +11,7 @@
 //! `Vrp`'s `Ord`, which fixes every derived wire form.
 //!
 //! It also answers RFC 6811 in place: [`VrpSet::covering`] seeks once
-//! per prefix length present up to the route's, each seek galloping
-//! forward from the last (see there).
+//! per prefix length present up to the route's (see there).
 
 use crate::{Family, IpPrefix, Vrp};
 use std::cmp::Ordering;
@@ -87,19 +86,6 @@ fn chunked<const BOUND: usize>(sorted: &[Vrp]) -> Vec<Chunk> {
             Arc::new(piece.to_vec())
         })
         .collect()
-}
-
-/// `slice.partition_point(pred)`, found by probing 1, 2, 4, …
-/// elements in before bisecting: O(log d) for a point d elements in.
-fn gallop<T>(slice: &[T], pred: impl Fn(&T) -> bool) -> usize {
-    // `pred` holds for every element before `lo`.
-    let (mut lo, mut step) = (0, 1);
-    while lo + step <= slice.len() && pred(&slice[lo + step - 1]) {
-        lo += step;
-        step *= 2;
-    }
-    let hi = (lo + step).min(slice.len());
-    lo + slice[lo..hi].partition_point(pred)
 }
 
 /// A chunk this handle may edit in place, with room for one more VRP:
@@ -192,41 +178,18 @@ impl<const BOUND: usize> VrpSet<BOUND> {
     /// shortest VRP prefix first, then by max length and ASN. `Vrp`'s
     /// order puts the VRPs on the route masked to length l side by
     /// side, so this is one seek — spine, then chunk — per length the
-    /// set holds up to `prefix`'s, and allocates nothing. Each longer
-    /// masked key sorts after the previous one, so only the first seek
-    /// bisects the whole set; every later one gallops forward from
-    /// where the previous one landed.
+    /// set holds up to `prefix`'s, and allocates nothing.
     pub fn covering<'a>(&'a self, prefix: &IpPrefix) -> impl Iterator<Item = &'a Vrp> + 'a {
         let route = *prefix;
-        let mut cursor = None;
         (0..=route.len())
             .zip(self.length_counts(route.family()))
             .filter(|(_, count)| **count > 0)
             .filter_map(move |(len, _)| IpPrefix::new(route.network(), len).ok())
             .flat_map(move |masked| {
                 let below = |vrp: &Vrp| vrp.prefix < masked;
-                let ends_below = |c: &Chunk| c.last().is_some_and(below);
-                let (chunk, offset) = match cursor {
-                    None => {
-                        let chunk = self.chunks.partition_point(ends_below);
-                        let offset = self
-                            .chunks
-                            .get(chunk)
-                            .map_or(0, |c| c.partition_point(below));
-                        (chunk, offset)
-                    }
-                    Some((last_chunk, last_offset)) => {
-                        let chunk = last_chunk + gallop(&self.chunks[last_chunk..], ends_below);
-                        let skip = if chunk == last_chunk { last_offset } else { 0 };
-                        let offset = self
-                            .chunks
-                            .get(chunk)
-                            .map_or(0, |c| gallop(&c[skip..], below));
-                        (chunk, skip + offset)
-                    }
-                };
-                cursor = Some((chunk, offset));
+                let chunk = self.chunks.partition_point(|c| c.last().is_some_and(below));
                 let from = self.chunks.get(chunk..).unwrap_or_default();
+                let offset = from.first().map_or(0, |c| c.partition_point(below));
                 let run = from.iter().flat_map(|c| c.iter()).skip(offset);
                 run.take_while(move |vrp| vrp.prefix == masked)
             })
@@ -424,20 +387,5 @@ impl<const BOUND: usize> PartialEq<BTreeSet<Vrp>> for VrpSet<BOUND> {
 impl<const BOUND: usize> PartialEq<VrpSet<BOUND>> for BTreeSet<Vrp> {
     fn eq(&self, other: &VrpSet<BOUND>) -> bool {
         other == self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::gallop;
-
-    #[test]
-    fn gallop_finds_the_partition_point() {
-        for len in 0..40 {
-            let slice: Vec<usize> = (0..len).collect();
-            for point in 0..=len {
-                assert_eq!(gallop(&slice, |&x| x < point), point, "{point} of {len}");
-            }
-        }
     }
 }
