@@ -19,6 +19,7 @@
 
 #![allow(clippy::disallowed_methods)]
 
+use ripki_serve::http::{frame_response, parse_response_head, Framing};
 use ripki_serve::reactor::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -200,32 +201,24 @@ fn enqueue_requests(session: &mut Session, query: &str, count: usize) {
 /// read buffer. Returns completed responses; errors on a non-200.
 fn harvest(session: &mut Session) -> Result<usize, String> {
     let mut done = 0usize;
-    while let Some(head_end) = session
-        .read_buf
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|p| p + 4)
-    {
-        let head = String::from_utf8_lossy(&session.read_buf[..head_end]).to_string();
-        if !head.starts_with("HTTP/1.1 200") {
-            let status = head.lines().next().unwrap_or("<empty>").to_string();
-            return Err(format!("non-200 response under load: {status}"));
+    while session.awaiting > 0 {
+        let Some((head, head_len)) = parse_response_head(&session.read_buf)
+            .map_err(|e| format!("malformed response under load: {e}"))?
+        else {
+            break;
+        };
+        if head.status != 200 {
+            return Err(format!("non-200 response under load: {}", head.status));
         }
-        let content_length: usize = head
-            .lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.trim().parse().ok())
-            .ok_or_else(|| "response without content-length framing".to_string())?;
-        if session.read_buf.len() < head_end + content_length {
+        let Framing::Length(body_len) = head.framing else {
+            return Err("response without content-length framing".to_string());
+        };
+        if session.read_buf.len() < head_len + body_len {
             break;
         }
-        session.read_buf.drain(..head_end + content_length);
+        session.read_buf.drain(..head_len + body_len);
         session.awaiting -= 1;
         done += 1;
-        if session.awaiting == 0 {
-            break;
-        }
     }
     Ok(done)
 }
@@ -346,20 +339,17 @@ fn control_get(addr: SocketAddr, path: &str) -> Result<String, String> {
             format!("GET {path} HTTP/1.1\r\nhost: load\r\nconnection: close\r\n\r\n").as_bytes(),
         )
         .map_err(|e| format!("control send: {e}"))?;
-    let mut raw = String::new();
+    let mut raw = Vec::new();
     stream
-        .read_to_string(&mut raw)
+        .read_to_end(&mut raw)
         .map_err(|e| format!("control read {path}: {e}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("control response to {path} has no body"))?;
-    if !head.starts_with("HTTP/1.1 200") {
-        return Err(format!(
-            "control GET {path}: {}",
-            head.lines().next().unwrap_or("<empty>")
-        ));
+    let (head, body) = frame_response(&raw, true)
+        .map_err(|e| format!("control response to {path}: {e}"))?
+        .ok_or_else(|| format!("control response to {path} is incomplete"))?;
+    if head.status != 200 {
+        return Err(format!("control GET {path}: status {}", head.status));
     }
-    Ok(body.to_string())
+    Ok(String::from_utf8_lossy(&raw[body]).into_owned())
 }
 
 /// Parse the cumulative `endpoint="validity"` latency buckets out of the

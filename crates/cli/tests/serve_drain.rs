@@ -5,6 +5,7 @@
 
 #![cfg(unix)]
 
+use ripki_serve::http::frame_response;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
@@ -15,22 +16,22 @@ extern "C" {
 }
 const SIGTERM: i32 = 15;
 
-/// Read one `Content-Length`-framed response off a keep-alive
-/// connection; returns its head.
+/// Read one response off a keep-alive connection, framed by the
+/// serving plane's own decoder and consuming exactly its bytes; returns
+/// its head.
 fn read_response(stream: &mut impl BufRead) -> String {
-    let mut head = String::new();
-    while !head.ends_with("\r\n\r\n") {
-        assert!(stream.read_line(&mut head).expect("response head") > 0);
+    let mut raw = Vec::new();
+    loop {
+        let chunk = stream.fill_buf().expect("response");
+        let (eof, seen) = (chunk.is_empty(), raw.len());
+        raw.extend_from_slice(chunk);
+        let framed = frame_response(&raw, eof).expect("a well-formed response");
+        let end = framed.as_ref().map_or(raw.len(), |(_, body)| body.end);
+        stream.consume(end - seen);
+        if let Some((_, body)) = framed {
+            return String::from_utf8_lossy(&raw[..body.start]).into_owned();
+        }
     }
-    let length: usize = head
-        .lines()
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .expect("content-length");
-    let mut body = vec![0; length];
-    stream.read_exact(&mut body).expect("response body");
-    head
 }
 
 #[test]

@@ -1,15 +1,19 @@
 //! A minimal blocking HTTP/1.1 GET client for the JSON ingest unit.
 //!
-//! The serving side already has its hardened parser in
-//! [`ripki_serve::http`]; this is the *other* direction — just enough
-//! client to poll `/vrps.json` with conditional requests. Supports
-//! `http://host:port/path` URLs, `Content-Length` bodies, and
-//! close-delimited bodies (what [`ripki_serve`] streams its exports
-//! as). No redirects, no TLS, no chunked encoding — a peer answering
-//! with any of those is an error, not a silent truncation. The upstream
-//! is untrusted: a head or body beyond [`MAX_HEAD`] / [`MAX_BODY`] is an
-//! error too, before memory is spent on it.
+//! A blocking shell over the serving plane's own response decoder
+//! ([`ripki_serve::http::parse_response_head`]): the same module frames
+//! what the server writes and what this client reads, so both ends
+//! agree on the head caps, the strict `Content-Length` rule and the
+//! bodiless statuses. Just enough client to poll `/vrps.json` with
+//! conditional requests: `http://host:port/path` URLs, `Content-Length`
+//! bodies and close-delimited bodies (what [`ripki_serve`] streams its
+//! exports as). No redirects, no TLS, no chunked encoding — a peer
+//! answering with any of those is an error, not a silent truncation.
+//! The upstream is untrusted: a head beyond
+//! [`ripki_serve::http::MAX_HEAD_BYTES`] or a body beyond [`MAX_BODY`]
+//! is an error too, before memory is spent on it.
 
+use ripki_serve::http::{header_value, parse_response_head, Framing, HttpError};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -28,16 +32,9 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First value of a header (name compared case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        header_value(&self.headers, name)
     }
 }
-
-/// The longest response head accepted.
-pub const MAX_HEAD: usize = 16 << 10;
 
 /// The largest response body accepted: several times the `vrps.json`
 /// of the whole RPKI.
@@ -91,106 +88,59 @@ pub fn get(
     read_response(&mut stream)
 }
 
-/// Parse a full response off `stream` (status line, headers, body),
-/// within [`MAX_HEAD`] and [`MAX_BODY`].
+/// Read one full response off `stream` (head, then the body by its
+/// framing), within the decoder's head caps and [`MAX_BODY`]. A framing
+/// error is an [`io::ErrorKind::InvalidData`] error carrying the
+/// [`HttpError`].
 pub fn read_response<R: Read>(stream: &mut R) -> io::Result<HttpResponse> {
-    read_bounded(stream, MAX_HEAD, MAX_BODY)
+    read_bounded(stream, MAX_BODY)
 }
 
-fn read_bounded<R: Read>(
-    stream: &mut R,
-    max_head: usize,
-    max_body: usize,
-) -> io::Result<HttpResponse> {
-    let head_too_long = || bad(format!("response head exceeds {max_head} bytes"));
-    let body_too_long = || bad(format!("response body exceeds {max_body} bytes"));
+fn read_bounded<R: Read>(stream: &mut R, max_body: usize) -> io::Result<HttpResponse> {
+    let invalid = |e: HttpError| io::Error::new(io::ErrorKind::InvalidData, e);
     let mut raw = Vec::with_capacity(4096);
     let mut chunk = [0u8; 4096];
-    let mut scanned = 0;
-    let head_end = loop {
-        if let Some(i) = find_head_end(&raw[scanned..]) {
-            break scanned + i;
+    // The head is decoded again after each read; its cap bounds that
+    // work, and the body below is read once, by its framing.
+    let (head, head_len) = loop {
+        if let Some(decoded) = parse_response_head(&raw).map_err(invalid)? {
+            break decoded;
         }
-        if raw.len() >= max_head {
-            return Err(head_too_long());
-        }
-        // The terminator may straddle two reads.
-        scanned = raw.len().saturating_sub(3);
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            return Err(bad("connection closed before response head"));
+            return Err(invalid(HttpError::Truncated));
         }
         raw.extend_from_slice(&chunk[..n]);
     };
-    if head_end > max_head {
-        return Err(head_too_long());
-    }
-    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("non-UTF-8 head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(bad(format!("unsupported version {version:?}")));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("unparseable status code"))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad(format!("malformed header line {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let response = HttpResponse {
-        status,
-        headers,
-        body: Vec::new(),
+    let want = match head.framing {
+        Framing::Length(len) if len > max_body => return Err(invalid(HttpError::BodyTooLarge)),
+        Framing::Length(len) => len,
+        // A close-delimited body runs to EOF; reading one byte past the
+        // bound is enough to know it ran over.
+        Framing::UntilClose => max_body + 1,
+        Framing::NoBody => 0,
     };
-    if response
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
-    {
-        return Err(bad("chunked transfer encoding is not supported"));
-    }
-    let mut body = raw.split_off(head_end + 4);
-    let declared = match response.header("content-length") {
-        Some(len) => Some(
-            len.parse::<usize>()
-                .map_err(|_| bad(format!("unparseable content-length {len:?}")))?,
-        ),
-        None => None,
-    };
-    if declared.is_some_and(|len| len > max_body) {
-        return Err(body_too_long());
-    }
-    // A close-delimited body runs to EOF; reading one byte past the
-    // bound is enough to know it ran over.
-    let want = declared.unwrap_or(max_body + 1);
+    let mut body = raw.split_off(head_len);
     let missing = want.saturating_sub(body.len()) as u64;
     stream.by_ref().take(missing).read_to_end(&mut body)?;
-    match declared {
-        Some(len) if body.len() < len => return Err(bad("connection closed mid-body")),
-        Some(len) => body.truncate(len),
-        None if body.len() > max_body => return Err(body_too_long()),
-        None => {}
+    if matches!(head.framing, Framing::Length(len) if body.len() < len) {
+        return Err(invalid(HttpError::Truncated));
     }
-    Ok(HttpResponse { body, ..response })
-}
-
-/// Index of the `\r\n\r\n` terminating the head, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    body.truncate(want);
+    if body.len() > max_body {
+        return Err(invalid(HttpError::BodyTooLarge));
+    }
+    Ok(HttpResponse {
+        status: head.status,
+        headers: head.headers,
+        body,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ripki_serve::http::MAX_HEAD_BYTES;
 
     #[test]
     fn parses_content_length_response() {
@@ -217,24 +167,93 @@ mod tests {
         assert!(read_response(&mut &garbage[..]).is_err());
     }
 
+    /// The framing error a response was refused with.
+    fn refused(result: io::Result<HttpResponse>) -> HttpError {
+        let error = result.expect_err("the response is refused");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{error}");
+        error
+            .get_ref()
+            .and_then(|inner| inner.downcast_ref::<HttpError>())
+            .cloned()
+            .unwrap_or_else(|| panic!("not a framing error: {error}"))
+    }
+
     #[test]
     fn an_oversized_head_or_body_is_a_typed_error() {
-        let rejected = |result: io::Result<HttpResponse>, which: &str| {
-            let error = result.expect_err("an oversized response is refused");
-            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-            assert!(error.to_string().contains(which), "{error}");
-        };
         // A head that never ends, and one that ends past the bound.
-        rejected(read_response(&mut io::repeat(b'a')), "head exceeds");
-        let padded = format!("HTTP/1.1 200 OK\r\nx: {}\r\n\r\n", "a".repeat(64));
-        rejected(read_bounded(&mut padded.as_bytes(), 64, 64), "head exceeds");
-        assert!(read_bounded(&mut padded.as_bytes(), 128, 64).is_ok());
+        assert_eq!(
+            refused(read_response(&mut io::repeat(b'a'))),
+            HttpError::HeadTooLarge
+        );
+        let padded = format!(
+            "HTTP/1.1 200 OK\r\nx: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        assert_eq!(
+            refused(read_response(&mut padded.as_bytes())),
+            HttpError::HeadTooLarge
+        );
+        let fits = format!(
+            "HTTP/1.1 200 OK\r\nx: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES / 2)
+        );
+        assert!(read_response(&mut fits.as_bytes()).is_ok());
         // A declared length is refused before anything is allocated for
         // it; a close-delimited body as soon as it runs over.
         let declared = b"HTTP/1.1 200 OK\r\ncontent-length: 999999999999\r\n\r\n";
-        rejected(read_response(&mut &declared[..]), "body exceeds");
+        assert_eq!(
+            refused(read_response(&mut &declared[..])),
+            HttpError::BodyTooLarge
+        );
         let mut endless = b"HTTP/1.1 200 OK\r\n\r\n".chain(io::repeat(b'x'));
-        rejected(read_bounded(&mut endless, 1 << 10, 1 << 16), "body exceeds");
+        assert_eq!(
+            refused(read_bounded(&mut endless, 1 << 16)),
+            HttpError::BodyTooLarge
+        );
+        // A body cut short by the close is refused, not returned short.
+        let short = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhel";
+        assert_eq!(
+            refused(read_response(&mut &short[..])),
+            HttpError::Truncated
+        );
+    }
+
+    #[test]
+    fn a_signed_content_length_is_rejected() {
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: +5\r\n\r\nhello";
+        assert!(matches!(
+            refused(read_response(&mut &wire[..])),
+            HttpError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn disagreeing_content_lengths_are_rejected() {
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\ncontent-length: 6\r\n\r\nhello!";
+        assert!(matches!(
+            refused(read_response(&mut &wire[..])),
+            HttpError::Malformed(_)
+        ));
+    }
+
+    /// A reader that fails the test if anything reads past the head.
+    struct NothingAfterTheHead;
+
+    impl Read for NothingAfterTheHead {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::Error::other("read past a bodiless response's head"))
+        }
+    }
+
+    #[test]
+    fn a_bodiless_status_completes_without_reading_to_eof() {
+        for status in ["204 No Content", "304 Not Modified"] {
+            let head = format!("HTTP/1.1 {status}\r\netag: \"e-7\"\r\n\r\n");
+            let mut wire = head.as_bytes().chain(NothingAfterTheHead);
+            let response = read_response(&mut wire).expect(status);
+            assert!(response.body.is_empty(), "{status}");
+            assert_eq!(response.header("etag"), Some("\"e-7\""), "{status}");
+        }
     }
 
     #[test]

@@ -251,6 +251,7 @@ mod tests {
     use super::*;
     use ripki_net::Asn;
     use ripki_payload::{PayloadUpdate, VrpTriple};
+    use ripki_serve::http::parse_response_head;
     use ripki_serve::server::export_etag;
     use ripki_serve_testutil::{
         connect, get, parse_response, raw_roundtrip, read_to_eof_no_reset, serve_scenario,
@@ -588,7 +589,9 @@ mod tests {
         // ended by a FIN.
         let mut raw = first.to_vec();
         raw.extend(read_to_eof_no_reset(&mut stream));
-        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("head") + 4;
+        let (_, head_end) = parse_response_head(&raw)
+            .expect("head")
+            .expect("whole head");
         assert!(raw.starts_with(b"HTTP/1.1 200 OK\r\n"));
         assert!(
             raw[head_end..] == expected[..],

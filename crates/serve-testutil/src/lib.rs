@@ -1,5 +1,8 @@
 //! Shared fixtures for `ripki-serve` integration tests: a
-//! scenario-backed server and a raw TCP HTTP client.
+//! scenario-backed server and a raw TCP HTTP client. The client frames
+//! every response with the serving plane's own decoder
+//! ([`ripki_serve::http::frame_response`]), so a malformed response
+//! fails the test with the decoder's typed error.
 //!
 //! A dev-dependency crate instead of a `tests/common` module so each
 //! test binary can use its own subset of the helpers without blanket
@@ -8,6 +11,7 @@
 
 use ripki::engine::StudyEngine;
 use ripki::exposure::ExposureConfig;
+use ripki_serve::http::{frame_response, header_value, HttpError, ResponseHead};
 use ripki_serve::{EpochView, Server, ServerConfig, SharedView};
 use ripki_websim::{Scenario, ScenarioConfig};
 use std::io::{ErrorKind, Read, Write};
@@ -81,11 +85,15 @@ impl Reply {
 
     /// First value of a response header (case-insensitive name).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        header_value(&self.headers, name)
+    }
+
+    fn new(head: ResponseHead, body: &[u8]) -> Reply {
+        Reply {
+            status: head.status,
+            headers: head.headers,
+            body: String::from_utf8_lossy(body).into_owned(),
+        }
     }
 }
 
@@ -107,11 +115,10 @@ pub fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// Send each request in turn over ONE connection, reading one
-/// `Content-Length`-framed response after each. Stops early — returning
-/// the replies collected so far — when the server closes the
-/// connection, which is how tests observe keep-alive being honoured or
-/// withdrawn.
+/// Send each request in turn over ONE connection, reading one framed
+/// response after each. Stops early — returning the replies collected
+/// so far — when the server closes the connection between responses,
+/// which is how tests observe keep-alive being honoured or withdrawn.
 pub fn keep_alive_session(addr: SocketAddr, requests: &[String]) -> Vec<Reply> {
     let mut stream = connect(addr);
     let mut replies = Vec::new();
@@ -120,7 +127,7 @@ pub fn keep_alive_session(addr: SocketAddr, requests: &[String]) -> Vec<Reply> {
         if stream.write_all(request.as_bytes()).is_err() {
             break;
         }
-        let Some(reply) = read_framed_response(&mut stream, &mut pending) else {
+        let Some(reply) = next_reply(&mut stream, &mut pending) else {
             break;
         };
         replies.push(reply);
@@ -128,44 +135,34 @@ pub fn keep_alive_session(addr: SocketAddr, requests: &[String]) -> Vec<Reply> {
     replies
 }
 
-/// Read exactly one response (head + `Content-Length` bytes of body)
-/// from the stream, leaving any pipelined surplus in `pending`. `None`
-/// on EOF or socket error before a full response arrived.
-fn read_framed_response(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Option<Reply> {
-    let head_end = loop {
-        if let Some(pos) = pending.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
+/// Read until one whole response is framed at the front of `pending`
+/// and take it off, leaving any pipelined surplus. `None` when the
+/// connection ends (EOF or socket error) before the response's first
+/// byte.
+fn next_reply(stream: &mut TcpStream, pending: &mut Vec<u8>) -> Option<Reply> {
+    let mut chunk = [0u8; 4096];
+    let mut eof = false;
+    loop {
+        if let Some((head, body)) =
+            frame_response(pending, eof).unwrap_or_else(|e| malformed(e, pending))
+        {
+            let reply = Reply::new(head, &pending[body.clone()]);
+            pending.drain(..body.end);
+            return Some(reply);
         }
-        if !fill(stream, pending) {
-            return None;
-        }
-    };
-    let head = String::from_utf8_lossy(&pending[..head_end]).to_string();
-    let content_length: usize = head
-        .lines()
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0);
-    while pending.len() < head_end + content_length {
-        if !fill(stream, pending) {
-            return None;
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) if pending.is_empty() => return None,
+            Ok(0) | Err(_) => eof = true,
+            Ok(n) => pending.extend_from_slice(&chunk[..n]),
         }
     }
-    let raw = String::from_utf8_lossy(&pending[..head_end + content_length]).to_string();
-    pending.drain(..head_end + content_length);
-    Some(parse_response(&raw))
 }
 
-fn fill(stream: &mut TcpStream, pending: &mut Vec<u8>) -> bool {
-    let mut chunk = [0u8; 4096];
-    match stream.read(&mut chunk) {
-        Ok(0) | Err(_) => false,
-        Ok(n) => {
-            pending.extend_from_slice(&chunk[..n]);
-            true
-        }
-    }
+fn malformed(error: HttpError, raw: &[u8]) -> ! {
+    panic!(
+        "malformed response ({error:?}): {:?}",
+        String::from_utf8_lossy(raw)
+    )
 }
 
 /// Write arbitrary bytes, read the full response.
@@ -196,55 +193,26 @@ pub fn read_to_eof_no_reset(stream: &mut TcpStream) -> Vec<u8> {
     }
 }
 
-/// Split a raw byte stream of HTTP responses into individual replies
-/// using their `content-length` framing.
+/// Split a raw byte stream, read to EOF, into the responses it holds,
+/// each framed by its own head.
 pub fn split_responses(raw: &[u8]) -> Vec<Reply> {
-    let text = String::from_utf8_lossy(raw).to_string();
     let mut replies = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(head_end) = rest.find("\r\n\r\n") {
-        let head = &rest[..head_end + 4];
-        let content_length: usize = head
-            .lines()
-            .filter_map(|l| l.split_once(':'))
-            .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.trim().parse().ok())
-            .unwrap_or(0);
-        let total = head_end + 4 + content_length;
-        assert!(
-            rest.len() >= total,
-            "truncated response: head promises {content_length} body bytes"
-        );
-        replies.push(parse_response(&rest[..total]));
-        rest = &rest[total..];
+    let mut rest = raw;
+    while !rest.is_empty() {
+        // At EOF the decoder frames a message or refuses it.
+        let (head, body) = frame_response(rest, true)
+            .and_then(|framed| framed.ok_or(HttpError::Truncated))
+            .unwrap_or_else(|e| malformed(e, rest));
+        replies.push(Reply::new(head, &rest[body.clone()]));
+        rest = &rest[body.end..];
     }
-    assert!(
-        rest.is_empty(),
-        "trailing bytes are not a response: {rest:?}"
-    );
     replies
 }
 
-/// Split an HTTP/1.1 response into status + headers + body.
+/// Decode a connection's whole output (read to EOF), which must be
+/// exactly one response.
 pub fn parse_response(raw: &str) -> Reply {
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split(' ').next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed response: {raw:?}"));
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1) // status line
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Reply {
-        status,
-        headers,
-        body,
-    }
+    let mut replies = split_responses(raw.as_bytes());
+    assert_eq!(replies.len(), 1, "not one response: {raw:?}");
+    replies.remove(0)
 }

@@ -1,4 +1,6 @@
-//! A minimal, hardened HTTP/1.1 message layer over raw byte buffers.
+//! A minimal, hardened HTTP/1.1 message layer over raw byte buffers:
+//! the one place in the workspace that decides HTTP framing, for both
+//! ends of the protocol.
 //!
 //! The workspace policy is synchronous `std::net` + threads, and the
 //! container has no HTTP crate to lean on, so the query plane carries
@@ -8,13 +10,18 @@
 //! how many bytes it used* (`Ok(Some(_))`), or *this connection is
 //! speaking garbage* (`Err(_)`) — the error carrying the exact status
 //! code the peer should see before the socket closes.
+//! [`parse_response_head`] is its twin for responses, sharing the head
+//! search, the header-line loop and the `Content-Length` rule; every
+//! HTTP client in the workspace frames through it ([`frame_response`]).
 //!
 //! Hardening is by construction: hard caps on head size, header count
 //! and line length; no allocation proportional to attacker-controlled
 //! numbers; bytes outside the printable ASCII range in the request line
 //! are rejected rather than interpreted.
 
+use std::fmt;
 use std::io::{self, Write};
+use std::ops::Range;
 
 /// Total bytes of request head (request line + headers + CRLFCRLF) we
 /// are willing to buffer before giving up with 431.
@@ -36,6 +43,12 @@ pub enum HttpError {
     HeadTooLarge,
     /// An HTTP version other than 1.x → 505.
     BadVersion,
+    /// A body past the reader's bound (or a length past `usize`) → 413.
+    BodyTooLarge,
+    /// A `Transfer-Encoding` other than `identity`, chunked too → 501.
+    UnsupportedTransferEncoding,
+    /// The peer closed before the whole message arrived → 400.
+    Truncated,
 }
 
 impl HttpError {
@@ -46,6 +59,9 @@ impl HttpError {
             HttpError::TargetTooLong => 414,
             HttpError::HeadTooLarge => 431,
             HttpError::BadVersion => 505,
+            HttpError::BodyTooLarge => 413,
+            HttpError::UnsupportedTransferEncoding => 501,
+            HttpError::Truncated => 400,
         }
     }
 
@@ -56,9 +72,20 @@ impl HttpError {
             HttpError::TargetTooLong => "request target too long",
             HttpError::HeadTooLarge => "request head too large",
             HttpError::BadVersion => "only HTTP/1.x is supported",
+            HttpError::BodyTooLarge => "body too large",
+            HttpError::UnsupportedTransferEncoding => "transfer-encoding is not supported",
+            HttpError::Truncated => "connection closed mid-message",
         }
     }
 }
+
+impl fmt::Display for HttpError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.reason())
+    }
+}
+
+impl std::error::Error for HttpError {}
 
 /// A parsed request head. Bodies are never *used*: every endpoint of
 /// the query plane is a GET. Small announced bodies are read and
@@ -80,11 +107,7 @@ pub struct Request {
 impl Request {
     /// First value of a header (name compared case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        header_value(&self.headers, name)
     }
 
     /// First value of a query parameter.
@@ -110,6 +133,35 @@ impl Request {
 /// * `Err(e)` — the bytes can never become a valid request; answer
 ///   `e.status()` and close.
 pub fn parse_head(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
+    let Some((mut lines, head_len)) = split_head(buf)? else {
+        return Ok(None);
+    };
+    let request_line = lines.next().ok_or(HttpError::Malformed("empty head"))?;
+    let (method, target, version) = split_request_line(request_line)?;
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::BadVersion);
+    }
+    if target.len() > MAX_TARGET_BYTES {
+        return Err(HttpError::TargetTooLong);
+    }
+    let (path, query) = parse_target(target)?;
+    let headers = parse_fields(lines)?;
+    Ok(Some((
+        Request {
+            method,
+            path,
+            query,
+            headers,
+        },
+        head_len,
+    )))
+}
+
+/// Find the complete head at the front of `buf`: its lines (line ends
+/// and the blank terminator stripped) and its length on the wire.
+/// `Ok(None)` while there is no CRLFCRLF yet and the buffer is under the
+/// head cap.
+fn split_head(buf: &[u8]) -> Result<Option<(impl Iterator<Item = &[u8]>, usize)>, HttpError> {
     let Some(head_len) = find_head_end(buf) else {
         if buf.len() >= MAX_HEAD_BYTES {
             return Err(HttpError::HeadTooLarge);
@@ -123,19 +175,28 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
     let Some(head) = head_len.checked_sub(4).and_then(|n| buf.get(..n)) else {
         return Err(HttpError::Malformed("impossible head bounds"));
     };
-    let mut lines = head
+    let lines = head
         .split(|&b| b == b'\n')
         .map(|l| l.strip_suffix(b"\r").unwrap_or(l));
-    let request_line = lines.next().ok_or(HttpError::Malformed("empty head"))?;
-    let (method, target, version) = split_request_line(request_line)?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::BadVersion);
-    }
-    if target.len() > MAX_TARGET_BYTES {
-        return Err(HttpError::TargetTooLong);
-    }
-    let (path, query) = parse_target(target)?;
+    Ok(Some((lines, head_len)))
+}
 
+/// Locate the end of the head (index just past CRLFCRLF), scanning no
+/// further than the head cap plus slack for the terminator itself.
+fn find_head_end(buf: &[u8]) -> Option<usize> {
+    let window = buf.len().min(MAX_HEAD_BYTES + 4);
+    buf.get(..window)
+        .unwrap_or(buf)
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|i| i + 4)
+}
+
+/// The header-field lines of a head, requests and responses alike:
+/// lower-cased names, trimmed values, at most [`MAX_HEADERS`].
+fn parse_fields<'a>(
+    lines: impl Iterator<Item = &'a [u8]>,
+) -> Result<Vec<(String, String)>, HttpError> {
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -162,27 +223,37 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
         let value = String::from_utf8_lossy(value).trim().to_string();
         headers.push((name, value));
     }
-
-    Ok(Some((
-        Request {
-            method,
-            path,
-            query,
-            headers,
-        },
-        head_len,
-    )))
+    Ok(headers)
 }
 
-/// Locate the end of the head (index just past CRLFCRLF), scanning no
-/// further than the head cap plus slack for the terminator itself.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let window = buf.len().min(MAX_HEAD_BYTES + 4);
-    buf.get(..window)
-        .unwrap_or(buf)
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
+/// First value of a header among lower-cased `headers` (name compared
+/// case-insensitively).
+pub fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+/// The one `Content-Length` rule, for requests and responses: digits
+/// only, and every copy of the field must agree. `Ok(None)` when there
+/// is none.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut lengths = headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, value)| value.as_str());
+    let Some(first) = lengths.next() else {
+        return Ok(None);
+    };
+    if lengths.any(|other| other != first) {
+        return Err(HttpError::Malformed("conflicting content-length fields"));
+    }
+    if first.is_empty() || !first.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(HttpError::Malformed("content-length is not a digit string"));
+    }
+    // Digits only, so the parse fails only past `usize`.
+    first.parse().map(Some).map_err(|_| HttpError::BodyTooLarge)
 }
 
 fn split_request_line(line: &[u8]) -> Result<(String, &[u8], &str), HttpError> {
@@ -221,7 +292,7 @@ fn parse_target(target: &[u8]) -> Result<(String, Vec<(String, String)>), HttpEr
         }
         None => (target, None),
     };
-    let path = percent_decode(raw_path, false)?;
+    let path = percent_parse_response_head(raw_path, false)?;
     if path.bytes().any(|b| b < 0x20 || b == 0x7f) {
         return Err(HttpError::Malformed("control byte in decoded path"));
     }
@@ -231,14 +302,17 @@ fn parse_target(target: &[u8]) -> Result<(String, Vec<(String, String)>), HttpEr
             let eq = pair.iter().position(|&b| b == b'=').unwrap_or(pair.len());
             let (k, rest) = pair.split_at(eq);
             let v = rest.get(1..).unwrap_or_default();
-            query.push((percent_decode(k, true)?, percent_decode(v, true)?));
+            query.push((
+                percent_parse_response_head(k, true)?,
+                percent_parse_response_head(v, true)?,
+            ));
         }
     }
     Ok((path, query))
 }
 
 /// Decode `%XX` escapes (and, in query components, `+` as space).
-fn percent_decode(raw: &[u8], plus_is_space: bool) -> Result<String, HttpError> {
+fn percent_parse_response_head(raw: &[u8], plus_is_space: bool) -> Result<String, HttpError> {
     let mut out = Vec::with_capacity(raw.len());
     let mut i = 0;
     while let Some(&byte) = raw.get(i) {
@@ -295,23 +369,108 @@ pub fn body_disposition(request: &Request) -> BodyDisposition {
     if request.header("transfer-encoding").is_some() {
         return BodyDisposition::Close;
     }
-    let mut lengths = request
-        .headers
-        .iter()
-        .filter(|(name, _)| name == "content-length")
-        .map(|(_, value)| value.as_str());
-    let Some(first) = lengths.next() else {
-        return BodyDisposition::None;
-    };
-    if lengths.any(|other| other != first) {
-        return BodyDisposition::Close;
-    }
-    let strict = !first.is_empty() && first.bytes().all(|b| b.is_ascii_digit());
-    match (strict, first.parse::<usize>()) {
-        (true, Ok(0)) => BodyDisposition::None,
-        (true, Ok(n)) if n <= MAX_DRAIN_BODY_BYTES => BodyDisposition::Drain(n),
+    match content_length(&request.headers) {
+        Ok(None | Some(0)) => BodyDisposition::None,
+        Ok(Some(n)) if n <= MAX_DRAIN_BODY_BYTES => BodyDisposition::Drain(n),
         _ => BodyDisposition::Close,
     }
+}
+
+// ------------------------------------------------------- response decoder
+
+/// How a response body is delimited on the wire (RFC 9112 §6.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// Exactly this many bytes follow the head (`Content-Length`).
+    Length(usize),
+    /// The body runs until the peer closes the connection.
+    UntilClose,
+    /// 1xx, 204 and 304: nothing follows the head, whatever it declares.
+    NoBody,
+}
+
+/// A decoded response head.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResponseHead {
+    /// Status code from the status line.
+    pub status: u16,
+    /// Header fields with lower-cased names, in order of appearance.
+    pub headers: Vec<(String, String)>,
+    /// How the body that follows is delimited.
+    pub framing: Framing,
+}
+
+/// [`parse_head`] for the client side: the same answers and caps, and
+/// the same `Content-Length` rule. A non-`identity`
+/// `Transfer-Encoding` is [`HttpError::UnsupportedTransferEncoding`].
+pub fn parse_response_head(buf: &[u8]) -> Result<Option<(ResponseHead, usize)>, HttpError> {
+    let Some((mut lines, head_len)) = split_head(buf)? else {
+        return Ok(None);
+    };
+    let status = parse_status_line(lines.next().unwrap_or_default())?;
+    let headers = parse_fields(lines)?;
+    let coded = |(name, value): &(String, String)| {
+        name == "transfer-encoding" && !value.eq_ignore_ascii_case("identity")
+    };
+    if headers.iter().any(coded) {
+        return Err(HttpError::UnsupportedTransferEncoding);
+    }
+    let length = content_length(&headers)?;
+    let framing = match status {
+        100..=199 | 204 | 304 => Framing::NoBody,
+        _ => length.map_or(Framing::UntilClose, Framing::Length),
+    };
+    let head = ResponseHead {
+        status,
+        headers,
+        framing,
+    };
+    Ok(Some((head, head_len)))
+}
+
+/// `HTTP/1.x SP 3DIGIT [SP reason]` → the status code. The reason
+/// phrase is never read.
+fn parse_status_line(line: &[u8]) -> Result<u16, HttpError> {
+    let [b'H', b'T', b'T', b'P', b'/', b'1', b'.', b'0'..=b'9', rest @ ..] = line else {
+        return Err(HttpError::BadVersion);
+    };
+    let (&[b' ', a, b, c] | &[b' ', a, b, c, b' ', ..]) = rest else {
+        return Err(HttpError::Malformed("malformed status line"));
+    };
+    let code = [a, b, c];
+    if !code.iter().all(u8::is_ascii_digit) {
+        return Err(HttpError::Malformed("status code is not three digits"));
+    }
+    Ok(code
+        .iter()
+        .fold(0, |n, digit| n * 10 + u16::from(digit - b'0')))
+}
+
+/// Frame one whole response at the front of `buf`: its head and the
+/// range of its body, which ends where the next message starts.
+/// `Ok(None)` while more bytes may arrive; `eof` says none will, so an
+/// incomplete head or a short `Content-Length` body is then
+/// [`HttpError::Truncated`], never a short message. The head is decoded
+/// on every call: a reader of long bodies decodes it once with
+/// [`parse_response_head`] and reads by its [`Framing`].
+pub fn frame_response(
+    buf: &[u8],
+    eof: bool,
+) -> Result<Option<(ResponseHead, Range<usize>)>, HttpError> {
+    let (head, head_len) = match parse_response_head(buf)? {
+        Some(decoded) => decoded,
+        None if eof => return Err(HttpError::Truncated),
+        None => return Ok(None),
+    };
+    let available = buf.len().saturating_sub(head_len);
+    let body_len = match head.framing {
+        Framing::NoBody => 0,
+        Framing::Length(n) if available >= n => n,
+        Framing::Length(_) if eof => return Err(HttpError::Truncated),
+        Framing::UntilClose if eof => available,
+        Framing::Length(_) | Framing::UntilClose => return Ok(None),
+    };
+    Ok(Some((head, head_len..head_len + body_len)))
 }
 
 // ---------------------------------------------------------------- response
@@ -449,8 +608,10 @@ pub fn status_reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        413 => "Content Too Large",
         414 => "URI Too Long",
         431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
@@ -581,6 +742,255 @@ mod tests {
         assert!(text.contains("etag: \"e-7\"\r\n"), "{text}");
         assert!(text.contains("content-length: 0\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n"), "{text}");
+    }
+
+    #[test]
+    fn decodes_a_response_head_and_its_framing() {
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\ncontent-length: 5\r\n\r\nhello";
+        let (head, n) = parse_response_head(wire).unwrap().unwrap();
+        assert_eq!(n, wire.len() - 5);
+        assert_eq!(head.status, 200);
+        assert_eq!(
+            header_value(&head.headers, "content-type"),
+            Some("text/plain")
+        );
+        assert_eq!(head.framing, Framing::Length(5));
+        let (_, body) = frame_response(wire, false).unwrap().unwrap();
+        assert_eq!(&wire[body], b"hello");
+
+        let (head, _) = parse_response_head(b"HTTP/1.0 200 OK\r\netag: \"e\"\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(head.framing, Framing::UntilClose);
+        // A missing reason phrase is tolerated; the code is not.
+        let (head, _) = parse_response_head(b"HTTP/1.1 404\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(head.status, 404);
+    }
+
+    #[test]
+    fn bodiless_statuses_frame_nothing_whatever_they_declare() {
+        for status in [100, 204, 304] {
+            let wire = format!("HTTP/1.1 {status} X\r\ncontent-length: 7\r\n\r\nnext");
+            let (head, body) = frame_response(wire.as_bytes(), false).unwrap().unwrap();
+            assert_eq!(head.framing, Framing::NoBody, "{status}");
+            assert!(body.is_empty(), "{status}");
+            assert_eq!(&wire.as_bytes()[body.end..], b"next", "{status}");
+        }
+    }
+
+    #[test]
+    fn content_length_is_strict_on_both_ends() {
+        for bad in ["+5", "-5", " ", "5 5", "0x5", "5,5"] {
+            let wire = format!("HTTP/1.1 200 OK\r\ncontent-length: {bad}\r\n\r\nhello");
+            assert_eq!(
+                parse_response_head(wire.as_bytes()).unwrap_err().status(),
+                400,
+                "{bad:?}"
+            );
+            let request = format!("POST / HTTP/1.1\r\ncontent-length: {bad}\r\n\r\n");
+            let (request, _) = parse_head(request.as_bytes()).unwrap().unwrap();
+            assert_eq!(
+                body_disposition(&request),
+                BodyDisposition::Close,
+                "{bad:?}"
+            );
+        }
+        let twice = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\ncontent-length: 6\r\n\r\n";
+        assert!(matches!(
+            parse_response_head(twice),
+            Err(HttpError::Malformed(_))
+        ));
+        let agreeing = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\n";
+        assert_eq!(
+            parse_response_head(agreeing).unwrap().unwrap().0.framing,
+            Framing::Length(5)
+        );
+        let past_usize = format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: 9{}\r\n\r\n",
+            "9".repeat(40)
+        );
+        assert_eq!(
+            parse_response_head(past_usize.as_bytes()),
+            Err(HttpError::BodyTooLarge)
+        );
+    }
+
+    #[test]
+    fn only_identity_transfer_coding_is_accepted() {
+        for coding in ["chunked", "gzip, chunked", "CHUNKED"] {
+            let wire = format!("HTTP/1.1 200 OK\r\ntransfer-encoding: {coding}\r\n\r\n");
+            assert_eq!(
+                parse_response_head(wire.as_bytes()),
+                Err(HttpError::UnsupportedTransferEncoding),
+                "{coding}"
+            );
+        }
+        let identity = b"HTTP/1.1 200 OK\r\ntransfer-encoding: Identity\r\n\r\nx";
+        assert_eq!(
+            parse_response_head(identity).unwrap().unwrap().0.framing,
+            Framing::UntilClose
+        );
+    }
+
+    #[test]
+    fn malformed_status_lines_are_typed_errors() {
+        for bad in [
+            "SPDY/3 200 OK\r\n\r\n",
+            "HTTP/2 200 OK\r\n\r\n",
+            "HTTP/1.x 200 OK\r\n\r\n",
+        ] {
+            assert_eq!(
+                parse_response_head(bad.as_bytes()),
+                Err(HttpError::BadVersion),
+                "{bad:?}"
+            );
+        }
+        for bad in [
+            "HTTP/1.1 20 OK\r\n\r\n",
+            "HTTP/1.1 2000 OK\r\n\r\n",
+            "HTTP/1.1 +20 OK\r\n\r\n",
+            "HTTP/1.1 200OK\r\n\r\n",
+            "HTTP/1.1 200 OK\r\nno colon\r\n\r\n",
+            "HTTP/1.1 200 OK\r\nbad name: v\r\n\r\n",
+        ] {
+            assert_eq!(
+                parse_response_head(bad.as_bytes()).unwrap_err().status(),
+                400,
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn response_heads_obey_the_request_caps() {
+        assert_eq!(
+            parse_response_head(b"HTTP/1.1 200 OK\r\nx: y").unwrap(),
+            None
+        );
+        let oversized = vec![b'a'; MAX_HEAD_BYTES];
+        assert_eq!(
+            parse_response_head(&oversized),
+            Err(HttpError::HeadTooLarge)
+        );
+        let mut many = String::from("HTTP/1.1 200 OK\r\n");
+        for i in 0..=MAX_HEADERS {
+            many.push_str(&format!("x-h{i}: v\r\n"));
+        }
+        many.push_str("\r\n");
+        assert_eq!(
+            parse_response_head(many.as_bytes()),
+            Err(HttpError::HeadTooLarge)
+        );
+    }
+
+    #[test]
+    fn a_short_body_is_truncation_at_eof_never_a_short_body() {
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhel";
+        assert_eq!(frame_response(wire, false), Ok(None));
+        assert_eq!(frame_response(wire, true), Err(HttpError::Truncated));
+        assert_eq!(frame_response(&wire[..10], true), Err(HttpError::Truncated));
+        // A close-delimited body is whatever arrived before the close.
+        let close = b"HTTP/1.1 200 OK\r\n\r\nabc";
+        assert_eq!(frame_response(close, false), Ok(None));
+        let (head, body) = frame_response(close, true).unwrap().unwrap();
+        assert_eq!(
+            (head.framing, &close[body]),
+            (Framing::UntilClose, &b"abc"[..])
+        );
+    }
+
+    /// Every response the server can emit decodes back, through the
+    /// client-side decoder, to the status, headers, body and framing it
+    /// was written with, whether or not the connection stays open.
+    #[test]
+    fn every_server_response_round_trips_through_the_decoder() {
+        let errors = [
+            HttpError::Malformed("bad"),
+            HttpError::TargetTooLong,
+            HttpError::HeadTooLarge,
+            HttpError::BadVersion,
+            HttpError::BodyTooLarge,
+            HttpError::UnsupportedTransferEncoding,
+            HttpError::Truncated,
+        ];
+        type Make = Box<dyn Fn() -> Response>;
+        let mut cases: Vec<(Make, Option<&str>, String)> = vec![
+            (
+                Box::new(|| Response::json(200, &serde_json::Value::Bool(true))),
+                None,
+                "true\n".into(),
+            ),
+            (
+                Box::new(|| Response::text(404, "no such path").with_header("etag", "\"e-1\"")),
+                Some("\"e-1\""),
+                "no such path".into(),
+            ),
+            (
+                Box::new(|| Response::not_modified("\"e-7\"")),
+                Some("\"e-7\""),
+                String::new(),
+            ),
+            (
+                Box::new(|| Response::error(503, "overloaded")),
+                None,
+                "{\"error\":\"overloaded\"}\n".into(),
+            ),
+            (
+                Box::new(|| Response {
+                    status: 200,
+                    content_type: "text/csv",
+                    headers: vec![("etag", "\"e-9\"".to_string())],
+                    body: Body::Stream(Box::new(|w: &mut dyn Write| {
+                        w.write_all(b"a,b\n")?;
+                        Ok(4)
+                    })),
+                }),
+                Some("\"e-9\""),
+                "a,b\n".into(),
+            ),
+        ];
+        for e in errors {
+            let body = format!("{{\"error\":\"{}\"}}\n", e.reason());
+            cases.push((Box::new(move || Response::from_http_error(&e)), None, body));
+        }
+
+        for (make, etag, body) in &cases {
+            for want_keep_alive in [true, false] {
+                let response = make();
+                let (status, content_type) = (response.status, response.content_type);
+                let streamed = matches!(response.body, Body::Stream(_));
+                let mut wire = Vec::new();
+                let keep = response.write_to(&mut wire, want_keep_alive).unwrap();
+                assert_eq!(keep, want_keep_alive && !streamed, "{status}");
+                let (head, range) = frame_response(&wire, true).unwrap().unwrap();
+                assert_eq!(
+                    range.end,
+                    wire.len(),
+                    "{status}: one message, nothing after"
+                );
+                assert_eq!(head.status, status);
+                assert_eq!(
+                    header_value(&head.headers, "content-type"),
+                    Some(content_type)
+                );
+                assert_eq!(header_value(&head.headers, "etag"), *etag, "{status}");
+                let connection = if keep { "keep-alive" } else { "close" };
+                assert_eq!(
+                    header_value(&head.headers, "connection"),
+                    Some(connection),
+                    "{status}"
+                );
+                assert_eq!(&wire[range], body.as_bytes(), "{status}");
+                let framing = match (status, streamed) {
+                    (304, _) => Framing::NoBody,
+                    (_, true) => Framing::UntilClose,
+                    (_, false) => Framing::Length(body.len()),
+                };
+                assert_eq!(head.framing, framing, "{status}");
+            }
+        }
     }
 
     #[test]

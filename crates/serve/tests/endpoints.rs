@@ -4,10 +4,7 @@
 //! own answers.
 
 use ripki_serve::api::state_label;
-use ripki_serve_testutil::{get, raw_roundtrip, serve_scenario};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use ripki_serve_testutil::{get, keep_alive_session, raw_roundtrip, serve_scenario};
 
 #[test]
 fn validity_endpoint_agrees_with_the_engine() {
@@ -328,41 +325,16 @@ fn protocol_errors_are_well_formed_responses() {
 #[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let fx = serve_scenario(120, 13);
-    let mut stream = TcpStream::connect(fx.server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-
-    for i in 0..3 {
-        stream
-            .write_all(b"GET /status HTTP/1.1\r\nhost: t\r\n\r\n")
-            .unwrap();
-        // Read exactly one response using its content-length framing.
-        let mut head = Vec::new();
-        let mut byte = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            stream.read_exact(&mut byte).unwrap();
-            head.push(byte[0]);
-        }
-        let head_text = String::from_utf8(head).unwrap();
-        assert!(
-            head_text.starts_with("HTTP/1.1 200"),
-            "req {i}: {head_text}"
-        );
-        assert!(
-            head_text.contains("connection: keep-alive"),
-            "req {i}: {head_text}"
-        );
-        let length: usize = head_text
-            .lines()
-            .find_map(|l| l.strip_prefix("content-length: "))
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        let mut body = vec![0u8; length];
-        stream.read_exact(&mut body).unwrap();
-        assert!(String::from_utf8(body).unwrap().contains("\"epoch\""));
+    let request = "GET /status HTTP/1.1\r\nhost: t\r\n\r\n".to_string();
+    let replies = keep_alive_session(
+        fx.server.addr(),
+        &[request.clone(), request.clone(), request],
+    );
+    assert_eq!(replies.len(), 3, "the connection stays open for all three");
+    for (i, reply) in replies.iter().enumerate() {
+        assert_eq!(reply.status, 200, "req {i}");
+        assert_eq!(reply.header("connection"), Some("keep-alive"), "req {i}");
+        assert!(reply.body.contains("\"epoch\""), "req {i}: {}", reply.body);
     }
 }
 
