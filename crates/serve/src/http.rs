@@ -292,7 +292,7 @@ fn parse_target(target: &[u8]) -> Result<(String, Vec<(String, String)>), HttpEr
         }
         None => (target, None),
     };
-    let path = percent_parse_response_head(raw_path, false)?;
+    let path = percent_decode(raw_path, false)?;
     if path.bytes().any(|b| b < 0x20 || b == 0x7f) {
         return Err(HttpError::Malformed("control byte in decoded path"));
     }
@@ -302,17 +302,14 @@ fn parse_target(target: &[u8]) -> Result<(String, Vec<(String, String)>), HttpEr
             let eq = pair.iter().position(|&b| b == b'=').unwrap_or(pair.len());
             let (k, rest) = pair.split_at(eq);
             let v = rest.get(1..).unwrap_or_default();
-            query.push((
-                percent_parse_response_head(k, true)?,
-                percent_parse_response_head(v, true)?,
-            ));
+            query.push((percent_decode(k, true)?, percent_decode(v, true)?));
         }
     }
     Ok((path, query))
 }
 
 /// Decode `%XX` escapes (and, in query components, `+` as space).
-fn percent_parse_response_head(raw: &[u8], plus_is_space: bool) -> Result<String, HttpError> {
+fn percent_decode(raw: &[u8], plus_is_space: bool) -> Result<String, HttpError> {
     let mut out = Vec::with_capacity(raw.len());
     let mut i = 0;
     while let Some(&byte) = raw.get(i) {
