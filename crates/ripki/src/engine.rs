@@ -489,6 +489,21 @@ fn pair_difference(before: &NameMeasurement, after: &NameMeasurement) -> usize {
     changed
 }
 
+/// The sorted, distinct prefixes of a domain's pairs over both name
+/// forms: its pair postings.
+fn pair_prefixes(d: &DomainMeasurement) -> Vec<IpPrefix> {
+    let mut pairs: Vec<IpPrefix> = d
+        .www
+        .pairs
+        .iter()
+        .chain(&d.bare.pairs)
+        .map(|p| p.prefix)
+        .collect();
+    pairs.sort();
+    pairs.dedup();
+    pairs
+}
+
 /// Insert `(key, rank)` for each key only `new` holds, remove it for
 /// each key only `old` holds.
 fn toggle<K: Ord + Clone>(set: &mut BTreeSet<(K, usize)>, old: &[K], new: &[K], rank: usize) {
@@ -561,19 +576,10 @@ impl DomainIndex {
             .collect();
         hosts.sort();
         hosts.dedup();
-        let mut pairs: Vec<IpPrefix> = d
-            .www
-            .pairs
-            .iter()
-            .chain(&d.bare.pairs)
-            .map(|p| p.prefix)
-            .collect();
-        pairs.sort();
-        pairs.dedup();
         RankPostings {
             names,
             hosts,
-            pairs,
+            pairs: pair_prefixes(d),
         }
     }
 
@@ -588,6 +594,13 @@ impl DomainIndex {
         toggle(&mut self.by_name, &old.names, &new.names, rank);
         toggle(&mut self.by_host, &old.hosts, &new.hosts, rank);
         toggle(&mut self.by_pair, &old.pairs, &new.pairs, rank);
+    }
+
+    /// [`patch`](Self::patch) for a re-routed rank: steps 3–4 moved
+    /// only its pairs, so its names and hosts stay as they are.
+    fn patch_pairs(&mut self, rank: usize, pairs: Vec<IpPrefix>) {
+        let old = std::mem::replace(&mut self.per_rank[rank].pairs, pairs);
+        toggle(&mut self.by_pair, &old, &self.per_rank[rank].pairs, rank);
     }
 
     /// Ranks whose measurement may be affected by the given changes.
@@ -741,7 +754,7 @@ impl StudyEngine {
     /// `results` copy-on-write ([`DomainTable::replace`]): a clone of
     /// `results` taken before the call keeps its own epoch, which is
     /// what lets a server publish `results.clone()` per epoch at the
-    /// price of one pointer per domain.
+    /// price of one pointer per chunk of rows.
     ///
     /// `results` must be the current study for this engine's epoch
     /// (from [`run`](Self::run) or a previous `apply_events`); the
@@ -913,14 +926,13 @@ impl StudyEngine {
             let prior = &results.domains[pos];
             pairs_changed += pair_difference(&prior.www, &measured.www)
                 + pair_difference(&prior.bare, &measured.bare);
-            let names = match touched {
+            match touched {
                 Some(names) => {
                     resolved += 1;
-                    names
+                    index.patch(rank, DomainIndex::postings(&measured, names));
                 }
-                None => index.per_rank[rank].names.clone(),
-            };
-            index.patch(rank, DomainIndex::postings(&measured, names));
+                None => index.patch_pairs(rank, pair_prefixes(&measured)),
+            }
             results.domains.replace(pos, measured);
             remeasured += 1;
         }
@@ -1077,6 +1089,25 @@ mod tests {
         assert_eq!(incremental.domains, fresh.domains);
         assert_eq!(incremental.vrp_count, fresh.vrp_count);
         assert_eq!(incremental.rpki_rejected, fresh.rpki_rejected);
+    }
+
+    /// The engine's patched reverse indices equal a fresh build against
+    /// its current snapshot and `results`.
+    fn assert_index_fresh(engine: &StudyEngine, results: &StudyResults) {
+        let guard = engine.index.lock().unwrap();
+        let patched = guard.as_ref().expect("built by apply_events");
+        let fresh = DomainIndex::build(&engine.snapshot(), results);
+        assert_eq!(patched.epoch, fresh.epoch);
+        assert_eq!(patched.by_name, fresh.by_name);
+        assert_eq!(patched.by_host, fresh.by_host);
+        assert_eq!(patched.by_pair, fresh.by_pair);
+        assert_eq!(patched.per_rank.len(), fresh.per_rank.len());
+        for (a, b) in patched.per_rank.iter().zip(&fresh.per_rank) {
+            assert_eq!(
+                (&a.names, &a.hosts, &a.pairs),
+                (&b.names, &b.hosts, &b.pairs)
+            );
+        }
     }
 
     #[test]
@@ -1281,6 +1312,7 @@ mod tests {
         let delta = engine.apply_events(&batch, &mut results);
         assert_eq!((delta.domains_remeasured, delta.domains_resolved), (2, 0));
         assert_same_study(&results, &full_rerun(&zones, &rib, &batch, &repo, now));
+        assert_index_fresh(&engine, &results);
 
         // A repository-only batch: a ROA that makes the hijack valid.
         let isp = b.find_ca("ISP-1").unwrap();
@@ -1305,6 +1337,7 @@ mod tests {
             now,
         };
         assert_same_study(&results, &full_rerun(&zones, &rib, &both, &repo, now));
+        assert_index_fresh(&engine, &results);
     }
 
     #[test]
@@ -1358,6 +1391,7 @@ mod tests {
             assert!(m.pairs.is_empty());
         }
         assert_same_study(&results, &full_rerun(&zones, &rib, &batch, &repo, now));
+        assert_index_fresh(&engine, &results);
 
         // Announcing it again restores the original measurement: the
         // re-route recounts, it does not add to the stored counters.
@@ -1370,6 +1404,7 @@ mod tests {
         assert_eq!((delta.domains_remeasured, delta.domains_resolved), (1, 0));
         assert_eq!(results.domains[1].bare.unreachable, 0);
         assert_same_study(&results, &original);
+        assert_index_fresh(&engine, &results);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! definition of what a measurement *is*. The types are deliberately
 //! dumb data: all production logic lives in [`crate::engine`]. The one
 //! type with an invariant is [`DomainTable`], the copy-on-write storage
-//! behind [`StudyResults::domains`].
+//! behind [`StudyResults::domains`]: one shared row per domain, held in
+//! shared chunks of consecutive rows, so that handing an epoch's table
+//! to a reader costs one count per chunk and retiring it frees only
+//! the chunks a later epoch rewrote.
 
 use ripki_bgp::rov::RpkiState;
 use ripki_dns::vantage::Vantage;
@@ -186,65 +189,168 @@ impl Default for PipelineConfig {
     }
 }
 
+/// Rows per chunk of a [`DomainTable`]. An epoch copies one chunk per
+/// re-measured domain at most, and a clone bumps one count per chunk.
+/// A chunk copy bumps the counts of rows allocated next to each other,
+/// while each chunk's own count sits in an allocation of its own, so
+/// the wider chunk publishes faster: of 8, 16 and 32 rows, 32 read the
+/// cheapest clone and view build at 100 000 domains.
+const CHUNK: usize = 32;
+
+/// `CHUNK` consecutive rows, shared by every table that has not
+/// replaced one of them.
+type Chunk = Arc<[Arc<DomainMeasurement>]>;
+
 /// The per-domain table of a study: one shared measurement per position,
 /// in rank order.
 ///
-/// Copy-on-write at domain granularity: a `clone` copies one pointer per
-/// domain, [`replace`](Self::replace) swaps a single one, and every
-/// other clone keeps the measurement it had — which is how the engine
-/// hands each epoch to the serving plane without copying the world.
+/// Copy-on-write at domain granularity, held in shared chunks of
+/// `CHUNK` consecutive rows: a `clone` copies one pointer per chunk,
+/// [`replace`](Self::replace) swaps a single row after copying the one
+/// chunk that holds it unless this table already owns that chunk, and
+/// every other clone keeps the measurement it had. That is how the
+/// engine hands each epoch to the serving plane without copying the
+/// world; dropping the retired table frees only the chunks its
+/// successor replaced.
+///
 /// The name index is built by the first [`lookup`](Self::lookup) and
 /// shared by every clone made before or after; it stays valid because
 /// no operation changes which name sits at which position.
 #[derive(Clone, Default)]
 pub struct DomainTable {
-    rows: Vec<Arc<DomainMeasurement>>,
+    /// The rows in position order, `CHUNK` to a chunk: no chunk is
+    /// empty and only the last may be shorter, so position `p` is row
+    /// `p % CHUNK` of chunk `p / CHUNK`.
+    chunks: Vec<Chunk>,
     /// Listed, bare and `www.` form of every domain → its position.
     names: Arc<OnceLock<HashMap<DomainName, usize>>>,
 }
 
-/// Borrowing iterator over a [`DomainTable`].
-pub type DomainIter<'a> = std::iter::Map<
-    std::slice::Iter<'a, Arc<DomainMeasurement>>,
-    fn(&'a Arc<DomainMeasurement>) -> &'a DomainMeasurement,
->;
+/// The shared rows of a [`DomainTable`], in position order: a walk of
+/// the chunks and, within each, of its rows.
+#[derive(Clone)]
+pub struct Rows<'a> {
+    /// Rows left in the chunk the front has entered.
+    front: std::slice::Iter<'a, Arc<DomainMeasurement>>,
+    /// Chunks neither end has entered.
+    chunks: std::slice::Iter<'a, Chunk>,
+    /// Rows left in the chunk the back has entered.
+    back: std::slice::Iter<'a, Arc<DomainMeasurement>>,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a Arc<DomainMeasurement>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(row) = self.front.next() {
+                return Some(row);
+            }
+            match self.chunks.next() {
+                Some(chunk) => self.front = chunk.iter(),
+                None => return self.back.next(),
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.len();
+        (len, Some(len))
+    }
+
+    fn fold<B, F: FnMut(B, Self::Item) -> B>(self, init: B, mut f: F) -> B {
+        let acc = self.front.fold(init, &mut f);
+        let acc = self
+            .chunks
+            .fold(acc, |acc, chunk| chunk.iter().fold(acc, &mut f));
+        self.back.fold(acc, f)
+    }
+}
+
+impl DoubleEndedIterator for Rows<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(row) = self.back.next_back() {
+                return Some(row);
+            }
+            match self.chunks.next_back() {
+                Some(chunk) => self.back = chunk.iter(),
+                None => return self.front.next_back(),
+            }
+        }
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {
+    fn len(&self) -> usize {
+        self.front.len() + rows_in(self.chunks.as_slice()) + self.back.len()
+    }
+}
+
+/// Rows in a run of a table's chunks: every chunk but the table's last
+/// is full, and a run that holds the last ends with it.
+fn rows_in(chunks: &[Chunk]) -> usize {
+    chunks
+        .last()
+        .map_or(0, |last| (chunks.len() - 1) * CHUNK + last.len())
+}
+
+/// Borrowing iterator over a [`DomainTable`]'s measurements.
+pub type DomainIter<'a> =
+    std::iter::Map<Rows<'a>, fn(&'a Arc<DomainMeasurement>) -> &'a DomainMeasurement>;
 
 impl DomainTable {
     /// Number of measured domains.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        rows_in(&self.chunks)
     }
 
     /// Whether no domain was measured.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.chunks.is_empty()
     }
 
     /// The measurement at `pos`.
     pub fn get(&self, pos: usize) -> Option<&DomainMeasurement> {
-        self.rows.get(pos).map(|row| &**row)
+        self.chunks
+            .get(pos / CHUNK)?
+            .get(pos % CHUNK)
+            .map(|row| &**row)
     }
 
     /// The measurements in position order.
     pub fn iter(&self) -> DomainIter<'_> {
-        self.rows.iter().map(|row| &**row)
+        self.rows().map(|row| &**row)
     }
 
-    /// The shared rows themselves: `Arc::ptr_eq` on two tables' rows
-    /// tells whether a domain was re-measured between them.
-    pub fn rows(&self) -> &[Arc<DomainMeasurement>] {
-        &self.rows
+    /// The shared rows themselves, in position order: `Arc::ptr_eq` on
+    /// two tables' rows tells whether a domain was re-measured between
+    /// them.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            front: [].iter(),
+            chunks: self.chunks.iter(),
+            back: [].iter(),
+        }
     }
 
     /// Position of the domain ranked `rank`, or `None` when it was
     /// skipped. A binary search: the rows must be in rank order, as
     /// every engine run produces them.
     pub fn position_of_rank(&self, rank: usize) -> Option<usize> {
-        self.rows.binary_search_by_key(&rank, |row| row.rank).ok()
+        let chunk = self
+            .chunks
+            .partition_point(|chunk| chunk[0].rank <= rank)
+            .checked_sub(1)?;
+        let row = self.chunks[chunk]
+            .binary_search_by_key(&rank, |row| row.rank)
+            .ok()?;
+        Some(chunk * CHUNK + row)
     }
 
     /// Commit a fresh measurement of the domain at `pos`; clones taken
-    /// earlier keep the old one.
+    /// earlier keep the old one. Copies the chunk that holds `pos`
+    /// first unless no other table shares it.
     ///
     /// # Panics
     ///
@@ -252,7 +358,8 @@ impl DomainTable {
     /// — the name index shared across clones relies on positions never
     /// changing their name.
     pub fn replace(&mut self, pos: usize, measured: DomainMeasurement) {
-        let row = &mut self.rows[pos];
+        let chunk = &mut self.chunks[pos / CHUNK];
+        let row = &chunk[pos % CHUNK];
         assert!(
             row.rank == measured.rank && row.listed == measured.listed,
             "replace must keep rank and listed name ({} {:?} -> {} {:?})",
@@ -261,7 +368,7 @@ impl DomainTable {
             measured.rank,
             measured.listed
         );
-        *row = Arc::new(measured);
+        Arc::make_mut(chunk)[pos % CHUNK] = Arc::new(measured);
     }
 
     /// Find a domain by its listed, bare or `www.` name: its position
@@ -281,8 +388,8 @@ impl DomainTable {
 
     fn names(&self) -> &HashMap<DomainName, usize> {
         self.names.get_or_init(|| {
-            let mut names = HashMap::with_capacity(self.rows.len() * 2);
-            for (pos, row) in self.rows.iter().enumerate() {
+            let mut names = HashMap::with_capacity(self.len() * 2);
+            for (pos, row) in self.iter().enumerate() {
                 let bare = row.listed.without_www();
                 names.insert(bare.with_www(), pos);
                 names.insert(bare, pos);
@@ -299,11 +406,17 @@ impl DomainTable {
     }
 }
 
-/// Equality is over the measurements alone; rows two tables share
-/// compare by pointer, so two lineages of one study cost O(changed).
+/// Equality is over the measurements alone; chunks and rows two tables
+/// share compare by pointer, so two lineages of one study cost
+/// O(changed chunks).
 impl PartialEq for DomainTable {
     fn eq(&self, other: &DomainTable) -> bool {
-        self.rows == other.rows
+        self.chunks.len() == other.chunks.len()
+            && self
+                .chunks
+                .iter()
+                .zip(&other.chunks)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
     }
 }
 
@@ -319,7 +432,7 @@ impl std::ops::Index<usize> for DomainTable {
     type Output = DomainMeasurement;
 
     fn index(&self, pos: usize) -> &DomainMeasurement {
-        &self.rows[pos]
+        &self.chunks[pos / CHUNK][pos % CHUNK]
     }
 }
 
@@ -332,10 +445,22 @@ impl<'a> IntoIterator for &'a DomainTable {
     }
 }
 
+/// Fills the chunks in order, one row allocation per measurement.
 impl FromIterator<DomainMeasurement> for DomainTable {
     fn from_iter<I: IntoIterator<Item = DomainMeasurement>>(iter: I) -> DomainTable {
+        let mut chunks = Vec::new();
+        let mut chunk = Vec::with_capacity(CHUNK);
+        for measured in iter {
+            chunk.push(Arc::new(measured));
+            if chunk.len() == CHUNK {
+                chunks.push(chunk.drain(..).collect());
+            }
+        }
+        if !chunk.is_empty() {
+            chunks.push(chunk.into());
+        }
         DomainTable {
-            rows: iter.into_iter().map(Arc::new).collect(),
+            chunks,
             names: Arc::default(),
         }
     }
@@ -373,6 +498,7 @@ pub struct StudyResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dm(rank: usize, listed: &str) -> DomainMeasurement {
         DomainMeasurement {
@@ -434,5 +560,175 @@ mod tests {
     fn replace_rejects_a_changed_listed_name() {
         let mut table: DomainTable = vec![dm(0, "a.example")].into();
         table.replace(0, dm(0, "b.example"));
+    }
+
+    /// A table under test beside its flat model: the rows it must hold,
+    /// one identity per chunk that a replace renews (two tables share a
+    /// chunk by pointer exactly when their identities agree), and the
+    /// lineage whose name index it answers from.
+    struct Live {
+        table: DomainTable,
+        rows: Vec<Arc<DomainMeasurement>>,
+        ids: Vec<u64>,
+        lineage: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Clone(usize),
+        Replace(usize, usize),
+        Drop(usize),
+        Rebuild(usize),
+    }
+
+    /// Ranks leave gaps (rank 3p + 1 at position p) so that a missing
+    /// rank sits beside every present one; odd positions list `www.`.
+    fn listed(pos: usize) -> DomainMeasurement {
+        let www = if pos % 2 == 1 { "www." } else { "" };
+        dm(3 * pos + 1, &format!("{www}d{pos}.example"))
+    }
+
+    fn table_op() -> impl Strategy<Value = Op> {
+        (0u8..4, 0usize..64, 0usize..1000).prop_map(|(kind, i, pos)| match kind {
+            0 => Op::Clone(i),
+            1 => Op::Replace(i, pos),
+            2 => Op::Drop(i),
+            _ => Op::Rebuild(i),
+        })
+    }
+
+    fn assert_matches_model(live: &Live) {
+        let (table, rows) = (&live.table, &live.rows);
+        assert_eq!(table.len(), rows.len());
+        assert_eq!(table.is_empty(), rows.is_empty());
+        assert_eq!(table.chunks.len(), live.ids.len());
+        let same = |a: &Arc<DomainMeasurement>, b: &Arc<DomainMeasurement>| Arc::ptr_eq(a, b);
+        assert_eq!(table.rows().len(), rows.len());
+        assert!(table.rows().zip(rows).all(|(a, b)| same(a, b)));
+        assert!(table
+            .rows()
+            .rev()
+            .zip(rows.iter().rev())
+            .all(|(a, b)| same(a, b)));
+        let unreachable = |d: &DomainMeasurement| d.www.unreachable;
+        assert_eq!(
+            table.iter().map(unreachable).sum::<usize>(),
+            rows.iter().map(|d| unreachable(d)).sum::<usize>()
+        );
+        assert_eq!(table.iter().count(), rows.len());
+        assert_eq!(
+            table.iter().rev().map(|d| d.rank).collect::<Vec<_>>(),
+            rows.iter().rev().map(|d| d.rank).collect::<Vec<_>>()
+        );
+        // The exact length holds while both ends advance.
+        let mut walk = table.iter();
+        for taken in 0..rows.len() {
+            assert_eq!(walk.len(), rows.len() - taken);
+            let row = if taken % 3 == 1 {
+                walk.next_back()
+            } else {
+                walk.next()
+            };
+            assert!(row.is_some());
+        }
+        assert_eq!((walk.len(), walk.next(), walk.next_back()), (0, None, None));
+        for (pos, row) in rows.iter().enumerate() {
+            assert!(std::ptr::eq(table.get(pos).expect("in range"), &**row));
+            assert!(std::ptr::eq(&table[pos], &**row));
+            assert_eq!(table.position_of_rank(row.rank), Some(pos));
+            assert_eq!(table.position_of_rank(row.rank - 1), None);
+            let (found, measured) = table.lookup(&row.listed).expect("listed");
+            assert_eq!(found, pos);
+            assert!(std::ptr::eq(measured, &**row));
+        }
+        assert!(table.get(rows.len()).is_none());
+        assert_eq!(table.position_of_rank(3 * rows.len() + 1), None);
+        let missing = DomainName::parse("absent.example").expect("test name");
+        assert!(table.lookup(&missing).is_none());
+    }
+
+    proptest! {
+        /// `DomainTable` against a `Vec` of shared rows, across chunk
+        /// boundaries: every answer agrees, clones share exactly the
+        /// chunks no replace has written, and dropping one clone leaves
+        /// the others' rows where they were.
+        #[test]
+        fn table_matches_a_flat_model(
+            len in (0usize..8).prop_map(|i| {
+                [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5, 5 * CHUNK - 1][i]
+            }),
+            ops in prop::collection::vec(table_op(), 0..40),
+        ) {
+            let table: DomainTable = (0..len).map(listed).collect();
+            let rows: Vec<_> = table.rows().cloned().collect();
+            let ids = (0..len.div_ceil(CHUNK) as u64).collect();
+            let mut next_id = len as u64;
+            let mut next_lineage = 1;
+            let mut stamp = 0;
+            let mut lives = vec![Live { table, rows, ids, lineage: 0 }];
+            for op in ops {
+                match op {
+                    Op::Clone(i) => {
+                        let live = &lives[i % lives.len()];
+                        let clone = Live {
+                            table: live.table.clone(),
+                            rows: live.rows.clone(),
+                            ids: live.ids.clone(),
+                            lineage: live.lineage,
+                        };
+                        lives.push(clone);
+                    }
+                    Op::Replace(i, pos) => {
+                        let n = lives.len();
+                        let live = &mut lives[i % n];
+                        if live.rows.is_empty() {
+                            continue;
+                        }
+                        let pos = pos % live.rows.len();
+                        let mut measured = (*live.rows[pos]).clone();
+                        stamp += 1;
+                        measured.www.unreachable = stamp;
+                        live.table.replace(pos, measured.clone());
+                        prop_assert_eq!(&live.table[pos], &measured);
+                        live.rows[pos] = Arc::clone(&live.table.chunks[pos / CHUNK][pos % CHUNK]);
+                        live.ids[pos / CHUNK] = next_id;
+                        next_id += 1;
+                    }
+                    Op::Drop(i) => {
+                        if lives.len() > 1 {
+                            let n = lives.len();
+                            lives.remove(i % n);
+                        }
+                    }
+                    Op::Rebuild(i) => {
+                        let n = lives.len();
+                        let live = &lives[i % n];
+                        let table: DomainTable = live.table.iter().cloned().collect();
+                        prop_assert!(table == live.table);
+                        prop_assert!(!table.shares_index_with(&live.table));
+                        let rows = table.rows().cloned().collect();
+                        let ids = (0..live.ids.len() as u64).map(|k| next_id + k).collect();
+                        next_id += live.ids.len() as u64;
+                        lives.push(Live { table, rows, ids, lineage: next_lineage });
+                        next_lineage += 1;
+                    }
+                }
+                for live in &lives {
+                    assert_matches_model(live);
+                }
+                for a in &lives {
+                    for b in &lives {
+                        prop_assert_eq!(a.table == b.table, a.rows == b.rows);
+                        prop_assert_eq!(
+                            a.table.shares_index_with(&b.table),
+                            a.lineage == b.lineage
+                        );
+                        for (c, (x, y)) in a.table.chunks.iter().zip(&b.table.chunks).enumerate() {
+                            prop_assert_eq!(Arc::ptr_eq(x, y), a.ids[c] == b.ids[c]);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

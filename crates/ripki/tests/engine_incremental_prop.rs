@@ -137,7 +137,6 @@ proptest! {
             let shared = previous
                 .domains
                 .rows()
-                .iter()
                 .zip(results.domains.rows())
                 .filter(|(a, b)| Arc::ptr_eq(a, b))
                 .count();
