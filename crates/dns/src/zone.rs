@@ -43,6 +43,14 @@ use std::sync::Arc;
 /// fresh root instead of adding another layer.
 pub const MAX_LAYER_DEPTH: usize = 64;
 
+/// One name's entry in [`ZoneStore::overrides`]: the name, its base
+/// records, and one layer's answers per overridden vantage.
+pub type Overrides<'z> = (
+    &'z DomainName,
+    Option<&'z [RecordData]>,
+    &'z [(Vantage, Vec<RecordData>)],
+);
+
 /// The authoritative record store.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneStore {
@@ -147,6 +155,21 @@ impl ZoneStore {
                 .parent
                 .as_ref()
                 .is_some_and(|p| p.has_any_override(name))
+    }
+
+    /// Every name with per-vantage overrides, layer by layer from the
+    /// newest: the name, the base records every other vantage sees, and
+    /// that layer's per-vantage answers. A name overridden in several
+    /// layers appears once per layer, so an answer a newer layer
+    /// replaced is listed too; [`lookup`](Self::lookup) gives the
+    /// effective one.
+    pub fn overrides(&self) -> impl Iterator<Item = Overrides<'_>> + '_ {
+        std::iter::successors(Some(self), |s| s.parent.as_deref()).flat_map(move |s| {
+            s.layer
+                .overrides
+                .iter()
+                .map(move |(name, answers)| (name, self.base_records(name.as_str()), &answers[..]))
+        })
     }
 
     /// Whether any record exists for `name` from any vantage.
@@ -431,6 +454,50 @@ mod tests {
         assert_ne!(berlin, redwood);
         assert_eq!(redwood.len(), 1);
         assert_eq!(redwood[0].addr().unwrap().to_string(), "198.18.252.2");
+    }
+
+    #[test]
+    fn overrides_are_listed_across_layers() {
+        let mut z = ZoneStore::new();
+        z.add_addr(n("edge.cdn.example"), "198.18.252.1".parse().unwrap());
+        z.add_override(
+            n("edge.cdn.example"),
+            Vantage::OPEN_DNS,
+            RecordData::A("198.18.252.2".parse().unwrap()),
+        );
+        let (mut z, _) = ZoneStore::apply(Arc::new(z), &ZoneDelta::new());
+        z.add_override(
+            n("geo.example"),
+            Vantage::HTTPARCHIVE_REDWOOD,
+            RecordData::A("198.18.252.3".parse().unwrap()),
+        );
+        let mut listed: Vec<_> = z
+            .overrides()
+            .map(|(name, base, answers)| (name.clone(), base.map(<[_]>::len), answers.to_vec()))
+            .collect();
+        listed.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(
+            listed,
+            vec![
+                (
+                    n("edge.cdn.example"),
+                    Some(1),
+                    vec![(
+                        Vantage::OPEN_DNS,
+                        vec![RecordData::A("198.18.252.2".parse().unwrap())]
+                    )]
+                ),
+                (
+                    n("geo.example"),
+                    None,
+                    vec![(
+                        Vantage::HTTPARCHIVE_REDWOOD,
+                        vec![RecordData::A("198.18.252.3".parse().unwrap())]
+                    )]
+                ),
+            ]
+        );
+        assert_eq!(ZoneStore::new().overrides().count(), 0);
     }
 
     #[test]

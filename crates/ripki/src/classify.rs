@@ -10,26 +10,26 @@
 //!   the first 300k Alexa domains based on DNS pattern matching of
 //!   CNAMEs", from a geographically distinct vantage (Redwood City).
 //!
-//! The HTTPArchive side reads only the CNAME chain. From its vantage it
-//! follows each name with [`ZoneStore::lookup`] over names borrowed from
-//! the zone's own records, running [`Resolver::resolve`]'s loop step for
-//! step: the same [`MAX_CHAIN`] bound, the same loop test against the
-//! query and every link so far, NXDOMAIN when a lookup finds nothing,
-//! and no-address when the terminal record set has no A/AAAA. A walk
-//! that `resolve` would fail fails here too and counts "not CDN"; one it
-//! would answer yields the same chain, so the verdict — "some link
-//! matches a pattern" — is `resolve`'s. What the walk skips is what the
-//! verdict never read: the [`Resolution`](ripki_dns::Resolution), its
-//! address vector and the per-link DNSSEC check. The walk allocates
-//! nothing; `classify` builds the two name forms once per domain.
+//! HTTPArchive's verdict on a name form is whether [`Resolver::resolve`]
+//! from Redwood City, the one walk there is, passes a CNAME matching a
+//! pattern. Fig 3 reads it off the study's rows: a resolved row stores
+//! the chain its vantage walked, which is Redwood City's chain unless a
+//! name on it is *divergent* — two vantages see answers of different
+//! shape for it (whether it exists, its first CNAME target, whether it
+//! holds an address: all that one step reads). Only a name with an
+//! override can be, so [`HttpArchiveClassifier::new`] scans the
+//! overrides once. A form is resolved again if it failed (its row keeps
+//! no chain), if an answer was excluded as special-purpose (where every
+//! corrupted answer lands, chainless), or if its query name or a link is
+//! divergent. The rows must come from a run over the classifier's zones.
 //!
 //! [`Resolver::resolve`]: ripki_dns::Resolver::resolve
 
-use crate::pipeline::DomainMeasurement;
-use ripki_dns::resolver::MAX_CHAIN;
+use crate::pipeline::{DomainMeasurement, NameMeasurement};
 use ripki_dns::vantage::Vantage;
 use ripki_dns::zone::ZoneStore;
-use ripki_dns::{DomainName, RecordData};
+use ripki_dns::{DomainName, RecordData, Resolver};
+use std::collections::HashSet;
 
 /// HTTPArchive's classification covered only the first 300k ranks.
 pub const HTTPARCHIVE_LIMIT: usize = 300_000;
@@ -46,7 +46,8 @@ pub fn cname_chain_is_cdn(m: &DomainMeasurement, threshold: usize) -> bool {
 pub struct HttpArchiveClassifier<'z> {
     zones: &'z ZoneStore,
     patterns: Vec<String>,
-    vantage: Vantage,
+    /// The zone's divergent names (see the module doc).
+    divergent: HashSet<&'z str>,
     /// Rank limit (HTTPArchive covered 300k; tests may shrink it).
     pub limit: usize,
 }
@@ -57,55 +58,78 @@ impl<'z> HttpArchiveClassifier<'z> {
     pub fn new(zones: &'z ZoneStore, patterns: Vec<String>) -> HttpArchiveClassifier<'z> {
         HttpArchiveClassifier {
             zones,
-            patterns: patterns
-                .into_iter()
-                .map(|p| p.to_ascii_lowercase())
-                .collect(),
-            vantage: Vantage::HTTPARCHIVE_REDWOOD,
+            patterns: patterns.iter().map(|p| p.to_ascii_lowercase()).collect(),
+            divergent: divergent_names(zones),
             limit: HTTPARCHIVE_LIMIT,
         }
     }
 
-    /// Whether a CNAME target matches any CDN pattern.
-    fn matches_pattern(&self, name: &DomainName) -> bool {
-        self.patterns.iter().any(|p| name.has_suffix(p))
+    /// Whether any link of a CNAME chain matches a CDN pattern.
+    fn any_link_matches(&self, chain: &[DomainName]) -> bool {
+        chain
+            .iter()
+            .any(|link| self.patterns.iter().any(|p| link.has_suffix(p)))
     }
 
     /// Classify one domain: `None` if out of coverage (rank ≥ limit),
-    /// otherwise whether any CNAME in either name form's chain matches a
-    /// CDN pattern.
+    /// otherwise whether either name form resolves from HTTPArchive's
+    /// vantage through a CNAME that matches a CDN pattern.
     pub fn classify(&self, rank: usize, listed: &DomainName) -> Option<bool> {
-        if rank >= self.limit {
-            return None;
-        }
         let bare = listed.without_www();
-        let www = bare.with_www();
-        Some(self.chain_matches(&www) || self.chain_matches(&bare))
+        (rank < self.limit).then(|| {
+            self.resolves_through_cdn(&bare.with_www()) || self.resolves_through_cdn(&bare)
+        })
     }
 
-    /// Whether `name` resolves from this vantage through a CNAME that
-    /// matches a CDN pattern (see the module doc for the walk).
-    fn chain_matches(&self, name: &DomainName) -> bool {
-        let mut chain = [name; MAX_CHAIN];
-        let mut len = 0;
-        let mut current = name;
-        loop {
-            let Some(records) = self.zones.lookup(current, self.vantage) else {
-                return false; // NXDOMAIN
-            };
-            if let Some(target) = records.iter().find_map(RecordData::cname) {
-                if len == MAX_CHAIN || target == name || chain[..len].contains(&target) {
-                    return false; // chain too long, or a loop
-                }
-                chain[len] = target;
-                len += 1;
-                current = target;
-                continue;
-            }
-            return records.iter().any(|r| r.addr().is_some())
-                && chain[..len].iter().any(|c| self.matches_pattern(c));
+    /// The walk: resolve `name` from HTTPArchive's vantage.
+    fn resolves_through_cdn(&self, name: &DomainName) -> bool {
+        Resolver::new(self.zones, Vantage::HTTPARCHIVE_REDWOOD)
+            .resolve(name)
+            .is_ok_and(|res| self.any_link_matches(&res.cname_chain))
+    }
+
+    /// [`classify`](Self::classify) of a row from a run over this
+    /// classifier's zones: each form's stored chain answers unless the
+    /// module doc's rules send the form to the walk.
+    pub(crate) fn classify_row(&self, d: &DomainMeasurement) -> Option<bool> {
+        let bare = || d.listed.without_www();
+        (d.rank < self.limit).then(|| {
+            self.form_is_cdn(&d.www, || bare().with_www()) || self.form_is_cdn(&d.bare, bare)
+        })
+    }
+
+    /// One form's verdict from its row, or from the walk when the row
+    /// cannot give it. `name` builds the query name, only when needed.
+    fn form_is_cdn(&self, m: &NameMeasurement, name: impl Fn() -> DomainName) -> bool {
+        let divergent = |n: &DomainName| self.divergent.contains(n.as_str());
+        let walk = m.resolve_failed
+            || m.excluded_invalid > 0
+            || (!self.divergent.is_empty()
+                && (divergent(&name()) || m.cname_chain.iter().any(divergent)));
+        if walk {
+            self.resolves_through_cdn(&name())
+        } else {
+            self.any_link_matches(&m.cname_chain)
         }
     }
+}
+
+/// What one step of a walk reads of a name's records: whether the name
+/// exists, the CNAME it follows, and whether it holds an address.
+fn shape(records: Option<&[RecordData]>) -> Option<(Option<&DomainName>, bool)> {
+    let address = |r: &RecordData| r.addr().is_some();
+    records.map(|r| (r.iter().find_map(RecordData::cname), r.iter().any(address)))
+}
+
+/// The divergent names: those with an override whose shape differs from
+/// the base records'. (If every vantage overrides a name, no vantage
+/// sees its base records; comparing with them can only add the name.)
+fn divergent_names(zones: &ZoneStore) -> HashSet<&str> {
+    zones
+        .overrides()
+        .filter(|(_, base, answers)| answers.iter().any(|(_, r)| shape(Some(r)) != shape(*base)))
+        .map(|(name, ..)| name.as_str())
+        .collect()
 }
 
 /// Precision/recall of a classifier against ground truth — used by the
@@ -155,7 +179,11 @@ impl ClassifierScore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::NameMeasurement;
+    use crate::engine::StudyEngine;
+    use crate::pipeline::{PipelineConfig, StudyResults};
+    use ripki_bgp::rib::Rib;
+    use ripki_dns::resolver::MAX_CHAIN;
+    use ripki_rpki::repo::Repository;
 
     fn n(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -240,32 +268,18 @@ mod tests {
         assert_eq!(c.classify(0, &n("t.example")), Some(false));
     }
 
-    /// The classification `classify` replaced: a full
-    /// `Resolver::resolve` of each name form, kept as the oracle.
-    fn classify_by_resolving(
-        c: &HttpArchiveClassifier<'_>,
-        rank: usize,
-        listed: &DomainName,
-    ) -> Option<bool> {
-        if rank >= c.limit {
-            return None;
-        }
-        let resolver = ripki_dns::Resolver::new(c.zones, c.vantage);
-        let bare = listed.without_www();
-        let www = bare.with_www();
-        let mut is_cdn = false;
-        for name in [&www, &bare] {
-            if let Ok(res) = resolver.resolve(name) {
-                if res.cname_chain.iter().any(|link| c.matches_pattern(link)) {
-                    is_cdn = true;
-                }
-            }
-        }
-        Some(is_cdn)
+    /// The rows of a run over `zones` from Google DNS Berlin, without
+    /// routes or RPKI: the DNS outcome is all Fig 3 reads of a row.
+    fn run(zones: &ZoneStore, ranking: &[DomainName], bogus_dns_ppm: u32) -> StudyResults {
+        let config = PipelineConfig {
+            bogus_dns_ppm,
+            ..Default::default()
+        };
+        StudyEngine::new(zones.clone(), Rib::new(), &Repository::default(), config).run(ranking)
     }
 
     #[test]
-    fn chain_walk_equals_full_resolution_on_a_scenario() {
+    fn row_verdict_equals_full_resolution_on_a_scenario() {
         let scenario =
             ripki_websim::Scenario::build(ripki_websim::ScenarioConfig::with_domains(2_000));
         let patterns = scenario
@@ -274,17 +288,22 @@ mod tests {
             .map(|i| format!("{}-sim.net", i.name))
             .collect();
         let c = HttpArchiveClassifier::new(&scenario.zones, patterns);
+        let results = run(
+            &scenario.zones,
+            &scenario.ranking,
+            scenario.config.bogus_dns_ppm,
+        );
         let mut cdn = 0;
-        for (rank, listed) in scenario.ranking.iter().enumerate() {
-            let verdict = c.classify(rank, listed);
-            assert_eq!(verdict, classify_by_resolving(&c, rank, listed), "{listed}");
+        for d in &results.domains {
+            let verdict = c.classify_row(d);
+            assert_eq!(verdict, c.classify(d.rank, &d.listed), "{}", d.listed);
             cdn += usize::from(verdict == Some(true));
         }
         assert!(cdn > 0 && cdn < scenario.ranking.len(), "{cdn} CDN domains");
     }
 
     #[test]
-    fn chain_walk_equals_full_resolution_on_failing_chains() {
+    fn row_verdict_equals_full_resolution_on_failing_chains() {
         let a = |s: &str| s.parse().unwrap();
         let mut z = ZoneStore::new();
         // A loop back to the query through a CDN name.
@@ -334,9 +353,29 @@ mod tests {
             Vantage::HTTPARCHIVE_REDWOOD,
             RecordData::A("7.7.7.6".parse().unwrap()),
         );
+        // A special-purpose answer at the end of a CDN chain.
+        z.add_cname(n("www.special.example"), n("s.akamai-sim.net"));
+        z.add_addr(n("s.akamai-sim.net"), a("127.0.0.1"));
+        // Mid-chain, an address where the base goes on into CDN space.
+        z.add_cname(n("www.mid.example"), n("m1.plain.example"));
+        z.add_cname(n("m1.plain.example"), n("m2.akamai-sim.net"));
+        z.add_addr(n("m2.akamai-sim.net"), a("7.7.7.8"));
+        z.add_override(
+            n("m1.plain.example"),
+            Vantage::HTTPARCHIVE_REDWOOD,
+            RecordData::A("7.7.7.9".parse().unwrap()),
+        );
+        // A dangling CDN name that only the HTTPArchive vantage answers.
+        z.add_cname(n("www.detour.example"), n("x.akamai-sim.net"));
+        z.add_cname(n("x.akamai-sim.net"), n("void.example"));
+        z.add_override(
+            n("x.akamai-sim.net"),
+            Vantage::HTTPARCHIVE_REDWOOD,
+            RecordData::A("7.7.7.7".parse().unwrap()),
+        );
 
         let c = HttpArchiveClassifier::new(&z, vec!["AKAMAI-sim.net".into()]);
-        for (listed, expected) in [
+        let cases = [
             ("loop.example", false),
             ("ring.example", false),
             ("nx.example", false),
@@ -345,15 +384,24 @@ mod tests {
             ("long.example", false),
             ("geo.example", true),
             ("direct.example", false),
+            ("special.example", true),
+            ("mid.example", false),
+            ("detour.example", true),
             ("absent.example", false),
-        ] {
-            let listed = n(listed);
-            assert_eq!(c.classify(0, &listed), Some(expected), "{listed}");
-            assert_eq!(
-                c.classify(0, &listed),
-                classify_by_resolving(&c, 0, &listed),
-                "{listed}"
-            );
+        ];
+        let ranking: Vec<DomainName> = cases.iter().map(|(listed, _)| n(listed)).collect();
+        // At a million ppm every answer is corrupted, so every form
+        // goes to the walk.
+        for bogus_dns_ppm in [0, 1_000_000] {
+            let results = run(&z, &ranking, bogus_dns_ppm);
+            for (d, (listed, expected)) in results.domains.iter().zip(cases) {
+                assert_eq!(
+                    c.classify_row(d),
+                    Some(expected),
+                    "{listed} {bogus_dns_ppm}"
+                );
+                assert_eq!(c.classify(d.rank, &d.listed), Some(expected), "{listed}");
+            }
         }
     }
 

@@ -1,29 +1,44 @@
-//! Figure builders: the exact per-bin series of the paper's four graphs.
+//! Figure builders: the exact per-bin series of the paper's four graphs,
+//! each figure built in one pass over the rows.
 
 use crate::classify::{cname_chain_is_cdn, HttpArchiveClassifier};
-use crate::pipeline::{DomainMeasurement, PipelineConfig, StudyResults};
-use crate::stats::BinnedSeries;
+use crate::pipeline::{DomainMeasurement, StudyResults};
+use crate::stats::{BinAccumulator, BinnedSeries};
 use ripki_bgp::rov::RpkiState;
 use serde::{Deserialize, Serialize};
+
+/// One pass over the rows in rank order: `samples` gives a row's value
+/// for each of the `N` series (`None` = undefined there, skipped).
+fn binned<const N: usize>(
+    results: &StudyResults,
+    bin: usize,
+    mut samples: impl FnMut(&DomainMeasurement) -> [Option<f64>; N],
+) -> [BinnedSeries; N] {
+    let total = results.domains.len();
+    let mut series: [BinAccumulator; N] = std::array::from_fn(|_| BinAccumulator::new(total, bin));
+    for d in &results.domains {
+        for (bins, value) in series.iter_mut().zip(samples(d)) {
+            bins.add(d.rank, value);
+        }
+    }
+    series.map(BinAccumulator::finish)
+}
+
+/// A yes/no sample.
+fn indicator(yes: bool) -> f64 {
+    f64::from(u8::from(yes))
+}
 
 /// Figure 1: fraction of domains whose `www` and bare forms map to equal
 /// prefix sets, per rank bin.
 pub fn fig1_www_overlap(results: &StudyResults, bin: usize) -> BinnedSeries {
-    let total = results.domains.len();
     let mut scratch = Default::default();
-    BinnedSeries::from_samples(
-        results.domains.iter().map(|d| {
-            // Only domains where both forms produced prefixes count.
-            if d.www.pairs.is_empty() && d.bare.pairs.is_empty() {
-                (d.rank, None)
-            } else {
-                let equal = d.equal_prefixes_with(&mut scratch);
-                (d.rank, Some(if equal { 1.0 } else { 0.0 }))
-            }
-        }),
-        total,
-        bin,
-    )
+    let [overlap] = binned(results, bin, |d| {
+        // Only domains where both forms produced prefixes count.
+        let both_empty = d.www.pairs.is_empty() && d.bare.pairs.is_empty();
+        [(!both_empty).then(|| indicator(d.equal_prefixes_with(&mut scratch)))]
+    });
+    overlap
 }
 
 /// Figure 2: the three RFC 6811 outcome series (per-domain probabilities
@@ -40,21 +55,14 @@ pub struct Fig2Series {
 
 /// Build Figure 2.
 pub fn fig2_rpki_outcome(results: &StudyResults, bin: usize) -> Fig2Series {
-    let total = results.domains.len();
-    let series = |state: RpkiState| {
-        BinnedSeries::from_samples(
-            results
-                .domains
-                .iter()
-                .map(|d| (d.rank, d.bare.state_fraction(state))),
-            total,
-            bin,
-        )
-    };
+    let [valid, invalid, not_found] = binned(results, bin, |d| {
+        [RpkiState::Valid, RpkiState::Invalid, RpkiState::NotFound]
+            .map(|state| d.bare.state_fraction(state))
+    });
     Fig2Series {
-        valid: series(RpkiState::Valid),
-        invalid: series(RpkiState::Invalid),
-        not_found: series(RpkiState::NotFound),
+        valid,
+        invalid,
+        not_found,
     }
 }
 
@@ -67,43 +75,22 @@ pub struct Fig3Series {
     pub httparchive: BinnedSeries,
 }
 
-/// Build Figure 3. `classifier` supplies the HTTPArchive side; pass the
-/// scenario's CDN patterns to construct it. The classifier's walks run
-/// on [`PipelineConfig::worker_threads`] threads (the `RIPKI_THREADS`
-/// knob) and are folded in rank order, so the series do not depend on
-/// the thread count.
+/// Build Figure 3 in one serial pass over the rows. `classifier`, built
+/// with the scenario's CDN patterns, reads its verdicts off the rows'
+/// CNAME chains and resolves again only a form its row cannot answer
+/// for (see [`crate::classify`]). The rows must come from a run over the
+/// zones `classifier` was built on.
 pub fn fig3_cdn_popularity(
     results: &StudyResults,
     classifier: &HttpArchiveClassifier<'_>,
     bin: usize,
 ) -> Fig3Series {
-    let total = results.domains.len();
-    let cname_heuristic = BinnedSeries::from_samples(
-        results.domains.iter().map(|d| {
-            (
-                d.rank,
-                Some(if cname_chain_is_cdn(d, 2) { 1.0 } else { 0.0 }),
-            )
-        }),
-        total,
-        bin,
-    );
-    let domains: Vec<&DomainMeasurement> = results.domains.iter().collect();
-    let verdicts = ripki_par::run_indexed(
-        PipelineConfig::default().worker_threads(),
-        &domains,
-        |_| (),
-        |(), _, d| classifier.classify(d.rank, &d.listed),
-    );
-    let httparchive = BinnedSeries::from_samples(
-        domains.iter().zip(verdicts).map(|(d, verdict)| {
-            // A panicked walk is a bug, not an out-of-coverage rank.
-            let verdict = verdict.unwrap_or_else(|| panic!("classifying {} panicked", d.listed));
-            (d.rank, verdict.map(|c| if c { 1.0 } else { 0.0 }))
-        }),
-        total,
-        bin,
-    );
+    let [cname_heuristic, httparchive] = binned(results, bin, |d| {
+        [
+            Some(indicator(cname_chain_is_cdn(d, 2))),
+            classifier.classify_row(d).map(indicator),
+        ]
+    });
     Fig3Series {
         cname_heuristic,
         httparchive,
@@ -121,27 +108,15 @@ pub struct Fig4Series {
 
 /// Build Figure 4.
 pub fn fig4_rpki_on_cdns(results: &StudyResults, bin: usize) -> Fig4Series {
-    let total = results.domains.len();
-    let rpki_enabled = BinnedSeries::from_samples(
-        results
-            .domains
-            .iter()
-            .map(|d| (d.rank, d.bare.covered_fraction())),
-        total,
-        bin,
-    );
-    let rpki_enabled_on_cdns = BinnedSeries::from_samples(
-        results.domains.iter().map(|d| {
-            if cname_chain_is_cdn(d, 2) {
-                // CDN-hosted: the www form is the CDN-served one.
-                (d.rank, d.www.covered_fraction())
-            } else {
-                (d.rank, None)
-            }
-        }),
-        total,
-        bin,
-    );
+    let [rpki_enabled, rpki_enabled_on_cdns] = binned(results, bin, |d| {
+        [
+            d.bare.covered_fraction(),
+            // CDN-hosted: the www form is the CDN-served one.
+            d.www
+                .covered_fraction()
+                .filter(|_| cname_chain_is_cdn(d, 2)),
+        ]
+    });
     Fig4Series {
         rpki_enabled,
         rpki_enabled_on_cdns,
@@ -160,34 +135,15 @@ pub struct ExtDnssecSeries {
 
 /// Build the RPKI-vs-DNSSEC comparison.
 pub fn ext_dnssec_comparison(results: &StudyResults, bin: usize) -> ExtDnssecSeries {
-    let total = results.domains.len();
+    let [rpki_covered, dnssec_signed] = binned(results, bin, |d| {
+        [
+            d.bare.covered_fraction(),
+            (!d.bare.resolve_failed).then(|| indicator(d.bare.dnssec_authenticated)),
+        ]
+    });
     ExtDnssecSeries {
-        rpki_covered: BinnedSeries::from_samples(
-            results
-                .domains
-                .iter()
-                .map(|d| (d.rank, d.bare.covered_fraction())),
-            total,
-            bin,
-        ),
-        dnssec_signed: BinnedSeries::from_samples(
-            results.domains.iter().map(|d| {
-                if d.bare.resolve_failed {
-                    (d.rank, None)
-                } else {
-                    (
-                        d.rank,
-                        Some(if d.bare.dnssec_authenticated {
-                            1.0
-                        } else {
-                            0.0
-                        }),
-                    )
-                }
-            }),
-            total,
-            bin,
-        ),
+        rpki_covered,
+        dnssec_signed,
     }
 }
 

@@ -32,26 +32,11 @@ impl BinnedSeries {
     where
         I: IntoIterator<Item = (usize, Option<f64>)>,
     {
-        assert!(bin_size > 0, "bin size must be positive");
-        let n_bins = total.div_ceil(bin_size).max(1);
-        let mut sums = vec![0.0f64; n_bins];
-        let mut counts = vec![0usize; n_bins];
-        for (rank, value) in samples {
-            let Some(v) = value else { continue };
-            let bin = (rank / bin_size).min(n_bins - 1);
-            sums[bin] += v;
-            counts[bin] += 1;
-        }
-        let means = sums
-            .iter()
-            .zip(&counts)
-            .map(|(s, c)| if *c > 0 { Some(s / *c as f64) } else { None })
-            .collect();
-        BinnedSeries {
-            bin_size,
-            means,
-            counts,
-        }
+        let mut bins = BinAccumulator::new(total, bin_size);
+        samples
+            .into_iter()
+            .for_each(|(rank, value)| bins.add(rank, value));
+        bins.finish()
     }
 
     /// Number of bins.
@@ -66,19 +51,7 @@ impl BinnedSeries {
 
     /// Mean over all defined samples (weighted by sample count).
     pub fn overall_mean(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (m, c) in self.means.iter().zip(&self.counts) {
-            if let Some(v) = m {
-                sum += v * *c as f64;
-                n += c;
-            }
-        }
-        if n > 0 {
-            Some(sum / n as f64)
-        } else {
-            None
-        }
+        self.range_mean(0, self.len() * self.bin_size)
     }
 
     /// Mean over the bins covering ranks `[from, to)` (e.g. the paper's
@@ -94,11 +67,7 @@ impl BinnedSeries {
                 n += self.counts[i];
             }
         }
-        if n > 0 {
-            Some(sum / n as f64)
-        } else {
-            None
-        }
+        (n > 0).then(|| sum / n as f64)
     }
 
     /// Render as `bin_start,value` CSV lines (empty bins skipped).
@@ -110,6 +79,52 @@ impl BinnedSeries {
             }
         }
         out
+    }
+}
+
+/// Per-bin sums and counts, fed one sample at a time, so one pass over
+/// the rows can build several series. Each bin sums its samples in the
+/// order they are added.
+#[derive(Debug)]
+pub(crate) struct BinAccumulator {
+    bin_size: usize,
+    sums: Vec<f64>,
+    counts: Vec<usize>,
+}
+
+impl BinAccumulator {
+    /// Empty bins, as [`BinnedSeries::from_samples`] lays them out.
+    pub(crate) fn new(total: usize, bin_size: usize) -> BinAccumulator {
+        assert!(bin_size > 0, "bin size must be positive");
+        let n_bins = total.div_ceil(bin_size).max(1);
+        BinAccumulator {
+            bin_size,
+            sums: vec![0.0; n_bins],
+            counts: vec![0; n_bins],
+        }
+    }
+
+    /// Add one sample; an undefined (`None`) value is skipped.
+    pub(crate) fn add(&mut self, rank: usize, value: Option<f64>) {
+        let Some(v) = value else { return };
+        let bin = (rank / self.bin_size).min(self.sums.len() - 1);
+        self.sums[bin] += v;
+        self.counts[bin] += 1;
+    }
+
+    /// The per-bin means.
+    pub(crate) fn finish(self) -> BinnedSeries {
+        let means = self
+            .sums
+            .iter()
+            .zip(&self.counts)
+            .map(|(s, &c)| (c > 0).then(|| s / c as f64))
+            .collect();
+        BinnedSeries {
+            bin_size: self.bin_size,
+            means,
+            counts: self.counts,
+        }
     }
 }
 

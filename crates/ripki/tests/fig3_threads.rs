@@ -1,5 +1,6 @@
-//! Figure 3's HTTPArchive side is classified on `RIPKI_THREADS` workers
-//! and folded in rank order: one worker and several draw the same series.
+//! Figure 3 is one serial pass over the rows, so the `RIPKI_THREADS`
+//! knob no longer reaches it: with the variable at one worker and at
+//! several, it draws the same series.
 //!
 //! The only test in its own binary, because it sets the process-wide
 //! `RIPKI_THREADS` variable that every `PipelineConfig` reads.

@@ -91,13 +91,15 @@ RATIOS = [
     # 106-135 (engine 2.9-4.0 ms).
     (["ripki.run_ms @ study_full"], "ripki.engine_new_ms @ study_full", 20.0),
     # The report — every figure, Table 1 and the CDN audit — costs under
-    # half a run: the HTTPArchive classifier walks CNAME chains only, on
-    # the run's worker threads, and Fig 1 compares prefix sets in two
-    # reused buffers (a full resolve per name on one thread reads 1.4).
-    # Traced runs at seed 1 read 2.35-2.48 (run 388-427 ms, figures
-    # 165-172 ms; 2.96-3.50 while the run still went through a CNAME
-    # tail cache, at 524-622 ms).
-    (["ripki.run_ms @ study_full"], "ripki.figures_ms @ study_full", 2.0),
+    # a third of a run: Fig 3's HTTPArchive verdicts come from the CNAME
+    # chains the run stored (a form is resolved again only where its row
+    # cannot answer), each figure is one pass over the rows, and Fig 1
+    # compares prefix sets in two reused buffers. Traced runs at seed 1
+    # read 4.96-6.09 (run 272-350 ms, figures 55-62 ms). A report that
+    # walks every name form through the zones again reads 1.98-2.45
+    # (figures 130-163 ms), one that resolves each name in full on one
+    # thread 1.4.
+    (["ripki.run_ms @ study_full"], "ripki.figures_ms @ study_full", 3.0),
     # Indexing a study for incremental epochs (the first apply_events)
     # costs about one full run of that study, not 2.5-3: a resolved
     # name form's touched names are its stored CNAME chain, so only
